@@ -23,7 +23,7 @@ import sys
 import time
 
 from .arith import RandomSource
-from .errors import PolyFileError, SpmulError
+from .errors import CharacteristicTooSmallError, PolyFileError, SpmulError
 from .multivar import (MultiPoly, canonicalize_multi, from_univariate,
                        kronecker, multivar_product_field,
                        multivar_product_smallchar, multivar_product_z,
@@ -229,7 +229,7 @@ def _multiply(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource) -> Mult
     if ring.char > kronecker(F, d).degree + kronecker(G, d).degree:
         try:
             return multivar_product_field(F, G, eps, rng)
-        except SpmulError:
+        except CharacteristicTooSmallError:
             pass  # characteristic too small for the interpolation prime
     return multivar_product_smallchar(F, G, eps, rng)
 

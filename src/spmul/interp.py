@@ -1,7 +1,7 @@
 """Sparse interpolation of a sum of sparse products from cyclic residues.
 
-Each round reduces the target modulo X^p - 1 for a random small prime p
-drawn from a precomputed pool.  A term c*X^e of the target that does not
+Each round reduces the target modulo X^p - 1 for a random prime p among
+the first O(T log D) primes.  A term c*X^e of the target that does not
 collide with another term mod p shows up in the residue as c*X^(e mod p)
 and in the derivative's residue as (c*e)*X^((e-1) mod p), so e pops out
 of one division.  Rounds accumulate recovered terms into a running
@@ -12,15 +12,13 @@ terms reappear negated in later residues.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 
-from .arith import RandomSource
+from .arith import RandomSource, first_primes
 from .errors import CharacteristicTooSmallError, RingMismatchError
 from .poly import (SparsePoly, add, cyclic_reduce, derivative,
                    dense_cyclic_mul, to_dense, zero_poly)
-from .rings import RingSpec, add_mul_count
+from .rings import RingSpec, add_mul_count, integers
 
 # Above this many term products per residue, packed dense convolution wins
 # over direct sparse accumulation.
@@ -32,8 +30,7 @@ class InterpJob:
     """One interpolation task: recover H = sum F_i*G_i.
 
     T bounds the sparsity of H, D strictly bounds its degree, C bounds its
-    height (integers only; None over fields), mu is the failure budget,
-    and primes is the candidate pool (sorted, all prime).
+    height (integers only; None over fields), and mu is the failure budget.
     """
 
     pairs: list
@@ -41,7 +38,6 @@ class InterpJob:
     D: int
     C: int | None
     mu: float
-    primes: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.pairs:
@@ -56,11 +52,6 @@ class InterpJob:
             raise ValueError("D must be >= 2")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if not self.primes:
-            raise ValueError("prime pool must be nonempty")
-        # pools reach millions of entries; keep the monotonicity check at C speed
-        if any(map(operator.ge, self.primes, islice(self.primes, 1, None))):
-            raise ValueError("prime pool must be strictly increasing")
 
     @property
     def ring(self) -> RingSpec:
@@ -138,76 +129,56 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
                            ring: RingSpec, force_dense: bool | None = None) -> SparsePoly:
     """(sum F_i*G_i - minus) mod X^p - 1, without the full products.
 
-    Two equivalent routes: direct sparse accumulation of the #F_i * #G_i
-    term products (cheap while that count stays below ~4p) and packed
-    dense cyclic convolution.  Selection is automatic unless force_dense
-    pins one; extension fields always take the sparse route unless forced.
+    Coefficients are lifted to their integer images (RingSpec.lift), the
+    sum is accumulated over raw integers and each slot is dropped back
+    into the ring once.  Two equivalent routes accumulate it: direct
+    sparse accumulation of the #F_i * #G_i term products (cheap while that
+    count stays below ~4p) and packed dense cyclic convolution over Z.
+    Selection is automatic unless force_dense pins one.
     """
     reduced = [(cyclic_reduce(F, p), cyclic_reduce(G, p)) for F, G in pairs]
-    minus_r = cyclic_reduce(minus, p) if minus is not None and not minus.is_zero else None
     work = sum(F.sparsity * G.sparsity for F, G in reduced)
-    if force_dense is None:
-        dense = ring.kind != "ext_field" and work > _DENSE_THRESHOLD_FACTOR * p
-    else:
-        dense = force_dense
+    # a term of F_i meets at most one term of G_i in any one slot
+    base = ring.lift_base(sum(min(F.sparsity, G.sparsity) for F, G in reduced))
+    zz = integers()
 
+    def lift(F: SparsePoly) -> SparsePoly:
+        if base is None:
+            return SparsePoly(zz, F.terms)
+        return SparsePoly(zz, tuple((e, ring.lift(c, base)) for e, c in F.terms))
+
+    lifted = [(lift(F_r), lift(G_r)) for F_r, G_r in reduced]
+    dense = work > _DENSE_THRESHOLD_FACTOR * p if force_dense is None else force_dense
     if dense:
-        acc_vec = [ring.zero()] * p
-        for F_r, G_r in reduced:
-            prod = dense_cyclic_mul(to_dense(F_r, p), to_dense(G_r, p))
-            if ring.kind == "ext_field":
-                acc_vec = [ring.add(a, b) for a, b in zip(acc_vec, prod.coeffs)]
-            else:
-                acc_vec = [a + b for a, b in zip(acc_vec, prod.coeffs)]
-        if minus_r is not None:
-            for e, c in minus_r.terms:
-                acc_vec[e] = ring.sub(acc_vec[e], c)
-        if ring.kind == "prime_field":
-            q = ring.q
-            acc_vec = [v % q for v in acc_vec]
-        zero = ring.zero()
-        return SparsePoly(ring, tuple((e, c) for e, c in enumerate(acc_vec) if c != zero))
-
-    acc: dict = {}
-    if ring.kind == "ext_field":
-        zero = ring.zero()
-        for F_r, G_r in reduced:
-            for e1, c1 in F_r.terms:
-                for e2, c2 in G_r.terms:
+        vec = [0] * p
+        for F_z, G_z in lifted:
+            prod = dense_cyclic_mul(to_dense(F_z, p), to_dense(G_z, p))
+            vec = [a + b for a, b in zip(vec, prod.coeffs)]
+        acc = dict(enumerate(vec))
+    else:
+        acc = {}
+        for F_z, G_z in lifted:
+            g_terms = G_z.terms
+            for e1, c1 in F_z.terms:
+                for e2, c2 in g_terms:
                     k = e1 + e2
                     if k >= p:
                         k -= p
-                    prod = ring.mul(c1, c2)
-                    acc[k] = ring.add(acc[k], prod) if k in acc else prod
-        if minus_r is not None:
-            for e, c in minus_r.terms:
-                acc[e] = ring.sub(acc.get(e, zero), c)
-        return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c != zero)))
-
-    # integers and prime fields: accumulate raw integer products, reduce once
-    for F_r, G_r in reduced:
-        for e1, c1 in F_r.terms:
-            for e2, c2 in G_r.terms:
-                k = e1 + e2
-                if k >= p:
-                    k -= p
-                v = c1 * c2
-                if k in acc:
-                    acc[k] += v
-                else:
-                    acc[k] = v
-    add_mul_count(work)
-    if minus_r is not None:
-        for e, c in minus_r.terms:
-            if e in acc:
-                acc[e] -= c
-            else:
-                acc[e] = -c
-    if ring.kind == "prime_field":
-        q = ring.q
-        return SparsePoly(ring, tuple(sorted(
-            (e, cr) for e, c in acc.items() if (cr := c % q))))
-    return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c)))
+                    v = c1 * c2
+                    if k in acc:
+                        acc[k] += v
+                    else:
+                        acc[k] = v
+        add_mul_count(work)
+    if minus is not None:
+        for e, c in lift(cyclic_reduce(minus, p)).terms:
+            acc[e] = acc.get(e, 0) - c
+    items = acc.items()
+    if ring.is_field:
+        drop = ring.drop
+        items = [(e, drop(v, base)) for e, v in items]
+    zero = ring.zero()
+    return SparsePoly(ring, tuple(sorted((e, c) for e, c in items if c != zero)))
 
 
 def _trim(H: SparsePoly, T: int, D: int, C: int | None) -> SparsePoly:
@@ -242,13 +213,15 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource, on_round=None) -> SparsePol
     rounds = math.ceil(math.log2(2 * job.T)) + math.ceil(math.log2(1.0 / job.mu)) + 2
     double_c = 2 * job.C if job.C is not None else None
     h_star = zero_poly(ring)
-    n_primes = len(job.primes)
+    # rounds draw p from the first 2*floor(6.4*(T-1)*log2 D) primes
+    n_pool = max(1, math.floor((32.0 / 5.0) * (job.T - 1) * math.log2(job.D)))
+    primes = first_primes(2 * n_pool)
     # an honest job (T >= #H) keeps every residue at <= #H_p + #H*_p <= 3T
     # terms; exceeding that proves the bound wrong, so bail out at once --
     # the output only owes its shape, and outer verification rejects it
     overflow = 3 * job.T
     for _ in range(rounds):
-        p = job.primes[rng.randrange(n_primes)]
+        p = primes[rng.randrange(len(primes))]
         residue = cyclic_product_residue(pairs, h_star, p, ring)
         if residue.sparsity > overflow:
             break

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import RandomSource, _fq_rem_monic
+from .arith import RandomSource
 from .errors import RingMismatchError, UnsupportedRingError
 from .poly import SparsePoly, canonicalize
 from .product import ProductParams, sparse_product
@@ -176,19 +176,26 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
     return math.ceil(lam * best)
 
 
-def multivar_product_z(F: MultiPoly, G: MultiPoly, eps: float,
-                       rng: RandomSource) -> MultiPoly:
-    """Multivariate product over Z via classical Kronecker substitution."""
+def _kronecker_product(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource,
+                       over_field: bool) -> MultiPoly:
+    # classical Kronecker substitution plus the univariate algorithm
     if F.ring != G.ring or F.nvars != G.nvars:
         raise RingMismatchError("operands must share ring and variables")
-    if F.ring.kind != "integers":
-        raise UnsupportedRingError("this path multiplies integer polynomials")
+    if F.ring.is_field != over_field:
+        what = "field" if over_field else "integer"
+        raise UnsupportedRingError(f"this path multiplies {what} polynomials")
     if F.is_zero or G.is_zero:
         return zero_multi(F.ring, F.nvars)
     d = 1 + max(F.var_degree(i) + G.var_degree(i) for i in range(F.nvars))
     params = ProductParams(eps / 2.0, eps / 2.0)
     h_u = sparse_product(kronecker(F, d), kronecker(G, d), params, rng)
     return inverse_kronecker(h_u, d, F.nvars)
+
+
+def multivar_product_z(F: MultiPoly, G: MultiPoly, eps: float,
+                       rng: RandomSource) -> MultiPoly:
+    """Multivariate product over Z via classical Kronecker substitution."""
+    return _kronecker_product(F, G, eps, rng, over_field=False)
 
 
 def multivar_product_field(F: MultiPoly, G: MultiPoly, eps: float,
@@ -199,68 +206,29 @@ def multivar_product_field(F: MultiPoly, G: MultiPoly, eps: float,
     Requires characteristic > deg(F_u) + deg(G_u) after substitution (and
     more; see sparse_product); use multivar_product_smallchar otherwise.
     """
-    if F.ring != G.ring or F.nvars != G.nvars:
-        raise RingMismatchError("operands must share ring and variables")
-    if not F.ring.is_field:
-        raise UnsupportedRingError("this path multiplies field polynomials")
-    if F.is_zero or G.is_zero:
-        return zero_multi(F.ring, F.nvars)
-    d = 1 + max(F.var_degree(i) + G.var_degree(i) for i in range(F.nvars))
-    params = ProductParams(eps / 2.0, eps / 2.0)
-    h_u = sparse_product(kronecker(F, d), kronecker(G, d), params, rng)
-    return inverse_kronecker(h_u, d, F.nvars)
+    return _kronecker_product(F, G, eps, rng, over_field=True)
 
 
 def multivar_product_smallchar(F: MultiPoly, G: MultiPoly, eps: float,
                                rng: RandomSource) -> MultiPoly:
-    """Multivariate product over F_{q^s} for any characteristic.
+    """Multivariate product over F_q or F_{q^s} for any characteristic.
 
-    Coefficients are lifted to integers (packing the s residues at base
-    B = T*s*q^2, wide enough that no slot ever carries into the next),
-    the product is taken over Z, and slots are unpacked and reduced back
-    into the field.  The intermediate sparsity is the structural sparsity
-    of the product rather than its true sparsity.
+    Coefficients are lifted to their integer images (RingSpec.lift, at a
+    base wide enough for the at most min(#F, #G) products that share an
+    exponent), the product is taken over Z, and each coefficient is
+    dropped back into the field.  The intermediate sparsity is the
+    structural sparsity of the product rather than its true sparsity.
     """
     if F.ring != G.ring or F.nvars != G.nvars:
         raise RingMismatchError("operands must share ring and variables")
     ring = F.ring
     if not ring.is_field:
         raise UnsupportedRingError("input must live over a finite field")
-    if F.is_zero or G.is_zero:
-        return zero_multi(ring, F.nvars)
     zz = integers()
-    q = ring.q
-
-    if ring.kind == "prime_field":
-        f_z = MultiPoly(zz, F.nvars, F.terms)
-        g_z = MultiPoly(zz, G.nvars, G.terms)
-        h_z = multivar_product_z(f_z, g_z, eps, rng)
-        out = [(e, r) for e, c in h_z.terms if (r := c % q)]
-        return MultiPoly(ring, F.nvars, tuple(sorted(out)))
-
-    s = ring.s
-    big_t = max(F.sparsity, G.sparsity)
-    base = big_t * s * q * q  # wide enough: <= T colliding pairs, s slots, q^2 products
-    f_z = MultiPoly(zz, F.nvars,
-                    tuple((e, sum(r * base ** i for i, r in enumerate(c))) for e, c in F.terms))
-    g_z = MultiPoly(zz, G.nvars,
-                    tuple((e, sum(r * base ** i for i, r in enumerate(c))) for e, c in G.terms))
+    base = ring.lift_base(min(F.sparsity, G.sparsity))
+    f_z = MultiPoly(zz, F.nvars, tuple((e, ring.lift(c, base)) for e, c in F.terms))
+    g_z = MultiPoly(zz, G.nvars, tuple((e, ring.lift(c, base)) for e, c in G.terms))
     h_z = multivar_product_z(f_z, g_z, eps, rng)
-
-    modulus = list(ring.modulus)
-    out = []
-    for e, c in h_z.terms:
-        digits = []
-        v = c
-        while v:
-            v, r = divmod(v, base)
-            digits.append(r)
-        # a slot overflowing into its neighbour would widen the digit string
-        # past the 2s-1 coefficients a product in Y can have
-        if len(digits) > 2 * s - 1:
-            raise AssertionError("packed coefficient slot overflow")
-        rem = _fq_rem_monic([d % q for d in digits], modulus, q)
-        elem = tuple(rem) + (0,) * (s - len(rem))
-        if any(elem):
-            out.append((e, elem))
-    return MultiPoly(ring, F.nvars, tuple(sorted(out)))
+    zero = ring.zero()
+    return MultiPoly(ring, F.nvars, tuple(
+        (e, c) for e, v in h_z.terms if (c := ring.drop(v, base)) != zero))

@@ -217,14 +217,15 @@ def _unpack(z: int, nb: int, count: int) -> list[int]:
 
 
 def dense_cyclic_mul(A: DenseCyclic, B: DenseCyclic) -> DenseCyclic:
-    """Cyclic convolution of length p.
+    """Cyclic convolution of length p, for every ring.
 
-    Over Z and F_q the linear convolution is obtained from one big-integer
-    product of the slot-packed vectors (Kronecker segmentation), then slots
-    >= p are folded back.  Each folded slot sums exactly p pair products,
-    so slot width bits(p*Ma*Mb) + 2 cannot overflow even after adding the
-    nonnegativity offsets used for signed input.  Extension fields fall
-    back to schoolbook convolution.
+    Coefficients are lifted to their integer images (RingSpec.lift), the
+    linear convolution of the images is one big-integer product of the
+    slot-packed vectors (Kronecker segmentation), slots >= p are folded
+    back, and each slot is dropped back into the ring.  Each folded slot
+    sums exactly p pair products, so slot width bits(p*Ma*Mb) + 2 cannot
+    overflow even after adding the nonnegativity offsets used for signed
+    input.
     """
     if A.ring != B.ring:
         raise RingMismatchError("operands live in different rings")
@@ -232,45 +233,23 @@ def dense_cyclic_mul(A: DenseCyclic, B: DenseCyclic) -> DenseCyclic:
         raise ValueError("mismatched cyclic lengths")
     ring = A.ring
     p = A.p
-    if ring.kind == "ext_field":
-        out = [ring.zero()] * p
-        for i, ai in enumerate(A.coeffs):
-            if ai == ring.zero():
-                continue
-            for j, bj in enumerate(B.coeffs):
-                if bj == ring.zero():
-                    continue
-                k = i + j
-                if k >= p:
-                    k -= p
-                out[k] = ring.add(out[k], ring.mul(ai, bj))
-        return DenseCyclic(ring, p, out)
-
-    if ring.kind == "integers":
-        ma = max((abs(v) for v in A.coeffs), default=0)
-        mb = max((abs(v) for v in B.coeffs), default=0)
-        if ma == 0 or mb == 0:
-            return DenseCyclic(ring, p, [0] * p)
-        slot_bits = (p * ma * mb).bit_length() + 2
-        nb = (slot_bits + 7) // 8
-        za = _pack([v + ma for v in A.coeffs], nb)
-        zb = _pack([v + mb for v in B.coeffs], nb)
-        slots = _unpack(za * zb, nb, 2 * p)
-        sig_a = sum(A.coeffs)
-        sig_b = sum(B.coeffs)
-        corr = ma * sig_b + mb * sig_a + p * ma * mb
-        out = [slots[k] + slots[k + p] - corr for k in range(p - 1)]
-        out.append(slots[p - 1] - corr)
-        return DenseCyclic(ring, p, out)
-
-    q = ring.q
-    if all(v == 0 for v in A.coeffs) or all(v == 0 for v in B.coeffs):
-        return DenseCyclic(ring, p, [0] * p)
-    slot_bits = (p * (q - 1) * (q - 1)).bit_length() + 2
+    base = ring.lift_base(p)  # at most p products land in one slot
+    a, b = A.coeffs, B.coeffs
+    if base is not None:
+        a = [ring.lift(c, base) for c in a]
+        b = [ring.lift(c, base) for c in b]
+    ma = max(map(abs, a), default=0)
+    mb = max(map(abs, b), default=0)
+    if ma == 0 or mb == 0:
+        return DenseCyclic(ring, p, [ring.zero()] * p)
+    slot_bits = (p * ma * mb).bit_length() + 2
     nb = (slot_bits + 7) // 8
-    slots = _unpack(_pack(A.coeffs, nb) * _pack(B.coeffs, nb), nb, 2 * p)
-    out = [(slots[k] + slots[k + p]) % q for k in range(p - 1)]
-    out.append(slots[p - 1] % q)
+    slots = _unpack(_pack([v + ma for v in a], nb) * _pack([v + mb for v in b], nb), nb, 2 * p)
+    corr = ma * sum(b) + mb * sum(a) + p * ma * mb
+    out = [slots[k] + slots[k + p] - corr for k in range(p - 1)]
+    out.append(slots[p - 1] - corr)
+    if ring.is_field:
+        out = [ring.drop(v, base) for v in out]
     return DenseCyclic(ring, p, out)
 
 

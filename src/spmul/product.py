@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import RandomSource, first_primes, random_prime
+from .arith import RandomSource, random_prime
 from .errors import CharacteristicTooSmallError, RetryBudgetError, RingMismatchError
 from .interp import InterpJob, find_terms, interp_sum_sp
 from .poly import SparsePoly, cyclic_reduce, derivative, scale, zero_poly
@@ -89,7 +89,6 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     mu_star = mu2 - mu1 / 2.0
     mu_interp = mu_star / 2.0 if mu_star > 0 else mu1 / 8.0
-    log2_2p = math.log2(2 * p)
     deriv_pairs = [(F_p, Gd_p), (Fd_p, G_p)]
 
     iterations = 0
@@ -97,15 +96,13 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         if iterations >= _MAX_DOUBLINGS:
             raise RetryBudgetError("sparsity-doubling loop failed to converge")
         iterations += 1
-        n_pool = max(1, math.floor((32.0 / 5.0) * (t - 1) * log2_2p))
-        pool = first_primes(2 * n_pool)
         c1 = _height_bound(F_p, G_p) if over_z else None
         c2 = _height_bound(F_p, Gd_p) + _height_bound(Fd_p, G_p) if over_z else None
-        h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, 2 * p, c1, mu_interp, pool), rng)
+        h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, 2 * p, c1, mu_interp), rng)
         # interpolating h2 only after h1 passes skips the heavier job on
         # every round whose sparsity guess is still too small
         if verify_sp(F_p, G_p, h1, mu1 / 2.0, rng):
-            h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp, pool), rng)
+            h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp), rng)
             if verify_sum_sp(h2, deriv_pairs, mu1 / 2.0, rng):
                 t *= 2
                 break

@@ -7,7 +7,9 @@ Elements are plain Python values so the hot paths stay cheap:
 * extension field    -- ``tuple`` of s ints in ``[0, q)``, little-endian
                         coordinates in the power basis
 
-:class:`RingSpec` bundles the description with its arithmetic.  Every
+:class:`RingSpec` bundles the description with its arithmetic and with
+integer images of its elements (``lift`` / ``drop``), through which one
+packed integer convolution serves all three kinds of ring.  Every
 coefficient multiplication routed through a ``RingSpec`` bumps a global
 counter that benchmarks and operation-count tests read back; exponent
 powers are charged their square-and-multiply cost.  The counter is the
@@ -190,15 +192,22 @@ class RingSpec:
             if ai:
                 for j, bj in enumerate(b):
                     t[i + j] += ai * bj
-        m = self.modulus
-        for i in range(2 * s - 2, s - 1, -1):
+        return self._reduce(t)
+
+    def _reduce(self, t: list):
+        """The element sum t_i * Y^i of F_{q^s}, for integers t_i (any sign)
+        and len(t) <= 2s - 1; Y is the generator.  Consumes t."""
+        q, s, m = self.q, self.s, self.modulus
+        if len(t) < s:
+            t.extend([0] * (s - len(t)))
+        for i in range(len(t) - 1, s - 1, -1):
             c = t[i] % q
             if c:
                 base = i - s
                 for j in range(s):
                     if m[j]:
                         t[base + j] -= c * m[j]
-        return tuple(v % q for v in t[:s])
+        return tuple([v % q for v in t[:s]])
 
     def pow(self, a, e: int):
         if e < 0:
@@ -245,6 +254,46 @@ class RingSpec:
         if self.kind == "prime_field":
             return rng.randrange(self.q)
         return tuple(rng.randrange(self.q) for _ in range(self.s))
+
+    # -- integer images ----------------------------------------------
+    # Z and F_q elements are their own integer images.  An F_{q^s} element
+    # with residues r_i becomes sum r_i * B^i; a sum of products of images
+    # is then the image of the same sum taken in Z[Y], as long as no base-B
+    # digit leaves (-B/2, B/2).  lift_base sizes B for that.
+
+    def lift_base(self, n: int) -> int | None:
+        """Digit base B for images of which at most n products (minus one
+        image) land in one slot; None where lift and drop are identities."""
+        if self.kind != "ext_field":
+            return None
+        # each digit of such a sum lies within n*s*(q-1)^2 + q - 1 < B/2
+        return 2 * max(n, 1) * self.s * self.q * self.q
+
+    def lift(self, a, base: int | None) -> int:
+        """Integer image of a ring element at digit base `base`."""
+        if base is None:
+            return a
+        v = 0
+        for r in reversed(a):
+            v = v * base + r
+        return v
+
+    def drop(self, v: int, base: int | None):
+        """Ring element of integer image v: v itself over Z, v mod q over
+        F_q, and over F_{q^s} the balanced base-B digits of v reduced mod q
+        and the modulus."""
+        if base is None:
+            return v % self.q if self.q else v
+        half = base // 2
+        digits = []
+        while v:
+            v, r = divmod(v + half, base)  # r - half is the balanced digit
+            digits.append(r - half)
+        # a slot overflowing into its neighbour would widen the digit string
+        # past the 2s-1 coefficients a product in Y can have
+        if len(digits) > 2 * self.s - 1:
+            raise AssertionError("packed coefficient slot overflow")
+        return self._reduce(digits)
 
     def residues(self, a) -> tuple[int, ...]:
         """Residue vector of a field element (length s; s = 1 for prime fields)."""

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from spmul import PolyFileError, canonicalize, canonicalize_multi, ext_field, integers, prime_field
+from spmul import (PolyFileError, RetryBudgetError, canonicalize, canonicalize_multi,
+                   ext_field, integers, multivar_product_smallchar, prime_field)
 from spmul.cli import format_poly, parse_poly, run_command
 
 from helpers import rand_multi, rand_sparse
@@ -140,6 +141,40 @@ class TestCommands:
         assert run_command(["mul", a, a, "-o", out]) == 0
         h = parse_poly((tmp_path / "h.poly").read_text())
         assert h.terms == ((0, 1), (2, 1))
+
+    def test_field_path_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise RetryBudgetError("sparsity-doubling loop failed to converge")
+
+        monkeypatch.setattr("spmul.cli.multivar_product_field", exhausted)
+        a = self._write(tmp_path, "a.poly", "field 1000003 1\nvars 1\nterm 1 0\nterm 2 5\n")
+        out = tmp_path / "h.poly"
+        assert run_command(["mul", a, a, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spmul: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_char_below_cyclic_prime_falls_back(self, tmp_path, monkeypatch):
+        # q exceeds the Kronecker degree but not 2p for the cyclic prime p,
+        # so the field path raises and the lift through Z takes over
+        lifted = []
+
+        def smallchar(*args):
+            lifted.append(args)
+            return multivar_product_smallchar(*args)
+
+        monkeypatch.setattr("spmul.cli.multivar_product_smallchar", smallchar)
+        fq = prime_field(1000003)
+        rnd = random.Random(4)
+        f = rand_multi(rnd, fq, 2, 6, 20)
+        g = rand_multi(rnd, fq, 2, 6, 20)
+        a = self._write(tmp_path, "a.poly", format_poly(f))
+        b = self._write(tmp_path, "b.poly", format_poly(g))
+        o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+        assert run_command(["mul", a, b, "-o", o1]) == 0
+        assert run_command(["mul", a, b, "-o", o2, "--naive"]) == 0
+        assert (tmp_path / "o1").read_bytes() == (tmp_path / "o2").read_bytes()
+        assert len(lifted) == 1
 
     def test_estimate(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.poly", F_TEXT)

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spmul import (RingMismatchError, UnsupportedRingError,
+from spmul import (DenseCyclic, RingMismatchError, UnsupportedRingError,
                    add, canonicalize, cyclic_reduce, dense_cyclic_mul,
                    derivative, eval_sparse, ext_field, from_dense, integers,
                    monomial, naive_mul, negate, prime_field,
                    reduce_coeffs_mod_q, scale, sub, to_dense, zero_poly)
 from spmul.poly import NEG_INF
 
-from helpers import (cyclic_convolve_oracle, dict_mul_z, poly_to_dict,
+from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, poly_to_dict,
                      rand_sparse, trial_division_primes)
 
 ZZ = integers()
@@ -221,6 +221,15 @@ class TestDenseCyclicMul:
             a, b = to_dense(fa, 7), to_dense(fb, 7)
             assert dense_cyclic_mul(a, b).coeffs == cyclic_convolve_oracle(
                 a.coeffs, b.coeffs, f9)
+
+    def test_ext_field_worst_case_digits(self):
+        # all residues q-1 in every slot drive each packed digit to its bound
+        for ring in (ext_field(3, 5), ext_field(Q62, 2)):
+            top = (ring.q - 1,) * ring.s
+            for p in (1, 2, 17, 64):
+                a = DenseCyclic(ring, p, [top] * p)
+                assert dense_cyclic_mul(a, a).coeffs == cyclic_convolve_oracle(
+                    a.coeffs, a.coeffs, ring)
 
     def test_consistency_with_naive_mul_50_primes(self):
         rnd = random.Random(20)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
-                   canonicalize, integers, monomial, naive_mul, prime_field,
+                   canonicalize, ext_field, integers, monomial, naive_mul, prime_field,
                    reduce_coeffs_mod_q, scale, sparse_product, sumset_size,
                    zero_poly)
 
@@ -112,6 +112,14 @@ class TestSparseProduct:
                 sparse_product(f_z, g_z, PARAMS, RandomSource(seed)), Q62)
             rhs = sparse_product(f_q, g_q, PARAMS, RandomSource(seed + 10 ** 6))
             assert lhs == rhs
+
+    def test_ext_field_product(self):
+        f_big = ext_field(Q62, 2)
+        rnd = random.Random(35)
+        for seed in range(10):
+            f = rand_sparse(rnd, f_big, 6, 10 ** 4)
+            g = rand_sparse(rnd, f_big, 6, 10 ** 4)
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
 
     def test_characteristic_too_small(self):
         f5 = prime_field(5)
