@@ -223,15 +223,12 @@ def _multiply(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource) -> Mult
     ring = F.ring
     if ring.kind == "integers":
         return multivar_product_z(F, G, eps, rng)
-    if F.is_zero or G.is_zero:
-        return MultiPoly(ring, F.nvars, ())
-    d = 1 + max(F.var_degree(i) + G.var_degree(i) for i in range(F.nvars))
-    if ring.char > kronecker(F, d).degree + kronecker(G, d).degree:
-        try:
-            return multivar_product_field(F, G, eps, rng)
-        except CharacteristicTooSmallError:
-            pass  # characteristic too small for the interpolation prime
-    return multivar_product_smallchar(F, G, eps, rng)
+    try:
+        return multivar_product_field(F, G, eps, rng)
+    except CharacteristicTooSmallError:
+        # char <= deg F + deg G (raised before any randomness is drawn) or
+        # char <= 2p for the interpolation prime
+        return multivar_product_smallchar(F, G, eps, rng)
 
 
 def _cmd_mul(args) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RingMismatchError, UnsupportedRingError
-from .rings import RingSpec, prime_field
+from .rings import RingSpec, add_mul_count, prime_field
 
 NEG_INF = float("-inf")
 
@@ -253,8 +253,86 @@ def dense_cyclic_mul(A: DenseCyclic, B: DenseCyclic) -> DenseCyclic:
     return DenseCyclic(ring, p, out)
 
 
+def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
+    """Powers alpha^e for 0 <= e < bound from one windowed table.
+
+    Fixed-base windowing (Brickell, Gordon, McCurley and Wilson,
+    EUROCRYPT 1992): row i holds alpha^(d * 2^(w*i)) for every w-bit
+    digit d, so alpha^e is the product of one entry per nonzero w-bit
+    window of e.  With b the bit length of bound - 1 and n the expected
+    number of lookups, w <= 16 minimises ceil(b/w) * (2^w - 1 + n), which
+    bounds the table's multiplications (at most 2^w - 1 per row) plus the
+    lookups' (one per further window).  The w = 1 table is plain
+    square-and-multiply with its squarings shared, so n lookups never take
+    more than (b - 1) * (n + 1) multiplications in all, and the table never
+    holds more than b * (n + 1) entries.
+
+    Returns (power, settle).  Table multiplications go through ring.mul.
+    Over F_q the lookups run on raw ints and tally their multiplications,
+    which settle() then charges to the global counter in bulk; elsewhere
+    they go through ring.mul and settle() is a no-op.
+    """
+    bits = (bound - 1).bit_length()
+    w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
+    mask = (1 << w) - 1
+    rows = []
+    base = alpha
+    for shift in range(0, bits, w):
+        # the top row stops at the top digit of bound - 1
+        row = [ring.one(), base]
+        for _ in range(min(mask, (bound - 1) >> shift) - 1):
+            row.append(ring.mul(row[-1], base))
+        rows.append(row)
+        if shift + w < bits:
+            base = ring.mul(row[-1], base)  # alpha^(2^(shift + w))
+
+    if ring.kind == "prime_field":
+        q = ring.q
+        done = 0
+
+        def power(e):
+            nonlocal done
+            r = None
+            for row in rows:
+                d = e & mask
+                if d:
+                    if r is None:
+                        r = row[d]
+                    else:
+                        r = r * row[d] % q
+                        done += 1
+                e >>= w
+                if not e:
+                    break
+            return 1 if r is None else r
+
+        def settle():
+            nonlocal done
+            add_mul_count(done)
+            done = 0
+
+        return power, settle
+
+    mul = ring.mul
+    one = ring.one()
+
+    def power(e):
+        r = None
+        for row in rows:
+            d = e & mask
+            if d:
+                r = row[d] if r is None else mul(r, row[d])
+            e >>= w
+            if not e:
+                break
+        return one if r is None else r
+
+    return power, lambda: None
+
+
 def eval_sparse(F: SparsePoly, alpha):
-    """Evaluate over a finite field by per-term square-and-multiply.
+    """Evaluate over a finite field, every alpha^e from one fixed-base
+    table (fixed_base_powers) sized by deg F and #F.
 
     Evaluation over the integers is intentionally unsupported: values of
     size deg*log(alpha) defeat the point of sparse verification, which
@@ -263,10 +341,19 @@ def eval_sparse(F: SparsePoly, alpha):
     ring = F.ring
     if not ring.is_field:
         raise UnsupportedRingError("evaluation requires a finite field")
-    acc = ring.zero()
-    for e, c in F.terms:
-        acc = ring.add(acc, ring.mul(c, ring.pow(alpha, e)))
-    return acc
+    if F.is_zero:
+        return ring.zero()
+    power, settle = fixed_base_powers(ring, alpha, F.degree + 1, F.sparsity)
+    if ring.kind == "prime_field":
+        # raw ints; the #F coefficient products are charged in bulk
+        value = sum(c * power(e) for e, c in F.terms) % ring.q
+        add_mul_count(F.sparsity)
+    else:
+        value = ring.zero()
+        for e, c in F.terms:
+            value = ring.add(value, ring.mul(c, power(e)))
+    settle()
+    return value
 
 
 def reduce_coeffs_mod_q(F: SparsePoly, q: int):

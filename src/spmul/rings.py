@@ -11,10 +11,12 @@ Elements are plain Python values so the hot paths stay cheap:
 integer images of its elements (``lift`` / ``drop``), through which one
 packed integer convolution serves all three kinds of ring.  Every
 coefficient multiplication routed through a ``RingSpec`` bumps a global
-counter that benchmarks and operation-count tests read back; exponent
-powers are charged their square-and-multiply cost.  The counter is the
-one piece of shared state in the library and is only meaningful for
-single-threaded measurement.
+counter that benchmarks and operation-count tests read back;
+``RingSpec.pow`` is charged its square-and-multiply cost, and raw-int
+fast paths elsewhere (fixed-base power tables, residue accumulation)
+charge the multiplications they actually do through ``add_mul_count``.
+The counter is the one piece of shared state in the library and is only
+meaningful for single-threaded measurement.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, irreducible_poly, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
-from .poly import SparsePoly, cyclic_reduce, eval_sparse, reduce_coeffs_mod_q, scale
+from .poly import (SparsePoly, cyclic_reduce, eval_sparse, fixed_base_powers,
+                   reduce_coeffs_mod_q, scale)
 from .rings import RingSpec, ext_field, prime_field
 
 _LN2 = math.log(2.0)
@@ -92,7 +93,10 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
                       + (1 - alpha^p) * sum_{ell=j_k+1}^{j_{k+1}} alpha^(j_{k+1}-ell) * f_{p-ell},
 
     in which every nonzero coefficient of F_p is consumed exactly once.
-    The answer is sum_k c_{j_k} * g_{j_k}, at O((#F + #G) log p) ring
+    The answer is sum_k c_{j_k} * g_{j_k}.  alpha^p and every gap power
+    come from one fixed-base table (fixed_base_powers) for exponents up
+    to p, whose windows are about log2(#F + #G) bits wide, so the walk and
+    the table together take O((#F + #G) log p / log(#F + #G)) ring
     multiplications, all charged to the global counter.
     """
     if F_p.ring != G_p.ring:
@@ -107,7 +111,8 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
 
     zero = ring.zero()
     c = eval_sparse(F_p, alpha)  # c_0
-    one_minus_ap = ring.sub(ring.one(), ring.pow(alpha, p))
+    power, settle = fixed_base_powers(ring, alpha, p + 1, F_p.sparsity + G_p.sparsity + 1)
+    one_minus_ap = ring.sub(ring.one(), power(p))
     # F terms with exponent t > 0 enter window ell = p - t; walk them in
     # increasing ell, i.e. decreasing t.  The t = 0 term lives only in c_0.
     f_desc = [term for term in reversed(F_p.terms) if term[0] > 0]
@@ -121,14 +126,15 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
             ell = p - t
             if ell > j:
                 break
-            window = ring.add(window, ring.mul(ring.pow(alpha, j - ell), f_coeff))
+            window = ring.add(window, ring.mul(power(j - ell), f_coeff))
             idx += 1
         if j > j_prev:
-            c = ring.mul(ring.pow(alpha, j - j_prev), c)
+            c = ring.mul(power(j - j_prev), c)
         if window != zero:
             c = ring.add(c, ring.mul(one_minus_ap, window))
         acc = ring.add(acc, ring.mul(c, g_coeff))
         j_prev = j
+    settle()
     return acc
 
 

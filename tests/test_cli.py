@@ -4,10 +4,11 @@ import random
 import pytest
 
 from spmul import (PolyFileError, RetryBudgetError, canonicalize, canonicalize_multi,
-                   ext_field, integers, multivar_product_smallchar, prime_field)
+                   ext_field, integers, kronecker, multivar_product_smallchar,
+                   prime_field)
 from spmul.cli import format_poly, parse_poly, run_command
 
-from helpers import rand_multi, rand_sparse
+from helpers import Q62, rand_multi, rand_sparse
 
 ZZ = integers()
 
@@ -175,6 +176,27 @@ class TestCommands:
         assert run_command(["mul", a, b, "-o", o2, "--naive"]) == 0
         assert (tmp_path / "o1").read_bytes() == (tmp_path / "o2").read_bytes()
         assert len(lifted) == 1
+
+    def test_field_mul_adds_no_kronecker_maps(self, tmp_path, monkeypatch):
+        # the field path does its own Kronecker maps; the CLI adds none
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kronecker(*args)
+
+        monkeypatch.setattr("spmul.cli.kronecker", counted)
+        fq = prime_field(Q62)
+        rnd = random.Random(5)
+        f = rand_multi(rnd, fq, 2, 6, 20)
+        g = rand_multi(rnd, fq, 2, 6, 20)
+        a = self._write(tmp_path, "a.poly", format_poly(f))
+        b = self._write(tmp_path, "b.poly", format_poly(g))
+        o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+        assert run_command(["mul", a, b, "-o", o1]) == 0
+        assert calls == []
+        assert run_command(["mul", a, b, "-o", o2, "--naive"]) == 0
+        assert (tmp_path / "o1").read_bytes() == (tmp_path / "o2").read_bytes()
 
     def test_estimate(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.poly", F_TEXT)

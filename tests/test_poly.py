@@ -8,8 +8,10 @@ from spmul import (DenseCyclic, RingMismatchError, UnsupportedRingError,
                    add, canonicalize, cyclic_reduce, dense_cyclic_mul,
                    derivative, eval_sparse, ext_field, from_dense, integers,
                    monomial, naive_mul, negate, prime_field,
-                   reduce_coeffs_mod_q, scale, sub, to_dense, zero_poly)
-from spmul.poly import NEG_INF
+                   mul_count, reduce_coeffs_mod_q, reset_mul_count, scale, sub,
+                   to_dense, zero_poly)
+from spmul.poly import NEG_INF, fixed_base_powers
+from spmul.rings import _pow_cost
 
 from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, poly_to_dict,
                      rand_sparse, trial_division_primes)
@@ -265,6 +267,92 @@ class TestEvalSparse:
     def test_integers_unsupported(self):
         with pytest.raises(UnsupportedRingError):
             eval_sparse(F_EX, 2)
+
+    def test_ext_fields_match_per_term_powers(self):
+        rnd = random.Random(22)
+        for ring in (ext_field(Q62, 2), ext_field(3, 5)):
+            for emax in (1, 2, 1000, 2 ** 40):
+                f = rand_sparse(rnd, ring, 30, emax)
+                alpha = tuple(rnd.randrange(ring.q) for _ in range(ring.s))
+                want = ring.zero()
+                for e, c in f.terms:
+                    want = ring.add(want, ring.mul(c, ring.pow(alpha, e)))
+                assert eval_sparse(f, alpha) == want
+
+    def test_operation_count_beats_square_and_multiply(self):
+        # 2000 terms below 2^40: the windowed table must charge well under
+        # a quarter of per-term square-and-multiply plus the coefficient
+        rnd = random.Random(23)
+        fq = prime_field(Q62)
+        exps = rnd.sample(range(2 ** 40), 2000)
+        f = canonicalize([(e, rnd.randrange(1, Q62)) for e in exps], fq)
+        assert f.sparsity == 2000
+        reset_mul_count()
+        eval_sparse(f, rnd.randrange(Q62))
+        assert mul_count() < sum(_pow_cost(e) + 1 for e in exps) / 4
+
+    def test_prime_field_fast_path_charges_like_generic(self):
+        # F_q runs on raw ints and charges in bulk; the degree-1 extension
+        # of the same field goes through ring.mul and must charge the same
+        rnd = random.Random(24)
+        fq, fq1 = prime_field(Q62), ext_field(Q62, 1)
+        for emax in (1, 50, 2 ** 40):
+            f = rand_sparse(rnd, fq, 300, emax)
+            f1 = canonicalize([(e, (c,)) for e, c in f.terms], fq1)
+            alpha = rnd.randrange(Q62)
+            reset_mul_count()
+            value = eval_sparse(f, alpha)
+            count = mul_count()
+            reset_mul_count()
+            assert eval_sparse(f1, (alpha,)) == (value,)
+            assert mul_count() == count
+
+
+class TestFixedBasePowers:
+    RINGS = (prime_field(101), prime_field(Q62), ext_field(Q62, 2), ext_field(3, 5))
+
+    @staticmethod
+    def _elem(rnd, ring):
+        if ring.kind == "prime_field":
+            return rnd.randrange(ring.q)
+        return tuple(rnd.randrange(ring.q) for _ in range(ring.s))
+
+    def test_matches_ring_pow(self):
+        rnd = random.Random(25)
+        for ring in self.RINGS:
+            for bound in (1, 2, 3, 101, 2 ** 40 + 3):
+                for lookups in (1, 10, 10 ** 4):
+                    alpha = self._elem(rnd, ring)
+                    power, settle = fixed_base_powers(ring, alpha, bound, lookups)
+                    exps = {0, bound // 2, bound - 1} | {rnd.randrange(bound) for _ in range(8)}
+                    if bound > 1:
+                        exps.add(1)
+                    for e in sorted(exps):
+                        assert power(e) == ring.pow(alpha, e), (ring, bound, lookups, e)
+                    settle()
+
+    def test_zero_base(self):
+        for ring in self.RINGS:
+            power, settle = fixed_base_powers(ring, ring.zero(), 1000, 10)
+            assert power(0) == ring.one()
+            assert all(power(e) == ring.zero() for e in (1, 2, 999))
+            settle()
+
+    def test_worst_case_count(self):
+        # (b - 1)(n + 1) for b-bit exponents and n lookups: the w = 1 table,
+        # and never above square-and-multiply's 2(b - 1) per lookup
+        rnd = random.Random(26)
+        for ring in (prime_field(Q62), ext_field(Q62, 2)):
+            for bound, lookups in ((2, 1), (1000, 1), (2 ** 40, 5), (2 ** 40, 3000)):
+                bits = (bound - 1).bit_length()
+                exps = [bound - 1] + [rnd.randrange(bound) for _ in range(lookups - 1)]
+                alpha = self._elem(rnd, ring)
+                reset_mul_count()
+                power, settle = fixed_base_powers(ring, alpha, bound, lookups)
+                for e in exps:
+                    power(e)
+                settle()
+                assert mul_count() <= (bits - 1) * (lookups + 1)
 
 
 class TestReduceCoeffs:
