@@ -267,10 +267,12 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
     more than (b - 1) * (n + 1) multiplications in all, and the table never
     holds more than b * (n + 1) entries.
 
-    Returns (power, settle).  Table multiplications go through ring.mul.
-    Over F_q the lookups run on raw ints and tally their multiplications,
-    which settle() then charges to the global counter in bulk; elsewhere
-    they go through ring.mul and settle() is a no-op.
+    Returns (power, settle), with power(e) = alpha^e.  Table
+    multiplications go through ring.mul.  Over F_q the lookups run on raw
+    ints, saving a method call per multiplication, and tally their
+    multiplications; settle() charges that tally to the global counter,
+    and every caller calls it once its lookups are done.  Elsewhere the
+    lookups go through ring.mul and settle() does nothing.
     """
     bits = (bound - 1).bit_length()
     w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
@@ -330,6 +332,18 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
     return power, lambda: None
 
 
+def eval_terms(ring: RingSpec, terms, power):
+    """sum c * power(e) over the (e, c) of terms; over F_q on raw ints,
+    with the len(terms) coefficient products charged in bulk."""
+    if ring.kind == "prime_field":
+        add_mul_count(len(terms))
+        return sum(c * power(e) for e, c in terms) % ring.q
+    value = ring.zero()
+    for e, c in terms:
+        value = ring.add(value, ring.mul(c, power(e)))
+    return value
+
+
 def eval_sparse(F: SparsePoly, alpha):
     """Evaluate over a finite field, every alpha^e from one fixed-base
     table (fixed_base_powers) sized by deg F and #F.
@@ -344,14 +358,7 @@ def eval_sparse(F: SparsePoly, alpha):
     if F.is_zero:
         return ring.zero()
     power, settle = fixed_base_powers(ring, alpha, F.degree + 1, F.sparsity)
-    if ring.kind == "prime_field":
-        # raw ints; the #F coefficient products are charged in bulk
-        value = sum(c * power(e) for e, c in F.terms) % ring.q
-        add_mul_count(F.sparsity)
-    else:
-        value = ring.zero()
-        for e, c in F.terms:
-            value = ring.add(value, ring.mul(c, power(e)))
+    value = eval_terms(ring, F.terms, power)
     settle()
     return value
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, irreducible_poly, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
-from .poly import (SparsePoly, cyclic_reduce, eval_sparse, fixed_base_powers,
-                   reduce_coeffs_mod_q, scale)
+from .poly import (SparsePoly, cyclic_reduce, eval_sparse, eval_terms,
+                   fixed_base_powers, reduce_coeffs_mod_q, scale)
 from .rings import RingSpec, ext_field, prime_field
 
 _LN2 = math.log(2.0)
@@ -93,11 +93,12 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
                       + (1 - alpha^p) * sum_{ell=j_k+1}^{j_{k+1}} alpha^(j_{k+1}-ell) * f_{p-ell},
 
     in which every nonzero coefficient of F_p is consumed exactly once.
-    The answer is sum_k c_{j_k} * g_{j_k}.  alpha^p and every gap power
-    come from one fixed-base table (fixed_base_powers) for exponents up
-    to p, whose windows are about log2(#F + #G) bits wide, so the walk and
-    the table together take O((#F + #G) log p / log(#F + #G)) ring
-    multiplications, all charged to the global counter.
+    The answer is sum_k c_{j_k} * g_{j_k}.  The powers for c_0, alpha^p
+    and every gap power come from one fixed-base table (fixed_base_powers)
+    for exponents up to p, whose windows are about log2(#F + #G) bits
+    wide, so the walk and the table together take
+    O((#F + #G) log p / log(#F + #G)) ring multiplications, all charged
+    to the global counter.
     """
     if F_p.ring != G_p.ring:
         raise RingMismatchError("operands live in different rings")
@@ -110,8 +111,9 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
         raise ValueError("degrees must be < p")
 
     zero = ring.zero()
-    c = eval_sparse(F_p, alpha)  # c_0
-    power, settle = fixed_base_powers(ring, alpha, p + 1, F_p.sparsity + G_p.sparsity + 1)
+    # lookups: c_0, the window terms, the gaps and alpha^p
+    power, settle = fixed_base_powers(ring, alpha, p + 1, 2 * F_p.sparsity + G_p.sparsity + 1)
+    c = eval_terms(ring, F_p.terms, power)  # c_0 = F_p(alpha)
     one_minus_ap = ring.sub(ring.one(), power(p))
     # F terms with exponent t > 0 enter window ell = p - t; walk them in
     # increasing ell, i.e. decreasing t.  The t = 0 term lives only in c_0.

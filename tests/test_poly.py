@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from spmul import (DenseCyclic, RingMismatchError, UnsupportedRingError,
                    add, canonicalize, cyclic_reduce, dense_cyclic_mul,
-                   derivative, eval_sparse, ext_field, from_dense, integers,
-                   monomial, naive_mul, negate, prime_field,
+                   derivative, eval_cyclic_product, eval_sparse, ext_field,
+                   from_dense, integers, monomial, naive_mul, negate, prime_field,
                    mul_count, reduce_coeffs_mod_q, reset_mul_count, scale, sub,
                    to_dense, zero_poly)
 from spmul.poly import NEG_INF, fixed_base_powers
@@ -293,19 +293,30 @@ class TestEvalSparse:
 
     def test_prime_field_fast_path_charges_like_generic(self):
         # F_q runs on raw ints and charges in bulk; the degree-1 extension
-        # of the same field goes through ring.mul and must charge the same
+        # of the same field goes through ring.mul and must charge the same,
+        # in eval_sparse and in eval_cyclic_product (each calls settle())
         rnd = random.Random(24)
         fq, fq1 = prime_field(Q62), ext_field(Q62, 1)
+
+        def lift(f):
+            return canonicalize([(e, (c,)) for e, c in f.terms], fq1)
+
         for emax in (1, 50, 2 ** 40):
             f = rand_sparse(rnd, fq, 300, emax)
-            f1 = canonicalize([(e, (c,)) for e, c in f.terms], fq1)
+            g = rand_sparse(rnd, fq, 200, emax)
+            f1, g1 = lift(f), lift(g)
             alpha = rnd.randrange(Q62)
-            reset_mul_count()
-            value = eval_sparse(f, alpha)
-            count = mul_count()
-            reset_mul_count()
-            assert eval_sparse(f1, (alpha,)) == (value,)
-            assert mul_count() == count
+            p = emax + 1
+            for run, run1 in ((lambda: eval_sparse(f, alpha),
+                               lambda: eval_sparse(f1, (alpha,))),
+                              (lambda: eval_cyclic_product(f, g, p, alpha),
+                               lambda: eval_cyclic_product(f1, g1, p, (alpha,)))):
+                reset_mul_count()
+                value = run()
+                count = mul_count()
+                reset_mul_count()
+                assert run1() == (value,)
+                assert mul_count() == count
 
 
 class TestFixedBasePowers:
