@@ -4,25 +4,45 @@ Each round reduces the target modulo X^p - 1 for a random prime p among
 the first O(T log D) primes.  A term c*X^e of the target that does not
 collide with another term mod p shows up in the residue as c*X^(e mod p)
 and in the derivative's residue as (c*e)*X^((e-1) mod p), so e pops out
-of one division.  Rounds accumulate recovered terms into a running
-approximation and correct earlier mistakes automatically, because wrong
-terms reappear negated in later residues.
+of one division.  Both residues come from one pass over the term pairs
+(cyclic_product_residue): grouping each operand's terms by e mod p into
+slots that carry sum c and sum e*c gives both the product's slot sums and
+its derivative's, by the product rule.  Rounds accumulate recovered terms
+into a running approximation and correct earlier mistakes automatically,
+because wrong terms reappear negated in later residues.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .arith import RandomSource, first_primes
 from .errors import CharacteristicTooSmallError, RingMismatchError
-from .poly import (SparsePoly, add, cyclic_reduce, derivative,
-                   dense_cyclic_mul, to_dense, zero_poly)
+from .poly import DenseCyclic, SparsePoly, add, dense_cyclic_mul, zero_poly
 from .rings import RingSpec, add_mul_count, integers
 
-# Above this many term products per residue, packed dense convolution wins
-# over direct sparse accumulation.
-_DENSE_THRESHOLD_FACTOR = 4
+
+def _dense_is_cheaper(p: int, slotted, work: int) -> bool:
+    """Whether three packed products per pair beat work sparse slot-pair steps.
+
+    Costs are in sparse steps (one slot pair, about 0.25 us).  A packed
+    product of p slots w bits wide takes about 3.2*p + (p*w)^1.585 / 8300
+    steps: packing and unpacking, then Karatsuba on the packed integers.
+    Both constants were fitted to timings of the two routes at 101 <= p <=
+    35521 on example2 and random integer pairs (CPython 3.11, x86-64).
+    """
+    dense = 3 * 3.2 * p * len(slotted)
+    if dense >= work:
+        return False
+    pbits = p.bit_length() + 2
+    for fs, gs in slotted:
+        fc, fd, gc, gd = (max((abs(t[i]) for t in slots), default=0).bit_length()
+                          for slots in (fs, gs) for i in (1, 2))
+        for w in (fc + gc, fd + gc, fc + gd):
+            dense += (p * (w + pbits)) ** 1.585 / 8300
+    return dense < work
 
 
 @dataclass
@@ -125,60 +145,123 @@ def find_terms(p: int, H_p: SparsePoly, Hprime_p: SparsePoly, D: int,
     return SparsePoly(ring, tuple(sorted(out)))
 
 
-def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
-                           ring: RingSpec, force_dense: bool | None = None) -> SparsePoly:
-    """(sum F_i*G_i - minus) mod X^p - 1, without the full products.
+def _slot_sums(F: SparsePoly, p: int) -> list:
+    """F's terms grouped by e mod p: [(r, sum c, sum e*c)], sums in the ring.
 
-    Coefficients are lifted to their integer images (RingSpec.lift), the
-    sum is accumulated over raw integers and each slot is dropped back
-    into the ring once.  Two equivalent routes accumulate it: direct
-    sparse accumulation of the #F_i * #G_i term products (cheap while that
-    count stays below ~4p) and packed dense cyclic convolution over Z.
-    Selection is automatic unless force_dense pins one.
+    A slot can keep sum e*c with sum c cancelled (1 - X^p at r = 0); only
+    slots where both sums vanish are left out.
     """
-    reduced = [(cyclic_reduce(F, p), cyclic_reduce(G, p)) for F, G in pairs]
-    work = sum(F.sparsity * G.sparsity for F, G in reduced)
-    # a term of F_i meets at most one term of G_i in any one slot
-    base = ring.lift_base(sum(min(F.sparsity, G.sparsity) for F, G in reduced))
-    zz = integers()
+    ring = F.ring
+    sums: dict = {}
+    if ring.kind == "ext_field":
+        for e, c in F.terms:
+            r = e % p
+            if r in sums:
+                s, d = sums[r]
+                sums[r] = ([a + b for a, b in zip(s, c)], [a + e * b for a, b in zip(d, c)])
+            else:
+                sums[r] = (c, [e * b for b in c])
+        q = ring.q
+        out = [(r, tuple(a % q for a in s), tuple(a % q for a in d)) for r, (s, d) in sums.items()]
+        zero = ring.zero()
+        return [t for t in out if t[1] != zero or t[2] != zero]
+    for e, c in F.terms:
+        r = e % p
+        if r in sums:
+            s, d = sums[r]
+            sums[r] = (s + c, d + e * c)
+        else:
+            sums[r] = (c, e * c)
+    if ring.is_field:
+        q = ring.q
+        sums = {r: (s % q, d % q) for r, (s, d) in sums.items()}
+    return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
-    def lift(F: SparsePoly) -> SparsePoly:
-        if base is None:
-            return SparsePoly(zz, F.terms)
-        return SparsePoly(zz, tuple((e, ring.lift(c, base)) for e, c in F.terms))
 
-    lifted = [(lift(F_r), lift(G_r)) for F_r, G_r in reduced]
-    dense = work > _DENSE_THRESHOLD_FACTOR * p if force_dense is None else force_dense
-    if dense:
-        vec = [0] * p
-        for F_z, G_z in lifted:
-            prod = dense_cyclic_mul(to_dense(F_z, p), to_dense(G_z, p))
-            vec = [a + b for a, b in zip(vec, prod.coeffs)]
-        acc = dict(enumerate(vec))
+def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSpec,
+                           force_dense: bool | None = None, limit: int | None = None):
+    """(H mod X^p - 1, H' mod X^p - 1) for H = sum F_i*G_i - minus, from one
+    pass over the term pairs and without the full products.
+
+    Each operand's terms are grouped into slots r = e mod p carrying
+    c = sum c_j and d = sum e_j*c_j.  A pair of slots (r1, r2) stands for
+    term products of exponent e = k (mod p), k = r1 + r2 mod p, whose
+    derivative terms e*c1*c2*X^(e-1) sum to d1*c2 + c1*d2 in slot k - 1; so
+    it adds c1*c2 to slot k of H and d1*c2 + c1*d2 to slot k - 1 of H'.  The
+    sums are accumulated over integer images (RingSpec.lift) and each slot
+    is dropped back into the ring once.  Two equivalent routes accumulate
+    them: direct sparse accumulation over the slot pairs, charged 3 ring
+    mults per pair, or three packed dense cyclic convolutions per pair over
+    Z.  The one the cost model _dense_is_cheaper predicts faster is taken
+    unless force_dense pins one.  Returns None, skipping the rest of the
+    tail, as soon as either residue has more than limit terms.
+    """
+    slotted = [(_slot_sums(F, p), _slot_sums(G, p)) for F, G in pairs]
+    work = sum(len(fs) * len(gs) for fs, gs in slotted)
+    # a slot of F_i meets at most one slot of G_i in any one slot, and a
+    # derivative slot takes two products per such meeting
+    base = ring.lift_base(2 * sum(min(len(fs), len(gs)) for fs, gs in slotted))
+    if base is not None:
+        lift = ring.lift
+        slotted = [([(r, lift(c, base), lift(d, base)) for r, c, d in fs],
+                    [(r, lift(c, base), lift(d, base)) for r, c, d in gs])
+                   for fs, gs in slotted]
+    if force_dense is None:
+        force_dense = _dense_is_cheaper(p, slotted, work)
+    # both routes key the derivative's slots by k; the shift to k - 1 comes last
+    if force_dense:
+        zz = integers()
+        vec, dvec = [0] * p, [0] * p
+        for fs, gs in slotted:
+            fc, fd, gc, gd = [0] * p, [0] * p, [0] * p, [0] * p
+            for r, c, d in fs:
+                fc[r], fd[r] = c, d
+            for r, c, d in gs:
+                gc[r], gd[r] = c, d
+            for out, a, b in ((vec, fc, gc), (dvec, fd, gc), (dvec, fc, gd)):
+                prod = dense_cyclic_mul(DenseCyclic(zz, p, a), DenseCyclic(zz, p, b))
+                out[:] = map(operator.add, out, prod.coeffs)
+        acc, dacc = dict(enumerate(vec)), dict(enumerate(dvec))
     else:
-        acc = {}
-        for F_z, G_z in lifted:
-            g_terms = G_z.terms
-            for e1, c1 in F_z.terms:
-                for e2, c2 in g_terms:
-                    k = e1 + e2
+        acc, dacc = {}, {}
+        for fs, gs in slotted:
+            for r1, c1, d1 in fs:
+                for r2, c2, d2 in gs:
+                    k = r1 + r2
                     if k >= p:
                         k -= p
-                    v = c1 * c2
                     if k in acc:
-                        acc[k] += v
+                        acc[k] += c1 * c2
+                        dacc[k] += d1 * c2 + c1 * d2
                     else:
-                        acc[k] = v
-        add_mul_count(work)
+                        acc[k] = c1 * c2
+                        dacc[k] = d1 * c2 + c1 * d2
+        add_mul_count(3 * work)
     if minus is not None:
-        for e, c in lift(cyclic_reduce(minus, p)).terms:
-            acc[e] = acc.get(e, 0) - c
-    items = acc.items()
-    if ring.is_field:
-        drop = ring.drop
-        items = [(e, drop(v, base)) for e, v in items]
+        for r, c, d in _slot_sums(minus, p):
+            acc[r] = acc.get(r, 0) - ring.lift(c, base)
+            dacc[r] = dacc.get(r, 0) - ring.lift(d, base)
+
     zero = ring.zero()
-    return SparsePoly(ring, tuple(sorted((e, c) for e, c in items if c != zero)))
+    drop = ring.drop if ring.is_field else None
+
+    def settle(slots: dict, shift: int):
+        items = ((k, v) for k, v in slots.items() if v)
+        if drop is not None:
+            items = ((k, drop(v, base)) for k, v in items)
+        terms = [((k - shift) % p if shift else k, c) for k, c in items if c != zero]
+        if limit is not None and len(terms) > limit:
+            return None
+        terms.sort()
+        return SparsePoly(ring, tuple(terms))
+
+    residue = settle(acc, 0)
+    if residue is None:
+        return None
+    residue_d = settle(dacc, 1)
+    if residue_d is None:
+        return None
+    return residue, residue_d
 
 
 def _trim(H: SparsePoly, T: int, D: int, C: int | None) -> SparsePoly:
@@ -203,10 +286,6 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource, on_round=None) -> SparsePol
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed the degree bound {job.D}")
     pairs = list(job.pairs)
-    dpairs = []
-    for F, G in pairs:
-        dpairs.append((derivative(F), G))
-        dpairs.append((F, derivative(G)))
     # each round halves the missing terms with constant probability, so
     # log2(2T) rounds to find everything plus log2(1/mu) to drive the
     # failure budget down, plus slack
@@ -222,12 +301,10 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource, on_round=None) -> SparsePol
     overflow = 3 * job.T
     for _ in range(rounds):
         p = primes[rng.randrange(len(primes))]
-        residue = cyclic_product_residue(pairs, h_star, p, ring)
-        if residue.sparsity > overflow:
+        residues = cyclic_product_residue(pairs, h_star, p, ring, limit=overflow)
+        if residues is None:
             break
-        residue_d = cyclic_product_residue(dpairs, derivative(h_star), p, ring)
-        if residue_d.sparsity > overflow:
-            break
+        residue, residue_d = residues
         if residue.is_zero and residue_d.is_zero:
             break
         update = find_terms(p, residue, residue_d, job.D, double_c)

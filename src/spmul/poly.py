@@ -177,9 +177,12 @@ def derivative(F: SparsePoly) -> SparsePoly:
 
 
 def cyclic_reduce(F: SparsePoly, p: int) -> SparsePoly:
-    """Remainder modulo X^p - 1: exponents reduced mod p, terms merged."""
+    """Remainder modulo X^p - 1: exponents reduced mod p, terms merged.
+    F itself when deg F < p, where nothing changes."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    if F.is_zero or F.degree < p:
+        return F
     ring = F.ring
     acc: dict = {}
     for e, c in F.terms:

@@ -6,6 +6,7 @@ from spmul import (CharacteristicTooSmallError, InterpJob, RandomSource, add,
                    canonicalize, cyclic_reduce, derivative, ext_field, find_terms,
                    integers, interp_sum_sp, monomial, naive_mul, negate,
                    prime_field, sub, zero_poly)
+from spmul import interp
 from spmul.interp import cyclic_product_residue
 
 from helpers import Q62, rand_sparse
@@ -75,6 +76,16 @@ class TestFindTerms:
             find_terms(7, z, z, 6, None)
 
 
+def _direct_residues(pairs, minus, p, ring):
+    """(H mod X^p - 1, H' mod X^p - 1) for H = sum F_i*G_i - minus, by schoolbook."""
+    h = zero_poly(ring)
+    for f, g in pairs:
+        h = add(h, naive_mul(f, g))
+    if minus is not None:
+        h = sub(h, minus)
+    return cyclic_reduce(h, p), cyclic_reduce(derivative(h), p)
+
+
 class TestCyclicProductResidue:
     def test_sparse_and_dense_routes_agree(self):
         rnd = random.Random(2)
@@ -92,19 +103,38 @@ class TestCyclicProductResidue:
                 direct = zero_poly(ring)
                 for f, g in pairs:
                     direct = add(direct, naive_mul(f, g))
-                assert sparse == cyclic_reduce(sub(direct, minus), p)
+                assert sparse[0] == cyclic_reduce(sub(direct, minus), p)
+                assert sparse[1] == cyclic_reduce(derivative(sub(direct, minus)), p)
+
+    def test_colliding_exponents_keep_the_derivative(self):
+        # 1 - X^p and X^(p+3) - X^3 vanish mod X^p - 1 while their derivatives
+        # do not, so slots whose coefficient sums cancel must stay
+        for ring in (ZZ, prime_field(101), ext_field(Q62, 2), ext_field(101, 3)):
+            p = 7
+            one = ring.one()
+            f = canonicalize([(0, one), (p, ring.neg(one))], ring)
+            g = canonicalize([(p + 3, one), (3, ring.neg(one))], ring)
+            h = canonicalize([(1, one), (2 * p + 5, one)], ring)
+            for pairs, minus in (([(f, h)], None), ([(h, f), (g, h)], g),
+                                 ([(h, h)], add(naive_mul(h, h), f))):
+                want = _direct_residues(pairs, minus, p, ring)
+                assert not want[1].is_zero
+                for dense in (False, True):
+                    assert cyclic_product_residue(pairs, minus, p, ring, dense) == want
 
     def test_ext_field_worst_case_digits(self):
         # full residues with all coefficients q-1 put the most products into
-        # every slot; the minus term pushes the digits the other way
+        # every slot, and the derivative's slots sum twice as many; the
+        # minus term pushes the digits the other way
         for ring in (ext_field(3, 5), ext_field(Q62, 2)):
             top = (ring.q - 1,) * ring.s
             p = 13
             full = canonicalize([(e, top) for e in range(p)], ring)
             pairs = [(full, full), (full, full)]
-            direct = cyclic_reduce(add(naive_mul(full, full), naive_mul(full, full)), p)
+            direct = add(naive_mul(full, full), naive_mul(full, full))
             for minus in (None, full):
                 want = direct if minus is None else sub(direct, full)
+                want = (cyclic_reduce(want, p), cyclic_reduce(derivative(want), p))
                 for dense in (False, True):
                     assert cyclic_product_residue(pairs, minus, p, ring, dense) == want
 
@@ -118,6 +148,36 @@ class TestCyclicProductResidue:
             sparse = cyclic_product_residue(pairs, None, p, fq, force_dense=False)
             dense = cyclic_product_residue(pairs, None, p, fq, force_dense=True)
             assert sparse == dense
+
+    def test_route_follows_measured_costs(self, monkeypatch):
+        # one example2 pair at T = 256: the packed products took about 3 ms
+        # against 21 ms sparse at p = 1009, and 110 ms against 60 ms at
+        # p = 16411, where the old rule (term products > 4p) chose them
+        dense_ps = []
+        real = interp.dense_cyclic_mul
+        monkeypatch.setattr(interp, "dense_cyclic_mul",
+                            lambda a, b: dense_ps.append(a.p) or real(a, b))
+        T = 256
+        f = canonicalize([(i, 1) for i in range(T)], ZZ)
+        g = canonicalize([(T * i + 1, 1) for i in range(T)] + [(T * i, -1) for i in range(T)], ZZ)
+        for p, dense in ((1009, True), (16411, False)):
+            dense_ps.clear()
+            cyclic_product_residue([(f, g)], None, p, ZZ)
+            assert dense_ps == ([p] * 3 if dense else [])
+
+    def test_limit_stops_at_overflow(self):
+        f = canonicalize([(e, 1) for e in range(5)], ZZ)
+        pairs = [(f, f)]  # H = f^2 has 9 terms
+        want = _direct_residues(pairs, None, 101, ZZ)
+        assert cyclic_product_residue(pairs, None, 101, ZZ, limit=9) == want
+        assert cyclic_product_residue(pairs, None, 101, ZZ, limit=8) is None
+        # (X^7 - 1)(X + X^2 + X^3) vanishes mod X^7 - 1, its derivative
+        # leaves 7 + 7X + 7X^2, so only the derivative overflows
+        pairs = [(canonicalize([(7, 1), (0, -1)], ZZ), canonicalize([(1, 1), (2, 1), (3, 1)], ZZ))]
+        want = _direct_residues(pairs, None, 7, ZZ)
+        assert want[0].is_zero and want[1].sparsity == 3
+        assert cyclic_product_residue(pairs, None, 7, ZZ, limit=3) == want
+        assert cyclic_product_residue(pairs, None, 7, ZZ, limit=2) is None
 
 
 class TestInterpSumSP:

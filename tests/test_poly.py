@@ -141,6 +141,15 @@ class TestCyclicReduce:
         f = canonicalize([(5, 1), (0, -1)], ZZ)
         assert cyclic_reduce(f, 5).is_zero
 
+    def test_degree_below_p_returns_input(self):
+        f = canonicalize([(7, 1), (4, 2), (1, 1)], ZZ)
+        assert cyclic_reduce(f, 8) is f
+        assert cyclic_reduce(f, 10 ** 12) is f
+        z = zero_poly(ZZ)
+        assert cyclic_reduce(z, 3) is z
+        with pytest.raises(ValueError):
+            cyclic_reduce(f, 0)
+
     def test_morphism(self):
         rnd = random.Random(14)
         for _ in range(50):
