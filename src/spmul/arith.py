@@ -8,8 +8,10 @@ in this module are little-endian coefficient lists of Python ints.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from array import array
 
 from .errors import RetryBudgetError
 
@@ -112,10 +114,15 @@ def random_prime(lam: int, eps: float, rng: RandomSource) -> int:
 
 
 # ---------------------------------------------------------------------------
-# prime list (cached, extended by segmented sieving, never rebuilt)
+# prime table (cached, extended by an odd-only segmented sieve, never rebuilt)
 
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+# one machine int per prime: 8 bytes each instead of a boxed int plus a
+# list slot, and nothing for the garbage collector to walk
+_PRIMES = array("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
 _SIEVED_TO = 61
+
+# odd numbers per sieve segment (one byte each)
+_SEGMENT = 1 << 18
 
 
 def _extend_sieve(limit: int) -> None:
@@ -125,19 +132,31 @@ def _extend_sieve(limit: int) -> None:
     root = math.isqrt(limit)
     if root > _SIEVED_TO:
         _extend_sieve(root)
-    lo = _SIEVED_TO + 1
-    seg = bytearray(b"\x01") * (limit - lo + 1)
-    for p in _PRIMES:
-        if p * p > limit:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        seg[start - lo::p] = bytes(len(range(start - lo, len(seg), p)))
-    _PRIMES.extend(i + lo for i, flag in enumerate(seg) if flag)
+    lo = (_SIEVED_TO + 1) | 1  # first odd number not yet sieved
+    while lo <= limit:
+        # the segment holds the odd numbers lo, lo + 2, ..., hi
+        n = min(_SEGMENT, (limit - lo) // 2 + 1)
+        hi = lo + 2 * (n - 1)
+        seg = bytearray(b"\x01") * n
+        zeros = memoryview(bytes(n))
+        for p in itertools.islice(_PRIMES, 1, None):
+            if p * p > hi:
+                break
+            # first odd multiple of p that is >= max(p*p, lo)
+            start = max(p * p, (lo + p - 1) // p * p)
+            if not start & 1:
+                start += p
+            i = (start - lo) // 2
+            if i < n:
+                seg[i::p] = zeros[:(n - 1 - i) // p + 1]
+        _PRIMES.extend(itertools.compress(range(lo, hi + 1, 2), seg))
+        lo = hi + 2
     _SIEVED_TO = limit
 
 
-def first_primes(count: int) -> list[int]:
-    """The first `count` primes in increasing order."""
+def first_primes(count: int) -> array:
+    """The first `count` primes in increasing order, as an ``array('q')``
+    copy of the cached table."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")

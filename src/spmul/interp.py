@@ -278,8 +278,10 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource, on_round=None) -> SparsePol
 
     Whatever happens, the output has at most 2T terms, degree < D, and
     (over Z) height <= C.  A round that observes both residues at zero
-    exits early.  on_round, if given, receives the running approximation
-    after each round (instrumentation for tests).
+    exits early, and so does one whose residue has more than 2T + #h*
+    terms (h* the running approximation), which proves #H > 2T.  on_round,
+    if given, receives the running approximation after each round
+    (instrumentation for tests).
     """
     ring = job.ring
     if ring.is_field and ring.char <= job.D:
@@ -295,13 +297,15 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource, on_round=None) -> SparsePol
     # rounds draw p from the first 2*floor(6.4*(T-1)*log2 D) primes
     n_pool = max(1, math.floor((32.0 / 5.0) * (job.T - 1) * math.log2(job.D)))
     primes = first_primes(2 * n_pool)
-    # an honest job (T >= #H) keeps every residue at <= #H_p + #H*_p <= 3T
-    # terms; exceeding that proves the bound wrong, so bail out at once --
-    # the output only owes its shape, and outer verification rejects it
-    overflow = 3 * job.T
     for _ in range(rounds):
         p = primes[rng.randrange(len(primes))]
-        residues = cyclic_product_residue(pairs, h_star, p, ring, limit=overflow)
+        # both residues of H - h* have at most #H + #h* terms, so more than
+        # 2T + #h* prove #H > 2T, and _trim keeps at most 2T terms: no later
+        # round can reach H, so stop at once -- the output only owes its
+        # shape, and outer verification rejects it.  An honest job (T >= #H)
+        # stays within T + #h* <= 3T and never gets there.
+        limit = min(3 * job.T, 2 * job.T + h_star.sparsity)
+        residues = cyclic_product_residue(pairs, h_star, p, ring, limit=limit)
         if residues is None:
             break
         residue, residue_d = residues

@@ -104,7 +104,6 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         if verify_sp(F_p, G_p, h1, mu1 / 2.0, rng):
             h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp), rng)
             if verify_sum_sp(h2, deriv_pairs, mu1 / 2.0, rng):
-                t *= 2
                 break
         t *= 2
 

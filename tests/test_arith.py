@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from array import array
 
 import pytest
 from hypothesis import given
@@ -7,9 +11,15 @@ from hypothesis import strategies as st
 from spmul import (RandomSource, first_primes, irreducible_poly, is_prime,
                    lambda_coeff, lambda_no_collision, lambda_nonzero,
                    random_prime)
+from spmul import arith
 from spmul.arith import canonical_irreducible, is_irreducible
 
 from helpers import Q62, trial_division_primes
+
+
+@pytest.fixture(scope="module")
+def oracle_30k():
+    return trial_division_primes(350_377)  # the 30000th prime
 
 
 class TestIsPrime:
@@ -77,15 +87,49 @@ class TestRandomPrime:
 
 class TestFirstPrimes:
     def test_smallest(self):
-        assert first_primes(4) == [2, 3, 5, 7]
-        assert first_primes(1) == [2]
+        assert list(first_primes(4)) == [2, 3, 5, 7]
+        assert list(first_primes(1)) == [2]
 
     def test_hundredth_ends_541(self):
         assert first_primes(100)[-1] == 541
 
     def test_against_trial_division_oracle(self):
         oracle = trial_division_primes(104730)  # beyond the 10^4-th prime
-        assert first_primes(10_000) == oracle[:10_000]
+        assert list(first_primes(10_000)) == oracle[:10_000]
+
+    def test_returns_compact_copy(self):
+        out = first_primes(10)
+        assert isinstance(out, array) and out.typecode == "q"
+        out[0] = 4  # a copy: the cached table is untouched
+        assert first_primes(1)[0] == 2
+
+    @pytest.mark.parametrize("segment", [None, 97, 1])
+    def test_uneven_growth_from_seed_state(self, monkeypatch, segment, oracle_30k):
+        # regrow the table from its initial state in uneven steps, with
+        # segments that split each extension at arbitrary points
+        monkeypatch.setattr(arith, "_PRIMES", array("q", trial_division_primes(61)))
+        monkeypatch.setattr(arith, "_SIEVED_TO", 61)
+        if segment is not None:
+            monkeypatch.setattr(arith, "_SEGMENT", segment)
+        # one-number segments cost a Python loop per odd number: stop early
+        counts = (5, 18, 19, 1000, 30_000) if segment != 1 else (5, 18, 19, 1000)
+        for count in counts:
+            assert list(first_primes(count)) == oracle_30k[:count]
+
+    def test_table_memory_is_compact(self):
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))
+        code = ("import resource\n"
+                "from spmul import first_primes\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "first_primes(1_500_000)\n"
+                "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "print(after - before)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes vs KiB
+        assert int(out) * unit < 40 * 2 ** 20
 
     def test_validation(self):
         with pytest.raises(ValueError):

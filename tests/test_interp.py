@@ -4,8 +4,8 @@ import pytest
 
 from spmul import (CharacteristicTooSmallError, InterpJob, RandomSource, add,
                    canonicalize, cyclic_reduce, derivative, ext_field, find_terms,
-                   integers, interp_sum_sp, monomial, naive_mul, negate,
-                   prime_field, sub, zero_poly)
+                   integers, interp_sum_sp, monomial, mul_count, naive_mul, negate,
+                   prime_field, reset_mul_count, sub, zero_poly)
 from spmul import interp
 from spmul.interp import cyclic_product_residue
 
@@ -245,6 +245,29 @@ class TestInterpSumSP:
                 total += 1
                 improved += after <= before
         assert improved >= 0.9 * total
+
+    def test_guess_below_half_stops_after_one_pass(self):
+        # H = 1 + X + ... + X^35 has 36 > 2T terms: the first residue
+        # overflows 2T + #h* = 30, which proves no round can reach H
+        f = canonicalize([(i, 1) for i in range(6)], ZZ)
+        g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
+        job = InterpJob([(f, g)], 15, 2 ** 40, 1, 0.25)
+        for seed in range(10):
+            rounds = []
+            reset_mul_count()
+            out = interp_sum_sp(job, RandomSource(seed), on_round=rounds.append)
+            assert mul_count() <= 3 * f.sparsity * g.sparsity
+            assert rounds == [] and out.is_zero
+
+    def test_guess_within_half_still_recovers(self):
+        # T < #H = 36 <= 2T: the residue stays within 2T + #h*, and the
+        # 2T-term output can hold H, so the rounds run and find it
+        f = canonicalize([(i, 1) for i in range(6)], ZZ)
+        g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
+        h = naive_mul(f, g)
+        job = InterpJob([(f, g)], 20, 2 ** 40, 1, 0.25)
+        for seed in range(10):
+            assert interp_sum_sp(job, RandomSource(seed)) == h
 
     def test_field_interpolation(self):
         fq = prime_field(Q62)

@@ -92,7 +92,7 @@ class TestSparseProduct:
             stats = {}
             h = sparse_product(f, g, PARAMS, RandomSource(seed), stats)
             assert h == naive_mul(f, g)
-            within += stats["final_t"] < 4 * max(f.sparsity, g.sparsity, h.sparsity)
+            within += stats["final_t"] < 2 * max(f.sparsity, g.sparsity, h.sparsity)
         assert within >= 0.95 * trials
 
     def test_field_z_consistency(self):
@@ -148,6 +148,15 @@ class TestSparseProduct:
             f, g = example2_family(t)
             out = sparse_product(f, g, PARAMS, RandomSource(t))
             assert out.terms == ((0, -1), (t * t, 1))
+
+
+    def test_stats_report_the_guess_that_passed(self):
+        # example2's 2-term product passes at the first guess max(#F, #G)
+        f, g = example2_family(16)
+        stats = {}
+        sparse_product(f, g, PARAMS, RandomSource(16), stats)
+        assert stats["iterations"] == 1
+        assert stats["final_t"] == max(f.sparsity, g.sparsity) == 32
 
 
 class TestSumsetSize:
