@@ -179,7 +179,7 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
 
 
 def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSpec,
-                           force_dense: bool | None = None, limit: int | None = None):
+                           limit: int | None = None):
     """(H mod X^p - 1, H' mod X^p - 1) for H = sum F_i*G_i - minus, from one
     pass over the term pairs and without the full products.
 
@@ -192,9 +192,9 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSp
     is dropped back into the ring once.  Two equivalent routes accumulate
     them: direct sparse accumulation over the slot pairs, charged 3 ring
     mults per pair, or three packed dense cyclic convolutions per pair over
-    Z.  The one the cost model _dense_is_cheaper predicts faster is taken
-    unless force_dense pins one.  Returns None, skipping the rest of the
-    tail, as soon as either residue has more than limit terms.
+    Z.  The one the cost model _dense_is_cheaper predicts faster is taken.
+    Returns None, skipping the rest of the tail, as soon as either residue
+    has more than limit terms.
     """
     slotted = [(_slot_sums(F, p), _slot_sums(G, p)) for F, G in pairs]
     work = sum(len(fs) * len(gs) for fs, gs in slotted)
@@ -206,10 +206,8 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSp
         slotted = [([(r, lift(c, base), lift(d, base)) for r, c, d in fs],
                     [(r, lift(c, base), lift(d, base)) for r, c, d in gs])
                    for fs, gs in slotted]
-    if force_dense is None:
-        force_dense = _dense_is_cheaper(p, slotted, work)
     # both routes key the derivative's slots by k; the shift to k - 1 comes last
-    if force_dense:
+    if _dense_is_cheaper(p, slotted, work):
         zz = integers()
         vec, dvec = [0] * p, [0] * p
         for fs, gs in slotted:
@@ -273,15 +271,13 @@ def _trim(H: SparsePoly, T: int, D: int, C: int | None) -> SparsePoly:
     return SparsePoly(H.ring, tuple(terms))
 
 
-def interp_sum_sp(job: InterpJob, rng: RandomSource, on_round=None) -> SparsePoly:
+def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
     """Interpolate H = sum F_i*G_i; correct with probability >= 1 - mu.
 
     Whatever happens, the output has at most 2T terms, degree < D, and
     (over Z) height <= C.  A round that observes both residues at zero
     exits early, and so does one whose residue has more than 2T + #h*
-    terms (h* the running approximation), which proves #H > 2T.  on_round,
-    if given, receives the running approximation after each round
-    (instrumentation for tests).
+    terms (h* the running approximation), which proves #H > 2T.
     """
     ring = job.ring
     if ring.is_field and ring.char <= job.D:
@@ -313,6 +309,4 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource, on_round=None) -> SparsePol
             break
         update = find_terms(p, residue, residue_d, job.D, double_c)
         h_star = _trim(add(h_star, update), job.T, job.D, job.C)
-        if on_round is not None:
-            on_round(h_star)
     return h_star

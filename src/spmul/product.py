@@ -11,10 +11,9 @@ the verified residue pair.  Output is correct with probability at least
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .arith import RandomSource, random_prime
+from .arith import RandomSource, lambda_no_collision, random_prime
 from .errors import CharacteristicTooSmallError, RetryBudgetError, RingMismatchError
 from .interp import InterpJob, find_terms, interp_sum_sp
 from .poly import SparsePoly, cyclic_reduce, derivative, scale, zero_poly
@@ -47,14 +46,13 @@ _MAX_DOUBLINGS = 64
 
 
 def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
-                   rng: RandomSource, stats: dict | None = None) -> SparsePoly:
+                   rng: RandomSource) -> SparsePoly:
     """Compute F*G; correct with probability at least 1 - mu1.
 
     Works over Z and over fields whose characteristic exceeds not just
     deg(F) + deg(G) but also 2p for the internally drawn prime p (exponents
     are encoded into coefficients modulo X^p - 1, so they must stay below
-    the characteristic); CharacteristicTooSmallError otherwise.  A stats
-    dict, if given, receives the final sparsity guess and iteration count.
+    the characteristic); CharacteristicTooSmallError otherwise.
     """
     if F.ring != G.ring:
         raise RingMismatchError("operands live in different rings")
@@ -75,8 +73,7 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed deg F + deg G = {D}")
 
-    nfng = F.sparsity * G.sparsity
-    lam = max(21, math.ceil(20.0 * nfng * nfng * math.log(D) / (3.0 * mu1)))
+    lam = lambda_no_collision(F.sparsity * G.sparsity, D, mu1 / 2.0)
     p = random_prime(lam, mu1 / 4.0, rng)
     if ring.is_field and ring.char <= 2 * p:
         raise CharacteristicTooSmallError(
@@ -90,14 +87,10 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     mu_star = mu2 - mu1 / 2.0
     mu_interp = mu_star / 2.0 if mu_star > 0 else mu1 / 8.0
     deriv_pairs = [(F_p, Gd_p), (Fd_p, G_p)]
+    c1 = _height_bound(F_p, G_p) if over_z else None
+    c2 = _height_bound(F_p, Gd_p) + _height_bound(Fd_p, G_p) if over_z else None
 
-    iterations = 0
-    while True:
-        if iterations >= _MAX_DOUBLINGS:
-            raise RetryBudgetError("sparsity-doubling loop failed to converge")
-        iterations += 1
-        c1 = _height_bound(F_p, G_p) if over_z else None
-        c2 = _height_bound(F_p, Gd_p) + _height_bound(Fd_p, G_p) if over_z else None
+    for _ in range(_MAX_DOUBLINGS):
         h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, 2 * p, c1, mu_interp), rng)
         # interpolating h2 only after h1 passes skips the heavier job on
         # every round whose sparsity guess is still too small
@@ -106,11 +99,9 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
             if verify_sum_sp(h2, deriv_pairs, mu1 / 2.0, rng):
                 break
         t *= 2
+    else:
+        raise RetryBudgetError("sparsity-doubling loop failed to converge")
 
-    if stats is not None:
-        stats["final_t"] = t
-        stats["iterations"] = iterations
-        stats["p"] = p
     H_p = cyclic_reduce(h1, p)
     Hd_p = cyclic_reduce(h2, p)
     return find_terms(p, H_p, Hd_p, D, C)

@@ -15,8 +15,9 @@ counter that benchmarks and operation-count tests read back;
 ``RingSpec.pow`` is charged its square-and-multiply cost, and raw-int
 fast paths elsewhere (fixed-base power tables, residue accumulation)
 charge the multiplications they actually do through ``add_mul_count``.
-The counter is the one piece of shared state in the library and is only
-meaningful for single-threaded measurement.
+The counter is process-global and only meaningful for single-threaded
+measurement; the other shared state in the library is the prime table in
+``arith``, which grows to the largest instance seen.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .arith import RandomSource, irreducible_poly, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
 from .poly import (SparsePoly, cyclic_reduce, eval_sparse, eval_terms,
-                   fixed_base_powers, reduce_coeffs_mod_q, scale)
+                   fixed_base_powers, scale)
 from .rings import RingSpec, ext_field, prime_field
 
 _LN2 = math.log(2.0)
@@ -140,11 +140,6 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
     return acc
 
 
-def _embed(F: SparsePoly, target: RingSpec) -> SparsePoly:
-    # prime-field coefficients into an extension of the same characteristic
-    return SparsePoly(target, tuple((e, target.coerce(c)) for e, c in F.terms))
-
-
 def _split_ext_identity(pairs, H: SparsePoly, eps: float, rng: RandomSource) -> bool:
     """Check sum F_i*G_i = H over a small F_{q^s} by component checks.
 
@@ -159,21 +154,11 @@ def _split_ext_identity(pairs, H: SparsePoly, eps: float, rng: RandomSource) -> 
     then rejects with probability >= 1 - eps.
     """
     ring = H.ring
-    q, s, modulus = ring.q, ring.s, ring.modulus
+    q, s = ring.q, ring.s
     fq = prime_field(q)
 
     # lambda rows: Y^d mod m for d = 0 .. 2s-2, little-endian over F_q
-    rows = []
-    cur = [1] + [0] * (s - 1)
-    rows.append(list(cur))
-    for _ in range(1, 2 * s - 1):
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        if carry:
-            for j in range(s):
-                if modulus[j]:
-                    cur[j] = (cur[j] - carry * modulus[j]) % q
-        rows.append(list(cur))
+    rows = [ring._reduce([0] * d + [1]) for d in range(2 * s - 1)]
 
     def components(P):
         return [SparsePoly(fq, tuple((e, c[k]) for e, c in P.terms if c[k]))
@@ -208,69 +193,65 @@ def _delta_height_bound(pairs, H: SparsePoly) -> int:
     return max(total, 1)
 
 
+def _residue_in(P: SparsePoly, p: int, field: RingSpec) -> SparsePoly:
+    # P mod X^p - 1 with its coefficients mapped into the evaluation field
+    P_p = cyclic_reduce(P, p)
+    if P.ring == field:
+        return P_p
+    if P.ring.kind == "integers":
+        # into the F_q built once per check (reduce_coeffs_mod_q would build
+        # and primality-test a new one per polynomial)
+        q = field.q
+        return SparsePoly(field, tuple((e, cr) for e, c in P_p.terms if (cr := c % q)))
+    return SparsePoly(field, tuple((e, field.coerce(c)) for e, c in P_p.terms))
+
+
 def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
                    rng: RandomSource) -> bool:
     """Shared evaluation core: True iff sum F_i G_i and H evaluate equally
-    modulo X^p - 1 at a random point of a large-enough field."""
+    modulo X^p - 1 at a random point of a large-enough field.
+
+    Each kind of ring picks only the budget split (hence p) and the field:
+    a random F_q over Z, the ring itself when it has more than c2*p points,
+    and F_{q^s} (s >= 1) over a smaller prime field.
+    """
     ring = H.ring
     ln_d = math.log(max(D, 2))
 
+    def lam(params: VerifyParams) -> int:
+        return max(21, math.ceil(params.c1 * sparsity_sum * ln_d))
+
     if ring.kind == "integers":
         params = VerifyParams.for_integers(eps)
-        lam = max(21, math.ceil(params.c1 * sparsity_sum * ln_d))
-        p = random_prime(lam, 5.0 / (3.0 * params.c1), rng)
+    else:
+        params = VerifyParams.generic(eps)
+        # too small when some possible p leaves it without c2*p points
+        if ring.size <= params.c2 * (2 * lam(params)):
+            if ring.kind == "ext_field":
+                # no tower extensions: split into prime-field component checks
+                return _split_ext_identity(pairs, H, eps, rng)
+            params = VerifyParams.for_extension(eps)
+    p = random_prime(lam(params), 5.0 / (3.0 * params.c1), rng)
+
+    field = ring
+    if ring.kind == "integers":
         # ln of the height bound via bit length; overestimating is safe
         ln_height = _delta_height_bound(pairs, H).bit_length() * _LN2
         mu = math.ceil(params.c2 * max(p, math.ceil(ln_height)))
-        q = random_prime(mu, 5.0 / (3.0 * params.c2), rng)
-        red_pairs = [(reduce_coeffs_mod_q(cyclic_reduce(F, p), q),
-                      reduce_coeffs_mod_q(cyclic_reduce(G, p), q)) for F, G in pairs]
-        H_p = reduce_coeffs_mod_q(cyclic_reduce(H, p), q)
-        eval_ring = H_p.ring
-        alpha = eval_ring.rand_elem(rng)
-        lhs = eval_ring.zero()
-        for F_p, G_p in red_pairs:
-            lhs = eval_ring.add(lhs, eval_cyclic_product(F_p, G_p, p, alpha))
-        return lhs == eval_sparse(H_p, alpha)
-
-    params = VerifyParams.generic(eps)
-    lam = max(21, math.ceil(params.c1 * sparsity_sum * ln_d))
-    if ring.size > params.c2 * (2 * lam):
-        # the field itself has more than c2*p points for every possible p
-        p = random_prime(lam, 5.0 / (3.0 * params.c1), rng)
-        eval_ring = ring
-        embed = False
-    else:
-        if ring.kind == "ext_field":
-            # no tower extensions: split into prime-field component checks
-            return _split_ext_identity(pairs, H, eps, rng)
-        params = VerifyParams.for_extension(eps)
-        lam = max(21, math.ceil(params.c1 * sparsity_sum * ln_d))
-        p = random_prime(lam, 5.0 / (3.0 * params.c1), rng)
+        field = prime_field(random_prime(mu, 5.0 / (3.0 * params.c2), rng))
+    elif params.path == "extension":
         s = 1
         while ring.q ** s <= params.c2 * p:
             s += 1
-        if s == 1:
-            eval_ring = ring
-            embed = False
-        else:
-            modulus = irreducible_poly(ring.q, s, 1.0 / params.c3, rng)
-            eval_ring = ext_field(ring.q, s, modulus)
-            embed = True
+        if s > 1:
+            field = ext_field(ring.q, s, irreducible_poly(ring.q, s, 1.0 / params.c3, rng))
 
-    alpha = eval_ring.rand_elem(rng)
-    lhs = eval_ring.zero()
+    alpha = field.rand_elem(rng)
+    lhs = field.zero()
     for F, G in pairs:
-        F_p = cyclic_reduce(F, p)
-        G_p = cyclic_reduce(G, p)
-        if embed:
-            F_p = _embed(F_p, eval_ring)
-            G_p = _embed(G_p, eval_ring)
-        lhs = eval_ring.add(lhs, eval_cyclic_product(F_p, G_p, p, alpha))
-    H_p = cyclic_reduce(H, p)
-    if embed:
-        H_p = _embed(H_p, eval_ring)
-    return lhs == eval_sparse(H_p, alpha)
+        lhs = field.add(lhs, eval_cyclic_product(_residue_in(F, p, field),
+                                                 _residue_in(G, p, field), p, alpha))
+    return lhs == eval_sparse(_residue_in(H, p, field), alpha)
 
 
 def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,

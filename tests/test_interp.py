@@ -86,8 +86,29 @@ def _direct_residues(pairs, minus, p, ring):
     return cyclic_reduce(h, p), cyclic_reduce(derivative(h), p)
 
 
+def _residue_by_route(monkeypatch, dense, *args):
+    """cyclic_product_residue(*args) with the route pinned: the cost model
+    is replaced by a constant answer."""
+    monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: dense)
+    return cyclic_product_residue(*args)
+
+
+def _watch_rounds(monkeypatch) -> list:
+    """List that receives interp_sum_sp's running approximation after each
+    round: every round ends in interp._trim."""
+    rounds = []
+    real_trim = interp._trim
+
+    def trim(*args):
+        rounds.append(real_trim(*args))
+        return rounds[-1]
+
+    monkeypatch.setattr(interp, "_trim", trim)
+    return rounds
+
+
 class TestCyclicProductResidue:
-    def test_sparse_and_dense_routes_agree(self):
+    def test_sparse_and_dense_routes_agree(self, monkeypatch):
         rnd = random.Random(2)
         for ring in (ZZ, prime_field(101), ext_field(Q62, 2), ext_field(101, 3)):
             for _ in range(40):
@@ -96,8 +117,8 @@ class TestCyclicProductResidue:
                           rand_sparse(rnd, ring, 6, 10 ** 4, 99))
                          for _ in range(rnd.randint(1, 2))]
                 minus = rand_sparse(rnd, ring, 5, 10 ** 4, 99)
-                sparse = cyclic_product_residue(pairs, minus, p, ring, force_dense=False)
-                dense = cyclic_product_residue(pairs, minus, p, ring, force_dense=True)
+                sparse = _residue_by_route(monkeypatch, False, pairs, minus, p, ring)
+                dense = _residue_by_route(monkeypatch, True, pairs, minus, p, ring)
                 assert sparse == dense
                 # and both equal the direct computation
                 direct = zero_poly(ring)
@@ -106,7 +127,7 @@ class TestCyclicProductResidue:
                 assert sparse[0] == cyclic_reduce(sub(direct, minus), p)
                 assert sparse[1] == cyclic_reduce(derivative(sub(direct, minus)), p)
 
-    def test_colliding_exponents_keep_the_derivative(self):
+    def test_colliding_exponents_keep_the_derivative(self, monkeypatch):
         # 1 - X^p and X^(p+3) - X^3 vanish mod X^p - 1 while their derivatives
         # do not, so slots whose coefficient sums cancel must stay
         for ring in (ZZ, prime_field(101), ext_field(Q62, 2), ext_field(101, 3)):
@@ -120,9 +141,9 @@ class TestCyclicProductResidue:
                 want = _direct_residues(pairs, minus, p, ring)
                 assert not want[1].is_zero
                 for dense in (False, True):
-                    assert cyclic_product_residue(pairs, minus, p, ring, dense) == want
+                    assert _residue_by_route(monkeypatch, dense, pairs, minus, p, ring) == want
 
-    def test_ext_field_worst_case_digits(self):
+    def test_ext_field_worst_case_digits(self, monkeypatch):
         # full residues with all coefficients q-1 put the most products into
         # every slot, and the derivative's slots sum twice as many; the
         # minus term pushes the digits the other way
@@ -136,17 +157,17 @@ class TestCyclicProductResidue:
                 want = direct if minus is None else sub(direct, full)
                 want = (cyclic_reduce(want, p), cyclic_reduce(derivative(want), p))
                 for dense in (False, True):
-                    assert cyclic_product_residue(pairs, minus, p, ring, dense) == want
+                    assert _residue_by_route(monkeypatch, dense, pairs, minus, p, ring) == want
 
-    def test_prime_field_routes_agree(self):
+    def test_prime_field_routes_agree(self, monkeypatch):
         fq = prime_field(101)
         rnd = random.Random(3)
         for _ in range(25):
             p = rnd.choice([7, 31])
             pairs = [(rand_sparse(rnd, fq, 6, 10 ** 3),
                       rand_sparse(rnd, fq, 6, 10 ** 3))]
-            sparse = cyclic_product_residue(pairs, None, p, fq, force_dense=False)
-            dense = cyclic_product_residue(pairs, None, p, fq, force_dense=True)
+            sparse = _residue_by_route(monkeypatch, False, pairs, None, p, fq)
+            dense = _residue_by_route(monkeypatch, True, pairs, None, p, fq)
             assert sparse == dense
 
     def test_route_follows_measured_costs(self, monkeypatch):
@@ -225,7 +246,8 @@ class TestInterpSumSP:
             ok += interp_sum_sp(job, RandomSource(seed)) == h
         assert ok >= 225  # >= (1 - mu) fraction at mu = 1/4
 
-    def test_monotone_progress(self):
+    def test_monotone_progress(self, monkeypatch):
+        rounds = _watch_rounds(monkeypatch)
         rnd = random.Random(6)
         improved = total = 0
         for seed in range(60):
@@ -234,28 +256,26 @@ class TestInterpSumSP:
             h = naive_mul(f, g)
             t_bound = max(1, h.sparsity)
             d_bound = max(2, (h.degree if not h.is_zero else 0) + 1)
-            missing = [h.sparsity]
-
-            def watch(h_star, _h=h, _m=missing):
-                _m.append(sub(_h, h_star).sparsity)
-
+            rounds.clear()
             job = InterpJob([(f, g)], t_bound, d_bound, max(1, h.height()), 0.25)
-            interp_sum_sp(job, RandomSource(seed), on_round=watch)
+            interp_sum_sp(job, RandomSource(seed))
+            missing = [h.sparsity] + [sub(h, h_star).sparsity for h_star in rounds]
             for before, after in zip(missing, missing[1:]):
                 total += 1
                 improved += after <= before
         assert improved >= 0.9 * total
 
-    def test_guess_below_half_stops_after_one_pass(self):
+    def test_guess_below_half_stops_after_one_pass(self, monkeypatch):
         # H = 1 + X + ... + X^35 has 36 > 2T terms: the first residue
         # overflows 2T + #h* = 30, which proves no round can reach H
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
         job = InterpJob([(f, g)], 15, 2 ** 40, 1, 0.25)
+        rounds = _watch_rounds(monkeypatch)
         for seed in range(10):
-            rounds = []
+            rounds.clear()
             reset_mul_count()
-            out = interp_sum_sp(job, RandomSource(seed), on_round=rounds.append)
+            out = interp_sum_sp(job, RandomSource(seed))
             assert mul_count() <= 3 * f.sparsity * g.sparsity
             assert rounds == [] and out.is_zero
 

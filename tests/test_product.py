@@ -3,9 +3,10 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
-                   canonicalize, ext_field, integers, monomial, naive_mul, prime_field,
-                   reduce_coeffs_mod_q, scale, sparse_product, sumset_size,
-                   zero_poly)
+                   RetryBudgetError, canonicalize, ext_field, integers, monomial,
+                   naive_mul, prime_field, reduce_coeffs_mod_q, scale,
+                   sparse_product, sumset_size, zero_poly)
+from spmul import product
 
 from helpers import Q62, rand_sparse
 
@@ -15,6 +16,19 @@ PARAMS = ProductParams(2.0 ** -20, 2.0 ** -20)
 F_EX = canonicalize([(7, 2), (0, 2), (14, 1)], ZZ)
 G_EX = canonicalize([(13, 3), (8, 5), (0, 3)], ZZ)
 H_EX = canonicalize([(14, 1), (7, -2), (0, 2)], ZZ)
+
+
+def _watch_jobs(monkeypatch) -> list:
+    """List that receives every InterpJob sparse_product interpolates."""
+    jobs = []
+    real = product.interp_sum_sp
+
+    def interp_sum_sp(job, rng):
+        jobs.append(job)
+        return real(job, rng)
+
+    monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+    return jobs
 
 
 def example2_family(t):
@@ -82,17 +96,19 @@ class TestSparseProduct:
             if f.sparsity >= 2 and g.sparsity >= 2:
                 assert h.sparsity >= 2  # no monomial products over an integral domain
 
-    def test_loop_termination_statistics(self):
+    def test_loop_termination_statistics(self, monkeypatch):
+        jobs = _watch_jobs(monkeypatch)
         rnd = random.Random(33)
         within = 0
         trials = 300
         for seed in range(trials):
             f = rand_sparse(rnd, ZZ, 10, 10 ** 6, 2 ** 16)
             g = rand_sparse(rnd, ZZ, 10, 10 ** 6, 2 ** 16)
-            stats = {}
-            h = sparse_product(f, g, PARAMS, RandomSource(seed), stats)
+            jobs.clear()
+            h = sparse_product(f, g, PARAMS, RandomSource(seed))
             assert h == naive_mul(f, g)
-            within += stats["final_t"] < 2 * max(f.sparsity, g.sparsity, h.sparsity)
+            # the last job ran at the sparsity guess that passed
+            within += jobs[-1].T < 2 * max(f.sparsity, g.sparsity, h.sparsity)
         assert within >= 0.95 * trials
 
     def test_field_z_consistency(self):
@@ -150,13 +166,23 @@ class TestSparseProduct:
             assert out.terms == ((0, -1), (t * t, 1))
 
 
-    def test_stats_report_the_guess_that_passed(self):
-        # example2's 2-term product passes at the first guess max(#F, #G)
+    def test_first_guess_passes_for_example2(self, monkeypatch):
+        # example2's 2-term product passes at the first guess max(#F, #G):
+        # one h1 job and one h2 job, both at that guess
+        jobs = _watch_jobs(monkeypatch)
         f, g = example2_family(16)
-        stats = {}
-        sparse_product(f, g, PARAMS, RandomSource(16), stats)
-        assert stats["iterations"] == 1
-        assert stats["final_t"] == max(f.sparsity, g.sparsity) == 32
+        sparse_product(f, g, PARAMS, RandomSource(16))
+        assert [job.T for job in jobs] == [max(f.sparsity, g.sparsity)] * 2 == [32, 32]
+
+    def test_doubling_budget_exhausted(self, monkeypatch):
+        # a verifier that never accepts doubles the guess once per attempt
+        # until the budget runs out
+        jobs = _watch_jobs(monkeypatch)
+        monkeypatch.setattr(product, "verify_sp", lambda *_: False)
+        monkeypatch.setattr(product, "_MAX_DOUBLINGS", 3)
+        with pytest.raises(RetryBudgetError):
+            sparse_product(F_EX, G_EX, PARAMS, RandomSource(0))
+        assert [job.T for job in jobs] == [3, 6, 12]
 
 
 class TestSumsetSize:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from spmul import (RandomSource, UnsupportedRingError, VerifyParams, add,
                    monomial, mul_count, naive_mul, negate, prime_field,
                    reset_mul_count, scale, to_dense, verify_sp, verify_sum_sp,
                    zero_poly)
+from spmul import verify
 
 from helpers import Q62, rand_sparse
 
@@ -265,6 +267,92 @@ class TestVerifySP:
             verify_sp(F_EX, G_EX, F_EX, 0.0, RandomSource(0))
         with pytest.raises(ValueError):
             verify_sp(F_EX, G_EX, F_EX, 1.0, RandomSource(0))
+
+
+def _watch_evaluations(monkeypatch) -> list:
+    """List that receives (ring, p) for every eval_cyclic_product call the
+    verifier makes: the field it evaluates in and the cyclic prime."""
+    seen = []
+    real = verify.eval_cyclic_product
+
+    def eval_cyclic_product(F_p, G_p, p, alpha):
+        seen.append((F_p.ring, p))
+        return real(F_p, G_p, p, alpha)
+
+    monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+    return seen
+
+
+class TestEvaluationRoutes:
+    def test_small_prime_field_evaluated_in_itself(self, monkeypatch):
+        # X*X = X^2 at eps = 0.9 keeps lambda at its floor of 21; the draw
+        # p = 23 from [21, 42] is the only one with 89 > c2*p, and then
+        # F_89 itself has enough points (extension degree s = 1)
+        seen = _watch_evaluations(monkeypatch)
+        f89 = prime_field(89)
+        x, x2 = monomial(f89, 1, 1), monomial(f89, 2, 1)
+        for seed in range(20):
+            assert verify_sp(x, x, x2, 0.9, RandomSource(seed))
+            # #H > #F*#G: rejected before any evaluation
+            assert not verify_sp(x, x, add(x2, monomial(f89, 0, 1)), 0.9, RandomSource(seed))
+        assert (f89, 23) in seen
+        for ring, p in seen:
+            assert (ring == f89) == (p == 23)
+            assert ring.q == 89 and ring.size > VerifyParams.for_extension(0.9).c2 * p
+        # a wrong triple that passes the structural checks reaches the
+        # evaluation, in F_89 too: lhs - rhs = -X^2 vanishes only at alpha = 0
+        seen.clear()
+        for seed in range(20):
+            assert not verify_sp(x, x, scale(x2, 2), 0.9, RandomSource(seed))
+        assert (f89, 23) in seen
+
+    def test_route_per_input_ring(self, monkeypatch):
+        seen = _watch_evaluations(monkeypatch)
+        rnd = random.Random(15)
+
+        def routes(ring, eps, seeds=8):
+            # (evaluation ring, p, top of the generic window [lam, 2*lam])
+            out = []
+            for seed in range(seeds):
+                f = rand_sparse(rnd, ring, 5, 10 ** 4, 2 ** 20)
+                g = rand_sparse(rnd, ring, 5, 10 ** 4, 2 ** 20)
+                h = naive_mul(f, g)
+                seen.clear()
+                assert verify_sp(f, g, h, eps, RandomSource(seed))
+                lam = max(21, math.ceil(VerifyParams.generic(eps).c1
+                                        * (f.sparsity * g.sparsity + h.sparsity)
+                                        * math.log(max(h.degree, 2))))
+                out += [(r, p, 2 * lam) for r, p in seen]
+            return out
+
+        # Z: a random coefficient prime q, larger than p
+        for ring, p, _ in routes(ZZ, 0.01):
+            assert ring.kind == "prime_field" and ring.q > p
+        # a 62-bit field hosts the points itself, with p drawn from the
+        # generic budget split rather than the extension one
+        fq = prime_field(Q62)
+        for ring, p, top in routes(fq, 0.01):
+            assert ring == fq and p <= top
+        # F_101 is too small: a genuine extension F_{101^s}
+        for ring, p, _ in routes(F101, 0.01):
+            assert ring.kind == "ext_field" and ring.q == 101 and ring.s >= 2
+        # a large extension field hosts the points itself
+        big = ext_field(Q62, 2)
+        assert {ring for ring, _, _ in routes(big, 0.01)} == {big}
+        # F_9 splits into F_3 component checks, each over an extension of F_3
+        f9 = ext_field(3, 2)
+        components = []
+        real_sum = verify.verify_sum_sp
+
+        def verify_sum_sp(H, pairs, eps, rng):
+            components.append(H.ring)
+            return real_sum(H, pairs, eps, rng)
+
+        monkeypatch.setattr(verify, "verify_sum_sp", verify_sum_sp)
+        evaluated = routes(f9, 0.01, seeds=4)
+        assert evaluated and set(components) == {prime_field(3)}
+        for ring, _, _ in evaluated:
+            assert ring.kind == "ext_field" and ring.q == 3 and ring != f9
 
 
 class TestVerifySumSP:
