@@ -13,10 +13,9 @@ from .multivar import (MultiPoly, canonicalize_multi, from_univariate,
                        multivar_product_smallchar, multivar_product_z,
                        naive_mul_multi, randomized_kronecker,
                        sparsity_estimate, to_univariate)
-from .poly import (DenseCyclic, SparsePoly, add, canonicalize, cyclic_reduce,
-                   dense_cyclic_mul, derivative, eval_sparse, from_dense,
-                   monomial, naive_mul, negate, reduce_coeffs_mod_q, scale,
-                   sub, to_dense, zero_poly)
+from .poly import (SparsePoly, add, canonicalize, cyclic_reduce,
+                   dense_cyclic_mul, derivative, eval_sparse, monomial,
+                   naive_mul, negate, scale, sub, zero_poly)
 from .product import ProductParams, sparse_product, sumset_size
 from .rings import (RingSpec, add_mul_count, ext_field, integers, mul_count,
                     prime_field, reset_mul_count)

@@ -89,20 +89,18 @@ def is_prime(n: int) -> bool:
     return not any(_mr_composite(n, a, d, r) for a in witnesses)
 
 
-def random_prime(lam: int, eps: float, rng: RandomSource) -> int:
+def random_prime(lam: int, rng: RandomSource) -> int:
     """Return a prime p in [lam, 2*lam].
 
     Samples uniform odd candidates and tests each with :func:`is_prime`,
-    whose error is far below any eps used here.  The retry budget is
-    64*ceil(log2 lam) candidates; exhausting it raises
-    :class:`RetryBudgetError` (it signals a pathological RNG, not a
-    caller bug).
+    which errs with probability <= 2^-80, far below any failure budget
+    used here.  The retry budget is 64*ceil(log2 lam) candidates;
+    exhausting it raises :class:`RetryBudgetError` (it signals a
+    pathological RNG, not a caller bug).
     """
     lam = int(lam)
     if lam < 2:
         raise ValueError("lam must be >= 2")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     first_odd = lam | 1
     count = (2 * lam - first_odd) // 2 + 1
     budget = 64 * max(1, (lam - 1).bit_length())

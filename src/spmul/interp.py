@@ -7,9 +7,12 @@ and in the derivative's residue as (c*e)*X^((e-1) mod p), so e pops out
 of one division.  Both residues come from one pass over the term pairs
 (cyclic_product_residue): grouping each operand's terms by e mod p into
 slots that carry sum c and sum e*c gives both the product's slot sums and
-its derivative's, by the product rule.  Rounds accumulate recovered terms
-into a running approximation and correct earlier mistakes automatically,
-because wrong terms reappear negated in later residues.
+its derivative's, by the product rule.  The slot sums are carried as
+integer images (RingSpec.lift), accumulated either pair by pair or through
+the integer kernel poly.dense_cyclic_mul, and dropped back into the
+operands' ring once per slot.  Rounds accumulate recovered terms into a
+running approximation and correct earlier mistakes automatically, because
+wrong terms reappear negated in later residues.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, first_primes
 from .errors import CharacteristicTooSmallError, RingMismatchError
-from .poly import DenseCyclic, SparsePoly, add, dense_cyclic_mul, zero_poly
-from .rings import RingSpec, add_mul_count, integers
+from .poly import SparsePoly, _same_ring, add, dense_cyclic_mul, zero_poly
+from .rings import RingSpec, add_mul_count
 
 
 def _dense_is_cheaper(p: int, slotted, work: int) -> bool:
@@ -178,10 +181,12 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
     return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
 
-def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSpec,
+def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
                            limit: int | None = None):
     """(H mod X^p - 1, H' mod X^p - 1) for H = sum F_i*G_i - minus, from one
-    pass over the term pairs and without the full products.
+    pass over the term pairs and without the full products.  Every F_i, G_i
+    and minus must share one ring (RingMismatchError otherwise), which the
+    residues live in.
 
     Each operand's terms are grouped into slots r = e mod p carrying
     c = sum c_j and d = sum e_j*c_j.  A pair of slots (r1, r2) stands for
@@ -196,6 +201,8 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSp
     Returns None, skipping the rest of the tail, as soon as either residue
     has more than limit terms.
     """
+    ring = _same_ring(*(F for pair in pairs for F in pair),
+                      *(() if minus is None else (minus,)))
     slotted = [(_slot_sums(F, p), _slot_sums(G, p)) for F, G in pairs]
     work = sum(len(fs) * len(gs) for fs, gs in slotted)
     # a slot of F_i meets at most one slot of G_i in any one slot, and a
@@ -208,7 +215,6 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSp
                    for fs, gs in slotted]
     # both routes key the derivative's slots by k; the shift to k - 1 comes last
     if _dense_is_cheaper(p, slotted, work):
-        zz = integers()
         vec, dvec = [0] * p, [0] * p
         for fs, gs in slotted:
             fc, fd, gc, gd = [0] * p, [0] * p, [0] * p, [0] * p
@@ -217,8 +223,7 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int, ring: RingSp
             for r, c, d in gs:
                 gc[r], gd[r] = c, d
             for out, a, b in ((vec, fc, gc), (dvec, fd, gc), (dvec, fc, gd)):
-                prod = dense_cyclic_mul(DenseCyclic(zz, p, a), DenseCyclic(zz, p, b))
-                out[:] = map(operator.add, out, prod.coeffs)
+                out[:] = map(operator.add, out, dense_cyclic_mul(a, b))
         acc, dacc = dict(enumerate(vec)), dict(enumerate(dvec))
     else:
         acc, dacc = {}, {}
@@ -301,7 +306,7 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
         # shape, and outer verification rejects it.  An honest job (T >= #H)
         # stays within T + #h* <= 3T and never gets there.
         limit = min(3 * job.T, 2 * job.T + h_star.sparsity)
-        residues = cyclic_product_residue(pairs, h_star, p, ring, limit=limit)
+        residues = cyclic_product_residue(pairs, h_star, p, limit=limit)
         if residues is None:
             break
         residue, residue_d = residues

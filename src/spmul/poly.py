@@ -1,4 +1,4 @@
-"""Sparse and dense-cyclic polynomial representations and base arithmetic.
+"""Sparse polynomials, their base arithmetic, and the dense cyclic kernel.
 
 A :class:`SparsePoly` is a canonical list of (exponent, coefficient)
 terms with strictly increasing exponents and no zero coefficients; the
@@ -6,8 +6,9 @@ zero polynomial is the empty list and its degree is the sentinel -inf.
 Exponents are unbounded Python ints (multivariate Kronecker images reach
 d^n).
 
-A :class:`DenseCyclic` is a length-p coefficient vector representing a
-residue modulo X^p - 1.
+:func:`dense_cyclic_mul` convolves two length-p lists of signed integers
+modulo X^p - 1; callers over fields pass it integer images of their
+coefficients (``RingSpec.lift``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RingMismatchError, UnsupportedRingError
-from .rings import RingSpec, add_mul_count, prime_field
+from .rings import RingSpec, add_mul_count
 
 NEG_INF = float("-inf")
 
@@ -54,18 +55,6 @@ class SparsePoly:
             if exp == e:
                 return c
         return self.ring.zero()
-
-
-@dataclass
-class DenseCyclic:
-    """Residue modulo X^p - 1 as a length-p coefficient vector."""
-    ring: RingSpec
-    p: int
-    coeffs: list
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.p:
-            raise ValueError("coefficient vector must have length exactly p")
 
 
 def _same_ring(*polys) -> RingSpec:
@@ -195,21 +184,6 @@ def cyclic_reduce(F: SparsePoly, p: int) -> SparsePoly:
     return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c != zero)))
 
 
-def to_dense(F: SparsePoly, p: int) -> DenseCyclic:
-    """Positional coefficient vector; every exponent must already be < p."""
-    if not F.is_zero and F.degree >= p:
-        raise ValueError("exponent >= p; cyclic_reduce first")
-    coeffs = [F.ring.zero()] * p
-    for e, c in F.terms:
-        coeffs[e] = c
-    return DenseCyclic(F.ring, p, coeffs)
-
-
-def from_dense(D: DenseCyclic) -> SparsePoly:
-    zero = D.ring.zero()
-    return SparsePoly(D.ring, tuple((e, c) for e, c in enumerate(D.coeffs) if c != zero))
-
-
 def _pack(values: list[int], nb: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in values), "little")
 
@@ -219,41 +193,29 @@ def _unpack(z: int, nb: int, count: int) -> list[int]:
     return [int.from_bytes(zb[k * nb:(k + 1) * nb], "little") for k in range(count)]
 
 
-def dense_cyclic_mul(A: DenseCyclic, B: DenseCyclic) -> DenseCyclic:
-    """Cyclic convolution of length p, for every ring.
+def dense_cyclic_mul(a: list[int], b: list[int]) -> list[int]:
+    """Cyclic convolution of two length-p lists of signed integers.
 
-    Coefficients are lifted to their integer images (RingSpec.lift), the
-    linear convolution of the images is one big-integer product of the
-    slot-packed vectors (Kronecker segmentation), slots >= p are folded
-    back, and each slot is dropped back into the ring.  Each folded slot
-    sums exactly p pair products, so slot width bits(p*Ma*Mb) + 2 cannot
-    overflow even after adding the nonnegativity offsets used for signed
-    input.
+    The linear convolution is one big-integer product of the slot-packed
+    vectors (Kronecker segmentation), and slots >= p are folded back.
+    Each folded slot sums exactly p pair products, so slot width
+    bits(p*Ma*Mb) + 2 cannot overflow even after adding the nonnegativity
+    offsets used for signed input.
     """
-    if A.ring != B.ring:
-        raise RingMismatchError("operands live in different rings")
-    if A.p != B.p:
+    if len(a) != len(b):
         raise ValueError("mismatched cyclic lengths")
-    ring = A.ring
-    p = A.p
-    base = ring.lift_base(p)  # at most p products land in one slot
-    a, b = A.coeffs, B.coeffs
-    if base is not None:
-        a = [ring.lift(c, base) for c in a]
-        b = [ring.lift(c, base) for c in b]
+    p = len(a)
     ma = max(map(abs, a), default=0)
     mb = max(map(abs, b), default=0)
     if ma == 0 or mb == 0:
-        return DenseCyclic(ring, p, [ring.zero()] * p)
+        return [0] * p
     slot_bits = (p * ma * mb).bit_length() + 2
     nb = (slot_bits + 7) // 8
     slots = _unpack(_pack([v + ma for v in a], nb) * _pack([v + mb for v in b], nb), nb, 2 * p)
     corr = ma * sum(b) + mb * sum(a) + p * ma * mb
     out = [slots[k] + slots[k + p] - corr for k in range(p - 1)]
     out.append(slots[p - 1] - corr)
-    if ring.is_field:
-        out = [ring.drop(v, base) for v in out]
-    return DenseCyclic(ring, p, out)
+    return out
 
 
 def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
@@ -364,11 +326,3 @@ def eval_sparse(F: SparsePoly, alpha):
     value = eval_terms(ring, F.terms, power)
     settle()
     return value
-
-
-def reduce_coeffs_mod_q(F: SparsePoly, q: int):
-    """Coefficient-wise reduction of an integer polynomial into F_q."""
-    if F.ring.kind != "integers":
-        raise UnsupportedRingError("input must be an integer polynomial")
-    fq = prime_field(q)
-    return SparsePoly(fq, tuple((e, cr) for e, c in F.terms if (cr := c % q)))

@@ -74,7 +74,7 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
             f"characteristic {ring.char} must exceed deg F + deg G = {D}")
 
     lam = lambda_no_collision(F.sparsity * G.sparsity, D, mu1 / 2.0)
-    p = random_prime(lam, mu1 / 4.0, rng)
+    p = random_prime(lam, rng)
     if ring.is_field and ring.char <= 2 * p:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed 2p = {2 * p} for exponent recovery")

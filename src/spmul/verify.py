@@ -199,8 +199,8 @@ def _residue_in(P: SparsePoly, p: int, field: RingSpec) -> SparsePoly:
     if P.ring == field:
         return P_p
     if P.ring.kind == "integers":
-        # into the F_q built once per check (reduce_coeffs_mod_q would build
-        # and primality-test a new one per polynomial)
+        # into the F_q built once per check, not a new (primality-tested)
+        # prime_field(q) per polynomial
         q = field.q
         return SparsePoly(field, tuple((e, cr) for e, c in P_p.terms if (cr := c % q)))
     return SparsePoly(field, tuple((e, field.coerce(c)) for e, c in P_p.terms))
@@ -231,14 +231,14 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
                 # no tower extensions: split into prime-field component checks
                 return _split_ext_identity(pairs, H, eps, rng)
             params = VerifyParams.for_extension(eps)
-    p = random_prime(lam(params), 5.0 / (3.0 * params.c1), rng)
+    p = random_prime(lam(params), rng)
 
     field = ring
     if ring.kind == "integers":
         # ln of the height bound via bit length; overestimating is safe
         ln_height = _delta_height_bound(pairs, H).bit_length() * _LN2
         mu = math.ceil(params.c2 * max(p, math.ceil(ln_height)))
-        field = prime_field(random_prime(mu, 5.0 / (3.0 * params.c2), rng))
+        field = prime_field(random_prime(mu, rng))
     elif params.path == "extension":
         s = 1
         while ring.q ** s <= params.c2 * p:

@@ -54,18 +54,18 @@ class TestRandomPrime:
         assert candidates == {23, 29, 31, 37, 41}
         seen = set()
         for seed in range(60):
-            p = random_prime(21, 0.01, RandomSource(seed))
+            p = random_prime(21, RandomSource(seed))
             assert p in candidates
             seen.add(p)
         assert len(seen) > 1  # actually samples
 
     def test_lambda_2(self):
         for seed in range(10):
-            assert random_prime(2, 0.01, RandomSource(seed)) in {2, 3}
+            assert random_prime(2, RandomSource(seed)) in {2, 3}
 
     def test_deterministic_under_seed(self):
-        a = random_prime(100, 0.01, RandomSource(1234))
-        b = random_prime(100, 0.01, RandomSource(1234))
+        a = random_prime(100, RandomSource(1234))
+        b = random_prime(100, RandomSource(1234))
         assert a == b
 
     def test_many_seeded_draws_always_prime_in_range(self):
@@ -74,15 +74,13 @@ class TestRandomPrime:
         size_rnd = _random.Random(77)
         for _ in range(10_000):
             lam = size_rnd.randrange(2, 10 ** 6)
-            p = random_prime(lam, 2.0 ** -20, rng)
+            p = random_prime(lam, rng)
             assert lam <= p <= 2 * lam
             assert is_prime(p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            random_prime(1, 0.5, RandomSource(0))
-        with pytest.raises(ValueError):
-            random_prime(10, 1.5, RandomSource(0))
+            random_prime(1, RandomSource(0))
 
 
 class TestFirstPrimes:

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from spmul import (CharacteristicTooSmallError, InterpJob, RandomSource, add,
-                   canonicalize, cyclic_reduce, derivative, ext_field, find_terms,
-                   integers, interp_sum_sp, monomial, mul_count, naive_mul, negate,
-                   prime_field, reset_mul_count, sub, zero_poly)
+from spmul import (CharacteristicTooSmallError, InterpJob, RandomSource,
+                   RingMismatchError, add, canonicalize, cyclic_reduce,
+                   derivative, ext_field, find_terms, integers, interp_sum_sp,
+                   monomial, mul_count, naive_mul, negate, prime_field,
+                   reset_mul_count, sub, zero_poly)
 from spmul import interp
 from spmul.interp import cyclic_product_residue
 
@@ -117,8 +118,8 @@ class TestCyclicProductResidue:
                           rand_sparse(rnd, ring, 6, 10 ** 4, 99))
                          for _ in range(rnd.randint(1, 2))]
                 minus = rand_sparse(rnd, ring, 5, 10 ** 4, 99)
-                sparse = _residue_by_route(monkeypatch, False, pairs, minus, p, ring)
-                dense = _residue_by_route(monkeypatch, True, pairs, minus, p, ring)
+                sparse = _residue_by_route(monkeypatch, False, pairs, minus, p)
+                dense = _residue_by_route(monkeypatch, True, pairs, minus, p)
                 assert sparse == dense
                 # and both equal the direct computation
                 direct = zero_poly(ring)
@@ -141,7 +142,7 @@ class TestCyclicProductResidue:
                 want = _direct_residues(pairs, minus, p, ring)
                 assert not want[1].is_zero
                 for dense in (False, True):
-                    assert _residue_by_route(monkeypatch, dense, pairs, minus, p, ring) == want
+                    assert _residue_by_route(monkeypatch, dense, pairs, minus, p) == want
 
     def test_ext_field_worst_case_digits(self, monkeypatch):
         # full residues with all coefficients q-1 put the most products into
@@ -157,7 +158,7 @@ class TestCyclicProductResidue:
                 want = direct if minus is None else sub(direct, full)
                 want = (cyclic_reduce(want, p), cyclic_reduce(derivative(want), p))
                 for dense in (False, True):
-                    assert _residue_by_route(monkeypatch, dense, pairs, minus, p, ring) == want
+                    assert _residue_by_route(monkeypatch, dense, pairs, minus, p) == want
 
     def test_prime_field_routes_agree(self, monkeypatch):
         fq = prime_field(101)
@@ -166,8 +167,8 @@ class TestCyclicProductResidue:
             p = rnd.choice([7, 31])
             pairs = [(rand_sparse(rnd, fq, 6, 10 ** 3),
                       rand_sparse(rnd, fq, 6, 10 ** 3))]
-            sparse = _residue_by_route(monkeypatch, False, pairs, None, p, fq)
-            dense = _residue_by_route(monkeypatch, True, pairs, None, p, fq)
+            sparse = _residue_by_route(monkeypatch, False, pairs, None, p)
+            dense = _residue_by_route(monkeypatch, True, pairs, None, p)
             assert sparse == dense
 
     def test_route_follows_measured_costs(self, monkeypatch):
@@ -177,28 +178,45 @@ class TestCyclicProductResidue:
         dense_ps = []
         real = interp.dense_cyclic_mul
         monkeypatch.setattr(interp, "dense_cyclic_mul",
-                            lambda a, b: dense_ps.append(a.p) or real(a, b))
+                            lambda a, b: dense_ps.append(len(a)) or real(a, b))
         T = 256
         f = canonicalize([(i, 1) for i in range(T)], ZZ)
         g = canonicalize([(T * i + 1, 1) for i in range(T)] + [(T * i, -1) for i in range(T)], ZZ)
         for p, dense in ((1009, True), (16411, False)):
             dense_ps.clear()
-            cyclic_product_residue([(f, g)], None, p, ZZ)
+            cyclic_product_residue([(f, g)], None, p)
             assert dense_ps == ([p] * 3 if dense else [])
 
     def test_limit_stops_at_overflow(self):
         f = canonicalize([(e, 1) for e in range(5)], ZZ)
         pairs = [(f, f)]  # H = f^2 has 9 terms
         want = _direct_residues(pairs, None, 101, ZZ)
-        assert cyclic_product_residue(pairs, None, 101, ZZ, limit=9) == want
-        assert cyclic_product_residue(pairs, None, 101, ZZ, limit=8) is None
+        assert cyclic_product_residue(pairs, None, 101, limit=9) == want
+        assert cyclic_product_residue(pairs, None, 101, limit=8) is None
         # (X^7 - 1)(X + X^2 + X^3) vanishes mod X^7 - 1, its derivative
         # leaves 7 + 7X + 7X^2, so only the derivative overflows
         pairs = [(canonicalize([(7, 1), (0, -1)], ZZ), canonicalize([(1, 1), (2, 1), (3, 1)], ZZ))]
         want = _direct_residues(pairs, None, 7, ZZ)
         assert want[0].is_zero and want[1].sparsity == 3
-        assert cyclic_product_residue(pairs, None, 7, ZZ, limit=3) == want
-        assert cyclic_product_residue(pairs, None, 7, ZZ, limit=2) is None
+        assert cyclic_product_residue(pairs, None, 7, limit=3) == want
+        assert cyclic_product_residue(pairs, None, 7, limit=2) is None
+
+    def test_ring_comes_from_the_operands(self, monkeypatch):
+        f101 = prime_field(101)
+        f = canonicalize([(1, 50), (4, 99)], f101)
+        g = canonicalize([(0, 77), (1, 25)], f101)
+        # (50X + 99X^4)(77 + 25X) = 12X + 38X^2 + 48X^4 + 51X^5 over F_101
+        want = _direct_residues([(f, g)], None, 5, f101)
+        assert want[0].terms == ((0, 51), (1, 12), (2, 38), (4, 48))
+        for dense in (False, True):
+            assert _residue_by_route(monkeypatch, dense, [(f, g)], None, 5) == want
+        # an operand from another ring is refused, not silently reduced
+        fz = canonicalize([(1, 3)], ZZ)
+        for pairs, minus in (([(f, g), (fz, fz)], None), ([(f, fz)], None),
+                             ([(f, g)], canonicalize([(2, 1)], ZZ)),
+                             ([(fz, fz)], canonicalize([(2, 1)], f101))):
+            with pytest.raises(RingMismatchError):
+                cyclic_product_residue(pairs, minus, 5)
 
 
 class TestInterpSumSP:

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spmul import (DenseCyclic, RingMismatchError, UnsupportedRingError,
-                   add, canonicalize, cyclic_reduce, dense_cyclic_mul,
-                   derivative, eval_cyclic_product, eval_sparse, ext_field,
-                   from_dense, integers, monomial, naive_mul, negate, prime_field,
-                   mul_count, reduce_coeffs_mod_q, reset_mul_count, scale, sub,
-                   to_dense, zero_poly)
+from spmul import (RingMismatchError, UnsupportedRingError, add, canonicalize,
+                   cyclic_reduce, dense_cyclic_mul, derivative,
+                   eval_cyclic_product, eval_sparse, ext_field, integers,
+                   monomial, naive_mul, negate, prime_field, mul_count,
+                   reset_mul_count, scale, sub, zero_poly)
 from spmul.poly import NEG_INF, fixed_base_powers
 from spmul.rings import _pow_cost
 
@@ -163,84 +162,68 @@ class TestCyclicReduce:
             assert lhs == rhs
 
 
-class TestDenseRoundTrip:
-    def test_zero(self):
-        d = to_dense(zero_poly(ZZ), 3)
-        assert d.coeffs == [0, 0, 0]
+def _vec(f, p):
+    """Positional coefficient list of f; every exponent must be < p."""
+    out = [f.ring.zero()] * p
+    for e, c in f.terms:
+        out[e] = c
+    return out
 
-    def test_positional(self):
-        f = canonicalize([(4, 2), (2, 1), (1, 1)], ZZ)
-        assert to_dense(f, 5).coeffs == [0, 1, 1, 0, 2]
 
-    def test_round_trip_random(self):
-        rnd = random.Random(15)
-        for _ in range(50):
-            f = rand_sparse(rnd, ZZ, 10, 64, 30)
-            assert from_dense(to_dense(f, 64)) == f
-
-    def test_exponent_too_large(self):
-        with pytest.raises(ValueError):
-            to_dense(canonicalize([(5, 1)], ZZ), 5)
+def _lifted_mul(ring, a, b):
+    """dense_cyclic_mul on integer images (RingSpec.lift), dropped back into
+    the ring: how cyclic_product_residue convolves over fields."""
+    base = ring.lift_base(len(a))  # at most p products land in one slot
+    out = dense_cyclic_mul([ring.lift(c, base) for c in a], [ring.lift(c, base) for c in b])
+    return [ring.drop(v, base) for v in out]
 
 
 class TestDenseCyclicMul:
     def test_identity(self):
         rnd = random.Random(16)
-        f = rand_sparse(rnd, ZZ, 6, 11, 9)
-        a = to_dense(f, 11)
-        one = to_dense(monomial(ZZ, 0, 1), 11)
-        assert dense_cyclic_mul(a, one).coeffs == a.coeffs
+        a = _vec(rand_sparse(rnd, ZZ, 6, 11, 9), 11)
+        one = [1] + [0] * 10
+        assert dense_cyclic_mul(a, one) == a
 
     def test_worked_example(self):
         # (X^3+1)(X^4+X) mod X^5-1 = 2X^4 + X^2 + X
-        a = to_dense(canonicalize([(3, 1), (0, 1)], ZZ), 5)
-        b = to_dense(canonicalize([(4, 1), (1, 1)], ZZ), 5)
-        assert dense_cyclic_mul(a, b).coeffs == [0, 1, 1, 0, 2]
+        assert dense_cyclic_mul([1, 0, 0, 1, 0], [0, 1, 0, 0, 1]) == [0, 1, 1, 0, 2]
 
     def test_all_ones(self):
-        from spmul import DenseCyclic
-        ones = DenseCyclic(ZZ, 3, [1, 1, 1])
-        assert dense_cyclic_mul(ones, ones).coeffs == [3, 3, 3]
+        assert dense_cyclic_mul([1, 1, 1], [1, 1, 1]) == [3, 3, 3]
 
     def test_signed_random_vs_schoolbook(self):
         rnd = random.Random(17)
         for _ in range(60):
             p = rnd.choice([1, 2, 3, 5, 17, 31])
-            fa = rand_sparse(rnd, ZZ, 6, p, 10 ** 6)
-            fb = rand_sparse(rnd, ZZ, 6, p, 10 ** 6)
-            a, b = to_dense(fa, p), to_dense(fb, p)
-            assert dense_cyclic_mul(a, b).coeffs == cyclic_convolve_oracle(
-                a.coeffs, b.coeffs, ZZ)
+            a = _vec(rand_sparse(rnd, ZZ, 6, p, 10 ** 6), p)
+            b = _vec(rand_sparse(rnd, ZZ, 6, p, 10 ** 6), p)
+            assert dense_cyclic_mul(a, b) == cyclic_convolve_oracle(a, b, ZZ)
 
     def test_prime_field_vs_schoolbook(self):
         f101 = prime_field(101)
         rnd = random.Random(18)
         for _ in range(40):
             p = rnd.choice([2, 3, 7, 19])
-            fa = rand_sparse(rnd, f101, 5, p)
-            fb = rand_sparse(rnd, f101, 5, p)
-            a, b = to_dense(fa, p), to_dense(fb, p)
-            assert dense_cyclic_mul(a, b).coeffs == cyclic_convolve_oracle(
-                a.coeffs, b.coeffs, f101)
+            a = _vec(rand_sparse(rnd, f101, 5, p), p)
+            b = _vec(rand_sparse(rnd, f101, 5, p), p)
+            assert _lifted_mul(f101, a, b) == cyclic_convolve_oracle(a, b, f101)
 
     def test_ext_field_vs_schoolbook(self):
         f9 = ext_field(3, 2)
         rnd = random.Random(19)
         for _ in range(20):
-            fa = rand_sparse(rnd, f9, 4, 7)
-            fb = rand_sparse(rnd, f9, 4, 7)
-            a, b = to_dense(fa, 7), to_dense(fb, 7)
-            assert dense_cyclic_mul(a, b).coeffs == cyclic_convolve_oracle(
-                a.coeffs, b.coeffs, f9)
+            a = _vec(rand_sparse(rnd, f9, 4, 7), 7)
+            b = _vec(rand_sparse(rnd, f9, 4, 7), 7)
+            assert _lifted_mul(f9, a, b) == cyclic_convolve_oracle(a, b, f9)
 
     def test_ext_field_worst_case_digits(self):
         # all residues q-1 in every slot drive each packed digit to its bound
         for ring in (ext_field(3, 5), ext_field(Q62, 2)):
             top = (ring.q - 1,) * ring.s
             for p in (1, 2, 17, 64):
-                a = DenseCyclic(ring, p, [top] * p)
-                assert dense_cyclic_mul(a, a).coeffs == cyclic_convolve_oracle(
-                    a.coeffs, a.coeffs, ring)
+                a = [top] * p
+                assert _lifted_mul(ring, a, a) == cyclic_convolve_oracle(a, a, ring)
 
     def test_consistency_with_naive_mul_50_primes(self):
         rnd = random.Random(20)
@@ -249,13 +232,12 @@ class TestDenseCyclicMul:
             fa = rand_sparse(rnd, ZZ, 40, 10 ** 7, 2 ** 20)
             fb = rand_sparse(rnd, ZZ, 40, 10 ** 7, 2 ** 20)
             lhs = cyclic_reduce(naive_mul(fa, fb), p)
-            rhs = from_dense(dense_cyclic_mul(to_dense(cyclic_reduce(fa, p), p),
-                                              to_dense(cyclic_reduce(fb, p), p)))
-            assert lhs == rhs
+            prod = dense_cyclic_mul(_vec(cyclic_reduce(fa, p), p), _vec(cyclic_reduce(fb, p), p))
+            assert lhs == canonicalize(enumerate(prod), ZZ)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            dense_cyclic_mul(to_dense(zero_poly(ZZ), 3), to_dense(zero_poly(ZZ), 4))
+            dense_cyclic_mul([0] * 3, [0] * 4)
 
 
 class TestEvalSparse:
@@ -373,20 +355,6 @@ class TestFixedBasePowers:
                     power(e)
                 settle()
                 assert mul_count() <= (bits - 1) * (lookups + 1)
-
-
-class TestReduceCoeffs:
-    def test_drops_multiples(self):
-        f = canonicalize([(28, 1), (0, 4)], ZZ)
-        assert reduce_coeffs_mod_q(f, 2).terms == ((28, 1),)
-
-    def test_identity_support_when_small(self):
-        f = canonicalize([(3, 2), (0, 1)], ZZ)
-        r = reduce_coeffs_mod_q(f, 101)
-        assert r.support == f.support
-
-    def test_full_kill(self):
-        assert reduce_coeffs_mod_q(canonicalize([(3, 7)], ZZ), 7).is_zero
 
 
 class TestScaleNegate:
