@@ -11,8 +11,22 @@ its derivative's, by the product rule.  The slot sums are carried as
 integer images (RingSpec.lift), accumulated either pair by pair or through
 the integer kernel poly.dense_cyclic_mul, and dropped back into the
 operands' ring once per slot.  Rounds accumulate recovered terms into a
-running approximation and correct earlier mistakes automatically, because
+running approximation h* and correct earlier mistakes automatically, because
 wrong terms reappear negated in later residues.
+
+A job ends at the first round whose update explains both residues of
+H - h*: then H - h* - update vanishes mod X^p - 1, and so does its
+derivative.  That takes two counts, not another residue walk.  find_terms
+emits at most one term per residue slot r, with e = r (mod p) and that
+slot's c, and then e*c is exactly the derivative slot's coefficient at
+(r - 1) mod p, which is nonzero whenever e > 0 (over a field, e <= D <
+char keeps e nonzero).  Distinct r give distinct slots, so update's
+residues are sub-polynomials of the observed ones, and equal to them iff
+#update = #residue and #residue_d = #{(e, c) in update : e > 0}.  The
+zero residue pair is the empty case.  The rule is a stopping rule, not
+a certificate: p was used to build the update, so a collision at p can
+make a wrong h* look explained.  The caller's verifier (product.py)
+certifies the result.
 """
 
 from __future__ import annotations
@@ -199,8 +213,11 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
     mults per pair, or three packed dense cyclic convolutions per pair over
     Z.  The one the cost model _dense_is_cheaper predicts faster is taken.
     Returns None, skipping the rest of the tail, as soon as either residue
-    has more than limit terms.
+    has more than limit terms.  Empty pairs raise ValueError: there is no
+    ring to take.
     """
+    if not pairs:
+        raise ValueError("pairs must be nonempty")
     ring = _same_ring(*(F for pair in pairs for F in pair),
                       *(() if minus is None else (minus,)))
     slotted = [(_slot_sums(F, p), _slot_sums(G, p)) for F, G in pairs]
@@ -277,12 +294,23 @@ def _trim(H: SparsePoly, T: int, D: int, C: int | None) -> SparsePoly:
 
 
 def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
-    """Interpolate H = sum F_i*G_i; correct with probability >= 1 - mu.
+    """Interpolate H = sum F_i*G_i.
 
     Whatever happens, the output has at most 2T terms, degree < D, and
-    (over Z) height <= C.  A round that observes both residues at zero
-    exits early, and so does one whose residue has more than 2T + #h*
-    terms (h* the running approximation), which proves #H > 2T.
+    (over Z) height <= C.  A job ends at the first round whose find_terms
+    update explains both residues of H - h* (h* the running approximation;
+    see the module docstring for the count test) and whose _trim keeps
+    every term of h* + update, so that H - h* and its derivative vanish
+    mod X^p - 1 at that round's p.  It also ends at once when a residue
+    has more than 2T + #h* terms, which proves #H > 2T.
+
+    For an honest job (T >= #H, D > deg H and, over Z, C >= the height of
+    H), the job ends at the round that brings h* to H (or the next one, if
+    _trim dropped terms on the way), because H - h* is then zero; mu
+    bounds the probability that the round cap runs out first.
+    Neither mu nor the cap bounds an early exit on a wrong h*, which needs
+    terms of H - h* to collide at that round's p into a term consistent
+    with both residues.  The output is certified only by verifying it.
     """
     ring = job.ring
     if ring.is_field and ring.char <= job.D:
@@ -310,8 +338,13 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
         if residues is None:
             break
         residue, residue_d = residues
-        if residue.is_zero and residue_d.is_zero:
-            break
         update = find_terms(p, residue, residue_d, job.D, double_c)
-        h_star = _trim(add(h_star, update), job.T, job.D, job.C)
+        total = add(h_star, update)
+        h_star = _trim(total, job.T, job.D, job.C)
+        # update explains both residues exactly and _trim kept all of it:
+        # H - h* now vanishes mod X^p - 1, and so does its derivative
+        if (update.sparsity == residue.sparsity
+                and residue_d.sparsity == sum(1 for e, _ in update.terms if e)
+                and h_star.sparsity == total.sparsity):
+            break
     return h_star

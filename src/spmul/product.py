@@ -5,8 +5,9 @@ The product F*G is interpolated modulo X^p - 1 (p a random prime large
 enough that exponent collisions are unlikely) together with its
 derivative's residue, under a guessed sparsity bound that doubles until
 both interpolants pass verification; the terms of F*G are then read off
-the verified residue pair.  Output is correct with probability at least
-1 - mu1; the doubling loop stays small with probability at least 1 - mu2.
+the verified residue pair.  mu1 budgets a wrong output (sparse_product
+counts how the checks spend it); the doubling loop stays small with
+probability at least 1 - mu2.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .verify import verify_sp, verify_sum_sp
 
 @dataclass(frozen=True)
 class ProductParams:
-    """Failure budgets: mu1 bounds the probability of a wrong product,
-    mu2 the probability of the doubling loop overshooting."""
+    """Failure budgets: mu1 for a wrong product (sparse_product counts how
+    its checks spend it), mu2 for the doubling loop overshooting."""
 
     mu1: float
     mu2: float
@@ -47,12 +48,25 @@ _MAX_DOUBLINGS = 64
 
 def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
                    rng: RandomSource) -> SparsePoly:
-    """Compute F*G; correct with probability at least 1 - mu1.
+    """Compute F*G, with mu1 as the budget for a wrong output.
 
     Works over Z and over fields whose characteristic exceeds not just
     deg(F) + deg(G) but also 2p for the internally drawn prime p (exponents
     are encoded into coefficients modulo X^p - 1, so they must stay below
     the characteristic); CharacteristicTooSmallError otherwise.
+
+    The interpolation jobs only stop on residues they explain (interp), so
+    the checks below are the certificate.  Failure budget as spent: p makes
+    two exponents of F*G collide with probability <= mu1/2
+    (lambda_no_collision), and every doubling iteration runs its own checks
+    at eps = mu1/2, verify_sp on h1 and, once h1 passes, verify_sum_sp on
+    h2.  A wrong output needs a colliding p or a wrong h1 or h2 accepted, so
+    the union bound over the checks run is mu1/2 * (1 + #h1 checks + #h2
+    checks): 3*mu1/2 when the first guess passes.  Counted per iteration
+    instead (one ends the loop wrongly only if the wrong member of its pair
+    is accepted), it is mu1/2 * (1 + iterations).  Either count exceeds the
+    stated mu1 once a guess is rejected, so 1 - mu1 is not proved for
+    products that double the guess.
     """
     if F.ring != G.ring:
         raise RingMismatchError("operands live in different rings")

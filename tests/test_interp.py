@@ -218,6 +218,12 @@ class TestCyclicProductResidue:
             with pytest.raises(RingMismatchError):
                 cyclic_product_residue(pairs, minus, 5)
 
+    def test_empty_pairs_raise(self):
+        # with no operands there is no ring to take the residues in
+        for minus in (None, canonicalize([(2, 1)], ZZ)):
+            with pytest.raises(ValueError, match="pairs must be nonempty"):
+                cyclic_product_residue([], minus, 5)
+
 
 class TestInterpSumSP:
     def test_example_product(self):
@@ -306,6 +312,27 @@ class TestInterpSumSP:
         job = InterpJob([(f, g)], 20, 2 ** 40, 1, 0.25)
         for seed in range(10):
             assert interp_sum_sp(job, RandomSource(seed)) == h
+
+    def test_derivative_residue_keeps_the_job_running(self, monkeypatch):
+        # H = X^100 - X^2 at p = 7: both terms sit in slot 2, where H's
+        # coefficients cancel and H' leaves (100 - 2)*X^1.  The first round
+        # recovers nothing yet explains the empty H residue; only the
+        # derivative count keeps it from returning h* = 0.
+        f = monomial(ZZ, 2, 1)
+        g = canonicalize([(98, 1), (0, -1)], ZZ)
+        h = naive_mul(f, g)
+        job = InterpJob([(f, g)], 2, 101, 1, 0.25)
+
+        class FirstDrawIs7(RandomSource):
+            def randrange(self, n):
+                # rounds draw from the first primes 2, 3, 5, 7, ...
+                return 3 if not rounds else super().randrange(n)
+
+        rounds = _watch_rounds(monkeypatch)
+        for seed in range(10):
+            rounds.clear()
+            assert interp_sum_sp(job, FirstDrawIs7(seed)) == h
+            assert rounds[0].is_zero and len(rounds) >= 2
 
     def test_field_interpolation(self):
         fq = prime_field(Q62)

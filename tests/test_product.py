@@ -3,10 +3,10 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
-                   RetryBudgetError, canonicalize, ext_field, integers, monomial,
-                   naive_mul, prime_field, scale, sparse_product, sumset_size,
-                   zero_poly)
-from spmul import product
+                   RetryBudgetError, canonicalize, derivative, ext_field,
+                   integers, monomial, mul_count, naive_mul, prime_field, scale,
+                   sparse_product, sumset_size, zero_poly)
+from spmul import interp, product
 
 from helpers import Q62, rand_sparse
 
@@ -173,6 +173,30 @@ class TestSparseProduct:
         f, g = example2_family(16)
         sparse_product(f, g, PARAMS, RandomSource(16))
         assert [job.T for job in jobs] == [max(f.sparsity, g.sparsity)] * 2 == [32, 32]
+
+    @pytest.mark.parametrize("t", [16, 64, pytest.param(512, marks=pytest.mark.slow)])
+    def test_example2_walks_each_pair_once(self, monkeypatch, t):
+        # the h1 job walks F x G and the h2 job walks F x G' and F' x G, each
+        # once at 3 ring mults per slot pair: the round that recovers the
+        # 2-term product ends its job, with no confirming walk
+        mults = []
+        real = interp.cyclic_product_residue
+
+        def cyclic_product_residue(*args, **kwargs):
+            before = mul_count()
+            out = real(*args, **kwargs)
+            mults.append(mul_count() - before)
+            return out
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        f, g = example2_family(t)
+        pairs = (f.sparsity * g.sparsity + f.sparsity * derivative(g).sparsity
+                 + derivative(f).sparsity * g.sparsity)
+        for seed in range(20):
+            mults.clear()
+            out = sparse_product(f, g, PARAMS, RandomSource(seed))
+            assert out.terms == ((0, -1), (t * t, 1))
+            assert len(mults) == 2 and sum(mults) == 3 * pairs
 
     def test_doubling_budget_exhausted(self, monkeypatch):
         # a verifier that never accepts doubles the guess once per attempt
