@@ -7,6 +7,18 @@ Elements are plain Python values so the hot paths stay cheap:
 * extension field    -- ``tuple`` of s ints in ``[0, q)``, little-endian
                         coordinates in the power basis
 
+An F_{q^s} product (s != 2; s = 2 is unrolled) is one integer product:
+each factor's residues are packed as base-2^W digits, the packed ints are
+multiplied, and the s - 1 high digits c_i of the result (the coefficients
+of Y^i, i = s .. 2s-2) are folded back as sum c_i * ROW_i, where ROW_i is
+Y^i mod the modulus packed the same way.  The rows are built once per
+field.  The s low digits are then unpacked and reduced mod q once each.
+No digit may carry into its neighbour: a product digit is at most
+s(q-1)^2, and the fold adds at most s-1 terms of s(q-1)^2 * (q-1), so every
+digit stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^W, with W a whole number
+of bytes.  ``drop`` reduces through the same table; the digits it folds
+are residues in [0, q), so its sums meet the same bound.
+
 :class:`RingSpec` bundles the description with its arithmetic and with
 integer images of its elements (``lift`` / ``drop``), through which one
 packed integer convolution serves all three kinds of ring.  Every
@@ -22,12 +34,20 @@ measurement; the other shared state in the library is the prime table in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
+from dataclasses import dataclass, field
+from operator import mul as _int_mul
 
 from . import arith
 from .errors import UnsupportedRingError
 
 _mul_count = 0
+
+# array typecode per item size in bytes, for packing digits of 1, 2, 4 or
+# 8 bytes; arrays hold native byte order, packed ints are little-endian
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_SWAP = sys.byteorder != "little"
 
 
 def reset_mul_count() -> None:
@@ -58,13 +78,19 @@ class RingSpec:
     kind is one of "integers", "prime_field", "ext_field"; q and s are the
     prime modulus and extension degree where applicable; modulus is the
     monic degree-s defining polynomial (little-endian tuple) for
-    extension fields.
+    extension fields.  Its irreducibility is taken as given here: build
+    extension fields through ext_field, which proves it.
     """
 
     kind: str
     q: int | None = None
     s: int = 1
     modulus: tuple[int, ...] | None = None
+    # F_{q^s} reduction table: Y^d mod modulus for d = 0 .. 2s-2, unpacked
+    # and packed at digits of _width bytes
+    _yrows: tuple = field(default=(), init=False, repr=False, compare=False)
+    _packed_rows: tuple = field(default=(), init=False, repr=False, compare=False)
+    _width: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "integers":
@@ -85,10 +111,27 @@ class RingSpec:
                 raise ValueError("modulus must be monic of degree s")
             if any(not 0 <= c < self.q for c in m):
                 raise ValueError("modulus coefficients must lie in [0, q)")
-            if not arith.is_irreducible(list(m), self.q):
-                raise ValueError("modulus is reducible")
+            self._build_table()
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
+
+    def _build_table(self) -> None:
+        q, s, m = self.q, self.s, self.modulus
+        rows = [tuple(int(i == d) for i in range(s)) for d in range(s)]
+        top = tuple(-c % q for c in m[:s])  # Y^s
+        for _ in range(s - 1):
+            rows.append(top)
+            c = top[-1]  # Y * top = c * Y^s + (top shifted up)
+            top = tuple((lo + c * y) % q for lo, y in zip((0,) + top[:-1], rows[s]))
+        # every digit packed or folded stays below this bound (module
+        # docstring); W is the next whole number of bytes, rounded up to an
+        # array item size where one fits
+        bound = s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1))
+        width = -(-bound.bit_length() // 8)
+        width = next((w for w in (1, 2, 4, 8) if w >= width), width)
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_yrows", tuple(rows))
+        object.__setattr__(self, "_packed_rows", tuple(self._pack(r) for r in rows))
 
     # -- structure ---------------------------------------------------
 
@@ -190,27 +233,52 @@ class RingSpec:
             t2 = a1 * b1
             m0, m1 = self.modulus[0], self.modulus[1]
             return ((a0 * b0 - t2 * m0) % q, (a0 * b1 + a1 * b0 - t2 * m1) % q)
-        t = [0] * (2 * s - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    t[i + j] += ai * bj
-        return self._reduce(t)
+        pa = self._pack(a)
+        return self._fold(pa * (pa if b is a else self._pack(b)))
 
-    def _reduce(self, t: list):
-        """The element sum t_i * Y^i of F_{q^s}, for integers t_i (any sign)
-        and len(t) <= 2s - 1; Y is the generator.  Consumes t."""
-        q, s, m = self.q, self.s, self.modulus
-        if len(t) < s:
-            t.extend([0] * (s - len(t)))
-        for i in range(len(t) - 1, s - 1, -1):
-            c = t[i] % q
-            if c:
-                base = i - s
-                for j in range(s):
-                    if m[j]:
-                        t[base + j] -= c * m[j]
-        return tuple([v % q for v in t[:s]])
+    def _pack(self, digits) -> int:
+        """Integer with base-2^W digits `digits` (each in [0, 2^W))."""
+        code = _TYPECODES.get(self._width)
+        if code is None:
+            v = 0
+            shift = 8 * self._width
+            for r in reversed(digits):
+                v = (v << shift) | r
+            return v
+        packed = array(code, digits)
+        if _SWAP:
+            packed.byteswap()
+        return int.from_bytes(packed, "little")
+
+    def _digits(self, v: int):
+        """The s base-2^W digits of v, which must lie below 2^(sW)."""
+        width = self._width
+        code = _TYPECODES.get(width)
+        if code is None:
+            bits = 8 * width
+            mask = (1 << bits) - 1
+            return [v >> shift & mask for shift in range(0, self.s * bits, bits)]
+        digits = array(code, v.to_bytes(self.s * width, "little"))
+        if _SWAP:
+            digits.byteswap()
+        return digits
+
+    def _fold(self, v: int):
+        """The element of F_{q^s} whose image in Z[Y] has the base-2^W
+        digits of v as coefficients (at most 2s - 1 of them, within the
+        bound of the module docstring): the s - 1 high digits fold in
+        through the reduction table."""
+        s = self.s
+        bits = 8 * self._width * s
+        high = self._digits(v >> bits)  # its top digit is 0 and unused
+        folded = sum(map(_int_mul, high, self._packed_rows[s:]))
+        return self._settle((v & ((1 << bits) - 1)) + folded)
+
+    def _settle(self, v: int):
+        """The element of F_{q^s} with residues the s base-2^W digits of v
+        reduced mod q."""
+        q = self.q
+        return tuple([d % q for d in self._digits(v)])
 
     def pow(self, a, e: int):
         if e < 0:
@@ -287,16 +355,20 @@ class RingSpec:
         and the modulus."""
         if base is None:
             return v % self.q if self.q else v
-        half = base // 2
-        digits = []
-        while v:
-            v, r = divmod(v + half, base)  # r - half is the balanced digit
-            digits.append(r - half)
+        q, half = self.q, base // 2
+        folded = 0
+        # digit d of v (balanced: r - half) enters as its residue times the
+        # packed row Y^d mod the modulus
+        for row in self._packed_rows:
+            if not v:
+                break
+            v, r = divmod(v + half, base)
+            folded += (r - half) % q * row
         # a slot overflowing into its neighbour would widen the digit string
         # past the 2s-1 coefficients a product in Y can have
-        if len(digits) > 2 * self.s - 1:
+        if v:
             raise AssertionError("packed coefficient slot overflow")
-        return self._reduce(digits)
+        return self._settle(folded)
 
     def residues(self, a) -> tuple[int, ...]:
         """Residue vector of a field element (length s; s = 1 for prime fields)."""
@@ -324,8 +396,12 @@ def ext_field(q: int, s: int, modulus: tuple[int, ...] | None = None) -> RingSpe
     """The extension field F_{q^s}.
 
     With no modulus given, the canonical (lexicographically smallest
-    monic irreducible) defining polynomial is used.
+    monic irreducible) defining polynomial is used; a given modulus is
+    tested for irreducibility.
     """
     if modulus is None:
-        modulus = arith.canonical_irreducible(q, s)
-    return RingSpec("ext_field", q=q, s=s, modulus=tuple(modulus))
+        return RingSpec("ext_field", q=q, s=s, modulus=arith.canonical_irreducible(q, s))
+    ring = RingSpec("ext_field", q=q, s=s, modulus=tuple(modulus))
+    if not arith.is_irreducible(list(ring.modulus), q):
+        raise ValueError("modulus is reducible")
+    return ring

@@ -24,7 +24,7 @@ from .arith import RandomSource, irreducible_poly, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
 from .poly import (SparsePoly, cyclic_reduce, eval_sparse, eval_terms,
                    fixed_base_powers, scale)
-from .rings import RingSpec, ext_field, prime_field
+from .rings import RingSpec, prime_field
 
 _LN2 = math.log(2.0)
 
@@ -157,8 +157,9 @@ def _split_ext_identity(pairs, H: SparsePoly, eps: float, rng: RandomSource) -> 
     q, s = ring.q, ring.s
     fq = prime_field(q)
 
-    # lambda rows: Y^d mod m for d = 0 .. 2s-2, little-endian over F_q
-    rows = [ring._reduce([0] * d + [1]) for d in range(2 * s - 1)]
+    # lambda rows: Y^d mod m for d = 0 .. 2s-2, little-endian over F_q,
+    # read from the field's reduction table
+    rows = ring._yrows
 
     def components(P):
         return [SparsePoly(fq, tuple((e, c[k]) for e, c in P.terms if c[k]))
@@ -244,7 +245,10 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
         while ring.q ** s <= params.c2 * p:
             s += 1
         if s > 1:
-            field = ext_field(ring.q, s, irreducible_poly(ring.q, s, 1.0 / params.c3, rng))
+            # irreducible_poly proves its draw irreducible, so the field is
+            # built directly rather than through ext_field's second test
+            field = RingSpec("ext_field", q=ring.q, s=s,
+                             modulus=irreducible_poly(ring.q, s, 1.0 / params.c3, rng))
 
     alpha = field.rand_elem(rng)
     lhs = field.zero()

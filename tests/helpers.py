@@ -61,6 +61,27 @@ def cyclic_convolve_oracle(a: list, b: list, ring) -> list:
     return out
 
 
+def ext_reduce_oracle(t: list, ring) -> tuple:
+    """sum t_i * Y^i in F_{q^s} for integers t_i (any sign), len(t) <= 2s-1:
+    the high coefficients are cancelled one at a time against the modulus."""
+    q, s, m = ring.q, ring.s, ring.modulus
+    t = list(t) + [0] * max(0, s - len(t))
+    for i in range(len(t) - 1, s - 1, -1):
+        c = t[i] % q
+        for j in range(s):
+            t[i - s + j] -= c * m[j]
+    return tuple(v % q for v in t[:s])
+
+
+def ext_mul_oracle(a: tuple, b: tuple, ring) -> tuple:
+    """F_{q^s} product by schoolbook convolution in Z[Y], then reduction."""
+    t = [0] * (2 * ring.s - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            t[i + j] += ai * bj
+    return ext_reduce_oracle(t, ring)
+
+
 def eval_oracle_prime_field(terms, alpha: int, q: int) -> int:
     """Evaluation over F_q using builtin pow only."""
     return sum(c * pow(alpha, e, q) for e, c in terms) % q

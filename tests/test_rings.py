@@ -1,7 +1,14 @@
+import random
+
 import pytest
 
-from spmul import (RandomSource, UnsupportedRingError, ext_field, integers,
-                   mul_count, prime_field, reset_mul_count)
+from spmul import (RandomSource, RingSpec, UnsupportedRingError, ext_field,
+                   integers, irreducible_poly, mul_count, prime_field,
+                   reset_mul_count)
+from spmul.arith import canonical_irreducible
+from spmul.rings import _pow_cost
+
+from helpers import Q62, ext_mul_oracle, ext_reduce_oracle
 
 
 class TestRingConstruction:
@@ -77,6 +84,93 @@ class TestExtFieldOps:
             assert f25.mul(a, b) == ref
 
 
+# (q, s) for the packed product: the smallest fields, the verifier's
+# F_{3^37} (F_9 components at eps = 2^-20), and a 62-bit base field
+PACKED_CASES = ((2, 3), (3, 5), (3, 37), (5, 26), (Q62, 3))
+
+
+def _moduli(q, s):
+    """A dense random modulus and a sparse one: the canonical modulus, or
+    for Q62 (where the canonical search walks ~q constant terms, since
+    every Y^3 + c has a root when q = 2 mod 3) the trinomial Y^3 + Y + 5."""
+    sparse = (5, 1, 0, 1) if q == Q62 else canonical_irreducible(q, s)
+    return {"dense": irreducible_poly(q, s, 0.01, RandomSource(q + s)), "sparse": sparse}
+
+
+@pytest.fixture(scope="module", params=[(q, s, kind) for q, s in PACKED_CASES
+                                        for kind in ("dense", "sparse")],
+                ids=lambda c: f"q{c[0] if c[0] < 100 else 'Q62'}-s{c[1]}-{c[2]}")
+def packed_field(request):
+    q, s, kind = request.param
+    return ext_field(q, s, _moduli(q, s)[kind])
+
+
+class TestPackedExtMul:
+    def test_random_products_match_schoolbook(self, packed_field):
+        f, rnd = packed_field, random.Random(11)
+        for _ in range(40):
+            a = tuple(rnd.randrange(f.q) for _ in range(f.s))
+            b = tuple(rnd.randrange(f.q) for _ in range(f.s))
+            assert f.mul(a, b) == ext_mul_oracle(a, b, f)
+            assert f.mul(a, a) == ext_mul_oracle(a, a, f)
+
+    def test_worst_case_operands(self, packed_field):
+        # every residue q - 1: each product digit and each folded digit
+        # reaches its largest value for this modulus
+        f = packed_field
+        top = (f.q - 1,) * f.s
+        assert f.mul(top, top) == ext_mul_oracle(top, top, f)
+        for k in range(f.s):
+            e_k = tuple(int(i == k) for i in range(f.s))
+            assert f.mul(top, e_k) == ext_mul_oracle(top, e_k, f)
+
+    def test_drop_matches_schoolbook_reduction(self, packed_field):
+        f, rnd = packed_field, random.Random(12)
+        base = f.lift_base(4)
+        top = (f.q - 1,) * f.s
+        for _ in range(10):
+            operands = [tuple(rnd.randrange(f.q) for _ in range(f.s)) for _ in range(8)]
+            operands[:2] = [top, top]
+            image = sum(f.lift(a, base) * f.lift(b, base)
+                        for a, b in zip(operands[::2], operands[1::2]))
+            image -= f.lift(operands[0], base)
+            want = [0] * (2 * f.s - 1)
+            for a, b in zip(operands[::2], operands[1::2]):
+                for i, ai in enumerate(a):
+                    for j, bj in enumerate(b):
+                        want[i + j] += ai * bj
+            for i, ai in enumerate(operands[0]):
+                want[i] -= ai
+            assert f.drop(image, base) == ext_reduce_oracle(want, f)
+
+    def test_reduction_rows_are_powers_of_the_generator(self, packed_field):
+        f = packed_field
+        assert len(f._yrows) == 2 * f.s - 1
+        for d, row in enumerate(f._yrows):
+            assert row == ext_reduce_oracle([0] * d + [1], f)
+
+    def test_inv_and_pow_identities_at_s37(self):
+        f = ext_field(3, 37, _moduli(3, 37)["dense"])
+        rng = RandomSource(13)
+        for _ in range(3):
+            a = f.rand_elem(rng)
+            if a == f.zero():
+                continue
+            assert f.mul(a, f.inv(a)) == f.one()
+            assert f.pow(a, 3 ** 37) == a  # Frobenius to the full degree
+            assert f.pow(a, 3 ** 37 - 1) == f.one()
+            assert f.pow(a, 1000) == f.mul(f.pow(a, 777), f.pow(a, 223))
+
+    def test_table_is_not_part_of_equality(self):
+        # the verifier builds a field directly from a proved modulus; it must
+        # equal (and hash as) the one ext_field builds
+        m = _moduli(3, 37)["dense"]
+        direct = RingSpec("ext_field", q=3, s=37, modulus=m)
+        assert direct == ext_field(3, 37, m)
+        assert hash(direct) == hash(ext_field(3, 37, m))
+        assert "_yrows" not in repr(direct)
+
+
 class TestMulCounter:
     def test_counts_mul_and_pow(self):
         f101 = prime_field(101)
@@ -98,6 +192,20 @@ class TestMulCounter:
         reset_mul_count()
         f9.pow((1, 1), 11)
         assert mul_count() == 5
+        # the packed product is still one ring mult, and pow its square
+        # and multiply count
+        f = ext_field(3, 37, _moduli(3, 37)["dense"])
+        a = tuple(i % 3 for i in range(37))
+        reset_mul_count()
+        f.mul(a, a)
+        assert mul_count() == 1
+        reset_mul_count()
+        f.pow(a, 11)
+        assert mul_count() == 5
+        for e in (2, 3 ** 37 - 1, 3 ** 37):
+            reset_mul_count()
+            f.pow(a, e)
+            assert mul_count() == _pow_cost(e)
 
     def test_integers_count(self):
         zz = integers()
