@@ -369,12 +369,20 @@ def canonical_irreducible(q: int, s: int) -> tuple[int, ...]:
 
     Deterministic; used as the file-format convention for extension
     fields, whose headers carry only q and s.
+
+    The first q candidates are the binomials Y^s + c.  For s >= 2 an
+    irreducible one exists iff every prime factor of s divides q - 1 and
+    q = 1 (mod 4) when 4 | s (Lidl-Niederreiter, Theorem 3.75); without
+    one the walk starts past them, which for a large q is the difference
+    between returning at once and never returning.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
     if s < 1:
         raise ValueError("s must be >= 1")
-    k = 0
+    factors = {r for r in range(2, s + 1) if s % r == 0 and is_prime(r)}
+    binomial = all((q - 1) % r == 0 for r in factors) and (s % 4 or q % 4 == 1)
+    k = 0 if binomial else q
     limit = q ** s
     while k < limit:
         digits = []

@@ -7,23 +7,26 @@ point via a circulant recurrence, and compares against the reduced H.
 A true identity always verifies; a false one survives with probability
 at most eps.
 
-Over the integers the evaluation is never carried out in Z (values of
-size p*log(alpha) would defeat sparsity); a random coefficient prime q
-is drawn and everything moves to F_q first.  Over a prime field too
-small to supply enough evaluation points, an extension F_{q^s} is built
-on the fly; over a small extension field the identity is split into
-prime-field component identities instead.
+Every identity takes one check: one prime p, at most one extension field
+and one point.  Over the integers the evaluation is never carried out in
+Z (values of size p*log(alpha) would defeat sparsity); a random
+coefficient prime q is drawn and everything moves to F_q first.  A field
+with more than c2*p points hosts the point itself.  A smaller one is
+evaluated in F_{q^S}, built on the fly over its prime field F_q; a small
+F_{q^s} enters it through a random linear combination of the identity's
+F_q coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .arith import RandomSource, irreducible_poly, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
 from .poly import (SparsePoly, cyclic_reduce, eval_sparse, eval_terms,
-                   fixed_base_powers, scale)
+                   fixed_base_powers)
 from .rings import RingSpec, prime_field
 
 _LN2 = math.log(2.0)
@@ -31,16 +34,22 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class VerifyParams:
-    """Failure-budget split constants for one verification run."""
+    """Failure-budget split constants for one verification run.
+
+    A check fails to reject a false identity only if the difference
+    vanishes modulo X^p - 1 (at most 10/(3*c1)), or, over Z, if q divides
+    every coefficient of the reduced difference (at most 10/(3*c2)), or
+    if the random point is a root (at most 1/c2).  `generic` splits eps
+    between the first and last sources, `for_integers` between all three.
+    """
 
     eps: float
     c1: float
     c2: float
-    c3: float | None = None
     path: str = "generic"
 
     def validate(self) -> None:
-        eps, c1, c2, c3 = self.eps, self.c1, self.c2, self.c3
+        eps, c1, c2 = self.eps, self.c1, self.c2
         slack = 1e-9
         if self.path == "generic":
             ok = c1 > 10 / 3 and c2 > 1 and \
@@ -48,9 +57,6 @@ class VerifyParams:
         elif self.path == "integers":
             ok = c1 >= 10 / 3 and c2 >= 10 / 3 and \
                 1 - (1 - 10 / (3 * c1)) * (1 - 10 / (3 * c2)) * (1 - 1 / c2) <= eps + slack
-        elif self.path == "extension":
-            ok = c3 is not None and \
-                1 - (1 - 10 / (3 * c1)) * (1 - 1 / c2) * (1 - 1 / c3) <= eps + slack
         else:
             raise ValueError(f"unknown path {self.path!r}")
         if not ok:
@@ -59,21 +65,14 @@ class VerifyParams:
     @classmethod
     def generic(cls, eps: float) -> "VerifyParams":
         # 10/(3c1) <= eps/2 and (1 - .)/c2 <= eps/2
-        p = cls(eps, max(4.0, 20.0 / (3.0 * eps)), max(2.0, 2.0 / eps), None, "generic")
+        p = cls(eps, max(4.0, 20.0 / (3.0 * eps)), max(2.0, 2.0 / eps), "generic")
         p.validate()
         return p
 
     @classmethod
     def for_integers(cls, eps: float) -> "VerifyParams":
         # three failure sources at eps/3, eps/3, eps/10
-        p = cls(eps, 10.0 / eps, 10.0 / eps, None, "integers")
-        p.validate()
-        return p
-
-    @classmethod
-    def for_extension(cls, eps: float) -> "VerifyParams":
-        # three equal shares: 1 - (1 - eps/3)^3 <= eps
-        p = cls(eps, 10.0 / eps, 3.0 / eps, 3.0 / eps, "extension")
+        p = cls(eps, 10.0 / eps, 10.0 / eps, "integers")
         p.validate()
         return p
 
@@ -140,52 +139,6 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
     return acc
 
 
-def _split_ext_identity(pairs, H: SparsePoly, eps: float, rng: RandomSource) -> bool:
-    """Check sum F_i*G_i = H over a small F_{q^s} by component checks.
-
-    Writing elements as polynomials in Y over F_q, the identity holds iff
-    for every j < s the prime-field identity
-
-        sum_i sum_{k,l} lambda[k+l][j] * (F_i)_k * (G_i)_l = H_j
-
-    holds, where lambda[d][j] is the Y^j coordinate of Y^d mod m.  Each
-    component is tested with the full eps budget: true components never
-    fail, and a false overall identity is false in some component, which
-    then rejects with probability >= 1 - eps.
-    """
-    ring = H.ring
-    q, s = ring.q, ring.s
-    fq = prime_field(q)
-
-    # lambda rows: Y^d mod m for d = 0 .. 2s-2, little-endian over F_q,
-    # read from the field's reduction table
-    rows = ring._yrows
-
-    def components(P):
-        return [SparsePoly(fq, tuple((e, c[k]) for e, c in P.terms if c[k]))
-                for k in range(s)]
-
-    split_pairs = [(components(F), components(G)) for F, G in pairs]
-    h_parts = components(H)
-    for j in range(s):
-        sum_pairs = []
-        for f_parts, g_parts in split_pairs:
-            for k, f_k in enumerate(f_parts):
-                if f_k.is_zero:
-                    continue
-                for l, g_l in enumerate(g_parts):
-                    lam = rows[k + l][j]
-                    if lam and not g_l.is_zero:
-                        sum_pairs.append((scale(f_k, lam), g_l))
-        if not sum_pairs:
-            if not h_parts[j].is_zero:
-                return False
-            continue
-        if not verify_sum_sp(h_parts[j], sum_pairs, eps, rng):
-            return False
-    return True
-
-
 def _delta_height_bound(pairs, H: SparsePoly) -> int:
     # rigorous bound on || sum F_i G_i - H ||_inf over Z
     total = H.height()
@@ -207,32 +160,53 @@ def _residue_in(P: SparsePoly, p: int, field: RingSpec) -> SparsePoly:
     return SparsePoly(field, tuple((e, field.coerce(c)) for e, c in P_p.terms))
 
 
+def _image(P_p: SparsePoly, weights, field: RingSpec) -> SparsePoly:
+    # sum_l weights[l] * (coordinate l of P_p), over the evaluation field
+    zero = field.zero()
+    return SparsePoly(field, tuple(
+        (e, v) for e, c in P_p.terms
+        if (v := reduce(field.add, map(field.smul, weights, c))) != zero))
+
+
 def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
                    rng: RandomSource) -> bool:
-    """Shared evaluation core: True iff sum F_i G_i and H evaluate equally
-    modulo X^p - 1 at a random point of a large-enough field.
+    """The one evaluation core: True iff sum F_i G_i and H agree modulo
+    X^p - 1 at a random point of a large-enough field.
 
-    Each kind of ring picks only the budget split (hence p) and the field:
-    a random F_q over Z, the ring itself when it has more than c2*p points,
-    and F_{q^s} (s >= 1) over a smaller prime field.
+    The budget split is `for_integers` over Z and `generic` over a field;
+    p is drawn from [lam, 2*lam] with lam = max(21, ceil(c1 * sparsity_sum
+    * ln D)).  The point lives in a random F_q over Z, in the ring itself
+    when it has more than c2*p points, and otherwise in F_{q^S}, S least
+    with q^S > c2*p, over the ring's prime field F_q.
+
+    A small F_{q^s} (s >= 2) enters F_{q^S} through its F_q coordinates:
+    write elements as polynomials in Y, lambda[d] for the coordinates of
+    Y^d mod m, and phi(c) = sum_j beta_j c_j with beta_0 = 1 and
+    beta_1 .. beta_{s-1} uniform in F_{q^S}.  phi is F_q-linear and
+    phi(Y^k c) = sum_l w_{k+l} c_l with w_d = sum_j beta_j lambda[d][j],
+    so sum_j beta_j (sum F_i G_i)_j = sum_i sum_{k,l} w_{k+l} (F_i)_k (G_i)_l,
+    and by bilinearity of the cyclic-product evaluation E the check
+    compares
+
+        sum_i sum_k E((F_i)_k, phi(Y^k G_i))  with  phi(H)(alpha),
+
+    s evaluations per pair, phi applied to each coefficient.
+
+    Soundness.  Let D_j be coordinate j of sum F_i G_i - H.  Its support
+    lies in supp(sum F_i G_i) u supp(H), so it has at most sparsity_sum
+    terms and degree at most D, and a nonzero D_j stays nonzero modulo
+    X^p - 1 except with probability 10/(3*c1) over p.  Then
+    sum_j beta_j D_j(alpha), taken modulo X^p - 1, is a nonzero
+    polynomial of total degree at most p in (alpha, beta_1 .. beta_{s-1}),
+    which vanishes at a uniform point with probability at most
+    p/|F_{q^S}| < 1/c2 (Schwartz-Zippel), the last share of the budget
+    split.  A true identity has every D_j = 0, so it always passes.
     """
     ring = H.ring
     ln_d = math.log(max(D, 2))
-
-    def lam(params: VerifyParams) -> int:
-        return max(21, math.ceil(params.c1 * sparsity_sum * ln_d))
-
-    if ring.kind == "integers":
-        params = VerifyParams.for_integers(eps)
-    else:
-        params = VerifyParams.generic(eps)
-        # too small when some possible p leaves it without c2*p points
-        if ring.size <= params.c2 * (2 * lam(params)):
-            if ring.kind == "ext_field":
-                # no tower extensions: split into prime-field component checks
-                return _split_ext_identity(pairs, H, eps, rng)
-            params = VerifyParams.for_extension(eps)
-    p = random_prime(lam(params), rng)
+    params = VerifyParams.for_integers(eps) if ring.kind == "integers" \
+        else VerifyParams.generic(eps)
+    p = random_prime(max(21, math.ceil(params.c1 * sparsity_sum * ln_d)), rng)
 
     field = ring
     if ring.kind == "integers":
@@ -240,22 +214,39 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
         ln_height = _delta_height_bound(pairs, H).bit_length() * _LN2
         mu = math.ceil(params.c2 * max(p, math.ceil(ln_height)))
         field = prime_field(random_prime(mu, rng))
-    elif params.path == "extension":
-        s = 1
+    elif ring.size <= params.c2 * p:
+        s = ring.s + 1
         while ring.q ** s <= params.c2 * p:
             s += 1
-        if s > 1:
-            # irreducible_poly proves its draw irreducible, so the field is
-            # built directly rather than through ext_field's second test
-            field = RingSpec("ext_field", q=ring.q, s=s,
-                             modulus=irreducible_poly(ring.q, s, 1.0 / params.c3, rng))
+        # irreducible_poly proves its draw irreducible, so the field is
+        # built directly rather than through ext_field's second test; eps
+        # only sizes its retry budget
+        field = RingSpec("ext_field", q=ring.q, s=s,
+                         modulus=irreducible_poly(ring.q, s, eps, rng))
 
     alpha = field.rand_elem(rng)
+    if ring.kind == "ext_field" and field != ring:
+        beta = [field.one()] + [field.rand_elem(rng) for _ in range(ring.s - 1)]
+        w = [reduce(field.add, map(field.smul, beta, row)) for row in ring._yrows]
+        pad = (0,) * (field.s - 1)
+
+        def factors(F, G):  # (F_k, phi(Y^k G)) for k < s
+            F_p, G_p = cyclic_reduce(F, p), cyclic_reduce(G, p)
+            return [(SparsePoly(field, tuple((e, (c[k],) + pad) for e, c in F_p.terms if c[k])),
+                     _image(G_p, w[k:], field)) for k in range(ring.s)]
+
+        h = _image(cyclic_reduce(H, p), beta, field)
+    else:
+        def factors(F, G):
+            return [(_residue_in(F, p, field), _residue_in(G, p, field))]
+
+        h = _residue_in(H, p, field)
+
     lhs = field.zero()
     for F, G in pairs:
-        lhs = field.add(lhs, eval_cyclic_product(_residue_in(F, p, field),
-                                                 _residue_in(G, p, field), p, alpha))
-    return lhs == eval_sparse(_residue_in(H, p, field), alpha)
+        for f, g in factors(F, G):
+            lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha))
+    return lhs == eval_sparse(h, alpha)
 
 
 def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,
@@ -269,15 +260,13 @@ def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     if F.ring != G.ring or F.ring != H.ring:
         raise RingMismatchError("operands live in different rings")
-    if F.is_zero or G.is_zero:
-        return H.is_zero
-    # cheap structural rejects; afterwards deg H bounds every degree
+    # cheap structural rejects (zero degrees are -inf); afterwards deg H
+    # bounds every degree
     if H.sparsity > F.sparsity * G.sparsity:
         return False
     if H.degree != F.degree + G.degree:
         return False
-    sparsity_sum = F.sparsity * G.sparsity + H.sparsity
-    return _modular_check([(F, G)], H, H.degree, sparsity_sum, eps, rng)
+    return verify_sum_sp(H, [(F, G)], eps, rng)
 
 
 def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:

@@ -82,6 +82,21 @@ def ext_mul_oracle(a: tuple, b: tuple, ring) -> tuple:
     return ext_reduce_oracle(t, ring)
 
 
+def canonical_walk_oracle(q: int, s: int, is_irreducible) -> tuple:
+    """The lexicographically smallest monic irreducible of degree s over
+    F_q by testing every candidate in order from Y^s, without skipping the
+    binomials Y^s + c (irreducibility test passed in)."""
+    k = 0
+    while True:
+        coeffs, v = [], k
+        for _ in range(s):
+            v, d = divmod(v, q)
+            coeffs.append(d)
+        if is_irreducible(coeffs + [1], q):
+            return tuple(coeffs + [1])
+        k += 1
+
+
 def eval_oracle_prime_field(terms, alpha: int, q: int) -> int:
     """Evaluation over F_q using builtin pow only."""
     return sum(c * pow(alpha, e, q) for e, c in terms) % q

@@ -14,7 +14,7 @@ from spmul import (RandomSource, first_primes, irreducible_poly, is_prime,
 from spmul import arith
 from spmul.arith import canonical_irreducible, is_irreducible
 
-from helpers import Q62, trial_division_primes
+from helpers import Q62, canonical_walk_oracle, trial_division_primes
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +210,22 @@ class TestIrreduciblePoly:
         m = canonical_irreducible(3, 2)
         assert m == canonical_irreducible(3, 2)
         assert is_irreducible(list(m), 3)
+
+    def test_canonical_matches_exhaustive_walk(self):
+        # skipping the binomials when none is irreducible changes no modulus
+        pairs = [(q, s) for q in trial_division_primes(59)
+                 for s in range(1, 20) if q ** s <= 3 * 10 ** 5]
+        assert len(pairs) > 60
+        for q, s in pairs:
+            assert canonical_irreducible(q, s) == canonical_walk_oracle(q, s, is_irreducible)
+
+    def test_canonical_large_q_without_irreducible_binomial(self):
+        # Q62 = 2 (mod 3), 3 (mod 4), 4 (mod 5): no Y^s + c is irreducible
+        # for s = 3 .. 7, so the walk starts at Y^s + Y
+        assert canonical_irreducible(Q62, 3) == (5, 1, 0, 1)
+        for s in range(4, 8):
+            m = canonical_irreducible(Q62, s)
+            assert m[1:] == (1,) + (0,) * (s - 2) + (1,) and is_irreducible(list(m), Q62)
 
     def test_validation(self):
         with pytest.raises(ValueError):

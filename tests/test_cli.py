@@ -115,6 +115,22 @@ class TestCommands:
         assert run_command(["mul", a, b, "-o", o2, "--naive", "--seed", "9"]) == 0
         assert (tmp_path / "o1").read_bytes() == (tmp_path / "o2").read_bytes()
 
+    def test_large_extension_field_mul_and_verify(self, tmp_path):
+        # the header names F_{Q62^3}, whose canonical modulus Y^3 + Y + 5
+        # follows about q reducible binomials Y^3 + c
+        ring = ext_field(Q62, 3)
+        rnd = random.Random(4)
+        f = rand_sparse(rnd, ring, 6, 10 ** 4)
+        g = rand_sparse(rnd, ring, 6, 10 ** 4)
+        a = self._write(tmp_path, "a.poly", format_poly(f))
+        b = self._write(tmp_path, "b.poly", format_poly(g))
+        assert (tmp_path / "a.poly").read_text().startswith(f"field {Q62} 3\n")
+        o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+        assert run_command(["mul", a, b, "-o", o1, "--seed", "3"]) == 0
+        assert run_command(["mul", a, b, "-o", o2, "--naive"]) == 0
+        assert (tmp_path / "o1").read_bytes() == (tmp_path / "o2").read_bytes()
+        assert run_command(["verify", a, b, o1]) == 0
+
     def test_runs_deterministic(self, tmp_path):
         a = self._write(tmp_path, "a.poly", F_TEXT)
         b = self._write(tmp_path, "b.poly", G_TEXT)

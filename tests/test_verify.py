@@ -105,7 +105,6 @@ class TestVerifyParams:
         for eps in (1e-7, 1e-4, 0.01, 0.1, 0.5, 0.9):
             VerifyParams.generic(eps).validate()
             VerifyParams.for_integers(eps).validate()
-            VerifyParams.for_extension(eps).validate()
 
     def test_rejects_bad_constants(self):
         with pytest.raises(ValueError):
@@ -199,8 +198,8 @@ class TestVerifySP:
         assert not verify_sp(f, g, bad, 0.1, RandomSource(2))
 
     def test_small_ext_field_splits_into_components(self):
-        # F_9 can never host the sample set; the identity is checked as
-        # prime-field component identities instead
+        # F_9 can never host the sample set; the identity is checked
+        # through its F_3 coordinates in an extension of F_3 instead
         f9 = ext_field(3, 2)
         rnd = random.Random(11)
         for seed in range(60):
@@ -283,26 +282,31 @@ def _watch_evaluations(monkeypatch) -> list:
 
 class TestEvaluationRoutes:
     def test_small_prime_field_evaluated_in_itself(self, monkeypatch):
-        # X*X = X^2 at eps = 0.9 keeps lambda at its floor of 21; the draw
-        # p = 23 from [21, 42] is the only one with 89 > c2*p, and then
-        # F_89 itself has enough points (extension degree s = 1)
+        # X*X = X^2 at eps = 0.9 keeps lambda at its floor of 21; F_89
+        # itself has enough points exactly for the draws p from [21, 42]
+        # with 89 > c2*p, and an extension F_{89^s} hosts the rest
+        c2 = VerifyParams.generic(0.9).c2
         seen = _watch_evaluations(monkeypatch)
         f89 = prime_field(89)
         x, x2 = monomial(f89, 1, 1), monomial(f89, 2, 1)
+
+        def check_routes():
+            for ring, p in seen:
+                assert (ring == f89) == (89 > c2 * p)
+                assert ring.q == 89 and ring.size > c2 * p
+            assert {ring == f89 for ring, _ in seen} == {True, False}
+
         for seed in range(20):
             assert verify_sp(x, x, x2, 0.9, RandomSource(seed))
             # #H > #F*#G: rejected before any evaluation
             assert not verify_sp(x, x, add(x2, monomial(f89, 0, 1)), 0.9, RandomSource(seed))
-        assert (f89, 23) in seen
-        for ring, p in seen:
-            assert (ring == f89) == (p == 23)
-            assert ring.q == 89 and ring.size > VerifyParams.for_extension(0.9).c2 * p
+        check_routes()
         # a wrong triple that passes the structural checks reaches the
         # evaluation, in F_89 too: lhs - rhs = -X^2 vanishes only at alpha = 0
         seen.clear()
         for seed in range(20):
             assert not verify_sp(x, x, scale(x2, 2), 0.9, RandomSource(seed))
-        assert (f89, 23) in seen
+        check_routes()
 
     def test_route_per_input_ring(self, monkeypatch):
         seen = _watch_evaluations(monkeypatch)
@@ -337,20 +341,84 @@ class TestEvaluationRoutes:
         # a large extension field hosts the points itself
         big = ext_field(Q62, 2)
         assert {ring for ring, _, _ in routes(big, 0.01)} == {big}
-        # F_9 splits into F_3 component checks, each over an extension of F_3
+        # F_9 is too small: each check evaluates in one extension of F_3,
+        # with one p
         f9 = ext_field(3, 2)
-        components = []
-        real_sum = verify.verify_sum_sp
+        for _ in range(4):
+            evaluated = routes(f9, 0.01, seeds=1)
+            assert len({(ring, p) for ring, p, _ in evaluated}) == 1
+            ring = evaluated[0][0]
+            assert ring.kind == "ext_field" and ring.q == 3 and ring.s > 2
 
-        def verify_sum_sp(H, pairs, eps, rng):
-            components.append(H.ring)
-            return real_sum(H, pairs, eps, rng)
 
-        monkeypatch.setattr(verify, "verify_sum_sp", verify_sum_sp)
-        evaluated = routes(f9, 0.01, seeds=4)
-        assert evaluated and set(components) == {prime_field(3)}
-        for ring, _, _ in evaluated:
-            assert ring.kind == "ext_field" and ring.q == 3 and ring != f9
+def _perturbed(H, err):
+    """H with err added to its lowest coefficient: below the top term, so
+    the support and degree checks cannot tell the triple is false."""
+    return add(H, monomial(H.ring, H.terms[0][0], err))
+
+
+class TestSmallExtensionField:
+    """A small F_{q^s} is checked in one extension of F_q through randomly
+    weighted coordinates."""
+
+    def _rejection_rate(self, ring, err, trials, seed):
+        rnd = random.Random(seed)
+        rejected = done = 0
+        while done < trials:
+            f = rand_sparse(rnd, ring, 4, 1000)
+            g = rand_sparse(rnd, ring, 4, 1000)
+            h = naive_mul(f, g)
+            if h.sparsity < 2:
+                continue
+            rejected += not verify_sp(f, g, _perturbed(h, err), 0.01, RandomSource(done))
+            done += 1
+        return rejected / trials
+
+    @pytest.mark.parametrize("err", [(0, 1), (1, 0), (1, 2)])
+    def test_f9_error_in_one_coordinate_rejected(self, err):
+        assert self._rejection_rate(ext_field(3, 2), err, 200, 120) >= 0.97
+
+    def test_f8_error_in_top_coordinate_rejected(self):
+        assert self._rejection_rate(ext_field(2, 3), (0, 0, 1), 200, 121) >= 0.97
+
+    def test_true_triples_always_accepted(self):
+        rnd = random.Random(122)
+        fields = [ext_field(2, 2), ext_field(2, 3), ext_field(3, 2), ext_field(5, 2),
+                  ext_field(101, 2)]
+        for i in range(300):
+            ring = fields[i % len(fields)]
+            f = rand_sparse(rnd, ring, 5, 2000)
+            g = rand_sparse(rnd, ring, 5, 2000)
+            assert verify_sp(f, g, naive_mul(f, g), 0.01, RandomSource(i))
+
+    def test_one_extension_draw_per_check(self, monkeypatch):
+        seen = _watch_evaluations(monkeypatch)
+        moduli = []
+        real = verify.irreducible_poly
+
+        def irreducible_poly(q, s, eps, rng):
+            moduli.append(real(q, s, eps, rng))
+            return moduli[-1]
+
+        monkeypatch.setattr(verify, "irreducible_poly", irreducible_poly)
+        f9 = ext_field(3, 2)
+        rnd = random.Random(123)
+
+        def twelve_terms():
+            return canonicalize([(e, (rnd.randrange(1, 3), rnd.randrange(3)))
+                                 for e in rnd.sample(range(10 ** 9), 12)], f9)
+
+        for seed in range(6):
+            f, g = twelve_terms(), twelve_terms()
+            h = naive_mul(f, g)
+            for truth, H in ((True, h), (False, _perturbed(h, (1, 0)))):
+                seen.clear()
+                moduli.clear()
+                assert verify_sp(f, g, H, 2.0 ** -20, RandomSource(seed)) == truth
+                assert len(moduli) == 1
+                assert {ring.modulus for ring, _ in seen} == {moduli[0]}
+                assert len({ring for ring, _ in seen}) == len({p for _, p in seen}) == 1
+                assert seen[0][0].q == 3
 
 
 class TestVerifySumSP:
