@@ -173,6 +173,22 @@ def first_primes(count: int) -> array:
 # ---------------------------------------------------------------------------
 # cyclic-prime sizing formulas
 
+def ceil_bound(*factors) -> int:
+    """Ceiling of a sizing bound, the product of factors (floats or ints).
+
+    Raises ValueError, not OverflowError, when the bound leaves the float
+    range: a failure budget too small, or a factor too large, to size
+    anything for.
+    """
+    try:
+        x = math.prod(factors)
+    except OverflowError:  # an int factor too large for a float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError("sizing bound overflows: failure budget too small or factor too large")
+    return math.ceil(x)
+
+
 def _check_lambda_args(T: int, D, eps: float) -> None:
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -188,14 +204,14 @@ def lambda_no_collision(T: int, D, eps: float) -> int:
     probability >= 1 - eps."""
     _check_lambda_args(T, D, eps)
     # multiply before dividing: keeps the clean-ratio cases float-exact
-    return max(21, math.ceil(10.0 * T * T * math.log(D) / (3.0 * eps)))
+    return max(21, ceil_bound(10.0 * T * T * math.log(D) / (3.0 * eps)))
 
 
 def lambda_nonzero(T: int, D, eps: float) -> int:
     """Sampling bound so a nonzero T-sparse polynomial stays nonzero
     mod X^p - 1 with probability >= 1 - eps."""
     _check_lambda_args(T, D, eps)
-    return max(21, math.ceil(10.0 * T * math.log(D) / (3.0 * eps)))
+    return max(21, ceil_bound(10.0 * T * math.log(D) / (3.0 * eps)))
 
 
 def lambda_coeff(height, eps: float) -> int:
@@ -205,7 +221,7 @@ def lambda_coeff(height, eps: float) -> int:
         raise ValueError("height must be >= 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    return max(21, math.ceil(10.0 * math.log(height) / (3.0 * eps)))
+    return max(21, ceil_bound(10.0 * math.log(height) / (3.0 * eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +371,7 @@ def irreducible_poly(q: int, s: int, eps: float, rng: RandomSource) -> tuple[int
         raise ValueError("s must be >= 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    budget = max(32, math.ceil(2 * s * math.log(2.0 / eps)))
+    budget = max(32, ceil_bound(2 * s * math.log(2.0 / eps)))
     for _ in range(budget):
         coeffs = [rng.randrange(q) for _ in range(s)] + [1]
         if is_irreducible(coeffs, q):

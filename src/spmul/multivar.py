@@ -4,11 +4,13 @@ substitution, sparsity estimation, and products over any characteristic.
 Classical Kronecker substitution encodes an exponent vector as base-d
 digits of one univariate exponent, turning a multivariate product into a
 univariate one without changing sparsity or height.  Randomized
-substitution x_i -> X^(s_i) trades injectivity for much smaller degrees;
-taking the max observed sparsity over a few random substitutions brackets
-the true sparsity of the product, which is what interpolation needs.
-Small characteristic is handled by lifting coefficients to Z, multiplying
-there, and reducing back.
+substitution x_i -> X^(s_i) trades injectivity for much smaller degrees.
+The sparsity estimate needs no product at all: it counts the terms of
+F_s*G_s mod X^p - 1 for a few random substitutions s and primes p, one
+cyclic residue walk each.  Both maps only merge terms, so the largest
+count never exceeds the true sparsity, and with p and the substitution
+box large enough few terms merge.  Small characteristic is handled by
+lifting coefficients to Z, multiplying there, and reducing back.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import RandomSource
+from .arith import RandomSource, ceil_bound, lambda_nonzero, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
+from .interp import cyclic_product_residue
 from .poly import SparsePoly, canonicalize
 from .product import ProductParams, sparse_product
 from .rings import RingSpec, integers
@@ -143,19 +146,45 @@ def randomized_kronecker(F: MultiPoly, s_vec) -> SparsePoly:
 
 def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
                       rng: RandomSource) -> int:
-    """Estimate #(F*G) within a factor lam.
+    """Estimate #(F*G) within a factor lam, without forming any product.
 
-    The return value never exceeds lam * #(FG); it is at least #(FG) with
-    probability >= 1 - eps.  Over F_{q^s} the field must satisfy
-    q >= 4*D*#F*#G / (1 - 1/lam) with D = max total degree, so the
-    substituted products stay interpolable.
+    The return value never exceeds ceil(lam * #(FG)) (lam * #(FG) for an
+    integer lam); it is at least #(FG) with probability >= 1 - eps.  Over
+    a field, q >= 4*D*#F*#G / (1 - 1/lam) is required (D the larger total
+    degree), although the proof below does not use it.
+
+    Each of ell = ceil(log2(1/eps)) iterations draws s uniform in
+    [0, n_box)^n with n_box = ceil(4*(#F*#G - 1) / (1 - 1/lam)), then a
+    prime p from [L, 2L] with L = lambda_nonzero(#F*#G, D_s, delta),
+    delta = (1 - 1/lam)/2 and D_s = max(2, deg F_s + deg G_s + 1), and
+    counts the terms of F_s*G_s mod X^p - 1 (one cyclic_product_residue
+    walk); best is the largest count, and the estimate is ceil(lam*best).
+
+    Upper bound.  Substitution x_i -> X^(s_i) and reduction mod X^p - 1
+    are ring homomorphisms that only merge terms, so every count is at
+    most #(FG)_s <= #(FG), and ceil(lam*best) <= ceil(lam*#(FG)) holds
+    deterministically.
+
+    Lower bound.  Take two distinct exponent vectors of FG.  They collide
+    under s with probability <= 1/n_box (they differ in some coordinate,
+    and given the others at most one s_i merges them).  The terms of
+    (FG)_s = F_s*G_s have exponents below D_s, so two of them collide mod p
+    with probability <= 5 ln D_s / (3L) <= delta/(2*#F*#G).  A term of FG
+    that collides with no other term, under s nor mod p, is a term of the
+    residue, and FG has at most #F*#G terms, so each term collides with
+    probability <= (#FG - 1)/n_box + #FG*delta/(2*#F*#G) <= delta, and
+    the expected number of colliding terms is <= #FG*(1 - 1/lam)/2.  By
+    Markov's inequality, fewer than #FG*(1 - 1/lam) terms collide, so more
+    than #FG/lam survive and ceil(lam*count) >= #FG, with probability
+    >= 1/2 per iteration; all ell iterations miss with probability
+    <= 2^-ell <= eps.
     """
     if F.ring != G.ring or F.nvars != G.nvars:
         raise RingMismatchError("operands must share ring and variables")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if not lam > 1:
-        raise ValueError("lam must exceed 1")
+    if not (lam > 1 and math.isfinite(lam)):
+        raise ValueError("lam must be finite and exceed 1")
     if F.is_zero or G.is_zero:
         return 0
     ring = F.ring
@@ -163,17 +192,15 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
     d_max = max(F.total_degree(), G.total_degree())
     if ring.is_field and ring.q < 4.0 * max(d_max, 1) * nfng / (1.0 - 1.0 / lam):
         raise UnsupportedRingError("field too small for sparsity estimation")
-    n_box = max(1, math.ceil(2.0 * (nfng - 1) / (1.0 - 1.0 / lam)))
-    ell = math.ceil(math.log2(2.0 / eps))
-    mu = eps / (4.0 * ell)
-    params = ProductParams(mu, mu)
+    delta = (1.0 - 1.0 / lam) / 2.0
+    n_box = max(1, ceil_bound(2.0 * (nfng - 1) / delta))
     best = 0
-    for _ in range(ell):
+    for _ in range(ceil_bound(math.log2(1.0 / eps))):
         s_vec = tuple(rng.randrange(n_box) for _ in range(F.nvars))
-        h_s = sparse_product(randomized_kronecker(F, s_vec),
-                             randomized_kronecker(G, s_vec), params, rng)
-        best = max(best, h_s.sparsity)
-    return math.ceil(lam * best)
+        F_s, G_s = randomized_kronecker(F, s_vec), randomized_kronecker(G, s_vec)
+        p = random_prime(lambda_nonzero(nfng, max(2, F_s.degree + G_s.degree + 1), delta), rng)
+        best = max(best, cyclic_product_residue([(F_s, G_s)], None, p)[0].sparsity)
+    return ceil_bound(lam * best)
 
 
 def _kronecker_product(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource,

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .arith import RandomSource, irreducible_poly, random_prime
+from .arith import RandomSource, ceil_bound, irreducible_poly, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
 from .poly import (SparsePoly, cyclic_reduce, eval_sparse, eval_terms,
                    fixed_base_powers)
@@ -206,13 +206,13 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     ln_d = math.log(max(D, 2))
     params = VerifyParams.for_integers(eps) if ring.kind == "integers" \
         else VerifyParams.generic(eps)
-    p = random_prime(max(21, math.ceil(params.c1 * sparsity_sum * ln_d)), rng)
+    p = random_prime(max(21, ceil_bound(params.c1 * sparsity_sum * ln_d)), rng)
 
     field = ring
     if ring.kind == "integers":
         # ln of the height bound via bit length; overestimating is safe
         ln_height = _delta_height_bound(pairs, H).bit_length() * _LN2
-        mu = math.ceil(params.c2 * max(p, math.ceil(ln_height)))
+        mu = ceil_bound(params.c2, max(p, math.ceil(ln_height)))
         field = prime_field(random_prime(mu, rng))
     elif ring.size <= params.c2 * p:
         s = ring.s + 1

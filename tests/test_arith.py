@@ -12,7 +12,7 @@ from spmul import (RandomSource, first_primes, irreducible_poly, is_prime,
                    lambda_coeff, lambda_no_collision, lambda_nonzero,
                    random_prime)
 from spmul import arith
-from spmul.arith import canonical_irreducible, is_irreducible
+from spmul.arith import canonical_irreducible, ceil_bound, is_irreducible
 
 from helpers import Q62, canonical_walk_oracle, trial_division_primes
 
@@ -174,6 +174,21 @@ class TestLambdaFormulas:
             lambda_no_collision(1, 1, 0.5)
         with pytest.raises(ValueError):
             lambda_coeff(0, 0.5)
+        # bounds past the float range raise ValueError, not OverflowError
+        tiny = 5e-324
+        for call in (lambda: lambda_no_collision(1, 10, tiny),
+                     lambda: lambda_nonzero(1, 10, tiny),
+                     lambda: lambda_coeff(10, tiny),
+                     lambda: irreducible_poly(2, 3, tiny, RandomSource(0))):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_ceil_bound(self):
+        assert ceil_bound(2.5) == 3 and ceil_bound(1.5, 4) == 6
+        # a float factor times an int too large for a float
+        for factors in ((math.inf,), (math.nan,), (1e300, 1e300), (2.0, 10 ** 400)):
+            with pytest.raises(ValueError):
+                ceil_bound(*factors)
 
 
 class TestIrreduciblePoly:

@@ -1,5 +1,9 @@
 import csv
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,7 +257,45 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("spmul:") == 3
 
+    def test_extreme_budgets_are_usage_errors(self, tmp_path, capsys):
+        # sizing bounds past the float range: exit 2 with one line, never
+        # the MISMATCH code 1 with a traceback
+        a = self._write(tmp_path, "a.poly", F_TEXT)
+        b = self._write(tmp_path, "b.poly", G_TEXT)
+        h = self._write(tmp_path, "h.poly", FG_TEXT)
+        out = tmp_path / "x.poly"
+        for argv in (["verify", a, b, h, "--epsilon", "1e-200"],
+                     ["mul", a, b, "-o", str(out), "--epsilon", "1e-200"],
+                     ["estimate", a, b, "--lambda", "inf"]):
+            assert run_command(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("spmul: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_mixed_rings_rejected(self, tmp_path):
         a = self._write(tmp_path, "a.poly", F_TEXT)
         b = self._write(tmp_path, "b.poly", "field 7 1\nvars 1\nterm 3 2\n")
         assert run_command(["mul", a, b, "-o", str(tmp_path / "x")]) == 2
+
+
+class TestModuleEntryPoints:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _run(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    def test_python_m_spmul_and_spmul_cli(self, tmp_path):
+        a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+        a.write_text(F_TEXT)
+        b.write_text(G_TEXT)
+        for module in ("spmul", "spmul.cli"):
+            done = self._run(module, "estimate", str(a), str(b))
+            assert done.returncode == 0, done.stderr
+            assert 9 <= int(done.stdout) <= 18  # true sparsity 9, lambda = 2
+        done = self._run("spmul", "estimate", str(a))
+        assert done.returncode == 2
+        assert done.stdout == "" and done.stderr.startswith("spmul: ")

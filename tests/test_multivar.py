@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from spmul import multivar
 from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
                    UnsupportedRingError, canonicalize, canonicalize_multi,
                    ext_field, from_univariate, integers, inverse_kronecker,
@@ -10,7 +12,7 @@ from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
                    randomized_kronecker, sparse_product, sparsity_estimate,
                    to_univariate)
 
-from helpers import dict_mul_ring, rand_multi
+from helpers import Q62, dict_mul_ring, rand_multi
 
 ZZ = integers()
 
@@ -137,6 +139,64 @@ class TestSparsityEstimate:
         f = mp([((1, 0), 1), ((0, 1), 1)], ring=f7)
         with pytest.raises(UnsupportedRingError):
             sparsity_estimate(f, f, 0.05, 2, RandomSource(0))
+
+    def test_prime_field_brackets_true_sparsity(self):
+        fq = prime_field(Q62)
+        rnd = random.Random(20260607)
+        lower_hits = 0
+        for seed in range(100):
+            f = rand_multi(rnd, fq, 2, 4, 6)
+            g = rand_multi(rnd, fq, 2, 4, 6)
+            true = len(dict_mul_ring(dict(f.terms), dict(g.terms), fq))
+            t = sparsity_estimate(f, g, 0.05, 2, RandomSource(seed))
+            assert t <= 2 * true
+            lower_hits += t >= true
+        assert lower_hits >= 90
+
+    @pytest.mark.parametrize("eps", [0.05, 2.0 ** -20])
+    def test_grid_product_never_exceeds_twice_truth(self, eps):
+        # x-only times y-only terms: all #F*#G exponents of FG are distinct
+        rnd = random.Random(21)
+        lower_hits = 0
+        for seed in range(200):
+            a, b = rnd.randint(1, 6), rnd.randint(1, 6)
+            f = mp([((i, 0), rnd.randint(1, 99)) for i in rnd.sample(range(40), a)])
+            g = mp([((0, j), rnd.randint(1, 99)) for j in rnd.sample(range(40), b)])
+            t = sparsity_estimate(f, g, eps, 2, RandomSource(seed))
+            assert t <= 2 * a * b
+            lower_hits += t >= a * b
+        assert lower_hits >= 200 * (1 - 2 * eps)
+
+    def test_one_residue_walk_per_iteration(self, monkeypatch):
+        calls = {"residue": 0, "product": 0}
+        residue, product = multivar.cyclic_product_residue, multivar.sparse_product
+
+        def counted_residue(*args, **kwargs):
+            calls["residue"] += 1
+            return residue(*args, **kwargs)
+
+        def counted_product(*args, **kwargs):
+            calls["product"] += 1
+            return product(*args, **kwargs)
+
+        monkeypatch.setattr(multivar, "cyclic_product_residue", counted_residue)
+        monkeypatch.setattr(multivar, "sparse_product", counted_product)
+        rnd = random.Random(22)
+        f = rand_multi(rnd, ZZ, 3, 8, 10, 99)
+        g = rand_multi(rnd, ZZ, 3, 8, 10, 99)
+        for eps in (0.9, 0.5, 0.05, 2.0 ** -20, 1e-9):
+            calls.update(residue=0, product=0)
+            sparsity_estimate(f, g, eps, 2, RandomSource(1))
+            assert calls == {"residue": math.ceil(math.log2(1 / eps)), "product": 0}
+
+    def test_non_finite_bounds_rejected(self):
+        f = mp([((1, 0), 1), ((0, 1), 1)])
+        for lam in (math.inf, math.nan, 1.0):
+            with pytest.raises(ValueError):
+                sparsity_estimate(f, f, 0.05, lam, RandomSource(0))
+        # finite, but lam * best leaves the float range
+        with pytest.raises(ValueError):
+            sparsity_estimate(f, f, 0.05, 1e308, RandomSource(0))
 
 
 class TestMultivarProductZ:

@@ -207,12 +207,17 @@ class TestVerifySP:
             g = rand_sparse(rnd, f9, 4, 1000)
             h = naive_mul(f, g)
             assert verify_sp(f, g, h, 0.01, RandomSource(seed))
-        rejected = 0
-        for seed in range(150):
+        # an error below the top term passes the structural checks, and
+        # (1, 2) has coordinate sum 0 in F_3: unweighted coordinates miss it
+        rejected = done = 0
+        while done < 150:
             f = rand_sparse(rnd, f9, 4, 1000)
             g = rand_sparse(rnd, f9, 4, 1000)
-            bad = add(naive_mul(f, g), monomial(f9, 2, (1, 2)))
-            rejected += not verify_sp(f, g, bad, 0.01, RandomSource(seed))
+            h = naive_mul(f, g)
+            if h.sparsity < 2:
+                continue
+            rejected += not verify_sp(f, g, _perturbed(h, (1, 2)), 0.01, RandomSource(done))
+            done += 1
         assert rejected >= 145
 
     def test_small_ext_field_deeper_extension(self):
@@ -225,7 +230,8 @@ class TestVerifySP:
             assert verify_sp(f, g, h, 0.05, RandomSource(seed))
         f = canonicalize([(0, (1, 0, 0)), (5, (0, 1, 1))], f8)
         g = canonicalize([(2, (1, 1, 0)), (9, (0, 0, 1))], f8)
-        bad = add(naive_mul(f, g), monomial(f8, 4, (0, 1, 0)))
+        # below the top term, with coordinate sum 0 in F_2
+        bad = _perturbed(naive_mul(f, g), (0, 1, 1))
         rejected = sum(not verify_sp(f, g, bad, 0.05, RandomSource(s))
                        for s in range(60))
         assert rejected >= 54
