@@ -2,8 +2,7 @@
 integers and finite fields, in time quasi-linear in input plus output."""
 
 from .arith import (RandomSource, first_primes, irreducible_poly, is_prime,
-                    lambda_coeff, lambda_no_collision, lambda_nonzero,
-                    random_prime)
+                    lambda_no_collision, lambda_nonzero, random_prime)
 from .errors import (CharacteristicTooSmallError, PolyFileError,
                      RetryBudgetError, RingMismatchError, SpmulError,
                      UnsupportedRingError)

@@ -3,7 +3,9 @@ irreducible polynomials over prime fields.
 
 Everything here is deterministic given its inputs and, where applicable,
 an explicit :class:`RandomSource`.  Dense polynomials over F_q appearing
-in this module are little-endian coefficient lists of Python ints.
+in this module are little-endian coefficient lists of Python ints; the
+``_fq_*`` helpers on them serve only the irreducibility test (extension
+field arithmetic lives in :mod:`spmul.rings`).
 """
 
 from __future__ import annotations
@@ -214,19 +216,10 @@ def lambda_nonzero(T: int, D, eps: float) -> int:
     return max(21, ceil_bound(10.0 * T * math.log(D) / (3.0 * eps)))
 
 
-def lambda_coeff(height, eps: float) -> int:
-    """Sampling bound so a random prime misses a fixed nonzero integer
-    of absolute value <= height with probability >= 1 - eps."""
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    return max(21, ceil_bound(10.0 * math.log(height) / (3.0 * eps)))
-
-
 # ---------------------------------------------------------------------------
-# dense polynomials over F_q (little-endian int lists), used for
-# irreducibility testing and extension-field plumbing
+# dense polynomials over F_q (little-endian int lists), used only to prove
+# moduli irreducible: one product, one remainder by a monic divisor, and
+# Euclid and modular powers built on those two
 
 def _fq_trim(v: list[int]) -> list[int]:
     while v and v[-1] == 0:
@@ -234,18 +227,13 @@ def _fq_trim(v: list[int]) -> list[int]:
     return v
 
 
-def _fq_deg(v: list[int]) -> int:
-    return len(v) - 1
-
-
-def _fq_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % q
-    return _fq_trim(out)
+def _fq_monic(v: list[int], q: int) -> list[int]:
+    # v reduced mod q, trimmed and scaled to leading coefficient 1
+    v = _fq_trim([c % q for c in v])
+    if v and v[-1] != 1:
+        inv_lead = pow(v[-1], q - 2, q)
+        v = [c * inv_lead % q for c in v]
+    return v
 
 
 def _fq_mul(a: list[int], b: list[int], q: int) -> list[int]:
@@ -260,7 +248,8 @@ def _fq_mul(a: list[int], b: list[int], q: int) -> list[int]:
 
 
 def _fq_rem_monic(a: list[int], m: list[int], q: int) -> list[int]:
-    # remainder of a by monic m
+    # remainder of a by monic m; coefficients are reduced mod q once, at
+    # the end, except the one each step cancels
     r = list(a)
     dm = len(m) - 1
     for i in range(len(r) - 1, dm - 1, -1):
@@ -274,48 +263,13 @@ def _fq_rem_monic(a: list[int], m: list[int], q: int) -> list[int]:
     return _fq_trim([v % q for v in r[:dm]])
 
 
-def _fq_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = [v % q for v in a]
-    db = len(b) - 1
-    if len(r) - 1 < db:
-        return [], _fq_trim(r)
-    inv_lead = pow(b[-1], q - 2, q)
-    quo = [0] * (len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] % q
-        if c:
-            c = c * inv_lead % q
-            quo[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % q
-    return _fq_trim(quo), _fq_trim(r)
-
-
 def _fq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = _fq_trim([v % q for v in a]), _fq_trim([v % q for v in b])
+    # monic gcd ([] when both are zero): each divisor is made monic, so
+    # every step is one _fq_rem_monic
+    a, b = _fq_monic(a, q), _fq_monic(b, q)
     while b:
-        a, b = b, _fq_divmod(a, b, q)[1]
-    if a:
-        inv_lead = pow(a[-1], q - 2, q)
-        a = [v * inv_lead % q for v in a]
+        a, b = b, _fq_monic(_fq_rem_monic(a, b, q), q)
     return a
-
-
-def _fq_gcdext(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    # returns (g, u) with u*a = g mod b, g = gcd(a, b) made monic
-    r0, r1 = _fq_trim([v % q for v in a]), _fq_trim([v % q for v in b])
-    u0, u1 = [1], []
-    while r1:
-        quo, rem = _fq_divmod(r0, r1, q)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _fq_sub(u0, _fq_mul(quo, u1, q), q)
-    if r0:
-        inv_lead = pow(r0[-1], q - 2, q)
-        r0 = [v * inv_lead % q for v in r0]
-        u0 = [v * inv_lead % q for v in u0]
-    return r0, u0
 
 
 def _fq_powmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
@@ -338,21 +292,18 @@ def is_irreducible(coeffs, q: int) -> bool:
     binomial; a degree-s polynomial whose factors all exceed degree s/2
     must itself be irreducible).
     """
-    f = _fq_trim([c % q for c in coeffs])
-    s = _fq_deg(f)
+    f = _fq_monic(coeffs, q)
+    s = len(f) - 1
     if s <= 0:
         return False
     if s == 1:
         return True
-    if f[-1] != 1:
-        inv_lead = pow(f[-1], q - 2, q)
-        f = [v * inv_lead % q for v in f]
-    x = [0, 1]
-    xqi = x
+    xqi = [0, 1]
     for _ in range(s // 2):
         xqi = _fq_powmod(xqi, q, f, q)
-        g = _fq_gcd(f, _fq_sub(xqi, x, q), q)
-        if _fq_deg(g) >= 1:
+        h = xqi + [0] * (2 - len(xqi))  # X^(q^i) - X
+        h[1] -= 1
+        if len(_fq_gcd(f, h, q)) > 1:
             return False
     return True
 

@@ -50,9 +50,6 @@ class MultiPoly:
         """Max exponent of variable i (0 for the zero polynomial)."""
         return max((e[i] for e, _ in self.terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
 
 def canonicalize_multi(terms, nvars: int, ring: RingSpec) -> MultiPoly:
     """Merge duplicate exponent vectors, drop zeros, sort lexicographically."""
@@ -149,9 +146,9 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
     """Estimate #(F*G) within a factor lam, without forming any product.
 
     The return value never exceeds ceil(lam * #(FG)) (lam * #(FG) for an
-    integer lam); it is at least #(FG) with probability >= 1 - eps.  Over
-    a field, q >= 4*D*#F*#G / (1 - 1/lam) is required (D the larger total
-    degree), although the proof below does not use it.
+    integer lam); it is at least #(FG) with probability >= 1 - eps, over
+    Z and over any finite field: counting the terms of a residue, unlike
+    interpolating it, puts no condition on the characteristic.
 
     Each of ell = ceil(log2(1/eps)) iterations draws s uniform in
     [0, n_box)^n with n_box = ceil(4*(#F*#G - 1) / (1 - 1/lam)), then a
@@ -187,11 +184,7 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
         raise ValueError("lam must be finite and exceed 1")
     if F.is_zero or G.is_zero:
         return 0
-    ring = F.ring
     nfng = F.sparsity * G.sparsity
-    d_max = max(F.total_degree(), G.total_degree())
-    if ring.is_field and ring.q < 4.0 * max(d_max, 1) * nfng / (1.0 - 1.0 / lam):
-        raise UnsupportedRingError("field too small for sparsity estimation")
     delta = (1.0 - 1.0 / lam) / 2.0
     n_box = max(1, ceil_bound(2.0 * (nfng - 1) / delta))
     best = 0
@@ -230,8 +223,10 @@ def multivar_product_field(F: MultiPoly, G: MultiPoly, eps: float,
     """Multivariate product over a field with large characteristic:
     classical Kronecker plus the univariate algorithm.
 
-    Requires characteristic > deg(F_u) + deg(G_u) after substitution (and
-    more; see sparse_product); use multivar_product_smallchar otherwise.
+    Requires characteristic > D = deg(F_u) + deg(G_u) after substitution,
+    and > 2p for sparse_product's cyclic prime p >= lambda_no_collision(
+    #F*#G, D, mu1/2) with mu1 = eps/2 (CharacteristicTooSmallError
+    otherwise); use multivar_product_smallchar below that.
     """
     return _kronecker_product(F, G, eps, rng, over_field=True)
 

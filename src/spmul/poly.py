@@ -49,13 +49,6 @@ class SparsePoly:
             raise UnsupportedRingError("height is defined over the integers")
         return max((abs(c) for _, c in self.terms), default=0)
 
-    def coeff(self, e: int):
-        """Coefficient of X^e (zero if absent); linear scan, test helper."""
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return self.ring.zero()
-
 
 def _same_ring(*polys) -> RingSpec:
     ring = polys[0].ring

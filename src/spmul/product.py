@@ -51,9 +51,12 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     """Compute F*G, with mu1 as the budget for a wrong output.
 
     Works over Z and over fields whose characteristic exceeds not just
-    deg(F) + deg(G) but also 2p for the internally drawn prime p (exponents
-    are encoded into coefficients modulo X^p - 1, so they must stay below
-    the characteristic); CharacteristicTooSmallError otherwise.
+    D = deg(F) + deg(G) but also 2p for the internally drawn prime p
+    (exponents are encoded into coefficients modulo X^p - 1, so they must
+    stay below the characteristic); CharacteristicTooSmallError otherwise.
+    p lies in [lam, 2*lam] with lam = lambda_no_collision(#F*#G, D, mu1/2),
+    so a characteristic q <= 2*lam always fails the 2p condition and one
+    above 4*lam never does.
 
     The interpolation jobs only stop on residues they explain (interp), so
     the checks below are the certificate.  Failure budget as spent: p makes

@@ -302,20 +302,19 @@ class RingSpec:
         return result
 
     def inv(self, a):
+        """Inverse by Fermat's rule, a^(|F| - 2) through pow, and charged as
+        that pow: _pow_cost(q - 2) over F_q, _pow_cost(q^s - 2) + 1 over
+        F_{q^s}, whose extra product checks a * a^-1 = 1.  The check fails
+        only for a zero divisor of a ring built directly on a reducible
+        modulus, and raises ZeroDivisionError there as for zero itself."""
         if self.kind == "integers":
             raise UnsupportedRingError("no inverses over the integers")
         if self.is_zero_elem(a):
             raise ZeroDivisionError("inverse of zero")
-        global _mul_count
-        if self.kind == "prime_field":
-            _mul_count += _pow_cost(self.q - 2)
-            return pow(a, self.q - 2, self.q)
-        g, u = arith._fq_gcdext(list(a), list(self.modulus), self.q)
-        if len(g) != 1:
+        r = self.pow(a, self.size - 2)
+        if self.modulus is not None and self.mul(a, r) != self.one():
             raise ZeroDivisionError("element not invertible")
-        _mul_count += 2 * self.s
-        u = u[: self.s] + [0] * max(0, self.s - len(u))
-        return tuple(v % self.q for v in u)
+        return r
 
     # -- sampling and representation ---------------------------------
 

@@ -82,6 +82,30 @@ def ext_mul_oracle(a: tuple, b: tuple, ring) -> tuple:
     return ext_reduce_oracle(t, ring)
 
 
+def fq_gcd_oracle(a: list, b: list, q: int) -> list:
+    """Monic gcd of two F_q[Y] coefficient lists ([] when both are zero) by
+    Euclid with full division by each non-monic divisor, every coefficient
+    reduced mod q as it changes."""
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = trim([v % q for v in a]), trim([v % q for v in b])
+    while b:
+        r, db = list(a), len(b) - 1
+        inv_lead = pow(b[-1], q - 2, q)
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r[i] * inv_lead % q
+            for j in range(db + 1):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % q
+        a, b = b, trim(r)
+    if a:
+        inv_lead = pow(a[-1], q - 2, q)
+        a = [v * inv_lead % q for v in a]
+    return a
+
+
 def canonical_walk_oracle(q: int, s: int, is_irreducible) -> tuple:
     """The lexicographically smallest monic irreducible of degree s over
     F_q by testing every candidate in order from Y^s, without skipping the

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from array import array
@@ -9,12 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spmul import (RandomSource, first_primes, irreducible_poly, is_prime,
-                   lambda_coeff, lambda_no_collision, lambda_nonzero,
-                   random_prime)
+                   lambda_no_collision, lambda_nonzero, random_prime)
 from spmul import arith
 from spmul.arith import canonical_irreducible, ceil_bound, is_irreducible
 
-from helpers import Q62, canonical_walk_oracle, trial_division_primes
+from helpers import (Q62, canonical_walk_oracle, fq_gcd_oracle,
+                     trial_division_primes)
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +146,6 @@ class TestLambdaFormulas:
         assert lambda_nonzero(10, math.e ** 3, 0.5) == 200
         assert lambda_nonzero(100, math.e, 1 / 3) == 1000
 
-    def test_coeff_anchors(self):
-        assert lambda_coeff(1, 0.5) == 21  # ln 1 = 0
-        assert lambda_coeff(math.e ** 30, 0.5) == 200
-        assert lambda_coeff(math.e ** 3, 1 / 3) == 30
-
     def test_formula_matches_direct_evaluation(self):
         for T, D, eps in [(3, 17, 0.2), (7, 10 ** 9, 0.01), (40, 2 ** 31, 0.9)]:
             assert lambda_no_collision(T, D, eps) == max(
@@ -164,21 +160,16 @@ class TestLambdaFormulas:
             assert fn(T + 1, D, eps) >= fn(T, D, eps)
             assert fn(T, D + 1, eps) >= fn(T, D, eps)
             assert fn(T, D, eps / 2) >= fn(T, D, eps)
-        assert lambda_coeff(D + 1, eps) >= lambda_coeff(D, eps)
-        assert lambda_coeff(D, eps / 2) >= lambda_coeff(D, eps)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_no_collision(0, 10, 0.5)
         with pytest.raises(ValueError):
             lambda_no_collision(1, 1, 0.5)
-        with pytest.raises(ValueError):
-            lambda_coeff(0, 0.5)
         # bounds past the float range raise ValueError, not OverflowError
         tiny = 5e-324
         for call in (lambda: lambda_no_collision(1, 10, tiny),
                      lambda: lambda_nonzero(1, 10, tiny),
-                     lambda: lambda_coeff(10, tiny),
                      lambda: irreducible_poly(2, 3, tiny, RandomSource(0))):
             with pytest.raises(ValueError):
                 call()
@@ -189,6 +180,40 @@ class TestLambdaFormulas:
         for factors in ((math.inf,), (math.nan,), (1e300, 1e300), (2.0, 10 ** 400)):
             with pytest.raises(ValueError):
                 ceil_bound(*factors)
+
+
+class TestFqGcd:
+    @staticmethod
+    def _times(a, b):
+        out = [0] * max(0, len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return out
+
+    @pytest.mark.parametrize("q", [2, 3, 101, Q62], ids=lambda q: f"q{q if q < 1000 else 'Q62'}")
+    def test_matches_division_euclid(self, q):
+        rnd = random.Random(q % 1009)
+
+        def rand_poly(n):
+            return [rnd.randrange(q) for _ in range(n)]
+
+        for _ in range(150):
+            a, b = rand_poly(rnd.randint(0, 9)), rand_poly(rnd.randint(0, 9))
+            common = rand_poly(rnd.randint(1, 4))
+            # a shared factor makes the gcd nontrivial; unreduced and
+            # negative coefficients and zero top coefficients stay as input
+            for x, y in ((a, b), (self._times(a, common), self._times(b, common)),
+                         ([v - q for v in a] + [0, q], b)):
+                assert arith._fq_gcd(x, y, q) == fq_gcd_oracle(x, y, q)
+                assert arith._fq_gcd(y, x, q) == fq_gcd_oracle(x, y, q)
+        c = rnd.randrange(1, q)
+        f = rand_poly(5) + [rnd.randrange(1, q)]
+        for x, y in (([], []), ([0, 0], [q]), ([c], []), ([], [c]), ([c], f),
+                     (f, []), (f, f), (f, [v * c for v in f])):
+            assert arith._fq_gcd(x, y, q) == fq_gcd_oracle(x, y, q)
+        assert arith._fq_gcd(f, f, q) == arith._fq_gcd(f, [], q)
+        assert arith._fq_gcd(f, f, q)[-1] == 1 and arith._fq_gcd([c], f, q) == [1]
 
 
 class TestIrreduciblePoly:

@@ -9,7 +9,7 @@ import pytest
 
 from spmul import (PolyFileError, RetryBudgetError, canonicalize, canonicalize_multi,
                    ext_field, integers, kronecker, multivar_product_smallchar,
-                   prime_field)
+                   naive_mul_multi, prime_field)
 from spmul.cli import format_poly, parse_poly, run_command
 
 from helpers import Q62, rand_multi, rand_sparse
@@ -224,6 +224,20 @@ class TestCommands:
         assert run_command(["estimate", a, b, "--epsilon", "0.05"]) == 0
         value = int(capsys.readouterr().out.strip())
         assert 9 <= value <= 18  # true sparsity 9, lambda = 2
+
+    def test_estimate_over_f9(self, tmp_path, capsys):
+        # a field far smaller than the product's degree and term count
+        f9 = ext_field(3, 2)
+        rnd = random.Random(9)
+        f = rand_multi(rnd, f9, 3, 8, 10)
+        g = rand_multi(rnd, f9, 3, 8, 10)
+        true = naive_mul_multi(f, g).sparsity
+        assert f9.q < true
+        a = self._write(tmp_path, "a.poly", format_poly(f))
+        b = self._write(tmp_path, "b.poly", format_poly(g))
+        for seed in range(5):
+            assert run_command(["estimate", a, b, "--seed", str(seed)]) == 0
+            assert true <= int(capsys.readouterr().out.strip()) <= 2 * true
 
     def test_bench_example2_csv(self, tmp_path):
         out = str(tmp_path / "bench.csv")

@@ -134,11 +134,17 @@ class TestSparsityEstimate:
         z = MultiPoly(ZZ, 2, ())
         assert sparsity_estimate(f, z, 0.05, 2, RandomSource(0)) == 0
 
-    def test_small_field_rejected(self):
-        f7 = prime_field(7)
-        f = mp([((1, 0), 1), ((0, 1), 1)], ring=f7)
-        with pytest.raises(UnsupportedRingError):
-            sparsity_estimate(f, f, 0.05, 2, RandomSource(0))
+    def test_small_fields_bracket_true_sparsity(self):
+        # counting residue terms asks nothing of the characteristic, so
+        # fields far smaller than the degrees and the term counts work
+        for ring in (prime_field(2), prime_field(7), ext_field(3, 2)):
+            rnd = random.Random(20261018 + ring.size)
+            for seed in range(200):
+                f = rand_multi(rnd, ring, 2, 5, 6)
+                g = rand_multi(rnd, ring, 2, 5, 6)
+                true = len(dict_mul_ring(dict(f.terms), dict(g.terms), ring))
+                t = sparsity_estimate(f, g, 0.05, 2, RandomSource(seed))
+                assert true <= t <= 2 * true, (ring, seed)
 
     def test_prime_field_brackets_true_sparsity(self):
         fq = prime_field(Q62)

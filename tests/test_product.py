@@ -4,9 +4,11 @@ import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
                    RetryBudgetError, canonicalize, derivative, ext_field,
-                   integers, monomial, mul_count, naive_mul, prime_field, scale,
+                   integers, lambda_no_collision, monomial, mul_count,
+                   multivar_product_smallchar, naive_mul, prime_field, scale,
                    sparse_product, sumset_size, zero_poly)
 from spmul import interp, product
+from spmul.cli import format_poly, run_command
 
 from helpers import Q62, rand_sparse
 
@@ -207,6 +209,51 @@ class TestSparseProduct:
         with pytest.raises(RetryBudgetError):
             sparse_product(F_EX, G_EX, PARAMS, RandomSource(0))
         assert [job.T for job in jobs] == [3, 6, 12]
+
+
+class TestCharacteristicBoundary:
+    # sparse_product needs char > 2p for its cyclic prime p in [lam, 2*lam],
+    # lam = lambda_no_collision(#F*#G, D, mu1/2): every p fails when
+    # 2*lam >= q, and none does when 4*lam < q.  The two pairs below sit a
+    # factor of two beyond each of those lines, over F_Q62, at the budget
+    # mu1 = eps/2 that the CLI's multivar_product_field gives a product.
+    EPS = 1e-13
+
+    @staticmethod
+    def _pair(t, emax, seed):
+        rnd = random.Random(seed)
+        fq = prime_field(Q62)
+        return tuple(canonicalize([(e, rnd.randrange(1, Q62)) for e in rnd.sample(range(emax), t)],
+                                  fq) for _ in range(2))
+
+    def test_q62_boundary(self, tmp_path, monkeypatch):
+        params = ProductParams(self.EPS / 2, self.EPS / 2)
+        small, large = self._pair(4, 40, 1), self._pair(8, 80, 2)
+        lam_small, lam_large = (
+            lambda_no_collision(f.sparsity * g.sparsity, f.degree + g.degree, params.mu1 / 2)
+            for f, g in (small, large))
+        assert 8 * lam_small < Q62 <= lam_large
+        for seed in range(5):
+            assert sparse_product(*small, params, RandomSource(seed)) == naive_mul(*small)
+            with pytest.raises(CharacteristicTooSmallError, match="2p"):
+                sparse_product(*large, params, RandomSource(seed))
+
+        # the CLI takes the larger pair through Z instead
+        lifted = []
+
+        def smallchar(*args):
+            lifted.append(args)
+            return multivar_product_smallchar(*args)
+
+        monkeypatch.setattr("spmul.cli.multivar_product_smallchar", smallchar)
+        a, b, out = (str(tmp_path / name) for name in ("a.poly", "b.poly", "h.poly"))
+        for path, f in zip((a, b), large):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(format_poly(f))
+        assert run_command(["mul", a, b, "-o", out, "--epsilon", str(self.EPS)]) == 0
+        assert len(lifted) == 1
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == format_poly(naive_mul(*large))
 
 
 class TestSumsetSize:

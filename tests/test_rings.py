@@ -170,6 +170,46 @@ class TestPackedExtMul:
         assert "_yrows" not in repr(direct)
 
 
+class TestInverse:
+    # one Fermat rule for every field: a^(|F| - 2), plus one checking
+    # product over F_{q^s}
+    @pytest.mark.parametrize("q, s", [(Q62, 2), (101, 3), (3, 37)],
+                             ids=["Q62-s2", "q101-s3", "q3-s37"])
+    def test_ext_inverse_and_count(self, q, s):
+        f = ext_field(q, s, _moduli(q, s)["dense"] if s == 37 else None)
+        rng = RandomSource(q + s)
+        units = [a for a in (f.rand_elem(rng) for _ in range(6)) if a != f.zero()]
+        units += [f.one(), f.coerce(q - 1), tuple(int(i == s - 1) for i in range(s))]
+        for a in units:
+            assert f.mul(a, f.inv(a)) == f.one()
+            reset_mul_count()
+            f.inv(a)
+            assert mul_count() == _pow_cost(q ** s - 2) + 1
+        with pytest.raises(ZeroDivisionError):
+            f.inv(f.zero())
+
+    def test_prime_field_count_is_the_pow(self):
+        for q in (2, 7, Q62):
+            f = prime_field(q)
+            reset_mul_count()
+            r = f.inv(q - 1)
+            assert mul_count() == _pow_cost(q - 2)
+            assert f.mul(q - 1, r) == 1
+        with pytest.raises(ZeroDivisionError):
+            prime_field(7).inv(0)
+
+    def test_zero_divisor_of_a_directly_built_reducible_modulus(self):
+        # Y^2 - 1 = (Y - 1)(Y + 1) over F_5: the constructor does not prove
+        # irreducibility, so inv must catch a zero divisor itself
+        ring = RingSpec("ext_field", q=5, s=2, modulus=(4, 0, 1))
+        for a in ((4, 1), (1, 1), (2, 3)):  # Y - 1, Y + 1, 3(Y - 1)
+            with pytest.raises(ZeroDivisionError):
+                ring.inv(a)
+        assert ring.inv((0, 1)) == (0, 1)  # Y * Y = 1 here
+        with pytest.raises(UnsupportedRingError):
+            integers().inv(1)
+
+
 class TestMulCounter:
     def test_counts_mul_and_pow(self):
         f101 = prime_field(101)
