@@ -1,13 +1,16 @@
 """Sparse polynomial multiplication by sparsity-doubling interpolation
 with a posteriori verification.
 
-The product F*G is interpolated modulo X^p - 1 (p a random prime large
-enough that exponent collisions are unlikely) together with its
-derivative's residue, under a guessed sparsity bound that doubles until
-both interpolants pass verification; the terms of F*G are then read off
-the verified residue pair.  mu1 budgets a wrong output (sparse_product
-counts how the checks spend it); the doubling loop stays small with
-probability at least 1 - mu2.
+The operands are reduced modulo X^p - 1 (p a random prime large enough
+that exponent collisions are unlikely) and their product interpolated
+under a guessed sparsity bound that doubles until the interpolant passes
+verification.  When neither operand has degree >= p, the reduction
+changes nothing, so that interpolant is F*G itself and is returned as
+soon as it passes.  Otherwise the derivative's residue is interpolated
+and verified too, and the terms of F*G are read off the verified residue
+pair.  mu1 budgets a wrong output (sparse_product counts how the checks
+spend it); the doubling loop stays small with probability at least
+1 - mu2.
 """
 
 from __future__ import annotations
@@ -58,18 +61,32 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     so a characteristic q <= 2*lam always fails the 2p condition and one
     above 4*lam never does.
 
-    The interpolation jobs only stop on residues they explain (interp), so
-    the checks below are the certificate.  Failure budget as spent: p makes
-    two exponents of F*G collide with probability <= mu1/2
-    (lambda_no_collision), and every doubling iteration runs its own checks
-    at eps = mu1/2, verify_sp on h1 and, once h1 passes, verify_sum_sp on
-    h2.  A wrong output needs a colliding p or a wrong h1 or h2 accepted, so
-    the union bound over the checks run is mu1/2 * (1 + #h1 checks + #h2
-    checks): 3*mu1/2 when the first guess passes.  Counted per iteration
-    instead (one ends the loop wrongly only if the wrong member of its pair
-    is accepted), it is mu1/2 * (1 + iterations).  Either count exceeds the
-    stated mu1 once a guess is rejected, so 1 - mu1 is not proved for
-    products that double the guess.
+    Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
+    and checks it with verify_sp at eps = mu1/2.  The interpolation jobs
+    only stop on residues they explain (interp), so these checks are the
+    certificate.
+
+    No operand wraps (deg F < p and deg G < p): F_p = F and G_p = G, so
+    h1 interpolates F*G itself, under its true degree bound D + 1, and is
+    returned once its check passes; no h2 job runs and no p can collide,
+    since nothing was reduced.  A wrong output needs a wrong h1 accepted,
+    so the budget spent is mu1/2 per h1 check: mu1/2 when the first guess
+    passes, and within mu1 while at most two guesses are checked.
+
+    An operand wraps: h1 is a residue of degree < 2p, and once it passes,
+    h2 = (F*G)' mod X^p - 1 is interpolated and checked with verify_sum_sp
+    at eps = mu1/2; the terms of F*G are read off the pair.  p makes two
+    exponents of F*G collide with probability <= mu1/2
+    (lambda_no_collision), and a wrong output needs a colliding p or a
+    wrong h1 or h2 accepted, so the union bound over the checks run is
+    mu1/2 * (1 + #h1 checks + #h2 checks): 3*mu1/2 when the first guess
+    passes.  Counted per iteration instead (one ends the loop wrongly only
+    if the wrong member of its pair is accepted), it is
+    mu1/2 * (1 + iterations).
+
+    These counts pass mu1 once two guesses are rejected without a wrap and
+    once one is rejected with a wrap, so 1 - mu1 is still not proved for
+    every product that doubles its guess.
     """
     if F.ring != G.ring:
         raise RingMismatchError("operands live in different rings")
@@ -107,11 +124,17 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     c1 = _height_bound(F_p, G_p) if over_z else None
     c2 = _height_bound(F_p, Gd_p) + _height_bound(Fd_p, G_p) if over_z else None
 
+    # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself
+    wraps = F.degree >= p or G.degree >= p
+    D1 = 2 * p if wraps else D + 1
+
     for _ in range(_MAX_DOUBLINGS):
-        h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, 2 * p, c1, mu_interp), rng)
+        h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, D1, c1, mu_interp), rng)
         # interpolating h2 only after h1 passes skips the heavier job on
         # every round whose sparsity guess is still too small
         if verify_sp(F_p, G_p, h1, mu1 / 2.0, rng):
+            if not wraps:
+                return h1
             h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp), rng)
             if verify_sum_sp(h2, deriv_pairs, mu1 / 2.0, rng):
                 break

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
-                   RetryBudgetError, canonicalize, derivative, ext_field,
+                   RetryBudgetError, canonicalize, ext_field,
                    integers, lambda_no_collision, monomial, mul_count,
                    multivar_product_smallchar, naive_mul, prime_field, scale,
                    sparse_product, sumset_size, zero_poly)
@@ -169,18 +169,18 @@ class TestSparseProduct:
 
 
     def test_first_guess_passes_for_example2(self, monkeypatch):
-        # example2's 2-term product passes at the first guess max(#F, #G):
-        # one h1 job and one h2 job, both at that guess
+        # example2's 2-term product passes at the first guess max(#F, #G);
+        # neither operand wraps mod X^p - 1, so the h1 job is the only one
         jobs = _watch_jobs(monkeypatch)
         f, g = example2_family(16)
         sparse_product(f, g, PARAMS, RandomSource(16))
-        assert [job.T for job in jobs] == [max(f.sparsity, g.sparsity)] * 2 == [32, 32]
+        assert [job.T for job in jobs] == [max(f.sparsity, g.sparsity)] == [32]
 
     @pytest.mark.parametrize("t", [16, 64, pytest.param(512, marks=pytest.mark.slow)])
     def test_example2_walks_each_pair_once(self, monkeypatch, t):
-        # the h1 job walks F x G and the h2 job walks F x G' and F' x G, each
-        # once at 3 ring mults per slot pair: the round that recovers the
-        # 2-term product ends its job, with no confirming walk
+        # the h1 job walks F x G once at 3 ring mults per slot pair: the
+        # round that recovers the 2-term product ends its job, with no
+        # confirming walk, and no operand wraps, so no h2 job follows
         mults = []
         real = interp.cyclic_product_residue
 
@@ -192,13 +192,11 @@ class TestSparseProduct:
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         f, g = example2_family(t)
-        pairs = (f.sparsity * g.sparsity + f.sparsity * derivative(g).sparsity
-                 + derivative(f).sparsity * g.sparsity)
         for seed in range(20):
             mults.clear()
             out = sparse_product(f, g, PARAMS, RandomSource(seed))
             assert out.terms == ((0, -1), (t * t, 1))
-            assert len(mults) == 2 and sum(mults) == 3 * pairs
+            assert mults == [3 * f.sparsity * g.sparsity]
 
     def test_doubling_budget_exhausted(self, monkeypatch):
         # a verifier that never accepts doubles the guess once per attempt
@@ -209,6 +207,52 @@ class TestSparseProduct:
         with pytest.raises(RetryBudgetError):
             sparse_product(F_EX, G_EX, PARAMS, RandomSource(0))
         assert [job.T for job in jobs] == [3, 6, 12]
+
+
+class TestWrappedOperands:
+    # sparse_product reads the product off residues mod X^p - 1 (h1 and its
+    # derivative's h2) only when an operand has degree >= p; otherwise h1 is
+    # F*G itself.  The cyclic prime p lies in [lam, 2*lam], so exponents far
+    # above 2*lam force the wrapped path.
+    @staticmethod
+    def _pair(ring, emax, seed):
+        rnd = random.Random(seed)
+
+        def coeff():
+            if ring.kind == "integers":
+                return rnd.choice((-1, 1)) * rnd.randint(1, 2 ** 20)
+            return rnd.randrange(1, ring.q)
+
+        def support(t):
+            exps = set()
+            while len(exps) < t:
+                exps.add(rnd.randrange(emax))
+            return sorted(exps)
+
+        return tuple(canonicalize([(e, coeff()) for e in support(t)], ring) for t in (6, 5))
+
+    @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
+                             ids=["Z", "F_Q62"])
+    def test_wrapped_product_runs_h2(self, monkeypatch, ring, emax):
+        jobs = _watch_jobs(monkeypatch)
+        for seed in range(5):
+            f, g = self._pair(ring, emax, seed)
+            lam = lambda_no_collision(f.sparsity * g.sparsity, f.degree + g.degree,
+                                      PARAMS.mu1 / 2)
+            assert max(f.degree, g.degree) >= 2 * lam
+            jobs.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert len(jobs[-1].pairs) == 2
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62)], ids=["Z", "F_Q62"])
+    def test_unwrapped_product_is_h1(self, monkeypatch, ring):
+        jobs = _watch_jobs(monkeypatch)
+        for seed in range(5):
+            f, g = self._pair(ring, 10 ** 4, seed)
+            jobs.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert all(len(job.pairs) == 1 for job in jobs)
+            assert jobs[-1].D == f.degree + g.degree + 1
 
 
 class TestCharacteristicBoundary:
