@@ -4,8 +4,8 @@ integers and finite fields, in time quasi-linear in input plus output."""
 from .arith import (RandomSource, first_primes, irreducible_poly, is_prime,
                     lambda_no_collision, lambda_nonzero, random_prime)
 from .errors import (CharacteristicTooSmallError, PolyFileError,
-                     RetryBudgetError, RingMismatchError, SpmulError,
-                     UnsupportedRingError)
+                     RetryBudgetError, RingMismatchError,
+                     SparsityBoundError, SpmulError, UnsupportedRingError)
 from .interp import InterpJob, find_terms, interp_sum_sp
 from .multivar import (MultiPoly, canonicalize_multi, from_univariate,
                        inverse_kronecker, kronecker, multivar_product_field,

@@ -226,8 +226,9 @@ def _multiply(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource) -> Mult
     try:
         return multivar_product_field(F, G, eps, rng)
     except CharacteristicTooSmallError:
-        # char <= deg F + deg G (raised before any randomness is drawn) or
-        # char <= 2p for the interpolation prime
+        # char <= deg F + deg G (raised before any randomness is drawn),
+        # or, once the cyclic prime p is drawn, char <= deg F + deg G + 1
+        # when no operand wraps mod X^p - 1 and char <= 2p when one does
         return multivar_product_smallchar(F, G, eps, rng)
 
 

@@ -23,3 +23,13 @@ class UnsupportedRingError(SpmulError):
 
 class PolyFileError(SpmulError):
     """A polynomial file is malformed or non-canonical."""
+
+
+class SparsityBoundError(SpmulError):
+    """An interpolation residue proved its target has more terms than the
+    sparsity bound lets the output hold.  floor is a proven lower bound on
+    the target's sparsity."""
+
+    def __init__(self, floor: int):
+        super().__init__(f"the interpolation target has at least {floor} terms")
+        self.floor = floor

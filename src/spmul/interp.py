@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 
 from .arith import RandomSource, first_primes
-from .errors import CharacteristicTooSmallError, RingMismatchError
+from .errors import CharacteristicTooSmallError, RingMismatchError, SparsityBoundError
 from .poly import SparsePoly, _same_ring, add, dense_cyclic_mul, zero_poly
 from .rings import RingSpec, add_mul_count
 
@@ -212,9 +212,11 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
     them: direct sparse accumulation over the slot pairs, charged 3 ring
     mults per pair, or three packed dense cyclic convolutions per pair over
     Z.  The one the cost model _dense_is_cheaper predicts faster is taken.
-    Returns None, skipping the rest of the tail, as soon as either residue
-    has more than limit terms.  Empty pairs raise ValueError: there is no
-    ring to take.
+    As soon as either residue has N > limit terms, the rest of the tail is
+    skipped and SparsityBoundError(N - #minus) raised: reduction modulo
+    X^p - 1 only merges terms, and differentiation adds none, so N <=
+    #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.  Empty pairs raise
+    ValueError: there is no ring to take.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -271,17 +273,11 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
             items = ((k, drop(v, base)) for k, v in items)
         terms = [((k - shift) % p if shift else k, c) for k, c in items if c != zero]
         if limit is not None and len(terms) > limit:
-            return None
+            raise SparsityBoundError(len(terms) - (0 if minus is None else minus.sparsity))
         terms.sort()
         return SparsePoly(ring, tuple(terms))
 
-    residue = settle(acc, 0)
-    if residue is None:
-        return None
-    residue_d = settle(dacc, 1)
-    if residue_d is None:
-        return None
-    return residue, residue_d
+    return settle(acc, 0), settle(dacc, 1)
 
 
 def _trim(H: SparsePoly, T: int, D: int, C: int | None) -> SparsePoly:
@@ -296,13 +292,21 @@ def _trim(H: SparsePoly, T: int, D: int, C: int | None) -> SparsePoly:
 def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
     """Interpolate H = sum F_i*G_i.
 
-    Whatever happens, the output has at most 2T terms, degree < D, and
-    (over Z) height <= C.  A job ends at the first round whose find_terms
-    update explains both residues of H - h* (h* the running approximation;
-    see the module docstring for the count test) and whose _trim keeps
-    every term of h* + update, so that H - h* and its derivative vanish
-    mod X^p - 1 at that round's p.  It also ends at once when a residue
-    has more than 2T + #h* terms, which proves #H > 2T.
+    The output has at most 2T terms, degree < D, and (over Z) height <=
+    C.  A job ends at the first round whose find_terms update explains
+    both residues of H - h* (h* the running approximation; see the module
+    docstring for the count test) and whose _trim keeps every term of
+    h* + update, so that H - h* and its derivative vanish mod X^p - 1 at
+    that round's p.
+
+    Either residue of H - h* with N terms proves #H >= N - #h*: H - h* and
+    its derivative have at most #H + #h* terms, and reduction only merges
+    them.  Once a residue has more than min(3T, 2T + #h*) terms, the job
+    raises SparsityBoundError with floor = N - #h*, a proven lower bound
+    on #H, and returns nothing.  When 2T + #h* binds, floor > 2T and no
+    output of at most 2T terms can be H; when 3T binds, floor > T, which
+    no honest job (T >= #H) reaches.  The caller can skip checking the job
+    and size its next guess from the floor.
 
     For an honest job (T >= #H, D > deg H and, over Z, C >= the height of
     H), the job ends at the round that brings h* to H (or the next one, if
@@ -330,14 +334,11 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
         p = primes[rng.randrange(len(primes))]
         # both residues of H - h* have at most #H + #h* terms, so more than
         # 2T + #h* prove #H > 2T, and _trim keeps at most 2T terms: no later
-        # round can reach H, so stop at once -- the output only owes its
-        # shape, and outer verification rejects it.  An honest job (T >= #H)
-        # stays within T + #h* <= 3T and never gets there.
+        # round can reach H, so the walk raises SparsityBoundError at once.
+        # An honest job (T >= #H) stays within T + #h* <= 3T and never
+        # gets there.
         limit = min(3 * job.T, 2 * job.T + h_star.sparsity)
-        residues = cyclic_product_residue(pairs, h_star, p, limit=limit)
-        if residues is None:
-            break
-        residue, residue_d = residues
+        residue, residue_d = cyclic_product_residue(pairs, h_star, p, limit=limit)
         update = find_terms(p, residue, residue_d, job.D, double_c)
         total = add(h_star, update)
         h_star = _trim(total, job.T, job.D, job.C)

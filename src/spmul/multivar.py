@@ -223,10 +223,12 @@ def multivar_product_field(F: MultiPoly, G: MultiPoly, eps: float,
     """Multivariate product over a field with large characteristic:
     classical Kronecker plus the univariate algorithm.
 
-    Requires characteristic > D = deg(F_u) + deg(G_u) after substitution,
-    and > 2p for sparse_product's cyclic prime p >= lambda_no_collision(
-    #F*#G, D, mu1/2) with mu1 = eps/2 (CharacteristicTooSmallError
-    otherwise); use multivar_product_smallchar below that.
+    Requires characteristic > D + 1, D = deg(F_u) + deg(G_u) after
+    substitution, when neither F_u nor G_u wraps modulo X^p - 1 for
+    sparse_product's cyclic prime p >= lambda_no_collision(#F*#G, D,
+    mu1/2), mu1 = eps/2; when one wraps (degree >= p), characteristic > D
+    and > 2p (CharacteristicTooSmallError otherwise).  Use
+    multivar_product_smallchar below that.
     """
     return _kronecker_product(F, G, eps, rng, over_field=True)
 

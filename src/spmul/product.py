@@ -4,13 +4,13 @@ with a posteriori verification.
 The operands are reduced modulo X^p - 1 (p a random prime large enough
 that exponent collisions are unlikely) and their product interpolated
 under a guessed sparsity bound that doubles until the interpolant passes
-verification.  When neither operand has degree >= p, the reduction
-changes nothing, so that interpolant is F*G itself and is returned as
-soon as it passes.  Otherwise the derivative's residue is interpolated
-and verified too, and the terms of F*G are read off the verified residue
-pair.  mu1 budgets a wrong output (sparse_product counts how the checks
-spend it); the doubling loop stays small with probability at least
-1 - mu2.
+verification, skipping every guess a residue proves too small.  When
+neither operand has degree >= p, the reduction changes nothing, so that
+interpolant is F*G itself and is returned as soon as it passes.
+Otherwise the derivative's residue is interpolated and verified too, and
+the terms of F*G are read off the verified residue pair.  mu1 budgets a
+wrong output (sparse_product counts how the checks spend it); the
+doubling loop stays small with probability at least 1 - mu2.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import RandomSource, lambda_no_collision, random_prime
-from .errors import CharacteristicTooSmallError, RetryBudgetError, RingMismatchError
+from .errors import (CharacteristicTooSmallError, RetryBudgetError, RingMismatchError,
+                     SparsityBoundError)
 from .interp import InterpJob, find_terms, interp_sum_sp
 from .poly import SparsePoly, cyclic_reduce, derivative, scale, zero_poly
 from .verify import verify_sp, verify_sum_sp
@@ -53,40 +54,55 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
                    rng: RandomSource) -> SparsePoly:
     """Compute F*G, with mu1 as the budget for a wrong output.
 
-    Works over Z and over fields whose characteristic exceeds not just
-    D = deg(F) + deg(G) but also 2p for the internally drawn prime p
-    (exponents are encoded into coefficients modulo X^p - 1, so they must
-    stay below the characteristic); CharacteristicTooSmallError otherwise.
-    p lies in [lam, 2*lam] with lam = lambda_no_collision(#F*#G, D, mu1/2),
-    so a characteristic q <= 2*lam always fails the 2p condition and one
-    above 4*lam never does.
+    Works over Z and over fields whose characteristic exceeds the largest
+    exponent the interpolation reads back (exponents are recovered as
+    coefficient ratios, so they must stay below the characteristic).  The
+    operands are reduced modulo X^p - 1 for a prime p in [lam, 2*lam],
+    lam = lambda_no_collision(#F*#G, D, mu1/2), D = deg(F) + deg(G).
+    When no operand wraps (deg F < p and deg G < p), exponents stay below
+    D + 1 and the characteristic must exceed D + 1; when one wraps, it
+    must exceed D and 2p.  CharacteristicTooSmallError otherwise: char <=
+    D before any randomness is drawn, the rest once p is.
 
     Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
-    and checks it with verify_sp at eps = mu1/2.  The interpolation jobs
-    only stop on residues they explain (interp), so these checks are the
-    certificate.
+    under the sparsity guess t, starting at t = max(#F, #G), and checks it
+    with verify_sp at eps = mu1/2.  The interpolation jobs only stop on
+    residues they explain (interp), so these checks are the certificate.
 
-    No operand wraps (deg F < p and deg G < p): F_p = F and G_p = G, so
-    h1 interpolates F*G itself, under its true degree bound D + 1, and is
-    returned once its check passes; no h2 job runs and no p can collide,
-    since nothing was reduced.  A wrong output needs a wrong h1 accepted,
-    so the budget spent is mu1/2 per h1 check: mu1/2 when the first guess
-    passes, and within mu1 while at most two guesses are checked.
+    A job whose residue overflows raises SparsityBoundError(floor), a
+    proven lower bound on the sparsity of its target (interp_sum_sp).  That
+    residue of target - h* was nonzero, so h* is provably wrong and is not
+    checked.  A job's output keeps at most 2t terms, so no guess with
+    2t < floor can succeed: the next guess is the smallest t*2^k (k >= 1)
+    with 2*t*2^k >= floor.  Guesses stay on the doubling lattice t*2^i,
+    i < _MAX_DOUBLINGS, and skip only guesses that cannot succeed.  A
+    random product's first residue has nearly #F*#G terms, so its second
+    guess is usually the first one checked, and passes.
+
+    No operand wraps: F_p = F and G_p = G, so h1 interpolates F*G itself,
+    under its true degree bound D + 1, and is returned once its check
+    passes; no h2 job runs and no p can collide, since nothing was
+    reduced.  A wrong output needs a wrong h1 accepted, so the budget
+    spent is mu1/2 per h1 check: mu1/2 when the first guess checked
+    passes, and within mu1 while at most two guesses are checked.  A
+    guess whose job raised is neither checked nor charged.
 
     An operand wraps: h1 is a residue of degree < 2p, and once it passes,
     h2 = (F*G)' mod X^p - 1 is interpolated and checked with verify_sum_sp
-    at eps = mu1/2; the terms of F*G are read off the pair.  p makes two
+    at eps = mu1/2; the terms of F*G are read off the pair.  The same
+    floor rule applies to the h2 job: if it raises, its guess is not
+    checked, and the next guess is sized from its floor.  p makes two
     exponents of F*G collide with probability <= mu1/2
     (lambda_no_collision), and a wrong output needs a colliding p or a
     wrong h1 or h2 accepted, so the union bound over the checks run is
     mu1/2 * (1 + #h1 checks + #h2 checks): 3*mu1/2 when the first guess
     passes.  Counted per iteration instead (one ends the loop wrongly only
     if the wrong member of its pair is accepted), it is
-    mu1/2 * (1 + iterations).
+    mu1/2 * (1 + iterations checked).
 
-    These counts pass mu1 once two guesses are rejected without a wrap and
-    once one is rejected with a wrap, so 1 - mu1 is still not proved for
-    every product that doubles its guess.
+    These counts pass mu1 once two checked guesses are rejected without a
+    wrap and once one is rejected with a wrap, so 1 - mu1 is still not
+    proved for every product that doubles its guess.
     """
     if F.ring != G.ring:
         raise RingMismatchError("operands live in different rings")
@@ -109,9 +125,13 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     lam = lambda_no_collision(F.sparsity * G.sparsity, D, mu1 / 2.0)
     p = random_prime(lam, rng)
-    if ring.is_field and ring.char <= 2 * p:
+    # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself
+    wraps = F.degree >= p or G.degree >= p
+    D1 = 2 * p if wraps else D + 1
+    if ring.is_field and ring.char <= D1:
+        bound = "2p" if wraps else "deg F + deg G + 1"
         raise CharacteristicTooSmallError(
-            f"characteristic {ring.char} must exceed 2p = {2 * p} for exponent recovery")
+            f"characteristic {ring.char} must exceed {bound} = {D1} for exponent recovery")
 
     F_p = cyclic_reduce(F, p)
     G_p = cyclic_reduce(G, p)
@@ -124,21 +144,26 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     c1 = _height_bound(F_p, G_p) if over_z else None
     c2 = _height_bound(F_p, Gd_p) + _height_bound(Fd_p, G_p) if over_z else None
 
-    # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself
-    wraps = F.degree >= p or G.degree >= p
-    D1 = 2 * p if wraps else D + 1
-
-    for _ in range(_MAX_DOUBLINGS):
-        h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, D1, c1, mu_interp), rng)
-        # interpolating h2 only after h1 passes skips the heavier job on
-        # every round whose sparsity guess is still too small
-        if verify_sp(F_p, G_p, h1, mu1 / 2.0, rng):
-            if not wraps:
-                return h1
-            h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp), rng)
-            if verify_sum_sp(h2, deriv_pairs, mu1 / 2.0, rng):
-                break
+    t_last = t << (_MAX_DOUBLINGS - 1)
+    while t <= t_last:
+        floor = 0
+        try:
+            h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, D1, c1, mu_interp), rng)
+            # interpolating h2 only after h1 passes skips the heavier job on
+            # every round whose sparsity guess is still too small
+            if verify_sp(F_p, G_p, h1, mu1 / 2.0, rng):
+                if not wraps:
+                    return h1
+                h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp), rng)
+                if verify_sum_sp(h2, deriv_pairs, mu1 / 2.0, rng):
+                    break
+        except SparsityBoundError as err:
+            # h* left a nonzero residue, so it is wrong: no check, and no
+            # guess whose 2t-term output cannot hold floor terms
+            floor = err.floor
         t *= 2
+        while 2 * t < floor:
+            t *= 2
     else:
         raise RetryBudgetError("sparsity-doubling loop failed to converge")
 

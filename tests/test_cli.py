@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from spmul import (PolyFileError, RetryBudgetError, canonicalize, canonicalize_multi,
-                   ext_field, integers, kronecker, multivar_product_smallchar,
-                   naive_mul_multi, prime_field)
+from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonicalize,
+                   canonicalize_multi, ext_field, integers, kronecker,
+                   multivar_product_smallchar, naive_mul_multi, prime_field)
+from spmul import product
 from spmul.cli import format_poly, parse_poly, run_command
 
 from helpers import Q62, rand_multi, rand_sparse
@@ -175,9 +176,9 @@ class TestCommands:
         assert err.startswith("spmul: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_char_below_cyclic_prime_falls_back(self, tmp_path, monkeypatch):
-        # q exceeds the Kronecker degree but not 2p for the cyclic prime p,
-        # so the field path raises and the lift through Z takes over
+    def _mul_lifts(self, tmp_path, monkeypatch, f, g) -> int:
+        """Run spmul mul on f and g, check its output against mul --naive
+        byte for byte, and return how often it lifted through Z."""
         lifted = []
 
         def smallchar(*args):
@@ -185,17 +186,34 @@ class TestCommands:
             return multivar_product_smallchar(*args)
 
         monkeypatch.setattr("spmul.cli.multivar_product_smallchar", smallchar)
-        fq = prime_field(1000003)
-        rnd = random.Random(4)
-        f = rand_multi(rnd, fq, 2, 6, 20)
-        g = rand_multi(rnd, fq, 2, 6, 20)
         a = self._write(tmp_path, "a.poly", format_poly(f))
         b = self._write(tmp_path, "b.poly", format_poly(g))
         o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         assert run_command(["mul", a, b, "-o", o1]) == 0
         assert run_command(["mul", a, b, "-o", o2, "--naive"]) == 0
         assert (tmp_path / "o1").read_bytes() == (tmp_path / "o2").read_bytes()
-        assert len(lifted) == 1
+        return len(lifted)
+
+    def test_char_below_cyclic_prime_falls_back(self, tmp_path, monkeypatch):
+        # q = 211 exceeds the degree 160 but not 2p for a cyclic prime
+        # p = 107 that deg F = 150 wraps past, so the field path raises and
+        # the lift through Z takes over (drawing its own prime)
+        real = product.random_prime
+        pinned = [107]
+        monkeypatch.setattr(product, "random_prime",
+                            lambda lam, rng: pinned.pop() if pinned else real(lam, rng))
+        f211 = prime_field(211)
+        f = canonicalize([(0, 1), (150, 2)], f211)
+        g = canonicalize([(0, 3), (10, 1)], f211)
+        assert self._mul_lifts(tmp_path, monkeypatch, f, g) == 1
+        assert pinned == []
+
+    def test_char_below_degree_bound_falls_back(self, tmp_path, monkeypatch):
+        # q = 101 exceeds the degree 100 but not the bound D + 1 = 101 that
+        # an unwrapped product reads its exponents under
+        f101 = prime_field(101)
+        f = canonicalize([(0, 1), (50, 2)], f101)
+        assert self._mul_lifts(tmp_path, monkeypatch, f, f) == 1
 
     def test_field_mul_adds_no_kronecker_maps(self, tmp_path, monkeypatch):
         # the field path does its own Kronecker maps; the CLI adds none
@@ -313,3 +331,31 @@ class TestModuleEntryPoints:
         done = self._run("spmul", "estimate", str(a))
         assert done.returncode == 2
         assert done.stdout == "" and done.stderr.startswith("spmul: ")
+
+    def test_python_m_spmul_mul_past_an_overflowing_guess(self, tmp_path, monkeypatch):
+        # a 6 x 6 product with 36 terms > 2*max(#F, #G): the first guess's
+        # residue overflows, and the guess it sizes gives the product
+        a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+        a.write_text("ring int\nvars 1\n" + "".join(f"term {i + 2} {i}\n" for i in range(6)))
+        b.write_text("ring int\nvars 1\n" + "".join(f"term {-3 * j - 1} {6 * j}\n" for j in range(6)))
+        floors = []
+        real = product.interp_sum_sp
+
+        def interp_sum_sp(job, rng):
+            try:
+                return real(job, rng)
+            except SparsityBoundError as err:
+                floors.append((job.T, err.floor))
+                raise
+
+        monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+        assert run_command(["mul", str(a), str(b), "-o", str(tmp_path / "in_process")]) == 0
+        assert floors and floors[0][0] == 6 and floors[0][1] > 12
+        outs = []
+        for name, extra in (("sparse", []), ("naive", ["--naive"])):
+            out = tmp_path / name
+            done = self._run("spmul", "mul", str(a), str(b), "-o", str(out), *extra)
+            assert done.returncode == 0, done.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == (tmp_path / "in_process").read_bytes()
+        assert outs[0].count(b"term") == 36

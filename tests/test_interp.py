@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, InterpJob, RandomSource,
-                   RingMismatchError, add, canonicalize, cyclic_reduce,
+                   RingMismatchError, SparsityBoundError, add, canonicalize, cyclic_reduce,
                    derivative, ext_field, find_terms, integers, interp_sum_sp,
                    monomial, mul_count, naive_mul, negate, prime_field,
                    reset_mul_count, sub, zero_poly)
@@ -192,14 +192,27 @@ class TestCyclicProductResidue:
         pairs = [(f, f)]  # H = f^2 has 9 terms
         want = _direct_residues(pairs, None, 101, ZZ)
         assert cyclic_product_residue(pairs, None, 101, limit=9) == want
-        assert cyclic_product_residue(pairs, None, 101, limit=8) is None
+        with pytest.raises(SparsityBoundError) as err:
+            cyclic_product_residue(pairs, None, 101, limit=8)
+        assert err.value.floor == 9
+        # minus = 1 + X^200 cancels slot 0 and adds slot 99: the residue
+        # of f^2 - minus keeps N = 9 terms, which proves #f^2 >= 9 - 2
+        minus = canonicalize([(0, 1), (200, 1)], ZZ)
+        want = _direct_residues(pairs, minus, 101, ZZ)
+        assert want[0].sparsity == 9
+        assert cyclic_product_residue(pairs, minus, 101, limit=9) == want
+        with pytest.raises(SparsityBoundError) as err:
+            cyclic_product_residue(pairs, minus, 101, limit=8)
+        assert err.value.floor == 9 - 2
         # (X^7 - 1)(X + X^2 + X^3) vanishes mod X^7 - 1, its derivative
         # leaves 7 + 7X + 7X^2, so only the derivative overflows
         pairs = [(canonicalize([(7, 1), (0, -1)], ZZ), canonicalize([(1, 1), (2, 1), (3, 1)], ZZ))]
         want = _direct_residues(pairs, None, 7, ZZ)
         assert want[0].is_zero and want[1].sparsity == 3
         assert cyclic_product_residue(pairs, None, 7, limit=3) == want
-        assert cyclic_product_residue(pairs, None, 7, limit=2) is None
+        with pytest.raises(SparsityBoundError) as err:
+            cyclic_product_residue(pairs, None, 7, limit=2)
+        assert err.value.floor == 3
 
     def test_ring_comes_from_the_operands(self, monkeypatch):
         f101 = prime_field(101)
@@ -245,15 +258,23 @@ class TestInterpSumSP:
 
     def test_shape_contract_with_adversarial_bounds(self):
         rnd = random.Random(4)
+        raised = 0
         for seed in range(60):
             f = rand_sparse(rnd, ZZ, 10, 10 ** 4, 2 ** 16)
             g = rand_sparse(rnd, ZZ, 10, 10 ** 4, 2 ** 16)
             T, D, C = 2, 50, 10  # far too small on purpose
             job = InterpJob([(f, g)], T, D, C, 0.25)
-            out = interp_sum_sp(job, RandomSource(seed))
+            try:
+                out = interp_sum_sp(job, RandomSource(seed))
+            except SparsityBoundError as err:
+                # the floor is sound: a proven lower bound on #H
+                assert 0 < err.floor <= naive_mul(f, g).sparsity
+                raised += 1
+                continue
             assert out.sparsity <= 2 * T
             assert out.is_zero or out.degree < D
             assert out.height() <= C
+        assert 0 < raised < 60  # both outcomes are exercised
 
     def test_success_rate_with_true_bounds(self):
         rnd = random.Random(5)
@@ -291,7 +312,8 @@ class TestInterpSumSP:
 
     def test_guess_below_half_stops_after_one_pass(self, monkeypatch):
         # H = 1 + X + ... + X^35 has 36 > 2T terms: the first residue
-        # overflows 2T + #h* = 30, which proves no round can reach H
+        # overflows 2T + #h* = 30, which proves no round can reach H, and
+        # its count is reported as the floor 30 < floor <= #H
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
         job = InterpJob([(f, g)], 15, 2 ** 40, 1, 0.25)
@@ -299,9 +321,10 @@ class TestInterpSumSP:
         for seed in range(10):
             rounds.clear()
             reset_mul_count()
-            out = interp_sum_sp(job, RandomSource(seed))
+            with pytest.raises(SparsityBoundError) as err:
+                interp_sum_sp(job, RandomSource(seed))
             assert mul_count() <= 3 * f.sparsity * g.sparsity
-            assert rounds == [] and out.is_zero
+            assert rounds == [] and 30 < err.value.floor <= 36
 
     def test_guess_within_half_still_recovers(self):
         # T < #H = 36 <= 2T: the residue stays within 2T + #h*, and the

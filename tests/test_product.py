@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
-                   RetryBudgetError, canonicalize, ext_field,
+                   RetryBudgetError, SparsityBoundError, add, canonicalize, ext_field,
                    integers, lambda_no_collision, monomial, mul_count,
                    multivar_product_smallchar, naive_mul, prime_field, scale,
                    sparse_product, sumset_size, zero_poly)
@@ -31,6 +31,77 @@ def _watch_jobs(monkeypatch) -> list:
 
     monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
     return jobs
+
+
+def _watch_steps(monkeypatch) -> list:
+    """List that receives sparse_product's steps in order: ["job", T,
+    #pairs, floor] per interpolation job, floor None unless it raised
+    SparsityBoundError, and ["check", name] per verify_sp / verify_sum_sp."""
+    steps = []
+    real_interp = product.interp_sum_sp
+
+    def interp_sum_sp(job, rng):
+        step = ["job", job.T, len(job.pairs), None]
+        steps.append(step)
+        try:
+            return real_interp(job, rng)
+        except SparsityBoundError as err:
+            step[3] = err.floor
+            raise
+
+    monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+    for name in ("verify_sp", "verify_sum_sp"):
+        def check(*args, _real=getattr(product, name), _name=name):
+            steps.append(["check", _name])
+            return _real(*args)
+
+        monkeypatch.setattr(product, name, check)
+    return steps
+
+
+def _assert_floor_rule(steps) -> int:
+    """Check the floor rule on one product's steps; return how many jobs
+    raised.  A job that raised is followed by no check, and the next job is
+    an h1 job on the doubling lattice above it, at a t with 2t >= floor."""
+    raised = 0
+    for i, step in enumerate(steps):
+        if step[0] != "job" or step[3] is None:
+            continue
+        raised += 1
+        _, t, _, floor = step
+        nxt = steps[i + 1]
+        assert nxt[0] == "job" and nxt[2] == 1
+        ratio, rem = divmod(nxt[1], t)
+        assert rem == 0 and ratio >= 2 and ratio & (ratio - 1) == 0
+        assert 2 * nxt[1] >= floor
+        # the smallest such t: half of it would not hold the floor
+        assert nxt[1] == 2 * t or nxt[1] < floor
+    return raised
+
+
+def _random_pair(ring, sizes, emax, seed):
+    """Operands with exactly sizes[i] terms, exponents below emax and
+    nonzero coefficients (20-bit over Z)."""
+    rnd = random.Random(seed)
+
+    def coeff():
+        if ring.kind == "integers":
+            return rnd.choice((-1, 1)) * rnd.randint(1, 2 ** 20)
+        return rnd.randrange(1, ring.q)
+
+    def support(t):
+        exps = set()
+        while len(exps) < t:
+            exps.add(rnd.randrange(emax))
+        return sorted(exps)
+
+    return tuple(canonicalize([(e, coeff()) for e in support(t)], ring) for t in sizes)
+
+
+# deg F = 150 and D = 160 over F_211: a cyclic prime p <= 150 wraps F, and
+# the product's exponents 0, 10, 150, 160 stay apart modulo 103 and 107
+_F211_WRAPPING = (canonicalize([(0, 1), (150, 2)], prime_field(211)),
+                  canonicalize([(0, 3), (10, 1)], prime_field(211)))
 
 
 def example2_family(t):
@@ -145,13 +216,14 @@ class TestSparseProduct:
         with pytest.raises(CharacteristicTooSmallError):
             sparse_product(f, f, PARAMS, RandomSource(0))
 
-    def test_characteristic_below_cyclic_prime(self):
-        # q exceeds the product degree but not 2p, where exponents must
+    def test_characteristic_below_cyclic_prime(self, monkeypatch):
+        # q = 211 exceeds the product degree 160 but not 2p for a cyclic
+        # prime p = 107 that deg F = 150 wraps past, where exponents must
         # embed into coefficients; the error names the real constraint
-        f101 = prime_field(101)
-        f = canonicalize([(0, 1), (50, 2)], f101)
-        with pytest.raises(CharacteristicTooSmallError, match="2p"):
-            sparse_product(f, f, PARAMS, RandomSource(0))
+        monkeypatch.setattr(product, "random_prime", lambda lam, rng: 107)
+        f, g = _F211_WRAPPING
+        with pytest.raises(CharacteristicTooSmallError, match="2p = 214"):
+            sparse_product(f, g, PARAMS, RandomSource(0))
 
     def test_mu_star_zero_boundary(self):
         # mu1/2 == mu2 leaves no interpolation budget; the clamp keeps the
@@ -214,29 +286,12 @@ class TestWrappedOperands:
     # derivative's h2) only when an operand has degree >= p; otherwise h1 is
     # F*G itself.  The cyclic prime p lies in [lam, 2*lam], so exponents far
     # above 2*lam force the wrapped path.
-    @staticmethod
-    def _pair(ring, emax, seed):
-        rnd = random.Random(seed)
-
-        def coeff():
-            if ring.kind == "integers":
-                return rnd.choice((-1, 1)) * rnd.randint(1, 2 ** 20)
-            return rnd.randrange(1, ring.q)
-
-        def support(t):
-            exps = set()
-            while len(exps) < t:
-                exps.add(rnd.randrange(emax))
-            return sorted(exps)
-
-        return tuple(canonicalize([(e, coeff()) for e in support(t)], ring) for t in (6, 5))
-
     @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
                              ids=["Z", "F_Q62"])
     def test_wrapped_product_runs_h2(self, monkeypatch, ring, emax):
         jobs = _watch_jobs(monkeypatch)
         for seed in range(5):
-            f, g = self._pair(ring, emax, seed)
+            f, g = _random_pair(ring, (6, 5), emax, seed)
             lam = lambda_no_collision(f.sparsity * g.sparsity, f.degree + g.degree,
                                       PARAMS.mu1 / 2)
             assert max(f.degree, g.degree) >= 2 * lam
@@ -248,19 +303,91 @@ class TestWrappedOperands:
     def test_unwrapped_product_is_h1(self, monkeypatch, ring):
         jobs = _watch_jobs(monkeypatch)
         for seed in range(5):
-            f, g = self._pair(ring, 10 ** 4, seed)
+            f, g = _random_pair(ring, (6, 5), 10 ** 4, seed)
             jobs.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
             assert all(len(job.pairs) == 1 for job in jobs)
             assert jobs[-1].D == f.degree + g.degree + 1
 
 
+class TestSparsityFloor:
+    # A job whose residue overflows raises SparsityBoundError with a proven
+    # lower bound on its target's sparsity.  sparse_product checks no such
+    # guess and jumps to the smallest guess on the doubling lattice whose
+    # 2t-term output can hold the floor.
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62)], ids=["Z", "F_Q62"])
+    def test_floor_sizes_the_next_guess(self, monkeypatch, ring):
+        steps = _watch_steps(monkeypatch)
+        for seed in range(10):
+            f, g = _random_pair(ring, (12, 12), 10 ** 6, seed)
+            steps.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            # the first guess, 12, cannot hold a product of about 144 terms
+            assert steps[0][3] is not None
+            assert _assert_floor_rule(steps) >= 1
+
+    @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
+                             ids=["Z", "F_Q62"])
+    def test_wrapped_floor_sizes_the_next_guess(self, monkeypatch, ring, emax):
+        steps = _watch_steps(monkeypatch)
+        for seed in range(10):
+            f, g = _random_pair(ring, (6, 5), emax, seed)
+            lam = lambda_no_collision(f.sparsity * g.sparsity, f.degree + g.degree,
+                                      PARAMS.mu1 / 2)
+            assert max(f.degree, g.degree) >= 2 * lam
+            steps.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert _assert_floor_rule(steps) >= 1
+            # the product was read off a checked h2 job
+            assert steps[-2][0] == "job" and steps[-2][2] == 2
+            assert steps[-1] == ["check", "verify_sum_sp"]
+
+    def test_wrapped_h2_floor_is_not_checked(self, monkeypatch):
+        # the first h2 job raises, with the true sparsity of its target as
+        # the floor: verify_sum_sp does not see that guess, and the next
+        # guess reruns h1 at a t sized from the floor
+        real = product.interp_sum_sp
+        faked = []
+
+        def interp_sum_sp(job, rng):
+            if len(job.pairs) == 2 and not faked:
+                faked.append(job.T)
+                raise SparsityBoundError(add(*(naive_mul(a, b) for a, b in job.pairs)).sparsity)
+            return real(job, rng)
+
+        monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+        steps = _watch_steps(monkeypatch)
+        for seed in range(10):
+            f, g = _random_pair(ZZ, (6, 5), 10 ** 30, seed)
+            faked.clear()
+            steps.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert faked and _assert_floor_rule(steps) >= 1
+            assert [s[1] for s in steps if s[0] == "check"].count("verify_sum_sp") == 1
+
+    @pytest.mark.slow
+    def test_benchmark_size_takes_two_jobs(self, monkeypatch):
+        # random 64 x 64 over Z: the first residue proves about 4096 terms,
+        # so the second guess holds the product, and only it is checked
+        steps = _watch_steps(monkeypatch)
+        good = 0
+        for seed in range(10):
+            f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
+            steps.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            _assert_floor_rule(steps)
+            jobs = [s for s in steps if s[0] == "job"]
+            checks = [s for s in steps if s[0] == "check"]
+            good += len(jobs) <= 2 and checks == [["check", "verify_sp"]]
+        assert good >= 9
+
+
 class TestCharacteristicBoundary:
-    # sparse_product needs char > 2p for its cyclic prime p in [lam, 2*lam],
-    # lam = lambda_no_collision(#F*#G, D, mu1/2): every p fails when
-    # 2*lam >= q, and none does when 4*lam < q.  The two pairs below sit a
-    # factor of two beyond each of those lines, over F_Q62, at the budget
-    # mu1 = eps/2 that the CLI's multivar_product_field gives a product.
+    # Exponents are read back as coefficient ratios, so they must stay
+    # below the characteristic.  A product whose operands do not wrap mod
+    # X^p - 1 reads them under D + 1 (D = deg F + deg G) and needs
+    # char > D + 1; a wrapped one reads them under D and 2p and needs
+    # char > 2p too.  Each boundary is tested on both sides.
     EPS = 1e-13
 
     @staticmethod
@@ -270,7 +397,41 @@ class TestCharacteristicBoundary:
         return tuple(canonicalize([(e, rnd.randrange(1, Q62)) for e in rnd.sample(range(emax), t)],
                                   fq) for _ in range(2))
 
+    def test_unwrapped_boundary_is_d_plus_one(self):
+        f101 = prime_field(101)
+        a = canonicalize([(0, 1), (50, 2)], f101)
+        b = canonicalize([(0, 3), (49, 1)], f101)
+        for seed in range(5):
+            # D = 99: q = D + 2
+            assert sparse_product(a, b, PARAMS, RandomSource(seed)) == naive_mul(a, b)
+            # D = 100: q = D + 1
+            with pytest.raises(CharacteristicTooSmallError, match=r"deg F \+ deg G \+ 1 = 101"):
+                sparse_product(a, a, PARAMS, RandomSource(seed))
+
+    def test_wrapped_boundary_is_2p(self, monkeypatch):
+        # the cyclic prime is pinned on either side of q/2 = 105.5; deg F =
+        # 150 wraps past both
+        f, g = _F211_WRAPPING
+        steps = _watch_steps(monkeypatch)
+        for p in (103, 107):
+            monkeypatch.setattr(product, "random_prime", lambda lam, rng, p=p: p)
+            for seed in range(5):
+                steps.clear()
+                if 2 * p < 211:
+                    assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+                    assert steps[-2][2] == 2  # read off the wrapped path's h2
+                else:
+                    with pytest.raises(CharacteristicTooSmallError, match="2p = 214"):
+                        sparse_product(f, g, PARAMS, RandomSource(seed))
+                    assert steps == []
+
     def test_q62_boundary(self, tmp_path, monkeypatch):
+        # at the budget mu1 = eps/2 that the CLI's multivar_product_field
+        # gives a product, the larger pair has lam >= q, so 2p > q on every
+        # draw, and the smaller has 8*lam < q.  Neither pair wraps, so
+        # both need only q > D + 1 and give the exact product, and the CLI
+        # keeps the larger one on the field path instead of lifting it
+        # through Z
         params = ProductParams(self.EPS / 2, self.EPS / 2)
         small, large = self._pair(4, 40, 1), self._pair(8, 80, 2)
         lam_small, lam_large = (
@@ -279,10 +440,8 @@ class TestCharacteristicBoundary:
         assert 8 * lam_small < Q62 <= lam_large
         for seed in range(5):
             assert sparse_product(*small, params, RandomSource(seed)) == naive_mul(*small)
-            with pytest.raises(CharacteristicTooSmallError, match="2p"):
-                sparse_product(*large, params, RandomSource(seed))
+            assert sparse_product(*large, params, RandomSource(seed)) == naive_mul(*large)
 
-        # the CLI takes the larger pair through Z instead
         lifted = []
 
         def smallchar(*args):
@@ -295,7 +454,7 @@ class TestCharacteristicBoundary:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(format_poly(f))
         assert run_command(["mul", a, b, "-o", out, "--epsilon", str(self.EPS)]) == 0
-        assert len(lifted) == 1
+        assert lifted == []
         with open(out, encoding="utf-8") as fh:
             assert fh.read() == format_poly(naive_mul(*large))
 
