@@ -227,8 +227,8 @@ def _multiply(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource) -> Mult
         return multivar_product_field(F, G, eps, rng)
     except CharacteristicTooSmallError:
         # char <= deg F + deg G (raised before any randomness is drawn),
-        # or, once the cyclic prime p is drawn, char <= deg F + deg G + 1
-        # when no operand wraps mod X^p - 1 and char <= 2p when one does
+        # or char <= 2p once the cyclic prime p is drawn and an operand
+        # wraps mod X^p - 1
         return multivar_product_smallchar(F, G, eps, rng)
 
 

@@ -226,11 +226,11 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
     work = sum(len(fs) * len(gs) for fs, gs in slotted)
     # a slot of F_i meets at most one slot of G_i in any one slot, and a
     # derivative slot takes two products per such meeting
-    base = ring.lift_base(2 * sum(min(len(fs), len(gs)) for fs, gs in slotted))
-    if base is not None:
+    width = ring.lift_width(2 * sum(min(len(fs), len(gs)) for fs, gs in slotted))
+    if width is not None:
         lift = ring.lift
-        slotted = [([(r, lift(c, base), lift(d, base)) for r, c, d in fs],
-                    [(r, lift(c, base), lift(d, base)) for r, c, d in gs])
+        slotted = [([(r, lift(c, width), lift(d, width)) for r, c, d in fs],
+                    [(r, lift(c, width), lift(d, width)) for r, c, d in gs])
                    for fs, gs in slotted]
     # both routes key the derivative's slots by k; the shift to k - 1 comes last
     if _dense_is_cheaper(p, slotted, work):
@@ -260,9 +260,10 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
                         dacc[k] = d1 * c2 + c1 * d2
         add_mul_count(3 * work)
     if minus is not None:
+        # images have nonnegative digits, so minus enters negated
         for r, c, d in _slot_sums(minus, p):
-            acc[r] = acc.get(r, 0) - ring.lift(c, base)
-            dacc[r] = dacc.get(r, 0) - ring.lift(d, base)
+            acc[r] = acc.get(r, 0) + ring.lift(ring.neg(c), width)
+            dacc[r] = dacc.get(r, 0) + ring.lift(ring.neg(d), width)
 
     zero = ring.zero()
     drop = ring.drop if ring.is_field else None
@@ -270,7 +271,7 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
     def settle(slots: dict, shift: int):
         items = ((k, v) for k, v in slots.items() if v)
         if drop is not None:
-            items = ((k, drop(v, base)) for k, v in items)
+            items = ((k, drop(v, width)) for k, v in items)
         terms = [((k - shift) % p if shift else k, c) for k, c in items if c != zero]
         if limit is not None and len(terms) > limit:
             raise SparsityBoundError(len(terms) - (0 if minus is None else minus.sparsity))
@@ -317,9 +318,10 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
     with both residues.  The output is certified only by verifying it.
     """
     ring = job.ring
-    if ring.is_field and ring.char <= job.D:
+    # exponents are read back as coefficient ratios, up to D - 1
+    if ring.is_field and ring.char < job.D:
         raise CharacteristicTooSmallError(
-            f"characteristic {ring.char} must exceed the degree bound {job.D}")
+            f"characteristic {ring.char} must exceed the largest exponent {job.D - 1}")
     pairs = list(job.pairs)
     # each round halves the missing terms with constant probability, so
     # log2(2T) rounds to find everything plus log2(1/mu) to drive the
@@ -339,7 +341,7 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
         # gets there.
         limit = min(3 * job.T, 2 * job.T + h_star.sparsity)
         residue, residue_d = cyclic_product_residue(pairs, h_star, p, limit=limit)
-        update = find_terms(p, residue, residue_d, job.D, double_c)
+        update = find_terms(p, residue, residue_d, job.D - 1, double_c)
         total = add(h_star, update)
         h_star = _trim(total, job.T, job.D, job.C)
         # update explains both residues exactly and _trim kept all of it:

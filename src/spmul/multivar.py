@@ -223,11 +223,11 @@ def multivar_product_field(F: MultiPoly, G: MultiPoly, eps: float,
     """Multivariate product over a field with large characteristic:
     classical Kronecker plus the univariate algorithm.
 
-    Requires characteristic > D + 1, D = deg(F_u) + deg(G_u) after
-    substitution, when neither F_u nor G_u wraps modulo X^p - 1 for
+    Requires characteristic > D = deg(F_u) + deg(G_u) after substitution,
+    and when F_u or G_u wraps modulo X^p - 1 (degree >= p) for
     sparse_product's cyclic prime p >= lambda_no_collision(#F*#G, D,
-    mu1/2), mu1 = eps/2; when one wraps (degree >= p), characteristic > D
-    and > 2p (CharacteristicTooSmallError otherwise).  Use
+    mu1/2), mu1 = eps/2, characteristic > 2p too
+    (CharacteristicTooSmallError otherwise).  Use
     multivar_product_smallchar below that.
     """
     return _kronecker_product(F, G, eps, rng, over_field=True)
@@ -238,8 +238,8 @@ def multivar_product_smallchar(F: MultiPoly, G: MultiPoly, eps: float,
     """Multivariate product over F_q or F_{q^s} for any characteristic.
 
     Coefficients are lifted to their integer images (RingSpec.lift, at a
-    base wide enough for the at most min(#F, #G) products that share an
-    exponent), the product is taken over Z, and each coefficient is
+    digit width wide enough for the at most min(#F, #G) products that
+    share an exponent), the product is taken over Z, and each coefficient is
     dropped back into the field.  The intermediate sparsity is the
     structural sparsity of the product rather than its true sparsity.
     """
@@ -249,10 +249,10 @@ def multivar_product_smallchar(F: MultiPoly, G: MultiPoly, eps: float,
     if not ring.is_field:
         raise UnsupportedRingError("input must live over a finite field")
     zz = integers()
-    base = ring.lift_base(min(F.sparsity, G.sparsity))
-    f_z = MultiPoly(zz, F.nvars, tuple((e, ring.lift(c, base)) for e, c in F.terms))
-    g_z = MultiPoly(zz, G.nvars, tuple((e, ring.lift(c, base)) for e, c in G.terms))
+    width = ring.lift_width(min(F.sparsity, G.sparsity))
+    f_z = MultiPoly(zz, F.nvars, tuple((e, ring.lift(c, width)) for e, c in F.terms))
+    g_z = MultiPoly(zz, G.nvars, tuple((e, ring.lift(c, width)) for e, c in G.terms))
     h_z = multivar_product_z(f_z, g_z, eps, rng)
     zero = ring.zero()
     return MultiPoly(ring, F.nvars, tuple(
-        (e, c) for e, v in h_z.terms if (c := ring.drop(v, base)) != zero))
+        (e, c) for e, v in h_z.terms if (c := ring.drop(v, width)) != zero))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RingMismatchError, UnsupportedRingError
-from .rings import RingSpec, add_mul_count
+from .rings import RingSpec, _pack, _unpack, add_mul_count
 
 NEG_INF = float("-inf")
 
@@ -177,23 +177,14 @@ def cyclic_reduce(F: SparsePoly, p: int) -> SparsePoly:
     return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c != zero)))
 
 
-def _pack(values: list[int], nb: int) -> int:
-    return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in values), "little")
-
-
-def _unpack(z: int, nb: int, count: int) -> list[int]:
-    zb = z.to_bytes(count * nb, "little")
-    return [int.from_bytes(zb[k * nb:(k + 1) * nb], "little") for k in range(count)]
-
-
 def dense_cyclic_mul(a: list[int], b: list[int]) -> list[int]:
     """Cyclic convolution of two length-p lists of signed integers.
 
     The linear convolution is one big-integer product of the slot-packed
-    vectors (Kronecker segmentation), and slots >= p are folded back.
-    Each folded slot sums exactly p pair products, so slot width
-    bits(p*Ma*Mb) + 2 cannot overflow even after adding the nonnegativity
-    offsets used for signed input.
+    vectors (Kronecker segmentation, packed by rings._pack), and slots >=
+    p are folded back.  Each folded slot sums exactly p pair products, so
+    slot width bits(p*Ma*Mb) + 2, in whole bytes, cannot overflow even
+    after adding the nonnegativity offsets used for signed input.
     """
     if len(a) != len(b):
         raise ValueError("mismatched cyclic lengths")
@@ -202,8 +193,7 @@ def dense_cyclic_mul(a: list[int], b: list[int]) -> list[int]:
     mb = max(map(abs, b), default=0)
     if ma == 0 or mb == 0:
         return [0] * p
-    slot_bits = (p * ma * mb).bit_length() + 2
-    nb = (slot_bits + 7) // 8
+    nb = ((p * ma * mb).bit_length() + 9) // 8
     slots = _unpack(_pack([v + ma for v in a], nb) * _pack([v + mb for v in b], nb), nb, 2 * p)
     corr = ma * sum(b) + mb * sum(a) + p * ma * mb
     out = [slots[k] + slots[k + p] - corr for k in range(p - 1)]

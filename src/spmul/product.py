@@ -59,10 +59,11 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     coefficient ratios, so they must stay below the characteristic).  The
     operands are reduced modulo X^p - 1 for a prime p in [lam, 2*lam],
     lam = lambda_no_collision(#F*#G, D, mu1/2), D = deg(F) + deg(G).
-    When no operand wraps (deg F < p and deg G < p), exponents stay below
-    D + 1 and the characteristic must exceed D + 1; when one wraps, it
-    must exceed D and 2p.  CharacteristicTooSmallError otherwise: char <=
-    D before any randomness is drawn, the rest once p is.
+    When no operand wraps (deg F < p and deg G < p), exponents stay at
+    most D and the characteristic must exceed D; when one wraps, it must
+    exceed D and 2p.  CharacteristicTooSmallError otherwise: char <= D
+    before any randomness is drawn, char <= 2p once p is drawn and an
+    operand wraps past it.
 
     Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
     under the sparsity guess t, starting at t = max(#F, #G), and checks it
@@ -125,13 +126,13 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     lam = lambda_no_collision(F.sparsity * G.sparsity, D, mu1 / 2.0)
     p = random_prime(lam, rng)
-    # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself
+    # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself,
+    # whose exponents stay <= D < char
     wraps = F.degree >= p or G.degree >= p
     D1 = 2 * p if wraps else D + 1
-    if ring.is_field and ring.char <= D1:
-        bound = "2p" if wraps else "deg F + deg G + 1"
+    if wraps and ring.is_field and ring.char <= D1:
         raise CharacteristicTooSmallError(
-            f"characteristic {ring.char} must exceed {bound} = {D1} for exponent recovery")
+            f"characteristic {ring.char} must exceed 2p = {D1} for exponent recovery")
 
     F_p = cyclic_reduce(F, p)
     G_p = cyclic_reduce(G, p)

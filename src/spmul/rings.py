@@ -7,17 +7,21 @@ Elements are plain Python values so the hot paths stay cheap:
 * extension field    -- ``tuple`` of s ints in ``[0, q)``, little-endian
                         coordinates in the power basis
 
+F_{q^s} products, F_{q^s} integer images and ``poly.dense_cyclic_mul``
+pack nonnegative digits of a fixed byte width into one integer through one
+pair of routines, ``_pack`` and ``_unpack``.
+
 An F_{q^s} product (s != 2; s = 2 is unrolled) is one integer product:
-each factor's residues are packed as base-2^W digits, the packed ints are
-multiplied, and the s - 1 high digits c_i of the result (the coefficients
-of Y^i, i = s .. 2s-2) are folded back as sum c_i * ROW_i, where ROW_i is
-Y^i mod the modulus packed the same way.  The rows are built once per
-field.  The s low digits are then unpacked and reduced mod q once each.
-No digit may carry into its neighbour: a product digit is at most
-s(q-1)^2, and the fold adds at most s-1 terms of s(q-1)^2 * (q-1), so every
-digit stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^W, with W a whole number
-of bytes.  ``drop`` reduces through the same table; the digits it folds
-are residues in [0, q), so its sums meet the same bound.
+each factor's residues are packed as digits of W bytes, the packed ints
+are multiplied, and the s - 1 high digits c_i of the result (the
+coefficients of Y^i, i = s .. 2s-2) are folded back as sum c_i * ROW_i,
+where ROW_i is Y^i mod the modulus packed the same way.  The rows are
+built once per field.  The s low digits are then unpacked and reduced mod
+q once each.  No digit may carry into its neighbour: a product digit is
+at most s(q-1)^2, and the fold adds at most s-1 terms of s(q-1)^2 * (q-1),
+so every digit stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop``
+reduces through the same table; the digits it folds are residues in
+[0, q), so its sums meet the same bound.
 
 :class:`RingSpec` bundles the description with its arithmetic and with
 integer images of its elements (``lift`` / ``drop``), through which one
@@ -48,6 +52,38 @@ _mul_count = 0
 # 8 bytes; arrays hold native byte order, packed ints are little-endian
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 _SWAP = sys.byteorder != "little"
+
+
+def _byte_width(bound: int) -> int:
+    """Bytes per digit for digits up to bound, rounded up to an array item
+    size where one fits."""
+    width = -(-bound.bit_length() // 8)
+    return next((w for w in (1, 2, 4, 8) if w >= width), width)
+
+
+def _pack(digits, width: int) -> int:
+    """Integer with the base-2^(8*width) digits `digits`, least significant
+    first, each in [0, 2^(8*width))."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits), "little")
+    packed = array(code, digits)
+    if _SWAP:
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _unpack(v: int, width: int, count: int):
+    """The count base-2^(8*width) digits of v, least significant first; v
+    must lie in [0, 2^(8*width*count))."""
+    data = v.to_bytes(count * width, "little")
+    code = _TYPECODES.get(width)
+    if code is None:
+        return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    digits = array(code, data)
+    if _SWAP:
+        digits.byteswap()
+    return digits
 
 
 def reset_mul_count() -> None:
@@ -124,14 +160,11 @@ class RingSpec:
             c = top[-1]  # Y * top = c * Y^s + (top shifted up)
             top = tuple((lo + c * y) % q for lo, y in zip((0,) + top[:-1], rows[s]))
         # every digit packed or folded stays below this bound (module
-        # docstring); W is the next whole number of bytes, rounded up to an
-        # array item size where one fits
-        bound = s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1))
-        width = -(-bound.bit_length() // 8)
-        width = next((w for w in (1, 2, 4, 8) if w >= width), width)
+        # docstring)
+        width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_yrows", tuple(rows))
-        object.__setattr__(self, "_packed_rows", tuple(self._pack(r) for r in rows))
+        object.__setattr__(self, "_packed_rows", tuple(_pack(r, width) for r in rows))
 
     # -- structure ---------------------------------------------------
 
@@ -233,52 +266,26 @@ class RingSpec:
             t2 = a1 * b1
             m0, m1 = self.modulus[0], self.modulus[1]
             return ((a0 * b0 - t2 * m0) % q, (a0 * b1 + a1 * b0 - t2 * m1) % q)
-        pa = self._pack(a)
-        return self._fold(pa * (pa if b is a else self._pack(b)))
-
-    def _pack(self, digits) -> int:
-        """Integer with base-2^W digits `digits` (each in [0, 2^W))."""
-        code = _TYPECODES.get(self._width)
-        if code is None:
-            v = 0
-            shift = 8 * self._width
-            for r in reversed(digits):
-                v = (v << shift) | r
-            return v
-        packed = array(code, digits)
-        if _SWAP:
-            packed.byteswap()
-        return int.from_bytes(packed, "little")
-
-    def _digits(self, v: int):
-        """The s base-2^W digits of v, which must lie below 2^(sW)."""
         width = self._width
-        code = _TYPECODES.get(width)
-        if code is None:
-            bits = 8 * width
-            mask = (1 << bits) - 1
-            return [v >> shift & mask for shift in range(0, self.s * bits, bits)]
-        digits = array(code, v.to_bytes(self.s * width, "little"))
-        if _SWAP:
-            digits.byteswap()
-        return digits
+        pa = _pack(a, width)
+        return self._fold(pa * (pa if b is a else _pack(b, width)))
 
     def _fold(self, v: int):
-        """The element of F_{q^s} whose image in Z[Y] has the base-2^W
+        """The element of F_{q^s} whose image in Z[Y] has the W-byte
         digits of v as coefficients (at most 2s - 1 of them, within the
         bound of the module docstring): the s - 1 high digits fold in
         through the reduction table."""
-        s = self.s
-        bits = 8 * self._width * s
-        high = self._digits(v >> bits)  # its top digit is 0 and unused
+        s, width = self.s, self._width
+        bits = 8 * width * s
+        high = _unpack(v >> bits, width, s - 1)
         folded = sum(map(_int_mul, high, self._packed_rows[s:]))
         return self._settle((v & ((1 << bits) - 1)) + folded)
 
     def _settle(self, v: int):
-        """The element of F_{q^s} with residues the s base-2^W digits of v
+        """The element of F_{q^s} with residues the s W-byte digits of v
         reduced mod q."""
         q = self.q
-        return tuple([d % q for d in self._digits(v)])
+        return tuple([d % q for d in _unpack(v, self._width, self.s)])
 
     def pow(self, a, e: int):
         if e < 0:
@@ -327,47 +334,38 @@ class RingSpec:
 
     # -- integer images ----------------------------------------------
     # Z and F_q elements are their own integer images.  An F_{q^s} element
-    # with residues r_i becomes sum r_i * B^i; a sum of products of images
-    # is then the image of the same sum taken in Z[Y], as long as no base-B
-    # digit leaves (-B/2, B/2).  lift_base sizes B for that.
+    # with residues r_i becomes sum r_i * 2^(8*w*i): its residues packed as
+    # digits of w bytes.  A sum of products of images is then the image of
+    # the same sum taken in Z[Y], as long as no digit reaches 2^(8*w).
+    # lift_width sizes w for that.
 
-    def lift_base(self, n: int) -> int | None:
-        """Digit base B for images of which at most n products (minus one
-        image) land in one slot; None where lift and drop are identities."""
+    def lift_width(self, n: int) -> int | None:
+        """Digit width in bytes for images of which at most n products
+        plus one image land in one slot; None where lift and drop are
+        identities."""
         if self.kind != "ext_field":
             return None
-        # each digit of such a sum lies within n*s*(q-1)^2 + q - 1 < B/2
-        return 2 * max(n, 1) * self.s * self.q * self.q
+        # each digit of such a sum is at most n*s*(q-1)^2 + q - 1
+        return _byte_width(max(n, 1) * self.s * (self.q - 1) ** 2 + self.q - 1)
 
-    def lift(self, a, base: int | None) -> int:
-        """Integer image of a ring element at digit base `base`."""
-        if base is None:
-            return a
-        v = 0
-        for r in reversed(a):
-            v = v * base + r
-        return v
+    def lift(self, a, width: int | None) -> int:
+        """Integer image of a ring element at digits of `width` bytes."""
+        return a if width is None else _pack(a, width)
 
-    def drop(self, v: int, base: int | None):
+    def drop(self, v: int, width: int | None):
         """Ring element of integer image v: v itself over Z, v mod q over
-        F_q, and over F_{q^s} the balanced base-B digits of v reduced mod q
-        and the modulus."""
-        if base is None:
+        F_q, and over F_{q^s} the 2s - 1 digits of v reduced mod q and
+        folded through the reduction table."""
+        if width is None:
             return v % self.q if self.q else v
-        q, half = self.q, base // 2
-        folded = 0
-        # digit d of v (balanced: r - half) enters as its residue times the
-        # packed row Y^d mod the modulus
-        for row in self._packed_rows:
-            if not v:
-                break
-            v, r = divmod(v + half, base)
-            folded += (r - half) % q * row
-        # a slot overflowing into its neighbour would widen the digit string
-        # past the 2s-1 coefficients a product in Y can have
-        if v:
+        count = 2 * self.s - 1
+        # a negative image, or a slot overflowing into its neighbour, would
+        # leave the 2s - 1 coefficients a product in Y can have
+        if not 0 <= v < 1 << 8 * width * count:
             raise AssertionError("packed coefficient slot overflow")
-        return self._settle(folded)
+        q = self.q
+        digits = [d % q for d in _unpack(v, width, count)]
+        return self._settle(sum(map(_int_mul, digits, self._packed_rows)))
 
     def residues(self, a) -> tuple[int, ...]:
         """Residue vector of a field element (length s; s = 1 for prime fields)."""

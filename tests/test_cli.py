@@ -209,11 +209,14 @@ class TestCommands:
         assert pinned == []
 
     def test_char_below_degree_bound_falls_back(self, tmp_path, monkeypatch):
-        # q = 101 exceeds the degree 100 but not the bound D + 1 = 101 that
-        # an unwrapped product reads its exponents under
+        # an unwrapped product reads its exponents up to its degree D, so
+        # q = 101 = D + 1 stays on the field path and q = D falls back
         f101 = prime_field(101)
-        f = canonicalize([(0, 1), (50, 2)], f101)
-        assert self._mul_lifts(tmp_path, monkeypatch, f, f) == 1
+        f = canonicalize([(0, 1), (40, 2), (50, 1)], f101)
+        g = canonicalize([(0, 3), (7, 5), (50, 1)], f101)
+        assert self._mul_lifts(tmp_path, monkeypatch, f, g) == 0
+        g = canonicalize([(0, 3), (7, 5), (51, 1)], f101)
+        assert self._mul_lifts(tmp_path, monkeypatch, f, g) == 1
 
     def test_field_mul_adds_no_kronecker_maps(self, tmp_path, monkeypatch):
         # the field path does its own Kronecker maps; the CLI adds none

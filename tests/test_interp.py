@@ -374,11 +374,20 @@ class TestInterpSumSP:
             pytest.fail("field interpolation never succeeded")
 
     def test_characteristic_guard(self):
+        # exponents are read up to D - 1, so q = D is the smallest q allowed
         f5 = prime_field(5)
         f = canonicalize([(0, 1), (3, 1)], f5)
         job_args = ([(f, f)], 4, 7, None, 0.25)
         with pytest.raises(CharacteristicTooSmallError):
             interp_sum_sp(InterpJob(*job_args), RandomSource(0))
+        g = canonicalize([(0, 1), (2, 1)], f5)
+        for seed in range(5):
+            out = interp_sum_sp(InterpJob([(g, g)], 4, 5, None, 0.25), RandomSource(seed))
+            assert out.degree < 5
+            if out == naive_mul(g, g):
+                break
+        else:
+            pytest.fail("interpolation at q = D never succeeded")
 
     def test_job_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from spmul import (RingMismatchError, UnsupportedRingError, add, canonicalize,
                    eval_cyclic_product, eval_sparse, ext_field, integers,
                    monomial, naive_mul, negate, prime_field, mul_count,
                    reset_mul_count, scale, sub, zero_poly)
+from spmul import poly
 from spmul.poly import NEG_INF, fixed_base_powers
 from spmul.rings import _pow_cost
 
@@ -173,9 +174,9 @@ def _vec(f, p):
 def _lifted_mul(ring, a, b):
     """dense_cyclic_mul on integer images (RingSpec.lift), dropped back into
     the ring: how cyclic_product_residue convolves over fields."""
-    base = ring.lift_base(len(a))  # at most p products land in one slot
-    out = dense_cyclic_mul([ring.lift(c, base) for c in a], [ring.lift(c, base) for c in b])
-    return [ring.drop(v, base) for v in out]
+    width = ring.lift_width(len(a))  # at most p products land in one slot
+    out = dense_cyclic_mul([ring.lift(c, width) for c in a], [ring.lift(c, width) for c in b])
+    return [ring.drop(v, width) for v in out]
 
 
 class TestDenseCyclicMul:
@@ -234,6 +235,22 @@ class TestDenseCyclicMul:
             lhs = cyclic_reduce(naive_mul(fa, fb), p)
             prod = dense_cyclic_mul(_vec(cyclic_reduce(fa, p), p), _vec(cyclic_reduce(fb, p), p))
             assert lhs == canonicalize(enumerate(prod), ZZ)
+
+    @pytest.mark.parametrize("bound, width", [(10, 2), (300, 3)])
+    def test_both_packer_paths_vs_schoolbook(self, monkeypatch, bound, width):
+        # p * bound^2 sets the slot width: 2 bytes packs through array,
+        # 3 bytes through bytes
+        widths = []
+        real = poly._pack
+        monkeypatch.setattr(poly, "_pack", lambda d, w: widths.append(w) or real(d, w))
+        rnd = random.Random(bound)
+        p = 7
+        for _ in range(20):
+            a = [rnd.randint(-bound, bound) for _ in range(p)]
+            b = [rnd.randint(-bound, bound) for _ in range(p)]
+            a[0] = b[0] = bound
+            assert dense_cyclic_mul(a, b) == cyclic_convolve_oracle(a, b, ZZ)
+        assert set(widths) == {width}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,16 @@ G_EX = canonicalize([(13, 3), (8, 5), (0, 3)], ZZ)
 H_EX = canonicalize([(14, 1), (7, -2), (0, 2)], ZZ)
 
 
+class _NoDraws(RandomSource):
+    """RandomSource that fails the test on any draw."""
+
+    def randrange(self, n):
+        pytest.fail("randomness drawn")
+
+    def randint(self, a, b):
+        pytest.fail("randomness drawn")
+
+
 def _watch_jobs(monkeypatch) -> list:
     """List that receives every InterpJob sparse_product interpolates."""
     jobs = []
@@ -385,9 +395,9 @@ class TestSparsityFloor:
 class TestCharacteristicBoundary:
     # Exponents are read back as coefficient ratios, so they must stay
     # below the characteristic.  A product whose operands do not wrap mod
-    # X^p - 1 reads them under D + 1 (D = deg F + deg G) and needs
-    # char > D + 1; a wrapped one reads them under D and 2p and needs
-    # char > 2p too.  Each boundary is tested on both sides.
+    # X^p - 1 reads them up to D = deg F + deg G and needs char > D; a
+    # wrapped one reads them under D and 2p and needs char > 2p too.  Each
+    # boundary is tested on both sides.
     EPS = 1e-13
 
     @staticmethod
@@ -397,16 +407,20 @@ class TestCharacteristicBoundary:
         return tuple(canonicalize([(e, rnd.randrange(1, Q62)) for e in rnd.sample(range(emax), t)],
                                   fq) for _ in range(2))
 
-    def test_unwrapped_boundary_is_d_plus_one(self):
+    def test_unwrapped_boundary_is_d_plus_one(self, monkeypatch):
         f101 = prime_field(101)
-        a = canonicalize([(0, 1), (50, 2)], f101)
-        b = canonicalize([(0, 3), (49, 1)], f101)
+        a = canonicalize([(0, 1), (40, 2), (50, 1)], f101)
+        b = canonicalize([(0, 3), (7, 5), (50, 1)], f101)
+        c = canonicalize([(0, 1), (51, 2)], f101)
+        jobs = _watch_jobs(monkeypatch)
         for seed in range(5):
-            # D = 99: q = D + 2
+            # D = 100: q = D + 1 computes on the field path
+            jobs.clear()
             assert sparse_product(a, b, PARAMS, RandomSource(seed)) == naive_mul(a, b)
-            # D = 100: q = D + 1
-            with pytest.raises(CharacteristicTooSmallError, match=r"deg F \+ deg G \+ 1 = 101"):
-                sparse_product(a, a, PARAMS, RandomSource(seed))
+            assert jobs and all(job.D == 101 for job in jobs)
+            # D = 101: q = D raises before any randomness is drawn
+            with pytest.raises(CharacteristicTooSmallError, match=r"deg F \+ deg G = 101"):
+                sparse_product(c, b, PARAMS, _NoDraws())
 
     def test_wrapped_boundary_is_2p(self, monkeypatch):
         # the cyclic prime is pinned on either side of q/2 = 105.5; deg F =

@@ -6,7 +6,7 @@ from spmul import (RandomSource, RingSpec, UnsupportedRingError, ext_field,
                    integers, irreducible_poly, mul_count, prime_field,
                    reset_mul_count)
 from spmul.arith import canonical_irreducible
-from spmul.rings import _pow_cost
+from spmul.rings import _pack, _pow_cost, _unpack
 
 from helpers import Q62, ext_mul_oracle, ext_reduce_oracle
 
@@ -104,6 +104,22 @@ def packed_field(request):
     return ext_field(q, s, _moduli(q, s)[kind])
 
 
+class TestDigitPacker:
+    # widths 1, 2, 4 and 8 go through array, 3, 9 and 24 through bytes
+    WIDTHS = (1, 2, 3, 4, 8, 9, 24)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_round_trip(self, width):
+        rnd = random.Random(width)
+        top = (1 << 8 * width) - 1
+        for count in (1, 2, 7, 40):
+            digits = [rnd.randrange(top + 1) for _ in range(count)]
+            digits[0], digits[-1] = top, 0  # extremes, and a vanishing top digit
+            v = _pack(digits, width)
+            assert v == sum(d << 8 * width * i for i, d in enumerate(digits))
+            assert list(_unpack(v, width, count)) == digits
+
+
 class TestPackedExtMul:
     def test_random_products_match_schoolbook(self, packed_field):
         f, rnd = packed_field, random.Random(11)
@@ -125,14 +141,14 @@ class TestPackedExtMul:
 
     def test_drop_matches_schoolbook_reduction(self, packed_field):
         f, rnd = packed_field, random.Random(12)
-        base = f.lift_base(4)
+        width = f.lift_width(4)
         top = (f.q - 1,) * f.s
         for _ in range(10):
             operands = [tuple(rnd.randrange(f.q) for _ in range(f.s)) for _ in range(8)]
             operands[:2] = [top, top]
-            image = sum(f.lift(a, base) * f.lift(b, base)
+            image = sum(f.lift(a, width) * f.lift(b, width)
                         for a, b in zip(operands[::2], operands[1::2]))
-            image -= f.lift(operands[0], base)
+            image += f.lift(f.neg(operands[0]), width)
             want = [0] * (2 * f.s - 1)
             for a, b in zip(operands[::2], operands[1::2]):
                 for i, ai in enumerate(a):
@@ -140,7 +156,20 @@ class TestPackedExtMul:
                         want[i + j] += ai * bj
             for i, ai in enumerate(operands[0]):
                 want[i] -= ai
-            assert f.drop(image, base) == ext_reduce_oracle(want, f)
+            assert f.drop(image, width) == ext_reduce_oracle(want, f)
+
+    def test_drop_rejects_negative_and_overflowing_images(self, packed_field):
+        f = packed_field
+        width = f.lift_width(4)
+        top = f.lift((f.q - 1,) * f.s, width)
+        with pytest.raises(AssertionError, match="slot overflow"):
+            f.drop(-top, width)
+        # a carry out of digit 2s - 2 lands in digit 2s - 1
+        edge = 1 << 8 * width * (2 * f.s - 1)
+        assert f.drop(edge - 1, width) == ext_reduce_oracle(
+            [(1 << 8 * width) - 1] * (2 * f.s - 1), f)
+        with pytest.raises(AssertionError, match="slot overflow"):
+            f.drop(edge, width)
 
     def test_reduction_rows_are_powers_of_the_generator(self, packed_field):
         f = packed_field
