@@ -18,6 +18,6 @@ from .poly import (SparsePoly, add, canonicalize, cyclic_reduce,
 from .product import ProductParams, sparse_product, sumset_size
 from .rings import (RingSpec, add_mul_count, ext_field, integers, mul_count,
                     prime_field, reset_mul_count)
-from .verify import VerifyParams, eval_cyclic_product, verify_sp, verify_sum_sp
+from .verify import eval_cyclic_product, verify_sp, verify_sum_sp
 
 __version__ = "0.1.0"

@@ -308,21 +308,22 @@ def is_irreducible(coeffs, q: int) -> bool:
     return True
 
 
-def irreducible_poly(q: int, s: int, eps: float, rng: RandomSource) -> tuple[int, ...]:
+def irreducible_poly(q: int, s: int, rng: RandomSource) -> tuple[int, ...]:
     """Random monic irreducible polynomial of degree s over F_q,
     little-endian coefficient tuple of length s+1.
 
     Candidates are uniform random monic polynomials checked with the
-    deterministic test, so the output is always irreducible; eps only
-    sizes the retry budget.
+    deterministic test, so the output is always irreducible.  At least a
+    1/(2s) share of them is irreducible, so the retry budget of 128*s
+    candidates runs out with probability at most e^-64; exhausting it
+    raises :class:`RetryBudgetError` (a pathological RNG, as in
+    :func:`random_prime`).
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    budget = max(32, ceil_bound(2 * s * math.log(2.0 / eps)))
+    budget = 128 * s
     for _ in range(budget):
         coeffs = [rng.randrange(q) for _ in range(s)] + [1]
         if is_irreducible(coeffs, q):

@@ -4,8 +4,9 @@ in quasi-linear time.
 The test never forms the product: it reduces everything modulo X^p - 1
 for a random prime p, evaluates the reduced product at a random field
 point via a circulant recurrence, and compares against the reduced H.
-A true identity always verifies; a false one survives with probability
-at most eps.
+A true identity always verifies, whatever eps is; a false one survives
+with probability at most eps, which sizes the check (_split) and nothing
+else.
 
 Every identity takes one check: one prime p, at most one extension field
 and one point.  Over the integers the evaluation is never carried out in
@@ -20,7 +21,6 @@ F_q coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 from .arith import RandomSource, ceil_bound, irreducible_poly, random_prime
@@ -32,49 +32,20 @@ from .rings import RingSpec, prime_field
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class VerifyParams:
-    """Failure-budget split constants for one verification run.
+def _split(eps: float, over_z: bool) -> tuple[float, float]:
+    """The constants (c1, c2) that size one check at failure budget eps.
 
     A check fails to reject a false identity only if the difference
-    vanishes modulo X^p - 1 (at most 10/(3*c1)), or, over Z, if q divides
-    every coefficient of the reduced difference (at most 10/(3*c2)), or
-    if the random point is a root (at most 1/c2).  `generic` splits eps
-    between the first and last sources, `for_integers` between all three.
+    vanishes modulo X^p - 1 (probability at most 10/(3*c1)), or, over Z,
+    if the coefficient prime q divides every coefficient of the reduced
+    difference (at most 10/(3*c2)), or if the random point is a root (at
+    most 1/c2).  Over Z the three sources get eps/3 + eps/3 + eps/10,
+    so c1 = c2 = 10/eps; over a field the first and last get
+    eps/2 + eps/2, so c1 = 20/(3*eps) and c2 = 2/eps.
     """
-
-    eps: float
-    c1: float
-    c2: float
-    path: str = "generic"
-
-    def validate(self) -> None:
-        eps, c1, c2 = self.eps, self.c1, self.c2
-        slack = 1e-9
-        if self.path == "generic":
-            ok = c1 > 10 / 3 and c2 > 1 and \
-                10 / (3 * c1) + (1 - 10 / (3 * c1)) / c2 <= eps + slack
-        elif self.path == "integers":
-            ok = c1 >= 10 / 3 and c2 >= 10 / 3 and \
-                1 - (1 - 10 / (3 * c1)) * (1 - 10 / (3 * c2)) * (1 - 1 / c2) <= eps + slack
-        else:
-            raise ValueError(f"unknown path {self.path!r}")
-        if not ok:
-            raise ValueError(f"constants do not meet the eps budget on the {self.path} path")
-
-    @classmethod
-    def generic(cls, eps: float) -> "VerifyParams":
-        # 10/(3c1) <= eps/2 and (1 - .)/c2 <= eps/2
-        p = cls(eps, max(4.0, 20.0 / (3.0 * eps)), max(2.0, 2.0 / eps), "generic")
-        p.validate()
-        return p
-
-    @classmethod
-    def for_integers(cls, eps: float) -> "VerifyParams":
-        # three failure sources at eps/3, eps/3, eps/10
-        p = cls(eps, 10.0 / eps, 10.0 / eps, "integers")
-        p.validate()
-        return p
+    if over_z:
+        return 10.0 / eps, 10.0 / eps
+    return 20.0 / (3.0 * eps), 2.0 / eps
 
 
 def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
@@ -173,7 +144,7 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     """The one evaluation core: True iff sum F_i G_i and H agree modulo
     X^p - 1 at a random point of a large-enough field.
 
-    The budget split is `for_integers` over Z and `generic` over a field;
+    eps sizes the check and nothing else: (c1, c2) = _split(eps, over Z);
     p is drawn from [lam, 2*lam] with lam = max(21, ceil(c1 * sparsity_sum
     * ln D)).  The point lives in a random F_q over Z, in the ring itself
     when it has more than c2*p points, and otherwise in F_{q^S}, S least
@@ -200,29 +171,29 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     polynomial of total degree at most p in (alpha, beta_1 .. beta_{s-1}),
     which vanishes at a uniform point with probability at most
     p/|F_{q^S}| < 1/c2 (Schwartz-Zippel), the last share of the budget
-    split.  A true identity has every D_j = 0, so it always passes.
+    split.  A true identity has every D_j = 0, so it always passes; only
+    the random searches for p, q and the modulus of F_{q^S} can fail, each
+    with a RetryBudgetError of probability at most e^-64 whatever eps is.
     """
     ring = H.ring
     ln_d = math.log(max(D, 2))
-    params = VerifyParams.for_integers(eps) if ring.kind == "integers" \
-        else VerifyParams.generic(eps)
-    p = random_prime(max(21, ceil_bound(params.c1 * sparsity_sum * ln_d)), rng)
+    c1, c2 = _split(eps, ring.kind == "integers")
+    p = random_prime(max(21, ceil_bound(c1 * sparsity_sum * ln_d)), rng)
 
     field = ring
     if ring.kind == "integers":
         # ln of the height bound via bit length; overestimating is safe
         ln_height = _delta_height_bound(pairs, H).bit_length() * _LN2
-        mu = ceil_bound(params.c2, max(p, math.ceil(ln_height)))
+        mu = ceil_bound(c2, max(p, math.ceil(ln_height)))
         field = prime_field(random_prime(mu, rng))
-    elif ring.size <= params.c2 * p:
+    elif ring.size <= c2 * p:
         s = ring.s + 1
-        while ring.q ** s <= params.c2 * p:
+        while ring.q ** s <= c2 * p:
             s += 1
         # irreducible_poly proves its draw irreducible, so the field is
-        # built directly rather than through ext_field's second test; eps
-        # only sizes its retry budget
+        # built directly rather than through ext_field's second test
         field = RingSpec("ext_field", q=ring.q, s=s,
-                         modulus=irreducible_poly(ring.q, s, eps, rng))
+                         modulus=irreducible_poly(ring.q, s, rng))
 
     alpha = field.rand_elem(rng)
     if ring.kind == "ext_field" and field != ring:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spmul import (RandomSource, first_primes, irreducible_poly, is_prime,
-                   lambda_no_collision, lambda_nonzero, random_prime)
+from spmul import (RandomSource, RetryBudgetError, first_primes, irreducible_poly,
+                   is_prime, lambda_no_collision, lambda_nonzero, random_prime)
 from spmul import arith
 from spmul.arith import canonical_irreducible, ceil_bound, is_irreducible
 
@@ -169,8 +169,7 @@ class TestLambdaFormulas:
         # bounds past the float range raise ValueError, not OverflowError
         tiny = 5e-324
         for call in (lambda: lambda_no_collision(1, 10, tiny),
-                     lambda: lambda_nonzero(1, 10, tiny),
-                     lambda: irreducible_poly(2, 3, tiny, RandomSource(0))):
+                     lambda: lambda_nonzero(1, 10, tiny)):
             with pytest.raises(ValueError):
                 call()
 
@@ -223,24 +222,24 @@ class TestIrreduciblePoly:
         irreducible = [f for f in quadratics if is_irreducible(list(f), 2)]
         assert irreducible == [(1, 1, 1)]
         for seed in range(5):
-            assert irreducible_poly(2, 2, 0.1, RandomSource(seed)) == (1, 1, 1)
+            assert irreducible_poly(2, 2, RandomSource(seed)) == (1, 1, 1)
 
     def test_linear_always_irreducible(self):
         for seed in range(5):
-            m = irreducible_poly(3, 1, 0.1, RandomSource(seed))
+            m = irreducible_poly(3, 1, RandomSource(seed))
             assert len(m) == 2 and m[-1] == 1
 
     def test_degree_3_over_f5_no_roots(self):
         # a cubic is reducible iff it has a root; brute-force root search
         for seed in range(10):
-            m = irreducible_poly(5, 3, 0.1, RandomSource(seed))
+            m = irreducible_poly(5, 3, RandomSource(seed))
             assert m[-1] == 1 and len(m) == 4
             for x in range(5):
                 assert sum(c * x ** i for i, c in enumerate(m)) % 5 != 0
 
     def test_no_roots_when_s_at_least_2(self):
         for q, s, seed in [(3, 2, 0), (7, 4, 1), (11, 3, 2), (2, 8, 3)]:
-            m = irreducible_poly(q, s, 0.1, RandomSource(seed))
+            m = irreducible_poly(q, s, RandomSource(seed))
             for x in range(q):
                 assert sum(c * pow(x, i, q) for i, c in enumerate(m)) % q != 0
 
@@ -269,6 +268,21 @@ class TestIrreduciblePoly:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            irreducible_poly(4, 2, 0.1, RandomSource(0))
+            irreducible_poly(4, 2, RandomSource(0))
         with pytest.raises(ValueError):
-            irreducible_poly(5, 0, 0.1, RandomSource(0))
+            irreducible_poly(5, 0, RandomSource(0))
+
+    @pytest.mark.parametrize("q, s", [(2, 2), (3, 5), (101, 3)])
+    def test_budget_is_128_s_candidates(self, q, s):
+        # every draw is 0, so every candidate is Y^s, reducible for s >= 2
+        class Zeros(RandomSource):
+            draws = 0
+
+            def randrange(self, n):
+                self.draws += 1
+                return 0
+
+        rng = Zeros()
+        with pytest.raises(RetryBudgetError, match=f"after {128 * s} draws"):
+            irreducible_poly(q, s, rng)
+        assert rng.draws == 128 * s * s  # s coefficient draws per candidate

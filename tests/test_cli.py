@@ -24,6 +24,9 @@ FG_TEXT = ("ring int\nvars 1\n"
            "term 6 0\nterm 6 7\nterm 10 8\nterm 6 13\nterm 3 14\n"
            "term 10 15\nterm 6 20\nterm 5 22\nterm 3 27\n")
 
+F9_A_TEXT = "field 3 2\nvars 1\nterm 1,2 0\nterm 2,0 3\nterm 1,1 7\nterm 0,1 12\n"
+F9_B_TEXT = "field 3 2\nvars 1\nterm 2,2 1\nterm 1,0 5\nterm 0,2 9\nterm 1,1 20\n"
+
 
 class TestParseFormat:
     def test_parse_example_polynomial(self):
@@ -108,6 +111,17 @@ class TestCommands:
                           "ring int\nvars 1\nterm 6 0\nterm 1 27\n")
         assert run_command(["verify", a, b, bad]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_verify_true_f9_triple_at_large_eps(self, tmp_path, capsys):
+        # a true identity verifies at any eps: the modulus search for the
+        # F_{3^10} this check evaluates in has a budget that eps does not size
+        a = self._write(tmp_path, "a.poly", F9_A_TEXT)
+        b = self._write(tmp_path, "b.poly", F9_B_TEXT)
+        h = str(tmp_path / "h.poly")
+        assert run_command(["mul", "--naive", a, b, "-o", h]) == 0
+        capsys.readouterr()
+        assert run_command(["verify", a, b, h, "--epsilon", "0.3", "--seed", "6"]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
 
     def test_naive_and_default_byte_identical(self, tmp_path):
         rnd = random.Random(3)

@@ -92,7 +92,7 @@ PACKED_CASES = ((2, 3), (3, 5), (3, 37), (5, 26), (Q62, 3))
 def _moduli(q, s):
     """A dense random modulus and a sparse one, the canonical modulus
     (the trinomial Y^3 + Y + 5 for Q62)."""
-    return {"dense": irreducible_poly(q, s, 0.01, RandomSource(q + s)),
+    return {"dense": irreducible_poly(q, s, RandomSource(q + s)),
             "sparse": canonical_irreducible(q, s)}
 
 

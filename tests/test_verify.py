@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spmul import (RandomSource, UnsupportedRingError, VerifyParams, add,
+from spmul import (RandomSource, UnsupportedRingError, add,
                    canonicalize, cyclic_reduce, derivative, eval_cyclic_product,
                    ext_field, eval_sparse, integers, monomial, mul_count,
                    naive_mul, negate, prime_field, reset_mul_count, scale,
@@ -100,15 +100,17 @@ class TestEvalCyclicProduct:
             assert mul_count() <= bound
 
 
-class TestVerifyParams:
+class TestBudgetSplit:
     def test_budgets_hold_across_eps(self):
-        for eps in (1e-7, 1e-4, 0.01, 0.1, 0.5, 0.9):
-            VerifyParams.generic(eps).validate()
-            VerifyParams.for_integers(eps).validate()
-
-    def test_rejects_bad_constants(self):
-        with pytest.raises(ValueError):
-            VerifyParams(0.01, c1=4.0, c2=1.5, path="generic").validate()
+        # the failure sources of one check (see verify._split) stay within eps
+        slack = 1e-9
+        for eps in (2.0 ** -60, 1e-7, 1e-4, 0.01, 0.1, 0.5, 0.9, 0.999):
+            c1, c2 = verify._split(eps, False)
+            assert c1 > 10 / 3 and c2 > 1
+            assert 10 / (3 * c1) + (1 - 10 / (3 * c1)) / c2 <= eps + slack
+            c1, c2 = verify._split(eps, True)
+            assert c1 >= 10 / 3 and c2 >= 10 / 3
+            assert 1 - (1 - 10 / (3 * c1)) * (1 - 10 / (3 * c2)) * (1 - 1 / c2) <= eps + slack
 
 
 class TestVerifySP:
@@ -291,7 +293,7 @@ class TestEvaluationRoutes:
         # X*X = X^2 at eps = 0.9 keeps lambda at its floor of 21; F_89
         # itself has enough points exactly for the draws p from [21, 42]
         # with 89 > c2*p, and an extension F_{89^s} hosts the rest
-        c2 = VerifyParams.generic(0.9).c2
+        c2 = verify._split(0.9, False)[1]
         seen = _watch_evaluations(monkeypatch)
         f89 = prime_field(89)
         x, x2 = monomial(f89, 1, 1), monomial(f89, 2, 1)
@@ -327,7 +329,7 @@ class TestEvaluationRoutes:
                 h = naive_mul(f, g)
                 seen.clear()
                 assert verify_sp(f, g, h, eps, RandomSource(seed))
-                lam = max(21, math.ceil(VerifyParams.generic(eps).c1
+                lam = max(21, math.ceil(verify._split(eps, False)[0]
                                         * (f.sparsity * g.sparsity + h.sparsity)
                                         * math.log(max(h.degree, 2))))
                 out += [(r, p, 2 * lam) for r, p in seen]
@@ -355,6 +357,27 @@ class TestEvaluationRoutes:
             assert len({(ring, p) for ring, p, _ in evaluated}) == 1
             ring = evaluated[0][0]
             assert ring.kind == "ext_field" and ring.q == 3 and ring.s > 2
+
+    def test_integer_split(self, monkeypatch):
+        # over Z all three failure sources share eps: c1 = c2 = 10/eps, so
+        # p comes from [lam, 2*lam] and the coefficient prime q >= c2*p
+        seen = _watch_evaluations(monkeypatch)
+        rnd = random.Random(16)
+        eps = 0.01
+        for seed in range(30):
+            f = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
+            g = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
+            h = naive_mul(f, g)
+            if seed % 2:
+                h = _perturbed(h, 1)
+            seen.clear()
+            assert verify_sp(f, g, h, eps, RandomSource(seed)) == (seed % 2 == 0)
+            lam = max(21, math.ceil((10 / eps) * (f.sparsity * g.sparsity + h.sparsity)
+                                    * math.log(max(h.degree, 2))))
+            assert len(seen) == 1
+            ring, p = seen[0]
+            assert lam <= p <= 2 * lam
+            assert ring.kind == "prime_field" and ring.q >= (10 / eps) * p
 
 
 def _perturbed(H, err):
@@ -397,13 +420,27 @@ class TestSmallExtensionField:
             g = rand_sparse(rnd, ring, 5, 2000)
             assert verify_sp(f, g, naive_mul(f, g), 0.01, RandomSource(i))
 
+    def test_true_f9_triples_at_large_eps_never_raise(self):
+        # a large eps must not shrink the modulus search: a true identity
+        # verifies at any eps
+        f9 = ext_field(3, 2)
+        rnd = random.Random(124)
+
+        def four_terms():
+            return canonicalize([(e, (rnd.randrange(3), rnd.randrange(1, 3)))
+                                 for e in rnd.sample(range(40), 4)], f9)
+
+        for seed in range(300):
+            f, g = four_terms(), four_terms()
+            assert verify_sp(f, g, naive_mul(f, g), 0.3, RandomSource(seed))
+
     def test_one_extension_draw_per_check(self, monkeypatch):
         seen = _watch_evaluations(monkeypatch)
         moduli = []
         real = verify.irreducible_poly
 
-        def irreducible_poly(q, s, eps, rng):
-            moduli.append(real(q, s, eps, rng))
+        def irreducible_poly(q, s, rng):
+            moduli.append(real(q, s, rng))
             return moduli[-1]
 
         monkeypatch.setattr(verify, "irreducible_poly", irreducible_poly)
