@@ -195,12 +195,12 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
     return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
 
-def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
-                           limit: int | None = None):
+def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int):
     """(H mod X^p - 1, H' mod X^p - 1) for H = sum F_i*G_i - minus, from one
-    pass over the term pairs and without the full products.  Every F_i, G_i
-    and minus must share one ring (RingMismatchError otherwise), which the
-    residues live in.
+    pass over the term pairs and without the full products.  interp_sum_sp
+    passes its running h* as minus and its overflow bound as limit.  Every
+    F_i, G_i and minus must share one ring (RingMismatchError otherwise),
+    which the residues live in.
 
     Each operand's terms are grouped into slots r = e mod p carrying
     c = sum c_j and d = sum e_j*c_j.  A pair of slots (r1, r2) stands for
@@ -220,8 +220,7 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    ring = _same_ring(*(F for pair in pairs for F in pair),
-                      *(() if minus is None else (minus,)))
+    ring = _same_ring(*(F for pair in pairs for F in pair), minus)
     slotted = [(_slot_sums(F, p), _slot_sums(G, p)) for F, G in pairs]
     work = sum(len(fs) * len(gs) for fs, gs in slotted)
     # a slot of F_i meets at most one slot of G_i in any one slot, and a
@@ -259,11 +258,10 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
                         acc[k] = c1 * c2
                         dacc[k] = d1 * c2 + c1 * d2
         add_mul_count(3 * work)
-    if minus is not None:
-        # images have nonnegative digits, so minus enters negated
-        for r, c, d in _slot_sums(minus, p):
-            acc[r] = acc.get(r, 0) + ring.lift(ring.neg(c), width)
-            dacc[r] = dacc.get(r, 0) + ring.lift(ring.neg(d), width)
+    # images have nonnegative digits, so minus enters negated
+    for r, c, d in _slot_sums(minus, p):
+        acc[r] = acc.get(r, 0) + ring.lift(ring.neg(c), width)
+        dacc[r] = dacc.get(r, 0) + ring.lift(ring.neg(d), width)
 
     zero = ring.zero()
     drop = ring.drop if ring.is_field else None
@@ -273,8 +271,8 @@ def cyclic_product_residue(pairs, minus: SparsePoly | None, p: int,
         if drop is not None:
             items = ((k, drop(v, width)) for k, v in items)
         terms = [((k - shift) % p if shift else k, c) for k, c in items if c != zero]
-        if limit is not None and len(terms) > limit:
-            raise SparsityBoundError(len(terms) - (0 if minus is None else minus.sparsity))
+        if len(terms) > limit:
+            raise SparsityBoundError(len(terms) - minus.sparsity)
         terms.sort()
         return SparsePoly(ring, tuple(terms))
 

@@ -5,12 +5,14 @@ Classical Kronecker substitution encodes an exponent vector as base-d
 digits of one univariate exponent, turning a multivariate product into a
 univariate one without changing sparsity or height.  Randomized
 substitution x_i -> X^(s_i) trades injectivity for much smaller degrees.
-The sparsity estimate needs no product at all: it counts the terms of
-F_s*G_s mod X^p - 1 for a few random substitutions s and primes p, one
-cyclic residue walk each.  Both maps only merge terms, so the largest
-count never exceeds the true sparsity, and with p and the substitution
-box large enough few terms merge.  Small characteristic is handled by
-lifting coefficients to Z, multiplying there, and reducing back.
+The sparsity estimate forms no product of F and G: for a few random
+substitutions s and primes p it counts the terms of F_s*G_s mod X^p - 1,
+one schoolbook product of the substituted operands, reduced modulo
+X^p - 1, at ceil(log2(1/eps))*#F*#G ring mults in all.  Both maps only
+merge terms, so the largest count never exceeds the true sparsity, and
+with p and the substitution box large enough few terms merge.  Small
+characteristic is handled by lifting coefficients to Z, multiplying
+there, and reducing back.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, ceil_bound, lambda_nonzero, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
-from .interp import cyclic_product_residue
-from .poly import SparsePoly, canonicalize
+from .poly import SparsePoly, canonicalize, cyclic_reduce, naive_mul
 from .product import ProductParams, sparse_product
 from .rings import RingSpec, integers
 
@@ -143,7 +144,7 @@ def randomized_kronecker(F: MultiPoly, s_vec) -> SparsePoly:
 
 def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
                       rng: RandomSource) -> int:
-    """Estimate #(F*G) within a factor lam, without forming any product.
+    """Estimate #(F*G) within a factor lam, without forming F*G.
 
     The return value never exceeds ceil(lam * #(FG)) (lam * #(FG) for an
     integer lam); it is at least #(FG) with probability >= 1 - eps, over
@@ -154,8 +155,10 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
     [0, n_box)^n with n_box = ceil(4*(#F*#G - 1) / (1 - 1/lam)), then a
     prime p from [L, 2L] with L = lambda_nonzero(#F*#G, D_s, delta),
     delta = (1 - 1/lam)/2 and D_s = max(2, deg F_s + deg G_s + 1), and
-    counts the terms of F_s*G_s mod X^p - 1 (one cyclic_product_residue
-    walk); best is the largest count, and the estimate is ceil(lam*best).
+    counts the terms of F_s*G_s mod X^p - 1, one schoolbook product of the
+    substituted operands, reduced modulo X^p - 1; best is the largest
+    count, and the estimate is ceil(lam*best), at ceil(log2(1/eps))*#F*#G
+    ring mults at most.
 
     Upper bound.  Substitution x_i -> X^(s_i) and reduction mod X^p - 1
     are ring homomorphisms that only merge terms, so every count is at
@@ -192,7 +195,7 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
         s_vec = tuple(rng.randrange(n_box) for _ in range(F.nvars))
         F_s, G_s = randomized_kronecker(F, s_vec), randomized_kronecker(G, s_vec)
         p = random_prime(lambda_nonzero(nfng, max(2, F_s.degree + G_s.degree + 1), delta), rng)
-        best = max(best, cyclic_product_residue([(F_s, G_s)], None, p)[0].sparsity)
+        best = max(best, cyclic_reduce(naive_mul(F_s, G_s), p).sparsity)
     return ceil_bound(lam * best)
 
 

@@ -127,9 +127,10 @@ def scale(F: SparsePoly, c) -> SparsePoly:
 
 
 def naive_mul(F: SparsePoly, G: SparsePoly) -> SparsePoly:
-    """Schoolbook product: all #F*#G term products, merged.
+    """Schoolbook product: all #F*#G term products, one ring mult each, merged.
 
-    Exact; the correctness oracle for every other multiplication path.
+    Exact; the correctness oracle for every other multiplication path, and
+    the product sparsity_estimate reduces modulo X^p - 1 on each draw.
     """
     ring = _same_ring(F, G)
     acc: dict = {}

@@ -9,7 +9,7 @@ neither operand has degree >= p, the reduction changes nothing, so that
 interpolant is F*G itself and is returned as soon as it passes.
 Otherwise the derivative's residue is interpolated and verified too, and
 the terms of F*G are read off the verified residue pair.  mu1 budgets a
-wrong output (sparse_product counts how the checks spend it); the
+wrong output (sparse_product's checks split it by a union bound); the
 doubling loop stays small with probability at least 1 - mu2.
 """
 
@@ -27,8 +27,8 @@ from .verify import verify_sp, verify_sum_sp
 
 @dataclass(frozen=True)
 class ProductParams:
-    """Failure budgets: mu1 for a wrong product (sparse_product counts how
-    its checks spend it), mu2 for the doubling loop overshooting."""
+    """Failure budgets: mu1 for a wrong product (sparse_product's checks
+    split it by a union bound), mu2 for the doubling loop overshooting."""
 
     mu1: float
     mu2: float
@@ -67,8 +67,8 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
     under the sparsity guess t, starting at t = max(#F, #G), and checks it
-    with verify_sp at eps = mu1/2.  The interpolation jobs only stop on
-    residues they explain (interp), so these checks are the certificate.
+    with verify_sp.  The interpolation jobs only stop on residues they
+    explain (interp), so these checks are the certificate.
 
     A job whose residue overflows raises SparsityBoundError(floor), a
     proven lower bound on the sparsity of its target (interp_sum_sp).  That
@@ -83,27 +83,21 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     No operand wraps: F_p = F and G_p = G, so h1 interpolates F*G itself,
     under its true degree bound D + 1, and is returned once its check
     passes; no h2 job runs and no p can collide, since nothing was
-    reduced.  A wrong output needs a wrong h1 accepted, so the budget
-    spent is mu1/2 per h1 check: mu1/2 when the first guess checked
-    passes, and within mu1 while at most two guesses are checked.  A
-    guess whose job raised is neither checked nor charged.
-
-    An operand wraps: h1 is a residue of degree < 2p, and once it passes,
-    h2 = (F*G)' mod X^p - 1 is interpolated and checked with verify_sum_sp
-    at eps = mu1/2; the terms of F*G are read off the pair.  The same
+    reduced.  An operand wraps: h1 is a residue of degree < 2p, and once
+    it passes, h2 = (F*G)' mod X^p - 1 is interpolated and checked with
+    verify_sum_sp; the terms of F*G are read off the pair.  The same
     floor rule applies to the h2 job: if it raises, its guess is not
-    checked, and the next guess is sized from its floor.  p makes two
-    exponents of F*G collide with probability <= mu1/2
-    (lambda_no_collision), and a wrong output needs a colliding p or a
-    wrong h1 or h2 accepted, so the union bound over the checks run is
-    mu1/2 * (1 + #h1 checks + #h2 checks): 3*mu1/2 when the first guess
-    passes.  Counted per iteration instead (one ends the loop wrongly only
-    if the wrong member of its pair is accepted), it is
-    mu1/2 * (1 + iterations checked).
+    checked, and the next guess is sized from its floor.
 
-    These counts pass mu1 once two checked guesses are rejected without a
-    wrap and once one is rejected with a wrap, so 1 - mu1 is still not
-    proved for every product that doubles its guess.
+    The checks share mu1 by a union bound.  A wrong output needs a wrong
+    h1 or h2 accepted, or, when an operand wraps, a p under which two
+    exponents of F*G collide, which lambda_no_collision makes happen with
+    probability <= mu1/2.  So the checks get share = mu1 when no operand
+    wraps and share = mu1/2 when one does, and the k-th check run
+    (verify_sp and verify_sum_sp calls alike, from k = 1) gets eps =
+    share/2^k.  However many guesses are checked, they spend less than
+    share, so the output is wrong with probability < mu1.  An unwrapped
+    product whose first check passes checks once, at eps = mu1/2.
     """
     if F.ring != G.ring:
         raise RingMismatchError("operands live in different rings")
@@ -134,6 +128,7 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed 2p = {D1} for exponent recovery")
 
+    eps = mu1 / 2.0 if wraps else mu1  # the share; halved before each check
     F_p = cyclic_reduce(F, p)
     G_p = cyclic_reduce(G, p)
     Fd_p = cyclic_reduce(derivative(F), p)
@@ -152,11 +147,13 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
             h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, D1, c1, mu_interp), rng)
             # interpolating h2 only after h1 passes skips the heavier job on
             # every round whose sparsity guess is still too small
-            if verify_sp(F_p, G_p, h1, mu1 / 2.0, rng):
+            eps /= 2.0
+            if verify_sp(F_p, G_p, h1, eps, rng):
                 if not wraps:
                     return h1
                 h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp), rng)
-                if verify_sum_sp(h2, deriv_pairs, mu1 / 2.0, rng):
+                eps /= 2.0
+                if verify_sum_sp(h2, deriv_pairs, eps, rng):
                     break
         except SparsityBoundError as err:
             # h* left a nonzero residue, so it is wrong: no check, and no

@@ -82,16 +82,16 @@ def _direct_residues(pairs, minus, p, ring):
     h = zero_poly(ring)
     for f, g in pairs:
         h = add(h, naive_mul(f, g))
-    if minus is not None:
-        h = sub(h, minus)
+    h = sub(h, minus)
     return cyclic_reduce(h, p), cyclic_reduce(derivative(h), p)
 
 
-def _residue_by_route(monkeypatch, dense, *args):
-    """cyclic_product_residue(*args) with the route pinned: the cost model
-    is replaced by a constant answer."""
+def _residue_by_route(monkeypatch, dense, pairs, minus, p):
+    """cyclic_product_residue with the route pinned: the cost model is
+    replaced by a constant answer.  No residue modulo X^p - 1 has more than
+    p terms, so limit = p never binds."""
     monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: dense)
-    return cyclic_product_residue(*args)
+    return cyclic_product_residue(pairs, minus, p, limit=p)
 
 
 def _watch_rounds(monkeypatch) -> list:
@@ -137,7 +137,7 @@ class TestCyclicProductResidue:
             f = canonicalize([(0, one), (p, ring.neg(one))], ring)
             g = canonicalize([(p + 3, one), (3, ring.neg(one))], ring)
             h = canonicalize([(1, one), (2 * p + 5, one)], ring)
-            for pairs, minus in (([(f, h)], None), ([(h, f), (g, h)], g),
+            for pairs, minus in (([(f, h)], zero_poly(ring)), ([(h, f), (g, h)], g),
                                  ([(h, h)], add(naive_mul(h, h), f))):
                 want = _direct_residues(pairs, minus, p, ring)
                 assert not want[1].is_zero
@@ -154,8 +154,8 @@ class TestCyclicProductResidue:
             full = canonicalize([(e, top) for e in range(p)], ring)
             pairs = [(full, full), (full, full)]
             direct = add(naive_mul(full, full), naive_mul(full, full))
-            for minus in (None, full):
-                want = direct if minus is None else sub(direct, full)
+            for minus in (zero_poly(ring), full):
+                want = sub(direct, minus)
                 want = (cyclic_reduce(want, p), cyclic_reduce(derivative(want), p))
                 for dense in (False, True):
                     assert _residue_by_route(monkeypatch, dense, pairs, minus, p) == want
@@ -167,8 +167,8 @@ class TestCyclicProductResidue:
             p = rnd.choice([7, 31])
             pairs = [(rand_sparse(rnd, fq, 6, 10 ** 3),
                       rand_sparse(rnd, fq, 6, 10 ** 3))]
-            sparse = _residue_by_route(monkeypatch, False, pairs, None, p)
-            dense = _residue_by_route(monkeypatch, True, pairs, None, p)
+            sparse = _residue_by_route(monkeypatch, False, pairs, zero_poly(fq), p)
+            dense = _residue_by_route(monkeypatch, True, pairs, zero_poly(fq), p)
             assert sparse == dense
 
     def test_route_follows_measured_costs(self, monkeypatch):
@@ -184,16 +184,17 @@ class TestCyclicProductResidue:
         g = canonicalize([(T * i + 1, 1) for i in range(T)] + [(T * i, -1) for i in range(T)], ZZ)
         for p, dense in ((1009, True), (16411, False)):
             dense_ps.clear()
-            cyclic_product_residue([(f, g)], None, p)
+            cyclic_product_residue([(f, g)], zero_poly(ZZ), p, limit=p)
             assert dense_ps == ([p] * 3 if dense else [])
 
     def test_limit_stops_at_overflow(self):
         f = canonicalize([(e, 1) for e in range(5)], ZZ)
         pairs = [(f, f)]  # H = f^2 has 9 terms
-        want = _direct_residues(pairs, None, 101, ZZ)
-        assert cyclic_product_residue(pairs, None, 101, limit=9) == want
+        zero = zero_poly(ZZ)
+        want = _direct_residues(pairs, zero, 101, ZZ)
+        assert cyclic_product_residue(pairs, zero, 101, limit=9) == want
         with pytest.raises(SparsityBoundError) as err:
-            cyclic_product_residue(pairs, None, 101, limit=8)
+            cyclic_product_residue(pairs, zero, 101, limit=8)
         assert err.value.floor == 9
         # minus = 1 + X^200 cancels slot 0 and adds slot 99: the residue
         # of f^2 - minus keeps N = 9 terms, which proves #f^2 >= 9 - 2
@@ -207,11 +208,11 @@ class TestCyclicProductResidue:
         # (X^7 - 1)(X + X^2 + X^3) vanishes mod X^7 - 1, its derivative
         # leaves 7 + 7X + 7X^2, so only the derivative overflows
         pairs = [(canonicalize([(7, 1), (0, -1)], ZZ), canonicalize([(1, 1), (2, 1), (3, 1)], ZZ))]
-        want = _direct_residues(pairs, None, 7, ZZ)
+        want = _direct_residues(pairs, zero, 7, ZZ)
         assert want[0].is_zero and want[1].sparsity == 3
-        assert cyclic_product_residue(pairs, None, 7, limit=3) == want
+        assert cyclic_product_residue(pairs, zero, 7, limit=3) == want
         with pytest.raises(SparsityBoundError) as err:
-            cyclic_product_residue(pairs, None, 7, limit=2)
+            cyclic_product_residue(pairs, zero, 7, limit=2)
         assert err.value.floor == 3
 
     def test_ring_comes_from_the_operands(self, monkeypatch):
@@ -219,23 +220,24 @@ class TestCyclicProductResidue:
         f = canonicalize([(1, 50), (4, 99)], f101)
         g = canonicalize([(0, 77), (1, 25)], f101)
         # (50X + 99X^4)(77 + 25X) = 12X + 38X^2 + 48X^4 + 51X^5 over F_101
-        want = _direct_residues([(f, g)], None, 5, f101)
+        zero = zero_poly(f101)
+        want = _direct_residues([(f, g)], zero, 5, f101)
         assert want[0].terms == ((0, 51), (1, 12), (2, 38), (4, 48))
         for dense in (False, True):
-            assert _residue_by_route(monkeypatch, dense, [(f, g)], None, 5) == want
+            assert _residue_by_route(monkeypatch, dense, [(f, g)], zero, 5) == want
         # an operand from another ring is refused, not silently reduced
         fz = canonicalize([(1, 3)], ZZ)
-        for pairs, minus in (([(f, g), (fz, fz)], None), ([(f, fz)], None),
+        for pairs, minus in (([(f, g), (fz, fz)], zero), ([(f, fz)], zero),
                              ([(f, g)], canonicalize([(2, 1)], ZZ)),
                              ([(fz, fz)], canonicalize([(2, 1)], f101))):
             with pytest.raises(RingMismatchError):
-                cyclic_product_residue(pairs, minus, 5)
+                cyclic_product_residue(pairs, minus, 5, limit=5)
 
     def test_empty_pairs_raise(self):
         # with no operands there is no ring to take the residues in
-        for minus in (None, canonicalize([(2, 1)], ZZ)):
+        for minus in (zero_poly(ZZ), canonicalize([(2, 1)], ZZ)):
             with pytest.raises(ValueError, match="pairs must be nonempty"):
-                cyclic_product_residue([], minus, 5)
+                cyclic_product_residue([], minus, 5, limit=5)
 
 
 class TestInterpSumSP:

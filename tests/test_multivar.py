@@ -7,10 +7,11 @@ from spmul import multivar
 from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
                    UnsupportedRingError, canonicalize, canonicalize_multi,
                    ext_field, from_univariate, integers, inverse_kronecker,
-                   kronecker, multivar_product_smallchar, multivar_product_z,
-                   naive_mul, naive_mul_multi, prime_field,
-                   randomized_kronecker, sparse_product, sparsity_estimate,
-                   to_univariate)
+                   kronecker, mul_count, multivar_product_smallchar,
+                   multivar_product_z, naive_mul, naive_mul_multi, prime_field,
+                   randomized_kronecker, reset_mul_count, sparse_product,
+                   sparsity_estimate, to_univariate, zero_poly)
+from spmul.interp import cyclic_product_residue
 
 from helpers import Q62, dict_mul_ring, rand_multi
 
@@ -173,27 +174,73 @@ class TestSparsityEstimate:
             lower_hits += t >= a * b
         assert lower_hits >= 200 * (1 - 2 * eps)
 
-    def test_one_residue_walk_per_iteration(self, monkeypatch):
-        calls = {"residue": 0, "product": 0}
-        residue, product = multivar.cyclic_product_residue, multivar.sparse_product
+    def test_one_schoolbook_product_per_iteration(self, monkeypatch):
+        calls = {"naive_mul": 0, "product": 0}
+        naive, product = multivar.naive_mul, multivar.sparse_product
 
-        def counted_residue(*args, **kwargs):
-            calls["residue"] += 1
-            return residue(*args, **kwargs)
+        def counted_naive(*args, **kwargs):
+            calls["naive_mul"] += 1
+            return naive(*args, **kwargs)
 
         def counted_product(*args, **kwargs):
             calls["product"] += 1
             return product(*args, **kwargs)
 
-        monkeypatch.setattr(multivar, "cyclic_product_residue", counted_residue)
+        monkeypatch.setattr(multivar, "naive_mul", counted_naive)
         monkeypatch.setattr(multivar, "sparse_product", counted_product)
         rnd = random.Random(22)
         f = rand_multi(rnd, ZZ, 3, 8, 10, 99)
         g = rand_multi(rnd, ZZ, 3, 8, 10, 99)
         for eps in (0.9, 0.5, 0.05, 2.0 ** -20, 1e-9):
-            calls.update(residue=0, product=0)
+            calls.update(naive_mul=0, product=0)
             sparsity_estimate(f, g, eps, 2, RandomSource(1))
-            assert calls == {"residue": math.ceil(math.log2(1 / eps)), "product": 0}
+            assert calls == {"naive_mul": math.ceil(math.log2(1 / eps)), "product": 0}
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62), ext_field(3, 2)],
+                             ids=["Z", "F_Q62", "F_9"])
+    def test_ring_mults_within_one_schoolbook_per_draw(self, ring):
+        # each draw charges #F_s*#G_s <= #F*#G ring mults, one per term pair
+        rnd = random.Random(23)
+        for seed in range(10):
+            f = rand_multi(rnd, ring, 3, 12, 10, 99)
+            g = rand_multi(rnd, ring, 3, 12, 10, 99)
+            for eps in (0.3, 2.0 ** -20):
+                reset_mul_count()
+                sparsity_estimate(f, g, eps, 2, RandomSource(seed))
+                bound = math.ceil(math.log2(1 / eps)) * f.sparsity * g.sparsity
+                assert mul_count() <= bound, (seed, eps)
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(7), ext_field(3, 2)],
+                             ids=["Z", "F_7", "F_9"])
+    def test_counts_match_the_residue_walk(self, monkeypatch, ring):
+        # the interpolation walk's first residue, at the same s and p, is a
+        # reference count; no residue mod X^p - 1 has more than p terms, so
+        # limit = p never binds
+        draws = []
+        naive, reduce = multivar.naive_mul, multivar.cyclic_reduce
+
+        def watched_naive(F_s, G_s):
+            draws.append([F_s, G_s])
+            return naive(F_s, G_s)
+
+        def watched_reduce(H, p):
+            out = reduce(H, p)
+            draws[-1] += [p, out.sparsity]
+            return out
+
+        monkeypatch.setattr(multivar, "naive_mul", watched_naive)
+        monkeypatch.setattr(multivar, "cyclic_reduce", watched_reduce)
+        rnd = random.Random(24)
+        zero = zero_poly(ring)
+        for seed in range(50):
+            f = rand_multi(rnd, ring, 2, 6, 8, 99)
+            g = rand_multi(rnd, ring, 2, 6, 8, 99)
+            draws.clear()
+            t = sparsity_estimate(f, g, 0.05, 2, RandomSource(seed))
+            want = [cyclic_product_residue([(F_s, G_s)], zero, p, limit=p)[0].sparsity
+                    for F_s, G_s, p, _ in draws]
+            assert [count for *_, count in draws] == want
+            assert t == 2 * max(want)
 
     def test_non_finite_bounds_rejected(self):
         f = mp([((1, 0), 1), ((0, 1), 1)])

@@ -320,6 +320,44 @@ class TestWrappedOperands:
             assert jobs[-1].D == f.degree + g.degree + 1
 
 
+class TestCheckBudget:
+    # the k-th check gets share/2^k, share = mu1 without a wrap and mu1/2
+    # with one (a colliding p takes the other half), so the checks spend
+    # less than share however many guesses are rejected
+    @staticmethod
+    def _reject_first(monkeypatch, n) -> list:
+        """Record every check's eps; the first n checks reject."""
+        spent = []
+        for name in ("verify_sp", "verify_sum_sp"):
+            def check(*args, _real=getattr(product, name)):
+                spent.append(args[-2])
+                return len(spent) > n and _real(*args)
+
+            monkeypatch.setattr(product, name, check)
+        return spent
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62)], ids=["Z", "F_Q62"])
+    def test_unwrapped_checks_stay_within_mu1(self, monkeypatch, ring):
+        spent = self._reject_first(monkeypatch, 2)
+        for seed in range(5):
+            f, g = _random_pair(ring, (6, 5), 10 ** 4, seed)
+            spent.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert len(spent) == 3 and spent[0] == PARAMS.mu1 / 2
+            assert sum(spent) <= PARAMS.mu1
+
+    @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
+                             ids=["Z", "F_Q62"])
+    def test_wrapped_checks_stay_within_half_mu1(self, monkeypatch, ring, emax):
+        spent = self._reject_first(monkeypatch, 1)
+        for seed in range(5):
+            f, g = _random_pair(ring, (6, 5), emax, seed)
+            spent.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert len(spent) >= 3
+            assert sum(spent) <= PARAMS.mu1 / 2
+
+
 class TestSparsityFloor:
     # A job whose residue overflows raises SparsityBoundError with a proven
     # lower bound on its target's sparsity.  sparse_product checks no such
