@@ -156,7 +156,10 @@ def _extend_sieve(limit: int) -> None:
 
 def first_primes(count: int) -> array:
     """The first `count` primes in increasing order, as an ``array('q')``
-    copy of the cached table."""
+    copy of the cached table.
+
+    The table grows to the Rosser bound on the largest count requested
+    (about count * (ln count + ln ln count)) and is never shrunk."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -166,7 +169,7 @@ def first_primes(count: int) -> array:
         else:
             # upper bound on the n-th prime for n >= 6 (Rosser)
             bound = int(count * (math.log(count) + math.log(math.log(count)))) + 16
-        _extend_sieve(max(bound, 2 * _SIEVED_TO))
+        _extend_sieve(bound)
         while len(_PRIMES) < count:
             _extend_sieve(2 * _SIEVED_TO)
     return _PRIMES[:count]

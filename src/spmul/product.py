@@ -3,14 +3,14 @@ with a posteriori verification.
 
 The operands are reduced modulo X^p - 1 (p a random prime large enough
 that exponent collisions are unlikely) and their product interpolated
-under a guessed sparsity bound that doubles until the interpolant passes
-verification, skipping every guess a residue proves too small.  When
-neither operand has degree >= p, the reduction changes nothing, so that
-interpolant is F*G itself and is returned as soon as it passes.
-Otherwise the derivative's residue is interpolated and verified too, and
-the terms of F*G are read off the verified residue pair.  mu1 budgets a
-wrong output (sparse_product's checks split it by a union bound); the
-doubling loop stays small with probability at least 1 - mu2.
+under a guessed sparsity bound that starts in [2, 4) and doubles until the
+interpolant passes verification, skipping every guess a residue proves too
+small.  When neither operand has degree >= p, the reduction changes
+nothing, so that interpolant is F*G itself and is returned as soon as it
+passes.  Otherwise the derivative's residue is interpolated and verified
+too, and the terms of F*G are read off the verified residue pair.  mu1
+budgets a wrong output (sparse_product's checks split it by a union
+bound); the doubling loop stays small with probability at least 1 - mu2.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ def _height_bound(A: SparsePoly, B: SparsePoly) -> int:
 _MAX_DOUBLINGS = 64
 
 
+def _guess(t0: int, k: int) -> int:
+    # ceil(t0 * 2^k): the sparsity guesses' lattice
+    return t0 << k if k >= 0 else -(-t0 >> -k)
+
+
 def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
                    rng: RandomSource) -> SparsePoly:
     """Compute F*G, with mu1 as the budget for a wrong output.
@@ -66,19 +71,23 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     operand wraps past it.
 
     Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
-    under the sparsity guess t, starting at t = max(#F, #G), and checks it
-    with verify_sp.  The interpolation jobs only stop on residues they
-    explain (interp), so these checks are the certificate.
+    under the sparsity guess t and checks it with verify_sp.  The guesses
+    lie on the lattice ceil(t0*2^k), t0 = max(#F, #G), from the k that puts
+    the first one in [2, 4) (or at t0 when t0 < 2), so a small output is
+    found at a small prime; every guess >= t0 is t0*2^k.  The interpolation
+    jobs only stop on residues they explain (interp), so these checks are
+    the certificate.
 
     A job whose residue overflows raises SparsityBoundError(floor), a
     proven lower bound on the sparsity of its target (interp_sum_sp).  That
     residue of target - h* was nonzero, so h* is provably wrong and is not
     checked.  A job's output keeps at most 2t terms, so no guess with
-    2t < floor can succeed: the next guess is the smallest t*2^k (k >= 1)
-    with 2*t*2^k >= floor.  Guesses stay on the doubling lattice t*2^i,
-    i < _MAX_DOUBLINGS, and skip only guesses that cannot succeed.  A
-    random product's first residue has nearly #F*#G terms, so its second
-    guess is usually the first one checked, and passes.
+    2t < floor can succeed: the next guess is the smallest lattice point
+    above t with 2*guess >= floor.  At most _MAX_DOUBLINGS lattice points
+    are tried, and only guesses that cannot succeed are skipped.  A
+    product with many terms overflows its first guesses at small primes,
+    and the floors lead it to a guess that holds it, usually the only one
+    checked.
 
     No operand wraps: F_p = F and G_p = G, so h1 interpolates F*G itself,
     under its true degree bound D + 1, and is returned once its check
@@ -110,10 +119,10 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         return scale(F, G.terms[0][1])
 
     mu1, mu2 = params.mu1, params.mu2
-    t = max(F.sparsity, G.sparsity)
+    t0 = max(F.sparsity, G.sparsity)
     D = F.degree + G.degree  # >= 2 once constants are gone
     over_z = ring.kind == "integers"
-    C = t * F.height() * G.height() if over_z else None
+    C = t0 * F.height() * G.height() if over_z else None
     if ring.is_field and ring.char <= D:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed deg F + deg G = {D}")
@@ -140,8 +149,13 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     c1 = _height_bound(F_p, G_p) if over_z else None
     c2 = _height_bound(F_p, Gd_p) + _height_bound(Fd_p, G_p) if over_z else None
 
-    t_last = t << (_MAX_DOUBLINGS - 1)
-    while t <= t_last:
+    # the guesses are ceil(t0*2^k), from the k that puts the first in [2, 4):
+    # a first guess of 1 draws p from {2, 3}, can never overflow, and
+    # spends a check on an unexplained h1
+    k = min(0, 2 - t0.bit_length())
+    k_last = k + _MAX_DOUBLINGS - 1
+    while k <= k_last:
+        t = _guess(t0, k)
         floor = 0
         try:
             h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, D1, c1, mu_interp), rng)
@@ -159,9 +173,9 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
             # h* left a nonzero residue, so it is wrong: no check, and no
             # guess whose 2t-term output cannot hold floor terms
             floor = err.floor
-        t *= 2
-        while 2 * t < floor:
-            t *= 2
+        k += 1
+        while 2 * _guess(t0, k) < floor:
+            k += 1
     else:
         raise RetryBudgetError("sparsity-doubling loop failed to converge")
 

@@ -115,6 +115,17 @@ class TestFirstPrimes:
         for count in counts:
             assert list(first_primes(count)) == oracle_30k[:count]
 
+    def test_sieves_only_to_the_largest_count_asked(self, monkeypatch):
+        # each request extends the table to the Rosser bound of its own
+        # count, not to twice the numbers already sieved
+        monkeypatch.setattr(arith, "_PRIMES", array("q", trial_division_primes(61)))
+        monkeypatch.setattr(arith, "_SIEVED_TO", 61)
+        for count in (5000, 20_000, 60_000, 81_000):
+            assert len(first_primes(count)) == count
+        rosser = int(81_000 * (math.log(81_000) + math.log(math.log(81_000)))) + 16
+        assert rosser == 1_111_919
+        assert arith._SIEVED_TO <= rosser
+
     def test_table_memory_is_compact(self):
         pytest.importorskip("resource")
         src = os.path.dirname(os.path.dirname(os.path.abspath(arith.__file__)))

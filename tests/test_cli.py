@@ -350,8 +350,9 @@ class TestModuleEntryPoints:
         assert done.stdout == "" and done.stderr.startswith("spmul: ")
 
     def test_python_m_spmul_mul_past_an_overflowing_guess(self, tmp_path, monkeypatch):
-        # a 6 x 6 product with 36 terms > 2*max(#F, #G): the first guess's
-        # residue overflows, and the guess it sizes gives the product
+        # a 6 x 6 product with 36 terms: the first guess, 3 (half of
+        # max(#F, #G) = 6), overflows, and the guess its floor sizes leads
+        # to the product
         a, b = tmp_path / "a.poly", tmp_path / "b.poly"
         a.write_text("ring int\nvars 1\n" + "".join(f"term {i + 2} {i}\n" for i in range(6)))
         b.write_text("ring int\nvars 1\n" + "".join(f"term {-3 * j - 1} {6 * j}\n" for j in range(6)))
@@ -367,7 +368,7 @@ class TestModuleEntryPoints:
 
         monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
         assert run_command(["mul", str(a), str(b), "-o", str(tmp_path / "in_process")]) == 0
-        assert floors and floors[0][0] == 6 and floors[0][1] > 12
+        assert floors and floors[0][0] == 3 and floors[0][1] > 6
         outs = []
         for name, extra in (("sparse", []), ("naive", ["--naive"])):
             out = tmp_path / name

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
                    RetryBudgetError, SparsityBoundError, add, canonicalize, ext_field,
-                   integers, lambda_no_collision, monomial, mul_count,
+                   first_primes, integers, lambda_no_collision, monomial,
                    multivar_product_smallchar, naive_mul, prime_field, scale,
                    sparse_product, sumset_size, zero_poly)
 from spmul import interp, product
@@ -69,10 +70,41 @@ def _watch_steps(monkeypatch) -> list:
     return steps
 
 
-def _assert_floor_rule(steps) -> int:
+def _watch_walks(monkeypatch) -> list:
+    """List that receives the prime of every cyclic_product_residue walk."""
+    primes = []
+    real = interp.cyclic_product_residue
+
+    def cyclic_product_residue(pairs, minus, p, limit):
+        primes.append(p)
+        return real(pairs, minus, p, limit)
+
+    monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+    return primes
+
+
+def _pool_top(T, D) -> int:
+    """The largest prime an interpolation job with sparsity bound T and
+    degree bound D draws its rounds from."""
+    return first_primes(2 * max(1, math.floor(6.4 * (T - 1) * math.log2(D))))[-1]
+
+
+def _lattice(t0, n) -> list:
+    """The first n sparsity guesses for max(#F, #G) = t0: ceil(t0*2^j) from
+    the j that puts the first in [2, 4), or from j = 0 when t0 < 2."""
+    j = min(0, 2 - t0.bit_length())
+    return [t0 * 2 ** (j + i) if j + i >= 0 else -(-t0 // 2 ** -(j + i)) for i in range(n)]
+
+
+def _assert_floor_rule(steps, t0) -> int:
     """Check the floor rule on one product's steps; return how many jobs
-    raised.  A job that raised is followed by no check, and the next job is
-    an h1 job on the doubling lattice above it, at a t with 2t >= floor."""
+    raised.  Every job runs at a guess on the lattice of t0, starting at its
+    first point.  A job that raised is followed by no check, and the next
+    job is an h1 job at the smallest lattice point above it with 2t >= floor."""
+    lattice = _lattice(t0, 64)
+    jobs = [step for step in steps if step[0] == "job"]
+    assert jobs and jobs[0][1] == lattice[0]
+    assert all(step[1] in lattice for step in jobs)
     raised = 0
     for i, step in enumerate(steps):
         if step[0] != "job" or step[3] is None:
@@ -81,11 +113,7 @@ def _assert_floor_rule(steps) -> int:
         _, t, _, floor = step
         nxt = steps[i + 1]
         assert nxt[0] == "job" and nxt[2] == 1
-        ratio, rem = divmod(nxt[1], t)
-        assert rem == 0 and ratio >= 2 and ratio & (ratio - 1) == 0
-        assert 2 * nxt[1] >= floor
-        # the smallest such t: half of it would not hold the floor
-        assert nxt[1] == 2 * t or nxt[1] < floor
+        assert nxt[1] == min(u for u in lattice if u > t and 2 * u >= floor)
     return raised
 
 
@@ -251,34 +279,29 @@ class TestSparseProduct:
 
 
     def test_first_guess_passes_for_example2(self, monkeypatch):
-        # example2's 2-term product passes at the first guess max(#F, #G);
-        # neither operand wraps mod X^p - 1, so the h1 job is the only one
-        jobs = _watch_jobs(monkeypatch)
+        # example2's 2-term product passes at the first guess, which lies in
+        # [2, 4) (32 / 16 for max(#F, #G) = 32); neither operand wraps mod
+        # X^p - 1, so the h1 job is the only one, and it is checked once
+        steps = _watch_steps(monkeypatch)
         f, g = example2_family(16)
         sparse_product(f, g, PARAMS, RandomSource(16))
-        assert [job.T for job in jobs] == [max(f.sparsity, g.sparsity)] == [32]
+        assert steps == [["job", 2, 1, None], ["check", "verify_sp"]]
 
     @pytest.mark.parametrize("t", [16, 64, pytest.param(512, marks=pytest.mark.slow)])
     def test_example2_walks_each_pair_once(self, monkeypatch, t):
-        # the h1 job walks F x G once at 3 ring mults per slot pair: the
-        # round that recovers the 2-term product ends its job, with no
-        # confirming walk, and no operand wraps, so no h2 job follows
-        mults = []
-        real = interp.cyclic_product_residue
-
-        def cyclic_product_residue(*args, **kwargs):
-            before = mul_count()
-            out = real(*args, **kwargs)
-            mults.append(mul_count() - before)
-            return out
-
-        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        # the h1 job walks F x G once, at a prime from the pool of the first
+        # guess: the round that recovers the 2-term product ends its job,
+        # with no confirming walk, and no operand wraps, so no h2 job
+        # follows.  The walk is counted by its prime, not by ring mults,
+        # since a dense walk charges none.
+        primes = _watch_walks(monkeypatch)
         f, g = example2_family(t)
+        top = _pool_top(2, t * t + 1)
         for seed in range(20):
-            mults.clear()
+            primes.clear()
             out = sparse_product(f, g, PARAMS, RandomSource(seed))
             assert out.terms == ((0, -1), (t * t, 1))
-            assert mults == [3 * f.sparsity * g.sparsity]
+            assert len(primes) == 1 and primes[0] <= top
 
     def test_doubling_budget_exhausted(self, monkeypatch):
         # a verifier that never accepts doubles the guess once per attempt
@@ -289,6 +312,60 @@ class TestSparseProduct:
         with pytest.raises(RetryBudgetError):
             sparse_product(F_EX, G_EX, PARAMS, RandomSource(0))
         assert [job.T for job in jobs] == [3, 6, 12]
+
+
+def small_sumset_pair(ring, n, seed):
+    """Operands of n terms each on one arithmetic progression, so that the
+    product has 2n - 1 terms; positive coefficients, so none cancel."""
+    rnd = random.Random(seed)
+    step = rnd.randrange(1, 10 ** 4)
+    return tuple(canonicalize([(start + step * i, rnd.randrange(1, 2 ** 20)) for i in range(n)],
+                              ring)
+                 for start in (rnd.randrange(10 ** 6), rnd.randrange(10 ** 6)))
+
+
+class TestFirstGuess:
+    # the sparsity guess starts in [2, 4), so a small output is found at a
+    # small prime; larger outputs get there through the floor rule
+    Q = 2 ** 62 - 57
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q)], ids=["Z", "F_2^62-57"])
+    def test_one_check_per_product(self, monkeypatch, ring):
+        # a first guess of 1 can never overflow (its pool is {2, 3}), so it
+        # returns an unexplained guess that is checked in vain; from [2, 4)
+        # every product here takes exactly one check
+        steps = _watch_steps(monkeypatch)
+        families = {
+            "random": lambda n, seed: _random_pair(ring, (n, n), 10 ** 6, seed),
+            "small sumset": lambda n, seed: small_sumset_pair(ring, n, seed),
+            "example2": lambda n, seed: tuple(canonicalize(h.terms, ring)
+                                              for h in example2_family(n)),
+        }
+        for name, family in families.items():
+            for n in (2, 3, 4, 6, 8, 12, 24, 48):
+                for seed in range(8):
+                    f, g = family(n, seed)
+                    steps.clear()
+                    assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+                    checks = [s for s in steps if s[0] == "check"]
+                    assert checks == [["check", "verify_sp"]], (name, n, seed)
+
+    @pytest.mark.slow
+    def test_example2_walks_at_small_primes(self, monkeypatch):
+        # T = 2048: every walk is at a prime from the pool of a guess below
+        # 4, where the first guess max(#F, #G) = 4096 walked the whole
+        # F x G slot grid at a p in the hundreds of thousands
+        jobs = _watch_jobs(monkeypatch)
+        primes = _watch_walks(monkeypatch)
+        t = 2048
+        f, g = example2_family(t)
+        top = _pool_top(3, t * t + 1)
+        for seed in range(3):
+            jobs.clear()
+            primes.clear()
+            out = sparse_product(f, g, PARAMS, RandomSource(seed))
+            assert out.terms == ((0, -1), (t * t, 1))
+            assert len(jobs) <= 2 and primes and max(primes) <= top
 
 
 class TestWrappedOperands:
@@ -370,9 +447,10 @@ class TestSparsityFloor:
             f, g = _random_pair(ring, (12, 12), 10 ** 6, seed)
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            # the first guess, 12, cannot hold a product of about 144 terms
+            # the first guess, 3 (12 / 4), cannot hold a product of about
+            # 144 terms
             assert steps[0][3] is not None
-            assert _assert_floor_rule(steps) >= 1
+            assert _assert_floor_rule(steps, 12) >= 1
 
     @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
                              ids=["Z", "F_Q62"])
@@ -385,7 +463,7 @@ class TestSparsityFloor:
             assert max(f.degree, g.degree) >= 2 * lam
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert _assert_floor_rule(steps) >= 1
+            assert _assert_floor_rule(steps, 6) >= 1
             # the product was read off a checked h2 job
             assert steps[-2][0] == "job" and steps[-2][2] == 2
             assert steps[-1] == ["check", "verify_sum_sp"]
@@ -410,24 +488,43 @@ class TestSparsityFloor:
             faked.clear()
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert faked and _assert_floor_rule(steps) >= 1
+            assert faked and _assert_floor_rule(steps, 6) >= 1
             assert [s[1] for s in steps if s[0] == "check"].count("verify_sum_sp") == 1
 
     @pytest.mark.slow
     def test_benchmark_size_takes_two_jobs(self, monkeypatch):
-        # random 64 x 64 over Z: the first residue proves about 4096 terms,
-        # so the second guess holds the product, and only it is checked
+        # random 64 x 64 over Z: the first guess, 2, overflows at a small p
+        # and its floor sizes a guess whose residue proves about 4096
+        # terms, so the last job runs at 2048 (64 * 2^5, the guess the
+        # doubling lattice of t0 = 64 reaches), and only it is checked
         steps = _watch_steps(monkeypatch)
         good = 0
         for seed in range(10):
             f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            _assert_floor_rule(steps)
+            _assert_floor_rule(steps, 64)
             jobs = [s for s in steps if s[0] == "job"]
             checks = [s for s in steps if s[0] == "check"]
-            good += len(jobs) <= 2 and checks == [["check", "verify_sp"]]
+            good += jobs[-1][1] == 2048 and checks == [["check", "verify_sp"]]
         assert good >= 9
+
+    def test_lattice_below_t0(self, monkeypatch):
+        # t0 = 13 puts the lattice at 4, 7, 13, 26, ...: the guesses below
+        # t0 are ceilings of t0 / 2^j, and every guess from t0 on is t0 * 2^j
+        assert _lattice(13, 6) == [4, 7, 13, 26, 52, 104]
+        steps = _watch_steps(monkeypatch)
+        for seed in range(5):
+            f, g = _random_pair(ZZ, (13, 13), 10 ** 6, seed)
+            steps.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert steps[0][1] == 4 and steps[0][3] is not None
+            assert _assert_floor_rule(steps, 13) >= 1
+        # the checker itself: after a floor of 12 at guess 4, the next guess
+        # is 7 (2 * 7 >= 12), not 13
+        assert _assert_floor_rule([["job", 4, 1, 12], ["job", 7, 1, None]], 13) == 1
+        with pytest.raises(AssertionError):
+            _assert_floor_rule([["job", 4, 1, 12], ["job", 13, 1, None]], 13)
 
 
 class TestCharacteristicBoundary:
