@@ -164,14 +164,9 @@ def first_primes(count: int) -> array:
     if count < 1:
         raise ValueError("count must be >= 1")
     if len(_PRIMES) < count:
-        if count < 6:
-            bound = 16
-        else:
-            # upper bound on the n-th prime for n >= 6 (Rosser)
-            bound = int(count * (math.log(count) + math.log(math.log(count)))) + 16
-        _extend_sieve(bound)
-        while len(_PRIMES) < count:
-            _extend_sieve(2 * _SIEVED_TO)
+        # the table starts with the 18 primes <= 61, so count > 18 here, and
+        # p_n < n(ln n + ln ln n) for n >= 6 (Rosser)
+        _extend_sieve(int(count * (math.log(count) + math.log(math.log(count)))) + 16)
     return _PRIMES[:count]
 
 

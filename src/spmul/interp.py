@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, first_primes
 from .errors import CharacteristicTooSmallError, RingMismatchError, SparsityBoundError
-from .poly import SparsePoly, _same_ring, add, dense_cyclic_mul, zero_poly
+from .poly import SparsePoly, _same_ring, add, dense_cyclic_mul, height_bound, zero_poly
 from .rings import RingSpec, add_mul_count
 
 
@@ -66,14 +66,14 @@ def _dense_is_cheaper(p: int, slotted, work: int) -> bool:
 class InterpJob:
     """One interpolation task: recover H = sum F_i*G_i.
 
-    T bounds the sparsity of H, D strictly bounds its degree, C bounds its
-    height (integers only; None over fields), and mu is the failure budget.
+    T bounds the sparsity of H and mu is the failure budget.  The bounds
+    that follow from the pairs are derived, not set: D strictly bounds the
+    degree of H, and C bounds its height (poly.height_bound; None over
+    fields).
     """
 
     pairs: list
     T: int
-    D: int
-    C: int | None
     mu: float
 
     def __post_init__(self):
@@ -85,14 +85,21 @@ class InterpJob:
                 raise RingMismatchError("pairs must share one ring")
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.D < 2:
-            raise ValueError("D must be >= 2")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
 
     @property
     def ring(self) -> RingSpec:
         return self.pairs[0][0].ring
+
+    @property
+    def D(self) -> int:
+        # 1 + the largest deg F_i + deg G_i over pairs with no zero side, at least 2
+        return max([2] + [F.degree + G.degree + 1 for F, G in self.pairs if F.terms and G.terms])
+
+    @property
+    def C(self) -> int | None:
+        return height_bound(self.pairs) if self.ring.kind == "integers" else None
 
 
 def _batch_inverse(ring: RingSpec, values: list) -> list:
@@ -279,9 +286,11 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int):
     return settle(acc, 0), settle(dacc, 1)
 
 
-def _trim(H: SparsePoly, T: int, D: int, C: int | None) -> SparsePoly:
-    terms = [(e, c) for e, c in H.terms if e < D]
-    if C is not None and H.ring.kind == "integers":
+def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
+    """H without its terms above height C, cut to its 2T lowest terms.  No degree
+    filter: find_terms emits only e <= D - 1, and h* holds only its updates."""
+    terms = H.terms
+    if C is not None:
         terms = [(e, c) for e, c in terms if abs(c) <= C]
     if len(terms) > 2 * T:
         terms = terms[: 2 * T]  # already sorted: keeps the lowest degrees
@@ -292,7 +301,7 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
     """Interpolate H = sum F_i*G_i.
 
     The output has at most 2T terms, degree < D, and (over Z) height <=
-    C.  A job ends at the first round whose find_terms update explains
+    C, for the job's derived D and C.  A job ends at the first round whose find_terms update explains
     both residues of H - h* (h* the running approximation; see the module
     docstring for the count test) and whose _trim keeps every term of
     h* + update, so that H - h* and its derivative vanish mod X^p - 1 at
@@ -307,28 +316,29 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
     no honest job (T >= #H) reaches.  The caller can skip checking the job
     and size its next guess from the floor.
 
-    For an honest job (T >= #H, D > deg H and, over Z, C >= the height of
-    H), the job ends at the round that brings h* to H (or the next one, if
-    _trim dropped terms on the way), because H - h* is then zero; mu
-    bounds the probability that the round cap runs out first.
-    Neither mu nor the cap bounds an early exit on a wrong h*, which needs
-    terms of H - h* to collide at that round's p into a term consistent
-    with both residues.  The output is certified only by verifying it.
+    For an honest job (T >= #H), the job ends at the round that brings h*
+    to H (or the next one, if _trim dropped terms on the way), because
+    H - h* is then zero; mu bounds the probability that the round cap runs
+    out first.  Neither mu nor the cap bounds an early exit on a wrong h*,
+    which needs terms of H - h* to collide at that round's p into a term
+    consistent with both residues.  The output is certified only by
+    verifying it.
     """
     ring = job.ring
+    D, C = job.D, job.C
     # exponents are read back as coefficient ratios, up to D - 1
-    if ring.is_field and ring.char < job.D:
+    if ring.is_field and ring.char < D:
         raise CharacteristicTooSmallError(
-            f"characteristic {ring.char} must exceed the largest exponent {job.D - 1}")
+            f"characteristic {ring.char} must exceed the largest exponent {D - 1}")
     pairs = list(job.pairs)
     # each round halves the missing terms with constant probability, so
     # log2(2T) rounds to find everything plus log2(1/mu) to drive the
     # failure budget down, plus slack
     rounds = math.ceil(math.log2(2 * job.T)) + math.ceil(math.log2(1.0 / job.mu)) + 2
-    double_c = 2 * job.C if job.C is not None else None
+    double_c = 2 * C if C is not None else None
     h_star = zero_poly(ring)
     # rounds draw p from the first 2*floor(6.4*(T-1)*log2 D) primes
-    n_pool = max(1, math.floor((32.0 / 5.0) * (job.T - 1) * math.log2(job.D)))
+    n_pool = max(1, math.floor((32.0 / 5.0) * (job.T - 1) * math.log2(D)))
     primes = first_primes(2 * n_pool)
     for _ in range(rounds):
         p = primes[rng.randrange(len(primes))]
@@ -339,9 +349,9 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
         # gets there.
         limit = min(3 * job.T, 2 * job.T + h_star.sparsity)
         residue, residue_d = cyclic_product_residue(pairs, h_star, p, limit=limit)
-        update = find_terms(p, residue, residue_d, job.D - 1, double_c)
+        update = find_terms(p, residue, residue_d, D - 1, double_c)
         total = add(h_star, update)
-        h_star = _trim(total, job.T, job.D, job.C)
+        h_star = _trim(total, job.T, C)
         # update explains both residues exactly and _trim kept all of it:
         # H - h* now vanishes mod X^p - 1, and so does its derivative
         if (update.sparsity == residue.sparsity

@@ -146,6 +146,13 @@ def naive_mul(F: SparsePoly, G: SparsePoly) -> SparsePoly:
     return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c != zero)))
 
 
+def height_bound(pairs) -> int:
+    """Bound on the height of sum F_i*G_i over Z: sum min(#F_i, #G_i) *
+    ||F_i|| * ||G_i||, since a coefficient of F*G sums at most min(#F, #G)
+    term products, each at most ||F|| * ||G||."""
+    return sum(min(F.sparsity, G.sparsity) * F.height() * G.height() for F, G in pairs)
+
+
 def derivative(F: SparsePoly) -> SparsePoly:
     """Formal derivative; terms whose coefficient e*c vanishes are dropped."""
     ring = F.ring

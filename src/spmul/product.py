@@ -21,7 +21,7 @@ from .arith import RandomSource, lambda_no_collision, random_prime
 from .errors import (CharacteristicTooSmallError, RetryBudgetError, RingMismatchError,
                      SparsityBoundError)
 from .interp import InterpJob, find_terms, interp_sum_sp
-from .poly import SparsePoly, cyclic_reduce, derivative, scale, zero_poly
+from .poly import SparsePoly, cyclic_reduce, derivative, height_bound, scale, zero_poly
 from .verify import verify_sp, verify_sum_sp
 
 
@@ -38,13 +38,6 @@ class ProductParams:
             raise ValueError("mu1 and mu2 must lie in (0, 1)")
         if self.mu1 / 2.0 > self.mu2:
             raise ValueError("mu1/2 must not exceed mu2")
-
-
-def _height_bound(A: SparsePoly, B: SparsePoly) -> int:
-    # ||A*B||_inf <= min(#A, #B) * ||A|| * ||B||, computed on the actual operands
-    if A.is_zero or B.is_zero:
-        return 0
-    return min(A.sparsity, B.sparsity) * A.height() * B.height()
 
 
 _MAX_DOUBLINGS = 64
@@ -71,12 +64,13 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     operand wraps past it.
 
     Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
-    under the sparsity guess t and checks it with verify_sp.  The guesses
-    lie on the lattice ceil(t0*2^k), t0 = max(#F, #G), from the k that puts
-    the first one in [2, 4) (or at t0 when t0 < 2), so a small output is
-    found at a small prime; every guess >= t0 is t0*2^k.  The interpolation
-    jobs only stop on residues they explain (interp), so these checks are
-    the certificate.
+    under the sparsity guess t and checks it with verify_sp.  Each job
+    derives its degree and height bounds from its pairs (InterpJob).  The
+    guesses lie on the lattice ceil(t0*2^k), t0 = max(#F, #G), from the k
+    that puts the first one in [2, 4) (or at t0 when t0 < 2), so a small
+    output is found at a small prime; every guess >= t0 is t0*2^k.  The
+    interpolation jobs only stop on residues they explain (interp), so
+    these checks are the certificate.
 
     A job whose residue overflows raises SparsityBoundError(floor), a
     proven lower bound on the sparsity of its target (interp_sum_sp).  That
@@ -94,7 +88,8 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     passes; no h2 job runs and no p can collide, since nothing was
     reduced.  An operand wraps: h1 is a residue of degree < 2p, and once
     it passes, h2 = (F*G)' mod X^p - 1 is interpolated and checked with
-    verify_sum_sp; the terms of F*G are read off the pair.  The same
+    verify_sum_sp; the terms of F*G are read off the pair by find_terms,
+    under degree D and, over Z, the height bound of F*G.  The same
     floor rule applies to the h2 job: if it raises, its guess is not
     checked, and the next guess is sized from its floor.
 
@@ -121,8 +116,6 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     mu1, mu2 = params.mu1, params.mu2
     t0 = max(F.sparsity, G.sparsity)
     D = F.degree + G.degree  # >= 2 once constants are gone
-    over_z = ring.kind == "integers"
-    C = t0 * F.height() * G.height() if over_z else None
     if ring.is_field and ring.char <= D:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed deg F + deg G = {D}")
@@ -132,10 +125,9 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself,
     # whose exponents stay <= D < char
     wraps = F.degree >= p or G.degree >= p
-    D1 = 2 * p if wraps else D + 1
-    if wraps and ring.is_field and ring.char <= D1:
+    if wraps and ring.is_field and ring.char <= 2 * p:
         raise CharacteristicTooSmallError(
-            f"characteristic {ring.char} must exceed 2p = {D1} for exponent recovery")
+            f"characteristic {ring.char} must exceed 2p = {2 * p} for exponent recovery")
 
     eps = mu1 / 2.0 if wraps else mu1  # the share; halved before each check
     F_p = cyclic_reduce(F, p)
@@ -146,8 +138,6 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     mu_star = mu2 - mu1 / 2.0
     mu_interp = mu_star / 2.0 if mu_star > 0 else mu1 / 8.0
     deriv_pairs = [(F_p, Gd_p), (Fd_p, G_p)]
-    c1 = _height_bound(F_p, G_p) if over_z else None
-    c2 = _height_bound(F_p, Gd_p) + _height_bound(Fd_p, G_p) if over_z else None
 
     # the guesses are ceil(t0*2^k), from the k that puts the first in [2, 4):
     # a first guess of 1 draws p from {2, 3}, can never overflow, and
@@ -158,14 +148,14 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         t = _guess(t0, k)
         floor = 0
         try:
-            h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, D1, c1, mu_interp), rng)
+            h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, mu_interp), rng)
             # interpolating h2 only after h1 passes skips the heavier job on
             # every round whose sparsity guess is still too small
             eps /= 2.0
             if verify_sp(F_p, G_p, h1, eps, rng):
                 if not wraps:
                     return h1
-                h2 = interp_sum_sp(InterpJob(deriv_pairs, t, 2 * p, c2, mu_interp), rng)
+                h2 = interp_sum_sp(InterpJob(deriv_pairs, t, mu_interp), rng)
                 eps /= 2.0
                 if verify_sum_sp(h2, deriv_pairs, eps, rng):
                     break
@@ -181,6 +171,7 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     H_p = cyclic_reduce(h1, p)
     Hd_p = cyclic_reduce(h2, p)
+    C = height_bound([(F, G)]) if ring.kind == "integers" else None
     return find_terms(p, H_p, Hd_p, D, C)
 
 

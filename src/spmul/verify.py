@@ -23,29 +23,31 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .arith import RandomSource, ceil_bound, irreducible_poly, random_prime
+from .arith import RandomSource, ceil_bound, irreducible_poly, lambda_nonzero, random_prime
 from .errors import RingMismatchError, UnsupportedRingError
 from .poly import (SparsePoly, cyclic_reduce, eval_sparse, eval_terms,
-                   fixed_base_powers)
+                   fixed_base_powers, height_bound)
 from .rings import RingSpec, prime_field
 
 _LN2 = math.log(2.0)
 
 
 def _split(eps: float, over_z: bool) -> tuple[float, float]:
-    """The constants (c1, c2) that size one check at failure budget eps.
+    """The p-share and the constant c2 that size one check at failure
+    budget eps.
 
     A check fails to reject a false identity only if the difference
-    vanishes modulo X^p - 1 (probability at most 10/(3*c1)), or, over Z,
-    if the coefficient prime q divides every coefficient of the reduced
-    difference (at most 10/(3*c2)), or if the random point is a root (at
-    most 1/c2).  Over Z the three sources get eps/3 + eps/3 + eps/10,
-    so c1 = c2 = 10/eps; over a field the first and last get
-    eps/2 + eps/2, so c1 = 20/(3*eps) and c2 = 2/eps.
+    vanishes modulo X^p - 1 (probability at most the p-share, for p drawn
+    above lambda_nonzero at that share), or, over Z, if the coefficient
+    prime q divides every coefficient of the reduced difference (at most
+    10/(3*c2)), or if the random point is a root (at most 1/c2).  Over Z
+    the three sources get eps/3 + eps/3 + eps/10, so the p-share is eps/3
+    and c2 = 10/eps; over a field the first and last get eps/2 + eps/2, so
+    the p-share is eps/2 and c2 = 2/eps.
     """
     if over_z:
-        return 10.0 / eps, 10.0 / eps
-    return 20.0 / (3.0 * eps), 2.0 / eps
+        return eps / 3.0, 10.0 / eps
+    return eps / 2.0, 2.0 / eps
 
 
 def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
@@ -110,14 +112,6 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
     return acc
 
 
-def _delta_height_bound(pairs, H: SparsePoly) -> int:
-    # rigorous bound on || sum F_i G_i - H ||_inf over Z
-    total = H.height()
-    for F, G in pairs:
-        total += min(F.sparsity, G.sparsity) * F.height() * G.height()
-    return max(total, 1)
-
-
 def _residue_in(P: SparsePoly, p: int, field: RingSpec) -> SparsePoly:
     # P mod X^p - 1 with its coefficients mapped into the evaluation field
     P_p = cyclic_reduce(P, p)
@@ -144,11 +138,12 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     """The one evaluation core: True iff sum F_i G_i and H agree modulo
     X^p - 1 at a random point of a large-enough field.
 
-    eps sizes the check and nothing else: (c1, c2) = _split(eps, over Z);
-    p is drawn from [lam, 2*lam] with lam = max(21, ceil(c1 * sparsity_sum
-    * ln D)).  The point lives in a random F_q over Z, in the ring itself
-    when it has more than c2*p points, and otherwise in F_{q^S}, S least
-    with q^S > c2*p, over the ring's prime field F_q.
+    eps sizes the check and nothing else: (share_p, c2) = _split(eps,
+    over Z); p is drawn from [lam, 2*lam] with lam =
+    lambda_nonzero(sparsity_sum, max(D, 2), share_p).  The point lives in
+    a random F_q over Z, in the ring itself when it has more than c2*p
+    points, and otherwise in F_{q^S}, S least with q^S > c2*p, over the
+    ring's prime field F_q.
 
     A small F_{q^s} (s >= 2) enters F_{q^S} through its F_q coordinates:
     write elements as polynomials in Y, lambda[d] for the coordinates of
@@ -166,7 +161,7 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     Soundness.  Let D_j be coordinate j of sum F_i G_i - H.  Its support
     lies in supp(sum F_i G_i) u supp(H), so it has at most sparsity_sum
     terms and degree at most D, and a nonzero D_j stays nonzero modulo
-    X^p - 1 except with probability 10/(3*c1) over p.  Then
+    X^p - 1 except with probability share_p over p.  Then
     sum_j beta_j D_j(alpha), taken modulo X^p - 1, is a nonzero
     polynomial of total degree at most p in (alpha, beta_1 .. beta_{s-1}),
     which vanishes at a uniform point with probability at most
@@ -176,14 +171,13 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     with a RetryBudgetError of probability at most e^-64 whatever eps is.
     """
     ring = H.ring
-    ln_d = math.log(max(D, 2))
-    c1, c2 = _split(eps, ring.kind == "integers")
-    p = random_prime(max(21, ceil_bound(c1 * sparsity_sum * ln_d)), rng)
+    share_p, c2 = _split(eps, ring.kind == "integers")
+    p = random_prime(lambda_nonzero(sparsity_sum, max(D, 2), share_p), rng)
 
     field = ring
     if ring.kind == "integers":
-        # ln of the height bound via bit length; overestimating is safe
-        ln_height = _delta_height_bound(pairs, H).bit_length() * _LN2
+        # ln of a bound on ||sum F_i G_i - H|| via bit length; overestimating is safe
+        ln_height = (H.height() + height_bound(pairs)).bit_length() * _LN2
         mu = ceil_bound(c2, max(p, math.ceil(ln_height)))
         field = prime_field(random_prime(mu, rng))
     elif ring.size <= c2 * p:

@@ -243,18 +243,18 @@ class TestCyclicProductResidue:
 class TestInterpSumSP:
     def test_example_product(self):
         h = naive_mul(F_EX, G_EX)
-        job = InterpJob([(F_EX, G_EX)], 9, 28, 30, 0.25)
+        job = InterpJob([(F_EX, G_EX)], 9, 0.25)
         hits = sum(interp_sum_sp(job, RandomSource(seed)) == h for seed in range(40))
         assert hits >= 30  # failure budget 1/4
 
     def test_identity_factor(self):
         one = monomial(ZZ, 0, 1)
-        job = InterpJob([(F_EX, one)], 3, 15, 2, 0.25)
+        job = InterpJob([(F_EX, one)], 3, 0.25)
         hits = sum(interp_sum_sp(job, RandomSource(seed)) == F_EX for seed in range(30))
         assert hits >= 22
 
     def test_cancellation_to_zero(self):
-        job = InterpJob([(F_EX, G_EX), (negate(F_EX), G_EX)], 5, 28, 30, 0.25)
+        job = InterpJob([(F_EX, G_EX), (negate(F_EX), G_EX)], 5, 0.25)
         for seed in range(10):
             assert interp_sum_sp(job, RandomSource(seed)).is_zero
 
@@ -264,8 +264,8 @@ class TestInterpSumSP:
         for seed in range(60):
             f = rand_sparse(rnd, ZZ, 10, 10 ** 4, 2 ** 16)
             g = rand_sparse(rnd, ZZ, 10, 10 ** 4, 2 ** 16)
-            T, D, C = 2, 50, 10  # far too small on purpose
-            job = InterpJob([(f, g)], T, D, C, 0.25)
+            T = 2  # far too small on purpose
+            job = InterpJob([(f, g)], T, 0.25)
             try:
                 out = interp_sum_sp(job, RandomSource(seed))
             except SparsityBoundError as err:
@@ -274,8 +274,8 @@ class TestInterpSumSP:
                 raised += 1
                 continue
             assert out.sparsity <= 2 * T
-            assert out.is_zero or out.degree < D
-            assert out.height() <= C
+            assert out.is_zero or out.degree < job.D
+            assert out.height() <= job.C
         assert 0 < raised < 60  # both outcomes are exercised
 
     def test_success_rate_with_true_bounds(self):
@@ -286,10 +286,7 @@ class TestInterpSumSP:
             f = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
             g = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
             h = naive_mul(f, g)
-            t_bound = max(1, h.sparsity)
-            d_bound = max(2, (h.degree if not h.is_zero else 0) + 1)
-            c_bound = max(1, h.height())
-            job = InterpJob([(f, g)], t_bound, d_bound, c_bound, 0.25)
+            job = InterpJob([(f, g)], max(1, h.sparsity), 0.25)
             ok += interp_sum_sp(job, RandomSource(seed)) == h
         assert ok >= 225  # >= (1 - mu) fraction at mu = 1/4
 
@@ -301,10 +298,8 @@ class TestInterpSumSP:
             f = rand_sparse(rnd, ZZ, 8, 10 ** 5, 2 ** 20)
             g = rand_sparse(rnd, ZZ, 8, 10 ** 5, 2 ** 20)
             h = naive_mul(f, g)
-            t_bound = max(1, h.sparsity)
-            d_bound = max(2, (h.degree if not h.is_zero else 0) + 1)
             rounds.clear()
-            job = InterpJob([(f, g)], t_bound, d_bound, max(1, h.height()), 0.25)
+            job = InterpJob([(f, g)], max(1, h.sparsity), 0.25)
             interp_sum_sp(job, RandomSource(seed))
             missing = [h.sparsity] + [sub(h, h_star).sparsity for h_star in rounds]
             for before, after in zip(missing, missing[1:]):
@@ -318,7 +313,7 @@ class TestInterpSumSP:
         # its count is reported as the floor 30 < floor <= #H
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
-        job = InterpJob([(f, g)], 15, 2 ** 40, 1, 0.25)
+        job = InterpJob([(f, g)], 15, 0.25)
         rounds = _watch_rounds(monkeypatch)
         for seed in range(10):
             rounds.clear()
@@ -334,7 +329,7 @@ class TestInterpSumSP:
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
         h = naive_mul(f, g)
-        job = InterpJob([(f, g)], 20, 2 ** 40, 1, 0.25)
+        job = InterpJob([(f, g)], 20, 0.25)
         for seed in range(10):
             assert interp_sum_sp(job, RandomSource(seed)) == h
 
@@ -346,7 +341,7 @@ class TestInterpSumSP:
         f = monomial(ZZ, 2, 1)
         g = canonicalize([(98, 1), (0, -1)], ZZ)
         h = naive_mul(f, g)
-        job = InterpJob([(f, g)], 2, 101, 1, 0.25)
+        job = InterpJob([(f, g)], 2, 0.25)
 
         class FirstDrawIs7(RandomSource):
             def randrange(self, n):
@@ -366,9 +361,7 @@ class TestInterpSumSP:
             f = rand_sparse(rnd, fq, 5, 10 ** 4)
             g = rand_sparse(rnd, fq, 5, 10 ** 4)
             h = naive_mul(f, g)
-            job = InterpJob([(f, g)], max(1, h.sparsity),
-                            max(2, (h.degree if not h.is_zero else 0) + 1),
-                            None, 0.25)
+            job = InterpJob([(f, g)], max(1, h.sparsity), 0.25)
             out = interp_sum_sp(job, RandomSource(seed))
             if out == h:
                 break
@@ -376,15 +369,18 @@ class TestInterpSumSP:
             pytest.fail("field interpolation never succeeded")
 
     def test_characteristic_guard(self):
-        # exponents are read up to D - 1, so q = D is the smallest q allowed
+        # exponents are read up to D - 1 = deg f + deg g, so q = D is the
+        # smallest q allowed: f*f of degree 6 over F_5 raises, g*g of degree
+        # 4 interpolates
         f5 = prime_field(5)
         f = canonicalize([(0, 1), (3, 1)], f5)
-        job_args = ([(f, f)], 4, 7, None, 0.25)
         with pytest.raises(CharacteristicTooSmallError):
-            interp_sum_sp(InterpJob(*job_args), RandomSource(0))
+            interp_sum_sp(InterpJob([(f, f)], 4, 0.25), RandomSource(0))
         g = canonicalize([(0, 1), (2, 1)], f5)
         for seed in range(5):
-            out = interp_sum_sp(InterpJob([(g, g)], 4, 5, None, 0.25), RandomSource(seed))
+            job = InterpJob([(g, g)], 4, 0.25)
+            assert job.D == 5
+            out = interp_sum_sp(job, RandomSource(seed))
             assert out.degree < 5
             if out == naive_mul(g, g):
                 break
@@ -393,6 +389,10 @@ class TestInterpSumSP:
 
     def test_job_validation(self):
         with pytest.raises(ValueError):
-            InterpJob([(F_EX, G_EX)], 0, 10, 1, 0.25)
+            InterpJob([(F_EX, G_EX)], 0, 0.25)
         with pytest.raises(ValueError):
-            InterpJob([], 1, 10, 1, 0.25)
+            InterpJob([], 1, 0.25)
+        with pytest.raises(ValueError):
+            InterpJob([(F_EX, G_EX)], 1, 1.0)
+        with pytest.raises(RingMismatchError):
+            InterpJob([(F_EX, monomial(prime_field(5), 0, 1))], 1, 0.25)

@@ -108,6 +108,29 @@ class TestNaiveMul:
             assert h.degree == fa.degree + fb.degree  # no leading cancellation over Z
 
 
+class TestHeightBound:
+    def test_bounds_random_sums_by_the_per_pair_formula(self):
+        # narrow exponent ranges make term products collide
+        rnd = random.Random(31)
+        for _ in range(200):
+            pairs = [(rand_sparse(rnd, ZZ, 8, 40, 2 ** 10), rand_sparse(rnd, ZZ, 8, 40, 2 ** 10))
+                     for _ in range(rnd.randint(1, 3))]
+            h = zero_poly(ZZ)
+            for f, g in pairs:
+                h = add(h, naive_mul(f, g))
+            bound = poly.height_bound(pairs)
+            assert bound >= h.height()
+            assert bound == sum(min(f.sparsity, g.sparsity) * f.height() * g.height()
+                                for f, g in pairs)
+
+    def test_tight_and_zero_cases(self):
+        # (1 + X + ... + X^5)^2 has the coefficient 6 at X^5
+        ones = canonicalize([(i, 1) for i in range(6)], ZZ)
+        assert poly.height_bound([(ones, ones)]) == naive_mul(ones, ones).height() == 6
+        assert poly.height_bound([(F_EX, zero_poly(ZZ))]) == 0
+        assert poly.height_bound([]) == 0
+
+
 class TestDerivative:
     def test_constant(self):
         assert derivative(canonicalize([(0, 5)], ZZ)).is_zero

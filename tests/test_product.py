@@ -388,13 +388,20 @@ class TestWrappedOperands:
 
     @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62)], ids=["Z", "F_Q62"])
     def test_unwrapped_product_is_h1(self, monkeypatch, ring):
+        # every job interpolates F*G under D = deg F + deg G + 1 and, over Z,
+        # C = min(#F, #G)*||F||*||G||, so the primes its rounds draw depend
+        # on the operands alone
         jobs = _watch_jobs(monkeypatch)
-        for seed in range(5):
-            f, g = _random_pair(ring, (6, 5), 10 ** 4, seed)
+        pairs = [_random_pair(ring, sizes, 10 ** 4, seed)
+                 for seed, sizes in enumerate([(6, 5)] * 5 + [(1, 9), (16, 16), (40, 3)])]
+        if ring == ZZ:
+            pairs.append(example2_family(16))
+        for seed, (f, g) in enumerate(pairs):
             jobs.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert all(len(job.pairs) == 1 for job in jobs)
-            assert jobs[-1].D == f.degree + g.degree + 1
+            c = min(f.sparsity, g.sparsity) * f.height() * g.height() if ring == ZZ else None
+            assert jobs and all(len(job.pairs) == 1 for job in jobs)
+            assert all((job.D, job.C) == (f.degree + g.degree + 1, c) for job in jobs)
 
 
 class TestCheckBudget:

@@ -5,7 +5,7 @@ import pytest
 
 from spmul import (RandomSource, UnsupportedRingError, add,
                    canonicalize, cyclic_reduce, derivative, eval_cyclic_product,
-                   ext_field, eval_sparse, integers, monomial, mul_count,
+                   ext_field, eval_sparse, integers, lambda_nonzero, monomial, mul_count,
                    naive_mul, negate, prime_field, reset_mul_count, scale,
                    verify_sp, verify_sum_sp, zero_poly)
 from spmul import verify
@@ -102,15 +102,18 @@ class TestEvalCyclicProduct:
 
 class TestBudgetSplit:
     def test_budgets_hold_across_eps(self):
-        # the failure sources of one check (see verify._split) stay within eps
+        # the failure sources of one check (see verify._split) stay within
+        # eps: p misses a nonzero difference with probability at most the
+        # p-share (lambda_nonzero), q divides it with at most 10/(3*c2), and
+        # the point is a root with at most 1/c2
         slack = 1e-9
         for eps in (2.0 ** -60, 1e-7, 1e-4, 0.01, 0.1, 0.5, 0.9, 0.999):
-            c1, c2 = verify._split(eps, False)
-            assert c1 > 10 / 3 and c2 > 1
-            assert 10 / (3 * c1) + (1 - 10 / (3 * c1)) / c2 <= eps + slack
-            c1, c2 = verify._split(eps, True)
-            assert c1 >= 10 / 3 and c2 >= 10 / 3
-            assert 1 - (1 - 10 / (3 * c1)) * (1 - 10 / (3 * c2)) * (1 - 1 / c2) <= eps + slack
+            share, c2 = verify._split(eps, False)
+            assert 0 < share < 1 and c2 > 1
+            assert share + (1 - share) / c2 <= eps + slack
+            share, c2 = verify._split(eps, True)
+            assert 0 < share < 1 and c2 >= 10 / 3
+            assert 1 - (1 - share) * (1 - 10 / (3 * c2)) * (1 - 1 / c2) <= eps + slack
 
 
 class TestVerifySP:
@@ -329,9 +332,8 @@ class TestEvaluationRoutes:
                 h = naive_mul(f, g)
                 seen.clear()
                 assert verify_sp(f, g, h, eps, RandomSource(seed))
-                lam = max(21, math.ceil(verify._split(eps, False)[0]
-                                        * (f.sparsity * g.sparsity + h.sparsity)
-                                        * math.log(max(h.degree, 2))))
+                lam = lambda_nonzero(f.sparsity * g.sparsity + h.sparsity,
+                                     max(h.degree, 2), verify._split(eps, False)[0])
                 out += [(r, p, 2 * lam) for r, p in seen]
             return out
 
@@ -359,8 +361,9 @@ class TestEvaluationRoutes:
             assert ring.kind == "ext_field" and ring.q == 3 and ring.s > 2
 
     def test_integer_split(self, monkeypatch):
-        # over Z all three failure sources share eps: c1 = c2 = 10/eps, so
-        # p comes from [lam, 2*lam] and the coefficient prime q >= c2*p
+        # over Z all three failure sources share eps: p comes from
+        # [lam, 2*lam] for lam = lambda_nonzero at the p-share eps/3, and the
+        # coefficient prime q >= c2*p for c2 = 10/eps
         seen = _watch_evaluations(monkeypatch)
         rnd = random.Random(16)
         eps = 0.01
@@ -372,8 +375,7 @@ class TestEvaluationRoutes:
                 h = _perturbed(h, 1)
             seen.clear()
             assert verify_sp(f, g, h, eps, RandomSource(seed)) == (seed % 2 == 0)
-            lam = max(21, math.ceil((10 / eps) * (f.sparsity * g.sparsity + h.sparsity)
-                                    * math.log(max(h.degree, 2))))
+            lam = lambda_nonzero(f.sparsity * g.sparsity + h.sparsity, max(h.degree, 2), eps / 3)
             assert len(seen) == 1
             ring, p = seen[0]
             assert lam <= p <= 2 * lam
