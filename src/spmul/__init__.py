@@ -6,16 +6,16 @@ from .arith import (RandomSource, first_primes, irreducible_poly, is_prime,
 from .errors import (CharacteristicTooSmallError, PolyFileError,
                      RetryBudgetError, RingMismatchError,
                      SparsityBoundError, SpmulError, UnsupportedRingError)
-from .interp import InterpJob, find_terms, interp_sum_sp
+from .interp import find_terms, interp_sum_sp
 from .multivar import (MultiPoly, canonicalize_multi, from_univariate,
                        inverse_kronecker, kronecker, multivar_product_field,
                        multivar_product_smallchar, multivar_product_z,
                        naive_mul_multi, randomized_kronecker,
                        sparsity_estimate, to_univariate)
 from .poly import (SparsePoly, add, canonicalize, cyclic_reduce,
-                   dense_cyclic_mul, derivative, eval_sparse, monomial,
-                   naive_mul, negate, scale, sub, zero_poly)
-from .product import ProductParams, sparse_product, sumset_size
+                   dense_cyclic_mul, derivative, eval_sparse, naive_mul,
+                   negate, scale, sub, zero_poly)
+from .product import ProductParams, sparse_product
 from .rings import (RingSpec, add_mul_count, ext_field, integers, mul_count,
                     prime_field, reset_mul_count)
 from .verify import eval_cyclic_product, verify_sp, verify_sum_sp

@@ -95,8 +95,9 @@ def random_prime(lam: int, rng: RandomSource) -> int:
     """Return a prime p in [lam, 2*lam].
 
     Samples uniform odd candidates and tests each with :func:`is_prime`,
-    which errs with probability <= 2^-80, far below any failure budget
-    used here.  The retry budget is 64*ceil(log2 lam) candidates;
+    which is exact below 3.3e24 and errs with probability <= 2^-80 above:
+    a failure budget below 2^-80 is honoured only while 2*lam, the largest
+    prime it can return, stays below 3.3e24.  The retry budget is 64*ceil(log2 lam) candidates;
     exhausting it raises :class:`RetryBudgetError` (it signals a
     pathological RNG, not a caller bug).
     """

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .arith import RandomSource, first_primes
 from .errors import CharacteristicTooSmallError, RingMismatchError, SparsityBoundError
@@ -60,46 +59,6 @@ def _dense_is_cheaper(p: int, slotted, work: int) -> bool:
         for w in (fc + gc, fd + gc, fc + gd):
             dense += (p * (w + pbits)) ** 1.585 / 8300
     return dense < work
-
-
-@dataclass
-class InterpJob:
-    """One interpolation task: recover H = sum F_i*G_i.
-
-    T bounds the sparsity of H and mu is the failure budget.  The bounds
-    that follow from the pairs are derived, not set: D strictly bounds the
-    degree of H, and C bounds its height (poly.height_bound; None over
-    fields).
-    """
-
-    pairs: list
-    T: int
-    mu: float
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("pairs must be nonempty")
-        ring = self.pairs[0][0].ring
-        for F, G in self.pairs:
-            if F.ring != ring or G.ring != ring:
-                raise RingMismatchError("pairs must share one ring")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-
-    @property
-    def ring(self) -> RingSpec:
-        return self.pairs[0][0].ring
-
-    @property
-    def D(self) -> int:
-        # 1 + the largest deg F_i + deg G_i over pairs with no zero side, at least 2
-        return max([2] + [F.degree + G.degree + 1 for F, G in self.pairs if F.terms and G.terms])
-
-    @property
-    def C(self) -> int | None:
-        return height_bound(self.pairs) if self.ring.kind == "integers" else None
 
 
 def _batch_inverse(ring: RingSpec, values: list) -> list:
@@ -297,15 +256,20 @@ def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
     return SparsePoly(H.ring, tuple(terms))
 
 
-def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
-    """Interpolate H = sum F_i*G_i.
+def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
+    """Interpolate H = sum F_i*G_i, for nonempty pairs sharing one ring
+    (RingMismatchError otherwise), a sparsity bound T >= 1 and a failure
+    budget 0 < mu < 1.
 
-    The output has at most 2T terms, degree < D, and (over Z) height <=
-    C, for the job's derived D and C.  A job ends at the first round whose find_terms update explains
-    both residues of H - h* (h* the running approximation; see the module
-    docstring for the count test) and whose _trim keeps every term of
-    h* + update, so that H - h* and its derivative vanish mod X^p - 1 at
-    that round's p.
+    The bounds that follow from the pairs are derived, not passed: D = 1 +
+    the largest deg F_i + deg G_i over pairs with no zero side (at least
+    2) strictly bounds the degree of H, and over Z, C = poly.height_bound
+    bounds its height.  The output has at most 2T terms, degree < D, and
+    (over Z) height <= C.  A job ends at the first round whose find_terms
+    update explains both residues of H - h* (h* the running approximation;
+    see the module docstring for the count test) and whose _trim keeps
+    every term of h* + update, so that H - h* and its derivative vanish
+    mod X^p - 1 at that round's p.
 
     Either residue of H - h* with N terms proves #H >= N - #h*: H - h* and
     its derivative have at most #H + #h* terms, and reduction only merges
@@ -324,21 +288,27 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
     consistent with both residues.  The output is certified only by
     verifying it.
     """
-    ring = job.ring
-    D, C = job.D, job.C
+    if not pairs:
+        raise ValueError("pairs must be nonempty")
+    ring = _same_ring(*(F for pair in pairs for F in pair))
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if not 0.0 < mu < 1.0:
+        raise ValueError("mu must lie in (0, 1)")
+    D = max([2] + [F.degree + G.degree + 1 for F, G in pairs if F.terms and G.terms])
+    C = height_bound(pairs) if ring.kind == "integers" else None
     # exponents are read back as coefficient ratios, up to D - 1
     if ring.is_field and ring.char < D:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed the largest exponent {D - 1}")
-    pairs = list(job.pairs)
     # each round halves the missing terms with constant probability, so
     # log2(2T) rounds to find everything plus log2(1/mu) to drive the
     # failure budget down, plus slack
-    rounds = math.ceil(math.log2(2 * job.T)) + math.ceil(math.log2(1.0 / job.mu)) + 2
+    rounds = math.ceil(math.log2(2 * T)) + math.ceil(math.log2(1.0 / mu)) + 2
     double_c = 2 * C if C is not None else None
     h_star = zero_poly(ring)
     # rounds draw p from the first 2*floor(6.4*(T-1)*log2 D) primes
-    n_pool = max(1, math.floor((32.0 / 5.0) * (job.T - 1) * math.log2(D)))
+    n_pool = max(1, math.floor((32.0 / 5.0) * (T - 1) * math.log2(D)))
     primes = first_primes(2 * n_pool)
     for _ in range(rounds):
         p = primes[rng.randrange(len(primes))]
@@ -347,11 +317,11 @@ def interp_sum_sp(job: InterpJob, rng: RandomSource) -> SparsePoly:
         # round can reach H, so the walk raises SparsityBoundError at once.
         # An honest job (T >= #H) stays within T + #h* <= 3T and never
         # gets there.
-        limit = min(3 * job.T, 2 * job.T + h_star.sparsity)
+        limit = min(3 * T, 2 * T + h_star.sparsity)
         residue, residue_d = cyclic_product_residue(pairs, h_star, p, limit=limit)
         update = find_terms(p, residue, residue_d, D - 1, double_c)
         total = add(h_star, update)
-        h_star = _trim(total, job.T, C)
+        h_star = _trim(total, T, C)
         # update explains both residues exactly and _trim kept all of it:
         # H - h* now vanishes mod X^p - 1, and so does its derivative
         if (update.sparsity == residue.sparsity

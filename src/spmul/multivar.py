@@ -6,13 +6,12 @@ digits of one univariate exponent, turning a multivariate product into a
 univariate one without changing sparsity or height.  Randomized
 substitution x_i -> X^(s_i) trades injectivity for much smaller degrees.
 The sparsity estimate forms no product of F and G: for a few random
-substitutions s and primes p it counts the terms of F_s*G_s mod X^p - 1,
-one schoolbook product of the substituted operands, reduced modulo
-X^p - 1, at ceil(log2(1/eps))*#F*#G ring mults in all.  Both maps only
-merge terms, so the largest count never exceeds the true sparsity, and
-with p and the substitution box large enough few terms merge.  Small
-characteristic is handled by lifting coefficients to Z, multiplying
-there, and reducing back.
+substitutions s it counts the terms of F_s*G_s, one schoolbook product of
+the substituted operands, at ceil(log2(1/eps))*#F*#G ring mults in all.
+Substitution only merges terms, so the largest count never exceeds the
+true sparsity, and with the substitution box large enough few terms
+merge.  Small characteristic is handled by lifting coefficients to Z,
+multiplying there, and reducing back.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import RandomSource, ceil_bound, lambda_nonzero, random_prime
+from .arith import RandomSource, ceil_bound
 from .errors import RingMismatchError, UnsupportedRingError
-from .poly import SparsePoly, canonicalize, cyclic_reduce, naive_mul
+from .poly import SparsePoly, canonicalize, naive_mul
 from .product import ProductParams, sparse_product
 from .rings import RingSpec, integers
 
@@ -148,36 +147,29 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
 
     The return value never exceeds ceil(lam * #(FG)) (lam * #(FG) for an
     integer lam); it is at least #(FG) with probability >= 1 - eps, over
-    Z and over any finite field: counting the terms of a residue, unlike
+    Z and over any finite field: counting the terms of a product, unlike
     interpolating it, puts no condition on the characteristic.
 
     Each of ell = ceil(log2(1/eps)) iterations draws s uniform in
-    [0, n_box)^n with n_box = ceil(4*(#F*#G - 1) / (1 - 1/lam)), then a
-    prime p from [L, 2L] with L = lambda_nonzero(#F*#G, D_s, delta),
-    delta = (1 - 1/lam)/2 and D_s = max(2, deg F_s + deg G_s + 1), and
-    counts the terms of F_s*G_s mod X^p - 1, one schoolbook product of the
-    substituted operands, reduced modulo X^p - 1; best is the largest
-    count, and the estimate is ceil(lam*best), at ceil(log2(1/eps))*#F*#G
-    ring mults at most.
+    [0, n_box)^n with n_box = ceil((#F*#G - 1)/delta), delta = (1 -
+    1/lam)/2, and counts the terms of F_s*G_s, one schoolbook product of
+    the substituted operands; best is the largest count, and the estimate
+    is ceil(lam*best), at ceil(log2(1/eps))*#F*#G ring mults at most.
 
-    Upper bound.  Substitution x_i -> X^(s_i) and reduction mod X^p - 1
-    are ring homomorphisms that only merge terms, so every count is at
-    most #(FG)_s <= #(FG), and ceil(lam*best) <= ceil(lam*#(FG)) holds
-    deterministically.
+    Upper bound.  Substitution x_i -> X^(s_i) is a ring homomorphism that
+    only merges terms, so every count is at most #(FG)_s <= #(FG), and
+    ceil(lam*best) <= ceil(lam*#(FG)) holds deterministically.
 
     Lower bound.  Take two distinct exponent vectors of FG.  They collide
     under s with probability <= 1/n_box (they differ in some coordinate,
-    and given the others at most one s_i merges them).  The terms of
-    (FG)_s = F_s*G_s have exponents below D_s, so two of them collide mod p
-    with probability <= 5 ln D_s / (3L) <= delta/(2*#F*#G).  A term of FG
-    that collides with no other term, under s nor mod p, is a term of the
-    residue, and FG has at most #F*#G terms, so each term collides with
-    probability <= (#FG - 1)/n_box + #FG*delta/(2*#F*#G) <= delta, and
-    the expected number of colliding terms is <= #FG*(1 - 1/lam)/2.  By
-    Markov's inequality, fewer than #FG*(1 - 1/lam) terms collide, so more
-    than #FG/lam survive and ceil(lam*count) >= #FG, with probability
-    >= 1/2 per iteration; all ell iterations miss with probability
-    <= 2^-ell <= eps.
+    and given the others at most one s_i merges them).  A term of FG that
+    collides with no other term under s is a term of (FG)_s = F_s*G_s, and
+    FG has at most #F*#G terms, so each term collides with probability
+    <= (#FG - 1)/n_box <= delta, and the expected number of colliding
+    terms is <= #FG*(1 - 1/lam)/2.  By Markov's inequality, fewer than
+    #FG*(1 - 1/lam) terms collide, so more than #FG/lam survive and
+    ceil(lam*count) >= #FG, with probability >= 1/2 per iteration; all ell
+    iterations miss with probability <= 2^-ell <= eps.
     """
     if F.ring != G.ring or F.nvars != G.nvars:
         raise RingMismatchError("operands must share ring and variables")
@@ -189,13 +181,12 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
         return 0
     nfng = F.sparsity * G.sparsity
     delta = (1.0 - 1.0 / lam) / 2.0
-    n_box = max(1, ceil_bound(2.0 * (nfng - 1) / delta))
+    n_box = max(1, ceil_bound((nfng - 1) / delta))
     best = 0
     for _ in range(ceil_bound(math.log2(1.0 / eps))):
         s_vec = tuple(rng.randrange(n_box) for _ in range(F.nvars))
         F_s, G_s = randomized_kronecker(F, s_vec), randomized_kronecker(G, s_vec)
-        p = random_prime(lambda_nonzero(nfng, max(2, F_s.degree + G_s.degree + 1), delta), rng)
-        best = max(best, cyclic_reduce(naive_mul(F_s, G_s), p).sparsity)
+        best = max(best, naive_mul(F_s, G_s).sparsity)
     return ceil_bound(lam * best)
 
 

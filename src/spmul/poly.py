@@ -39,10 +39,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.terms)
-
     def height(self) -> int:
         """Max absolute coefficient; integer polynomials only."""
         if self.ring.kind != "integers":
@@ -76,10 +72,6 @@ def canonicalize(terms, ring: RingSpec) -> SparsePoly:
 
 def zero_poly(ring: RingSpec) -> SparsePoly:
     return SparsePoly(ring, ())
-
-
-def monomial(ring: RingSpec, e: int, c) -> SparsePoly:
-    return canonicalize([(e, c)], ring)
 
 
 def add(F: SparsePoly, G: SparsePoly) -> SparsePoly:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .arith import RandomSource, lambda_no_collision, random_prime
 from .errors import (CharacteristicTooSmallError, RetryBudgetError, RingMismatchError,
                      SparsityBoundError)
-from .interp import InterpJob, find_terms, interp_sum_sp
+from .interp import find_terms, interp_sum_sp
 from .poly import SparsePoly, cyclic_reduce, derivative, height_bound, scale, zero_poly
 from .verify import verify_sp, verify_sum_sp
 
@@ -65,9 +65,9 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
     under the sparsity guess t and checks it with verify_sp.  Each job
-    derives its degree and height bounds from its pairs (InterpJob).  The
-    guesses lie on the lattice ceil(t0*2^k), t0 = max(#F, #G), from the k
-    that puts the first one in [2, 4) (or at t0 when t0 < 2), so a small
+    (interp_sum_sp) derives its degree and height bounds from its pairs.
+    The guesses lie on the lattice ceil(t0*2^k), t0 = max(#F, #G), from the
+    k that puts the first one in [2, 4) (or at t0 when t0 < 2), so a small
     output is found at a small prime; every guess >= t0 is t0*2^k.  The
     interpolation jobs only stop on residues they explain (interp), so
     these checks are the certificate.
@@ -148,14 +148,14 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         t = _guess(t0, k)
         floor = 0
         try:
-            h1 = interp_sum_sp(InterpJob([(F_p, G_p)], t, mu_interp), rng)
+            h1 = interp_sum_sp([(F_p, G_p)], t, mu_interp, rng)
             # interpolating h2 only after h1 passes skips the heavier job on
             # every round whose sparsity guess is still too small
             eps /= 2.0
             if verify_sp(F_p, G_p, h1, eps, rng):
                 if not wraps:
                     return h1
-                h2 = interp_sum_sp(InterpJob(deriv_pairs, t, mu_interp), rng)
+                h2 = interp_sum_sp(deriv_pairs, t, mu_interp, rng)
                 eps /= 2.0
                 if verify_sum_sp(h2, deriv_pairs, eps, rng):
                     break
@@ -173,13 +173,3 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     Hd_p = cyclic_reduce(h2, p)
     C = height_bound([(F, G)]) if ring.kind == "integers" else None
     return find_terms(p, H_p, Hd_p, D, C)
-
-
-def sumset_size(F: SparsePoly, G: SparsePoly) -> int:
-    """Structural sparsity: |{a + b : a in supp F, b in supp G}|.
-
-    Brute force; diagnostic and benchmark utility.
-    """
-    if F.is_zero or G.is_zero:
-        return 0
-    return len({a + b for a in F.support for b in G.support})

@@ -220,6 +220,9 @@ def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,
 
     Always True when the identity holds; False with probability at least
     1 - eps otherwise.  Works over Z, F_q, and F_{q^s} (any characteristic).
+    The primes it draws are certified by arith.is_prime, exact only below
+    3.3e24 and wrong with probability <= 2^-80 above, so an eps below
+    2^-80 is honoured only while every prime drawn stays below 3.3e24.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")

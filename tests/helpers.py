@@ -168,5 +168,14 @@ def poly_to_dict(F) -> dict:
     return dict(F.terms)
 
 
+def monomial(ring, e: int, c) -> SparsePoly:
+    return canonicalize([(e, c)], ring)
+
+
+def sumset_size(F: SparsePoly, G: SparsePoly) -> int:
+    """Structural sparsity by brute force: |{a + b : a in supp F, b in supp G}|."""
+    return len({a + b for a, _ in F.terms for b, _ in G.terms})
+
+
 # a fixed 62-bit prime used across field tests (checked in test_arith)
 Q62 = 2305843009213714499

@@ -11,13 +11,13 @@ import time
 
 from spmul import (ProductParams, RandomSource, add, canonicalize,
                    derivative, eval_cyclic_product, ext_field, first_primes,
-                   integers, is_prime, monomial, mul_count,
+                   integers, is_prime, mul_count,
                    multivar_product_smallchar, naive_mul, prime_field,
                    reset_mul_count, sparse_product, sparsity_estimate,
-                   sumset_size, verify_sp, inverse_kronecker, kronecker)
+                   verify_sp, inverse_kronecker, kronecker)
 from spmul.cli import run_command
 
-from helpers import Q62, dict_mul_ring, rand_multi, rand_sparse
+from helpers import Q62, dict_mul_ring, monomial, rand_multi, rand_sparse, sumset_size
 
 ZZ = integers()
 MU20 = 2.0 ** -20

@@ -1,6 +1,7 @@
 import csv
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,33 @@ class TestParseFormat:
     def test_wrong_exponent_count(self):
         with pytest.raises(PolyFileError):
             parse_poly("ring int\nvars 2\nterm 1 3\n")
+
+    @pytest.mark.parametrize("text, reason", [
+        ("field 7\nvars 1\n", "line 1: field header needs q and s"),
+        ("field seven 1\nvars 1\n", "line 1: field parameters must be integers"),
+        ("field 7 one\nvars 1\n", "line 1: field parameters must be integers"),
+        ("ring int\nvars 1\nterm 2x 3\n", "line 3: bad coefficient '2x'"),
+        ("ring int\nvars 1\nterm 1,2 3\n", "line 3: integer coefficients take one value"),
+        ("field 3 2\nvars 1\nterm 1,3 0\n", "line 3: coefficient out of field range"),
+        ("# no vars line\nring int\n", "file needs a ring line and a vars line"),
+        ("ring int\nnvars 1\n", "line 2: expected 'vars <n>'"),
+        ("ring int\nvars two\n", "line 2: vars count must be an integer"),
+        ("ring int\nvars 0\n", "line 2: vars count must be >= 1"),
+        ("ring int\nvars 1\nterm 1 0\nterms 2 1\n", "line 4: expected a term record"),
+        ("ring int\nvars 2\nterm 1 0 y\n", "line 3: exponents must be integers"),
+        ("# comment\nring int\n\nvars 1\nterm 1 -1\n", "line 5: exponents must be nonnegative"),
+    ], ids=["field-arity", "field-q", "field-s", "coeff-token", "int-residues",
+            "ext-residue-range", "too-few-lines", "vars-line", "vars-count", "vars-zero",
+            "not-a-term", "exponent-token", "negative-exponent"])
+    def test_rejected_file(self, tmp_path, capsys, text, reason):
+        # the error names the offending line (counting comment and blank
+        # lines), and spmul mul reports it with exit code 2
+        with pytest.raises(PolyFileError, match=f"^{re.escape(reason)}$"):
+            parse_poly(text)
+        bad = tmp_path / "bad.poly"
+        bad.write_text(text)
+        assert run_command(["mul", str(bad), str(bad), "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"spmul: {reason}\n"
 
 
 class TestCommands:
@@ -359,11 +387,11 @@ class TestModuleEntryPoints:
         floors = []
         real = product.interp_sum_sp
 
-        def interp_sum_sp(job, rng):
+        def interp_sum_sp(pairs, T, mu, rng):
             try:
-                return real(job, rng)
+                return real(pairs, T, mu, rng)
             except SparsityBoundError as err:
-                floors.append((job.T, err.floor))
+                floors.append((T, err.floor))
                 raise
 
         monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from spmul import (CharacteristicTooSmallError, InterpJob, RandomSource,
+from spmul import (CharacteristicTooSmallError, RandomSource,
                    RingMismatchError, SparsityBoundError, add, canonicalize, cyclic_reduce,
                    derivative, ext_field, find_terms, integers, interp_sum_sp,
-                   monomial, mul_count, naive_mul, negate, prime_field,
+                   mul_count, naive_mul, negate, prime_field,
                    reset_mul_count, sub, zero_poly)
 from spmul import interp
 from spmul.interp import cyclic_product_residue
+from spmul.poly import height_bound
 
-from helpers import Q62, rand_sparse
+from helpers import Q62, monomial, rand_sparse
 
 ZZ = integers()
 
@@ -75,6 +76,21 @@ class TestFindTerms:
         z = zero_poly(f5)
         with pytest.raises(CharacteristicTooSmallError):
             find_terms(7, z, z, 6, None)
+
+    def test_ratio_outside_the_prime_subfield_rejected(self):
+        # over F_101^2 the ratio (0,1)/(1,0) = Y is no exponent; the ratio
+        # (3,0)/(1,0) = 3 is, and 3 = r (mod 7)
+        f = ext_field(101, 2)
+        h_p = canonicalize([(3, (1, 0))], f)
+        assert find_terms(7, h_p, canonicalize([(2, (0, 1))], f), 50, None).is_zero
+        assert find_terms(7, h_p, canonicalize([(2, (3, 0))], f), 50, None) == h_p
+
+    def test_exponent_off_its_residue_slot_rejected(self):
+        # 10/2 gives e = 5, which does not sit in slot r = 3 mod 7; 6/2
+        # gives e = 3, which does
+        h_p = canonicalize([(3, 2)], ZZ)
+        assert find_terms(7, h_p, canonicalize([(2, 10)], ZZ), 20, None).is_zero
+        assert find_terms(7, h_p, canonicalize([(2, 6)], ZZ), 20, None) == h_p
 
 
 def _direct_residues(pairs, minus, p, ring):
@@ -243,20 +259,20 @@ class TestCyclicProductResidue:
 class TestInterpSumSP:
     def test_example_product(self):
         h = naive_mul(F_EX, G_EX)
-        job = InterpJob([(F_EX, G_EX)], 9, 0.25)
-        hits = sum(interp_sum_sp(job, RandomSource(seed)) == h for seed in range(40))
+        hits = sum(interp_sum_sp([(F_EX, G_EX)], 9, 0.25, RandomSource(seed)) == h
+                   for seed in range(40))
         assert hits >= 30  # failure budget 1/4
 
     def test_identity_factor(self):
         one = monomial(ZZ, 0, 1)
-        job = InterpJob([(F_EX, one)], 3, 0.25)
-        hits = sum(interp_sum_sp(job, RandomSource(seed)) == F_EX for seed in range(30))
+        hits = sum(interp_sum_sp([(F_EX, one)], 3, 0.25, RandomSource(seed)) == F_EX
+                   for seed in range(30))
         assert hits >= 22
 
     def test_cancellation_to_zero(self):
-        job = InterpJob([(F_EX, G_EX), (negate(F_EX), G_EX)], 5, 0.25)
+        pairs = [(F_EX, G_EX), (negate(F_EX), G_EX)]
         for seed in range(10):
-            assert interp_sum_sp(job, RandomSource(seed)).is_zero
+            assert interp_sum_sp(pairs, 5, 0.25, RandomSource(seed)).is_zero
 
     def test_shape_contract_with_adversarial_bounds(self):
         rnd = random.Random(4)
@@ -265,17 +281,17 @@ class TestInterpSumSP:
             f = rand_sparse(rnd, ZZ, 10, 10 ** 4, 2 ** 16)
             g = rand_sparse(rnd, ZZ, 10, 10 ** 4, 2 ** 16)
             T = 2  # far too small on purpose
-            job = InterpJob([(f, g)], T, 0.25)
             try:
-                out = interp_sum_sp(job, RandomSource(seed))
+                out = interp_sum_sp([(f, g)], T, 0.25, RandomSource(seed))
             except SparsityBoundError as err:
                 # the floor is sound: a proven lower bound on #H
                 assert 0 < err.floor <= naive_mul(f, g).sparsity
                 raised += 1
                 continue
             assert out.sparsity <= 2 * T
-            assert out.is_zero or out.degree < job.D
-            assert out.height() <= job.C
+            # D = deg f + deg g + 1 and C = height_bound([(f, g)]), from the pair
+            assert out.is_zero or out.degree <= f.degree + g.degree
+            assert out.height() <= height_bound([(f, g)])
         assert 0 < raised < 60  # both outcomes are exercised
 
     def test_success_rate_with_true_bounds(self):
@@ -286,8 +302,7 @@ class TestInterpSumSP:
             f = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
             g = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
             h = naive_mul(f, g)
-            job = InterpJob([(f, g)], max(1, h.sparsity), 0.25)
-            ok += interp_sum_sp(job, RandomSource(seed)) == h
+            ok += interp_sum_sp([(f, g)], max(1, h.sparsity), 0.25, RandomSource(seed)) == h
         assert ok >= 225  # >= (1 - mu) fraction at mu = 1/4
 
     def test_monotone_progress(self, monkeypatch):
@@ -299,8 +314,7 @@ class TestInterpSumSP:
             g = rand_sparse(rnd, ZZ, 8, 10 ** 5, 2 ** 20)
             h = naive_mul(f, g)
             rounds.clear()
-            job = InterpJob([(f, g)], max(1, h.sparsity), 0.25)
-            interp_sum_sp(job, RandomSource(seed))
+            interp_sum_sp([(f, g)], max(1, h.sparsity), 0.25, RandomSource(seed))
             missing = [h.sparsity] + [sub(h, h_star).sparsity for h_star in rounds]
             for before, after in zip(missing, missing[1:]):
                 total += 1
@@ -313,13 +327,12 @@ class TestInterpSumSP:
         # its count is reported as the floor 30 < floor <= #H
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
-        job = InterpJob([(f, g)], 15, 0.25)
         rounds = _watch_rounds(monkeypatch)
         for seed in range(10):
             rounds.clear()
             reset_mul_count()
             with pytest.raises(SparsityBoundError) as err:
-                interp_sum_sp(job, RandomSource(seed))
+                interp_sum_sp([(f, g)], 15, 0.25, RandomSource(seed))
             assert mul_count() <= 3 * f.sparsity * g.sparsity
             assert rounds == [] and 30 < err.value.floor <= 36
 
@@ -329,9 +342,8 @@ class TestInterpSumSP:
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
         h = naive_mul(f, g)
-        job = InterpJob([(f, g)], 20, 0.25)
         for seed in range(10):
-            assert interp_sum_sp(job, RandomSource(seed)) == h
+            assert interp_sum_sp([(f, g)], 20, 0.25, RandomSource(seed)) == h
 
     def test_derivative_residue_keeps_the_job_running(self, monkeypatch):
         # H = X^100 - X^2 at p = 7: both terms sit in slot 2, where H's
@@ -341,7 +353,6 @@ class TestInterpSumSP:
         f = monomial(ZZ, 2, 1)
         g = canonicalize([(98, 1), (0, -1)], ZZ)
         h = naive_mul(f, g)
-        job = InterpJob([(f, g)], 2, 0.25)
 
         class FirstDrawIs7(RandomSource):
             def randrange(self, n):
@@ -351,7 +362,7 @@ class TestInterpSumSP:
         rounds = _watch_rounds(monkeypatch)
         for seed in range(10):
             rounds.clear()
-            assert interp_sum_sp(job, FirstDrawIs7(seed)) == h
+            assert interp_sum_sp([(f, g)], 2, 0.25, FirstDrawIs7(seed)) == h
             assert rounds[0].is_zero and len(rounds) >= 2
 
     def test_field_interpolation(self):
@@ -361,8 +372,7 @@ class TestInterpSumSP:
             f = rand_sparse(rnd, fq, 5, 10 ** 4)
             g = rand_sparse(rnd, fq, 5, 10 ** 4)
             h = naive_mul(f, g)
-            job = InterpJob([(f, g)], max(1, h.sparsity), 0.25)
-            out = interp_sum_sp(job, RandomSource(seed))
+            out = interp_sum_sp([(f, g)], max(1, h.sparsity), 0.25, RandomSource(seed))
             if out == h:
                 break
         else:
@@ -375,12 +385,11 @@ class TestInterpSumSP:
         f5 = prime_field(5)
         f = canonicalize([(0, 1), (3, 1)], f5)
         with pytest.raises(CharacteristicTooSmallError):
-            interp_sum_sp(InterpJob([(f, f)], 4, 0.25), RandomSource(0))
+            interp_sum_sp([(f, f)], 4, 0.25, RandomSource(0))
         g = canonicalize([(0, 1), (2, 1)], f5)
+        assert g.degree + g.degree + 1 == 5  # the D of the pair (g, g)
         for seed in range(5):
-            job = InterpJob([(g, g)], 4, 0.25)
-            assert job.D == 5
-            out = interp_sum_sp(job, RandomSource(seed))
+            out = interp_sum_sp([(g, g)], 4, 0.25, RandomSource(seed))
             assert out.degree < 5
             if out == naive_mul(g, g):
                 break
@@ -388,11 +397,13 @@ class TestInterpSumSP:
             pytest.fail("interpolation at q = D never succeeded")
 
     def test_job_validation(self):
-        with pytest.raises(ValueError):
-            InterpJob([(F_EX, G_EX)], 0, 0.25)
-        with pytest.raises(ValueError):
-            InterpJob([], 1, 0.25)
-        with pytest.raises(ValueError):
-            InterpJob([(F_EX, G_EX)], 1, 1.0)
+        rng = RandomSource(0)
+        with pytest.raises(ValueError, match="T must be"):
+            interp_sum_sp([(F_EX, G_EX)], 0, 0.25, rng)
+        with pytest.raises(ValueError, match="pairs must be nonempty"):
+            interp_sum_sp([], 1, 0.25, rng)
+        for mu in (0.0, 1.0):
+            with pytest.raises(ValueError, match="mu must"):
+                interp_sum_sp([(F_EX, G_EX)], 1, mu, rng)
         with pytest.raises(RingMismatchError):
-            InterpJob([(F_EX, monomial(prime_field(5), 0, 1))], 1, 0.25)
+            interp_sum_sp([(F_EX, monomial(prime_field(5), 0, 1))], 1, 0.25, rng)

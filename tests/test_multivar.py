@@ -10,8 +10,7 @@ from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
                    kronecker, mul_count, multivar_product_smallchar,
                    multivar_product_z, naive_mul, naive_mul_multi, prime_field,
                    randomized_kronecker, reset_mul_count, sparse_product,
-                   sparsity_estimate, to_univariate, zero_poly)
-from spmul.interp import cyclic_product_residue
+                   sparsity_estimate, to_univariate)
 
 from helpers import Q62, dict_mul_ring, rand_multi
 
@@ -20,6 +19,16 @@ ZZ = integers()
 
 def mp(terms, nvars=2, ring=ZZ):
     return canonicalize_multi(terms, nvars, ring)
+
+
+class TestCanonicalizeMulti:
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(7)], ids=["Z", "F_7"])
+    def test_repeated_vectors_merge(self, ring):
+        # (1, 2) appears twice and sums to 8 (1 over F_7); (0, 3) appears
+        # three times and cancels to zero, so it is dropped
+        f = mp([((0, 3), 5), ((1, 2), 4), ((0, 3), -7), ((2, 0), 1), ((1, 2), 4),
+                ((0, 3), 2)], ring=ring)
+        assert f.terms == (((1, 2), ring.coerce(8)), ((2, 0), 1))
 
 
 class TestKronecker:
@@ -213,32 +222,25 @@ class TestSparsityEstimate:
     @pytest.mark.parametrize("ring", [ZZ, prime_field(7), ext_field(3, 2)],
                              ids=["Z", "F_7", "F_9"])
     def test_counts_match_the_residue_walk(self, monkeypatch, ring):
-        # the interpolation walk's first residue, at the same s and p, is a
-        # reference count; no residue mod X^p - 1 has more than p terms, so
-        # limit = p never binds
+        # each draw counts the terms of F_s*G_s at the s it drew; the
+        # reference count is a dict schoolbook product of the same operands
         draws = []
-        naive, reduce = multivar.naive_mul, multivar.cyclic_reduce
+        naive = multivar.naive_mul
 
         def watched_naive(F_s, G_s):
-            draws.append([F_s, G_s])
-            return naive(F_s, G_s)
-
-        def watched_reduce(H, p):
-            out = reduce(H, p)
-            draws[-1] += [p, out.sparsity]
+            out = naive(F_s, G_s)
+            draws.append((F_s, G_s, out.sparsity))
             return out
 
         monkeypatch.setattr(multivar, "naive_mul", watched_naive)
-        monkeypatch.setattr(multivar, "cyclic_reduce", watched_reduce)
         rnd = random.Random(24)
-        zero = zero_poly(ring)
         for seed in range(50):
             f = rand_multi(rnd, ring, 2, 6, 8, 99)
             g = rand_multi(rnd, ring, 2, 6, 8, 99)
             draws.clear()
             t = sparsity_estimate(f, g, 0.05, 2, RandomSource(seed))
-            want = [cyclic_product_residue([(F_s, G_s)], zero, p, limit=p)[0].sparsity
-                    for F_s, G_s, p, _ in draws]
+            want = [len(dict_mul_ring(dict(F_s.terms), dict(G_s.terms), ring))
+                    for F_s, G_s, _ in draws]
             assert [count for *_, count in draws] == want
             assert t == 2 * max(want)
 

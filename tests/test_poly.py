@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from spmul import (RingMismatchError, UnsupportedRingError, add, canonicalize,
                    cyclic_reduce, dense_cyclic_mul, derivative,
                    eval_cyclic_product, eval_sparse, ext_field, integers,
-                   monomial, naive_mul, negate, prime_field, mul_count,
+                   naive_mul, negate, prime_field, mul_count,
                    reset_mul_count, scale, sub, zero_poly)
 from spmul import poly
 from spmul.poly import NEG_INF, fixed_base_powers
 from spmul.rings import _pow_cost
 
-from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, poly_to_dict,
+from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, monomial, poly_to_dict,
                      rand_sparse, trial_division_primes)
 
 ZZ = integers()

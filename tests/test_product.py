@@ -5,13 +5,13 @@ import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
                    RetryBudgetError, SparsityBoundError, add, canonicalize, ext_field,
-                   first_primes, integers, lambda_no_collision, monomial,
+                   first_primes, integers, lambda_no_collision,
                    multivar_product_smallchar, naive_mul, prime_field, scale,
-                   sparse_product, sumset_size, zero_poly)
+                   sparse_product, zero_poly)
 from spmul import interp, product
 from spmul.cli import format_poly, run_command
 
-from helpers import Q62, rand_sparse
+from helpers import Q62, monomial, rand_sparse, sumset_size
 
 ZZ = integers()
 PARAMS = ProductParams(2.0 ** -20, 2.0 ** -20)
@@ -32,13 +32,14 @@ class _NoDraws(RandomSource):
 
 
 def _watch_jobs(monkeypatch) -> list:
-    """List that receives every InterpJob sparse_product interpolates."""
+    """List that receives (pairs, T) for every job sparse_product
+    interpolates."""
     jobs = []
     real = product.interp_sum_sp
 
-    def interp_sum_sp(job, rng):
-        jobs.append(job)
-        return real(job, rng)
+    def interp_sum_sp(pairs, T, mu, rng):
+        jobs.append((pairs, T))
+        return real(pairs, T, mu, rng)
 
     monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
     return jobs
@@ -51,11 +52,11 @@ def _watch_steps(monkeypatch) -> list:
     steps = []
     real_interp = product.interp_sum_sp
 
-    def interp_sum_sp(job, rng):
-        step = ["job", job.T, len(job.pairs), None]
+    def interp_sum_sp(pairs, T, mu, rng):
+        step = ["job", T, len(pairs), None]
         steps.append(step)
         try:
-            return real_interp(job, rng)
+            return real_interp(pairs, T, mu, rng)
         except SparsityBoundError as err:
             step[3] = err.floor
             raise
@@ -219,7 +220,7 @@ class TestSparseProduct:
             h = sparse_product(f, g, PARAMS, RandomSource(seed))
             assert h == naive_mul(f, g)
             # the last job ran at the sparsity guess that passed
-            within += jobs[-1].T < 2 * max(f.sparsity, g.sparsity, h.sparsity)
+            within += jobs[-1][1] < 2 * max(f.sparsity, g.sparsity, h.sparsity)
         assert within >= 0.95 * trials
 
     def test_field_z_consistency(self):
@@ -311,7 +312,7 @@ class TestSparseProduct:
         monkeypatch.setattr(product, "_MAX_DOUBLINGS", 3)
         with pytest.raises(RetryBudgetError):
             sparse_product(F_EX, G_EX, PARAMS, RandomSource(0))
-        assert [job.T for job in jobs] == [3, 6, 12]
+        assert [T for _, T in jobs] == [3, 6, 12]
 
 
 def small_sumset_pair(ring, n, seed):
@@ -384,13 +385,13 @@ class TestWrappedOperands:
             assert max(f.degree, g.degree) >= 2 * lam
             jobs.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert len(jobs[-1].pairs) == 2
+            assert len(jobs[-1][0]) == 2
 
     @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62)], ids=["Z", "F_Q62"])
     def test_unwrapped_product_is_h1(self, monkeypatch, ring):
-        # every job interpolates F*G under D = deg F + deg G + 1 and, over Z,
-        # C = min(#F, #G)*||F||*||G||, so the primes its rounds draw depend
-        # on the operands alone
+        # every job interpolates F*G from the pair (F, G) itself, so it
+        # derives D = deg F + deg G + 1 and, over Z, C = min(#F, #G)*||F||*||G||,
+        # and the primes its rounds draw depend on the operands alone
         jobs = _watch_jobs(monkeypatch)
         pairs = [_random_pair(ring, sizes, 10 ** 4, seed)
                  for seed, sizes in enumerate([(6, 5)] * 5 + [(1, 9), (16, 16), (40, 3)])]
@@ -399,9 +400,7 @@ class TestWrappedOperands:
         for seed, (f, g) in enumerate(pairs):
             jobs.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            c = min(f.sparsity, g.sparsity) * f.height() * g.height() if ring == ZZ else None
-            assert jobs and all(len(job.pairs) == 1 for job in jobs)
-            assert all((job.D, job.C) == (f.degree + g.degree + 1, c) for job in jobs)
+            assert jobs and all(pairs == [(f, g)] for pairs, _ in jobs)
 
 
 class TestCheckBudget:
@@ -482,11 +481,11 @@ class TestSparsityFloor:
         real = product.interp_sum_sp
         faked = []
 
-        def interp_sum_sp(job, rng):
-            if len(job.pairs) == 2 and not faked:
-                faked.append(job.T)
-                raise SparsityBoundError(add(*(naive_mul(a, b) for a, b in job.pairs)).sparsity)
-            return real(job, rng)
+        def interp_sum_sp(pairs, T, mu, rng):
+            if len(pairs) == 2 and not faked:
+                faked.append(T)
+                raise SparsityBoundError(add(*(naive_mul(a, b) for a, b in pairs)).sparsity)
+            return real(pairs, T, mu, rng)
 
         monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
         steps = _watch_steps(monkeypatch)
@@ -559,7 +558,7 @@ class TestCharacteristicBoundary:
             # D = 100: q = D + 1 computes on the field path
             jobs.clear()
             assert sparse_product(a, b, PARAMS, RandomSource(seed)) == naive_mul(a, b)
-            assert jobs and all(job.D == 101 for job in jobs)
+            assert jobs and all(pairs == [(a, b)] for pairs, _ in jobs)  # D = 101
             # D = 101: q = D raises before any randomness is drawn
             with pytest.raises(CharacteristicTooSmallError, match=r"deg F \+ deg G = 101"):
                 sparse_product(c, b, PARAMS, _NoDraws())

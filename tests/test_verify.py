@@ -5,12 +5,12 @@ import pytest
 
 from spmul import (RandomSource, UnsupportedRingError, add,
                    canonicalize, cyclic_reduce, derivative, eval_cyclic_product,
-                   ext_field, eval_sparse, integers, lambda_nonzero, monomial, mul_count,
+                   ext_field, eval_sparse, integers, lambda_nonzero, mul_count,
                    naive_mul, negate, prime_field, reset_mul_count, scale,
                    verify_sp, verify_sum_sp, zero_poly)
 from spmul import verify
 
-from helpers import Q62, rand_sparse
+from helpers import Q62, monomial, rand_sparse
 
 ZZ = integers()
 F101 = prime_field(101)
