@@ -7,11 +7,10 @@ from .errors import (CharacteristicTooSmallError, PolyFileError,
                      RetryBudgetError, RingMismatchError,
                      SparsityBoundError, SpmulError, UnsupportedRingError)
 from .interp import find_terms, interp_sum_sp
-from .multivar import (MultiPoly, canonicalize_multi, from_univariate,
-                       inverse_kronecker, kronecker, multivar_product_field,
+from .multivar import (MultiPoly, canonicalize_multi, inverse_kronecker,
+                       kronecker, multivar_product_field,
                        multivar_product_smallchar, multivar_product_z,
-                       naive_mul_multi, randomized_kronecker,
-                       sparsity_estimate, to_univariate)
+                       naive_mul_multi, randomized_kronecker, sparsity_estimate)
 from .poly import (SparsePoly, add, canonicalize, cyclic_reduce,
                    dense_cyclic_mul, derivative, eval_sparse, naive_mul,
                    negate, scale, sub, zero_poly)

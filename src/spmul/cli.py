@@ -1,6 +1,9 @@
 """Command-line front end: polynomial files, multiply/verify/estimate
 commands, and a CSV benchmark harness.
 
+Every file parses to a MultiPoly, a one-variable file at nvars = 1, and
+every command runs the multivariate path on it.
+
 File format (line oriented, # starts a comment, bit-exact round trip):
 
     ring int            | field <q> <s>
@@ -24,11 +27,9 @@ import time
 
 from .arith import RandomSource
 from .errors import CharacteristicTooSmallError, PolyFileError, SpmulError
-from .multivar import (MultiPoly, canonicalize_multi, from_univariate,
-                       kronecker, multivar_product_field,
-                       multivar_product_smallchar, multivar_product_z,
-                       naive_mul_multi, sparsity_estimate, to_univariate)
-from .poly import SparsePoly, canonicalize
+from .multivar import (MultiPoly, canonicalize_multi, kronecker,
+                       multivar_product_field, multivar_product_smallchar,
+                       multivar_product_z, naive_mul_multi, sparsity_estimate)
 from .rings import RingSpec, ext_field, integers, mul_count, prime_field, reset_mul_count
 
 DEFAULT_EPSILON = 2.0 ** -20
@@ -79,18 +80,20 @@ def _parse_coeff(token: str, ring: RingSpec, lineno: int):
     return c
 
 
-def parse_poly(text: str):
-    """Parse a polynomial file into a SparsePoly (one variable) or
-    MultiPoly (several)."""
+def parse_poly(text: str) -> MultiPoly:
+    """Parse a polynomial file into a MultiPoly; a one-variable file
+    gives nvars = 1."""
+    raw_lines = text.splitlines()
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(raw_lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((lineno, stripped))
-    if len(lines) < 2:
-        raise PolyFileError("file needs a ring line and a vars line")
-    ring = _parse_ring(lines[0][1], lines[0][0])
-    vno, vline = lines[1]
+    # a missing header line reads as an empty line past the end of the file
+    eof = (len(raw_lines) + 1, "")
+    rno, rline = lines[0] if lines else eof
+    ring = _parse_ring(rline, rno)
+    vno, vline = lines[1] if len(lines) > 1 else eof
     vparts = vline.split()
     if len(vparts) != 2 or vparts[0] != "vars":
         raise PolyFileError(f"line {vno}: expected 'vars <n>'")
@@ -121,8 +124,6 @@ def parse_poly(text: str):
         seen.add(exps)
         terms.append((exps, c))
 
-    if nvars == 1:
-        return canonicalize([(e[0], c) for e, c in terms], ring)
     return canonicalize_multi(terms, nvars, ring)
 
 
@@ -140,36 +141,24 @@ def _coeff_str(ring: RingSpec, c) -> str:
     return str(c)
 
 
-def format_poly(poly) -> str:
+def format_poly(poly: MultiPoly) -> str:
     """Canonical text form; parse(format(p)) round-trips bit-exactly."""
     ring = poly.ring
-    out = [_ring_header(ring)]
-    if isinstance(poly, SparsePoly):
-        out.append("vars 1")
-        for e, c in poly.terms:
-            out.append(f"term {_coeff_str(ring, c)} {e}")
-    else:
-        out.append(f"vars {poly.nvars}")
-        for exps, c in poly.terms:
-            out.append(f"term {_coeff_str(ring, c)} " + " ".join(str(e) for e in exps))
+    out = [_ring_header(ring), f"vars {poly.nvars}"]
+    for exps, c in poly.terms:
+        out.append(f"term {_coeff_str(ring, c)} " + " ".join(str(e) for e in exps))
     return "\n".join(out) + "\n"
 
 
-def _read_poly(path: str):
+def _read_poly(path: str) -> MultiPoly:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_poly(fh.read())
 
 
-def _as_multi(poly) -> MultiPoly:
-    return from_univariate(poly) if isinstance(poly, SparsePoly) else poly
-
-
 def _check_compatible(polys) -> None:
-    first = _as_multi(polys[0])
-    for p in polys[1:]:
-        m = _as_multi(p)
-        if m.ring != first.ring or m.nvars != first.nvars:
-            raise PolyFileError("input polynomials must share ring and variable count")
+    first = polys[0]
+    if any(p.ring != first.ring or p.nvars != first.nvars for p in polys[1:]):
+        raise PolyFileError("input polynomials must share ring and variable count")
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +225,9 @@ def _cmd_mul(args) -> int:
     a, b = _read_poly(args.a), _read_poly(args.b)
     _check_compatible([a, b])
     rng = RandomSource(args.seed)
-    fa, fb = _as_multi(a), _as_multi(b)
-    product = naive_mul_multi(fa, fb) if args.naive else _multiply(fa, fb, args.epsilon, rng)
-    result = to_univariate(product) if isinstance(a, SparsePoly) else product
+    product = naive_mul_multi(a, b) if args.naive else _multiply(a, b, args.epsilon, rng)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(format_poly(result))
+        fh.write(format_poly(product))
     return 0
 
 
@@ -249,12 +236,11 @@ def _cmd_verify(args) -> int:
     _check_compatible([a, b, h])
     from .verify import verify_sp
     rng = RandomSource(args.seed)
-    fa, fb, fh_ = _as_multi(a), _as_multi(b), _as_multi(h)
     # one Kronecker map faithful on all three supports turns the question
     # univariate; the verifier itself works over any characteristic
-    d = 1 + max(max(fa.var_degree(i) + fb.var_degree(i), fh_.var_degree(i))
-                for i in range(fa.nvars))
-    ok = verify_sp(kronecker(fa, d), kronecker(fb, d), kronecker(fh_, d),
+    d = 1 + max(max(a.var_degree(i) + b.var_degree(i), h.var_degree(i))
+                for i in range(a.nvars))
+    ok = verify_sp(kronecker(a, d), kronecker(b, d), kronecker(h, d),
                    args.epsilon, rng)
     print("OK" if ok else "MISMATCH")
     return 0 if ok else 1
@@ -264,34 +250,22 @@ def _cmd_estimate(args) -> int:
     a, b = _read_poly(args.a), _read_poly(args.b)
     _check_compatible([a, b])
     rng = RandomSource(args.seed)
-    print(sparsity_estimate(_as_multi(a), _as_multi(b), args.epsilon, args.lam, rng))
+    print(sparsity_estimate(a, b, args.epsilon, args.lam, rng))
     return 0
 
 
 def _bench_instance(family: str, t: int, rng: RandomSource):
     zz = integers()
     if family == "example2":
-        f = canonicalize([(i, 1) for i in range(t)], zz)
-        g = canonicalize([(t * i + 1, 1) for i in range(t)]
-                         + [(t * i, -1) for i in range(t)], zz)
-        return from_univariate(f), from_univariate(g)
-    if family == "random":
-        emax = max(64, 4 * t * t)
-        cmax = 2 ** 30
+        f = canonicalize_multi([((i,), 1) for i in range(t)], 1, zz)
+        g = canonicalize_multi([((t * i + 1,), 1) for i in range(t)]
+                               + [((t * i,), -1) for i in range(t)], 1, zz)
+        return f, g
+    # random: one variable of degree below max(64, 4t^2); multivar: three
+    # variables, modest per-variable degrees
+    n, dmax = (1, max(64, 4 * t * t)) if family == "random" else (3, max(4, t))
 
-        def rand_poly():
-            terms = {}
-            while len(terms) < t:
-                c = rng.randint(-cmax, cmax)
-                if c:
-                    terms[rng.randrange(emax)] = c
-            return canonicalize(list(terms.items()), zz)
-
-        return from_univariate(rand_poly()), from_univariate(rand_poly())
-    # multivar: three variables, modest per-variable degrees
-    n, dmax = 3, max(4, t)
-
-    def rand_multi():
+    def rand_poly():
         terms = {}
         while len(terms) < t:
             c = rng.randint(-(2 ** 30), 2 ** 30)
@@ -299,7 +273,7 @@ def _bench_instance(family: str, t: int, rng: RandomSource):
                 terms[tuple(rng.randrange(dmax) for _ in range(n))] = c
         return canonicalize_multi(list(terms.items()), n, zz)
 
-    return rand_multi(), rand_multi()
+    return rand_poly(), rand_poly()
 
 
 def _cmd_bench(args) -> int:
@@ -312,6 +286,7 @@ def _cmd_bench(args) -> int:
         seed = args.seed ^ trial  # one trial = one instance, both algorithms
         trial += 1
         f, g = _bench_instance(args.family, t, RandomSource(seed))
+        d_col = max(f.var_degree(i) + g.var_degree(i) for i in range(f.nvars))
         for algorithm in ("naive", "sparse"):
             rng = RandomSource(seed)
             reset_mul_count()
@@ -321,10 +296,6 @@ def _cmd_bench(args) -> int:
             else:
                 result = _multiply(f, g, DEFAULT_EPSILON, rng)
             millis = (time.perf_counter() - start) * 1000.0
-            if args.family == "multivar":
-                d_col = max(f.var_degree(i) + g.var_degree(i) for i in range(f.nvars))
-            else:
-                d_col = to_univariate(f).degree + to_univariate(g).degree
             rows.append({
                 "family": args.family, "T": t, "D": d_col, "algorithm": algorithm,
                 "millis": f"{millis:.3f}", "ring_mults": mul_count(),

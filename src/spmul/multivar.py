@@ -75,16 +75,6 @@ def zero_multi(ring: RingSpec, nvars: int) -> MultiPoly:
     return MultiPoly(ring, nvars, ())
 
 
-def from_univariate(F: SparsePoly) -> MultiPoly:
-    return MultiPoly(F.ring, 1, tuple(((e,), c) for e, c in F.terms))
-
-
-def to_univariate(F: MultiPoly) -> SparsePoly:
-    if F.nvars != 1:
-        raise ValueError("only single-variable polynomials convert")
-    return SparsePoly(F.ring, tuple((e[0], c) for e, c in F.terms))
-
-
 def naive_mul_multi(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     """Schoolbook multivariate product; exact reference path."""
     if F.ring != G.ring or F.nvars != G.nvars:

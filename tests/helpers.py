@@ -7,7 +7,7 @@ the builtin pow, and primality by trial division.
 
 import random
 
-from spmul import SparsePoly, canonicalize, canonicalize_multi
+from spmul import MultiPoly, SparsePoly, canonicalize, canonicalize_multi
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,11 @@ def rand_multi(rnd: random.Random, ring, nvars: int, tmax: int, dmax: int,
         if c != ring.zero():
             terms[e] = c
     return canonicalize_multi(list(terms.items()), nvars, ring)
+
+
+def as_multi(F: SparsePoly) -> MultiPoly:
+    """The one-variable MultiPoly of F: the form polynomial files parse to."""
+    return MultiPoly(F.ring, 1, tuple(((e,), c) for e, c in F.terms))
 
 
 def poly_to_dict(F) -> dict:

@@ -14,7 +14,7 @@ from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonica
 from spmul import product
 from spmul.cli import format_poly, parse_poly, run_command
 
-from helpers import Q62, rand_multi, rand_sparse
+from helpers import Q62, as_multi, rand_multi, rand_sparse
 
 ZZ = integers()
 
@@ -32,21 +32,22 @@ F9_B_TEXT = "field 3 2\nvars 1\nterm 2,2 1\nterm 1,0 5\nterm 0,2 9\nterm 1,1 20\
 class TestParseFormat:
     def test_parse_example_polynomial(self):
         f = parse_poly(F_TEXT)
-        assert f.terms == ((0, 2), (7, 2), (14, 1))
+        assert f.nvars == 1
+        assert f.terms == (((0,), 2), ((7,), 2), ((14,), 1))
 
     def test_empty_term_list_is_zero(self):
         assert parse_poly("ring int\nvars 1\n").is_zero
 
     def test_comments_and_blank_lines(self):
         text = "# header comment\nring int\n\nvars 1\nterm 5 3 # trailing\n"
-        assert parse_poly(text).terms == ((3, 5),)
+        assert parse_poly(text).terms == (((3,), 5),)
 
     def test_round_trip_univariate(self):
         rnd = random.Random(1)
         for ring in (ZZ, prime_field(101), ext_field(3, 2)):
             for _ in range(20):
-                f = rand_sparse(rnd, ring, 8, 10 ** 6, 2 ** 20)
-                assert format_poly(parse_poly(format_poly(f))) == format_poly(f)
+                f = as_multi(rand_sparse(rnd, ring, 8, 10 ** 6, 2 ** 20))
+                assert parse_poly(format_poly(f)) == f
 
     def test_round_trip_multivariate(self):
         rnd = random.Random(2)
@@ -57,7 +58,7 @@ class TestParseFormat:
 
     def test_ext_field_coefficients(self):
         f9 = ext_field(3, 2)
-        f = canonicalize([(4, (2, 1)), (0, (0, 1))], f9)
+        f = canonicalize_multi([((4,), (2, 1)), ((0,), (0, 1))], 1, f9)
         text = format_poly(f)
         assert "term 0,1 0" in text and "term 2,1 4" in text
         assert parse_poly(text) == f
@@ -97,7 +98,8 @@ class TestParseFormat:
         ("ring int\nvars 1\nterm 2x 3\n", "line 3: bad coefficient '2x'"),
         ("ring int\nvars 1\nterm 1,2 3\n", "line 3: integer coefficients take one value"),
         ("field 3 2\nvars 1\nterm 1,3 0\n", "line 3: coefficient out of field range"),
-        ("# no vars line\nring int\n", "file needs a ring line and a vars line"),
+        ("# no vars line\nring int\n", "line 3: expected 'vars <n>'"),
+        ("", "line 1: expected 'ring int' or 'field <q> <s>'"),
         ("ring int\nnvars 1\n", "line 2: expected 'vars <n>'"),
         ("ring int\nvars two\n", "line 2: vars count must be an integer"),
         ("ring int\nvars 0\n", "line 2: vars count must be >= 1"),
@@ -105,8 +107,8 @@ class TestParseFormat:
         ("ring int\nvars 2\nterm 1 0 y\n", "line 3: exponents must be integers"),
         ("# comment\nring int\n\nvars 1\nterm 1 -1\n", "line 5: exponents must be nonnegative"),
     ], ids=["field-arity", "field-q", "field-s", "coeff-token", "int-residues",
-            "ext-residue-range", "too-few-lines", "vars-line", "vars-count", "vars-zero",
-            "not-a-term", "exponent-token", "negative-exponent"])
+            "ext-residue-range", "too-few-lines", "empty-file", "vars-line", "vars-count",
+            "vars-zero", "not-a-term", "exponent-token", "negative-exponent"])
     def test_rejected_file(self, tmp_path, capsys, text, reason):
         # the error names the offending line (counting comment and blank
         # lines), and spmul mul reports it with exit code 2
@@ -153,8 +155,8 @@ class TestCommands:
 
     def test_naive_and_default_byte_identical(self, tmp_path):
         rnd = random.Random(3)
-        f = rand_sparse(rnd, ZZ, 10, 10 ** 5, 2 ** 20)
-        g = rand_sparse(rnd, ZZ, 10, 10 ** 5, 2 ** 20)
+        f = as_multi(rand_sparse(rnd, ZZ, 10, 10 ** 5, 2 ** 20))
+        g = as_multi(rand_sparse(rnd, ZZ, 10, 10 ** 5, 2 ** 20))
         a = self._write(tmp_path, "a.poly", format_poly(f))
         b = self._write(tmp_path, "b.poly", format_poly(g))
         o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -167,8 +169,8 @@ class TestCommands:
         # follows about q reducible binomials Y^3 + c
         ring = ext_field(Q62, 3)
         rnd = random.Random(4)
-        f = rand_sparse(rnd, ring, 6, 10 ** 4)
-        g = rand_sparse(rnd, ring, 6, 10 ** 4)
+        f = as_multi(rand_sparse(rnd, ring, 6, 10 ** 4))
+        g = as_multi(rand_sparse(rnd, ring, 6, 10 ** 4))
         a = self._write(tmp_path, "a.poly", format_poly(f))
         b = self._write(tmp_path, "b.poly", format_poly(g))
         assert (tmp_path / "a.poly").read_text().startswith(f"field {Q62} 3\n")
@@ -204,7 +206,7 @@ class TestCommands:
         out = str(tmp_path / "h.poly")
         assert run_command(["mul", a, a, "-o", out]) == 0
         h = parse_poly((tmp_path / "h.poly").read_text())
-        assert h.terms == ((0, 1), (2, 1))
+        assert h.terms == (((0,), 1), ((2,), 1))
 
     def test_field_path_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
@@ -219,8 +221,8 @@ class TestCommands:
         assert not out.exists()
 
     def _mul_lifts(self, tmp_path, monkeypatch, f, g) -> int:
-        """Run spmul mul on f and g, check its output against mul --naive
-        byte for byte, and return how often it lifted through Z."""
+        """Run spmul mul on univariate f and g, check its output against
+        mul --naive byte for byte, and return how often it lifted through Z."""
         lifted = []
 
         def smallchar(*args):
@@ -228,8 +230,8 @@ class TestCommands:
             return multivar_product_smallchar(*args)
 
         monkeypatch.setattr("spmul.cli.multivar_product_smallchar", smallchar)
-        a = self._write(tmp_path, "a.poly", format_poly(f))
-        b = self._write(tmp_path, "b.poly", format_poly(g))
+        a = self._write(tmp_path, "a.poly", format_poly(as_multi(f)))
+        b = self._write(tmp_path, "b.poly", format_poly(as_multi(g)))
         o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
         assert run_command(["mul", a, b, "-o", o1]) == 0
         assert run_command(["mul", a, b, "-o", o2, "--naive"]) == 0
@@ -324,6 +326,25 @@ class TestCommands:
             for r in rows:
                 by_t.setdefault(r["T"], set()).add(r["out_terms"])
             assert all(len(v) == 1 for v in by_t.values())  # algorithms agree
+
+    # (T, D, out_terms, seed) per trial, both algorithms; millis and
+    # ring_mults are left out, as they measure rather than define a row
+    @pytest.mark.parametrize("family, argv, trials", [
+        ("example2", ["--tmin", "4", "--tmax", "16"],
+         [(4, 16, 2, 0), (8, 64, 2, 1), (16, 256, 2, 2)]),
+        ("random", ["--tmin", "2", "--tmax", "8", "--seed", "3"],
+         [(2, 93, 4, 3), (4, 102, 15, 2), (8, 454, 60, 1)]),
+        ("multivar", ["--tmin", "2", "--tmax", "8", "--seed", "3"],
+         [(2, 6, 4, 3), (4, 6, 15, 2), (8, 14, 64, 1)]),
+    ], ids=["example2", "random", "multivar"])
+    def test_bench_deterministic_columns(self, tmp_path, family, argv, trials):
+        out = str(tmp_path / "bench.csv")
+        assert run_command(["bench", "--family", family, "--out", out] + argv) == 0
+        with open(out, newline="") as fh:
+            got = [tuple(r[k] for k in ("family", "T", "D", "algorithm", "out_terms", "seed"))
+                   for r in csv.DictReader(fh)]
+        assert got == [(family, str(t), str(d), algorithm, str(n), str(seed))
+                       for t, d, n, seed in trials for algorithm in ("naive", "sparse")]
 
     def test_error_exit_codes(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.poly")

@@ -1,18 +1,19 @@
 import math
 import random
+import re
 
 import pytest
 
 from spmul import multivar
 from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
                    UnsupportedRingError, canonicalize, canonicalize_multi,
-                   ext_field, from_univariate, integers, inverse_kronecker,
+                   ext_field, integers, inverse_kronecker,
                    kronecker, mul_count, multivar_product_smallchar,
                    multivar_product_z, naive_mul, naive_mul_multi, prime_field,
                    randomized_kronecker, reset_mul_count, sparse_product,
-                   sparsity_estimate, to_univariate)
+                   sparsity_estimate)
 
-from helpers import Q62, dict_mul_ring, rand_multi
+from helpers import Q62, as_multi, dict_mul_ring, rand_multi, rand_sparse
 
 ZZ = integers()
 
@@ -29,6 +30,52 @@ class TestCanonicalizeMulti:
         f = mp([((0, 3), 5), ((1, 2), 4), ((0, 3), -7), ((2, 0), 1), ((1, 2), 4),
                 ((0, 3), 2)], ring=ring)
         assert f.terms == (((1, 2), ring.coerce(8)), ((2, 0), 1))
+
+    @pytest.mark.parametrize("terms, nvars, message", [
+        ([], 0, "nvars must be >= 1"),
+        ([((1, 2), 1), ((1, 2, 3), 1)], 2, "exponent vector has wrong length"),
+        ([((1,), 1)], 2, "exponent vector has wrong length"),
+        ([((0, 1), 1), ((2, -1), 1)], 2, "exponents must be nonnegative"),
+    ], ids=["nvars-zero", "vector-too-long", "vector-too-short", "negative-entry"])
+    def test_rejections(self, terms, nvars, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            canonicalize_multi(terms, nvars, ZZ)
+
+
+RINGS = [ZZ, prime_field(7), ext_field(3, 2)]
+RING_IDS = ["Z", "F_7", "F_9"]
+
+
+class TestNaiveMulMulti:
+    # the spmul mul --naive reference, against the dict schoolbook oracle;
+    # the oracle drops zero sums, so its sorted items are the canonical terms
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_matches_dict_oracle(self, ring):
+        rnd = random.Random(12)
+        cancelled = 0
+        for _ in range(60):
+            f = rand_multi(rnd, ring, 2, 6, 3, 3)
+            g = rand_multi(rnd, ring, 2, 6, 3, 3)
+            oracle = dict_mul_ring(dict(f.terms), dict(g.terms), ring)
+            assert naive_mul_multi(f, g).terms == tuple(sorted(oracle.items()))
+            support = {tuple(a + b for a, b in zip(e1, e2))
+                       for e1, _ in f.terms for e2, _ in g.terms}
+            cancelled += len(oracle) < len(support)
+        assert cancelled  # some products cancel a coefficient to zero
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_difference_of_squares_cancels(self, ring):
+        # (x + y)(x - y) = x^2 - y^2: the two xy products cancel
+        one, minus_one = ring.one(), ring.neg(ring.one())
+        f = mp([((1, 0), one), ((0, 1), one)], ring=ring)
+        g = mp([((1, 0), one), ((0, 1), minus_one)], ring=ring)
+        assert naive_mul_multi(f, g).terms == (((0, 2), minus_one), ((2, 0), one))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    def test_zero_operand(self, ring):
+        f = mp([((1, 0), ring.one())], ring=ring)
+        assert naive_mul_multi(f, mp([], ring=ring)).is_zero
 
 
 class TestKronecker:
@@ -264,13 +311,12 @@ class TestMultivarProductZ:
     def test_univariate_matches_sparse_product(self):
         rnd = random.Random(7)
         for seed in range(20):
-            f = rand_multi(rnd, ZZ, 1, 8, 10 ** 4, 2 ** 16)
-            g = rand_multi(rnd, ZZ, 1, 8, 10 ** 4, 2 ** 16)
+            f = rand_sparse(rnd, ZZ, 8, 10 ** 4, 2 ** 16)
+            g = rand_sparse(rnd, ZZ, 8, 10 ** 4, 2 ** 16)
             params = ProductParams(0.005, 0.005)
-            uni = sparse_product(to_univariate(f), to_univariate(g), params,
-                                 RandomSource(seed))
-            multi = multivar_product_z(f, g, 0.01, RandomSource(seed))
-            assert to_univariate(multi) == uni
+            uni = sparse_product(f, g, params, RandomSource(seed))
+            multi = multivar_product_z(as_multi(f), as_multi(g), 0.01, RandomSource(seed))
+            assert multi == as_multi(uni)
 
     def test_three_variable_oracle(self):
         rnd = random.Random(8)
@@ -355,13 +401,3 @@ class TestSmallCharacteristic:
             g = rand_multi(rnd, f8, 2, 4, 4)
             out = multivar_product_smallchar(f, g, 0.01, RandomSource(seed))
             assert dict(out.terms) == dict_mul_ring(dict(f.terms), dict(g.terms), f8)
-
-
-class TestConversions:
-    def test_univariate_round_trip(self):
-        f = canonicalize([(5, 3), (0, -1)], ZZ)
-        assert to_univariate(from_univariate(f)) == f
-
-    def test_to_univariate_guard(self):
-        with pytest.raises(ValueError):
-            to_univariate(mp([((1, 0), 1)]))

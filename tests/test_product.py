@@ -11,7 +11,7 @@ from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
 from spmul import interp, product
 from spmul.cli import format_poly, run_command
 
-from helpers import Q62, monomial, rand_sparse, sumset_size
+from helpers import Q62, as_multi, monomial, rand_sparse, sumset_size
 
 ZZ = integers()
 PARAMS = ProductParams(2.0 ** -20, 2.0 ** -20)
@@ -607,11 +607,11 @@ class TestCharacteristicBoundary:
         a, b, out = (str(tmp_path / name) for name in ("a.poly", "b.poly", "h.poly"))
         for path, f in zip((a, b), large):
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(format_poly(f))
+                fh.write(format_poly(as_multi(f)))
         assert run_command(["mul", a, b, "-o", out, "--epsilon", str(self.EPS)]) == 0
         assert lifted == []
         with open(out, encoding="utf-8") as fh:
-            assert fh.read() == format_poly(naive_mul(*large))
+            assert fh.read() == format_poly(as_multi(naive_mul(*large)))
 
 
 class TestSumsetSize:
