@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 
@@ -35,6 +36,9 @@ from .rings import RingSpec, ext_field, integers, mul_count, prime_field, reset_
 DEFAULT_EPSILON = 2.0 ** -20
 DEFAULT_LAMBDA = 2.0
 DEFAULT_SEED = 0
+# arith.is_prime errs with probability up to 2^-80 above 3.3e24, so mul and
+# verify, which draw primes, cannot honour a smaller failure budget
+MIN_EPSILON = 2.0 ** -80
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +177,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget(text: str) -> float:
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = math.nan
+    if not MIN_EPSILON <= eps < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a failure budget in [2^-80, 1)")
+    return eps
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spmul", description="sparse polynomial multiplication toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -182,14 +196,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("b")
     p_mul.add_argument("-o", "--output", required=True)
     p_mul.add_argument("--naive", action="store_true", help="schoolbook reference path")
-    p_mul.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_mul.add_argument("--epsilon", type=_budget, default=DEFAULT_EPSILON)
     p_mul.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_ver = sub.add_parser("verify", help="check whether A*B = H")
     p_ver.add_argument("a")
     p_ver.add_argument("b")
     p_ver.add_argument("h")
-    p_ver.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_ver.add_argument("--epsilon", type=_budget, default=DEFAULT_EPSILON)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_est = sub.add_parser("estimate", help="estimate the product sparsity")

@@ -209,10 +209,12 @@ def multivar_product_field(F: MultiPoly, G: MultiPoly, eps: float,
 
     Requires characteristic > D = deg(F_u) + deg(G_u) after substitution,
     and when F_u or G_u wraps modulo X^p - 1 (degree >= p) for
-    sparse_product's cyclic prime p >= lambda_no_collision(#F*#G, D,
-    mu1/2), mu1 = eps/2, characteristic > 2p too
-    (CharacteristicTooSmallError otherwise).  Use
-    multivar_product_smallchar below that.
+    sparse_product's cyclic prime p >= lam = lambda_no_collision(#F*#G,
+    D, mu1/2), mu1 = eps/2, characteristic > 2p too
+    (CharacteristicTooSmallError otherwise).  That prime is drawn only
+    when deg F_u or deg G_u reaches lam; below it nothing wraps, and
+    characteristic > D suffices.  Use multivar_product_smallchar below
+    that.
     """
     return _kronecker_product(F, G, eps, rng, over_field=True)
 

@@ -5,12 +5,14 @@ The operands are reduced modulo X^p - 1 (p a random prime large enough
 that exponent collisions are unlikely) and their product interpolated
 under a guessed sparsity bound that starts in [2, 4) and doubles until the
 interpolant passes verification, skipping every guess a residue proves too
-small.  When neither operand has degree >= p, the reduction changes
-nothing, so that interpolant is F*G itself and is returned as soon as it
-passes.  Otherwise the derivative's residue is interpolated and verified
-too, and the terms of F*G are read off the verified residue pair.  mu1
-budgets a wrong output (sparse_product's checks split it by a union
-bound); the doubling loop stays small with probability at least 1 - mu2.
+small.  p is drawn from [lam, 2*lam] only when an operand's degree
+reaches lam; below it no such p wraps an operand, so none is drawn.
+When neither operand has degree >= p, the reduction changes nothing, so
+that interpolant is F*G itself and is returned as soon as it passes.
+Otherwise the derivative's residue is interpolated and verified too, and
+the terms of F*G are read off the verified residue pair.  mu1 budgets a
+wrong output (sparse_product's checks split it by a union bound); the
+doubling loop stays small with probability at least 1 - mu2.
 """
 
 from __future__ import annotations
@@ -56,7 +58,10 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     exponent the interpolation reads back (exponents are recovered as
     coefficient ratios, so they must stay below the characteristic).  The
     operands are reduced modulo X^p - 1 for a prime p in [lam, 2*lam],
-    lam = lambda_no_collision(#F*#G, D, mu1/2), D = deg(F) + deg(G).
+    lam = lambda_no_collision(#F*#G, D, mu1/2), D = deg(F) + deg(G).  That
+    prime is drawn only when max(deg F, deg G) >= lam: below it no p in
+    [lam, 2*lam] wraps an operand, so p = lam stands in, every reduction
+    is the identity, and the collision share mu1/2 goes to the checks.
     When no operand wraps (deg F < p and deg G < p), exponents stay at
     most D and the characteristic must exceed D; when one wraps, it must
     exceed D and 2p.  CharacteristicTooSmallError otherwise: char <= D
@@ -121,7 +126,8 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
             f"characteristic {ring.char} must exceed deg F + deg G = {D}")
 
     lam = lambda_no_collision(F.sparsity * G.sparsity, D, mu1 / 2.0)
-    p = random_prime(lam, rng)
+    # below lam no p in [lam, 2*lam] wraps an operand: p = lam reduces nothing
+    p = random_prime(lam, rng) if max(F.degree, G.degree) >= lam else lam
     # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself,
     # whose exponents stay <= D < char
     wraps = F.degree >= p or G.degree >= p

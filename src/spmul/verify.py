@@ -1,17 +1,21 @@
 """Probabilistic verification that F*G = H (and sum-of-products variants)
 in quasi-linear time.
 
-The test never forms the product: it reduces everything modulo X^p - 1
-for a random prime p, evaluates the reduced product at a random field
-point via a circulant recurrence, and compares against the reduced H.
-A true identity always verifies, whatever eps is; a false one survives
-with probability at most eps, which sizes the check (_split) and nothing
-else.
+The test never forms the product: it reduces everything modulo X^p - 1,
+evaluates the reduced product at a random field point via a circulant
+recurrence, and compares against the reduced H.  A true identity always
+verifies, whatever eps is; a false one survives with probability at most
+eps, which sizes the check (_split) and nothing else.
 
-Every identity takes one check: one prime p, at most one extension field
-and one point.  Over the integers the evaluation is never carried out in
-Z (values of size p*log(alpha) would defeat sparsity); a random
-coefficient prime q is drawn and everything moves to F_q first.  A field
+p is D + 1 for a degree bound D with D + 1 <= lam, the sampling bound:
+a difference of degree <= D is its own residue (the classic
+Schwartz-Zippel test, and the p-share of eps goes unspent).  Above lam, p
+is a random prime from [lam, 2*lam], and the reduction keeps the field
+from growing with D.  Every identity takes one check: one p, at most one
+extension field and one point.  Over the integers the evaluation is
+never carried out in Z (values of size p*log(alpha) would defeat
+sparsity); a random coefficient prime q is drawn and everything moves to
+F_q first.  A field
 with more than c2*p points hosts the point itself.  A smaller one is
 evaluated in F_{q^S}, built on the fly over its prime field F_q; a small
 F_{q^s} enters it through a random linear combination of the identity's
@@ -38,9 +42,10 @@ def _split(eps: float, over_z: bool) -> tuple[float, float]:
 
     A check fails to reject a false identity only if the difference
     vanishes modulo X^p - 1 (probability at most the p-share, for p drawn
-    above lambda_nonzero at that share), or, over Z, if the coefficient
-    prime q divides every coefficient of the reduced difference (at most
-    10/(3*c2)), or if the random point is a root (at most 1/c2).  Over Z
+    above lambda_nonzero at that share, and zero at p = D + 1), or, over
+    Z, if the coefficient prime q divides every coefficient of the
+    reduced difference (at most 10/(3*c2)), or if the random point is a
+    root (at most 1/c2).  Over Z
     the three sources get eps/3 + eps/3 + eps/10, so the p-share is eps/3
     and c2 = 10/eps; over a field the first and last get eps/2 + eps/2, so
     the p-share is eps/2 and c2 = 2/eps.
@@ -139,9 +144,11 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     X^p - 1 at a random point of a large-enough field.
 
     eps sizes the check and nothing else: (share_p, c2) = _split(eps,
-    over Z); p is drawn from [lam, 2*lam] with lam =
-    lambda_nonzero(sparsity_sum, max(D, 2), share_p).  The point lives in
-    a random F_q over Z, in the ring itself when it has more than c2*p
+    over Z) and lam = lambda_nonzero(sparsity_sum, max(D, 2), share_p).
+    When D + 1 <= lam, p = D + 1 and nothing is drawn: the reduction is
+    the identity, and p need not be prime.  Otherwise p is a random prime
+    from [lam, 2*lam], the paper's cyclic route.  The point lives in a
+    random F_q over Z, in the ring itself when it has more than c2*p
     points, and otherwise in F_{q^S}, S least with q^S > c2*p, over the
     ring's prime field F_q.
 
@@ -160,19 +167,23 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
 
     Soundness.  Let D_j be coordinate j of sum F_i G_i - H.  Its support
     lies in supp(sum F_i G_i) u supp(H), so it has at most sparsity_sum
-    terms and degree at most D, and a nonzero D_j stays nonzero modulo
-    X^p - 1 except with probability share_p over p.  Then
+    terms and degree at most D.  At p = D + 1 a nonzero D_j is its own
+    residue, so the share_p goes unspent; at a prime p >= lam it stays
+    nonzero modulo X^p - 1 except with probability share_p.  Then
     sum_j beta_j D_j(alpha), taken modulo X^p - 1, is a nonzero
     polynomial of total degree at most p in (alpha, beta_1 .. beta_{s-1}),
     which vanishes at a uniform point with probability at most
     p/|F_{q^S}| < 1/c2 (Schwartz-Zippel), the last share of the budget
     split.  A true identity has every D_j = 0, so it always passes; only
-    the random searches for p, q and the modulus of F_{q^S} can fail, each
-    with a RetryBudgetError of probability at most e^-64 whatever eps is.
+    the random searches for a prime p, for q and for the modulus of
+    F_{q^S} can fail, each with a RetryBudgetError of probability at most
+    e^-64 whatever eps is.
     """
     ring = H.ring
     share_p, c2 = _split(eps, ring.kind == "integers")
-    p = random_prime(lambda_nonzero(sparsity_sum, max(D, 2), share_p), rng)
+    lam = lambda_nonzero(sparsity_sum, max(D, 2), share_p)
+    # a difference of degree <= D is its own residue mod X^(D+1) - 1
+    p = D + 1 if D + 1 <= lam else random_prime(lam, rng)
 
     field = ring
     if ring.kind == "integers":

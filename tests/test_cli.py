@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonicalize,
-                   canonicalize_multi, ext_field, integers, kronecker,
+                   canonicalize_multi, ext_field, integers, kronecker, lambda_nonzero,
                    multivar_product_smallchar, naive_mul_multi, prime_field)
-from spmul import product
-from spmul.cli import format_poly, parse_poly, run_command
+from spmul import product, verify
+from spmul.cli import DEFAULT_EPSILON, format_poly, parse_poly, run_command
 
 from helpers import Q62, as_multi, rand_multi, rand_sparse
 
@@ -241,8 +241,12 @@ class TestCommands:
     def test_char_below_cyclic_prime_falls_back(self, tmp_path, monkeypatch):
         # q = 211 exceeds the degree 160 but not 2p for a cyclic prime
         # p = 107 that deg F = 150 wraps past, so the field path raises and
-        # the lift through Z takes over (drawing its own prime)
+        # the lift through Z takes over (drawing its own prime); the field
+        # path's lam is pinned below deg F, so it draws its prime at all
         real = product.random_prime
+        real_lam = product.lambda_no_collision
+        monkeypatch.setattr(product, "lambda_no_collision",
+                            lambda T, D, eps: 100 if pinned else real_lam(T, D, eps))
         pinned = [107]
         monkeypatch.setattr(product, "random_prime",
                             lambda lam, rng: pinned.pop() if pinned else real(lam, rng))
@@ -355,6 +359,42 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("spmul:") == 3
 
+    def test_ci_wrapping_pairs_take_the_cyclic_route(self, tmp_path, monkeypatch):
+        # the two wrapping pairs CI writes (6 x 6 terms over Z with exponents
+        # near 10^30, over F_(2^61 - 1) near 10^15) are the CLI inputs whose
+        # verifier bound lam lies below the product's degree D, so the
+        # check reduces mod X^p - 1 for a prime p in [lam, 2*lam]
+        seen = []
+        real = verify.eval_cyclic_product
+
+        def eval_cyclic_product(F_p, G_p, p, alpha):
+            seen.append(p)
+            return real(F_p, G_p, p, alpha)
+
+        monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+        rnd = random.Random(1)
+        q61 = 2 ** 61 - 1
+        for name, head, emax, cmax in (("z", "ring int", 10 ** 30, 2 ** 20),
+                                       ("q", f"field {q61} 1", 10 ** 15, q61 - 1)):
+            paths = []
+            for side in "ab":
+                exps = set()
+                while len(exps) < 6:
+                    exps.add(rnd.randrange(emax // 2, emax))
+                text = head + "\nvars 1\n" + "".join(
+                    f"term {rnd.randint(1, cmax)} {e}\n" for e in exps)
+                paths.append(self._write(tmp_path, name + side + ".poly", text))
+            h = str(tmp_path / (name + "h.poly"))
+            assert run_command(["mul", "--naive", *paths, "-o", h]) == 0
+            a, b, fg = (parse_poly(Path(path).read_text()) for path in (*paths, h))
+            D = fg.var_degree(0)
+            lam = lambda_nonzero(a.sparsity * b.sparsity + fg.sparsity, D,
+                                 verify._split(DEFAULT_EPSILON, name == "z")[0])
+            assert lam <= D
+            seen.clear()
+            assert run_command(["verify", *paths, h]) == 0
+            assert seen and all(lam <= p <= 2 * lam for p in seen)
+
     def test_extreme_budgets_are_usage_errors(self, tmp_path, capsys):
         # sizing bounds past the float range: exit 2 with one line, never
         # the MISMATCH code 1 with a traceback
@@ -370,6 +410,25 @@ class TestCommands:
             assert captured.out == ""
             assert captured.err.startswith("spmul: ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_budget_below_2_to_the_minus_80_is_a_usage_error(self, tmp_path, capsys):
+        # is_prime errs with probability up to 2^-80 above 3.3e24, so mul and
+        # verify, which draw primes, refuse a smaller budget; estimate draws
+        # none and keeps its own rule
+        a = self._write(tmp_path, "a.poly", F_TEXT)
+        b = self._write(tmp_path, "b.poly", G_TEXT)
+        h = self._write(tmp_path, "h.poly", FG_TEXT)
+        out = str(tmp_path / "x.poly")
+        for eps, code in ((2.0 ** -80, 0), (2.0 ** -80 * 0.999, 2), (1e-30, 2), (1.0, 2)):
+            for argv in (["verify", a, b, h], ["mul", a, b, "-o", out],
+                         ["mul", "--naive", a, b, "-o", out]):
+                assert run_command(argv + ["--epsilon", repr(eps)]) == code
+                captured = capsys.readouterr()
+                if code:
+                    assert captured.out == ""
+                    assert captured.err.count("\n") == 1 and "2^-80" in captured.err
+        assert Path(out).read_text() == FG_TEXT
+        assert run_command(["estimate", a, b, "--epsilon", "1e-30"]) == 0
 
     def test_mixed_rings_rejected(self, tmp_path):
         a = self._write(tmp_path, "a.poly", F_TEXT)

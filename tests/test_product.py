@@ -258,7 +258,9 @@ class TestSparseProduct:
     def test_characteristic_below_cyclic_prime(self, monkeypatch):
         # q = 211 exceeds the product degree 160 but not 2p for a cyclic
         # prime p = 107 that deg F = 150 wraps past, where exponents must
-        # embed into coefficients; the error names the real constraint
+        # embed into coefficients; the error names the real constraint.
+        # lam is pinned below deg F, so the prime is drawn at all
+        monkeypatch.setattr(product, "lambda_no_collision", lambda T, D, eps: 100)
         monkeypatch.setattr(product, "random_prime", lambda lam, rng: 107)
         f, g = _F211_WRAPPING
         with pytest.raises(CharacteristicTooSmallError, match="2p = 214"):
@@ -401,6 +403,34 @@ class TestWrappedOperands:
             jobs.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
             assert jobs and all(pairs == [(f, g)] for pairs, _ in jobs)
+
+
+class TestCollisionPrimeDraw:
+    """The collision prime is drawn only when an operand has degree >= lam:
+    below it no p in [lam, 2*lam] wraps an operand."""
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62)], ids=["Z", "F_Q62"])
+    def test_drawn_exactly_when_an_operand_reaches_lam(self, monkeypatch, ring):
+        draws, pinned = [], []
+        real_prime, real_lam = product.random_prime, product.lambda_no_collision
+
+        def random_prime(lam, rng):
+            draws.append(lam)
+            return real_prime(lam, rng)
+
+        monkeypatch.setattr(product, "random_prime", random_prime)
+        monkeypatch.setattr(product, "lambda_no_collision",
+                            lambda T, D, eps: pinned[0] if pinned else real_lam(T, D, eps))
+        for seed in range(5):
+            f, g = _random_pair(ring, (6, 5), 10 ** 4, seed)
+            top = max(f.degree, g.degree)
+            assert top < real_lam(f.sparsity * g.sparsity, f.degree + g.degree, PARAMS.mu1 / 2)
+            # lam as computed, pinned at the larger degree, and just above it
+            for pin, drawn in ((None, []), (top, [top]), (top + 1, [])):
+                pinned[:] = [pin] if pin else []
+                draws.clear()
+                assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+                assert draws == drawn
 
 
 class TestCheckBudget:
@@ -565,9 +595,11 @@ class TestCharacteristicBoundary:
 
     def test_wrapped_boundary_is_2p(self, monkeypatch):
         # the cyclic prime is pinned on either side of q/2 = 105.5; deg F =
-        # 150 wraps past both
+        # 150 wraps past both, and lam is pinned below deg F, so the prime
+        # is drawn at all
         f, g = _F211_WRAPPING
         steps = _watch_steps(monkeypatch)
+        monkeypatch.setattr(product, "lambda_no_collision", lambda T, D, eps: 100)
         for p in (103, 107):
             monkeypatch.setattr(product, "random_prime", lambda lam, rng, p=p: p)
             for seed in range(5):

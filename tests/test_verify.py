@@ -293,31 +293,37 @@ def _watch_evaluations(monkeypatch) -> list:
 
 class TestEvaluationRoutes:
     def test_small_prime_field_evaluated_in_itself(self, monkeypatch):
-        # X*X = X^2 at eps = 0.9 keeps lambda at its floor of 21; F_89
-        # itself has enough points exactly for the draws p from [21, 42]
-        # with 89 > c2*p, and an extension F_{89^s} hosts the rest
+        # X^d * X^d = X^2d at eps = 0.9 keeps lam above D + 1 = 2d + 1, so
+        # p = D + 1; F_89 itself has enough points exactly for the degrees
+        # with 89 > c2*(D + 1) (c2 = 2/0.9, so D <= 39), and an extension
+        # F_{89^s} hosts the rest
         c2 = verify._split(0.9, False)[1]
         seen = _watch_evaluations(monkeypatch)
         f89 = prime_field(89)
-        x, x2 = monomial(f89, 1, 1), monomial(f89, 2, 1)
+        degrees = (1, 19, 20, 30)
+        assert {89 > c2 * (2 * d + 1) for d in degrees} == {True, False}
 
-        def check_routes():
+        def check_routes(d):
+            assert 2 * d + 1 <= lambda_nonzero(2, max(2 * d, 2), 0.45)
+            assert seen
             for ring, p in seen:
+                assert p == 2 * d + 1
                 assert (ring == f89) == (89 > c2 * p)
                 assert ring.q == 89 and ring.size > c2 * p
-            assert {ring == f89 for ring, _ in seen} == {True, False}
+            seen.clear()
 
-        for seed in range(20):
-            assert verify_sp(x, x, x2, 0.9, RandomSource(seed))
-            # #H > #F*#G: rejected before any evaluation
-            assert not verify_sp(x, x, add(x2, monomial(f89, 0, 1)), 0.9, RandomSource(seed))
-        check_routes()
-        # a wrong triple that passes the structural checks reaches the
-        # evaluation, in F_89 too: lhs - rhs = -X^2 vanishes only at alpha = 0
-        seen.clear()
-        for seed in range(20):
-            assert not verify_sp(x, x, scale(x2, 2), 0.9, RandomSource(seed))
-        check_routes()
+        for d in degrees:
+            x, x2 = monomial(f89, d, 1), monomial(f89, 2 * d, 1)
+            for seed in range(20):
+                assert verify_sp(x, x, x2, 0.9, RandomSource(seed))
+                # #H > #F*#G: rejected before any evaluation
+                assert not verify_sp(x, x, add(x2, monomial(f89, 0, 1)), 0.9, RandomSource(seed))
+            check_routes(d)
+            # a wrong triple that passes the structural checks reaches the
+            # evaluation, in F_89 too: lhs - rhs = -X^2d vanishes only at alpha = 0
+            for seed in range(20):
+                assert not verify_sp(x, x, scale(x2, 2), 0.9, RandomSource(seed))
+            check_routes(d)
 
     def test_route_per_input_ring(self, monkeypatch):
         seen = _watch_evaluations(monkeypatch)
@@ -361,31 +367,112 @@ class TestEvaluationRoutes:
             assert ring.kind == "ext_field" and ring.q == 3 and ring.s > 2
 
     def test_integer_split(self, monkeypatch):
-        # over Z all three failure sources share eps: p comes from
-        # [lam, 2*lam] for lam = lambda_nonzero at the p-share eps/3, and the
-        # coefficient prime q >= c2*p for c2 = 10/eps
+        # over Z all three failure sources share eps: lam = lambda_nonzero at
+        # the p-share eps/3, and the coefficient prime q >= c2*p for c2 =
+        # 10/eps.  Exponents below 10^3 keep lam > D + 1, so p = D + 1;
+        # exponents near 10^15 put lam <= D, so p comes from [lam, 2*lam]
         seen = _watch_evaluations(monkeypatch)
         rnd = random.Random(16)
         eps = 0.01
-        for seed in range(30):
-            f = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
-            g = rand_sparse(rnd, ZZ, 6, 10 ** 5, 2 ** 20)
-            h = naive_mul(f, g)
-            if seed % 2:
-                h = _perturbed(h, 1)
-            seen.clear()
-            assert verify_sp(f, g, h, eps, RandomSource(seed)) == (seed % 2 == 0)
-            lam = lambda_nonzero(f.sparsity * g.sparsity + h.sparsity, max(h.degree, 2), eps / 3)
-            assert len(seen) == 1
-            ring, p = seen[0]
-            assert lam <= p <= 2 * lam
-            assert ring.kind == "prime_field" and ring.q >= (10 / eps) * p
+        for emax in (10 ** 3, 10 ** 15):
+            for seed in range(30):
+                f = rand_sparse(rnd, ZZ, 6, emax, 2 ** 20)
+                g = rand_sparse(rnd, ZZ, 6, emax, 2 ** 20)
+                h = naive_mul(f, g)
+                if seed % 2:
+                    h = _perturbed(h, 1)
+                seen.clear()
+                assert verify_sp(f, g, h, eps, RandomSource(seed)) == (seed % 2 == 0)
+                D = f.degree + g.degree
+                lam = lambda_nonzero(f.sparsity * g.sparsity + h.sparsity, max(D, 2), eps / 3)
+                assert len(seen) == 1
+                ring, p = seen[0]
+                if emax == 10 ** 3:
+                    assert D + 1 <= lam and p == D + 1
+                else:
+                    assert lam <= D and lam <= p <= 2 * lam
+                assert ring.kind == "prime_field" and ring.q >= (10 / eps) * p
 
 
 def _perturbed(H, err):
     """H with err added to its lowest coefficient: below the top term, so
     the support and degree checks cannot tell the triple is false."""
     return add(H, monomial(H.ring, H.terms[0][0], err))
+
+
+class TestDegreeRoute:
+    """Below lam a check takes p = D + 1 and draws no cyclic prime: a
+    difference of degree <= D is its own residue mod X^(D+1) - 1."""
+
+    RINGS = [ZZ, prime_field(Q62), ext_field(3, 2)]
+
+    def _pairs(self, ring, rnd):
+        # (F, G): constants (D = 0), X times a constant (D = 1), exponents
+        # below 10^3 (lam > D + 1) and near 10^15 (lam <= D)
+        c = ring.one()
+        yield monomial(ring, 0, c), monomial(ring, 0, c)
+        yield monomial(ring, 1, c), monomial(ring, 0, c)
+        for emax in (10 ** 3, 10 ** 15):
+            for _ in range(6):
+                yield (rand_sparse(rnd, ring, 6, emax, 2 ** 20),
+                       rand_sparse(rnd, ring, 6, emax, 2 ** 20))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q62", "F9"])
+    def test_p_is_d_plus_one_exactly_below_lam(self, monkeypatch, ring):
+        seen = _watch_evaluations(monkeypatch)
+        draws = []
+        real = verify.random_prime
+
+        def random_prime(lam, rng):
+            draws.append(lam)
+            return real(lam, rng)
+
+        monkeypatch.setattr(verify, "random_prime", random_prime)
+        over_z = ring.kind == "integers"
+        eps = 0.01
+        rnd = random.Random(17)
+        routes = set()
+        for seed, (f, g) in enumerate(self._pairs(ring, rnd)):
+            h = naive_mul(f, g)
+            D = f.degree + g.degree
+            lam = lambda_nonzero(f.sparsity * g.sparsity + h.sparsity, max(D, 2),
+                                 verify._split(eps, over_z)[0])
+            seen.clear()
+            draws.clear()
+            assert verify_sp(f, g, h, eps, RandomSource(seed))
+            assert len({p for _, p in seen}) == 1
+            p = seen[0][1]
+            cyclic = D + 1 > lam
+            routes.add((D < 2, cyclic))
+            if cyclic:
+                assert lam <= p <= 2 * lam and draws[0] == lam
+            else:
+                assert p == D + 1
+            assert len(draws) == cyclic + over_z
+        assert routes == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q62", "F9"])
+    def test_soundness_and_completeness(self, monkeypatch, ring):
+        # at eps = 0.01: at least 97% of one-coefficient perturbations are
+        # rejected, and every true triple is accepted, all at p = D + 1.
+        # The perturbed coefficient lies below the top term, so the
+        # structural checks cannot tell the triple is false
+        seen = _watch_evaluations(monkeypatch)
+        err = (1, 0) if ring.kind == "ext_field" else 1
+        rnd = random.Random(18)
+        rejected = seed = 0
+        while seed < 200:
+            f = rand_sparse(rnd, ring, 6, 1000, 2 ** 20)
+            g = rand_sparse(rnd, ring, 6, 1000, 2 ** 20)
+            h = naive_mul(f, g)
+            if h.sparsity < 2:
+                continue
+            seed += 1
+            seen.clear()
+            assert verify_sp(f, g, h, 0.01, RandomSource(seed))
+            rejected += not verify_sp(f, g, _perturbed(h, err), 0.01, RandomSource(seed))
+            assert {p for _, p in seen} == {f.degree + g.degree + 1}
+        assert rejected >= 0.97 * 200
 
 
 class TestSmallExtensionField:
