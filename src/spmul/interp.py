@@ -35,7 +35,7 @@ import math
 import operator
 
 from .arith import RandomSource, first_primes
-from .errors import CharacteristicTooSmallError, RingMismatchError, SparsityBoundError
+from .errors import CharacteristicTooSmallError, SparsityBoundError
 from .poly import SparsePoly, _same_ring, add, dense_cyclic_mul, height_bound, zero_poly
 from .rings import RingSpec, add_mul_count
 
@@ -90,9 +90,7 @@ def find_terms(p: int, H_p: SparsePoly, Hprime_p: SparsePoly, D: int,
     Z.  Every term of the true H that did not collide mod X^p-1 is
     recovered; colliding terms may produce spurious output.
     """
-    if H_p.ring != Hprime_p.ring:
-        raise RingMismatchError("residues live in different rings")
-    ring = H_p.ring
+    ring = _same_ring(H_p, Hprime_p)
     if ring.is_field and ring.char <= D:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed the degree bound {D}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, ceil_bound
 from .errors import RingMismatchError, UnsupportedRingError
-from .poly import SparsePoly, canonicalize, naive_mul
+from .poly import SparsePoly, _merge, canonicalize, naive_mul
 from .product import ProductParams, sparse_product
 from .rings import RingSpec, integers
 
@@ -55,20 +55,15 @@ def canonicalize_multi(terms, nvars: int, ring: RingSpec) -> MultiPoly:
     """Merge duplicate exponent vectors, drop zeros, sort lexicographically."""
     if nvars < 1:
         raise ValueError("nvars must be >= 1")
-    acc: dict = {}
+    checked = []
     for exps, c in terms:
         exps = tuple(int(v) for v in exps)
         if len(exps) != nvars:
             raise ValueError("exponent vector has wrong length")
         if any(v < 0 for v in exps):
             raise ValueError("exponents must be nonnegative")
-        c = ring.coerce(c)
-        if exps in acc:
-            acc[exps] = ring.add(acc[exps], c)
-        else:
-            acc[exps] = c
-    zero = ring.zero()
-    return MultiPoly(ring, nvars, tuple(sorted((e, c) for e, c in acc.items() if c != zero)))
+        checked.append((exps, ring.coerce(c)))
+    return MultiPoly(ring, nvars, _merge(checked, ring))
 
 
 def zero_multi(ring: RingSpec, nvars: int) -> MultiPoly:

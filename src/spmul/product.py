@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import RandomSource, lambda_no_collision, random_prime
-from .errors import (CharacteristicTooSmallError, RetryBudgetError, RingMismatchError,
-                     SparsityBoundError)
+from .errors import CharacteristicTooSmallError, RetryBudgetError, SparsityBoundError
 from .interp import find_terms, interp_sum_sp
-from .poly import SparsePoly, cyclic_reduce, derivative, height_bound, scale, zero_poly
+from .poly import (SparsePoly, _same_ring, cyclic_reduce, derivative, height_bound, scale,
+                   zero_poly)
 from .verify import verify_sp, verify_sum_sp
 
 
@@ -108,9 +108,7 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     share, so the output is wrong with probability < mu1.  An unwrapped
     product whose first check passes checks once, at eps = mu1/2.
     """
-    if F.ring != G.ring:
-        raise RingMismatchError("operands live in different rings")
-    ring = F.ring
+    ring = _same_ring(F, G)
     if F.is_zero or G.is_zero:
         return zero_poly(ring)
     if F.degree == 0:

@@ -11,17 +11,19 @@ F_{q^s} products, F_{q^s} integer images and ``poly.dense_cyclic_mul``
 pack nonnegative digits of a fixed byte width into one integer through one
 pair of routines, ``_pack`` and ``_unpack``.
 
-An F_{q^s} product (s != 2; s = 2 is unrolled) is one integer product:
-each factor's residues are packed as digits of W bytes, the packed ints
-are multiplied, and the s - 1 high digits c_i of the result (the
-coefficients of Y^i, i = s .. 2s-2) are folded back as sum c_i * ROW_i,
-where ROW_i is Y^i mod the modulus packed the same way.  The rows are
-built once per field.  The s low digits are then unpacked and reduced mod
-q once each.  No digit may carry into its neighbour: a product digit is
-at most s(q-1)^2, and the fold adds at most s-1 terms of s(q-1)^2 * (q-1),
-so every digit stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop``
-reduces through the same table; the digits it folds are residues in
-[0, q), so its sums meet the same bound.
+An F_{q^s} product (s != 2; s = 2 is unrolled, see ``_ext_mul``) is one
+integer product: each factor's residues are packed as digits of W bytes,
+the packed ints are multiplied, and the s - 1 high digits c_i of the
+result (the coefficients of Y^i, i = s .. 2s-2) are folded back as sum
+c_i * ROW_i, where ROW_i is Y^i mod the modulus packed the same way.  The
+rows are built once per field.  The s low digits are then unpacked and
+reduced mod q once each.  No digit may carry into its neighbour: a
+product digit is at most s(q-1)^2, and the fold adds at most s-1 terms of
+s(q-1)^2 * (q-1), so every digit stays below
+s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop`` reduces the 2s - 1
+digits of an integer image mod q, packs them at W bytes and folds them
+the same way; its digits are residues in [0, q), so its sums meet the
+same bound.
 
 :class:`RingSpec` bundles the description with its arithmetic and with
 integer images of its elements (``lift`` / ``drop``), through which one
@@ -122,8 +124,9 @@ class RingSpec:
     q: int | None = None
     s: int = 1
     modulus: tuple[int, ...] | None = None
-    # F_{q^s} reduction table: Y^d mod modulus for d = 0 .. 2s-2, unpacked
-    # and packed at digits of _width bytes
+    # F_{q^s} reduction table: Y^d mod modulus for d = 0 .. 2s-2, and the
+    # rows d = s .. 2s-2, the ones _fold uses, packed at digits of _width
+    # bytes
     _yrows: tuple = field(default=(), init=False, repr=False, compare=False)
     _packed_rows: tuple = field(default=(), init=False, repr=False, compare=False)
     _width: int = field(default=0, init=False, repr=False, compare=False)
@@ -164,7 +167,7 @@ class RingSpec:
         width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_yrows", tuple(rows))
-        object.__setattr__(self, "_packed_rows", tuple(_pack(r, width) for r in rows))
+        object.__setattr__(self, "_packed_rows", tuple(_pack(r, width) for r in rows[s:]))
 
     # -- structure ---------------------------------------------------
 
@@ -260,7 +263,10 @@ class RingSpec:
     def _ext_mul(self, a, b):
         q = self.q
         s = self.s
-        if s == 2:  # the verifier's common case; worth unrolling
+        # unrolled at s = 2: the packed path there takes 6-10x as long per
+        # product (measured at q = 3 and at a 62-bit q, CPython 3.11), and
+        # would make a schoolbook product over F_9 about 5x slower
+        if s == 2:
             a0, a1 = a
             b0, b1 = b
             t2 = a1 * b1
@@ -274,18 +280,13 @@ class RingSpec:
         """The element of F_{q^s} whose image in Z[Y] has the W-byte
         digits of v as coefficients (at most 2s - 1 of them, within the
         bound of the module docstring): the s - 1 high digits fold in
-        through the reduction table."""
-        s, width = self.s, self._width
+        through the reduction table, and the s low digits are reduced mod
+        q."""
+        q, s, width = self.q, self.s, self._width
         bits = 8 * width * s
         high = _unpack(v >> bits, width, s - 1)
-        folded = sum(map(_int_mul, high, self._packed_rows[s:]))
-        return self._settle((v & ((1 << bits) - 1)) + folded)
-
-    def _settle(self, v: int):
-        """The element of F_{q^s} with residues the s W-byte digits of v
-        reduced mod q."""
-        q = self.q
-        return tuple([d % q for d in _unpack(v, self._width, self.s)])
+        low = (v & ((1 << bits) - 1)) + sum(map(_int_mul, high, self._packed_rows))
+        return tuple([d % q for d in _unpack(low, width, s)])
 
     def pow(self, a, e: int):
         if e < 0:
@@ -354,8 +355,8 @@ class RingSpec:
 
     def drop(self, v: int, width: int | None):
         """Ring element of integer image v: v itself over Z, v mod q over
-        F_q, and over F_{q^s} the 2s - 1 digits of v reduced mod q and
-        folded through the reduction table."""
+        F_q, and over F_{q^s} the 2s - 1 digits of v reduced mod q, packed
+        at the field's own width and folded by _fold."""
         if width is None:
             return v % self.q if self.q else v
         count = 2 * self.s - 1
@@ -364,8 +365,7 @@ class RingSpec:
         if not 0 <= v < 1 << 8 * width * count:
             raise AssertionError("packed coefficient slot overflow")
         q = self.q
-        digits = [d % q for d in _unpack(v, width, count)]
-        return self._settle(sum(map(_int_mul, digits, self._packed_rows)))
+        return self._fold(_pack([d % q for d in _unpack(v, width, count)], self._width))
 
     def residues(self, a) -> tuple[int, ...]:
         """Residue vector of a field element (length s; s = 1 for prime fields)."""

@@ -28,8 +28,8 @@ import math
 from functools import reduce
 
 from .arith import RandomSource, ceil_bound, irreducible_poly, lambda_nonzero, random_prime
-from .errors import RingMismatchError, UnsupportedRingError
-from .poly import (SparsePoly, cyclic_reduce, eval_sparse, eval_terms,
+from .errors import UnsupportedRingError
+from .poly import (SparsePoly, _same_ring, cyclic_reduce, eval_sparse, eval_terms,
                    fixed_base_powers, height_bound)
 from .rings import RingSpec, prime_field
 
@@ -77,9 +77,7 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
     O((#F + #G) log p / log(#F + #G)) ring multiplications, all charged
     to the global counter.
     """
-    if F_p.ring != G_p.ring:
-        raise RingMismatchError("operands live in different rings")
-    ring = F_p.ring
+    ring = _same_ring(F_p, G_p)
     if not ring.is_field:
         raise UnsupportedRingError("cyclic evaluation requires a finite field")
     if p < 1:
@@ -237,8 +235,7 @@ def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if F.ring != G.ring or F.ring != H.ring:
-        raise RingMismatchError("operands live in different rings")
+    _same_ring(F, G, H)
     # cheap structural rejects (zero degrees are -inf); afterwards deg H
     # bounds every degree
     if H.sparsity > F.sparsity * G.sparsity:
@@ -254,9 +251,7 @@ def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
         raise ValueError("eps must lie in (0, 1)")
     if not pairs:
         raise ValueError("pairs must be nonempty")
-    for F, G in pairs:
-        if F.ring != H.ring or G.ring != H.ring:
-            raise RingMismatchError("operands live in different rings")
+    _same_ring(H, *(F for pair in pairs for F in pair))
     live = [(F, G) for F, G in pairs if not F.is_zero and not G.is_zero]
     if not live:
         return H.is_zero

@@ -7,6 +7,8 @@ the builtin pow, and primality by trial division.
 
 import random
 
+from hypothesis import strategies as st
+
 from spmul import MultiPoly, SparsePoly, canonicalize, canonicalize_multi
 
 
@@ -48,6 +50,34 @@ def dict_mul_ring(fa: dict, fb: dict, ring) -> dict:
             out[e] = ring.add(out[e], prod) if e in out else prod
     zero = ring.zero()
     return {e: c for e, c in out.items() if c != zero}
+
+
+def dict_sum_ring(terms, ring) -> dict:
+    """{exponent: sum of its coefficients} over any RingSpec, exponents int
+    or tuple, coefficients coerced into the ring, zero sums dropped."""
+    out = {}
+    for e, c in terms:
+        c = ring.coerce(c)
+        out[e] = ring.add(out[e], c) if e in out else c
+    zero = ring.zero()
+    return {e: c for e, c in out.items() if c != zero}
+
+
+def ring_coeffs(ring):
+    """Hypothesis strategy for coefficients of ring from a few values, zero
+    among them, so that terms with equal exponents often cancel."""
+    if ring.kind == "integers":
+        return st.integers(-5, 5)
+    digit = st.integers(0, ring.q - 1)
+    if ring.kind == "prime_field":
+        return digit
+    return st.tuples(*[digit] * ring.s)
+
+
+def is_canonical(terms, ring) -> bool:
+    """Exponents strictly increasing and no zero coefficient."""
+    return (all(a[0] < b[0] for a, b in zip(terms, terms[1:]))
+            and all(c != ring.zero() for _, c in terms))
 
 
 def cyclic_convolve_oracle(a: list, b: list, ring) -> list:

@@ -14,6 +14,7 @@ from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonica
 from spmul import product, verify
 from spmul.cli import DEFAULT_EPSILON, format_poly, parse_poly, run_command
 
+import ci_inputs
 from helpers import Q62, as_multi, rand_multi, rand_sparse
 
 ZZ = integers()
@@ -372,18 +373,10 @@ class TestCommands:
             return real(F_p, G_p, p, alpha)
 
         monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
-        rnd = random.Random(1)
-        q61 = 2 ** 61 - 1
-        for name, head, emax, cmax in (("z", "ring int", 10 ** 30, 2 ** 20),
-                                       ("q", f"field {q61} 1", 10 ** 15, q61 - 1)):
-            paths = []
-            for side in "ab":
-                exps = set()
-                while len(exps) < 6:
-                    exps.add(rnd.randrange(emax // 2, emax))
-                text = head + "\nvars 1\n" + "".join(
-                    f"term {rnd.randint(1, cmax)} {e}\n" for e in exps)
-                paths.append(self._write(tmp_path, name + side + ".poly", text))
+        files = ci_inputs.wrapping_pairs()
+        for name in "zq":
+            paths = [self._write(tmp_path, name + side + ".poly", files[name + side + ".poly"])
+                     for side in "ab"]
             h = str(tmp_path / (name + "h.poly"))
             assert run_command(["mul", "--naive", *paths, "-o", h]) == 0
             a, b, fg = (parse_poly(Path(path).read_text()) for path in (*paths, h))

@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spmul import multivar
 from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
@@ -13,9 +15,12 @@ from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
                    randomized_kronecker, reset_mul_count, sparse_product,
                    sparsity_estimate)
 
-from helpers import Q62, as_multi, dict_mul_ring, rand_multi, rand_sparse
+from helpers import (Q62, as_multi, dict_mul_ring, dict_sum_ring, is_canonical, rand_multi,
+                     rand_sparse, ring_coeffs)
 
 ZZ = integers()
+RINGS = [ZZ, prime_field(7), ext_field(3, 2)]
+RING_IDS = ["Z", "F_7", "F_9"]
 
 
 def mp(terms, nvars=2, ring=ZZ):
@@ -41,9 +46,17 @@ class TestCanonicalizeMulti:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             canonicalize_multi(terms, nvars, ZZ)
 
-
-RINGS = [ZZ, prime_field(7), ext_field(3, 2)]
-RING_IDS = ["Z", "F_7", "F_9"]
+    @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+    @given(data=st.data())
+    def test_matches_dict_oracle(self, ring, data):
+        vec = st.tuples(*[st.integers(0, 2)] * 3)
+        pairs = data.draw(st.lists(st.tuples(vec, ring_coeffs(ring)), max_size=25))
+        # half the vectors again with the negated coefficient, so they cancel
+        # unless a third term shares the vector
+        negated = [(e, ring.neg(ring.coerce(c))) for e, c in pairs[::2]]
+        f = canonicalize_multi(pairs + negated, 3, ring)
+        assert dict(f.terms) == dict_sum_ring(pairs + negated, ring)
+        assert is_canonical(f.terms, ring)
 
 
 class TestNaiveMulMulti:

@@ -13,10 +13,19 @@ from spmul import poly
 from spmul.poly import NEG_INF, fixed_base_powers
 from spmul.rings import _pow_cost
 
-from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, monomial, poly_to_dict,
-                     rand_sparse, trial_division_primes)
+from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, dict_sum_ring, is_canonical,
+                     monomial, poly_to_dict, rand_sparse, ring_coeffs, trial_division_primes)
 
 ZZ = integers()
+F7, F9 = prime_field(7), ext_field(3, 2)
+OVER_FIELDS = pytest.mark.parametrize("ring", [F7, F9], ids=["F_7", "F_9"])
+
+
+def _draw_terms(data, ring, emax, max_size=25):
+    """Unsorted (exponent, coefficient) pairs with exponents in [0, emax],
+    repeats and zero coefficients among them."""
+    return data.draw(st.lists(st.tuples(st.integers(0, emax), ring_coeffs(ring)),
+                              max_size=max_size))
 
 # the running example triple: F*G has nine terms, F*H only two
 F_EX = canonicalize([(7, 2), (0, 2), (14, 1)], ZZ)
@@ -52,6 +61,18 @@ class TestCanonicalize:
         assert exps == sorted(set(exps))
         assert all(c != 0 for _, c in f.terms)
 
+    @OVER_FIELDS
+    @given(data=st.data())
+    def test_fields_match_dict_oracle(self, ring, data):
+        pairs = _draw_terms(data, ring, 12)
+        f = canonicalize(pairs, ring)
+        assert dict(f.terms) == dict_sum_ring(pairs, ring)
+        assert is_canonical(f.terms, ring)
+        assert canonicalize(f.terms, ring) == f
+        # every pair followed, in reverse order, by its negative
+        negated = [(e, ring.neg(c)) for e, c in reversed(pairs)]
+        assert canonicalize(pairs + negated, ring).is_zero
+
 
 class TestAddSub:
     def test_add_zero(self):
@@ -78,6 +99,22 @@ class TestAddSub:
         for e, c in fb.terms:
             oracle[e] = oracle.get(e, 0) + c
         assert poly_to_dict(add(fa, fb)) == {e: c for e, c in oracle.items() if c}
+
+    @OVER_FIELDS
+    @given(data=st.data())
+    def test_fields_match_dict_oracle(self, ring, data):
+        fa = canonicalize(_draw_terms(data, ring, 20, 15), ring)
+        fb = canonicalize(_draw_terms(data, ring, 20, 15), ring)
+        total = add(fa, fb)
+        assert total == add(fb, fa)
+        assert dict(total.terms) == dict_sum_ring(fa.terms + fb.terms, ring)
+        assert is_canonical(total.terms, ring)
+        zero = zero_poly(ring)
+        assert add(fa, zero) == fa and add(zero, fa) == fa
+        assert add(fa, negate(fa)).is_zero
+        # every other term of fa cancels to zero
+        half = canonicalize([(e, ring.neg(c)) for e, c in fa.terms[::2]], ring)
+        assert add(fa, half).terms == fa.terms[1::2]
 
 
 class TestNaiveMul:
@@ -184,6 +221,19 @@ class TestCyclicReduce:
             lhs = cyclic_reduce(naive_mul(fa, fb), p)
             rhs = cyclic_reduce(naive_mul(cyclic_reduce(fa, p), cyclic_reduce(fb, p)), p)
             assert lhs == rhs
+
+    @OVER_FIELDS
+    @given(data=st.data())
+    def test_fields_match_dict_oracle(self, ring, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        pairs = _draw_terms(data, ring, 60)
+        # half the pairs again one period up with the negated coefficient,
+        # so their slots cancel to zero unless a third term lands there
+        partners = [(e + p, ring.neg(c)) for e, c in pairs[::2]]
+        f = canonicalize(pairs + partners, ring)
+        reduced = cyclic_reduce(f, p)
+        assert dict(reduced.terms) == dict_sum_ring([(e % p, c) for e, c in f.terms], ring)
+        assert is_canonical(reduced.terms, ring) and reduced.degree < p
 
 
 def _vec(f, p):
@@ -406,3 +456,16 @@ class TestScaleNegate:
 
     def test_degree_sentinel(self):
         assert zero_poly(ZZ).degree == NEG_INF
+
+    @pytest.mark.parametrize("ring", [ZZ, F7, F9], ids=["Z", "F_7", "F_9"])
+    @given(data=st.data())
+    def test_scale_keeps_order_and_sparsity(self, ring, data):
+        f = canonicalize(_draw_terms(data, ring, 40), ring)
+        c = ring.coerce(data.draw(ring_coeffs(ring)))
+        g = scale(f, c)
+        if c == ring.zero():
+            assert g.is_zero
+        else:
+            assert [e for e, _ in g.terms] == [e for e, _ in f.terms]
+            assert g.terms == tuple((e, ring.mul(a, c)) for e, a in f.terms)
+            assert is_canonical(g.terms, ring)
