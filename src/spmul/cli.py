@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -187,7 +188,10 @@ def _budget(text: str) -> float:
     return eps
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first command and reused by every later one in the
+    # process: parse_args leaves the parser unchanged
     parser = _Parser(prog="spmul", description="sparse polynomial multiplication toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,11 +17,12 @@ multiplying there, and reducing back.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .arith import RandomSource, ceil_bound
 from .errors import RingMismatchError, UnsupportedRingError
-from .poly import SparsePoly, _merge, canonicalize, naive_mul
+from .poly import SparsePoly, _merge, _same_ring, canonicalize, naive_mul
 from .product import ProductParams, sparse_product
 from .rings import RingSpec, integers
 
@@ -51,6 +52,14 @@ class MultiPoly:
         return max((e[i] for e, _ in self.terms), default=0)
 
 
+def _shared_ring(F: MultiPoly, G: MultiPoly) -> RingSpec:
+    # poly._same_ring plus the variable count, under one message
+    if F.nvars == G.nvars:
+        with suppress(RingMismatchError):
+            return _same_ring(F, G)
+    raise RingMismatchError("operands must share ring and variables")
+
+
 def canonicalize_multi(terms, nvars: int, ring: RingSpec) -> MultiPoly:
     """Merge duplicate exponent vectors, drop zeros, sort lexicographically."""
     if nvars < 1:
@@ -72,9 +81,7 @@ def zero_multi(ring: RingSpec, nvars: int) -> MultiPoly:
 
 def naive_mul_multi(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     """Schoolbook multivariate product; exact reference path."""
-    if F.ring != G.ring or F.nvars != G.nvars:
-        raise RingMismatchError("operands must share ring and variables")
-    ring = F.ring
+    ring = _shared_ring(F, G)
     acc: dict = {}
     for e1, c1 in F.terms:
         for e2, c2 in G.terms:
@@ -156,8 +163,7 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
     ceil(lam*count) >= #FG, with probability >= 1/2 per iteration; all ell
     iterations miss with probability <= 2^-ell <= eps.
     """
-    if F.ring != G.ring or F.nvars != G.nvars:
-        raise RingMismatchError("operands must share ring and variables")
+    _shared_ring(F, G)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if not (lam > 1 and math.isfinite(lam)):
@@ -178,9 +184,7 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
 def _kronecker_product(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource,
                        over_field: bool) -> MultiPoly:
     # classical Kronecker substitution plus the univariate algorithm
-    if F.ring != G.ring or F.nvars != G.nvars:
-        raise RingMismatchError("operands must share ring and variables")
-    if F.ring.is_field != over_field:
+    if _shared_ring(F, G).is_field != over_field:
         what = "field" if over_field else "integer"
         raise UnsupportedRingError(f"this path multiplies {what} polynomials")
     if F.is_zero or G.is_zero:
@@ -224,9 +228,7 @@ def multivar_product_smallchar(F: MultiPoly, G: MultiPoly, eps: float,
     dropped back into the field.  The intermediate sparsity is the
     structural sparsity of the product rather than its true sparsity.
     """
-    if F.ring != G.ring or F.nvars != G.nvars:
-        raise RingMismatchError("operands must share ring and variables")
-    ring = F.ring
+    ring = _shared_ring(F, G)
     if not ring.is_field:
         raise UnsupportedRingError("input must live over a finite field")
     zz = integers()

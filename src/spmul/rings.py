@@ -13,13 +13,19 @@ pair of routines, ``_pack`` and ``_unpack``.
 
 An F_{q^s} product (s != 2; s = 2 is unrolled, see ``_ext_mul``) is one
 integer product: each factor's residues are packed as digits of W bytes,
-the packed ints are multiplied, and the s - 1 high digits c_i of the
-result (the coefficients of Y^i, i = s .. 2s-2) are folded back as sum
-c_i * ROW_i, where ROW_i is Y^i mod the modulus packed the same way.  The
-rows are built once per field.  The s low digits are then unpacked and
-reduced mod q once each.  No digit may carry into its neighbour: a
-product digit is at most s(q-1)^2, and the fold adds at most s-1 terms of
-s(q-1)^2 * (q-1), so every digit stays below
+the packed ints are multiplied, and ``_fold`` reduces the 2s - 1 digits
+of the result, the coefficients of Y^0 .. Y^(2s-2).  Modulo the
+cyclotomic polynomial Phi_{s+1} = 1 + Y + ... + Y^s (s > 2), the field
+the verifier builds wherever it can, Y^(s+1) = 1: one shift-add folds the
+digits at s + 1 and above onto the low ones, and digit s, standing for
+Y^s = -(1 + ... + Y^(s-1)), is subtracted from each of the s below it as
+they are reduced mod q.  Any other modulus folds the s - 1 high digits
+c_i (i = s .. 2s-2) back as sum c_i * ROW_i, where ROW_i is Y^i mod the
+modulus packed the same way; the rows are built once per field, and the
+s low digits are then unpacked and reduced mod q once each.  No digit may
+carry into its neighbour: a product digit is at most s(q-1)^2, the
+cyclic shift-add at most doubles it, and the row fold adds at most s-1
+terms of s(q-1)^2 * (q-1), so every digit stays below
 s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop`` reduces the 2s - 1
 digits of an integer image mod q, packs them at W bytes and folds them
 the same way; its digits are residues in [0, q), so its sums meet the
@@ -130,6 +136,9 @@ class RingSpec:
     _yrows: tuple = field(default=(), init=False, repr=False, compare=False)
     _packed_rows: tuple = field(default=(), init=False, repr=False, compare=False)
     _width: int = field(default=0, init=False, repr=False, compare=False)
+    # True for the modulus Phi_{s+1} = 1 + Y + ... + Y^s at s > 2, which
+    # _fold reduces cyclically instead of through _packed_rows
+    _cyclic: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "integers":
@@ -167,7 +176,10 @@ class RingSpec:
         width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_yrows", tuple(rows))
-        object.__setattr__(self, "_packed_rows", tuple(_pack(r, width) for r in rows[s:]))
+        if s > 2 and all(c == 1 for c in m):
+            object.__setattr__(self, "_cyclic", True)
+        else:
+            object.__setattr__(self, "_packed_rows", tuple(_pack(r, width) for r in rows[s:]))
 
     # -- structure ---------------------------------------------------
 
@@ -279,10 +291,18 @@ class RingSpec:
     def _fold(self, v: int):
         """The element of F_{q^s} whose image in Z[Y] has the W-byte
         digits of v as coefficients (at most 2s - 1 of them, within the
-        bound of the module docstring): the s - 1 high digits fold in
-        through the reduction table, and the s low digits are reduced mod
-        q."""
+        bound of the module docstring).  Modulo Phi_{s+1} the digits at
+        s + 1 and above fold onto the low ones in one shift-add (Y^(s+1)
+        = 1), and digit s is subtracted from the s below it while they
+        are reduced mod q (Y^s = -(1 + ... + Y^(s-1))).  Any other modulus
+        folds the s - 1 high digits in through the reduction table and
+        reduces the s low digits mod q."""
         q, s, width = self.q, self.s, self._width
+        if self._cyclic:
+            bits = 8 * width * (s + 1)
+            digits = _unpack((v & ((1 << bits) - 1)) + (v >> bits), width, s + 1)
+            top = digits[s]
+            return tuple([(d - top) % q for d in digits[:s]])
         bits = 8 * width * s
         high = _unpack(v >> bits, width, s - 1)
         low = (v & ((1 << bits) - 1)) + sum(map(_int_mul, high, self._packed_rows))

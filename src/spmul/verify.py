@@ -17,9 +17,13 @@ never carried out in Z (values of size p*log(alpha) would defeat
 sparsity); a random coefficient prime q is drawn and everything moves to
 F_q first.  A field
 with more than c2*p points hosts the point itself.  A smaller one is
-evaluated in F_{q^S}, built on the fly over its prime field F_q; a small
-F_{q^s} enters it through a random linear combination of the identity's
-F_q coordinates.
+evaluated in F_{q^S'}, built on the fly over its prime field F_q: S is
+least with q^S > c2*p, and S' the least degree in [S, 2S) with q a
+primitive root modulo S' + 1, whose modulus Phi_{S'+1} = 1 + Y + ... +
+Y^S' is irreducible without a search and reduces each product by a cyclic
+fold (arith.cyclotomic_degree); without one, S' = S and the modulus is a
+random irreducible.  A small F_{q^s} enters the extension through a
+random linear combination of the identity's F_q coordinates.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .arith import RandomSource, ceil_bound, irreducible_poly, lambda_nonzero, random_prime
+from .arith import (RandomSource, ceil_bound, cyclotomic_degree, irreducible_poly,
+                    lambda_nonzero, random_prime)
 from .errors import UnsupportedRingError
 from .poly import (SparsePoly, _same_ring, cyclic_reduce, eval_sparse, eval_terms,
                    fixed_base_powers, height_bound)
@@ -147,13 +152,16 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     the identity, and p need not be prime.  Otherwise p is a random prime
     from [lam, 2*lam], the paper's cyclic route.  The point lives in a
     random F_q over Z, in the ring itself when it has more than c2*p
-    points, and otherwise in F_{q^S}, S least with q^S > c2*p, over the
-    ring's prime field F_q.
+    points, and otherwise in F_{q^S'} over the ring's prime field F_q,
+    where S is least with q^S > c2*p and S' = cyclotomic_degree(q, S):
+    the least degree in [S, 2S) whose field is F_q[Y]/(Phi_{S'+1}), or S
+    itself, with a random modulus, when there is none.  Either way the
+    field has at least q^S > c2*p points.
 
-    A small F_{q^s} (s >= 2) enters F_{q^S} through its F_q coordinates:
+    A small F_{q^s} (s >= 2) enters F_{q^S'} through its F_q coordinates:
     write elements as polynomials in Y, lambda[d] for the coordinates of
     Y^d mod m, and phi(c) = sum_j beta_j c_j with beta_0 = 1 and
-    beta_1 .. beta_{s-1} uniform in F_{q^S}.  phi is F_q-linear and
+    beta_1 .. beta_{s-1} uniform in F_{q^S'}.  phi is F_q-linear and
     phi(Y^k c) = sum_l w_{k+l} c_l with w_d = sum_j beta_j lambda[d][j],
     so sum_j beta_j (sum F_i G_i)_j = sum_i sum_{k,l} w_{k+l} (F_i)_k (G_i)_l,
     and by bilinearity of the cyclic-product evaluation E the check
@@ -171,11 +179,11 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     sum_j beta_j D_j(alpha), taken modulo X^p - 1, is a nonzero
     polynomial of total degree at most p in (alpha, beta_1 .. beta_{s-1}),
     which vanishes at a uniform point with probability at most
-    p/|F_{q^S}| < 1/c2 (Schwartz-Zippel), the last share of the budget
+    p/|F_{q^S'}| < 1/c2 (Schwartz-Zippel), the last share of the budget
     split.  A true identity has every D_j = 0, so it always passes; only
-    the random searches for a prime p, for q and for the modulus of
-    F_{q^S} can fail, each with a RetryBudgetError of probability at most
-    e^-64 whatever eps is.
+    the random searches for a prime p, for q and, off the cyclotomic
+    route, for the modulus of F_{q^S'} can fail, each with a
+    RetryBudgetError of probability at most e^-64 whatever eps is.
     """
     ring = H.ring
     share_p, c2 = _split(eps, ring.kind == "integers")
@@ -193,7 +201,8 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
         s = ring.s + 1
         while ring.q ** s <= c2 * p:
             s += 1
-        # irreducible_poly proves its draw irreducible, so the field is
+        s = cyclotomic_degree(ring.q, s)
+        # irreducible_poly proves its modulus irreducible, so the field is
         # built directly rather than through ext_field's second test
         field = RingSpec("ext_field", q=ring.q, s=s,
                          modulus=irreducible_poly(ring.q, s, rng))

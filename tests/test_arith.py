@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from spmul import (RandomSource, RetryBudgetError, first_primes, irreducible_poly,
                    is_prime, lambda_no_collision, lambda_nonzero, random_prime)
 from spmul import arith
-from spmul.arith import canonical_irreducible, ceil_bound, is_irreducible
+from spmul.arith import (canonical_irreducible, ceil_bound, cyclotomic_degree, is_irreducible,
+                         is_primitive_root)
 
 from helpers import (Q62, canonical_walk_oracle, fq_gcd_oracle,
                      trial_division_primes)
@@ -283,9 +284,10 @@ class TestIrreduciblePoly:
         with pytest.raises(ValueError):
             irreducible_poly(5, 0, RandomSource(0))
 
-    @pytest.mark.parametrize("q, s", [(2, 2), (3, 5), (101, 3)])
+    @pytest.mark.parametrize("q, s", [(2, 3), (3, 5), (101, 3)])
     def test_budget_is_128_s_candidates(self, q, s):
-        # every draw is 0, so every candidate is Y^s, reducible for s >= 2
+        # s + 1 is not prime, so there is no cyclotomic modulus and the search
+        # runs; every draw is 0, so every candidate is Y^s, reducible for s >= 2
         class Zeros(RandomSource):
             draws = 0
 
@@ -297,3 +299,76 @@ class TestIrreduciblePoly:
         with pytest.raises(RetryBudgetError, match=f"after {128 * s} draws"):
             irreducible_poly(q, s, rng)
         assert rng.draws == 128 * s * s  # s coefficient draws per candidate
+
+
+def _generates_by_order(q, ell):
+    # ell prime, q not divisible by ell, and the powers of q mod ell run
+    # through all ell - 1 units before returning to 1
+    if ell < 2 or any(ell % d == 0 for d in range(2, ell)) or q % ell == 0:
+        return False
+    x, order = q % ell, 1
+    while x != 1:
+        x, order = x * q % ell, order + 1
+    return order == ell - 1
+
+
+class TestCyclotomicModulus:
+    """Phi_l = 1 + Y + ... + Y^(l-1) is irreducible over F_q exactly when
+    q is a primitive root modulo the prime l, and then irreducible_poly
+    returns it without drawing."""
+
+    class Counting(RandomSource):
+        draws = 0
+
+        def randrange(self, n):
+            self.draws += 1
+            return super().randrange(n)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101, Q62])
+    def test_predicate_matches_multiplicative_order(self, q):
+        hits = 0
+        for ell in range(500):
+            assert is_primitive_root(q, ell) == _generates_by_order(q, ell), ell
+            hits += is_primitive_root(q, ell)
+        assert hits > 20
+
+    def test_phi_irreducible_exactly_when_predicate_holds(self):
+        # every l from 3 to 31, composite ones included: 1 + ... + Y^(l-1)
+        # is (Y^l - 1)/(Y - 1), reducible for a composite l
+        for q in trial_division_primes(13):
+            for ell in range(3, 32):
+                assert is_irreducible([1] * ell, q) == is_primitive_root(q, ell), (q, ell)
+
+    @pytest.mark.parametrize("q, s", [(2, 2), (3, 4), (3, 42), (5, 16), (Q62, 2)])
+    def test_cyclotomic_modulus_takes_no_draw(self, q, s):
+        assert is_primitive_root(q, s + 1)
+        rng = self.Counting(0)
+        assert irreducible_poly(q, s, rng) == (1,) * (s + 1)
+        assert rng.draws == 0
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 31, 101, Q62])
+    def test_cyclotomic_degree_is_least_below_the_cap(self, q):
+        for s in range(1, 70):
+            fits = [t for t in range(s, 2 * s) if _generates_by_order(q, t + 1)]
+            assert cyclotomic_degree(q, s) == (fits[0] if fits else s)
+        # the workloads' degrees: F_9 checks at S = 33 and S = 26
+        assert cyclotomic_degree(3, 33) == 42 and cyclotomic_degree(3, 26) == 28
+
+    def test_cap_leaves_q31_s2_to_the_search(self):
+        # 31 = 1 (mod 3) and 1 (mod 5), so no l in [3, 5) fits; l = 7
+        # would, at degree 6 = 3s, past the cap
+        assert not is_primitive_root(31, 3) and is_primitive_root(31, 7)
+        assert cyclotomic_degree(31, 2) == 2
+        for seed in range(5):
+            rng = self.Counting(seed)
+            m = irreducible_poly(31, 2, rng)
+            assert rng.draws >= 2 and m != (1, 1, 1) and is_irreducible(list(m), 31)
+
+    def test_search_runs_when_the_predicate_is_patched_off(self, monkeypatch):
+        monkeypatch.setattr(arith, "is_primitive_root", lambda q, ell: False)
+        assert cyclotomic_degree(3, 33) == 33
+        for seed in range(3):
+            rng = self.Counting(seed)
+            m = irreducible_poly(3, 16, rng)
+            assert rng.draws >= 16 and len(m) == 17 and m != (1,) * 17
+            assert is_irreducible(list(m), 3)

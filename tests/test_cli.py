@@ -360,21 +360,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("spmul:") == 3
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        # one parser serves every command in the process; a flag given to
+        # one command must not leak into the next as a default
+        from spmul import cli
+        assert cli._build_parser() is cli._build_parser()
+        a = self._write(tmp_path, "a.poly", F_TEXT)
+        b = self._write(tmp_path, "b.poly", G_TEXT)
+        assert run_command(["estimate", a, b, "--lambda", "3"]) == 0
+        with_flag = capsys.readouterr().out
+        assert run_command(["estimate", a, b]) == 0
+        assert capsys.readouterr().out != with_flag
+        assert run_command(["estimate", a, b, "--lambda", "3"]) == 0
+        assert capsys.readouterr().out == with_flag
+        assert cli._build_parser.cache_info().currsize == 1
+
     def test_ci_wrapping_pairs_take_the_cyclic_route(self, tmp_path, monkeypatch):
-        # the two wrapping pairs CI writes (6 x 6 terms over Z with exponents
-        # near 10^30, over F_(2^61 - 1) near 10^15) are the CLI inputs whose
-        # verifier bound lam lies below the product's degree D, so the
-        # check reduces mod X^p - 1 for a prime p in [lam, 2*lam]
+        # the three wrapping pairs CI writes (6 x 6 terms over Z with
+        # exponents near 10^30, over F_(2^61 - 1) and over F_9 near 10^15)
+        # are the CLI inputs whose verifier bound lam lies below the
+        # product's degree D, so the check reduces mod X^p - 1 for a prime p
+        # in [lam, 2*lam]; the F_9 check runs in the cyclotomic extension
+        # F_3[Y]/(Phi_(s+1)) with s >= 40 and more than c2*p elements
         seen = []
         real = verify.eval_cyclic_product
 
         def eval_cyclic_product(F_p, G_p, p, alpha):
-            seen.append(p)
+            seen.append((F_p.ring, p))
             return real(F_p, G_p, p, alpha)
 
         monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
         files = ci_inputs.wrapping_pairs()
-        for name in "zq":
+        for name in ("z", "q", "f9"):
             paths = [self._write(tmp_path, name + side + ".poly", files[name + side + ".poly"])
                      for side in "ab"]
             h = str(tmp_path / (name + "h.poly"))
@@ -386,7 +403,12 @@ class TestCommands:
             assert lam <= D
             seen.clear()
             assert run_command(["verify", *paths, h]) == 0
-            assert seen and all(lam <= p <= 2 * lam for p in seen)
+            assert seen and all(lam <= p <= 2 * lam for _, p in seen)
+            if name == "f9":
+                c2 = verify._split(DEFAULT_EPSILON, False)[1]
+                assert all(field.q == 3 and field.s >= 40 and field._cyclic
+                           and field.modulus == (1,) * (field.s + 1) and field.size > c2 * p
+                           for field, p in seen)
 
     def test_extreme_budgets_are_usage_errors(self, tmp_path, capsys):
         # sizing bounds past the float range: exit 2 with one line, never

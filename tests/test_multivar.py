@@ -361,6 +361,23 @@ class TestMultivarProductZ:
                                0.01, RandomSource(0))
 
 
+class TestRingAgreement:
+    @pytest.mark.parametrize("call", [
+        naive_mul_multi,
+        lambda f, g: sparsity_estimate(f, g, 0.1, 2.0, RandomSource(0)),
+        lambda f, g: multivar_product_z(f, g, 0.01, RandomSource(0)),
+        lambda f, g: multivar_product_smallchar(f, g, 0.01, RandomSource(0)),
+    ], ids=["naive_mul_multi", "sparsity_estimate", "kronecker_product", "smallchar"])
+    def test_ring_and_variable_mismatches_share_one_message(self, call):
+        f7, f5 = prime_field(7), prime_field(5)
+        f = mp([((1, 0), 1)], ring=f7)
+        for g in (mp([((1, 0), 1)], ring=f5), mp([((1,), 1)], nvars=1, ring=f7)):
+            for a, b in ((f, g), (g, f)):
+                with pytest.raises(RingMismatchError,
+                                   match="^operands must share ring and variables$"):
+                    call(a, b)
+
+
 class TestSmallCharacteristic:
     def test_x_plus_1_squared_over_f2(self):
         f2 = prime_field(2)

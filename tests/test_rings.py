@@ -91,16 +91,21 @@ PACKED_CASES = ((2, 3), (3, 5), (3, 37), (5, 26), (Q62, 3))
 
 def _moduli(q, s):
     """A dense random modulus and a sparse one, the canonical modulus
-    (the trinomial Y^3 + Y + 5 for Q62)."""
+    (the trinomial Y^3 + Y + 5 for Q62); none of the PACKED_CASES has q
+    a primitive root modulo s + 1, so the dense one is a random draw."""
     return {"dense": irreducible_poly(q, s, RandomSource(q + s)),
             "sparse": canonical_irreducible(q, s)}
 
 
 @pytest.fixture(scope="module", params=[(q, s, kind) for q, s in PACKED_CASES
-                                        for kind in ("dense", "sparse")],
+                                        for kind in ("dense", "sparse", "cyclotomic")],
                 ids=lambda c: f"q{c[0] if c[0] < 100 else 'Q62'}-s{c[1]}-{c[2]}")
 def packed_field(request):
     q, s, kind = request.param
+    if kind == "cyclotomic":
+        # 1 + Y + ... + Y^s, reduced by the cyclic fold; the quotient ring
+        # need not be a field for its products to match the oracle's
+        return RingSpec("ext_field", q=q, s=s, modulus=(1,) * (s + 1))
     return ext_field(q, s, _moduli(q, s)[kind])
 
 
@@ -197,6 +202,43 @@ class TestPackedExtMul:
         assert direct == ext_field(3, 37, m)
         assert hash(direct) == hash(ext_field(3, 37, m))
         assert "_yrows" not in repr(direct)
+
+
+class TestCyclicFold:
+    """Modulo Phi_(s+1) = 1 + Y + ... + Y^s (s > 2), _fold's shift-add gives
+    what the fold through the reduction table gives, for products and for
+    dropped integer images."""
+
+    @staticmethod
+    def _row_fold_twin(ring):
+        twin = RingSpec("ext_field", q=ring.q, s=ring.s, modulus=ring.modulus)
+        object.__setattr__(twin, "_cyclic", False)
+        object.__setattr__(twin, "_packed_rows",
+                           tuple(_pack(row, twin._width) for row in twin._yrows[twin.s:]))
+        return twin
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 101, Q62], ids=["2", "3", "5", "101", "Q62"])
+    def test_mul_and_drop_match_the_row_fold(self, q):
+        rnd = random.Random(q % 1000)
+        for s in (3, 4, 6, 12, 28, 42):
+            cyclic = RingSpec("ext_field", q=q, s=s, modulus=(1,) * (s + 1))
+            rows = self._row_fold_twin(cyclic)
+            assert cyclic._cyclic and not rows._cyclic
+            width = cyclic.lift_width(6)
+            for _ in range(10):
+                xs = [tuple(rnd.randrange(q) for _ in range(s)) for _ in range(12)]
+                xs[0] = xs[1] = (q - 1,) * s  # every digit at its largest
+                for a, b in zip(xs[::2], xs[1::2]):
+                    assert cyclic.mul(a, b) == rows.mul(a, b)
+                image = sum(cyclic.lift(a, width) * cyclic.lift(b, width)
+                            for a, b in zip(xs[::2], xs[1::2]))
+                assert cyclic.drop(image, width) == rows.drop(image, width)
+
+    def test_only_all_ones_moduli_above_degree_2_fold_cyclically(self):
+        assert not RingSpec("ext_field", q=3, s=2, modulus=(1, 1, 1))._cyclic
+        assert RingSpec("ext_field", q=2, s=4, modulus=(1, 1, 1, 1, 1))._cyclic
+        assert not ext_field(2, 4, (1, 1, 0, 0, 1))._cyclic
+        assert not RingSpec("ext_field", q=3, s=4, modulus=(2, 1, 1, 1, 1))._cyclic
 
 
 class TestInverse:

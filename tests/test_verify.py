@@ -8,7 +8,7 @@ from spmul import (RandomSource, UnsupportedRingError, add,
                    ext_field, eval_sparse, integers, lambda_nonzero, mul_count,
                    naive_mul, negate, prime_field, reset_mul_count, scale,
                    verify_sp, verify_sum_sp, zero_poly)
-from spmul import verify
+from spmul import SparsePoly, arith, verify
 
 from helpers import Q62, monomial, rand_sparse
 
@@ -400,11 +400,43 @@ def _perturbed(H, err):
     return add(H, monomial(H.ring, H.terms[0][0], err))
 
 
+def _field_routes(seen, ring, eps) -> list:
+    """The field route of each watched evaluation, once its field is
+    checked to have more than c2*p elements: "ring" (the ring itself, or a
+    coefficient prime field over Z), "cyclotomic" (F_q[Y]/(Phi_(s+1)),
+    s = cyclotomic_degree(q, S)) or "search" (a random modulus of degree
+    S, where no cyclotomic degree lies in [S, 2S)); S is least with
+    q^S > c2*p and above the ring's own degree."""
+    c2 = verify._split(eps, ring.kind == "integers")[1]
+    routes = []
+    for field, p in seen:
+        assert field.size > c2 * p
+        if field.kind != "ext_field" or field == ring:
+            routes.append("ring")
+            continue
+        S = ring.s + 1
+        while field.q ** S <= c2 * p:
+            S += 1
+        assert field.s == arith.cyclotomic_degree(field.q, S)
+        cyclotomic = field.modulus == (1,) * (field.s + 1)
+        assert cyclotomic == arith.is_primitive_root(field.q, field.s + 1)
+        routes.append("cyclotomic" if cyclotomic else "search")
+    return routes
+
+
+def _shifted(P, k):
+    return SparsePoly(P.ring, tuple((e + k, c) for e, c in P.terms))
+
+
+F8, F9, F25 = ext_field(2, 3), ext_field(3, 2), ext_field(5, 2)
+
+
 class TestDegreeRoute:
     """Below lam a check takes p = D + 1 and draws no cyclic prime: a
     difference of degree <= D is its own residue mod X^(D+1) - 1."""
 
-    RINGS = [ZZ, prime_field(Q62), ext_field(3, 2)]
+    RINGS = [ZZ, prime_field(Q62), F9, F8, F25, F101]
+    IDS = ["Z", "Q62", "F9", "F8", "F25", "F101"]
 
     def _pairs(self, ring, rnd):
         # (F, G): constants (D = 0), X times a constant (D = 1), exponents
@@ -417,7 +449,7 @@ class TestDegreeRoute:
                 yield (rand_sparse(rnd, ring, 6, emax, 2 ** 20),
                        rand_sparse(rnd, ring, 6, emax, 2 ** 20))
 
-    @pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q62", "F9"])
+    @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_p_is_d_plus_one_exactly_below_lam(self, monkeypatch, ring):
         seen = _watch_evaluations(monkeypatch)
         draws = []
@@ -449,21 +481,29 @@ class TestDegreeRoute:
             else:
                 assert p == D + 1
             assert len(draws) == cyclic + over_z
+            _field_routes(seen, ring, eps)
         assert routes == {(True, False), (False, False), (False, True)}
 
-    @pytest.mark.parametrize("ring", RINGS, ids=["Z", "Q62", "F9"])
-    def test_soundness_and_completeness(self, monkeypatch, ring):
+    # exponents below 10^3, and in [5200, 6200), where every check over
+    # F_8, F_9, F_25 and F_101 builds a cyclotomic extension whose products
+    # take the cyclic fold (degrees 28, 16, 16 and 6)
+    SOUNDNESS = ([pytest.param(ring, 0, id=i) for ring, i in zip(RINGS[:3], IDS)]
+                 + [pytest.param(ring, 5200, id=f"{i}-cyclotomic")
+                    for ring, i in ((F8, "F8"), (F9, "F9"), (F25, "F25"), (F101, "F101"))])
+
+    @pytest.mark.parametrize("ring, emin", SOUNDNESS)
+    def test_soundness_and_completeness(self, monkeypatch, ring, emin):
         # at eps = 0.01: at least 97% of one-coefficient perturbations are
         # rejected, and every true triple is accepted, all at p = D + 1.
         # The perturbed coefficient lies below the top term, so the
         # structural checks cannot tell the triple is false
         seen = _watch_evaluations(monkeypatch)
-        err = (1, 0) if ring.kind == "ext_field" else 1
+        err = (1,) + (0,) * (ring.s - 1) if ring.kind == "ext_field" else 1
         rnd = random.Random(18)
         rejected = seed = 0
         while seed < 200:
-            f = rand_sparse(rnd, ring, 6, 1000, 2 ** 20)
-            g = rand_sparse(rnd, ring, 6, 1000, 2 ** 20)
+            f = _shifted(rand_sparse(rnd, ring, 6, 1000, 2 ** 20), emin)
+            g = _shifted(rand_sparse(rnd, ring, 6, 1000, 2 ** 20), emin)
             h = naive_mul(f, g)
             if h.sparsity < 2:
                 continue
@@ -472,6 +512,10 @@ class TestDegreeRoute:
             assert verify_sp(f, g, h, 0.01, RandomSource(seed))
             rejected += not verify_sp(f, g, _perturbed(h, err), 0.01, RandomSource(seed))
             assert {p for _, p in seen} == {f.degree + g.degree + 1}
+            routes = _field_routes(seen, ring, 0.01)
+            if emin:
+                assert set(routes) == {"cyclotomic"}
+                assert all(field._cyclic for field, _ in seen)
         assert rejected >= 0.97 * 200
 
 
@@ -522,6 +566,40 @@ class TestSmallExtensionField:
         for seed in range(300):
             f, g = four_terms(), four_terms()
             assert verify_sp(f, g, naive_mul(f, g), 0.3, RandomSource(seed))
+
+    def _fallback_gates(self, monkeypatch, ring, pairs):
+        # every true triple accepted and at least 97% of perturbed ones
+        # rejected at eps = 0.01, every check on the searched modulus
+        seen = _watch_evaluations(monkeypatch)
+        err = (1,) + (0,) * (ring.s - 1) if ring.kind == "ext_field" else 1
+        rejected = 0
+        for seed, (f, g) in enumerate(pairs):
+            h = naive_mul(f, g)
+            assert verify_sp(f, g, h, 0.01, RandomSource(seed))
+            rejected += not verify_sp(f, g, _perturbed(h, err), 0.01, RandomSource(seed))
+        assert rejected >= 0.97 * len(pairs)
+        assert set(_field_routes(seen, ring, 0.01)) == {"search"}
+
+    def test_fallback_search_for_q31_at_degree_2(self, monkeypatch):
+        # D = 2 puts c2*p = 600 between 31 and 31^2, so S = 2; 31 = 1 (mod 3)
+        # rules out Phi_3, and the cap rules out Phi_7
+        f31 = prime_field(31)
+        rnd = random.Random(126)
+
+        def linear():
+            return canonicalize([(0, rnd.randrange(1, 31)), (1, rnd.randrange(1, 31))], f31)
+
+        self._fallback_gates(monkeypatch, f31, [(linear(), linear()) for _ in range(200)])
+
+    def test_fallback_search_with_the_predicate_patched_off(self, monkeypatch):
+        monkeypatch.setattr(arith, "is_primitive_root", lambda q, ell: False)
+        rnd = random.Random(127)
+        pairs = []
+        while len(pairs) < 200:
+            f, g = rand_sparse(rnd, F9, 6, 1000), rand_sparse(rnd, F9, 6, 1000)
+            if naive_mul(f, g).sparsity >= 2:
+                pairs.append((f, g))
+        self._fallback_gates(monkeypatch, F9, pairs)
 
     def test_one_extension_draw_per_check(self, monkeypatch):
         seen = _watch_evaluations(monkeypatch)
