@@ -338,9 +338,10 @@ def is_primitive_root(q: int, ell: int) -> bool:
 
 
 def cyclotomic_degree(q: int, s: int) -> int:
-    """The least s' in [s, 2s) with q a primitive root modulo s' + 1, so
-    that Phi_{s'+1} is an irreducible of degree s' over F_q; s itself when
-    there is none, where irreducible_poly falls back to its search.
+    """The least s' in [s, 2s) with s' + 1 a prime modulo which q is a
+    primitive root, so that Phi_{s'+1} is an irreducible of degree s' over
+    F_q; s itself when there is none, where irreducible_poly falls back to
+    its search.
 
     The cap 2s is a constant taken from measured product costs: a product
     at s' = 2s - 1 reduced modulo Phi_{2s} (RingSpec._fold's cyclic fold)
@@ -356,11 +357,12 @@ def irreducible_poly(q: int, s: int, rng: RandomSource) -> tuple[int, ...]:
     """Monic irreducible polynomial of degree s over F_q, little-endian
     coefficient tuple of length s+1.
 
-    When q is a primitive root modulo s + 1, the answer is the cyclotomic
-    polynomial Phi_{s+1} = 1 + Y + ... + Y^s, irreducible by
-    :func:`is_primitive_root`, and nothing is drawn from rng.  Otherwise
-    candidates are uniform random monic polynomials checked with the
-    deterministic test, so the output is always irreducible.  At least a
+    When s + 1 is a prime modulo which q is a primitive root, the answer
+    is the cyclotomic polynomial Phi_{s+1} = 1 + Y + ... + Y^s,
+    irreducible by :func:`is_primitive_root`, and nothing is drawn from
+    rng.  Otherwise candidates are uniform random monic polynomials
+    checked with the deterministic test, so the output is always
+    irreducible.  At least a
     1/(2s) share of them is irreducible, so the retry budget of 128*s
     candidates runs out with probability at most e^-64; exhausting it
     raises :class:`RetryBudgetError` (a pathological RNG, as in

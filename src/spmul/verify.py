@@ -18,12 +18,13 @@ sparsity); a random coefficient prime q is drawn and everything moves to
 F_q first.  A field
 with more than c2*p points hosts the point itself.  A smaller one is
 evaluated in F_{q^S'}, built on the fly over its prime field F_q: S is
-least with q^S > c2*p, and S' the least degree in [S, 2S) with q a
-primitive root modulo S' + 1, whose modulus Phi_{S'+1} = 1 + Y + ... +
-Y^S' is irreducible without a search and reduces each product by a cyclic
-fold (arith.cyclotomic_degree); without one, S' = S and the modulus is a
-random irreducible.  A small F_{q^s} enters the extension through a
-random linear combination of the identity's F_q coordinates.
+least with q^S > c2*p, and S' (arith.cyclotomic_degree) the least
+degree in [S, 2S) with S' + 1 a prime modulo which q is a primitive root.
+Its modulus Phi_{S'+1} = 1 + Y + ... + Y^S' is irreducible without a
+search and reduces each product by a cyclic fold; without such a degree,
+S' = S and the modulus is a random irreducible.  A small F_{q^s} enters
+the extension through a random linear combination of the identity's F_q
+coordinates.
 """
 
 from __future__ import annotations
