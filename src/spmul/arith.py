@@ -1,6 +1,6 @@
 """Primality, prime generation, cyclic-prime sizing formulas, and
 irreducible polynomials over prime fields (cyclotomic ones where q is a
-primitive root, random ones otherwise).
+primitive root, the lexicographically smallest otherwise).
 
 Everything here is deterministic given its inputs and, where applicable,
 an explicit :class:`RandomSource`.  Dense polynomials over F_q appearing
@@ -341,45 +341,30 @@ def cyclotomic_degree(q: int, s: int) -> int:
     """The least s' in [s, 2s) with s' + 1 a prime modulo which q is a
     primitive root, so that Phi_{s'+1} is an irreducible of degree s' over
     F_q; s itself when there is none, where irreducible_poly falls back to
-    its search.
+    canonical_irreducible.
 
     The cap 2s is a constant taken from measured product costs: a product
     at s' = 2s - 1 reduced modulo Phi_{2s} (RingSpec._fold's cyclic fold)
     costs about what one at degree s reduced through a general modulus's
     rows does (0.7-1.4x, median 1.0, over q = 2, 3, 5, 101 and s = 4 ..
     33 on CPython 3.11), so below the cap a cyclotomic field pays about
-    the same per product and skips the search.
+    the same per product and skips the irreducibility tests of the walk.
     """
     return next((t for t in range(s, 2 * s) if is_primitive_root(q, t + 1)), s)
 
 
-def irreducible_poly(q: int, s: int, rng: RandomSource) -> tuple[int, ...]:
+def irreducible_poly(q: int, s: int) -> tuple[int, ...]:
     """Monic irreducible polynomial of degree s over F_q, little-endian
-    coefficient tuple of length s+1.
+    coefficient tuple of length s+1, a function of (q, s) alone.
 
     When s + 1 is a prime modulo which q is a primitive root, the answer
     is the cyclotomic polynomial Phi_{s+1} = 1 + Y + ... + Y^s,
-    irreducible by :func:`is_primitive_root`, and nothing is drawn from
-    rng.  Otherwise candidates are uniform random monic polynomials
-    checked with the deterministic test, so the output is always
-    irreducible.  At least a
-    1/(2s) share of them is irreducible, so the retry budget of 128*s
-    candidates runs out with probability at most e^-64; exhausting it
-    raises :class:`RetryBudgetError` (a pathological RNG, as in
-    :func:`random_prime`).
+    irreducible by :func:`is_primitive_root`; otherwise it is
+    :func:`canonical_irreducible` (q, s).
     """
-    if not is_prime(q):
-        raise ValueError("q must be prime")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if is_primitive_root(q, s + 1):
+    if is_prime(q) and s >= 1 and is_primitive_root(q, s + 1):
         return (1,) * (s + 1)
-    budget = 128 * s
-    for _ in range(budget):
-        coeffs = [rng.randrange(q) for _ in range(s)] + [1]
-        if is_irreducible(coeffs, q):
-            return tuple(coeffs)
-    raise RetryBudgetError(f"no irreducible of degree {s} over F_{q} after {budget} draws")
+    return canonical_irreducible(q, s)  # which rejects a composite q or s < 1
 
 
 def canonical_irreducible(q: int, s: int) -> tuple[int, ...]:

@@ -14,7 +14,9 @@ class CharacteristicTooSmallError(SpmulError):
 
 
 class RetryBudgetError(SpmulError):
-    """A randomized search exhausted its retry budget (pathological RNG)."""
+    """A randomized loop exhausted its retry budget: random_prime's
+    candidate budget (a pathological RNG) or sparse_product's doubling
+    loop."""
 
 
 class UnsupportedRingError(SpmulError):

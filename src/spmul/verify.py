@@ -21,9 +21,10 @@ evaluated in F_{q^S'}, built on the fly over its prime field F_q: S is
 least with q^S > c2*p, and S' (arith.cyclotomic_degree) the least
 degree in [S, 2S) with S' + 1 a prime modulo which q is a primitive root.
 Its modulus Phi_{S'+1} = 1 + Y + ... + Y^S' is irreducible without a
-search and reduces each product by a cyclic fold; without such a degree,
-S' = S and the modulus is a random irreducible.  A small F_{q^s} enters
-the extension through a random linear combination of the identity's F_q
+test and reduces each product by a cyclic fold; without such a degree,
+S' = S and the modulus is arith.canonical_irreducible(q, S), so the check
+field is a function of q and S alone.  A small F_{q^s} enters the
+extension through a random linear combination of the identity's F_q
 coordinates.
 """
 
@@ -156,8 +157,8 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     points, and otherwise in F_{q^S'} over the ring's prime field F_q,
     where S is least with q^S > c2*p and S' = cyclotomic_degree(q, S):
     the least degree in [S, 2S) whose field is F_q[Y]/(Phi_{S'+1}), or S
-    itself, with a random modulus, when there is none.  Either way the
-    field has at least q^S > c2*p points.
+    itself, with the modulus arith.canonical_irreducible(q, S), when there
+    is none.  Either way the field has at least q^S > c2*p points.
 
     A small F_{q^s} (s >= 2) enters F_{q^S'} through its F_q coordinates:
     write elements as polynomials in Y, lambda[d] for the coordinates of
@@ -182,8 +183,7 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     which vanishes at a uniform point with probability at most
     p/|F_{q^S'}| < 1/c2 (Schwartz-Zippel), the last share of the budget
     split.  A true identity has every D_j = 0, so it always passes; only
-    the random searches for a prime p, for q and, off the cyclotomic
-    route, for the modulus of F_{q^S'} can fail, each with a
+    the random searches for a prime p and for q can fail, each with a
     RetryBudgetError of probability at most e^-64 whatever eps is.
     """
     ring = H.ring
@@ -206,7 +206,7 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
         # irreducible_poly proves its modulus irreducible, so the field is
         # built directly rather than through ext_field's second test
         field = RingSpec("ext_field", q=ring.q, s=s,
-                         modulus=irreducible_poly(ring.q, s, rng))
+                         modulus=irreducible_poly(ring.q, s))
 
     alpha = field.rand_elem(rng)
     if ring.kind == "ext_field" and field != ring:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spmul import (RandomSource, RetryBudgetError, first_primes, irreducible_poly,
+from spmul import (RandomSource, first_primes, irreducible_poly,
                    is_prime, lambda_no_collision, lambda_nonzero, random_prime)
 from spmul import arith
 from spmul.arith import (canonical_irreducible, ceil_bound, cyclotomic_degree, is_irreducible,
@@ -233,25 +233,23 @@ class TestIrreduciblePoly:
         quadratics = [(c0, c1, 1) for c0 in range(2) for c1 in range(2)]
         irreducible = [f for f in quadratics if is_irreducible(list(f), 2)]
         assert irreducible == [(1, 1, 1)]
-        for seed in range(5):
-            assert irreducible_poly(2, 2, RandomSource(seed)) == (1, 1, 1)
+        assert irreducible_poly(2, 2) == (1, 1, 1)
 
     def test_linear_always_irreducible(self):
-        for seed in range(5):
-            m = irreducible_poly(3, 1, RandomSource(seed))
+        for q in (2, 3, 5, 101, Q62):
+            m = irreducible_poly(q, 1)
             assert len(m) == 2 and m[-1] == 1
 
     def test_degree_3_over_f5_no_roots(self):
         # a cubic is reducible iff it has a root; brute-force root search
-        for seed in range(10):
-            m = irreducible_poly(5, 3, RandomSource(seed))
-            assert m[-1] == 1 and len(m) == 4
-            for x in range(5):
-                assert sum(c * x ** i for i, c in enumerate(m)) % 5 != 0
+        m = irreducible_poly(5, 3)
+        assert m[-1] == 1 and len(m) == 4
+        for x in range(5):
+            assert sum(c * x ** i for i, c in enumerate(m)) % 5 != 0
 
     def test_no_roots_when_s_at_least_2(self):
-        for q, s, seed in [(3, 2, 0), (7, 4, 1), (11, 3, 2), (2, 8, 3)]:
-            m = irreducible_poly(q, s, RandomSource(seed))
+        for q, s in [(3, 2), (7, 4), (11, 3), (2, 8), (5, 3)]:
+            m = irreducible_poly(q, s)
             for x in range(q):
                 assert sum(c * pow(x, i, q) for i, c in enumerate(m)) % q != 0
 
@@ -279,26 +277,22 @@ class TestIrreduciblePoly:
             assert m[1:] == (1,) + (0,) * (s - 2) + (1,) and is_irreducible(list(m), Q62)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            irreducible_poly(4, 2, RandomSource(0))
-        with pytest.raises(ValueError):
-            irreducible_poly(5, 0, RandomSource(0))
+        # 8 is a primitive root mod 3, so a composite q must be rejected
+        # before the cyclotomic test
+        for q, s in [(4, 2), (8, 2), (5, 0)]:
+            with pytest.raises(ValueError):
+                irreducible_poly(q, s)
 
-    @pytest.mark.parametrize("q, s", [(2, 3), (3, 5), (101, 3)])
-    def test_budget_is_128_s_candidates(self, q, s):
-        # s + 1 is not prime, so there is no cyclotomic modulus and the search
-        # runs; every draw is 0, so every candidate is Y^s, reducible for s >= 2
-        class Zeros(RandomSource):
-            draws = 0
-
-            def randrange(self, n):
-                self.draws += 1
-                return 0
-
-        rng = Zeros()
-        with pytest.raises(RetryBudgetError, match=f"after {128 * s} draws"):
-            irreducible_poly(q, s, rng)
-        assert rng.draws == 128 * s * s  # s coefficient draws per candidate
+    def test_fallback_pairs_take_the_canonical_modulus(self):
+        # every (q, S) with q^S <= 2^200 whose check field the verifier
+        # cannot make cyclotomic below the cap
+        pairs = [(q, s) for q in (2, 3, 5, 7, 11, 13, 31, 101, 257, 65537)
+                 for s in range(2, 201) if q ** s <= 2 ** 200
+                 and cyclotomic_degree(q, s) == s and not is_primitive_root(q, s + 1)]
+        assert len(pairs) == 32
+        for q, s in pairs:
+            m = irreducible_poly(q, s)
+            assert m == canonical_irreducible(q, s) and is_irreducible(list(m), q), (q, s)
 
 
 def _generates_by_order(q, ell):
@@ -315,14 +309,14 @@ def _generates_by_order(q, ell):
 class TestCyclotomicModulus:
     """Phi_l = 1 + Y + ... + Y^(l-1) is irreducible over F_q exactly when
     q is a primitive root modulo the prime l, and then irreducible_poly
-    returns it without drawing."""
+    returns it without walking to the canonical modulus."""
 
-    class Counting(RandomSource):
-        draws = 0
+    @staticmethod
+    def _no_walk(monkeypatch):
+        def canonical_irreducible(q, s):
+            raise AssertionError("the canonical walk ran")
 
-        def randrange(self, n):
-            self.draws += 1
-            return super().randrange(n)
+        monkeypatch.setattr(arith, "canonical_irreducible", canonical_irreducible)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101, Q62])
     def test_predicate_matches_multiplicative_order(self, q):
@@ -340,11 +334,10 @@ class TestCyclotomicModulus:
                 assert is_irreducible([1] * ell, q) == is_primitive_root(q, ell), (q, ell)
 
     @pytest.mark.parametrize("q, s", [(2, 2), (3, 4), (3, 42), (5, 16), (Q62, 2)])
-    def test_cyclotomic_modulus_takes_no_draw(self, q, s):
+    def test_cyclotomic_modulus_takes_no_draw(self, monkeypatch, q, s):
         assert is_primitive_root(q, s + 1)
-        rng = self.Counting(0)
-        assert irreducible_poly(q, s, rng) == (1,) * (s + 1)
-        assert rng.draws == 0
+        self._no_walk(monkeypatch)
+        assert irreducible_poly(q, s) == (1,) * (s + 1)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 31, 101, Q62])
     def test_cyclotomic_degree_is_least_below_the_cap(self, q):
@@ -356,19 +349,17 @@ class TestCyclotomicModulus:
 
     def test_cap_leaves_q31_s2_to_the_search(self):
         # 31 = 1 (mod 3) and 1 (mod 5), so no l in [3, 5) fits; l = 7
-        # would, at degree 6 = 3s, past the cap
+        # would, at degree 6 = 3s, past the cap; Y^2 + 1 is irreducible as
+        # 31 = 3 (mod 4)
         assert not is_primitive_root(31, 3) and is_primitive_root(31, 7)
         assert cyclotomic_degree(31, 2) == 2
-        for seed in range(5):
-            rng = self.Counting(seed)
-            m = irreducible_poly(31, 2, rng)
-            assert rng.draws >= 2 and m != (1, 1, 1) and is_irreducible(list(m), 31)
+        m = irreducible_poly(31, 2)
+        assert m == canonical_irreducible(31, 2) == (1, 0, 1)
+        assert is_irreducible(list(m), 31)
 
     def test_search_runs_when_the_predicate_is_patched_off(self, monkeypatch):
         monkeypatch.setattr(arith, "is_primitive_root", lambda q, ell: False)
         assert cyclotomic_degree(3, 33) == 33
-        for seed in range(3):
-            rng = self.Counting(seed)
-            m = irreducible_poly(3, 16, rng)
-            assert rng.draws >= 16 and len(m) == 17 and m != (1,) * 17
-            assert is_irreducible(list(m), 3)
+        m = irreducible_poly(3, 16)
+        assert m == canonical_irreducible(3, 16) and m != (1,) * 17
+        assert is_irreducible(list(m), 3)

@@ -144,8 +144,8 @@ class TestCommands:
         assert "MISMATCH" in capsys.readouterr().out
 
     def test_verify_true_f9_triple_at_large_eps(self, tmp_path, capsys):
-        # a true identity verifies at any eps: the modulus search for the
-        # F_{3^10} this check evaluates in has a budget that eps does not size
+        # a true identity verifies at any eps, which sizes only the check
+        # field (an extension of F_3) and the chance of a false pass
         a = self._write(tmp_path, "a.poly", F9_A_TEXT)
         b = self._write(tmp_path, "b.poly", F9_B_TEXT)
         h = str(tmp_path / "h.poly")

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from spmul import (RandomSource, RingSpec, UnsupportedRingError, ext_field,
-                   integers, irreducible_poly, mul_count, prime_field,
-                   reset_mul_count)
-from spmul.arith import canonical_irreducible
+                   integers, mul_count, prime_field, reset_mul_count)
+from spmul.arith import canonical_irreducible, is_irreducible
 from spmul.rings import _pack, _pow_cost, _unpack
 
 from helpers import Q62, ext_mul_oracle, ext_reduce_oracle
@@ -89,12 +88,30 @@ class TestExtFieldOps:
 PACKED_CASES = ((2, 3), (3, 5), (3, 37), (5, 26), (Q62, 3))
 
 
+# one dense irreducible per PACKED_CASES entry, pinned: the canonical
+# moduli are sparse, as binomials and trinomials lead their walk
+DENSE_MODULI = {
+    (2, 3): (1, 0, 1, 1),
+    (3, 5): (2, 1, 0, 0, 1, 1),
+    (3, 37): (2, 2, 0, 1, 0, 0, 2, 1, 2, 0, 1, 2, 1, 1, 1, 0, 0, 0, 2,
+              2, 2, 0, 2, 1, 0, 0, 1, 2, 1, 0, 2, 2, 1, 2, 1, 1, 2, 1),
+    (5, 26): (2, 3, 2, 1, 2, 0, 4, 2, 1, 2, 3, 4, 1, 0, 0, 3, 1, 1, 1,
+              3, 2, 1, 3, 2, 4, 4, 1),
+    (Q62, 3): (385543777417717424, 1565398786667536885, 1287426834058504817, 1),
+}
+
+
 def _moduli(q, s):
-    """A dense random modulus and a sparse one, the canonical modulus
-    (the trinomial Y^3 + Y + 5 for Q62); none of the PACKED_CASES has q
-    a primitive root modulo s + 1, so the dense one is a random draw."""
-    return {"dense": irreducible_poly(q, s, RandomSource(q + s)),
-            "sparse": canonical_irreducible(q, s)}
+    """A dense modulus from DENSE_MODULI and a sparse one, the canonical
+    modulus (the trinomial Y^3 + Y + 5 for Q62)."""
+    return {"dense": DENSE_MODULI[q, s], "sparse": canonical_irreducible(q, s)}
+
+
+def test_dense_moduli_are_irreducible_and_not_canonical():
+    assert set(DENSE_MODULI) == set(PACKED_CASES)
+    for (q, s), m in DENSE_MODULI.items():
+        assert len(m) == s + 1 and m[-1] == 1 and is_irreducible(list(m), q)
+        assert m != canonical_irreducible(q, s) and m != (1,) * (s + 1)
 
 
 @pytest.fixture(scope="module", params=[(q, s, kind) for q, s in PACKED_CASES

@@ -6,8 +6,8 @@ import pytest
 from spmul import (RandomSource, UnsupportedRingError, add,
                    canonicalize, cyclic_reduce, derivative, eval_cyclic_product,
                    ext_field, eval_sparse, integers, lambda_nonzero, mul_count,
-                   naive_mul, negate, prime_field, reset_mul_count, scale,
-                   verify_sp, verify_sum_sp, zero_poly)
+                   naive_mul, negate, prime_field, random_prime, reset_mul_count,
+                   scale, verify_sp, verify_sum_sp, zero_poly)
 from spmul import SparsePoly, arith, verify
 
 from helpers import Q62, monomial, rand_sparse
@@ -404,8 +404,8 @@ def _field_routes(seen, ring, eps) -> list:
     """The field route of each watched evaluation, once its field is
     checked to have more than c2*p elements: "ring" (the ring itself, or a
     coefficient prime field over Z), "cyclotomic" (F_q[Y]/(Phi_(s+1)),
-    s = cyclotomic_degree(q, S)) or "search" (a random modulus of degree
-    S, where no cyclotomic degree lies in [S, 2S)); S is least with
+    s = cyclotomic_degree(q, S)) or "canonical" (canonical_irreducible(q,
+    S), where no cyclotomic degree lies in [S, 2S)); S is least with
     q^S > c2*p and above the ring's own degree."""
     c2 = verify._split(eps, ring.kind == "integers")[1]
     routes = []
@@ -420,7 +420,9 @@ def _field_routes(seen, ring, eps) -> list:
         assert field.s == arith.cyclotomic_degree(field.q, S)
         cyclotomic = field.modulus == (1,) * (field.s + 1)
         assert cyclotomic == arith.is_primitive_root(field.q, field.s + 1)
-        routes.append("cyclotomic" if cyclotomic else "search")
+        if not cyclotomic:
+            assert field.modulus == arith.canonical_irreducible(field.q, S)
+        routes.append("cyclotomic" if cyclotomic else "canonical")
     return routes
 
 
@@ -554,8 +556,8 @@ class TestSmallExtensionField:
             assert verify_sp(f, g, naive_mul(f, g), 0.01, RandomSource(i))
 
     def test_true_f9_triples_at_large_eps_never_raise(self):
-        # a large eps must not shrink the modulus search: a true identity
-        # verifies at any eps
+        # a large eps only shrinks the check field: a true identity verifies
+        # at any eps
         f9 = ext_field(3, 2)
         rnd = random.Random(124)
 
@@ -569,7 +571,7 @@ class TestSmallExtensionField:
 
     def _fallback_gates(self, monkeypatch, ring, pairs):
         # every true triple accepted and at least 97% of perturbed ones
-        # rejected at eps = 0.01, every check on the searched modulus
+        # rejected at eps = 0.01, every check on the canonical modulus
         seen = _watch_evaluations(monkeypatch)
         err = (1,) + (0,) * (ring.s - 1) if ring.kind == "ext_field" else 1
         rejected = 0
@@ -578,7 +580,7 @@ class TestSmallExtensionField:
             assert verify_sp(f, g, h, 0.01, RandomSource(seed))
             rejected += not verify_sp(f, g, _perturbed(h, err), 0.01, RandomSource(seed))
         assert rejected >= 0.97 * len(pairs)
-        assert set(_field_routes(seen, ring, 0.01)) == {"search"}
+        assert set(_field_routes(seen, ring, 0.01)) == {"canonical"}
 
     def test_fallback_search_for_q31_at_degree_2(self, monkeypatch):
         # D = 2 puts c2*p = 600 between 31 and 31^2, so S = 2; 31 = 1 (mod 3)
@@ -601,13 +603,69 @@ class TestSmallExtensionField:
                 pairs.append((f, g))
         self._fallback_gates(monkeypatch, F9, pairs)
 
+    class _Logged(RandomSource):
+        """A RandomSource that logs the range of every draw."""
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.log = []
+
+        def randrange(self, n):
+            self.log.append(n)
+            return super().randrange(n)
+
+    @pytest.mark.parametrize("route", ["cyclotomic", "canonical-q31", "canonical-patched"])
+    def test_check_draws_p_alpha_and_beta_only(self, monkeypatch, route):
+        # whatever its modulus, a check draws p (above lam), alpha and the
+        # s - 1 betas of a small F_{q^s}, and nothing for the modulus; the
+        # field is a function of (q, S), so seeds that reach one S build
+        # one field
+        seen = _watch_evaluations(monkeypatch)
+        rnd = random.Random(128)
+        triples = []
+        if route == "canonical-q31":
+            # lam <= 137 < D + 1, and c2 = 2/0.9 with p <= 2*lam puts c2*p
+            # between 31 and 31^2, so S = 2
+            ring, eps = prime_field(31), 0.9
+            for _ in range(8):
+                d = rnd.randrange(2000, 5000)
+                x = monomial(ring, d, 1)
+                triples += [(x, x, monomial(ring, 2 * d, c)) for c in (1, 2)]
+        else:
+            if route == "canonical-patched":
+                monkeypatch.setattr(arith, "is_primitive_root", lambda q, ell: False)
+            ring, eps = F9, 2.0 ** -20
+            for _ in range(4):
+                f, g = (rand_sparse(rnd, F9, 6, 10 ** 9) for _ in range(2))
+                h = naive_mul(f, g)
+                triples += [(f, g, h), (f, g, _perturbed(h, (1, 0)))]
+        checks, fields = [], {}
+        for seed, (f, g, h) in enumerate(triples):
+            rng = self._Logged(seed)
+            seen.clear()
+            assert verify_sp(f, g, h, eps, rng) == (h == naive_mul(f, g))
+            (field, p), = set(seen)
+            replay = self._Logged(seed)
+            if p != h.degree + 1:  # p drawn, above lam
+                lam = lambda_nonzero(f.sparsity * g.sparsity + h.sparsity, h.degree,
+                                     verify._split(eps, False)[0])
+                assert random_prime(lam, replay) == p
+            for _ in range(ring.s):  # alpha, then the betas
+                field.rand_elem(replay)
+            assert rng.log == replay.log
+            checks += seen
+            fields.setdefault(field.s, []).append(field)
+        assert set(_field_routes(checks, ring, eps)) == {route.split("-")[0]}
+        assert all(len(set(same)) == 1 for same in fields.values())
+        assert max(map(len, fields.values())) >= 2
+
     def test_one_extension_draw_per_check(self, monkeypatch):
         seen = _watch_evaluations(monkeypatch)
         moduli = []
         real = verify.irreducible_poly
 
-        def irreducible_poly(q, s, rng):
-            moduli.append(real(q, s, rng))
+        def irreducible_poly(q, s):
+            moduli.append(real(q, s))
             return moduli[-1]
 
         monkeypatch.setattr(verify, "irreducible_poly", irreducible_poly)
