@@ -71,18 +71,12 @@ def _parse_coeff(token: str, ring: RingSpec, lineno: int):
     if ring.kind == "integers":
         if len(residues) != 1:
             raise PolyFileError(f"line {lineno}: integer coefficients take one value")
-        c = residues[0]
-    elif ring.kind == "prime_field":
-        if len(residues) != 1 or not 0 <= residues[0] < ring.q:
-            raise PolyFileError(f"line {lineno}: coefficient out of field range")
-        c = residues[0]
-    else:
-        if len(residues) != ring.s or any(not 0 <= v < ring.q for v in residues):
-            raise PolyFileError(f"line {lineno}: coefficient out of field range")
-        c = tuple(residues)
-    if c == ring.zero():
+    elif len(residues) != ring.s or any(not 0 <= v < ring.q for v in residues):
+        raise PolyFileError(f"line {lineno}: coefficient out of field range")
+    if not any(residues):
         raise PolyFileError(f"line {lineno}: zero coefficient; files must be canonical")
-    return c
+    # canonicalize_multi coerces the residues of an F_{q^s} coefficient
+    return residues if ring.kind == "ext_field" else residues[0]
 
 
 def parse_poly(text: str) -> MultiPoly:
@@ -141,9 +135,8 @@ def _ring_header(ring: RingSpec) -> str:
 
 
 def _coeff_str(ring: RingSpec, c) -> str:
-    if ring.kind == "ext_field":
-        return ",".join(str(v) for v in c)
-    return str(c)
+    # a field coefficient is written as its residues, as _parse_coeff reads it
+    return ",".join(map(str, ring.residues(c))) if ring.is_field else str(c)
 
 
 def format_poly(poly: MultiPoly) -> str:

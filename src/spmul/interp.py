@@ -99,23 +99,20 @@ def find_terms(p: int, H_p: SparsePoly, Hprime_p: SparsePoly, D: int,
         raise ValueError("residues must have degree < p")
 
     deriv = dict(Hprime_p.terms)
-    zero = ring.zero()
     invs = None
     if ring.is_field and H_p.terms:
         invs = _batch_inverse(ring, [c for _, c in H_p.terms])
     out = []
     for i, (r, c) in enumerate(H_p.terms):
-        cp = deriv.get((r - 1) % p, zero)
-        if ring.kind == "integers":
+        cp = deriv.get((r - 1) % p, 0)
+        if ring.is_field:
+            # an element lies in the prime subfield iff it is below q, and
+            # D < q, so the degree test below does both
+            e = ring.mul(cp, invs[i])
+        else:
             e, rem = divmod(cp, c)
             if rem != 0:
                 continue
-        else:
-            ratio = ring.mul(cp, invs[i])
-            res = ring.residues(ratio)
-            if any(v != 0 for v in res[1:]):
-                continue  # exponent must sit in the prime subfield
-            e = res[0]
         if not 0 <= e <= D:
             continue
         if e % p != r:
@@ -130,23 +127,18 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
     """F's terms grouped by e mod p: [(r, sum c, sum e*c)], sums in the ring.
 
     A slot can keep sum e*c with sum c cancelled (1 - X^p at r = 0); only
-    slots where both sums vanish are left out.
+    slots where both sums vanish are left out.  Over F_{q^s} the sums are
+    taken over integer images (RingSpec.lift) and dropped once per slot.
     """
     ring = F.ring
+    terms = F.terms
+    # a digit of a sum is at most #F * deg F * (q - 1), within the
+    # n * s * (q - 1)^2 that lift_width(n) holds
+    width = ring.lift_width(F.sparsity * (F.degree + 1)) if terms else None
+    if width is not None:
+        terms = [(e, ring.lift(c, width)) for e, c in terms]
     sums: dict = {}
-    if ring.kind == "ext_field":
-        for e, c in F.terms:
-            r = e % p
-            if r in sums:
-                s, d = sums[r]
-                sums[r] = ([a + b for a, b in zip(s, c)], [a + e * b for a, b in zip(d, c)])
-            else:
-                sums[r] = (c, [e * b for b in c])
-        q = ring.q
-        out = [(r, tuple(a % q for a in s), tuple(a % q for a in d)) for r, (s, d) in sums.items()]
-        zero = ring.zero()
-        return [t for t in out if t[1] != zero or t[2] != zero]
-    for e, c in F.terms:
+    for e, c in terms:
         r = e % p
         if r in sums:
             s, d = sums[r]
@@ -154,8 +146,7 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
         else:
             sums[r] = (c, e * c)
     if ring.is_field:
-        q = ring.q
-        sums = {r: (s % q, d % q) for r, (s, d) in sums.items()}
+        sums = {r: (ring.drop(s, width), ring.drop(d, width)) for r, (s, d) in sums.items()}
     return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
 
@@ -227,14 +218,13 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int):
         acc[r] = acc.get(r, 0) + ring.lift(ring.neg(c), width)
         dacc[r] = dacc.get(r, 0) + ring.lift(ring.neg(d), width)
 
-    zero = ring.zero()
     drop = ring.drop if ring.is_field else None
 
     def settle(slots: dict, shift: int):
         items = ((k, v) for k, v in slots.items() if v)
         if drop is not None:
             items = ((k, drop(v, width)) for k, v in items)
-        terms = [((k - shift) % p if shift else k, c) for k, c in items if c != zero]
+        terms = [((k - shift) % p if shift else k, c) for k, c in items if c]
         if len(terms) > limit:
             raise SparsityBoundError(len(terms) - minus.sparsity)
         terms.sort()

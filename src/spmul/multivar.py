@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, ceil_bound
 from .errors import RingMismatchError, UnsupportedRingError
-from .poly import SparsePoly, _merge, _same_ring, canonicalize, naive_mul
+from .poly import SparsePoly, _merge, _same_ring, naive_mul
 from .product import ProductParams, sparse_product
 from .rings import RingSpec, integers
 
@@ -91,8 +91,7 @@ def naive_mul_multi(F: MultiPoly, G: MultiPoly) -> MultiPoly:
                 acc[e] = ring.add(acc[e], c)
             else:
                 acc[e] = c
-    zero = ring.zero()
-    return MultiPoly(ring, F.nvars, tuple(sorted((e, c) for e, c in acc.items() if c != zero)))
+    return MultiPoly(ring, F.nvars, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
 
 def kronecker(F: MultiPoly, d: int) -> SparsePoly:
@@ -129,8 +128,11 @@ def randomized_kronecker(F: MultiPoly, s_vec) -> SparsePoly:
     s_vec = tuple(int(v) for v in s_vec)
     if len(s_vec) != F.nvars:
         raise ValueError("substitution vector has wrong length")
-    return canonicalize(
-        [(sum(e * s for e, s in zip(exps, s_vec)), c) for exps, c in F.terms], F.ring)
+    if any(v < 0 for v in s_vec):
+        raise ValueError("exponents must be nonnegative")
+    # merged, not canonicalized: the coefficients are ring elements already
+    return SparsePoly(F.ring, _merge(
+        [(sum(e * s for e, s in zip(exps, s_vec)), c) for exps, c in F.terms], F.ring))
 
 
 def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
@@ -236,6 +238,5 @@ def multivar_product_smallchar(F: MultiPoly, G: MultiPoly, eps: float,
     f_z = MultiPoly(zz, F.nvars, tuple((e, ring.lift(c, width)) for e, c in F.terms))
     g_z = MultiPoly(zz, G.nvars, tuple((e, ring.lift(c, width)) for e, c in G.terms))
     h_z = multivar_product_z(f_z, g_z, eps, rng)
-    zero = ring.zero()
     return MultiPoly(ring, F.nvars, tuple(
-        (e, c) for e, v in h_z.terms if (c := ring.drop(v, width)) != zero))
+        (e, c) for e, v in h_z.terms if (c := ring.drop(v, width))))

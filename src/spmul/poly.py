@@ -59,17 +59,16 @@ def _merge(terms, ring: RingSpec) -> tuple:
     """Canonical form of a list of terms: sorted by exponent, equal
     exponents summed, zero sums dropped.  The sort is stable, and linear
     on a few sorted runs, such as add's two operands."""
-    zero = ring.zero()
     out = []
-    e0, c0 = None, zero
+    e0, c0 = None, 0
     for e, c in sorted(terms, key=itemgetter(0)):
         if e == e0:
             c0 = ring.add(c0, c)
             continue
-        if c0 != zero:
+        if c0:
             out.append((e0, c0))
         e0, c0 = e, c
-    if c0 != zero:
+    if c0:
         out.append((e0, c0))
     return tuple(out)
 
@@ -110,9 +109,10 @@ def sub(F: SparsePoly, G: SparsePoly) -> SparsePoly:
 
 
 def scale(F: SparsePoly, c) -> SparsePoly:
+    """c * F for a ring element c, taken as it is: not coerced, which
+    would read a packed F_{q^s} element as a constant."""
     ring = F.ring
-    c = ring.coerce(c)
-    if c == ring.zero():
+    if not c:
         return zero_poly(ring)
     # over Z and over a field a product of nonzero elements is nonzero, so
     # the terms stay canonical
@@ -137,8 +137,7 @@ def naive_mul(F: SparsePoly, G: SparsePoly) -> SparsePoly:
                 acc[e] = ring.add(acc[e], c)
             else:
                 acc[e] = c
-    zero = ring.zero()
-    return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c != zero)))
+    return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
 
 def height_bound(pairs) -> int:
@@ -151,12 +150,11 @@ def height_bound(pairs) -> int:
 def derivative(F: SparsePoly) -> SparsePoly:
     """Formal derivative; terms whose coefficient e*c vanishes are dropped."""
     ring = F.ring
-    zero = ring.zero()
     out = []
     for e, c in F.terms:
         if e >= 1:
             d = ring.smul(c, e)
-            if d != zero:
+            if d:
                 out.append((e - 1, d))
     return SparsePoly(ring, tuple(out))
 
@@ -223,7 +221,7 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
     base = alpha
     for shift in range(0, bits, w):
         # the top row stops at the top digit of bound - 1
-        row = [ring.one(), base]
+        row = [1, base]
         for _ in range(min(mask, (bound - 1) >> shift) - 1):
             row.append(ring.mul(row[-1], base))
         rows.append(row)
@@ -258,7 +256,6 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
         return power, settle
 
     mul = ring.mul
-    one = ring.one()
 
     def power(e):
         r = None
@@ -269,7 +266,7 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
             e >>= w
             if not e:
                 break
-        return one if r is None else r
+        return 1 if r is None else r
 
     return power, lambda: None
 
@@ -280,7 +277,7 @@ def eval_terms(ring: RingSpec, terms, power):
     if ring.kind == "prime_field":
         add_mul_count(len(terms))
         return sum(c * power(e) for e, c in terms) % ring.q
-    value = ring.zero()
+    value = 0
     for e, c in terms:
         value = ring.add(value, ring.mul(c, power(e)))
     return value
@@ -298,7 +295,7 @@ def eval_sparse(F: SparsePoly, alpha):
     if not ring.is_field:
         raise UnsupportedRingError("evaluation requires a finite field")
     if F.is_zero:
-        return ring.zero()
+        return 0
     power, settle = fixed_base_powers(ring, alpha, F.degree + 1, F.sparsity)
     value = eval_terms(ring, F.terms, power)
     settle()

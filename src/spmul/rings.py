@@ -1,35 +1,47 @@
 """Coefficient domains: the integers, prime fields F_q, and extensions F_{q^s}.
 
-Elements are plain Python values so the hot paths stay cheap:
+Every element is an ``int``, so the hot paths stay cheap:
 
-* integers           -- ``int``
-* prime field        -- ``int`` in ``[0, q)``
-* extension field    -- ``tuple`` of s ints in ``[0, q)``, little-endian
-                        coordinates in the power basis
+* integers           -- the integer itself
+* prime field        -- its residue in ``[0, q)``
+* extension field    -- its s residues in ``[0, q)``, the little-endian
+                        coordinates in the power basis, packed as digits of
+                        the field's width W bytes (``_width``)
 
-F_{q^s} products, F_{q^s} integer images and ``poly.dense_cyclic_mul``
-pack nonnegative digits of a fixed byte width into one integer through one
-pair of routines, ``_pack`` and ``_unpack``.
+So ``zero()`` is 0 and ``one()`` is 1 in every ring.  Residue tuples
+exist only at the boundary: ``coerce`` builds an element from an int (a
+constant of the prime subfield) or a residue sequence, and ``residues``
+gives the sequence back.  Digits of a fixed byte width are packed and
+unpacked by one pair of routines, ``_pack`` and ``_unpack``, which also
+serve F_{q^s} integer images and ``poly.dense_cyclic_mul``.
 
-An F_{q^s} product (s != 2; s = 2 is unrolled, see ``_ext_mul``) is one
-integer product: each factor's residues are packed as digits of W bytes,
-the packed ints are multiplied, and ``_fold`` reduces the 2s - 1 digits
-of the result, the coefficients of Y^0 .. Y^(2s-2).  Modulo the
-cyclotomic polynomial Phi_{s+1} = 1 + Y + ... + Y^s (s > 2), the field
-the verifier builds wherever it can, Y^(s+1) = 1: one shift-add folds the
-digits at s + 1 and above onto the low ones, and digit s, standing for
-Y^s = -(1 + ... + Y^(s-1)), is subtracted from each of the s below it as
-they are reduced mod q.  Any other modulus folds the s - 1 high digits
-c_i (i = s .. 2s-2) back as sum c_i * ROW_i, where ROW_i is Y^i mod the
-modulus packed the same way; the rows are built once per field, and the
-s low digits are then unpacked and reduced mod q once each.  No digit may
-carry into its neighbour: a product digit is at most s(q-1)^2, the
-cyclic shift-add at most doubles it, and the row fold adds at most s-1
-terms of s(q-1)^2 * (q-1), so every digit stays below
+An F_{q^s} product (s != 2; s = 2 is unrolled on the two digits, see
+``_ext_mul``) is one integer product of the two elements, and ``_fold``
+reduces the 2s - 1 digits of the result, the coefficients of Y^0 ..
+Y^(2s-2).  Modulo the cyclotomic polynomial Phi_{s+1} = 1 + Y + ... + Y^s
+(s > 2), the field the verifier builds wherever it can, Y^(s+1) = 1: one
+shift-add folds the digits at s + 1 and above onto the low ones, and
+digit s, standing for Y^s = -(1 + ... + Y^(s-1)), is subtracted from each
+of the s below it as they are reduced mod q.  Any other modulus folds the
+s - 1 high digits c_i (i = s .. 2s-2) back as sum c_i * ROW_i, where
+ROW_i is Y^i mod the modulus packed the same way; the rows are built once
+per field, and the s low digits are then reduced mod q once each.  No
+digit may carry into its neighbour: a product digit is at most s(q-1)^2,
+the cyclic shift-add at most doubles it, and the row fold adds at most
+s-1 terms of s(q-1)^2 * (q-1), so every digit stays below
 s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop`` reduces the 2s - 1
 digits of an integer image mod q, packs them at W bytes and folds them
 the same way; its digits are residues in [0, q), so its sums meet the
 same bound.
+
+``add``, ``sub`` and ``neg`` work on the whole int: a + b, a + Q - b and
+Q - a (Q holding q in every digit) have digits in [0, 2q - 1], and one
+conditional subtract per digit brings each back to [0, q).  With
+H = 2^(8W-1), adding H - q to every digit gives digits in [H - q,
+H + q - 1], inside [0, 2H) as long as 2q - 1 < H, so none carries and a
+digit's top bit is set exactly where it was at least q; q is subtracted
+there.  The bound holds: 2^(8W) exceeds (q-1)^2 >= 4q - 2 for q >= 7,
+and 2^(8W) >= 256 > 4q - 2 for q <= 5.
 
 :class:`RingSpec` bundles the description with its arithmetic and with
 integer images of its elements (``lift`` / ``drop``), through which one
@@ -46,8 +58,7 @@ measurement; the other shared state in the library is the prime table in
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from dataclasses import dataclass, field
 from operator import mul as _int_mul
 
@@ -56,14 +67,13 @@ from .errors import UnsupportedRingError
 
 _mul_count = 0
 
-# array typecode per item size in bytes, for packing digits of 1, 2, 4 or
-# 8 bytes; arrays hold native byte order, packed ints are little-endian
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
-_SWAP = sys.byteorder != "little"
+# struct format code per digit width in bytes; "<" formats are
+# little-endian, as packed ints are
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _byte_width(bound: int) -> int:
-    """Bytes per digit for digits up to bound, rounded up to an array item
+    """Bytes per digit for digits up to bound, rounded up to a struct item
     size where one fits."""
     width = -(-bound.bit_length() // 8)
     return next((w for w in (1, 2, 4, 8) if w >= width), width)
@@ -72,26 +82,20 @@ def _byte_width(bound: int) -> int:
 def _pack(digits, width: int) -> int:
     """Integer with the base-2^(8*width) digits `digits`, least significant
     first, each in [0, 2^(8*width))."""
-    code = _TYPECODES.get(width)
+    code = _STRUCT_CODES.get(width)
     if code is None:
         return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits), "little")
-    packed = array(code, digits)
-    if _SWAP:
-        packed.byteswap()
-    return int.from_bytes(packed, "little")
+    return int.from_bytes(struct.pack(f"<{len(digits)}{code}", *digits), "little")
 
 
 def _unpack(v: int, width: int, count: int):
     """The count base-2^(8*width) digits of v, least significant first; v
     must lie in [0, 2^(8*width*count))."""
     data = v.to_bytes(count * width, "little")
-    code = _TYPECODES.get(width)
+    code = _STRUCT_CODES.get(width)
     if code is None:
         return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
-    digits = array(code, data)
-    if _SWAP:
-        digits.byteswap()
-    return digits
+    return struct.unpack(f"<{count}{code}", data)
 
 
 def reset_mul_count() -> None:
@@ -139,6 +143,11 @@ class RingSpec:
     # True for the modulus Phi_{s+1} = 1 + Y + ... + Y^s at s > 2, which
     # _fold reduces cyclically instead of through _packed_rows
     _cyclic: bool = field(default=False, init=False, repr=False, compare=False)
+    # the conditional subtract's constants, one per digit of an element: q,
+    # 2^(8W-1) - q, and the top bit 2^(8W-1) (module docstring)
+    _qs: int = field(default=0, init=False, repr=False, compare=False)
+    _bias: int = field(default=0, init=False, repr=False, compare=False)
+    _tops: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "integers":
@@ -174,8 +183,12 @@ class RingSpec:
         # every digit packed or folded stays below this bound (module
         # docstring)
         width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
+        half = 1 << 8 * width - 1
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_yrows", tuple(rows))
+        object.__setattr__(self, "_qs", _pack([q] * s, width))
+        object.__setattr__(self, "_bias", _pack([half - q] * s, width))
+        object.__setattr__(self, "_tops", _pack([half] * s, width))
         if s > 2 and all(c == 1 for c in m):
             object.__setattr__(self, "_cyclic", True)
         else:
@@ -199,31 +212,36 @@ class RingSpec:
             return None
         return self.q ** self.s
 
-    def zero(self):
-        if self.kind == "ext_field":
-            return (0,) * self.s
+    def zero(self) -> int:
         return 0
 
-    def one(self):
-        if self.kind == "ext_field":
-            return (1,) + (0,) * (self.s - 1)
+    def one(self) -> int:
         return 1
 
-    def coerce(self, c):
-        """Bring an int (or residue sequence, for extensions) into the ring."""
+    def coerce(self, c) -> int:
+        """The ring element of an int or, over F_{q^s}, of a sequence of at
+        most s residues (little-endian, any ints, missing ones zero).  An
+        int always means the constant c mod q of the prime subfield, never
+        a packed F_{q^s} element: an element passed back through coerce is
+        misread, so library code never coerces what is already an element."""
         if self.kind == "integers":
             return int(c)
-        if self.kind == "prime_field":
+        if self.kind == "prime_field" or isinstance(c, int):
             return int(c) % self.q
-        if isinstance(c, int):
-            return (c % self.q,) + (0,) * (self.s - 1)
-        c = tuple(int(v) % self.q for v in c)
+        c = [int(v) % self.q for v in c]
         if len(c) > self.s:
             raise ValueError("too many residues for extension element")
-        return c + (0,) * (self.s - len(c))
+        return _pack(c, self._width)
 
-    def is_zero_elem(self, a) -> bool:
-        return a == self.zero()
+    def residues(self, a) -> tuple[int, ...]:
+        """The residues of a field element, little-endian in the power
+        basis: s of them over F_{q^s}, one over F_q.  With coerce, the only
+        conversion between elements and residue sequences."""
+        if self.kind == "integers":
+            raise UnsupportedRingError("integers have no residue vector")
+        if self.kind == "prime_field":
+            return (a,)
+        return tuple(_unpack(a, self._width, self.s))
 
     # -- arithmetic --------------------------------------------------
 
@@ -232,24 +250,26 @@ class RingSpec:
             return a + b
         if self.kind == "prime_field":
             return (a + b) % self.q
-        q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
+        return self._cond_sub(a + b)
 
     def sub(self, a, b):
         if self.kind == "integers":
             return a - b
         if self.kind == "prime_field":
             return (a - b) % self.q
-        q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
+        return self._cond_sub(a + self._qs - b)
 
     def neg(self, a):
         if self.kind == "integers":
             return -a
         if self.kind == "prime_field":
             return -a % self.q
-        q = self.q
-        return tuple(-x % q for x in a)
+        return self._cond_sub(self._qs - a)
+
+    def _cond_sub(self, v: int) -> int:
+        """v with q subtracted from each of its s digits that is at least
+        q; every digit must lie in [0, 2q - 1] (module docstring)."""
+        return v - (((v + self._bias) & self._tops) >> 8 * self._width - 1) * self.q
 
     def mul(self, a, b):
         global _mul_count
@@ -269,26 +289,24 @@ class RingSpec:
         q = self.q
         if self.kind == "prime_field":
             return a * (k % q) % q
-        kk = k % q
-        return tuple(x * kk % q for x in a)
+        # k mod q is an element too, the constant of the prime subfield
+        return self._ext_mul(a, k % q)
 
     def _ext_mul(self, a, b):
         q = self.q
-        s = self.s
-        # unrolled at s = 2: the packed path there takes 6-10x as long per
-        # product (measured at q = 3 and at a 62-bit q, CPython 3.11), and
-        # would make a schoolbook product over F_9 about 5x slower
-        if s == 2:
-            a0, a1 = a
-            b0, b1 = b
+        # unrolled at s = 2 on the two digits: the generic fold there takes
+        # 4-7x as long per product (at q = 3 and at a 62-bit q, CPython
+        # 3.11), and would make a schoolbook product over F_9 that much slower
+        if self.s == 2:
+            base = 1 << 8 * self._width
+            a1, a0 = divmod(a, base)
+            b1, b0 = divmod(b, base)
             t2 = a1 * b1
             m0, m1 = self.modulus[0], self.modulus[1]
-            return ((a0 * b0 - t2 * m0) % q, (a0 * b1 + a1 * b0 - t2 * m1) % q)
-        width = self._width
-        pa = _pack(a, width)
-        return self._fold(pa * (pa if b is a else _pack(b, width)))
+            return (a0 * b0 - t2 * m0) % q + (a0 * b1 + a1 * b0 - t2 * m1) % q * base
+        return self._fold(a * b)
 
-    def _fold(self, v: int):
+    def _fold(self, v: int) -> int:
         """The element of F_{q^s} whose image in Z[Y] has the W-byte
         digits of v as coefficients (at most 2s - 1 of them, within the
         bound of the module docstring).  Modulo Phi_{s+1} the digits at
@@ -302,11 +320,11 @@ class RingSpec:
             bits = 8 * width * (s + 1)
             digits = _unpack((v & ((1 << bits) - 1)) + (v >> bits), width, s + 1)
             top = digits[s]
-            return tuple([(d - top) % q for d in digits[:s]])
+            return _pack([(d - top) % q for d in digits[:s]], width)
         bits = 8 * width * s
         high = _unpack(v >> bits, width, s - 1)
         low = (v & ((1 << bits) - 1)) + sum(map(_int_mul, high, self._packed_rows))
-        return tuple([d % q for d in _unpack(low, width, s)])
+        return _pack([d % q for d in _unpack(low, width, s)], width)
 
     def pow(self, a, e: int):
         if e < 0:
@@ -319,7 +337,7 @@ class RingSpec:
             _mul_count += _pow_cost(e)
             return pow(a, e, self.q)
         if e == 0:
-            return self.one()
+            return 1
         # left-to-right square and multiply so the counter matches the
         # canonical cost exactly
         result = a
@@ -337,27 +355,27 @@ class RingSpec:
         modulus, and raises ZeroDivisionError there as for zero itself."""
         if self.kind == "integers":
             raise UnsupportedRingError("no inverses over the integers")
-        if self.is_zero_elem(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         r = self.pow(a, self.size - 2)
-        if self.modulus is not None and self.mul(a, r) != self.one():
+        if self.modulus is not None and self.mul(a, r) != 1:
             raise ZeroDivisionError("element not invertible")
         return r
 
-    # -- sampling and representation ---------------------------------
+    # -- sampling ----------------------------------------------------
 
     def rand_elem(self, rng: arith.RandomSource):
         if self.kind == "integers":
             raise UnsupportedRingError("uniform sampling needs a finite ring")
         if self.kind == "prime_field":
             return rng.randrange(self.q)
-        return tuple(rng.randrange(self.q) for _ in range(self.s))
+        return _pack([rng.randrange(self.q) for _ in range(self.s)], self._width)
 
     # -- integer images ----------------------------------------------
     # Z and F_q elements are their own integer images.  An F_{q^s} element
-    # with residues r_i becomes sum r_i * 2^(8*w*i): its residues packed as
-    # digits of w bytes.  A sum of products of images is then the image of
-    # the same sum taken in Z[Y], as long as no digit reaches 2^(8*w).
+    # with residues r_i becomes sum r_i * 2^(8*w*i): its residues repacked
+    # as digits of w bytes.  A sum of products of images is then the image
+    # of the same sum taken in Z[Y], as long as no digit reaches 2^(8*w).
     # lift_width sizes w for that.
 
     def lift_width(self, n: int) -> int | None:
@@ -371,7 +389,7 @@ class RingSpec:
 
     def lift(self, a, width: int | None) -> int:
         """Integer image of a ring element at digits of `width` bytes."""
-        return a if width is None else _pack(a, width)
+        return a if width is None else _pack(_unpack(a, self._width, self.s), width)
 
     def drop(self, v: int, width: int | None):
         """Ring element of integer image v: v itself over Z, v mod q over
@@ -386,14 +404,6 @@ class RingSpec:
             raise AssertionError("packed coefficient slot overflow")
         q = self.q
         return self._fold(_pack([d % q for d in _unpack(v, width, count)], self._width))
-
-    def residues(self, a) -> tuple[int, ...]:
-        """Residue vector of a field element (length s; s = 1 for prime fields)."""
-        if self.kind == "integers":
-            raise UnsupportedRingError("integers have no residue vector")
-        if self.kind == "prime_field":
-            return (a,)
-        return tuple(a)
 
 
 _ZZ = RingSpec("integers")

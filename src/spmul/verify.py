@@ -92,19 +92,18 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
     if (not F_p.is_zero and F_p.degree >= p) or (not G_p.is_zero and G_p.degree >= p):
         raise ValueError("degrees must be < p")
 
-    zero = ring.zero()
     # lookups: c_0, the window terms, the gaps and alpha^p
     power, settle = fixed_base_powers(ring, alpha, p + 1, 2 * F_p.sparsity + G_p.sparsity + 1)
     c = eval_terms(ring, F_p.terms, power)  # c_0 = F_p(alpha)
-    one_minus_ap = ring.sub(ring.one(), power(p))
+    one_minus_ap = ring.sub(1, power(p))
     # F terms with exponent t > 0 enter window ell = p - t; walk them in
     # increasing ell, i.e. decreasing t.  The t = 0 term lives only in c_0.
     f_desc = [term for term in reversed(F_p.terms) if term[0] > 0]
     idx = 0
     j_prev = 0
-    acc = zero
+    acc = 0
     for j, g_coeff in G_p.terms:
-        window = zero
+        window = 0
         while idx < len(f_desc):
             t, f_coeff = f_desc[idx]
             ell = p - t
@@ -114,7 +113,7 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
             idx += 1
         if j > j_prev:
             c = ring.mul(power(j - j_prev), c)
-        if window != zero:
+        if window:
             c = ring.add(c, ring.mul(one_minus_ap, window))
         acc = ring.add(acc, ring.mul(c, g_coeff))
         j_prev = j
@@ -132,15 +131,16 @@ def _residue_in(P: SparsePoly, p: int, field: RingSpec) -> SparsePoly:
         # prime_field(q) per polynomial
         q = field.q
         return SparsePoly(field, tuple((e, cr) for e, c in P_p.terms if (cr := c % q)))
-    return SparsePoly(field, tuple((e, field.coerce(c)) for e, c in P_p.terms))
+    # an F_q element is its own image in an extension of F_q
+    return SparsePoly(field, P_p.terms)
 
 
 def _image(P_p: SparsePoly, weights, field: RingSpec) -> SparsePoly:
     # sum_l weights[l] * (coordinate l of P_p), over the evaluation field
-    zero = field.zero()
+    residues = P_p.ring.residues
     return SparsePoly(field, tuple(
         (e, v) for e, c in P_p.terms
-        if (v := reduce(field.add, map(field.smul, weights, c))) != zero))
+        if (v := reduce(field.add, map(field.smul, weights, residues(c))))))
 
 
 def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
@@ -210,13 +210,15 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
 
     alpha = field.rand_elem(rng)
     if ring.kind == "ext_field" and field != ring:
-        beta = [field.one()] + [field.rand_elem(rng) for _ in range(ring.s - 1)]
+        beta = [1] + [field.rand_elem(rng) for _ in range(ring.s - 1)]
         w = [reduce(field.add, map(field.smul, beta, row)) for row in ring._yrows]
-        pad = (0,) * (field.s - 1)
 
         def factors(F, G):  # (F_k, phi(Y^k G)) for k < s
-            F_p, G_p = cyclic_reduce(F, p), cyclic_reduce(G, p)
-            return [(SparsePoly(field, tuple((e, (c[k],) + pad) for e, c in F_p.terms if c[k])),
+            # a residue of F is a prime-subfield element, so an element of
+            # field as it stands
+            F_r = [(e, ring.residues(c)) for e, c in cyclic_reduce(F, p).terms]
+            G_p = cyclic_reduce(G, p)
+            return [(SparsePoly(field, tuple((e, c[k]) for e, c in F_r if c[k])),
                      _image(G_p, w[k:], field)) for k in range(ring.s)]
 
         h = _image(cyclic_reduce(H, p), beta, field)
@@ -226,7 +228,7 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
 
         h = _residue_in(H, p, field)
 
-    lhs = field.zero()
+    lhs = 0
     for F, G in pairs:
         for f, g in factors(F, G):
             lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha))

@@ -6,20 +6,25 @@ Run it from the directory that should receive them:
 
 It writes two sets of pairs, each from its own fixed seed:
 
-* za/zb, qa/qb and f9a/f9b.poly (wrapping_pairs): 6 x 6 terms over Z
-  with exponents near 10^30, over F_(2^61 - 1) with exponents near 10^15,
-  and over F_9 with exponents near 10^15.  Their products wrap modulo
-  X^p - 1 (an operand's degree exceeds the cyclic prime p; F_9 products
-  are taken through Z), and their degrees exceed the verifier's bound
-  lam, so they are the only CLI inputs in CI whose check takes the cyclic
-  route (a random prime p in [lam, 2*lam]).  The F_9 check runs in
-  F_3[Y]/(Phi_43), an extension of degree 42.
+* za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
+  over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
+  10^15, over F_9 with exponents near 10^15, and over F_((2^61 - 1)^3)
+  with exponents in [10^11, 10^12).  Their products wrap modulo X^p - 1
+  (an operand's degree exceeds the cyclic prime p; F_9 products are taken
+  through Z, while the x3 product is interpolated in F_((2^61 - 1)^3)
+  itself, the only CI product whose terms find_terms reads off in an
+  extension field), and their degrees exceed the verifier's bound lam, so
+  they are the only CLI inputs in CI whose check takes the cyclic route
+  (a random prime p in [lam, 2*lam]).  The F_9 check runs in
+  F_3[Y]/(Phi_43), an extension of degree 42; the x3 check runs in the
+  ring itself, whose canonical modulus is reduced through the row fold.
 * z3a/z3b and f3a/f3b.poly (trivariate_pairs): 3-variable files of 8
   terms with partial degrees below 4, over Z and over F_9, whose product
   lifts through Z.
 
 test_cli imports wrapping_pairs, so the pairs it checks for the cyclic
-route are the ones CI runs.
+route, and the x3 pair it checks for interpolation in its extension
+field, are the ones CI runs.
 """
 
 import random
@@ -30,13 +35,15 @@ F9 = [f"{a},{b}" for a in range(3) for b in range(3) if a or b]
 
 
 def wrapping_pairs() -> dict:
-    """{file name: text} of the three wrapping pairs."""
+    """{file name: text} of the four wrapping pairs."""
     rnd = random.Random(1)
     files = {}
     for name, head, emax, coeff in (
             ("z", "ring int", 10 ** 30, lambda: rnd.randint(1, 2 ** 20)),
             ("q", f"field {Q61} 1", 10 ** 15, lambda: rnd.randint(1, Q61 - 1)),
-            ("f9", "field 3 2", 10 ** 15, lambda: rnd.choice(F9))):
+            ("f9", "field 3 2", 10 ** 15, lambda: rnd.choice(F9)),
+            ("x3", f"field {Q61} 3", 10 ** 12,
+             lambda: ",".join(str(rnd.randint(1, Q61 - 1)) for _ in range(3)))):
         for side in "ab":
             exps = set()
             while len(exps) < 6:

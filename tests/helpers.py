@@ -63,6 +63,12 @@ def dict_sum_ring(terms, ring) -> dict:
     return {e: c for e, c in out.items() if c != zero}
 
 
+def raw_coeff(ring, c):
+    """The boundary form of the element c, which canonicalize and coerce
+    take back: its residue tuple over F_{q^s}, c itself over Z and F_q."""
+    return ring.residues(c) if ring.kind == "ext_field" else c
+
+
 def ring_coeffs(ring):
     """Hypothesis strategy for coefficients of ring from a few values, zero
     among them, so that terms with equal exponents often cancel."""
@@ -110,6 +116,39 @@ def ext_mul_oracle(a: tuple, b: tuple, ring) -> tuple:
         for j, bj in enumerate(b):
             t[i + j] += ai * bj
     return ext_reduce_oracle(t, ring)
+
+
+# residue-tuple references for the rest of F_{q^s} arithmetic: one
+# residue at a time, each reduced mod q with Python's %
+
+def ext_add_oracle(a: tuple, b: tuple, ring) -> tuple:
+    return tuple((x + y) % ring.q for x, y in zip(a, b))
+
+
+def ext_sub_oracle(a: tuple, b: tuple, ring) -> tuple:
+    return tuple((x - y) % ring.q for x, y in zip(a, b))
+
+
+def ext_neg_oracle(a: tuple, ring) -> tuple:
+    return tuple(-x % ring.q for x in a)
+
+
+def ext_smul_oracle(a: tuple, k: int, ring) -> tuple:
+    return tuple(x * k % ring.q for x in a)
+
+
+def ext_inv_oracle(a: tuple, ring):
+    """a^(q^s - 2) by right-to-left square and multiply through
+    ext_mul_oracle, or None when its product with a is not 1 (a zero
+    divisor of a reducible modulus, or zero)."""
+    one = (1,) + (0,) * (ring.s - 1)
+    r, base, e = one, a, ring.q ** ring.s - 2
+    while e:
+        if e & 1:
+            r = ext_mul_oracle(r, base, ring)
+        base = ext_mul_oracle(base, base, ring)
+        e >>= 1
+    return r if ext_mul_oracle(a, r, ring) == one else None
 
 
 def fq_gcd_oracle(a: list, b: list, q: int) -> list:
@@ -172,7 +211,7 @@ def rand_sparse(rnd: random.Random, ring, tmax: int, emax: int, cmax: int = None
             c = rnd.randrange(1, ring.q)
         else:
             c = tuple(rnd.randrange(ring.q) for _ in range(ring.s))
-        if c != ring.zero():
+        if ring.coerce(c) != ring.zero():
             terms[e] = c
     return canonicalize(list(terms.items()), ring)
 
@@ -189,7 +228,7 @@ def rand_multi(rnd: random.Random, ring, nvars: int, tmax: int, dmax: int,
             c = rnd.randrange(1, ring.q)
         else:
             c = tuple(rnd.randrange(ring.q) for _ in range(ring.s))
-        if c != ring.zero():
+        if ring.coerce(c) != ring.zero():
             terms[e] = c
     return canonicalize_multi(list(terms.items()), nvars, ring)
 

@@ -60,6 +60,7 @@ class TestParseFormat:
     def test_ext_field_coefficients(self):
         f9 = ext_field(3, 2)
         f = canonicalize_multi([((4,), (2, 1)), ((0,), (0, 1))], 1, f9)
+        assert [(e, f9.residues(c)) for e, c in f.terms] == [((0,), (0, 1)), ((4,), (2, 1))]
         text = format_poly(f)
         assert "term 0,1 0" in text and "term 2,1 4" in text
         assert parse_poly(text) == f
@@ -376,12 +377,14 @@ class TestCommands:
         assert cli._build_parser.cache_info().currsize == 1
 
     def test_ci_wrapping_pairs_take_the_cyclic_route(self, tmp_path, monkeypatch):
-        # the three wrapping pairs CI writes (6 x 6 terms over Z with
-        # exponents near 10^30, over F_(2^61 - 1) and over F_9 near 10^15)
-        # are the CLI inputs whose verifier bound lam lies below the
-        # product's degree D, so the check reduces mod X^p - 1 for a prime p
-        # in [lam, 2*lam]; the F_9 check runs in the cyclotomic extension
-        # F_3[Y]/(Phi_(s+1)) with s >= 40 and more than c2*p elements
+        # the four wrapping pairs CI writes (6 x 6 terms over Z with
+        # exponents near 10^30, over F_(2^61 - 1) and over F_9 near 10^15,
+        # over F_((2^61 - 1)^3) near 10^12) are the CLI inputs whose
+        # verifier bound lam lies below the product's degree D, so the
+        # check reduces mod X^p - 1 for a prime p in [lam, 2*lam]; the F_9
+        # check runs in the cyclotomic extension F_3[Y]/(Phi_(s+1)) with
+        # s >= 40 and more than c2*p elements, the F_(Q61^3) one in its own
+        # ring, through the row fold
         seen = []
         real = verify.eval_cyclic_product
 
@@ -391,7 +394,7 @@ class TestCommands:
 
         monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
         files = ci_inputs.wrapping_pairs()
-        for name in ("z", "q", "f9"):
+        for name in ("z", "q", "f9", "x3"):
             paths = [self._write(tmp_path, name + side + ".poly", files[name + side + ".poly"])
                      for side in "ab"]
             h = str(tmp_path / (name + "h.poly"))
@@ -409,6 +412,31 @@ class TestCommands:
                 assert all(field.q == 3 and field.s >= 40 and field._cyclic
                            and field.modulus == (1,) * (field.s + 1) and field.size > c2 * p
                            for field, p in seen)
+            if name == "x3":
+                assert all(field == a.ring and not field._cyclic and field._width == 24
+                           for field, _ in seen)
+
+    def test_ci_extension_pair_is_interpolated_in_its_field(self, tmp_path, monkeypatch):
+        # x3a/x3b: the CLI product wraps modulo X^p - 1 and its terms are
+        # read off by find_terms in F_((2^61 - 1)^3) itself, not through Z
+        seen = []
+        real = product.find_terms
+
+        def find_terms(p, H_p, Hprime_p, D, C):
+            seen.append((H_p.ring, p, D))
+            return real(p, H_p, Hprime_p, D, C)
+
+        monkeypatch.setattr(product, "find_terms", find_terms)
+        files = ci_inputs.wrapping_pairs()
+        a, b = (self._write(tmp_path, f"x3{side}.poly", files[f"x3{side}.poly"])
+                for side in "ab")
+        h, naive = str(tmp_path / "x3h.poly"), str(tmp_path / "x3naive.poly")
+        assert run_command(["mul", a, b, "-o", h]) == 0
+        assert run_command(["mul", "--naive", a, b, "-o", naive]) == 0
+        assert Path(h).read_bytes() == Path(naive).read_bytes()
+        ring = parse_poly(Path(a).read_text()).ring
+        assert ring.q == 2 ** 61 - 1 and ring.s == 3
+        assert seen and all(r == ring and p < D for r, p, D in seen)
 
     def test_extreme_budgets_are_usage_errors(self, tmp_path, capsys):
         # sizing bounds past the float range: exit 2 with one line, never

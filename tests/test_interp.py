@@ -149,10 +149,10 @@ class TestCyclicProductResidue:
         # do not, so slots whose coefficient sums cancel must stay
         for ring in (ZZ, prime_field(101), ext_field(Q62, 2), ext_field(101, 3)):
             p = 7
-            one = ring.one()
-            f = canonicalize([(0, one), (p, ring.neg(one))], ring)
-            g = canonicalize([(p + 3, one), (3, ring.neg(one))], ring)
-            h = canonicalize([(1, one), (2 * p + 5, one)], ring)
+            # the ints 1 and -1 are constants of every ring
+            f = canonicalize([(0, 1), (p, -1)], ring)
+            g = canonicalize([(p + 3, 1), (3, -1)], ring)
+            h = canonicalize([(1, 1), (2 * p + 5, 1)], ring)
             for pairs, minus in (([(f, h)], zero_poly(ring)), ([(h, f), (g, h)], g),
                                  ([(h, h)], add(naive_mul(h, h), f))):
                 want = _direct_residues(pairs, minus, p, ring)

@@ -16,7 +16,7 @@ from spmul import (MultiPoly, ProductParams, RandomSource, RingMismatchError,
                    sparsity_estimate)
 
 from helpers import (Q62, as_multi, dict_mul_ring, dict_sum_ring, is_canonical, rand_multi,
-                     rand_sparse, ring_coeffs)
+                     rand_sparse, raw_coeff, ring_coeffs)
 
 ZZ = integers()
 RINGS = [ZZ, prime_field(7), ext_field(3, 2)]
@@ -53,7 +53,7 @@ class TestCanonicalizeMulti:
         pairs = data.draw(st.lists(st.tuples(vec, ring_coeffs(ring)), max_size=25))
         # half the vectors again with the negated coefficient, so they cancel
         # unless a third term shares the vector
-        negated = [(e, ring.neg(ring.coerce(c))) for e, c in pairs[::2]]
+        negated = [(e, raw_coeff(ring, ring.neg(ring.coerce(c)))) for e, c in pairs[::2]]
         f = canonicalize_multi(pairs + negated, 3, ring)
         assert dict(f.terms) == dict_sum_ring(pairs + negated, ring)
         assert is_canonical(f.terms, ring)
@@ -143,6 +143,25 @@ class TestRandomizedKronecker:
     def test_forced_collision_merges(self):
         f = mp([((1, 0), 1), ((0, 1), 1)])
         assert randomized_kronecker(f, (2, 2)).terms == ((2, 2),)
+
+    @pytest.mark.parametrize("ring", [ext_field(3, 2), ext_field(Q62, 2)], ids=["F9", "FQ62^2"])
+    def test_matches_per_term_substitution_over_extensions(self, ring):
+        # the merge keeps each coefficient as the element it is; coercing
+        # it again would read a packed element as a constant
+        rnd = random.Random(33)
+        for _ in range(20):
+            f = rand_multi(rnd, ring, 3, 10, 4)
+            s_vec = tuple(rnd.randrange(5) for _ in range(3))
+            want = {}
+            for exps, c in f.terms:
+                e = sum(a * b for a, b in zip(exps, s_vec))
+                want[e] = ring.add(want[e], c) if e in want else c
+            got = randomized_kronecker(f, s_vec)
+            assert got.terms == tuple(sorted((e, c) for e, c in want.items() if c))
+
+    def test_rejects_negative_substitutions(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            randomized_kronecker(mp([((1, 0), 1)]), (1, -1))
 
     def test_sparsity_never_grows(self):
         rnd = random.Random(4)

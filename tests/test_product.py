@@ -4,7 +4,8 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
-                   RetryBudgetError, SparsityBoundError, add, canonicalize, ext_field,
+                   RetryBudgetError, SparsePoly, SparsityBoundError, add, canonicalize,
+                   ext_field,
                    first_primes, integers, lambda_no_collision,
                    multivar_product_smallchar, naive_mul, prime_field, scale,
                    sparse_product, zero_poly)
@@ -181,6 +182,19 @@ class TestSparseProduct:
         assert sparse_product(F_EX, zero_poly(ZZ), PARAMS, rng).is_zero
         assert sparse_product(zero_poly(ZZ), F_EX, PARAMS, rng).is_zero
         assert sparse_product(F_EX, monomial(ZZ, 0, -3), PARAMS, rng) == scale(F_EX, -3)
+
+    @pytest.mark.parametrize("ring", [ext_field(3, 2), ext_field(Q62, 2)], ids=["F9", "FQ62^2"])
+    def test_constant_operand_keeps_its_element(self, ring):
+        # the shortcut multiplies by the constant's coefficient as it
+        # stands: a packed element with a nonzero Y digit, coerced again,
+        # would be read as the constant (its int mod q)
+        rnd = random.Random(32)
+        for _ in range(10):
+            c = ring.coerce([rnd.randrange(ring.q), rnd.randrange(1, ring.q)])
+            const = SparsePoly(ring, ((0, c),))
+            g = rand_sparse(rnd, ring, 6, 50)
+            for a, b in ((const, g), (g, const)):
+                assert sparse_product(a, b, PARAMS, _NoDraws()) == naive_mul(a, b)
 
     def test_monomial_inputs(self):
         a = monomial(ZZ, 9, 4)

@@ -7,7 +7,8 @@ from spmul import (RandomSource, RingSpec, UnsupportedRingError, ext_field,
 from spmul.arith import canonical_irreducible, is_irreducible
 from spmul.rings import _pack, _pow_cost, _unpack
 
-from helpers import Q62, ext_mul_oracle, ext_reduce_oracle
+from helpers import (Q62, ext_add_oracle, ext_inv_oracle, ext_mul_oracle, ext_neg_oracle,
+                     ext_reduce_oracle, ext_smul_oracle, ext_sub_oracle)
 
 
 class TestRingConstruction:
@@ -48,9 +49,9 @@ class TestExtFieldOps:
     def test_f4_multiplication_table(self):
         # F_4 = F_2[Y]/(Y^2+Y+1); w = Y satisfies w^2 = w + 1, w^3 = 1
         f4 = ext_field(2, 2)
-        w = (0, 1)
+        w = f4.coerce((0, 1))
         w2 = f4.mul(w, w)
-        assert w2 == (1, 1)
+        assert f4.residues(w2) == (1, 1)
         assert f4.mul(w, w2) == f4.one()
         assert f4.pow(w, 3) == f4.one()
 
@@ -78,9 +79,10 @@ class TestExtFieldOps:
             a, b = f25.rand_elem(rng), f25.rand_elem(rng)
             # reference: schoolbook conv then reduce by hand
             q, (m0, m1, _) = 5, f25.modulus
-            t0, t1, t2 = a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]
+            (a0, a1), (b0, b1) = f25.residues(a), f25.residues(b)
+            t0, t1, t2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
             ref = ((t0 - t2 * m0) % q, (t1 - t2 * m1) % q)
-            assert f25.mul(a, b) == ref
+            assert f25.residues(f25.mul(a, b)) == ref
 
 
 # (q, s) for the packed product: the smallest fields, the verifier's
@@ -114,20 +116,35 @@ def test_dense_moduli_are_irreducible_and_not_canonical():
         assert m != canonical_irreducible(q, s) and m != (1,) * (s + 1)
 
 
-@pytest.fixture(scope="module", params=[(q, s, kind) for q, s in PACKED_CASES
-                                        for kind in ("dense", "sparse", "cyclotomic")],
-                ids=lambda c: f"q{c[0] if c[0] < 100 else 'Q62'}-s{c[1]}-{c[2]}")
-def packed_field(request):
-    q, s, kind = request.param
+def _packed(q, s, kind):
     if kind == "cyclotomic":
         # 1 + Y + ... + Y^s, reduced by the cyclic fold; the quotient ring
         # need not be a field for its products to match the oracle's
         return RingSpec("ext_field", q=q, s=s, modulus=(1,) * (s + 1))
+    if kind == "canonical":
+        return ext_field(q, s)
     return ext_field(q, s, _moduli(q, s)[kind])
 
 
+PACKED_KINDS = [(q, s, kind) for q, s in PACKED_CASES for kind in ("dense", "sparse", "cyclotomic")]
+
+
+def _packed_id(case):
+    q, s, kind = case
+    return f"q{q if q < 100 else 'Q62'}-s{s}-{kind}"
+
+
+@pytest.fixture(scope="module", params=PACKED_KINDS, ids=_packed_id)
+def packed_field(request):
+    return _packed(*request.param)
+
+
+def _elems(f, residue_tuples):
+    return [f.coerce(t) for t in residue_tuples]
+
+
 class TestDigitPacker:
-    # widths 1, 2, 4 and 8 go through array, 3, 9 and 24 through bytes
+    # widths 1, 2, 4 and 8 go through struct, 3, 9 and 24 through bytes
     WIDTHS = (1, 2, 3, 4, 8, 9, 24)
 
     @pytest.mark.parametrize("width", WIDTHS)
@@ -148,18 +165,20 @@ class TestPackedExtMul:
         for _ in range(40):
             a = tuple(rnd.randrange(f.q) for _ in range(f.s))
             b = tuple(rnd.randrange(f.q) for _ in range(f.s))
-            assert f.mul(a, b) == ext_mul_oracle(a, b, f)
-            assert f.mul(a, a) == ext_mul_oracle(a, a, f)
+            pa, pb = _elems(f, (a, b))
+            assert f.residues(f.mul(pa, pb)) == ext_mul_oracle(a, b, f)
+            assert f.residues(f.mul(pa, pa)) == ext_mul_oracle(a, a, f)
 
     def test_worst_case_operands(self, packed_field):
         # every residue q - 1: each product digit and each folded digit
         # reaches its largest value for this modulus
         f = packed_field
         top = (f.q - 1,) * f.s
-        assert f.mul(top, top) == ext_mul_oracle(top, top, f)
+        p_top = f.coerce(top)
+        assert f.residues(f.mul(p_top, p_top)) == ext_mul_oracle(top, top, f)
         for k in range(f.s):
             e_k = tuple(int(i == k) for i in range(f.s))
-            assert f.mul(top, e_k) == ext_mul_oracle(top, e_k, f)
+            assert f.residues(f.mul(p_top, f.coerce(e_k))) == ext_mul_oracle(top, e_k, f)
 
     def test_drop_matches_schoolbook_reduction(self, packed_field):
         f, rnd = packed_field, random.Random(12)
@@ -168,9 +187,10 @@ class TestPackedExtMul:
         for _ in range(10):
             operands = [tuple(rnd.randrange(f.q) for _ in range(f.s)) for _ in range(8)]
             operands[:2] = [top, top]
+            packed = _elems(f, operands)
             image = sum(f.lift(a, width) * f.lift(b, width)
-                        for a, b in zip(operands[::2], operands[1::2]))
-            image += f.lift(f.neg(operands[0]), width)
+                        for a, b in zip(packed[::2], packed[1::2]))
+            image += f.lift(f.neg(packed[0]), width)
             want = [0] * (2 * f.s - 1)
             for a, b in zip(operands[::2], operands[1::2]):
                 for i, ai in enumerate(a):
@@ -178,17 +198,17 @@ class TestPackedExtMul:
                         want[i + j] += ai * bj
             for i, ai in enumerate(operands[0]):
                 want[i] -= ai
-            assert f.drop(image, width) == ext_reduce_oracle(want, f)
+            assert f.residues(f.drop(image, width)) == ext_reduce_oracle(want, f)
 
     def test_drop_rejects_negative_and_overflowing_images(self, packed_field):
         f = packed_field
         width = f.lift_width(4)
-        top = f.lift((f.q - 1,) * f.s, width)
+        top = f.lift(f.coerce((f.q - 1,) * f.s), width)
         with pytest.raises(AssertionError, match="slot overflow"):
             f.drop(-top, width)
         # a carry out of digit 2s - 2 lands in digit 2s - 1
         edge = 1 << 8 * width * (2 * f.s - 1)
-        assert f.drop(edge - 1, width) == ext_reduce_oracle(
+        assert f.residues(f.drop(edge - 1, width)) == ext_reduce_oracle(
             [(1 << 8 * width) - 1] * (2 * f.s - 1), f)
         with pytest.raises(AssertionError, match="slot overflow"):
             f.drop(edge, width)
@@ -221,6 +241,83 @@ class TestPackedExtMul:
         assert "_yrows" not in repr(direct)
 
 
+# every packed_field case, plus degree 1 and the unrolled degree 2
+ARITH_CASES = PACKED_KINDS + [(Q62, 1, "canonical"), (3, 2, "canonical"), (Q62, 2, "canonical")]
+
+
+class TestPackedArithmetic:
+    """Every F_{q^s} operation on packed ints against the residue-tuple
+    references of helpers, where each digit is at its largest and on
+    seeded draws; add, sub and neg exercise the conditional subtract."""
+
+    @staticmethod
+    def _check(f, a, b, k):
+        pa, pb = f.coerce(a), f.coerce(b)
+        assert f.residues(f.add(pa, pb)) == ext_add_oracle(a, b, f)
+        assert f.residues(f.sub(pa, pb)) == ext_sub_oracle(a, b, f)
+        assert f.residues(f.sub(pb, pa)) == ext_sub_oracle(b, a, f)
+        assert f.residues(f.neg(pa)) == ext_neg_oracle(a, f)
+        assert f.residues(f.smul(pa, k)) == ext_smul_oracle(a, k, f)
+        assert f.residues(f.mul(pa, pb)) == ext_mul_oracle(a, b, f)
+
+    @staticmethod
+    def _check_inv(f, a):
+        want = ext_inv_oracle(a, f)
+        if want is None:
+            with pytest.raises(ZeroDivisionError):
+                f.inv(f.coerce(a))
+        else:
+            assert f.residues(f.inv(f.coerce(a))) == want
+
+    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    def test_top_digits(self, case):
+        f = _packed(*case)
+        q, s = f.q, f.s
+        top, zero = (q - 1,) * s, (0,) * s
+        one = (1,) + (0,) * (s - 1)
+        for a, b in ((top, top), (top, zero), (zero, top), (top, one), (zero, zero)):
+            for k in (0, 1, q - 1, q + 2, -1):
+                self._check(f, a, b, k)
+        self._check_inv(f, top)
+
+    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    def test_seeded_draws(self, case):
+        f = _packed(*case)
+        q, s = f.q, f.s
+        rnd = random.Random(q * 100 + s)
+        draws = [tuple(rnd.choice((0, q - 1, rnd.randrange(q))) for _ in range(s))
+                 for _ in range(24)]
+        for a, b in zip(draws[::2], draws[1::2]):
+            self._check(f, a, b, rnd.randrange(-q, 2 * q))
+        for a in draws[:2]:
+            if any(a):
+                self._check_inv(f, a)
+
+    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    def test_coerce_round_trips(self, case):
+        f = _packed(*case)
+        q, s = f.q, f.s
+        pad = (0,) * (s - 1)
+        # an int is a constant of the prime subfield, reduced mod q
+        assert f.residues(f.coerce(-1)) == (q - 1,) + pad
+        assert f.residues(f.coerce(q + 2)) == (2 % q,) + pad
+        seq = tuple(range(q - 1, q - 1 - s, -1)) if q > s else tuple(i % q for i in range(s))
+        assert f.residues(f.coerce(seq)) == seq
+        assert f.residues(f.coerce([v + q for v in seq])) == seq
+        assert f.residues(f.coerce([-1])) == (q - 1,) + pad  # short: the rest is zero
+        assert f.coerce(f.residues(f.coerce(seq))) == f.coerce(seq)
+        with pytest.raises(ValueError, match="too many residues"):
+            f.coerce([1] * (s + 1))
+
+    def test_zero_and_one_are_the_ints(self):
+        for ring in (integers(), prime_field(7), ext_field(3, 2), ext_field(Q62, 3),
+                     _packed(3, 5, "cyclotomic")):
+            assert ring.zero() == 0 and ring.one() == 1
+        for f in (ext_field(3, 2), ext_field(Q62, 3)):
+            assert f.residues(f.zero()) == (0,) * f.s
+            assert f.residues(f.one()) == (1,) + (0,) * (f.s - 1)
+
+
 class TestCyclicFold:
     """Modulo Phi_(s+1) = 1 + Y + ... + Y^s (s > 2), _fold's shift-add gives
     what the fold through the reduction table gives, for products and for
@@ -245,6 +342,9 @@ class TestCyclicFold:
             for _ in range(10):
                 xs = [tuple(rnd.randrange(q) for _ in range(s)) for _ in range(12)]
                 xs[0] = xs[1] = (q - 1,) * s  # every digit at its largest
+                # both rings pack at one width, so an element serves both
+                assert cyclic._width == rows._width
+                xs = _elems(cyclic, xs)
                 for a, b in zip(xs[::2], xs[1::2]):
                     assert cyclic.mul(a, b) == rows.mul(a, b)
                 image = sum(cyclic.lift(a, width) * cyclic.lift(b, width)
@@ -267,7 +367,7 @@ class TestInverse:
         f = ext_field(q, s, _moduli(q, s)["dense"] if s == 37 else None)
         rng = RandomSource(q + s)
         units = [a for a in (f.rand_elem(rng) for _ in range(6)) if a != f.zero()]
-        units += [f.one(), f.coerce(q - 1), tuple(int(i == s - 1) for i in range(s))]
+        units += [f.one(), f.coerce(q - 1), f.coerce([0] * (s - 1) + [1])]
         for a in units:
             assert f.mul(a, f.inv(a)) == f.one()
             reset_mul_count()
@@ -292,8 +392,8 @@ class TestInverse:
         ring = RingSpec("ext_field", q=5, s=2, modulus=(4, 0, 1))
         for a in ((4, 1), (1, 1), (2, 3)):  # Y - 1, Y + 1, 3(Y - 1)
             with pytest.raises(ZeroDivisionError):
-                ring.inv(a)
-        assert ring.inv((0, 1)) == (0, 1)  # Y * Y = 1 here
+                ring.inv(ring.coerce(a))
+        assert ring.residues(ring.inv(ring.coerce((0, 1)))) == (0, 1)  # Y * Y = 1 here
         with pytest.raises(UnsupportedRingError):
             integers().inv(1)
 
@@ -317,12 +417,12 @@ class TestMulCounter:
     def test_ext_pow_count_matches_formula(self):
         f9 = ext_field(3, 2)
         reset_mul_count()
-        f9.pow((1, 1), 11)
+        f9.pow(f9.coerce((1, 1)), 11)
         assert mul_count() == 5
         # the packed product is still one ring mult, and pow its square
         # and multiply count
         f = ext_field(3, 37, _moduli(3, 37)["dense"])
-        a = tuple(i % 3 for i in range(37))
+        a = f.coerce([i % 3 for i in range(37)])
         reset_mul_count()
         f.mul(a, a)
         assert mul_count() == 1
