@@ -14,7 +14,7 @@ coefficients (``RingSpec.lift``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul as _int_mul
 
 from .errors import RingMismatchError, UnsupportedRingError
 from .rings import RingSpec, _pack, _unpack, add_mul_count
@@ -44,7 +44,7 @@ class SparsePoly:
         """Max absolute coefficient; integer polynomials only."""
         if self.ring.kind != "integers":
             raise UnsupportedRingError("height is defined over the integers")
-        return max((abs(c) for _, c in self.terms), default=0)
+        return max(map(abs, map(itemgetter(1), self.terms)), default=0)
 
 
 def _same_ring(*polys) -> RingSpec:
@@ -211,8 +211,10 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
     multiplications go through ring.mul.  Over F_q the lookups run on raw
     ints, saving a method call per multiplication, and tally their
     multiplications; settle() charges that tally to the global counter,
-    and every caller calls it once its lookups are done.  Elsewhere the
-    lookups go through ring.mul and settle() does nothing.
+    and every caller calls it once its lookups are done.  There power
+    also carries the table, as power.rows and the window width power.w,
+    for eval_terms' row-wise lookups.  Elsewhere the lookups go through
+    ring.mul and settle() does nothing.
     """
     bits = (bound - 1).bit_length()
     w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
@@ -253,6 +255,7 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
             add_mul_count(done)
             done = 0
 
+        power.rows, power.w = rows, w
         return power, settle
 
     mul = ring.mul
@@ -272,31 +275,61 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
 
 
 def eval_terms(ring: RingSpec, terms, power):
-    """sum c * power(e) over the (e, c) of terms; over F_q on raw ints,
-    with the len(terms) coefficient products charged in bulk."""
-    if ring.kind == "prime_field":
-        add_mul_count(len(terms))
-        return sum(c * power(e) for e, c in terms) % ring.q
-    value = 0
-    for e, c in terms:
-        value = ring.add(value, ring.mul(c, power(e)))
-    return value
+    """sum c * power(e) over the (e, c) of terms, in ring.
+
+    Over F_q the lookups go one table row at a time (power.rows and
+    power.w, from fixed_base_powers): the row-i digits (e >> w*i) & mask
+    of every exponent are gathered into one list, and the matching
+    entries are multiplied into the per-term products by C-level maps,
+    reduced mod q every fourth row and summed at the end.  A coefficient
+    may be any int, so a Z polynomial evaluates to the value of its image
+    mod q.  The charge, in bulk, is that of a power(e) lookup and a
+    coefficient product per term: max(1, nonzero w-bit windows of e).
+    Elsewhere each term takes one power(e) and ring.mul.
+    """
+    if ring.kind != "prime_field":
+        value = 0
+        for e, c in terms:
+            value = ring.add(value, ring.mul(c, power(e)))
+        return value
+    q, w = ring.q, power.w
+    mask = (1 << w) - 1
+    exps = list(map(itemgetter(0), terms))
+    # the per-term products are chained lazily and formed at each
+    # reduction and by the final sum
+    acc = map(itemgetter(1), terms)
+    windows = 0
+    for i, row in enumerate(power.rows):
+        shift = w * i
+        digits = [e >> shift & mask for e in exps]
+        windows += len(digits) - digits.count(0)
+        acc = map(_int_mul, acc, map(row.__getitem__, digits))
+        if i % 4 == 3:
+            acc = list(map(q.__rmod__, acc))
+    add_mul_count(windows + exps.count(0))
+    return sum(acc) % q
 
 
-def eval_sparse(F: SparsePoly, alpha):
-    """Evaluate over a finite field, every alpha^e from one fixed-base
-    table (fixed_base_powers) sized by deg F and #F.
+def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None):
+    """F(alpha) in field (F.ring by default), every alpha^e from one
+    fixed-base table (fixed_base_powers) sized by deg F and #F.
 
-    Evaluation over the integers is intentionally unsupported: values of
+    field may also be F_q for F over Z, giving the value of F's image mod
+    q from F's own terms, or an extension of F_q for F over F_q.
+    Evaluation in the integers is intentionally unsupported: values of
     size deg*log(alpha) defeat the point of sparse verification, which
     always routes through a prime field instead.
     """
     ring = F.ring
-    if not ring.is_field:
+    field = ring if field is None else field
+    if not field.is_field:
         raise UnsupportedRingError("evaluation requires a finite field")
+    if ring != field and not (ring.kind == "integers" and field.kind == "prime_field"
+                              or ring.kind == "prime_field" and ring.q == field.q):
+        raise RingMismatchError("the polynomial has no image in the evaluation field")
     if F.is_zero:
         return 0
-    power, settle = fixed_base_powers(ring, alpha, F.degree + 1, F.sparsity)
-    value = eval_terms(ring, F.terms, power)
+    power, settle = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)
+    value = eval_terms(field, F.terms, power)
     settle()
     return value

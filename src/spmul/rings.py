@@ -50,7 +50,9 @@ coefficient multiplication routed through a ``RingSpec`` bumps a global
 counter that benchmarks and operation-count tests read back;
 ``RingSpec.pow`` is charged its square-and-multiply cost, and raw-int
 fast paths elsewhere (fixed-base power tables, residue accumulation)
-charge the multiplications they actually do through ``add_mul_count``.
+charge their multiplications through ``add_mul_count``; the row-wise
+lookups of ``poly.eval_terms`` charge those of one lookup per term, so
+a product by a table row's entry 1 (a zero digit) is not counted.
 The counter is process-global and only meaningful for single-threaded
 measurement; the other shared state in the library is the prime table in
 ``arith``, which grows to the largest instance seen.
@@ -289,8 +291,13 @@ class RingSpec:
         q = self.q
         if self.kind == "prime_field":
             return a * (k % q) % q
-        # k mod q is an element too, the constant of the prime subfield
-        return self._ext_mul(a, k % q)
+        if self.s == 2:
+            # k mod q is the constant b0 of the unrolled product, which is
+            # cheaper at two digits than an unpack and a repack
+            return self._ext_mul(a, k % q)
+        # k is a constant of the prime subfield: one product per residue
+        width = self._width
+        return _pack([d * k % q for d in _unpack(a, width, self.s)], width)
 
     def _ext_mul(self, a, b):
         q = self.q

@@ -14,8 +14,10 @@ is a random prime from [lam, 2*lam], and the reduction keeps the field
 from growing with D.  Every identity takes one check: one p, at most one
 extension field and one point.  Over the integers the evaluation is
 never carried out in Z (values of size p*log(alpha) would defeat
-sparsity); a random coefficient prime q is drawn and everything moves to
-F_q first.  A field
+sparsity); a random coefficient prime q is drawn and the check runs in
+F_q.  The factors' residues are copied into F_q first, but H, the large
+side, is evaluated in F_q from its own terms (poly.eval_sparse with a
+field), never copied.  A field
 with more than c2*p points hosts the point itself.  A smaller one is
 evaluated in F_{q^S'}, built on the fly over its prime field F_q: S is
 least with q^S > c2*p, and S' (arith.cyclotomic_degree) the least
@@ -173,6 +175,11 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
 
     s evaluations per pair, phi applied to each coefficient.
 
+    Over Z and F_q, H is evaluated from its own terms, never copied into
+    the field: eval_sparse with the field takes H itself at p = D + 1 and
+    cyclic_reduce(H, p) on the cyclic route.  Only the factors, and the
+    image phi(H) of a small F_{q^s}, are copied.
+
     Soundness.  Let D_j be coordinate j of sum F_i G_i - H.  Its support
     lies in supp(sum F_i G_i) u supp(H), so it has at most sparsity_sum
     terms and degree at most D.  At p = D + 1 a nonzero D_j is its own
@@ -226,13 +233,13 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
         def factors(F, G):
             return [(_residue_in(F, p, field), _residue_in(G, p, field))]
 
-        h = _residue_in(H, p, field)
+        h = cyclic_reduce(H, p)  # H itself at p = D + 1
 
     lhs = 0
     for F, G in pairs:
         for f, g in factors(F, G):
             lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha))
-    return lhs == eval_sparse(h, alpha)
+    return lhs == eval_sparse(h, alpha, field)
 
 
 def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,

@@ -4,7 +4,7 @@ Run it from the directory that should receive them:
 
     python tests/ci_inputs.py
 
-It writes two sets of pairs, each from its own fixed seed:
+It writes three sets of pairs, each from its own fixed seed:
 
 * za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
   over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
@@ -21,10 +21,14 @@ It writes two sets of pairs, each from its own fixed seed:
 * z3a/z3b and f3a/f3b.poly (trivariate_pairs): 3-variable files of 8
   terms with partial degrees below 4, over Z and over F_9, whose product
   lifts through Z.
+* bigza/bigzb.poly (large_pair): 200 x 200 terms over Z with exponents
+  below 10^9, whose product has about 40,000 terms.  Its check runs at
+  p = D + 1 and evaluates that H in F_q from its own terms; CI verifies
+  it in a step of its own, after the loop over the pairs above.
 
-test_cli imports wrapping_pairs, so the pairs it checks for the cyclic
-route, and the x3 pair it checks for interpolation in its extension
-field, are the ones CI runs.
+test_cli imports wrapping_pairs and large_pair, so the pairs it checks
+for the cyclic route, the x3 pair it checks for interpolation in its
+extension field, and the large pair it verifies, are the ones CI runs.
 """
 
 import random
@@ -68,8 +72,21 @@ def trivariate_pairs() -> dict:
     return files
 
 
+def large_pair() -> dict:
+    """{file name: text} of the 200 x 200 pair over Z."""
+    rnd = random.Random(3)
+    files = {}
+    for side in "ab":
+        exps = set()
+        while len(exps) < 200:
+            exps.add(rnd.randrange(10 ** 9))
+        files["bigz" + side + ".poly"] = "ring int\nvars 1\n" + "".join(
+            f"term {rnd.choice((-1, 1)) * rnd.randint(1, 2 ** 30)} {e}\n" for e in exps)
+    return files
+
+
 def main() -> None:
-    for name, text in {**wrapping_pairs(), **trivariate_pairs()}.items():
+    for name, text in {**wrapping_pairs(), **trivariate_pairs(), **large_pair()}.items():
         with open(name, "w") as out:
             out.write(text)
 

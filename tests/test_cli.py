@@ -416,6 +416,43 @@ class TestCommands:
                 assert all(field == a.ring and not field._cyclic and field._width == 24
                            for field, _ in seen)
 
+    def test_ci_large_pair_checks_h_at_d_plus_one(self, tmp_path, monkeypatch, capsys):
+        # bigza/bigzb: 200 x 200 terms over Z below 10^9, about 40,000
+        # product terms, checked at p = D + 1 with H evaluated as it is;
+        # one changed coefficient is a MISMATCH with exit code 1
+        seen, primes = [], set()
+        real, real_cyclic = verify.eval_sparse, verify.eval_cyclic_product
+
+        def eval_sparse(P, alpha, field=None):
+            seen.append((P.ring, P.terms[-1][0], P.sparsity, field))
+            return real(P, alpha, field)
+
+        def eval_cyclic_product(F_p, G_p, p, alpha):
+            primes.add(p)
+            return real_cyclic(F_p, G_p, p, alpha)
+
+        monkeypatch.setattr(verify, "eval_sparse", eval_sparse)
+        monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+        files = ci_inputs.large_pair()
+        a, b = (self._write(tmp_path, f"bigz{side}.poly", files[f"bigz{side}.poly"])
+                for side in "ab")
+        h = tmp_path / "bigzh.poly"
+        assert run_command(["mul", "--naive", a, b, "-o", str(h)]) == 0
+        lines = h.read_text().splitlines(keepends=True)
+        n = sum(line.startswith("term") for line in lines)
+        assert 39000 <= n <= 40000
+        assert run_command(["verify", a, b, str(h)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        (ring, degree, sparsity, field), = seen
+        assert ring == ZZ and sparsity == n and field.kind == "prime_field"
+        assert primes == {degree + 1}
+        i = next(k for k, line in enumerate(lines) if line.startswith("term"))
+        _, c, e = lines[i].split()
+        lines[i] = f"term {2 * int(c)} {e}\n"
+        bad = self._write(tmp_path, "bigzbad.poly", "".join(lines))
+        assert run_command(["verify", a, b, bad]) == 1
+        assert capsys.readouterr().out == "MISMATCH\n"
+
     def test_ci_extension_pair_is_interpolated_in_its_field(self, tmp_path, monkeypatch):
         # x3a/x3b: the CLI product wraps modulo X^p - 1 and its terms are
         # read off by find_terms in F_((2^61 - 1)^3) itself, not through Z

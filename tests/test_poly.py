@@ -403,6 +403,93 @@ class TestEvalSparse:
                 assert mul_count() == count
 
 
+def _z_poly(rnd, q, bound, lookups):
+    """A Z polynomial of min(lookups, bound) terms below bound, with an
+    exponent-0 term and the top exponent bound - 1, whose coefficients mix
+    negative values, values >= q and multiples of q."""
+    exps = {0, bound - 1}
+    while len(exps) < min(lookups, bound):
+        exps.add(rnd.randrange(bound))
+    coeffs = (lambda: rnd.randint(-q, q), lambda: rnd.randint(q, 2 ** 70),
+              lambda: -rnd.randint(1, 2 ** 70), lambda: q * rnd.randint(-3, 3) or q)
+    return canonicalize([(e, rnd.choice(coeffs)()) for e in exps], ZZ)
+
+
+def _per_term_tally(field, alpha, P):
+    """The multiplications of one table for P and one power(e) lookup and
+    one coefficient product per term."""
+    reset_mul_count()
+    power, settle = fixed_base_powers(field, alpha, P.degree + 1, P.sparsity)
+    for e, _ in P.terms:
+        power(e)
+    settle()
+    return mul_count() + P.sparsity
+
+
+class TestEvalInField:
+    """eval_sparse of a Z polynomial in F_q, from its own terms."""
+
+    @pytest.mark.parametrize("bound", [2, 2 ** 31, 2 ** 61], ids=["2", "2^31", "2^61"])
+    @pytest.mark.parametrize("q, lookups", [(101, 1), (101, 50), (Q62, 1), (Q62, 50),
+                                            (Q62, 40000)],
+                             ids=["F_101-1", "F_101-50", "F_Q62-1", "F_Q62-50", "F_Q62-40000"])
+    def test_equals_image_mod_q(self, bound, q, lookups):
+        rnd = random.Random(bound + lookups + q)
+        fq = prime_field(q)
+        h = _z_poly(rnd, q, bound, lookups)
+        alpha = rnd.randrange(1, q)
+        image = canonicalize(h.terms, fq)
+        # both routes: p = D + 1, where cyclic_reduce changes nothing, and a
+        # cyclic prime below the degree
+        for p in (bound, 65537, 3, 1):
+            h_p = cyclic_reduce(h, p)
+            want = sum(c * pow(alpha, e % p, q) for e, c in h.terms) % q
+            tally = _per_term_tally(fq, alpha, h_p) if not h_p.is_zero else 0
+            reset_mul_count()
+            assert eval_sparse(h_p, alpha, fq) == want
+            assert mul_count() == tally
+            assert eval_sparse(cyclic_reduce(image, p), alpha) == want
+
+    def test_zero_poly(self):
+        reset_mul_count()
+        assert eval_sparse(zero_poly(ZZ), 5, prime_field(7)) == 0
+        assert mul_count() == 0
+
+    def test_alpha_zero_and_one(self):
+        # alpha^e is 1 or 0 whatever the windows: the charge still follows them
+        rnd = random.Random(31)
+        fq = prime_field(Q62)
+        h = _z_poly(rnd, Q62, 2 ** 40, 300)
+        for alpha, want in ((1, sum(c for _, c in h.terms) % Q62), (0, h.terms[0][1] % Q62)):
+            reset_mul_count()
+            assert eval_sparse(h, alpha, fq) == want
+            assert mul_count() == _per_term_tally(fq, alpha, h)
+
+    def test_field_must_hold_the_image(self):
+        h = canonicalize([(3, -4), (0, 9)], ZZ)
+        with pytest.raises(UnsupportedRingError):
+            eval_sparse(h, 2)
+        with pytest.raises(UnsupportedRingError):
+            eval_sparse(h, 2, ZZ)
+        # an int is a constant of F_q, but a packed element of F_{q^s}
+        with pytest.raises(RingMismatchError):
+            eval_sparse(h, 2, ext_field(3, 2))
+        with pytest.raises(RingMismatchError):
+            eval_sparse(canonicalize([(1, 1)], prime_field(5)), 2, prime_field(7))
+        with pytest.raises(RingMismatchError):
+            eval_sparse(canonicalize([(1, (1, 1))], F9), 2, ext_field(3, 4))
+
+    def test_prime_field_into_its_extension(self):
+        rnd = random.Random(32)
+        f101, ext = prime_field(101), ext_field(101, 3)
+        f = rand_sparse(rnd, f101, 40, 10 ** 6)
+        alpha = ext.coerce([rnd.randrange(101) for _ in range(3)])
+        want = ext.zero()
+        for e, c in f.terms:
+            want = ext.add(want, ext.mul(c, ext.pow(alpha, e)))
+        assert eval_sparse(f, alpha, ext) == want
+
+
 class TestFixedBasePowers:
     RINGS = (prime_field(101), prime_field(Q62), ext_field(Q62, 2), ext_field(3, 5))
 

@@ -441,6 +441,21 @@ class TestMulCounter:
         zz.smul(6, 7)
         assert mul_count() == 2
 
+    @pytest.mark.parametrize("f", [ext_field(3, 2), ext_field(3, 5), ext_field(Q62, 2)],
+                             ids=["F_9", "F_243", "F_Q62^2"])
+    def test_ext_smul_is_mul_by_constant_at_one_mult(self, f):
+        # smul scales each residue by k; mul by the constant coerce(k)
+        # folds a full product, and both are one ring mult
+        rnd = random.Random(f.s)
+        q = f.q
+        for _ in range(5):
+            a = f.coerce([rnd.randrange(q) for _ in range(f.s)])
+            for k in (0, 1, q - 1, q, -1, 2 * q + 3):
+                want = f.mul(a, f.coerce(k))
+                reset_mul_count()
+                assert f.smul(a, k) == want
+                assert mul_count() == 1
+
 
 class TestSampling:
     def test_rand_elem_deterministic(self):

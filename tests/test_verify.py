@@ -394,6 +394,52 @@ class TestEvaluationRoutes:
                 assert ring.kind == "prime_field" and ring.q >= (10 / eps) * p
 
 
+class TestHFromItsOwnTerms:
+    """Over Z and F_q the verifier evaluates H from its own terms: H itself
+    at p = D + 1, cyclic_reduce(H, p) on the cyclic route, and no residue
+    copy of it in the evaluation field."""
+
+    @staticmethod
+    def _watch(monkeypatch) -> tuple:
+        evaluated, copied = [], []
+        real_eval, real_residue = verify.eval_sparse, verify._residue_in
+
+        def eval_sparse(P, alpha, field=None):
+            evaluated.append((P, field))
+            return real_eval(P, alpha, field)
+
+        def _residue_in(P, p, field):
+            copied.append(P)
+            return real_residue(P, p, field)
+
+        monkeypatch.setattr(verify, "eval_sparse", eval_sparse)
+        monkeypatch.setattr(verify, "_residue_in", _residue_in)
+        return evaluated, copied
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62), F101], ids=["Z", "F_Q62", "F_101"])
+    @pytest.mark.parametrize("emax", [10 ** 3, 10 ** 15], ids=["p=D+1", "cyclic"])
+    def test_h_is_evaluated_as_it_is(self, monkeypatch, ring, emax):
+        evaluated, copied = self._watch(monkeypatch)
+        seen = _watch_evaluations(monkeypatch)
+        rnd = random.Random(emax % 97)
+        for seed in range(6):
+            f = rand_sparse(rnd, ring, 6, emax, 2 ** 40)
+            g = rand_sparse(rnd, ring, 6, emax, 2 ** 40)
+            h = naive_mul(f, g)
+            if seed % 2:
+                h = _perturbed(h, 1)
+            evaluated.clear(), copied.clear(), seen.clear()
+            assert verify_sp(f, g, h, 0.01, RandomSource(seed)) == (seed % 2 == 0)
+            (field, p), = seen
+            (P, at), = evaluated
+            assert at == field
+            if emax == 10 ** 3:
+                assert p == h.degree + 1 and P is h
+            else:
+                assert p <= h.degree and P == cyclic_reduce(h, p) and P.ring == ring
+            assert all(Q is not h for Q in copied) and len(copied) == 2
+
+
 def _perturbed(H, err):
     """H with err added to its lowest coefficient: below the top term, so
     the support and degree checks cannot tell the triple is false."""
