@@ -296,7 +296,9 @@ def eval_terms(ring: RingSpec, terms, power):
     mask = (1 << w) - 1
     exps = list(map(itemgetter(0), terms))
     # the per-term products are chained lazily and formed at each
-    # reduction and by the final sum
+    # reduction and by the final sum; the coefficients enter unreduced, as
+    # below heights of about 2^256 the wider first products cost less than
+    # a mod per term
     acc = map(itemgetter(1), terms)
     windows = 0
     for i, row in enumerate(power.rows):

@@ -291,13 +291,8 @@ class RingSpec:
         q = self.q
         if self.kind == "prime_field":
             return a * (k % q) % q
-        if self.s == 2:
-            # k mod q is the constant b0 of the unrolled product, which is
-            # cheaper at two digits than an unpack and a repack
-            return self._ext_mul(a, k % q)
-        # k is a constant of the prime subfield: one product per residue
-        width = self._width
-        return _pack([d * k % q for d in _unpack(a, width, self.s)], width)
+        # k mod q is an element too, the constant of the prime subfield
+        return self._ext_mul(a, k % q)
 
     def _ext_mul(self, a, b):
         q = self.q

@@ -444,8 +444,8 @@ class TestMulCounter:
     @pytest.mark.parametrize("f", [ext_field(3, 2), ext_field(3, 5), ext_field(Q62, 2)],
                              ids=["F_9", "F_243", "F_Q62^2"])
     def test_ext_smul_is_mul_by_constant_at_one_mult(self, f):
-        # smul scales each residue by k; mul by the constant coerce(k)
-        # folds a full product, and both are one ring mult
+        # smul is a product by the constant k mod q of the prime subfield:
+        # it equals mul by coerce(k), at one ring mult
         rnd = random.Random(f.s)
         q = f.q
         for _ in range(5):
