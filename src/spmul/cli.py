@@ -57,10 +57,18 @@ def _parse_ring(line: str, lineno: int) -> RingSpec:
         except ValueError:
             raise PolyFileError(f"line {lineno}: field parameters must be integers") from None
         try:
-            return prime_field(q) if s == 1 else ext_field(q, s)
+            return _field(q, s)
         except ValueError as exc:
             raise PolyFileError(f"line {lineno}: {exc}") from None
     raise PolyFileError(f"line {lineno}: expected 'ring int' or 'field <q> <s>'")
+
+
+@functools.cache
+def _field(q: int, s: int) -> RingSpec:
+    # built once per (q, s) in the process, as verify parses three files
+    # with one header: finding the canonical modulus of F_(101^26) alone
+    # takes most of a second
+    return prime_field(q) if s == 1 else ext_field(q, s)
 
 
 def _parse_coeff(token: str, ring: RingSpec, lineno: int):

@@ -14,6 +14,7 @@ coefficients (``RingSpec.lift``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter, mul as _int_mul
 
 from .errors import RingMismatchError, UnsupportedRingError
@@ -207,58 +208,25 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
     more than (b - 1) * (n + 1) multiplications in all, and the table never
     holds more than b * (n + 1) entries.
 
-    Returns (power, settle), with power(e) = alpha^e.  Table
-    multiplications go through ring.mul.  Over F_q the lookups run on raw
-    ints, saving a method call per multiplication, and tally their
-    multiplications; settle() charges that tally to the global counter,
-    and every caller calls it once its lookups are done.  There power
-    also carries the table, as power.rows and the window width power.w,
-    for eval_terms' row-wise lookups.  Elsewhere the lookups go through
-    ring.mul and settle() does nothing.
+    Returns power, with power(e) = alpha^e.  Every multiplication, the
+    table's and the lookups', goes through ring.mul and is charged as it
+    is made.  power also carries the table, as power.rows and the window
+    width power.w, for term_values' row-wise lookups over F_q.
     """
     bits = (bound - 1).bit_length()
     w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
     mask = (1 << w) - 1
+    mul = ring.mul
     rows = []
     base = alpha
     for shift in range(0, bits, w):
         # the top row stops at the top digit of bound - 1
         row = [1, base]
         for _ in range(min(mask, (bound - 1) >> shift) - 1):
-            row.append(ring.mul(row[-1], base))
+            row.append(mul(row[-1], base))
         rows.append(row)
         if shift + w < bits:
-            base = ring.mul(row[-1], base)  # alpha^(2^(shift + w))
-
-    if ring.kind == "prime_field":
-        q = ring.q
-        done = 0
-
-        def power(e):
-            nonlocal done
-            r = None
-            for row in rows:
-                d = e & mask
-                if d:
-                    if r is None:
-                        r = row[d]
-                    else:
-                        r = r * row[d] % q
-                        done += 1
-                e >>= w
-                if not e:
-                    break
-            return 1 if r is None else r
-
-        def settle():
-            nonlocal done
-            add_mul_count(done)
-            done = 0
-
-        power.rows, power.w = rows, w
-        return power, settle
-
-    mul = ring.mul
+            base = mul(row[-1], base)  # alpha^(2^(shift + w))
 
     def power(e):
         r = None
@@ -271,32 +239,33 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
                 break
         return 1 if r is None else r
 
-    return power, lambda: None
+    power.rows, power.w = rows, w
+    return power
 
 
-def eval_terms(ring: RingSpec, terms, power):
-    """sum c * power(e) over the (e, c) of terms, in ring.
+def term_values(ring: RingSpec, terms, power):
+    """The values c * power(e) of the (e, c) of terms, in ring, as an
+    iterable to be read once.
 
     Over F_q the lookups go one table row at a time (power.rows and
     power.w, from fixed_base_powers): the row-i digits (e >> w*i) & mask
     of every exponent are gathered into one list, and the matching
     entries are multiplied into the per-term products by C-level maps,
-    reduced mod q every fourth row and summed at the end.  A coefficient
-    may be any int, so a Z polynomial evaluates to the value of its image
-    mod q.  The charge, in bulk, is that of a power(e) lookup and a
-    coefficient product per term: max(1, nonzero w-bit windows of e).
-    Elsewhere each term takes one power(e) and ring.mul.
+    reduced mod q every fourth row.  The values are ints congruent to
+    c * alpha^e mod q, not reduced, which ring_sum, ring.add and ring.mul
+    take as they are.  A coefficient may be any int, so a Z polynomial
+    gives the values of its image mod q.  The charge, in bulk, is that of
+    a power(e) lookup and a coefficient product per term: max(1, nonzero
+    w-bit windows of e).  Elsewhere each term takes one power(e) and
+    ring.mul.
     """
     if ring.kind != "prime_field":
-        value = 0
-        for e, c in terms:
-            value = ring.add(value, ring.mul(c, power(e)))
-        return value
+        return [ring.mul(c, power(e)) for e, c in terms]
     q, w = ring.q, power.w
     mask = (1 << w) - 1
     exps = list(map(itemgetter(0), terms))
     # the per-term products are chained lazily and formed at each
-    # reduction and by the final sum; the coefficients enter unreduced, as
+    # reduction and by the caller; the coefficients enter unreduced, as
     # below heights of about 2^256 the wider first products cost less than
     # a mod per term
     acc = map(itemgetter(1), terms)
@@ -309,7 +278,15 @@ def eval_terms(ring: RingSpec, terms, power):
         if i % 4 == 3:
             acc = list(map(q.__rmod__, acc))
     add_mul_count(windows + exps.count(0))
-    return sum(acc) % q
+    return acc
+
+
+def ring_sum(ring: RingSpec, values):
+    """The sum of values in ring; over F_q one sum of the ints, such as
+    term_values gives, reduced mod q at the end, with no mod per value."""
+    if ring.kind == "prime_field":
+        return sum(values) % ring.q
+    return reduce(ring.add, values, 0)
 
 
 def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None):
@@ -331,7 +308,5 @@ def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None):
         raise RingMismatchError("the polynomial has no image in the evaluation field")
     if F.is_zero:
         return 0
-    power, settle = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)
-    value = eval_terms(field, F.terms, power)
-    settle()
-    return value
+    power = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)
+    return ring_sum(field, term_values(field, F.terms, power))

@@ -48,11 +48,12 @@ integer images of its elements (``lift`` / ``drop``), through which one
 packed integer convolution serves all three kinds of ring.  Every
 coefficient multiplication routed through a ``RingSpec`` bumps a global
 counter that benchmarks and operation-count tests read back;
-``RingSpec.pow`` is charged its square-and-multiply cost, and raw-int
-fast paths elsewhere (fixed-base power tables, residue accumulation)
-charge their multiplications through ``add_mul_count``; the row-wise
-lookups of ``poly.eval_terms`` charge those of one lookup per term, so
-a product by a table row's entry 1 (a zero digit) is not counted.
+``RingSpec.pow`` is charged its square-and-multiply cost.  Fixed-base
+power tables and their lookups multiply through ``RingSpec.mul``; the
+two raw-int paths charge in bulk through ``add_mul_count``: residue
+accumulation, and the row-wise lookups of ``poly.term_values`` over F_q,
+charged as one lookup per term, so a product by a table row's entry 1
+(a zero digit) is not counted.
 The counter is process-global and only meaningful for single-threaded
 measurement; the other shared state in the library is the prime table in
 ``arith``, which grows to the largest instance seen.

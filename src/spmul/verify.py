@@ -2,10 +2,12 @@
 in quasi-linear time.
 
 The test never forms the product: it reduces everything modulo X^p - 1,
-evaluates the reduced product at a random field point via a circulant
-recurrence, and compares against the reduced H.  A true identity always
-verifies, whatever eps is; a false one survives with probability at most
-eps, which sizes the check (_split) and nothing else.
+evaluates the reduced product at a random field point alpha as
+F_p(alpha) * G_p(alpha) plus a wrap term over the pairs of terms whose
+exponents sum to p or more (eval_cyclic_product), and compares against
+the reduced H.  A true identity always verifies, whatever eps is; a false
+one survives with probability at most eps, which sizes the check (_split)
+and nothing else.
 
 p is D + 1 for a degree bound D with D + 1 <= lam, the sampling bound:
 a difference of degree <= D is its own residue (the classic
@@ -33,13 +35,16 @@ coordinates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
+from itertools import accumulate
+from operator import itemgetter
 
 from .arith import (RandomSource, ceil_bound, cyclotomic_degree, irreducible_poly,
                     lambda_nonzero, random_prime)
 from .errors import UnsupportedRingError
-from .poly import (SparsePoly, _same_ring, cyclic_reduce, eval_sparse, eval_terms,
-                   fixed_base_powers, height_bound)
+from .poly import (SparsePoly, _same_ring, cyclic_reduce, eval_sparse, fixed_base_powers,
+                   height_bound, ring_sum, term_values)
 from .rings import RingSpec, prime_field
 
 _LN2 = math.log(2.0)
@@ -65,26 +70,29 @@ def _split(eps: float, over_z: bool) -> tuple[float, float]:
 
 
 def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
-    """Evaluate [(F_p * G_p) mod X^p - 1] at alpha without forming the product.
+    """Evaluate R = (F_p * G_p) mod X^p - 1 at alpha without forming the product.
 
-    Writing c_j for the degree-j coefficient functional of the cyclic
-    product against F_p, the values at the support points of G_p satisfy
+    F_p * G_p = R + (X^p - 1) * Q, where Q = sum f_t g_j X^(t+j-p) over
+    the pairs with t + j >= p, so
 
-        c_j = alpha * c_{j-1} + (1 - alpha^p) * f_{(p-j) mod p},
+        R(alpha) = F_p(alpha) * G_p(alpha) + (alpha^-p - 1) * W,
+        W = sum_j g_j alpha^j * S(p - j),  S(k) = sum_{t >= k} f_t alpha^t,
 
-    seeded with c_0 = F_p(alpha).  Iterating the relation across the gap
-    between consecutive support points j_k < j_{k+1} of G_p gives
+    for alpha != 0, as alpha^p * Q(alpha) = W.  Only the terms of G_p
+    with j >= p - deg F_p can wrap; when none does (deg F_p + deg G_p < p,
+    as at p = D + 1) the value is F_p(alpha) * G_p(alpha) alone.  At
+    alpha = 0, Q(0) is the X^p coefficient of F_p * G_p, so R(0) =
+    f_0 g_0 + sum_{t+j=p} f_t g_j.
 
-        c_{j_{k+1}} = alpha^(j_{k+1}-j_k) * c_{j_k}
-                      + (1 - alpha^p) * sum_{ell=j_k+1}^{j_{k+1}} alpha^(j_{k+1}-ell) * f_{p-ell},
-
-    in which every nonzero coefficient of F_p is consumed exactly once.
-    The answer is sum_k c_{j_k} * g_{j_k}.  The powers for c_0, alpha^p
-    and every gap power come from one fixed-base table (fixed_base_powers)
-    for exponents up to p, whose windows are about log2(#F + #G) bits
-    wide, so the walk and the table together take
-    O((#F + #G) log p / log(#F + #G)) ring multiplications, all charged
-    to the global counter.
+    The values f_t alpha^t and g_j alpha^j come from one fixed-base table
+    (fixed_base_powers) for exponents below p, looked up as in
+    eval_sparse (term_values).  The charge is the table, max(1, nonzero
+    windows of e) per term of F_p and of G_p, and one product for
+    F_p(alpha) * G_p(alpha); a wrapping pair adds one product per
+    wrapping term of G_p, and, for alpha != 0, the exponentiation
+    alpha^((-p) mod (|F| - 1)) = alpha^-p through ring.pow and one
+    product more.  That is O((#F + #G) log p / log(#F + #G) + log |F|)
+    ring multiplications, all charged to the global counter.
     """
     ring = _same_ring(F_p, G_p)
     if not ring.is_field:
@@ -93,34 +101,25 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
         raise ValueError("p must be >= 1")
     if (not F_p.is_zero and F_p.degree >= p) or (not G_p.is_zero and G_p.degree >= p):
         raise ValueError("degrees must be < p")
+    if F_p.is_zero or G_p.is_zero:
+        return 0
 
-    # lookups: c_0, the window terms, the gaps and alpha^p
-    power, settle = fixed_base_powers(ring, alpha, p + 1, 2 * F_p.sparsity + G_p.sparsity + 1)
-    c = eval_terms(ring, F_p.terms, power)  # c_0 = F_p(alpha)
-    one_minus_ap = ring.sub(1, power(p))
-    # F terms with exponent t > 0 enter window ell = p - t; walk them in
-    # increasing ell, i.e. decreasing t.  The t = 0 term lives only in c_0.
-    f_desc = [term for term in reversed(F_p.terms) if term[0] > 0]
-    idx = 0
-    j_prev = 0
-    acc = 0
-    for j, g_coeff in G_p.terms:
-        window = 0
-        while idx < len(f_desc):
-            t, f_coeff = f_desc[idx]
-            ell = p - t
-            if ell > j:
-                break
-            window = ring.add(window, ring.mul(power(j - ell), f_coeff))
-            idx += 1
-        if j > j_prev:
-            c = ring.mul(power(j - j_prev), c)
-        if window:
-            c = ring.add(c, ring.mul(one_minus_ap, window))
-        acc = ring.add(acc, ring.mul(c, g_coeff))
-        j_prev = j
-    settle()
-    return acc
+    power = fixed_base_powers(ring, alpha, p, F_p.sparsity + G_p.sparsity)
+    f_vals = list(term_values(ring, F_p.terms, power))
+    g_vals = list(term_values(ring, G_p.terms, power))
+    value = ring.mul(ring_sum(ring, f_vals), ring_sum(ring, g_vals))
+    first = bisect_left(G_p.terms, p - F_p.degree, key=itemgetter(0))
+    wraps = G_p.terms[first:]
+    if not wraps:
+        return value
+    if not alpha:
+        f = dict(F_p.terms)
+        return reduce(ring.add, (ring.mul(f[p - j], g) for j, g in wraps if p - j in f), value)
+    f_exps = list(map(itemgetter(0), F_p.terms))
+    suffix = list(accumulate(reversed(f_vals), ring.add))[::-1]  # suffix[i] = S(f_exps[i])
+    W = reduce(ring.add, (ring.mul(v, suffix[bisect_left(f_exps, p - j)])
+                          for (j, _), v in zip(wraps, g_vals[first:])))
+    return ring.add(value, ring.mul(ring.sub(ring.pow(alpha, -p % (ring.size - 1)), 1), W))
 
 
 def _residue_in(P: SparsePoly, p: int, field: RingSpec) -> SparsePoly:

@@ -206,7 +206,7 @@ def test_criterion_07_operation_count_contracts():
         assert primes_to_1e6[-1] < 10 ** 6
         rnd = random.Random(20260505)
         for _ in range(1000):
-            # circulant evaluation against its own counter bound
+            # cyclic-product evaluation against its own counter bound
             p = rnd.choice(primes_to_1e6)
             f = rand_sparse(rnd, fq, rnd.randint(1, 64), p)
             g = rand_sparse(rnd, fq, rnd.randint(1, 64), p)

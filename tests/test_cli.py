@@ -11,7 +11,7 @@ import pytest
 from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonicalize,
                    canonicalize_multi, ext_field, integers, kronecker, lambda_nonzero,
                    multivar_product_smallchar, naive_mul_multi, prime_field)
-from spmul import product, verify
+from spmul import arith, cli, product, verify
 from spmul.cli import DEFAULT_EPSILON, format_poly, parse_poly, run_command
 
 import ci_inputs
@@ -49,6 +49,25 @@ class TestParseFormat:
             for _ in range(20):
                 f = as_multi(rand_sparse(rnd, ring, 8, 10 ** 6, 2 ** 20))
                 assert parse_poly(format_poly(f)) == f
+
+    def test_field_built_once_per_header(self, monkeypatch):
+        # verify parses three files with one header: the field, and the
+        # search for its canonical modulus, is built for the first only
+        calls = []
+        real = arith.canonical_irreducible
+
+        def canonical_irreducible(q, s):
+            calls.append((q, s))
+            return real(q, s)
+
+        monkeypatch.setattr(arith, "canonical_irreducible", canonical_irreducible)
+        cli._field.cache_clear()
+        try:
+            polys = [parse_poly(f"field 3 5\nvars 1\nterm 1,0,0,0,{k} {k}\n") for k in (1, 2, 1)]
+        finally:
+            cli._field.cache_clear()
+        assert calls == [(3, 5)]
+        assert polys[0] == polys[2] and polys[0].ring is polys[1].ring
 
     def test_round_trip_multivariate(self):
         rnd = random.Random(2)

@@ -376,9 +376,10 @@ class TestEvalSparse:
         assert mul_count() < sum(_pow_cost(e) + 1 for e in exps) / 4
 
     def test_prime_field_fast_path_charges_like_generic(self):
-        # F_q runs on raw ints and charges in bulk; the degree-1 extension
-        # of the same field goes through ring.mul and must charge the same,
-        # in eval_sparse and in eval_cyclic_product (each calls settle())
+        # F_q looks up one table row at a time on raw ints and charges in
+        # bulk; the degree-1 extension of the same field goes through
+        # ring.mul and must charge the same, in eval_sparse and in
+        # eval_cyclic_product, whose wrap term takes alpha^-p by ring.pow
         rnd = random.Random(24)
         fq, fq1 = prime_field(Q62), ext_field(Q62, 1)
 
@@ -419,10 +420,9 @@ def _per_term_tally(field, alpha, P):
     """The multiplications of one table for P and one power(e) lookup and
     one coefficient product per term."""
     reset_mul_count()
-    power, settle = fixed_base_powers(field, alpha, P.degree + 1, P.sparsity)
+    power = fixed_base_powers(field, alpha, P.degree + 1, P.sparsity)
     for e, _ in P.terms:
         power(e)
-    settle()
     return mul_count() + P.sparsity
 
 
@@ -505,20 +505,18 @@ class TestFixedBasePowers:
             for bound in (1, 2, 3, 101, 2 ** 40 + 3):
                 for lookups in (1, 10, 10 ** 4):
                     alpha = self._elem(rnd, ring)
-                    power, settle = fixed_base_powers(ring, alpha, bound, lookups)
+                    power = fixed_base_powers(ring, alpha, bound, lookups)
                     exps = {0, bound // 2, bound - 1} | {rnd.randrange(bound) for _ in range(8)}
                     if bound > 1:
                         exps.add(1)
                     for e in sorted(exps):
                         assert power(e) == ring.pow(alpha, e), (ring, bound, lookups, e)
-                    settle()
 
     def test_zero_base(self):
         for ring in self.RINGS:
-            power, settle = fixed_base_powers(ring, ring.zero(), 1000, 10)
+            power = fixed_base_powers(ring, ring.zero(), 1000, 10)
             assert power(0) == ring.one()
             assert all(power(e) == ring.zero() for e in (1, 2, 999))
-            settle()
 
     def test_worst_case_count(self):
         # (b - 1)(n + 1) for b-bit exponents and n lookups: the w = 1 table,
@@ -530,10 +528,9 @@ class TestFixedBasePowers:
                 exps = [bound - 1] + [rnd.randrange(bound) for _ in range(lookups - 1)]
                 alpha = self._elem(rnd, ring)
                 reset_mul_count()
-                power, settle = fixed_base_powers(ring, alpha, bound, lookups)
+                power = fixed_base_powers(ring, alpha, bound, lookups)
                 for e in exps:
                     power(e)
-                settle()
                 assert mul_count() <= (bits - 1) * (lookups + 1)
 
 

@@ -9,6 +9,7 @@ from spmul import (RandomSource, UnsupportedRingError, add,
                    naive_mul, negate, prime_field, random_prime, reset_mul_count,
                    scale, verify_sp, verify_sum_sp, zero_poly)
 from spmul import SparsePoly, arith, verify
+from spmul.poly import fixed_base_powers
 
 from helpers import Q62, monomial, rand_sparse
 
@@ -28,6 +29,24 @@ def _cyclic_eval_oracle(f, g, p, alpha):
     for e, c in prod.terms:
         acc = ring.add(acc, ring.mul(c, ring.pow(alpha, e)))
     return acc
+
+
+# F_101, F_9, F_Q62 and the cyclotomic F_3[Y]/(Phi_5) (3 generates (Z/5)^*)
+CYCLIC_RINGS = [F101, ext_field(3, 2), prime_field(Q62), ext_field(3, 4, (1,) * 5)]
+CYCLIC_IDS = ["F101", "F9", "FQ62", "F81-cyclotomic"]
+
+
+def _nonzero(rnd, ring):
+    if ring.kind == "prime_field":
+        return rnd.randrange(1, ring.q)
+    while True:
+        c = ring.coerce([rnd.randrange(ring.q) for _ in range(ring.s)])
+        if c:
+            return c
+
+
+def _with_exps(rnd, ring, exps):
+    return canonicalize([(e, _nonzero(rnd, ring)) for e in exps], ring)
 
 
 class TestEvalCyclicProduct:
@@ -84,6 +103,61 @@ class TestEvalCyclicProduct:
     def test_integers_rejected(self):
         with pytest.raises(UnsupportedRingError):
             eval_cyclic_product(F_EX, G_EX, 7, 2)
+
+    @pytest.mark.parametrize("ring", CYCLIC_RINGS, ids=CYCLIC_IDS)
+    def test_alpha_zero(self, ring):
+        # R(0) = f_0 g_0 + the X^p coefficient of F_p * G_p: pairs at
+        # t + j = 11 (3 + 8, 7 + 4, 10 + 1) and above it
+        rnd = random.Random(7)
+        for f_exps, g_exps in (([0, 3, 7, 10], [0, 1, 4, 8, 10]), ([3, 7, 10], [1, 4, 8])):
+            f, g = _with_exps(rnd, ring, f_exps), _with_exps(rnd, ring, g_exps)
+            assert eval_cyclic_product(f, g, 11, 0) == _cyclic_eval_oracle(f, g, 11, 0)
+
+    @pytest.mark.parametrize("ring", CYCLIC_RINGS, ids=CYCLIC_IDS)
+    def test_p_one(self, ring):
+        rnd = random.Random(8)
+        f, g = _with_exps(rnd, ring, [0]), _with_exps(rnd, ring, [0])
+        for alpha in (0, 1, _nonzero(rnd, ring)):
+            assert eval_cyclic_product(f, g, 1, alpha) == _cyclic_eval_oracle(f, g, 1, alpha)
+
+    @pytest.mark.parametrize("ring", CYCLIC_RINGS, ids=CYCLIC_IDS)
+    def test_only_top_term_wraps(self, ring):
+        # deg F + deg G = p: one pair, 30 + 20, wraps, onto X^0 exactly
+        rnd = random.Random(9)
+        for alpha in (0, 1, _nonzero(rnd, ring), _nonzero(rnd, ring)):
+            f = _with_exps(rnd, ring, [0, 5, 20, 30])
+            g = _with_exps(rnd, ring, [0, 3, 10, 20])
+            assert eval_cyclic_product(f, g, 50, alpha) == _cyclic_eval_oracle(f, g, 50, alpha)
+
+    @pytest.mark.parametrize("ring", CYCLIC_RINGS, ids=CYCLIC_IDS)
+    def test_every_term_wraps(self, ring):
+        # deg F = p - 1 and every exponent of G at least 1
+        rnd = random.Random(10)
+        for p in (2, 3, 50, 101):
+            for _ in range(6):
+                f = _with_exps(rnd, ring, {p - 1, *rnd.sample(range(p), min(11, p))})
+                g = _with_exps(rnd, ring, rnd.sample(range(1, p), min(8, p - 1)))
+                alpha = _nonzero(rnd, ring)
+                assert eval_cyclic_product(f, g, p, alpha) == _cyclic_eval_oracle(f, g, p, alpha)
+
+    @pytest.mark.parametrize("ring", CYCLIC_RINGS, ids=CYCLIC_IDS)
+    def test_charge_when_nothing_wraps(self, ring):
+        # deg F + deg G < p: the table, max(1, nonzero windows) per term of
+        # F and of G, and F(alpha) * G(alpha); no exponentiation
+        rnd = random.Random(11)
+        for p in (2, 1000, 10 ** 6 + 3, 2 ** 40):
+            f = rand_sparse(rnd, ring, 40, p // 2)
+            g = rand_sparse(rnd, ring, 40, p - f.degree - 1 or 1)
+            alpha = _nonzero(rnd, ring)
+            reset_mul_count()
+            power = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
+            for e, _ in f.terms + g.terms:
+                power(e)
+            want = mul_count() + f.sparsity + g.sparsity + 1
+            reset_mul_count()
+            value = eval_cyclic_product(f, g, p, alpha)
+            assert mul_count() == want
+            assert value == _cyclic_eval_oracle(f, g, p, alpha)
 
     def test_operation_count_contract_small_grid(self):
         import math
@@ -532,22 +606,45 @@ class TestDegreeRoute:
             _field_routes(seen, ring, eps)
         assert routes == {(True, False), (False, False), (False, True)}
 
-    # exponents below 10^3, and in [5200, 6200), where every check over
-    # F_8, F_9, F_25 and F_101 builds a cyclotomic extension whose products
-    # take the cyclic fold (degrees 28, 16, 16 and 6)
+    # exponents below 10^3; in [5200, 6200), where every check over F_8,
+    # F_9, F_25 and F_101 builds a cyclotomic extension whose products take
+    # the cyclic fold (degrees 28, 16, 16 and 6); and near 10^15, where
+    # lam <= D and the check takes a random prime p from [lam, 2*lam], so
+    # the residues wrap and eval_cyclic_product adds its wrap term
     SOUNDNESS = ([pytest.param(ring, 0, id=i) for ring, i in zip(RINGS[:3], IDS)]
                  + [pytest.param(ring, 5200, id=f"{i}-cyclotomic")
-                    for ring, i in ((F8, "F8"), (F9, "F9"), (F25, "F25"), (F101, "F101"))])
+                    for ring, i in ((F8, "F8"), (F9, "F9"), (F25, "F25"), (F101, "F101"))]
+                 + [pytest.param(ring, 10 ** 15, id=f"{i}-cyclic")
+                    for ring, i in zip(RINGS[:3], IDS)])
 
     @pytest.mark.parametrize("ring, emin", SOUNDNESS)
     def test_soundness_and_completeness(self, monkeypatch, ring, emin):
         # at eps = 0.01: at least 97% of one-coefficient perturbations are
-        # rejected, and every true triple is accepted, all at p = D + 1.
-        # The perturbed coefficient lies below the top term, so the
-        # structural checks cannot tell the triple is false
+        # rejected, and every true triple is accepted, all at p = D + 1
+        # below 10^15 and at lam <= p <= 2*lam near it.  The perturbed
+        # coefficient lies below the top term, so the structural checks
+        # cannot tell the triple is false
         seen = _watch_evaluations(monkeypatch)
         err = (1,) + (0,) * (ring.s - 1) if ring.kind == "ext_field" else 1
+        share = verify._split(0.01, ring.kind == "integers")[0]
         rnd = random.Random(18)
+
+        def check(f, g, h, seed):
+            seen.clear()
+            accepted = verify_sp(f, g, h, 0.01, RandomSource(seed))
+            (p,) = {p for _, p in seen}
+            D = f.degree + g.degree
+            if emin == 10 ** 15:
+                lam = lambda_nonzero(f.sparsity * g.sparsity + h.sparsity, D, share)
+                assert lam <= p <= 2 * lam
+            else:
+                assert p == D + 1
+            routes = _field_routes(seen, ring, 0.01)
+            if emin == 5200:
+                assert set(routes) == {"cyclotomic"}
+                assert all(field._cyclic for field, _ in seen)
+            return accepted
+
         rejected = seed = 0
         while seed < 200:
             f = _shifted(rand_sparse(rnd, ring, 6, 1000, 2 ** 20), emin)
@@ -556,14 +653,8 @@ class TestDegreeRoute:
             if h.sparsity < 2:
                 continue
             seed += 1
-            seen.clear()
-            assert verify_sp(f, g, h, 0.01, RandomSource(seed))
-            rejected += not verify_sp(f, g, _perturbed(h, err), 0.01, RandomSource(seed))
-            assert {p for _, p in seen} == {f.degree + g.degree + 1}
-            routes = _field_routes(seen, ring, 0.01)
-            if emin:
-                assert set(routes) == {"cyclotomic"}
-                assert all(field._cyclic for field, _ in seen)
+            assert check(f, g, h, seed)
+            rejected += not check(f, g, _perturbed(h, err), seed)
         assert rejected >= 0.97 * 200
 
 
