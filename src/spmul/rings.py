@@ -19,20 +19,26 @@ An F_{q^s} product (s != 2; s = 2 is unrolled on the two digits, see
 ``_ext_mul``) is one integer product of the two elements, and ``_fold``
 reduces the 2s - 1 digits of the result, the coefficients of Y^0 ..
 Y^(2s-2).  Modulo the cyclotomic polynomial Phi_{s+1} = 1 + Y + ... + Y^s
-(s > 2), the field the verifier builds wherever it can, Y^(s+1) = 1: one
-shift-add folds the digits at s + 1 and above onto the low ones, and
+(s > 2), the field the verifier builds wherever it can, the lane fold
+reduces all digits at once, each a lane of the whole int: Y^(s+1) = 1, so
+one shift-add folds the digits at s + 1 and above onto the low ones;
 digit s, standing for Y^s = -(1 + ... + Y^(s-1)), is subtracted from each
-of the s below it as they are reduced mod q.  Any other modulus folds the
+of the s below it after a multiple of q is added to keep them
+nonnegative; and every lane d becomes d - floor(d * m / 2^k) * q through
+one multiply, shift and mask by the reciprocal m = ceil(2^k / q)
+(Granlund and Montgomery, PLDI 1994).  A lane then stays below 2^a,
+a = bitlen(4s(q-1)^2 + q), with k = a + bitlen(q), and a cyclotomic
+field's W is widened where needed until 2^(8W) > 2^(a+k), so that d * m
+fits in its lane; ``_fold`` gives the proof.  Any other modulus folds the
 s - 1 high digits c_i (i = s .. 2s-2) back as sum c_i * ROW_i, where
 ROW_i is Y^i mod the modulus packed the same way; the rows are built once
 per field, and the s low digits are then reduced mod q once each.  No
 digit may carry into its neighbour: a product digit is at most s(q-1)^2,
-the cyclic shift-add at most doubles it, and the row fold adds at most
-s-1 terms of s(q-1)^2 * (q-1), so every digit stays below
-s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop`` reduces the 2s - 1
-digits of an integer image mod q, packs them at W bytes and folds them
-the same way; its digits are residues in [0, q), so its sums meet the
-same bound.
+and the row fold adds at most s-1 terms of s(q-1)^2 * (q-1), so every
+digit stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop``
+reduces the 2s - 1 digits of an integer image mod q, packs them at W
+bytes and folds them the same way; its digits are residues in [0, q), so
+its sums meet the same bounds.
 
 ``add``, ``sub`` and ``neg`` work on the whole int: a + b, a + Q - b and
 Q - a (Q holding q in every digit) have digits in [0, 2q - 1], and one
@@ -144,8 +150,14 @@ class RingSpec:
     _packed_rows: tuple = field(default=(), init=False, repr=False, compare=False)
     _width: int = field(default=0, init=False, repr=False, compare=False)
     # True for the modulus Phi_{s+1} = 1 + Y + ... + Y^s at s > 2, which
-    # _fold reduces cyclically instead of through _packed_rows
+    # _fold reduces lane by lane instead of through _packed_rows
     _cyclic: bool = field(default=False, init=False, repr=False, compare=False)
+    # the lane fold's constants, built once per cyclotomic field (_fold):
+    # the bit offsets L(s+1) and Ls of lanes s + 1 and s with masks of the
+    # lanes below each, a 1 in each of the s low lanes, the pad, the
+    # reciprocal m = ceil(2^k / q), its shift k, and the quotient mask,
+    # a + 1 ones per lane
+    _lanes: tuple = field(default=(), init=False, repr=False, compare=False)
     # the conditional subtract's constants, one per digit of an element: q,
     # 2^(8W-1) - q, and the top bit 2^(8W-1) (module docstring)
     _qs: int = field(default=0, init=False, repr=False, compare=False)
@@ -186,15 +198,27 @@ class RingSpec:
         # every digit packed or folded stays below this bound (module
         # docstring)
         width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
+        cyclic = s > 2 and all(c == 1 for c in m)
+        if cyclic:
+            # a lane of the lane fold stays below 2^a and its product with
+            # the reciprocal below 2^(a + k) (_fold)
+            a = (4 * s * (q - 1) ** 2 + q).bit_length()
+            k = a + q.bit_length()
+            width = max(width, _byte_width(1 << a + k))
+            ones = _pack([1] * s, width)
+            hi, lo = 8 * width * (s + 1), 8 * width * s
+            object.__setattr__(self, "_cyclic", True)
+            object.__setattr__(self, "_lanes", (
+                hi, (1 << hi) - 1, lo, (1 << lo) - 1, ones,
+                q * -(-2 * s * (q - 1) ** 2 // q) * ones,
+                -(-(1 << k) // q), k, ((1 << a + 1) - 1) * ones))
         half = 1 << 8 * width - 1
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_yrows", tuple(rows))
         object.__setattr__(self, "_qs", _pack([q] * s, width))
         object.__setattr__(self, "_bias", _pack([half - q] * s, width))
         object.__setattr__(self, "_tops", _pack([half] * s, width))
-        if s > 2 and all(c == 1 for c in m):
-            object.__setattr__(self, "_cyclic", True)
-        else:
+        if not cyclic:
             object.__setattr__(self, "_packed_rows", tuple(_pack(r, width) for r in rows[s:]))
 
     # -- structure ---------------------------------------------------
@@ -312,18 +336,43 @@ class RingSpec:
     def _fold(self, v: int) -> int:
         """The element of F_{q^s} whose image in Z[Y] has the W-byte
         digits of v as coefficients (at most 2s - 1 of them, within the
-        bound of the module docstring).  Modulo Phi_{s+1} the digits at
-        s + 1 and above fold onto the low ones in one shift-add (Y^(s+1)
-        = 1), and digit s is subtracted from the s below it while they
-        are reduced mod q (Y^s = -(1 + ... + Y^(s-1))).  Any other modulus
-        folds the s - 1 high digits in through the reduction table and
-        reduces the s low digits mod q."""
-        q, s, width = self.q, self.s, self._width
+        bound of the module docstring).  Any modulus but Phi_{s+1} folds
+        the s - 1 high digits in through the reduction table and reduces
+        the s low digits mod q.
+
+        Modulo Phi_{s+1}, every step acts on the whole int, each of its
+        L = 8W-bit digits a lane: the lanes at s + 1 and above fold onto
+        the low ones (Y^(s+1) = 1); lane s, standing for
+        Y^s = -(1 + ... + Y^(s-1)), is subtracted from each of the s below
+        it after a pad P, a multiple of q, is added to every lane; and
+        each lane d becomes d - floor(d * m / 2^k) * q with the reciprocal
+        m = ceil(2^k / q).  With a = bitlen(4s(q-1)^2 + q) and
+        k = a + bitlen(q) (_build_table), that is d mod q in every lane:
+
+        * every lane stays below 2^a: v's digits are at most s(q-1)^2 by
+          the module docstring's bound, so at most 2s(q-1)^2 once folded,
+          and P = q * ceil(2s(q-1)^2 / q) lies in [2s(q-1)^2,
+          2s(q-1)^2 + q), so a padded lane less lane s lies in
+          [0, 4s(q-1)^2 + q);
+        * q >= 2^(bitlen(q) - 1) gives m <= 2^(a+1), so
+          d * m < 2^(2a+1) < 2^(a+k) < 2^L (W is sized for the last) and
+          no lane's product carries into the next;
+        * after the shift by k, the low bits of the next lane's product
+          land at bit L - k >= a + 1 or higher, where the quotient mask,
+          a + 1 ones per lane, clears them;
+        * m * q - 2^k < q and d < 2^a = 2^(k - bitlen(q)), so
+          d * (m * q - 2^k) < 2^k and floor(d * m / 2^k) = floor(d / q)
+          (Granlund-Montgomery, PLDI 1994);
+        * each quotient times q is at most its lane, so the subtraction
+          borrows across no lane either.
+        """
+        q = self.q
         if self._cyclic:
-            bits = 8 * width * (s + 1)
-            digits = _unpack((v & ((1 << bits) - 1)) + (v >> bits), width, s + 1)
-            top = digits[s]
-            return _pack([(d - top) % q for d in digits[:s]], width)
+            hi, hi_mask, lo, lo_mask, ones, pad, m, k, qmask = self._lanes
+            v = (v & hi_mask) + (v >> hi)
+            v = (v & lo_mask) + pad - (v >> lo) * ones
+            return v - ((v * m >> k) & qmask) * q
+        s, width = self.s, self._width
         bits = 8 * width * s
         high = _unpack(v >> bits, width, s - 1)
         low = (v & ((1 << bits) - 1)) + sum(map(_int_mul, high, self._packed_rows))

@@ -25,7 +25,9 @@ evaluated in F_{q^S'}, built on the fly over its prime field F_q: S is
 least with q^S > c2*p, and S' (arith.cyclotomic_degree) the least
 degree in [S, 2S) with S' + 1 a prime modulo which q is a primitive root.
 Its modulus Phi_{S'+1} = 1 + Y + ... + Y^S' is irreducible without a
-test and reduces each product by a cyclic fold; without such a degree,
+test, and each product reduces by the lane fold of rings.RingSpec._fold:
+a shift-add and one multiply-shift-mask by a reciprocal of q act on all
+S' digits at once; without such a degree,
 S' = S and the modulus is arith.canonical_irreducible(q, S), so the check
 field is a function of q and S alone.  A small F_{q^s} enters the
 extension through a random linear combination of the identity's F_q

@@ -4,7 +4,7 @@ Run it from the directory that should receive them:
 
     python tests/ci_inputs.py
 
-It writes three sets of pairs, each from its own fixed seed:
+It writes four sets of pairs, each from its own fixed seed:
 
 * za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
   over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
@@ -21,14 +21,19 @@ It writes three sets of pairs, each from its own fixed seed:
 * z3a/z3b and f3a/f3b.poly (trivariate_pairs): 3-variable files of 8
   terms with partial degrees below 4, over Z and over F_9, whose product
   lifts through Z.
+* f256a/f256b.poly (f256_pair): 8 terms each over F_256 = F_(2^8) with
+  exponents below 10^4, whose check runs at p = D + 1 in
+  F_2[Y]/(Phi_37) = F_(2^36), so a field of characteristic 2 goes
+  through the cyclotomic check field end to end.
 * bigza/bigzb.poly (large_pair): 200 x 200 terms over Z with exponents
   below 10^9, whose product has about 40,000 terms.  Its check runs at
   p = D + 1 and evaluates that H in F_q from its own terms; CI verifies
   it in a step of its own, after the loop over the pairs above.
 
-test_cli imports wrapping_pairs and large_pair, so the pairs it checks
-for the cyclic route, the x3 pair it checks for interpolation in its
-extension field, and the large pair it verifies, are the ones CI runs.
+test_cli imports wrapping_pairs, f256_pair and large_pair, so the pairs
+it checks for the cyclic route, the x3 pair it checks for interpolation
+in its extension field, the F_256 pair whose check field it checks, and
+the large pair it verifies, are the ones CI runs.
 """
 
 import random
@@ -72,6 +77,24 @@ def trivariate_pairs() -> dict:
     return files
 
 
+def f256_pair() -> dict:
+    """{file name: text} of the pair over F_256."""
+    rnd = random.Random(4)
+
+    def coeff():  # a nonzero element in the file format: 8 bits, not all 0
+        c = rnd.randrange(1, 256)
+        return ",".join(str(c >> i & 1) for i in range(8))
+
+    files = {}
+    for side in "ab":
+        exps = set()
+        while len(exps) < 8:
+            exps.add(rnd.randrange(10 ** 4))
+        files["f256" + side + ".poly"] = "field 2 8\nvars 1\n" + "".join(
+            f"term {coeff()} {e}\n" for e in exps)
+    return files
+
+
 def large_pair() -> dict:
     """{file name: text} of the 200 x 200 pair over Z."""
     rnd = random.Random(3)
@@ -86,7 +109,8 @@ def large_pair() -> dict:
 
 
 def main() -> None:
-    for name, text in {**wrapping_pairs(), **trivariate_pairs(), **large_pair()}.items():
+    for name, text in {**wrapping_pairs(), **trivariate_pairs(), **f256_pair(),
+                       **large_pair()}.items():
         with open(name, "w") as out:
             out.write(text)
 

@@ -435,6 +435,30 @@ class TestCommands:
                 assert all(field == a.ring and not field._cyclic and field._width == 24
                            for field, _ in seen)
 
+    def test_ci_f256_pair_checks_in_a_cyclotomic_field(self, tmp_path, monkeypatch, capsys):
+        # f256a/f256b: 8 x 8 terms over F_256 below 10^4, checked at
+        # p = D + 1 in F_2[Y]/(Phi_37) = F_(2^36), so q = 2 takes the lane
+        # fold
+        seen = []
+        real = verify.eval_cyclic_product
+
+        def eval_cyclic_product(F_p, G_p, p, alpha):
+            seen.append((F_p.ring, p))
+            return real(F_p, G_p, p, alpha)
+
+        monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+        files = ci_inputs.f256_pair()
+        a, b = (self._write(tmp_path, f"f256{side}.poly", files[f"f256{side}.poly"])
+                for side in "ab")
+        h = tmp_path / "f256h.poly"
+        assert run_command(["mul", "--naive", a, b, "-o", str(h)]) == 0
+        fg = parse_poly(h.read_text())
+        assert run_command(["verify", a, b, str(h)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        assert seen and all(field.q == 2 and field.s == 36 and field._cyclic
+                            and field.modulus == (1,) * 37 and p == fg.var_degree(0) + 1
+                            for field, p in seen)
+
     def test_ci_large_pair_checks_h_at_d_plus_one(self, tmp_path, monkeypatch, capsys):
         # bigza/bigzb: 200 x 200 terms over Z below 10^9, about 40,000
         # product terms, checked at p = D + 1 with H evaluated as it is;

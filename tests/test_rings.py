@@ -319,7 +319,7 @@ class TestPackedArithmetic:
 
 
 class TestCyclicFold:
-    """Modulo Phi_(s+1) = 1 + Y + ... + Y^s (s > 2), _fold's shift-add gives
+    """Modulo Phi_(s+1) = 1 + Y + ... + Y^s (s > 2), _fold's lane fold gives
     what the fold through the reduction table gives, for products and for
     dropped integer images."""
 
@@ -356,6 +356,74 @@ class TestCyclicFold:
         assert RingSpec("ext_field", q=2, s=4, modulus=(1, 1, 1, 1, 1))._cyclic
         assert not ext_field(2, 4, (1, 1, 0, 0, 1))._cyclic
         assert not RingSpec("ext_field", q=3, s=4, modulus=(2, 1, 1, 1, 1))._cyclic
+
+
+class TestLaneFold:
+    """Modulo Phi_(s+1) (s > 2), _fold reduces every lane, one W-byte
+    digit, at once: the reciprocal gives floor(d / q) for each lane value d
+    below the documented bound 2^a, alone and packed with others, and lanes
+    at their bounds reduce as the schoolbook reduction does."""
+
+    LANE_DEGREES = (3, 4, 6, 12, 28, 42)
+
+    @staticmethod
+    def _lane_bound(f):
+        """a with every lane of the cyclic fold below 2^a: a lane is at
+        most 4s(q-1)^2 + q - 1 (_fold's docstring)."""
+        return (4 * f.s * (f.q - 1) ** 2 + f.q).bit_length()
+
+    @staticmethod
+    def _check_quotients(f, lane_values):
+        """The reciprocal's quotient of each lane value alone, and of s of
+        them packed as one element's lanes, is floor(d / q)."""
+        q, s, width = f.q, f.s, f._width
+        *_, m, k, qmask = f._lanes
+        lane = 8 * width
+        mask = qmask & ((1 << lane) - 1)
+        a = TestLaneFold._lane_bound(f)
+        assert mask == (1 << a + 1) - 1 and lane - k >= a + 1
+        assert all((d * m >> k) & mask == d // q for d in lane_values)
+        for i in range(0, len(lane_values), s):
+            chunk = list(lane_values[i:i + s])
+            chunk += [0] * (s - len(chunk))
+            v = _pack(chunk, width)
+            assert (v * m >> k) & qmask == _pack([d // q for d in chunk], width)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_reciprocal_divides_every_lane_value(self, q):
+        for s in self.LANE_DEGREES:
+            f = _packed(q, s, "cyclotomic")
+            self._check_quotients(f, range(1 << self._lane_bound(f)))
+
+    @pytest.mark.parametrize("q", [101, Q62], ids=["101", "Q62"])
+    def test_reciprocal_divides_boundary_and_random_lane_values(self, q):
+        rnd = random.Random(q % 997)
+        for s in self.LANE_DEGREES:
+            f = _packed(q, s, "cyclotomic")
+            top = 1 << self._lane_bound(f)
+            last = top - 1 - top % q  # the largest d < 2^a with d = -1 mod q
+            edges = [0, 1, q - 1, q, q + 1, 2 * q - 1, top - 1, top - 2, last, last - q,
+                     last + 1, 4 * s * (q - 1) ** 2 + q - 1]
+            self._check_quotients(f, edges + [rnd.randrange(top) for _ in range(10 ** 4)])
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 101, Q62], ids=["2", "3", "5", "101", "Q62"])
+    def test_lanes_at_their_bounds_match_schoolbook(self, q):
+        # digits at the module docstring's product bound s(q-1)^2: with
+        # digit s zero every lane below s - 2 reaches its largest value,
+        # 2s(q-1)^2 plus the pad, and with only digit s set every lane
+        # reaches its smallest, the pad less s(q-1)^2
+        for s in self.LANE_DEGREES:
+            f = _packed(q, s, "cyclotomic")
+            top = s * (q - 1) ** 2
+            for digits in ([top] * s + [0] + [top] * (s - 2),
+                           [0] * s + [top] + [0] * (s - 2),
+                           [top] * (2 * s - 1)):
+                got = f._fold(_pack(digits, f._width))
+                assert f.residues(got) == ext_reduce_oracle(digits, f)
+            # one product whose digits all reach their largest values
+            p_top = f.coerce((q - 1,) * s)
+            assert f.residues(f.mul(p_top, p_top)) == ext_mul_oracle((q - 1,) * s,
+                                                                     (q - 1,) * s, f)
 
 
 class TestInverse:
