@@ -26,6 +26,7 @@ import functools
 import math
 import sys
 import time
+from itertools import zip_longest
 
 from .arith import RandomSource
 from .errors import CharacteristicTooSmallError, PolyFileError, SpmulError
@@ -257,8 +258,8 @@ def _cmd_verify(args) -> int:
     rng = RandomSource(args.seed)
     # one Kronecker map faithful on all three supports turns the question
     # univariate; the verifier itself works over any characteristic
-    d = 1 + max(max(a.var_degree(i) + b.var_degree(i), h.var_degree(i))
-                for i in range(a.nvars))
+    d = 1 + max((max(x + y, z) for x, y, z in zip_longest(
+        a.var_degrees(), b.var_degrees(), h.var_degrees(), fillvalue=0)), default=0)
     ok = verify_sp(kronecker(a, d), kronecker(b, d), kronecker(h, d),
                    args.epsilon, rng)
     print("OK" if ok else "MISMATCH")
@@ -305,7 +306,7 @@ def _cmd_bench(args) -> int:
         seed = args.seed ^ trial  # one trial = one instance, both algorithms
         trial += 1
         f, g = _bench_instance(args.family, t, RandomSource(seed))
-        d_col = max(f.var_degree(i) + g.var_degree(i) for i in range(f.nvars))
+        d_col = max(x + y for x, y in zip(f.var_degrees(), g.var_degrees()))
         for algorithm in ("naive", "sparse"):
             rng = RandomSource(seed)
             reset_mul_count()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import reduce
 
 from .arith import RandomSource, ceil_bound
 from .errors import RingMismatchError, UnsupportedRingError
@@ -47,9 +48,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def var_degree(self, i: int) -> int:
-        """Max exponent of variable i (0 for the zero polynomial)."""
-        return max((e[i] for e, _ in self.terms), default=0)
+    def var_degrees(self) -> tuple:
+        """Max exponent of each variable, from one pass over the terms; ()
+        for the zero polynomial, whose partial degrees are all 0."""
+        return tuple(map(max, zip(*(e for e, _ in self.terms))))
 
 
 def _shared_ring(F: MultiPoly, G: MultiPoly) -> RingSpec:
@@ -98,13 +100,15 @@ def kronecker(F: MultiPoly, d: int) -> SparsePoly:
     """Encode exponent vectors as base-d digits of one exponent.
 
     Injective on (and invertible from) exponents with all partial degrees
-    below d; preserves sparsity and height.
+    below d; preserves sparsity and height.  Each image exponent is taken
+    from the term's own exponents by Horner's rule, with no table of the
+    powers d^i, so a polynomial without terms costs nothing whatever its
+    variable count.
     """
-    if any(F.var_degree(i) >= d for i in range(F.nvars)):
+    if any(v >= d for v in F.var_degrees()):
         raise ValueError("partial degree >= d")
-    weights = [d ** i for i in range(F.nvars)]
     return SparsePoly(F.ring, tuple(sorted(
-        (sum(e * w for e, w in zip(exps, weights)), c) for exps, c in F.terms)))
+        (reduce(lambda acc, v: acc * d + v, reversed(exps), 0), c) for exps, c in F.terms)))
 
 
 def inverse_kronecker(H: SparsePoly, d: int, n: int) -> MultiPoly:
@@ -191,7 +195,7 @@ def _kronecker_product(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource
         raise UnsupportedRingError(f"this path multiplies {what} polynomials")
     if F.is_zero or G.is_zero:
         return zero_multi(F.ring, F.nvars)
-    d = 1 + max(F.var_degree(i) + G.var_degree(i) for i in range(F.nvars))
+    d = 1 + max(x + y for x, y in zip(F.var_degrees(), G.var_degrees()))
     params = ProductParams(eps / 2.0, eps / 2.0)
     h_u = sparse_product(kronecker(F, d), kronecker(G, d), params, rng)
     return inverse_kronecker(h_u, d, F.nvars)

@@ -195,88 +195,74 @@ def dense_cyclic_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
-    """Powers alpha^e for 0 <= e < bound from one windowed table.
+    """The table of powers alpha^e for 0 <= e < bound, as (rows, w).
 
     Fixed-base windowing (Brickell, Gordon, McCurley and Wilson,
     EUROCRYPT 1992): row i holds alpha^(d * 2^(w*i)) for every w-bit
     digit d, so alpha^e is the product of one entry per nonzero w-bit
-    window of e.  With b the bit length of bound - 1 and n the expected
-    number of lookups, w <= 16 minimises ceil(b/w) * (2^w - 1 + n), which
-    bounds the table's multiplications (at most 2^w - 1 per row) plus the
-    lookups' (one per further window).  The w = 1 table is plain
-    square-and-multiply with its squarings shared, so n lookups never take
-    more than (b - 1) * (n + 1) multiplications in all, and the table never
-    holds more than b * (n + 1) entries.
-
-    Returns power, with power(e) = alpha^e.  Every multiplication, the
-    table's and the lookups', goes through ring.mul and is charged as it
-    is made.  power also carries the table, as power.rows and the window
-    width power.w, for term_values' row-wise lookups over F_q.
+    window of e (term_values looks them up).  With b the bit length of
+    bound - 1 and n the expected number of lookups, w <= 16 minimises
+    ceil(b/w) * (2^w - 1 + n), which bounds the table's multiplications
+    (at most 2^w - 1 per row) plus the lookups' (one per further window).
+    The w = 1 table is plain square-and-multiply with its squarings
+    shared, so n lookups of alpha^e never take more than (b - 1) * (n + 1)
+    multiplications in all, and the table never holds more than
+    b * (n + 1) entries.  The table's multiplications go through ring.mul
+    and are charged as they are made.
     """
     bits = (bound - 1).bit_length()
     w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
     mask = (1 << w) - 1
-    mul = ring.mul
     rows = []
     base = alpha
     for shift in range(0, bits, w):
         # the top row stops at the top digit of bound - 1
         row = [1, base]
         for _ in range(min(mask, (bound - 1) >> shift) - 1):
-            row.append(mul(row[-1], base))
+            row.append(ring.mul(row[-1], base))
         rows.append(row)
         if shift + w < bits:
-            base = mul(row[-1], base)  # alpha^(2^(shift + w))
-
-    def power(e):
-        r = None
-        for row in rows:
-            d = e & mask
-            if d:
-                r = row[d] if r is None else mul(r, row[d])
-            e >>= w
-            if not e:
-                break
-        return 1 if r is None else r
-
-    power.rows, power.w = rows, w
-    return power
+            base = ring.mul(row[-1], base)  # alpha^(2^(shift + w))
+    return rows, w
 
 
-def term_values(ring: RingSpec, terms, power):
-    """The values c * power(e) of the (e, c) of terms, in ring, as an
-    iterable to be read once.
+def term_values(ring: RingSpec, terms, table):
+    """The values c * alpha^e of the (e, c) of terms, in ring, as an
+    iterable to be read once; table = (rows, w) is fixed_base_powers'
+    table of alpha.
 
-    Over F_q the lookups go one table row at a time (power.rows and
-    power.w, from fixed_base_powers): the row-i digits (e >> w*i) & mask
-    of every exponent are gathered into one list, and the matching
-    entries are multiplied into the per-term products by C-level maps,
-    reduced mod q every fourth row.  The values are ints congruent to
-    c * alpha^e mod q, not reduced, which ring_sum, ring.add and ring.mul
-    take as they are.  A coefficient may be any int, so a Z polynomial
-    gives the values of its image mod q.  The charge, in bulk, is that of
-    a power(e) lookup and a coefficient product per term: max(1, nonzero
-    w-bit windows of e).  Elsewhere each term takes one power(e) and
-    ring.mul.
+    The lookups go one table row at a time: the row-i digits
+    (e >> w*i) & mask of every exponent are gathered into one list, and
+    each term's running product, which starts at c, takes the entry of its
+    nonzero digit.  Over F_q the entries are multiplied in by C-level
+    maps, reduced mod q every fourth row, and the values are ints
+    congruent to c * alpha^e mod q, not reduced, which ring_sum, ring.add
+    and ring.mul take as they are; a coefficient may be any int, so a Z
+    polynomial gives the values of its image mod q.  Over F_{q^s} each
+    nonzero digit takes one ring.mul.  Either way a term is charged
+    max(1, nonzero w-bit windows of e): its products by the entries, and
+    one for an e = 0 term, whose value is c * 1 (over F_q in bulk).
     """
-    if ring.kind != "prime_field":
-        return [ring.mul(c, power(e)) for e, c in terms]
-    q, w = ring.q, power.w
+    rows, w = table
     mask = (1 << w) - 1
     exps = list(map(itemgetter(0), terms))
-    # the per-term products are chained lazily and formed at each
-    # reduction and by the caller; the coefficients enter unreduced, as
-    # below heights of about 2^256 the wider first products cost less than
-    # a mod per term
     acc = map(itemgetter(1), terms)
+    prime = ring.kind == "prime_field"
     windows = 0
-    for i, row in enumerate(power.rows):
+    for i, row in enumerate(rows):
         shift = w * i
         digits = [e >> shift & mask for e in exps]
+        if not prime:
+            acc = [ring.mul(a, row[d]) if d else a for a, d in zip(acc, digits)]
+            continue
         windows += len(digits) - digits.count(0)
+        # the per-term products are chained lazily and formed at each
+        # reduction and by the caller; the coefficients enter unreduced, as
+        # below heights of about 2^256 the wider first products cost less
+        # than a mod per term
         acc = map(_int_mul, acc, map(row.__getitem__, digits))
         if i % 4 == 3:
-            acc = list(map(q.__rmod__, acc))
+            acc = list(map(ring.q.__rmod__, acc))
     add_mul_count(windows + exps.count(0))
     return acc
 
@@ -308,5 +294,5 @@ def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None):
         raise RingMismatchError("the polynomial has no image in the evaluation field")
     if F.is_zero:
         return 0
-    power = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)
-    return ring_sum(field, term_values(field, F.terms, power))
+    table = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)
+    return ring_sum(field, term_values(field, F.terms, table))

@@ -31,8 +31,9 @@ a = bitlen(4s(q-1)^2 + q), with k = a + bitlen(q), and a cyclotomic
 field's W is widened where needed until 2^(8W) > 2^(a+k), so that d * m
 fits in its lane; ``_fold`` gives the proof.  Any other modulus folds the
 s - 1 high digits c_i (i = s .. 2s-2) back as sum c_i * ROW_i, where
-ROW_i is Y^i mod the modulus packed the same way; the rows are built once
-per field, and the s low digits are then reduced mod q once each.  No
+ROW_i is Y^i mod the modulus packed the same way, and the s low digits
+are then reduced mod q once each.  These s - 1 rows are built once per
+field, and only for a modulus the lane fold does not take.  No
 digit may carry into its neighbour: a product digit is at most s(q-1)^2,
 and the row fold adds at most s-1 terms of s(q-1)^2 * (q-1), so every
 digit stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop``
@@ -55,11 +56,12 @@ packed integer convolution serves all three kinds of ring.  Every
 coefficient multiplication routed through a ``RingSpec`` bumps a global
 counter that benchmarks and operation-count tests read back;
 ``RingSpec.pow`` is charged its square-and-multiply cost.  Fixed-base
-power tables and their lookups multiply through ``RingSpec.mul``; the
-two raw-int paths charge in bulk through ``add_mul_count``: residue
-accumulation, and the row-wise lookups of ``poly.term_values`` over F_q,
-charged as one lookup per term, so a product by a table row's entry 1
-(a zero digit) is not counted.
+power tables, and their lookups over F_{q^s}, multiply through
+``RingSpec.mul``; the two raw-int paths charge in bulk through
+``add_mul_count``: residue accumulation, and the lookups of
+``poly.term_values`` over F_q, charged max(1, nonzero windows) per term
+as over F_{q^s}, so a product by a table row's entry 1 (a zero digit) is
+not counted.
 The counter is process-global and only meaningful for single-threaded
 measurement; the other shared state in the library is the prime table in
 ``arith``, which grows to the largest instance seen.
@@ -143,10 +145,8 @@ class RingSpec:
     q: int | None = None
     s: int = 1
     modulus: tuple[int, ...] | None = None
-    # F_{q^s} reduction table: Y^d mod modulus for d = 0 .. 2s-2, and the
-    # rows d = s .. 2s-2, the ones _fold uses, packed at digits of _width
-    # bytes
-    _yrows: tuple = field(default=(), init=False, repr=False, compare=False)
+    # the rows Y^d mod modulus for d = s .. 2s-2 that _fold's row path
+    # reads, packed at digits of _width bytes; none modulo Phi_{s+1}, s > 2
     _packed_rows: tuple = field(default=(), init=False, repr=False, compare=False)
     _width: int = field(default=0, init=False, repr=False, compare=False)
     # True for the modulus Phi_{s+1} = 1 + Y + ... + Y^s at s > 2, which
@@ -189,12 +189,6 @@ class RingSpec:
 
     def _build_table(self) -> None:
         q, s, m = self.q, self.s, self.modulus
-        rows = [tuple(int(i == d) for i in range(s)) for d in range(s)]
-        top = tuple(-c % q for c in m[:s])  # Y^s
-        for _ in range(s - 1):
-            rows.append(top)
-            c = top[-1]  # Y * top = c * Y^s + (top shifted up)
-            top = tuple((lo + c * y) % q for lo, y in zip((0,) + top[:-1], rows[s]))
         # every digit packed or folded stays below this bound (module
         # docstring)
         width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
@@ -212,14 +206,19 @@ class RingSpec:
                 hi, (1 << hi) - 1, lo, (1 << lo) - 1, ones,
                 q * -(-2 * s * (q - 1) ** 2 // q) * ones,
                 -(-(1 << k) // q), k, ((1 << a + 1) - 1) * ones))
+        else:
+            rows = []
+            y_s = top = [-c % q for c in m[:s]]
+            for _ in range(s - 1):
+                rows.append(_pack(top, width))
+                c = top[-1]  # Y * top = c * Y^s + (top shifted up)
+                top = [(lo + c * y) % q for lo, y in zip([0] + top[:-1], y_s)]
+            object.__setattr__(self, "_packed_rows", tuple(rows))
         half = 1 << 8 * width - 1
         object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_yrows", tuple(rows))
         object.__setattr__(self, "_qs", _pack([q] * s, width))
         object.__setattr__(self, "_bias", _pack([half - q] * s, width))
         object.__setattr__(self, "_tops", _pack([half] * s, width))
-        if not cyclic:
-            object.__setattr__(self, "_packed_rows", tuple(_pack(r, width) for r in rows[s:]))
 
     # -- structure ---------------------------------------------------
 

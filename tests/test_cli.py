@@ -155,6 +155,12 @@ class TestCommands:
         assert (tmp_path / "h.poly").read_text() == FG_TEXT
         assert run_command(["verify", a, b, out]) == 0
 
+    def test_termless_files_in_many_variables_verify(self, tmp_path, capsys):
+        # the Kronecker map reads the terms, not each of the 10^8 variables
+        z = self._write(tmp_path, "z.poly", "ring int\nvars 100000000\n")
+        assert run_command(["verify", z, z, z]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
     def test_verify_mismatch_exit_code(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.poly", F_TEXT)
         b = self._write(tmp_path, "b.poly", G_TEXT)
@@ -419,7 +425,7 @@ class TestCommands:
             h = str(tmp_path / (name + "h.poly"))
             assert run_command(["mul", "--naive", *paths, "-o", h]) == 0
             a, b, fg = (parse_poly(Path(path).read_text()) for path in (*paths, h))
-            D = fg.var_degree(0)
+            D = fg.var_degrees()[0]
             lam = lambda_nonzero(a.sparsity * b.sparsity + fg.sparsity, D,
                                  verify._split(DEFAULT_EPSILON, name == "z")[0])
             assert lam <= D
@@ -456,7 +462,7 @@ class TestCommands:
         assert run_command(["verify", a, b, str(h)]) == 0
         assert capsys.readouterr().out == "OK\n"
         assert seen and all(field.q == 2 and field.s == 36 and field._cyclic
-                            and field.modulus == (1,) * 37 and p == fg.var_degree(0) + 1
+                            and field.modulus == (1,) * 37 and p == fg.var_degrees()[0] + 1
                             for field, p in seen)
 
     def test_ci_large_pair_checks_h_at_d_plus_one(self, tmp_path, monkeypatch, capsys):

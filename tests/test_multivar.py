@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -113,6 +114,24 @@ class TestKronecker:
         with pytest.raises(ValueError):
             kronecker(f, 3)
 
+    def test_linear_in_the_exponent_vectors(self):
+        # one term in 20,000 variables: its image exponent, 2^20000 - 1, is
+        # 2.5 KB, and no table of the powers d^i is built for it
+        n = 20000
+        f = MultiPoly(ZZ, n, (((1,) * n, 1),))
+        tracemalloc.start()
+        try:
+            image = kronecker(f, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert image.terms == (((1 << n) - 1, 1),)
+        assert peak < 2 ** 20
+        # Horner's rule agrees with sum e_i d^i
+        exps = (4, 0, 7, 1, 8)
+        g = MultiPoly(ZZ, 5, ((exps, 3),))
+        assert kronecker(g, 9).terms == ((sum(e * 9 ** i for i, e in enumerate(exps)), 3),)
+
     def test_inverse_range_guard(self):
         h = canonicalize([(9, 1)], ZZ)
         with pytest.raises(ValueError):
@@ -123,7 +142,7 @@ class TestKronecker:
         for _ in range(50):
             f = rand_multi(rnd, ZZ, 3, 6, 5, 50)
             g = rand_multi(rnd, ZZ, 3, 6, 5, 50)
-            d = 1 + max(f.var_degree(i) + g.var_degree(i) for i in range(3))
+            d = 1 + max(x + y for x, y in zip(f.var_degrees(), g.var_degrees()))
             lhs = kronecker(naive_mul_multi(f, g), d)
             rhs = naive_mul(kronecker(f, d), kronecker(g, d))
             assert lhs == rhs

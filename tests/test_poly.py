@@ -10,7 +10,7 @@ from spmul import (RingMismatchError, UnsupportedRingError, add, canonicalize,
                    naive_mul, negate, prime_field, mul_count,
                    reset_mul_count, scale, sub, zero_poly)
 from spmul import poly
-from spmul.poly import NEG_INF, fixed_base_powers
+from spmul.poly import NEG_INF, fixed_base_powers, ring_sum, term_values
 from spmul.rings import _pow_cost
 
 from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, dict_sum_ring, is_canonical,
@@ -416,14 +416,19 @@ def _z_poly(rnd, q, bound, lookups):
     return canonicalize([(e, rnd.choice(coeffs)()) for e in exps], ZZ)
 
 
+def _power(ring, table, e):
+    """alpha^e, looked up in fixed_base_powers' table of alpha."""
+    return ring_sum(ring, term_values(ring, [(e, 1)], table))
+
+
 def _per_term_tally(field, alpha, P):
-    """The multiplications of one table for P and one power(e) lookup and
-    one coefficient product per term."""
+    """The multiplications of one table for P and, per term, one lookup
+    of alpha^e with its coefficient product."""
     reset_mul_count()
-    power = fixed_base_powers(field, alpha, P.degree + 1, P.sparsity)
+    table = fixed_base_powers(field, alpha, P.degree + 1, P.sparsity)
     for e, _ in P.terms:
-        power(e)
-    return mul_count() + P.sparsity
+        _power(field, table, e)
+    return mul_count()
 
 
 class TestEvalInField:
@@ -505,18 +510,35 @@ class TestFixedBasePowers:
             for bound in (1, 2, 3, 101, 2 ** 40 + 3):
                 for lookups in (1, 10, 10 ** 4):
                     alpha = self._elem(rnd, ring)
-                    power = fixed_base_powers(ring, alpha, bound, lookups)
+                    table = fixed_base_powers(ring, alpha, bound, lookups)
                     exps = {0, bound // 2, bound - 1} | {rnd.randrange(bound) for _ in range(8)}
                     if bound > 1:
                         exps.add(1)
                     for e in sorted(exps):
-                        assert power(e) == ring.pow(alpha, e), (ring, bound, lookups, e)
+                        assert _power(ring, table, e) == ring.pow(alpha, e), (ring, bound, lookups, e)
 
     def test_zero_base(self):
         for ring in self.RINGS:
-            power = fixed_base_powers(ring, ring.zero(), 1000, 10)
-            assert power(0) == ring.one()
-            assert all(power(e) == ring.zero() for e in (1, 2, 999))
+            table = fixed_base_powers(ring, ring.zero(), 1000, 10)
+            assert _power(ring, table, 0) == ring.one()
+            assert all(_power(ring, table, e) == ring.zero() for e in (1, 2, 999))
+
+    def test_lookup_charge_is_max_one_and_nonzero_windows(self):
+        # the row-wise lookups over F_q charge in bulk, those over F_{q^s}
+        # through ring.mul: both max(1, nonzero w-bit windows of e) per term
+        rnd = random.Random(27)
+        for ring in self.RINGS:
+            for bound in (1, 2, 1000, 2 ** 40 + 3):
+                exps = [0, bound - 1] + [rnd.randrange(bound) for _ in range(20)]
+                terms = [(e, self._elem(rnd, ring) or 1) for e in exps]
+                table = fixed_base_powers(ring, self._elem(rnd, ring), bound, len(terms))
+                rows, w = table
+                mask = (1 << w) - 1
+                windows = sum(max(1, sum(1 for i in range(len(rows)) if e >> w * i & mask))
+                              for e in exps)
+                reset_mul_count()
+                list(term_values(ring, terms, table))
+                assert mul_count() == windows, (ring, bound)
 
     def test_worst_case_count(self):
         # (b - 1)(n + 1) for b-bit exponents and n lookups: the w = 1 table,
@@ -528,10 +550,11 @@ class TestFixedBasePowers:
                 exps = [bound - 1] + [rnd.randrange(bound) for _ in range(lookups - 1)]
                 alpha = self._elem(rnd, ring)
                 reset_mul_count()
-                power = fixed_base_powers(ring, alpha, bound, lookups)
+                table = fixed_base_powers(ring, alpha, bound, lookups)
                 for e in exps:
-                    power(e)
-                assert mul_count() <= (bits - 1) * (lookups + 1)
+                    _power(ring, table, e)
+                # less the one coefficient product each lookup also takes
+                assert mul_count() - lookups <= (bits - 1) * (lookups + 1)
 
 
 class TestScaleNegate:

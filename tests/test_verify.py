@@ -9,7 +9,7 @@ from spmul import (RandomSource, UnsupportedRingError, add,
                    naive_mul, negate, prime_field, random_prime, reset_mul_count,
                    scale, verify_sp, verify_sum_sp, zero_poly)
 from spmul import SparsePoly, arith, verify
-from spmul.poly import fixed_base_powers
+from spmul.poly import fixed_base_powers, term_values
 
 from helpers import Q62, monomial, rand_sparse
 
@@ -150,10 +150,10 @@ class TestEvalCyclicProduct:
             g = rand_sparse(rnd, ring, 40, p - f.degree - 1 or 1)
             alpha = _nonzero(rnd, ring)
             reset_mul_count()
-            power = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
+            table = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
             for e, _ in f.terms + g.terms:
-                power(e)
-            want = mul_count() + f.sparsity + g.sparsity + 1
+                term_values(ring, [(e, 1)], table)
+            want = mul_count() + 1
             reset_mul_count()
             value = eval_cyclic_product(f, g, p, alpha)
             assert mul_count() == want
@@ -691,6 +691,17 @@ class TestSmallExtensionField:
             f = rand_sparse(rnd, ring, 5, 2000)
             g = rand_sparse(rnd, ring, 5, 2000)
             assert verify_sp(f, g, naive_mul(f, g), 0.01, RandomSource(i))
+        # an input ring on Phi_5 = 1 + Y + ... + Y^4, whose weights come
+        # from the modulus alone: it has no reduction rows
+        f81 = ext_field(3, 4, (1,) * 5)
+        for i in range(100):
+            f = rand_sparse(rnd, f81, 5, 2000)
+            g = rand_sparse(rnd, f81, 5, 2000)
+            assert verify_sp(f, g, naive_mul(f, g), 0.01, RandomSource(i))
+
+    def test_cyclotomic_f81_error_in_top_coordinate_rejected(self):
+        f81 = ext_field(3, 4, (1,) * 5)
+        assert self._rejection_rate(f81, (0, 0, 0, 1), 200, 125) >= 0.97
 
     def test_true_f9_triples_at_large_eps_never_raise(self):
         # a large eps only shrinks the check field: a true identity verifies
