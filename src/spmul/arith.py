@@ -216,6 +216,28 @@ def lambda_nonzero(T: int, D, eps: float) -> int:
     return max(21, ceil_bound(10.0 * T * math.log(D) / (3.0 * eps)))
 
 
+def _omega_bound(D: int) -> int:
+    """k(D), the largest k with p_1*...*p_k < D for the first primes
+    p_1 = 2, p_2 = 3, ...: the most distinct prime factors a nonzero
+    integer m with |m| < D can have (0 for D <= 2).
+
+    Proof: let m have w distinct prime factors.  Listed in increasing
+    order, the i-th of them is at least p_i, so p_1*...*p_w <= |m| < D and
+    w <= k(D).  The bound is tight: the primorial p_1*...*p_k has exactly
+    k.  It is at most log2 D, and far below it for large D (9 against 31
+    at D = 2*10^9), since a primorial grows like e^(p_k).
+
+    Exact for any D, however wide: the primorial is an int, and the loop
+    takes k + 1 primes, found by testing small candidates with is_prime.
+    """
+    k, primorial, p = 0, 2, 2
+    while primorial < D:
+        k += 1
+        p = next(n for n in itertools.count(p + 1) if is_prime(n))
+        primorial *= p
+    return k
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over F_q (little-endian int lists), used only to prove
 # moduli irreducible: one product, one remainder by a monic divisor, and

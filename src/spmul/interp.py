@@ -1,8 +1,10 @@
 """Sparse interpolation of a sum of sparse products from cyclic residues.
 
 Each round reduces the target modulo X^p - 1 for a random prime p among
-the first O(T log D) primes.  A term c*X^e of the target that does not
-collide with another term mod p shows up in the residue as c*X^(e mod p)
+the first O(T k(D)) primes, k(D) = O(log D / log log D) being the most
+distinct prime factors a positive integer below D can have
+(arith._omega_bound).  A term c*X^e of the target that does not collide
+with another term mod p shows up in the residue as c*X^(e mod p)
 and in the derivative's residue as (c*e)*X^((e-1) mod p), so e pops out
 of one division.  Both residues come from one pass over the term pairs
 (cyclic_product_residue): grouping each operand's terms by e mod p into
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .arith import RandomSource, first_primes
+from .arith import RandomSource, _omega_bound, first_primes
 from .errors import CharacteristicTooSmallError, SparsityBoundError
 from .poly import SparsePoly, _same_ring, add, dense_cyclic_mul, height_bound, zero_poly
 from .rings import RingSpec, add_mul_count
@@ -98,28 +100,24 @@ def find_terms(p: int, H_p: SparsePoly, Hprime_p: SparsePoly, D: int,
             (not Hprime_p.is_zero and Hprime_p.degree >= p):
         raise ValueError("residues must have degree < p")
 
+    terms = H_p.terms
     deriv = dict(Hprime_p.terms)
-    invs = None
-    if ring.is_field and H_p.terms:
-        invs = _batch_inverse(ring, [c for _, c in H_p.terms])
-    out = []
-    for i, (r, c) in enumerate(H_p.terms):
-        cp = deriv.get((r - 1) % p, 0)
-        if ring.is_field:
-            # an element lies in the prime subfield iff it is below q, and
-            # D < q, so the degree test below does both
-            e = ring.mul(cp, invs[i])
-        else:
-            e, rem = divmod(cp, c)
-            if rem != 0:
-                continue
-        if not 0 <= e <= D:
-            continue
-        if e % p != r:
-            continue
-        if C is not None and ring.kind == "integers" and abs(c) > C:
-            continue
-        out.append((e, c))
+    # candidates (r, e, c), e the exponent read off slot r
+    if ring.is_field:
+        # an element lies in the prime subfield iff it is below q, and
+        # D < q, so the degree test below does both
+        invs = _batch_inverse(ring, [c for _, c in terms]) if terms else []
+        cands = [(r, ring.mul(deriv.get((r - 1) % p, 0), inv), c)
+                 for (r, c), inv in zip(terms, invs)]
+    else:
+        if C is not None:
+            terms = [(r, c) for r, c in terms if abs(c) <= C]
+        cands = []
+        for r, c in terms:
+            e, rem = divmod(deriv.get((r - 1) % p, 0), c)
+            if not rem:
+                cands.append((r, e, c))
+    out = [(e, c) for r, e, c in cands if 0 <= e <= D and e % p == r]
     return SparsePoly(ring, tuple(sorted(out)))
 
 
@@ -275,6 +273,23 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     which needs terms of H - h* to collide at that round's p into a term
     consistent with both residues.  The output is certified only by
     verifying it.
+
+    Each round draws its prime p uniformly from a pool, the first
+    2*ceil(6.4*(T-1)*k(D)) primes, where k(D) = arith._omega_bound(D) is
+    the largest k with p_1*...*p_k < D.  For one term c*X^e of a
+    T-sparse H, the bad primes are those under which it collides: the
+    divisors of some difference e' - e over the other exponents e' of H.
+    There are at most T - 1 such differences, each a nonzero integer of
+    absolute value below D, so each has at most k(D) distinct prime
+    factors, and at most (T-1)*k(D) primes are bad for the term.  The
+    share of bad primes in the pool is then at most
+    (T-1)*k(D) / (2*ceil(6.4*(T-1)*k(D))) <= 1/12.8 for every T and D, the
+    constant share behind the round count's "halves the missing terms
+    with constant probability".  The ceiling matters at small (T-1)*k(D):
+    a floor gives T = 2, D = 100 a pool of 38 primes, 3 of them (2, 3, 5
+    for e' - e = 30) bad.  Counting prime factors with multiplicity
+    (log2 D) would give the same share from a larger pool: 31 against
+    k(D) = 9 at D = 2*10^9.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -295,8 +310,9 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     rounds = math.ceil(math.log2(2 * T)) + math.ceil(math.log2(1.0 / mu)) + 2
     double_c = 2 * C if C is not None else None
     h_star = zero_poly(ring)
-    # rounds draw p from the first 2*floor(6.4*(T-1)*log2 D) primes
-    n_pool = max(1, math.floor((32.0 / 5.0) * (T - 1) * math.log2(D)))
+    # the pool sized above: 2*ceil(6.4*(T-1)*k(D)) primes, the ceiling
+    # taken in exact integer arithmetic (6.4 = 32/5)
+    n_pool = max(1, -(-32 * (T - 1) * _omega_bound(D) // 5))
     primes = first_primes(2 * n_pool)
     for _ in range(rounds):
         p = primes[rng.randrange(len(primes))]

@@ -193,6 +193,50 @@ class TestLambdaFormulas:
                 ceil_bound(*factors)
 
 
+class TestOmegaBound:
+    # k(D) = _omega_bound(D): the largest k with p_1*...*p_k < D, the most
+    # distinct prime factors an integer in [1, D) can have
+    def test_exhaustive_below_2_16(self):
+        # omega(m) from a smallest-prime-factor sieve; k(m + 1) is the
+        # bound for every integer up to m, and the running maximum of
+        # omega reaches it, since the largest primorial <= m lies in range
+        n = 1 << 16
+        spf = list(range(n))
+        for r in range(2, math.isqrt(n - 1) + 1):
+            if spf[r] == r:
+                for j in range(r * r, n, r):
+                    if spf[j] == j:
+                        spf[j] = r
+        most = 0
+        for m in range(1, n):
+            omega, v = 0, m
+            while v > 1:
+                r = spf[v]
+                omega += 1
+                while v % r == 0:
+                    v //= r
+            most = max(most, omega)
+            assert arith._omega_bound(m + 1) == most, m
+
+    def test_tight_at_each_primorial(self):
+        primorial = 1
+        for k, p in enumerate(trial_division_primes(300), start=1):
+            primorial *= p
+            # the primorial itself has k distinct prime factors, and is
+            # the least integer that does
+            assert arith._omega_bound(primorial + 1) == k
+            assert arith._omega_bound(primorial) == k - 1
+
+    def test_spot_values(self):
+        # p_1*...*p_9 = 223092870 < 2*10^9 < p_1*...*p_10 = 6469693230;
+        # 2^64 lies between the primorials of 47 and 53, 10^300 between
+        # those of 719 and 727, the 128th and 129th primes
+        assert arith._omega_bound(2 * 10 ** 9) == 9
+        assert arith._omega_bound(2 ** 64) == 15
+        assert arith._omega_bound(10 ** 300) == 128
+        assert [arith._omega_bound(D) for D in (1, 2, 3, 6, 7)] == [0, 0, 1, 1, 2]
+
+
 class TestFqGcd:
     @staticmethod
     def _times(a, b):

@@ -11,7 +11,7 @@ import pytest
 from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonicalize,
                    canonicalize_multi, ext_field, integers, kronecker, lambda_nonzero,
                    multivar_product_smallchar, naive_mul_multi, prime_field)
-from spmul import arith, cli, product, verify
+from spmul import arith, cli, interp, product, verify
 from spmul.cli import DEFAULT_EPSILON, format_poly, parse_poly, run_command
 
 import ci_inputs
@@ -501,6 +501,47 @@ class TestCommands:
         bad = self._write(tmp_path, "bigzbad.poly", "".join(lines))
         assert run_command(["verify", a, b, bad]) == 1
         assert capsys.readouterr().out == "MISMATCH\n"
+
+    def test_ci_random_pair_runs_multi_round_jobs(self, tmp_path, monkeypatch, capsys):
+        # rza/rzb: 64 x 64 terms over Z below 10^9, about 4,000 product
+        # terms; at least one interpolation job walks the pairs more than
+        # once, each walk at a prime from its pool, and the product equals
+        # the schoolbook one, passes its check, and fails it with one
+        # coefficient changed; the estimate lies in [n, 2n]
+        walks = []
+        real_job, real_walk = product.interp_sum_sp, interp.cyclic_product_residue
+
+        def interp_sum_sp(pairs, T, mu, rng):
+            walks.append(0)
+            return real_job(pairs, T, mu, rng)
+
+        def cyclic_product_residue(*args, **kwargs):
+            walks[-1] += 1
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        files = ci_inputs.random_pair()
+        a, b = (self._write(tmp_path, f"rz{side}.poly", files[f"rz{side}.poly"])
+                for side in "ab")
+        h, naive = tmp_path / "rzh.poly", tmp_path / "rznaive.poly"
+        assert run_command(["mul", a, b, "-o", str(h)]) == 0
+        assert walks and max(walks) >= 2
+        assert run_command(["mul", "--naive", a, b, "-o", str(naive)]) == 0
+        assert h.read_bytes() == naive.read_bytes()
+        assert run_command(["verify", a, b, str(h)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        lines = h.read_text().splitlines(keepends=True)
+        n = sum(line.startswith("term") for line in lines)
+        assert 4000 <= n <= 64 * 64
+        i = next(k for k, line in enumerate(lines) if line.startswith("term"))
+        _, c, e = lines[i].split()
+        lines[i] = f"term {int(c) + 1} {e}\n"
+        bad = self._write(tmp_path, "rzbad.poly", "".join(lines))
+        assert run_command(["verify", a, b, bad]) == 1
+        assert capsys.readouterr().out == "MISMATCH\n"
+        assert run_command(["estimate", a, b]) == 0
+        assert n <= int(capsys.readouterr().out) <= 2 * n
 
     def test_ci_extension_pair_is_interpolated_in_its_field(self, tmp_path, monkeypatch):
         # x3a/x3b: the CLI product wraps modulo X^p - 1 and its terms are

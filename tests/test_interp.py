@@ -353,17 +353,64 @@ class TestInterpSumSP:
         f = monomial(ZZ, 2, 1)
         g = canonicalize([(98, 1), (0, -1)], ZZ)
         h = naive_mul(f, g)
-
-        class FirstDrawIs7(RandomSource):
-            def randrange(self, n):
-                # rounds draw from the first primes 2, 3, 5, 7, ...
-                return 3 if not rounds else super().randrange(n)
-
         rounds = _watch_rounds(monkeypatch)
+        # the first round walks and reads its residues at p = 7, whatever
+        # prime it drew; later rounds keep their own
+        for name, at in (("cyclic_product_residue", 2), ("find_terms", 0)):
+            def at_7_first(*args, _real=getattr(interp, name), _at=at, **kwargs):
+                if not rounds:
+                    args = args[:_at] + (7,) + args[_at + 1:]
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(interp, name, at_7_first)
         for seed in range(10):
             rounds.clear()
-            assert interp_sum_sp([(f, g)], 2, 0.25, FirstDrawIs7(seed)) == h
+            assert interp_sum_sp([(f, g)], 2, 0.25, RandomSource(seed)) == h
             assert rounds[0].is_zero and len(rounds) >= 2
+
+    @pytest.mark.parametrize("T, D", [(T, D) for T in (2, 16, 128)
+                                      for D in (10 ** 2, 10 ** 4, 10 ** 9, 2 ** 64) if T < D / 4])
+    def test_pool_bounds_the_bad_primes_of_every_term(self, monkeypatch, T, D):
+        # exponent sets whose differences are multiples of primorials, the
+        # integers with the most distinct prime factors: an arithmetic
+        # progression whose step is a primorial, and multiples of the
+        # largest primorials below D (for T = 2, 0 and the largest one).
+        # Over every prime of the job's pool, each term collides with
+        # another under at most 1/12.8 of them
+        primorials = [1]
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+            if primorials[-1] * p >= D:
+                break
+            primorials.append(primorials[-1] * p)
+        step = max(P for P in primorials if (T - 1) * P < D)
+        multiples = [0]
+        for P in reversed(primorials[1:]):
+            for e in range(P, D, P):
+                if len(multiples) == T:
+                    break
+                if e not in multiples:
+                    multiples.append(e)
+        pools = []
+        real = interp.first_primes
+        monkeypatch.setattr(interp, "first_primes", lambda n: pools.append(real(n)) or pools[-1])
+        rnd = random.Random(T)
+        for exps in ([i * step for i in range(T)], multiples):
+            assert len(set(exps)) == T and max(exps) < D
+            # the product F*X^s has degree D - 1, so the job's degree bound is D
+            f = canonicalize([(e, rnd.choice((-1, 1)) * rnd.randint(1, 2 ** 20)) for e in exps], ZZ)
+            g = monomial(ZZ, D - 1 - max(exps), 1)
+            pools.clear()
+            assert interp_sum_sp([(f, g)], T, 0.25, RandomSource(T)) == naive_mul(f, g)
+            pool = pools[0]
+            bad = [0] * T
+            for p in pool:
+                slots = {}
+                for e in exps:
+                    slots[e % p] = slots.get(e % p, 0) + 1
+                for i, e in enumerate(exps):
+                    bad[i] += slots[e % p] > 1
+            # max(bad) <= |pool| / 12.8, in integers
+            assert 64 * max(bad) <= 5 * len(pool), (exps, max(bad), len(pool))
 
     def test_field_interpolation(self):
         fq = prime_field(Q62)

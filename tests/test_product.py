@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -9,7 +8,7 @@ from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
                    first_primes, integers, lambda_no_collision,
                    multivar_product_smallchar, naive_mul, prime_field, scale,
                    sparse_product, zero_poly)
-from spmul import interp, product
+from spmul import arith, interp, product
 from spmul.cli import format_poly, run_command
 
 from helpers import Q62, as_multi, monomial, rand_sparse, sumset_size
@@ -87,8 +86,10 @@ def _watch_walks(monkeypatch) -> list:
 
 def _pool_top(T, D) -> int:
     """The largest prime an interpolation job with sparsity bound T and
-    degree bound D draws its rounds from."""
-    return first_primes(2 * max(1, math.floor(6.4 * (T - 1) * math.log2(D))))[-1]
+    degree bound D draws its rounds from: its pool is the first
+    2*ceil(6.4*(T-1)*k(D)) primes, k(D) the most distinct prime factors
+    of an integer below D."""
+    return first_primes(2 * max(1, -(-32 * (T - 1) * arith._omega_bound(D) // 5)))[-1]
 
 
 def _lattice(t0, n) -> list:
