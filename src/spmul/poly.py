@@ -275,23 +275,28 @@ def ring_sum(ring: RingSpec, values):
     return reduce(ring.add, values, 0)
 
 
-def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None):
-    """F(alpha) in field (F.ring by default), every alpha^e from one
-    fixed-base table (fixed_base_powers) sized by deg F and #F.
-
-    field may also be F_q for F over Z, giving the value of F's image mod
-    q from F's own terms, or an extension of F_q for F over F_q.
-    Evaluation in the integers is intentionally unsupported: values of
-    size deg*log(alpha) defeat the point of sparse verification, which
-    always routes through a prime field instead.
-    """
-    ring = F.ring
+def _image_field(ring: RingSpec, field: RingSpec | None) -> RingSpec:
+    """field (ring when None), once checked to hold an image of ring:
+    ring itself, F_q for ring Z or an extension of F_q for ring F_q, where
+    term_values reads the coefficients as they are.  Evaluation in the
+    integers is intentionally unsupported: values of size deg*log(alpha)
+    defeat the point of sparse verification, which always routes through
+    a prime field instead."""
     field = ring if field is None else field
     if not field.is_field:
         raise UnsupportedRingError("evaluation requires a finite field")
     if ring != field and not (ring.kind == "integers" and field.kind == "prime_field"
                               or ring.kind == "prime_field" and ring.q == field.q):
         raise RingMismatchError("the polynomial has no image in the evaluation field")
+    return field
+
+
+def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None):
+    """F(alpha) in field (F.ring by default, or a field holding an image
+    of it: _image_field), every alpha^e from one fixed-base table
+    (fixed_base_powers) sized by deg F and #F; over Z in F_q, the value of
+    F's image mod q from F's own terms."""
+    field = _image_field(F.ring, field)
     if F.is_zero:
         return 0
     table = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)

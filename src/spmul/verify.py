@@ -17,11 +17,11 @@ from growing with D.  Every identity takes one check: one p, at most one
 extension field and one point.  Over the integers the evaluation is
 never carried out in Z (values of size p*log(alpha) would defeat
 sparsity); a random coefficient prime q is drawn and the check runs in
-F_q.  The factors' residues are copied into F_q first, but H, the large
-side, is evaluated in F_q from its own terms (poly.eval_sparse with a
-field), never copied.  A field
-with more than c2*p points hosts the point itself.  A smaller one is
-evaluated in F_{q^S'}, built on the fly over its prime field F_q: S is
+F_q.  F, G and H are evaluated in F_q from their own terms
+(eval_cyclic_product and poly.eval_sparse with a field), never copied,
+as they are in an extension hosting an F_q check.  A field with more
+than c2*p points hosts the point itself.  A smaller one is evaluated
+in F_{q^S'}, built on the fly over its prime field F_q: S is
 least with q^S > c2*p, and S' (arith.cyclotomic_degree) the least
 degree in [S, 2S) with S' + 1 a prime modulo which q is a primitive root.
 Its modulus Phi_{S'+1} = 1 + Y + ... + Y^S' is irreducible without a
@@ -48,9 +48,8 @@ from operator import itemgetter
 
 from .arith import (RandomSource, ceil_bound, cyclotomic_degree, irreducible_poly,
                     lambda_nonzero, random_prime)
-from .errors import UnsupportedRingError
-from .poly import (SparsePoly, _same_ring, cyclic_reduce, eval_sparse, fixed_base_powers,
-                   height_bound, ring_sum, term_values)
+from .poly import (SparsePoly, _image_field, _same_ring, cyclic_reduce, eval_sparse,
+                   fixed_base_powers, height_bound, ring_sum, term_values)
 from .rings import RingSpec, prime_field
 
 _LN2 = math.log(2.0)
@@ -75,8 +74,11 @@ def _split(eps: float, over_z: bool) -> tuple[float, float]:
     return eps / 2.0, 2.0 / eps
 
 
-def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
-    """Evaluate R = (F_p * G_p) mod X^p - 1 at alpha without forming the product.
+def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
+                        field: RingSpec | None = None):
+    """Evaluate R = (F_p * G_p) mod X^p - 1 at alpha in field (the
+    operands' ring by default, or a field holding an image of it, as for
+    eval_sparse) without forming the product or copying the operands.
 
     F_p * G_p = R + (X^p - 1) * Q, where Q = sum f_t g_j X^(t+j-p) over
     the pairs with t + j >= p, so
@@ -93,16 +95,15 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
     The values f_t alpha^t and g_j alpha^j come from one fixed-base table
     (fixed_base_powers) for exponents below p, looked up as in
     eval_sparse (term_values).  The charge is the table, max(1, nonzero
-    windows of e) per term of F_p and of G_p, and one product for
+    windows of e) per term of F_p and of G_p (a term whose coefficient
+    vanishes mod q is looked up too: its value is 0), and one product for
     F_p(alpha) * G_p(alpha); a wrapping pair adds one product per
     wrapping term of G_p, and, for alpha != 0, the exponentiation
     alpha^((-p) mod (|F| - 1)) = alpha^-p through ring.pow and one
     product more.  That is O((#F + #G) log p / log(#F + #G) + log |F|)
     ring multiplications, all charged to the global counter.
     """
-    ring = _same_ring(F_p, G_p)
-    if not ring.is_field:
-        raise UnsupportedRingError("cyclic evaluation requires a finite field")
+    field = _image_field(_same_ring(F_p, G_p), field)
     if p < 1:
         raise ValueError("p must be >= 1")
     if (not F_p.is_zero and F_p.degree >= p) or (not G_p.is_zero and G_p.degree >= p):
@@ -110,36 +111,22 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha):
     if F_p.is_zero or G_p.is_zero:
         return 0
 
-    table = fixed_base_powers(ring, alpha, p, F_p.sparsity + G_p.sparsity)
-    f_vals = list(term_values(ring, F_p.terms, table))
-    g_vals = list(term_values(ring, G_p.terms, table))
-    value = ring.mul(ring_sum(ring, f_vals), ring_sum(ring, g_vals))
+    table = fixed_base_powers(field, alpha, p, F_p.sparsity + G_p.sparsity)
+    f_vals = list(term_values(field, F_p.terms, table))
+    g_vals = list(term_values(field, G_p.terms, table))
+    value = field.mul(ring_sum(field, f_vals), ring_sum(field, g_vals))
     first = bisect_left(G_p.terms, p - F_p.degree, key=itemgetter(0))
     wraps = G_p.terms[first:]
     if not wraps:
         return value
     if not alpha:
         f = dict(F_p.terms)
-        return reduce(ring.add, (ring.mul(f[p - j], g) for j, g in wraps if p - j in f), value)
+        return reduce(field.add, (field.mul(f[p - j], g) for j, g in wraps if p - j in f), value)
     f_exps = list(map(itemgetter(0), F_p.terms))
-    suffix = list(accumulate(reversed(f_vals), ring.add))[::-1]  # suffix[i] = S(f_exps[i])
-    W = reduce(ring.add, (ring.mul(v, suffix[bisect_left(f_exps, p - j)])
-                          for (j, _), v in zip(wraps, g_vals[first:])))
-    return ring.add(value, ring.mul(ring.sub(ring.pow(alpha, -p % (ring.size - 1)), 1), W))
-
-
-def _residue_in(P: SparsePoly, p: int, field: RingSpec) -> SparsePoly:
-    # P mod X^p - 1 with its coefficients mapped into the evaluation field
-    P_p = cyclic_reduce(P, p)
-    if P.ring == field:
-        return P_p
-    if P.ring.kind == "integers":
-        # into the F_q built once per check, not a new (primality-tested)
-        # prime_field(q) per polynomial
-        q = field.q
-        return SparsePoly(field, tuple((e, cr) for e, c in P_p.terms if (cr := c % q)))
-    # an F_q element is its own image in an extension of F_q
-    return SparsePoly(field, P_p.terms)
+    suffix = list(accumulate(reversed(f_vals), field.add))[::-1]  # suffix[i] = S(f_exps[i])
+    W = reduce(field.add, (field.mul(v, suffix[bisect_left(f_exps, p - j)])
+                           for (j, _), v in zip(wraps, g_vals[first:])))
+    return field.add(value, field.mul(field.sub(field.pow(alpha, -p % (field.size - 1)), 1), W))
 
 
 def _image(P_p: SparsePoly, weights, field: RingSpec) -> SparsePoly:
@@ -184,10 +171,10 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
 
     s evaluations per pair, phi applied to each coefficient.
 
-    Over Z and F_q, H is evaluated from its own terms, never copied into
-    the field: eval_sparse with the field takes H itself at p = D + 1 and
-    cyclic_reduce(H, p) on the cyclic route.  Only the factors, and the
-    image phi(H) of a small F_{q^s}, are copied.
+    Over Z and F_q no polynomial is copied into the field: F_i, G_i and H
+    are evaluated from their own terms (eval_cyclic_product and
+    eval_sparse with the field), as cyclic_reduce(P, p), which is P
+    itself at p = D + 1.  Only phi's images of a small F_{q^s} are built.
 
     Soundness.  Let D_j be coordinate j of sum F_i G_i - H.  Its support
     lies in supp(sum F_i G_i) u supp(H), so it has at most sparsity_sum
@@ -243,15 +230,15 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
 
         h = _image(cyclic_reduce(H, p), beta, field)
     else:
-        def factors(F, G):
-            return [(_residue_in(F, p, field), _residue_in(G, p, field))]
+        def factors(F, G):  # F and G themselves at p = D + 1
+            return [(cyclic_reduce(F, p), cyclic_reduce(G, p))]
 
-        h = cyclic_reduce(H, p)  # H itself at p = D + 1
+        h = cyclic_reduce(H, p)
 
     lhs = 0
     for F, G in pairs:
         for f, g in factors(F, G):
-            lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha))
+            lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha, field))
     return lhs == eval_sparse(h, alpha, field)
 
 

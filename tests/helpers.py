@@ -9,7 +9,7 @@ import random
 
 from hypothesis import strategies as st
 
-from spmul import MultiPoly, SparsePoly, canonicalize, canonicalize_multi
+from spmul import MultiPoly, SparsePoly, canonicalize, canonicalize_multi, verify
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,25 @@ def canonical_walk_oracle(q: int, s: int, is_irreducible) -> tuple:
 def eval_oracle_prime_field(terms, alpha: int, q: int) -> int:
     """Evaluation over F_q using builtin pow only."""
     return sum(c * pow(alpha, e, q) for e, c in terms) % q
+
+
+# ---------------------------------------------------------------------------
+# watchers
+
+def watch_cyclic_evaluations(monkeypatch, record=lambda F_p, G_p, p, field: (field, p)) -> list:
+    """List that receives record(F_p, G_p, p, field) for every
+    eval_cyclic_product call the verifier makes, field being the field
+    argument the call receives; by default (field, p), the field the call
+    evaluates in and the cyclic prime."""
+    seen = []
+    real = verify.eval_cyclic_product
+
+    def eval_cyclic_product(F_p, G_p, p, alpha, field=None):
+        seen.append(record(F_p, G_p, p, field))
+        return real(F_p, G_p, p, alpha, field)
+
+    monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from spmul import arith, cli, interp, product, verify
 from spmul.cli import DEFAULT_EPSILON, format_poly, parse_poly, run_command
 
 import ci_inputs
-from helpers import Q62, as_multi, rand_multi, rand_sparse
+from helpers import Q62, as_multi, rand_multi, rand_sparse, watch_cyclic_evaluations
 
 ZZ = integers()
 
@@ -410,14 +410,7 @@ class TestCommands:
         # check runs in the cyclotomic extension F_3[Y]/(Phi_(s+1)) with
         # s >= 40 and more than c2*p elements, the F_(Q61^3) one in its own
         # ring, through the row fold
-        seen = []
-        real = verify.eval_cyclic_product
-
-        def eval_cyclic_product(F_p, G_p, p, alpha):
-            seen.append((F_p.ring, p))
-            return real(F_p, G_p, p, alpha)
-
-        monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+        seen = watch_cyclic_evaluations(monkeypatch)
         files = ci_inputs.wrapping_pairs()
         for name in ("z", "q", "f9", "x3"):
             paths = [self._write(tmp_path, name + side + ".poly", files[name + side + ".poly"])
@@ -445,14 +438,7 @@ class TestCommands:
         # f256a/f256b: 8 x 8 terms over F_256 below 10^4, checked at
         # p = D + 1 in F_2[Y]/(Phi_37) = F_(2^36), so q = 2 takes the lane
         # fold
-        seen = []
-        real = verify.eval_cyclic_product
-
-        def eval_cyclic_product(F_p, G_p, p, alpha):
-            seen.append((F_p.ring, p))
-            return real(F_p, G_p, p, alpha)
-
-        monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+        seen = watch_cyclic_evaluations(monkeypatch)
         files = ci_inputs.f256_pair()
         a, b = (self._write(tmp_path, f"f256{side}.poly", files[f"f256{side}.poly"])
                 for side in "ab")
@@ -469,19 +455,15 @@ class TestCommands:
         # bigza/bigzb: 200 x 200 terms over Z below 10^9, about 40,000
         # product terms, checked at p = D + 1 with H evaluated as it is;
         # one changed coefficient is a MISMATCH with exit code 1
-        seen, primes = [], set()
-        real, real_cyclic = verify.eval_sparse, verify.eval_cyclic_product
+        seen = []
+        real = verify.eval_sparse
 
         def eval_sparse(P, alpha, field=None):
             seen.append((P.ring, P.terms[-1][0], P.sparsity, field))
             return real(P, alpha, field)
 
-        def eval_cyclic_product(F_p, G_p, p, alpha):
-            primes.add(p)
-            return real_cyclic(F_p, G_p, p, alpha)
-
         monkeypatch.setattr(verify, "eval_sparse", eval_sparse)
-        monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
+        primes = watch_cyclic_evaluations(monkeypatch, lambda F_p, G_p, p, field: p)
         files = ci_inputs.large_pair()
         a, b = (self._write(tmp_path, f"bigz{side}.poly", files[f"bigz{side}.poly"])
                 for side in "ab")
@@ -494,7 +476,7 @@ class TestCommands:
         assert capsys.readouterr().out == "OK\n"
         (ring, degree, sparsity, field), = seen
         assert ring == ZZ and sparsity == n and field.kind == "prime_field"
-        assert primes == {degree + 1}
+        assert set(primes) == {degree + 1}
         i = next(k for k, line in enumerate(lines) if line.startswith("term"))
         _, c, e = lines[i].split()
         lines[i] = f"term {2 * int(c)} {e}\n"

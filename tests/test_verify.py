@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spmul import (RandomSource, UnsupportedRingError, add,
+from spmul import (RandomSource, RingMismatchError, UnsupportedRingError, add,
                    canonicalize, cyclic_reduce, derivative, eval_cyclic_product,
                    ext_field, eval_sparse, integers, lambda_nonzero, mul_count,
                    naive_mul, negate, prime_field, random_prime, reset_mul_count,
@@ -11,7 +11,7 @@ from spmul import (RandomSource, UnsupportedRingError, add,
 from spmul import SparsePoly, arith, verify
 from spmul.poly import fixed_base_powers, term_values
 
-from helpers import Q62, monomial, rand_sparse
+from helpers import Q62, monomial, rand_sparse, watch_cyclic_evaluations
 
 ZZ = integers()
 F101 = prime_field(101)
@@ -172,6 +172,77 @@ class TestEvalCyclicProduct:
             eval_cyclic_product(f, g, p, alpha)
             bound = 10 * (f.sparsity + g.sparsity + 2) * (math.log2(p) + 1)
             assert mul_count() <= bound
+
+
+class TestEvalCyclicProductInField:
+    """eval_cyclic_product in a field that holds an image of the operands'
+    ring: Z operands in F_q and F_q operands in an extension of F_q, each
+    equal to the value of the operands' copies made in the field."""
+
+    @staticmethod
+    def _z_operand(rnd, q, exps):
+        # coefficients in turn negative, above q and divisible by q
+        draws = (lambda: -rnd.randrange(1, 5 * q), lambda: rnd.randrange(q + 1, 5 * q),
+                 lambda: q * rnd.choice([-3, -1, 1, 2]))
+        return canonicalize([(e, draws[i % 3]()) for i, e in enumerate(exps)], ZZ)
+
+    @staticmethod
+    def _cases(f, g, rnd, field):
+        # (p, alpha): p = D + 1, where nothing wraps, and a p below deg F +
+        # deg G, where pairs wrap; alpha zero and nonzero at each
+        for p in (f.degree + g.degree + 1, max(f.degree, g.degree) + 3):
+            for alpha in (0, 1, field.rand_elem(RandomSource(rnd.randrange(10 ** 6)))):
+                yield p, alpha
+
+    @pytest.mark.parametrize("q", [101, Q62], ids=["F_101", "F_Q62"])
+    def test_z_operands_equal_their_copies_mod_q(self, q):
+        fq = prime_field(q)
+        rnd = random.Random(q % 1009)
+
+        def copy(P):
+            return SparsePoly(fq, tuple((e, c % q) for e, c in P.terms if c % q))
+
+        for _ in range(20):
+            f = self._z_operand(rnd, q, sorted(rnd.sample(range(60), 9)))
+            g = self._z_operand(rnd, q, sorted(rnd.sample(range(60), 7)))
+            # every coefficient divisible by q: the image is zero
+            g0 = canonicalize([(e, q * rnd.choice([-2, 1, 3])) for e, _ in g.terms], ZZ)
+            assert copy(g0).is_zero
+            for p, alpha in self._cases(f, g, rnd, fq):
+                want = eval_cyclic_product(copy(f), copy(g), p, alpha)
+                assert want == _cyclic_eval_oracle(copy(f), copy(g), p, alpha)
+                assert eval_cyclic_product(f, g, p, alpha, fq) == want
+                assert eval_cyclic_product(f, g0, p, alpha, fq) == 0
+                assert eval_cyclic_product(g0, f, p, alpha, fq) == 0
+
+    @pytest.mark.parametrize("q, s, modulus", [(101, 3, None), (3, 4, (1,) * 5)],
+                             ids=["F_101^3", "F_81-cyclotomic"])
+    def test_prime_field_operands_equal_their_copies_in_an_extension(self, q, s, modulus):
+        fq, ext = prime_field(q), ext_field(q, s, modulus)
+        rnd = random.Random(q + s)
+
+        def copy(P):
+            return SparsePoly(ext, tuple((e, ext.coerce([c])) for e, c in P.terms))
+
+        for _ in range(20):
+            f = rand_sparse(rnd, fq, 9, 60)
+            g = rand_sparse(rnd, fq, 7, 60)
+            for p, alpha in self._cases(f, g, rnd, ext):
+                want = eval_cyclic_product(copy(f), copy(g), p, alpha)
+                assert want == _cyclic_eval_oracle(copy(f), copy(g), p, alpha)
+                assert eval_cyclic_product(f, g, p, alpha, ext) == want
+
+    def test_pairings_without_an_image_raise_as_eval_sparse(self):
+        f5, f7, f9 = prime_field(5), prime_field(7), ext_field(3, 2)
+        x5 = canonicalize([(1, 1)], f5)
+        for F, G, field, error in ((F_EX, G_EX, None, UnsupportedRingError),
+                                   (F_EX, G_EX, ZZ, UnsupportedRingError),
+                                   (x5, x5, f7, RingMismatchError),
+                                   (F_EX, G_EX, f9, RingMismatchError)):
+            with pytest.raises(error):
+                eval_sparse(F, 2, field)
+            with pytest.raises(error):
+                eval_cyclic_product(F, G, 30, 2, field)
 
 
 class TestBudgetSplit:
@@ -351,20 +422,6 @@ class TestVerifySP:
             verify_sp(F_EX, G_EX, F_EX, 1.0, RandomSource(0))
 
 
-def _watch_evaluations(monkeypatch) -> list:
-    """List that receives (ring, p) for every eval_cyclic_product call the
-    verifier makes: the field it evaluates in and the cyclic prime."""
-    seen = []
-    real = verify.eval_cyclic_product
-
-    def eval_cyclic_product(F_p, G_p, p, alpha):
-        seen.append((F_p.ring, p))
-        return real(F_p, G_p, p, alpha)
-
-    monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
-    return seen
-
-
 class TestEvaluationRoutes:
     def test_small_prime_field_evaluated_in_itself(self, monkeypatch):
         # X^d * X^d = X^2d at eps = 0.9 keeps lam above D + 1 = 2d + 1, so
@@ -372,7 +429,7 @@ class TestEvaluationRoutes:
         # with 89 > c2*(D + 1) (c2 = 2/0.9, so D <= 39), and an extension
         # F_{89^s} hosts the rest
         c2 = verify._split(0.9, False)[1]
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         f89 = prime_field(89)
         degrees = (1, 19, 20, 30)
         assert {89 > c2 * (2 * d + 1) for d in degrees} == {True, False}
@@ -400,7 +457,7 @@ class TestEvaluationRoutes:
             check_routes(d)
 
     def test_route_per_input_ring(self, monkeypatch):
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         rnd = random.Random(15)
 
         def routes(ring, eps, seeds=8):
@@ -445,7 +502,7 @@ class TestEvaluationRoutes:
         # the p-share eps/3, and the coefficient prime q >= c2*p for c2 =
         # 10/eps.  Exponents below 10^3 keep lam > D + 1, so p = D + 1;
         # exponents near 10^15 put lam <= D, so p comes from [lam, 2*lam]
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         rnd = random.Random(16)
         eps = 0.01
         for emax in (10 ** 3, 10 ** 15):
@@ -469,32 +526,24 @@ class TestEvaluationRoutes:
 
 
 class TestHFromItsOwnTerms:
-    """Over Z and F_q the verifier evaluates H from its own terms: H itself
-    at p = D + 1, cyclic_reduce(H, p) on the cyclic route, and no residue
-    copy of it in the evaluation field."""
-
-    @staticmethod
-    def _watch(monkeypatch) -> tuple:
-        evaluated, copied = [], []
-        real_eval, real_residue = verify.eval_sparse, verify._residue_in
-
-        def eval_sparse(P, alpha, field=None):
-            evaluated.append((P, field))
-            return real_eval(P, alpha, field)
-
-        def _residue_in(P, p, field):
-            copied.append(P)
-            return real_residue(P, p, field)
-
-        monkeypatch.setattr(verify, "eval_sparse", eval_sparse)
-        monkeypatch.setattr(verify, "_residue_in", _residue_in)
-        return evaluated, copied
+    """Over Z and F_q the verifier evaluates H, and F and G with it, from
+    their own terms: each itself at p = D + 1, cyclic_reduce(P, p) in P's
+    own ring on the cyclic route, and no copy of any of them in the
+    evaluation field, which both evaluators take as an argument."""
 
     @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62), F101], ids=["Z", "F_Q62", "F_101"])
     @pytest.mark.parametrize("emax", [10 ** 3, 10 ** 15], ids=["p=D+1", "cyclic"])
     def test_h_is_evaluated_as_it_is(self, monkeypatch, ring, emax):
-        evaluated, copied = self._watch(monkeypatch)
-        seen = _watch_evaluations(monkeypatch)
+        evaluated = []
+        real = verify.eval_sparse
+
+        def eval_sparse(P, alpha, field=None):
+            evaluated.append((P, field))
+            return real(P, alpha, field)
+
+        monkeypatch.setattr(verify, "eval_sparse", eval_sparse)
+        seen = watch_cyclic_evaluations(monkeypatch,
+                                        lambda F_p, G_p, p, field: (F_p, G_p, p, field))
         rnd = random.Random(emax % 97)
         for seed in range(6):
             f = rand_sparse(rnd, ring, 6, emax, 2 ** 40)
@@ -502,16 +551,20 @@ class TestHFromItsOwnTerms:
             h = naive_mul(f, g)
             if seed % 2:
                 h = _perturbed(h, 1)
-            evaluated.clear(), copied.clear(), seen.clear()
+            evaluated.clear(), seen.clear()
             assert verify_sp(f, g, h, 0.01, RandomSource(seed)) == (seed % 2 == 0)
-            (field, p), = seen
-            (P, at), = evaluated
-            assert at == field
+            (F_p, G_p, p, field), = seen
+            (H_p, at), = evaluated
+            # the check field: a coefficient prime field over Z, F_Q62
+            # itself, an extension of F_101
+            assert at == field and field.is_field and (field == ring) == (ring == prime_field(Q62))
             if emax == 10 ** 3:
-                assert p == h.degree + 1 and P is h
+                assert p == h.degree + 1
+                assert F_p is f and G_p is g and H_p is h
             else:
-                assert p <= h.degree and P == cyclic_reduce(h, p) and P.ring == ring
-            assert all(Q is not h for Q in copied) and len(copied) == 2
+                assert p <= h.degree
+                for P, P_p in ((f, F_p), (g, G_p), (h, H_p)):
+                    assert P_p == cyclic_reduce(P, p) and P_p.ring == ring
 
 
 def _perturbed(H, err):
@@ -573,7 +626,7 @@ class TestDegreeRoute:
 
     @pytest.mark.parametrize("ring", RINGS, ids=IDS)
     def test_p_is_d_plus_one_exactly_below_lam(self, monkeypatch, ring):
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         draws = []
         real = verify.random_prime
 
@@ -624,7 +677,7 @@ class TestDegreeRoute:
         # below 10^15 and at lam <= p <= 2*lam near it.  The perturbed
         # coefficient lies below the top term, so the structural checks
         # cannot tell the triple is false
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         err = (1,) + (0,) * (ring.s - 1) if ring.kind == "ext_field" else 1
         share = verify._split(0.01, ring.kind == "integers")[0]
         rnd = random.Random(18)
@@ -720,7 +773,7 @@ class TestSmallExtensionField:
     def _fallback_gates(self, monkeypatch, ring, pairs):
         # every true triple accepted and at least 97% of perturbed ones
         # rejected at eps = 0.01, every check on the canonical modulus
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         err = (1,) + (0,) * (ring.s - 1) if ring.kind == "ext_field" else 1
         rejected = 0
         for seed, (f, g) in enumerate(pairs):
@@ -768,7 +821,7 @@ class TestSmallExtensionField:
         # s - 1 betas of a small F_{q^s}, and nothing for the modulus; the
         # field is a function of (q, S), so seeds that reach one S build
         # one field
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         rnd = random.Random(128)
         triples = []
         if route == "canonical-q31":
@@ -808,7 +861,7 @@ class TestSmallExtensionField:
         assert max(map(len, fields.values())) >= 2
 
     def test_one_extension_draw_per_check(self, monkeypatch):
-        seen = _watch_evaluations(monkeypatch)
+        seen = watch_cyclic_evaluations(monkeypatch)
         moduli = []
         real = verify.irreducible_poly
 
