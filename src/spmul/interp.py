@@ -305,9 +305,9 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed the largest exponent {D - 1}")
     # each round halves the missing terms with constant probability, so
-    # log2(2T) rounds to find everything plus log2(1/mu) to drive the
-    # failure budget down, plus slack
-    rounds = math.ceil(math.log2(2 * T)) + math.ceil(math.log2(1.0 / mu)) + 2
+    # log2(2T) rounds to find everything plus -log2(mu) (1/mu overflows
+    # for a subnormal mu) to drive the failure budget down, plus slack
+    rounds = math.ceil(math.log2(2 * T)) + math.ceil(-math.log2(mu)) + 2
     double_c = 2 * C if C is not None else None
     h_star = zero_poly(ring)
     # the pool sized above: 2*ceil(6.4*(T-1)*k(D)) primes, the ceiling

@@ -5,13 +5,13 @@ Classical Kronecker substitution encodes an exponent vector as base-d
 digits of one univariate exponent, turning a multivariate product into a
 univariate one without changing sparsity or height.  Randomized
 substitution x_i -> X^(s_i) trades injectivity for much smaller degrees.
-The sparsity estimate forms no product of F and G: for a few random
-substitutions s it counts the terms of F_s*G_s, one schoolbook product of
-the substituted operands, at ceil(log2(1/eps))*#F*#G ring mults in all.
-Substitution only merges terms, so the largest count never exceeds the
-true sparsity, and with the substitution box large enough few terms
-merge.  Small characteristic is handled by lifting coefficients to Z,
-multiplying there, and reducing back.
+The sparsity estimate forms no product of F and G: for one random
+substitution s it counts the terms of F_s*G_s, one schoolbook product of
+the substituted operands, at #F*#G ring mults at most.  Substitution only
+merges terms, so the count never exceeds the true sparsity, and with the
+substitution box large enough few terms merge.  Small characteristic is
+handled by lifting coefficients to Z, multiplying there, and reducing
+back.
 """
 
 from __future__ import annotations
@@ -148,26 +148,26 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
     Z and over any finite field: counting the terms of a product, unlike
     interpolating it, puts no condition on the characteristic.
 
-    Each of ell = ceil(log2(1/eps)) iterations draws s uniform in
-    [0, n_box)^n with n_box = ceil((#F*#G - 1)/delta), delta = (1 -
-    1/lam)/2, and counts the terms of F_s*G_s, one schoolbook product of
-    the substituted operands; best is the largest count, and the estimate
-    is ceil(lam*best), at ceil(log2(1/eps))*#F*#G ring mults at most.
+    One draw: s uniform in [0, b^ell)^n, with b = ceil((#F*#G - 1)/delta),
+    delta = (1 - 1/lam)/2 and ell = ceil(-log2(eps)); the estimate is
+    ceil(lam*count) for the count of terms of F_s*G_s, one schoolbook
+    product of the substituted operands, at #F*#G ring mults at most on
+    exponents about ell*log2(b) bits wide, whatever eps.
 
     Upper bound.  Substitution x_i -> X^(s_i) is a ring homomorphism that
-    only merges terms, so every count is at most #(FG)_s <= #(FG), and
-    ceil(lam*best) <= ceil(lam*#(FG)) holds deterministically.
+    only merges terms, so count = #(FG)_s <= #(FG), and ceil(lam*count)
+    <= ceil(lam*#(FG)) holds deterministically.
 
-    Lower bound.  Take two distinct exponent vectors of FG.  They collide
-    under s with probability <= 1/n_box (they differ in some coordinate,
-    and given the others at most one s_i merges them).  A term of FG that
-    collides with no other term under s is a term of (FG)_s = F_s*G_s, and
-    FG has at most #F*#G terms, so each term collides with probability
-    <= (#FG - 1)/n_box <= delta, and the expected number of colliding
-    terms is <= #FG*(1 - 1/lam)/2.  By Markov's inequality, fewer than
-    #FG*(1 - 1/lam) terms collide, so more than #FG/lam survive and
-    ceil(lam*count) >= #FG, with probability >= 1/2 per iteration; all ell
-    iterations miss with probability <= 2^-ell <= eps.
+    Lower bound.  Two distinct exponent vectors of FG collide under s
+    with probability <= 1/b^ell (they differ in some coordinate, and given
+    the others at most one s_i merges them): (1/b)^ell, the chance that
+    they collide in each of ell draws from [0, b)^n.  A term of FG that
+    collides with no other is a term of (FG)_s = F_s*G_s, so at most
+    #FG*(#FG - 1)/b^ell terms collide in expectation, and the estimate
+    falls short of #FG only if more than #FG*(1 - 1/lam) do.  By Markov's
+    inequality, and #FG - 1 <= #F*#G - 1 <= delta*b, that has probability
+    <= (#FG - 1)/((1 - 1/lam)*b^ell) <= b^(1-ell)/2 <= 2^-ell <= eps, as
+    b >= 2 whenever #F*#G >= 2 (and a single term never collides).
     """
     _shared_ring(F, G)
     if not 0.0 < eps < 1.0:
@@ -176,15 +176,12 @@ def sparsity_estimate(F: MultiPoly, G: MultiPoly, eps: float, lam,
         raise ValueError("lam must be finite and exceed 1")
     if F.is_zero or G.is_zero:
         return 0
-    nfng = F.sparsity * G.sparsity
     delta = (1.0 - 1.0 / lam) / 2.0
-    n_box = max(1, ceil_bound((nfng - 1) / delta))
-    best = 0
-    for _ in range(ceil_bound(math.log2(1.0 / eps))):
-        s_vec = tuple(rng.randrange(n_box) for _ in range(F.nvars))
-        F_s, G_s = randomized_kronecker(F, s_vec), randomized_kronecker(G, s_vec)
-        best = max(best, naive_mul(F_s, G_s).sparsity)
-    return ceil_bound(lam * best)
+    b = max(1, ceil_bound((F.sparsity * G.sparsity - 1) / delta))
+    box = b ** ceil_bound(-math.log2(eps))
+    s_vec = tuple(rng.randrange(box) for _ in range(F.nvars))
+    F_s, G_s = randomized_kronecker(F, s_vec), randomized_kronecker(G, s_vec)
+    return ceil_bound(lam, naive_mul(F_s, G_s).sparsity)
 
 
 def _kronecker_product(F: MultiPoly, G: MultiPoly, eps: float, rng: RandomSource,

@@ -581,6 +581,8 @@ class TestCommands:
                     assert captured.err.count("\n") == 1 and "2^-80" in captured.err
         assert Path(out).read_text() == FG_TEXT
         assert run_command(["estimate", a, b, "--epsilon", "1e-30"]) == 0
+        # a subnormal budget sizes its one draw from -log2(eps), not 1/eps
+        assert run_command(["estimate", a, b, "--epsilon", "1e-310"]) == 0
 
     def test_mixed_rings_rejected(self, tmp_path):
         a = self._write(tmp_path, "a.poly", F_TEXT)

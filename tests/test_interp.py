@@ -263,6 +263,12 @@ class TestInterpSumSP:
                    for seed in range(40))
         assert hits >= 30  # failure budget 1/4
 
+    @pytest.mark.parametrize("mu", [1e-310, 5e-324])
+    def test_subnormal_budget(self, mu):
+        # 1/mu overflows; the round count comes from -log2(mu) (1030, 1074)
+        h = naive_mul(F_EX, G_EX)
+        assert interp_sum_sp([(F_EX, G_EX)], 9, mu, RandomSource(0)) == h
+
     def test_identity_factor(self):
         one = monomial(ZZ, 0, 1)
         hits = sum(interp_sum_sp([(F_EX, one)], 3, 0.25, RandomSource(seed)) == F_EX

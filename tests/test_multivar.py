@@ -281,32 +281,63 @@ class TestSparsityEstimate:
             lower_hits += t >= a * b
         assert lower_hits >= 200 * (1 - 2 * eps)
 
-    def test_one_schoolbook_product_per_iteration(self, monkeypatch):
-        calls = {"naive_mul": 0, "product": 0}
+    def test_one_schoolbook_product_per_call(self, monkeypatch):
+        # one draw whatever eps: one naive_mul of the two substituted
+        # operands, and no product of F and G
+        calls = {"naive_mul": 0, "product": 0, "randomized_kronecker": 0}
         naive, product = multivar.naive_mul, multivar.sparse_product
+        substitute = multivar.randomized_kronecker
 
-        def counted_naive(*args, **kwargs):
-            calls["naive_mul"] += 1
-            return naive(*args, **kwargs)
+        def counted(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
-        def counted_product(*args, **kwargs):
-            calls["product"] += 1
-            return product(*args, **kwargs)
-
-        monkeypatch.setattr(multivar, "naive_mul", counted_naive)
-        monkeypatch.setattr(multivar, "sparse_product", counted_product)
-        rnd = random.Random(22)
-        f = rand_multi(rnd, ZZ, 3, 8, 10, 99)
-        g = rand_multi(rnd, ZZ, 3, 8, 10, 99)
-        for eps in (0.9, 0.5, 0.05, 2.0 ** -20, 1e-9):
-            calls.update(naive_mul=0, product=0)
+        monkeypatch.setattr(multivar, "naive_mul", counted("naive_mul", naive))
+        monkeypatch.setattr(multivar, "sparse_product", counted("product", product))
+        monkeypatch.setattr(multivar, "randomized_kronecker",
+                            counted("randomized_kronecker", substitute))
+        f, g = self._twelve_by_twelve()
+        for eps in (0.9, 0.5, 0.05, 2.0 ** -20, 1e-9, 1e-300, 1e-310, 5e-324):
+            calls.update(naive_mul=0, product=0, randomized_kronecker=0)
             sparsity_estimate(f, g, eps, 2, RandomSource(1))
-            assert calls == {"naive_mul": math.ceil(math.log2(1 / eps)), "product": 0}
+            assert calls == {"naive_mul": 1, "product": 0, "randomized_kronecker": 2}, eps
+
+    @pytest.mark.parametrize("eps, trials", [(0.5, 4000), (0.25, 20000)])
+    def test_box_is_b_to_the_ell(self, eps, trials):
+        # (1 + x)(1 - x) = 1 - x^2: G_s vanishes, and the estimate drops
+        # below 2, exactly when s = 0, with probability 1/b^ell for
+        # b = ceil(3/delta) = 12 at lam = 2 and ell = ceil(-log2(eps)); a
+        # smaller box fails more often, a larger one less
+        f = mp([((0,), 1), ((1,), 1)], nvars=1)
+        g = mp([((0,), 1), ((1,), -1)], nvars=1)
+        p = 1 / 12 ** math.ceil(-math.log2(eps))
+        low = sum(sparsity_estimate(f, g, eps, 2, RandomSource(seed)) < 2
+                  for seed in range(trials))
+        sigma = math.sqrt(trials * p * (1 - p))
+        assert abs(low - trials * p) <= 3 * sigma, low
+
+    @staticmethod
+    def _twelve_by_twelve():
+        rnd = random.Random(25)
+        cube = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
+        return tuple(mp([(e, rnd.randint(1, 99)) for e in rnd.sample(cube, 12)], nvars=3)
+                     for _ in range(2))
+
+    def test_subnormal_budgets(self):
+        # ell = ceil(-log2 eps) is 997, 1030 and 1074 here, where 1/eps
+        # overflows the float range; b^ell only widens the exponents
+        f, g = self._twelve_by_twelve()
+        true = naive_mul_multi(f, g).sparsity
+        for eps in (1e-300, 1e-310, 5e-324):
+            t = sparsity_estimate(f, g, eps, 2, RandomSource(3))
+            assert true <= t <= 2 * true, eps
 
     @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62), ext_field(3, 2)],
                              ids=["Z", "F_Q62", "F_9"])
     def test_ring_mults_within_one_schoolbook_per_draw(self, ring):
-        # each draw charges #F_s*#G_s <= #F*#G ring mults, one per term pair
+        # the one draw charges #F_s*#G_s <= #F*#G ring mults, one per term pair
         rnd = random.Random(23)
         for seed in range(10):
             f = rand_multi(rnd, ring, 3, 12, 10, 99)
@@ -314,8 +345,7 @@ class TestSparsityEstimate:
             for eps in (0.3, 2.0 ** -20):
                 reset_mul_count()
                 sparsity_estimate(f, g, eps, 2, RandomSource(seed))
-                bound = math.ceil(math.log2(1 / eps)) * f.sparsity * g.sparsity
-                assert mul_count() <= bound, (seed, eps)
+                assert mul_count() <= f.sparsity * g.sparsity, (seed, eps)
 
     @pytest.mark.parametrize("ring", [ZZ, prime_field(7), ext_field(3, 2)],
                              ids=["Z", "F_7", "F_9"])
