@@ -11,10 +11,13 @@ field arithmetic lives in :mod:`spmul.rings`).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import random
 from array import array
+from collections.abc import Sequence
 
 from .errors import RetryBudgetError
 
@@ -116,32 +119,38 @@ def random_prime(lam: int, rng: RandomSource) -> int:
 
 
 # ---------------------------------------------------------------------------
-# prime table (cached, extended by an odd-only segmented sieve, never rebuilt)
+# prime sieve (cached, extended by an odd-only segmented sieve, never rebuilt)
 
-# one machine int per prime: 8 bytes each instead of a boxed int plus a
-# list slot, and nothing for the garbage collector to walk
-_PRIMES = array("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
-_SIEVED_TO = 61
+# one byte per odd number: byte i stands for 2i + 1, except byte 0, which
+# stands for 2 (1 is no prime and 2 the only even one), so the set bytes of
+# _SIEVE[:i + 1] are the primes up to 2i + 1.  Seeded with the numbers up to 61.
+_SIEVE = bytearray([1] + [all(n % d for d in range(3, n, 2)) for n in range(3, 62, 2)])
+
+# sieve bytes per block; _BLOCK_COUNTS[b] is the number of primes among the
+# first b*_BLOCK bytes, for every block boundary the sieve has passed
+_BLOCK = 256
+_BLOCK_COUNTS = array("q", [0])
 
 # odd numbers per sieve segment (one byte each)
 _SEGMENT = 1 << 18
 
 
 def _extend_sieve(limit: int) -> None:
-    global _SIEVED_TO
-    if limit <= _SIEVED_TO:
+    sieve = _SIEVE
+    if limit <= 2 * len(sieve) - 1:  # the largest odd number sieved
         return
     root = math.isqrt(limit)
-    if root > _SIEVED_TO:
-        _extend_sieve(root)
-    lo = (_SIEVED_TO + 1) | 1  # first odd number not yet sieved
+    _extend_sieve(root)
+    # the odd primes up to root, read off the sieve's prefix
+    small = list(itertools.compress(range(3, root + 1, 2), sieve[1:(root + 1) // 2]))
+    lo = 2 * len(sieve) + 1  # first odd number not yet sieved
     while lo <= limit:
         # the segment holds the odd numbers lo, lo + 2, ..., hi
         n = min(_SEGMENT, (limit - lo) // 2 + 1)
         hi = lo + 2 * (n - 1)
         seg = bytearray(b"\x01") * n
         zeros = memoryview(bytes(n))
-        for p in itertools.islice(_PRIMES, 1, None):
+        for p in small:
             if p * p > hi:
                 break
             # first odd multiple of p that is >= max(p*p, lo)
@@ -151,25 +160,69 @@ def _extend_sieve(limit: int) -> None:
             i = (start - lo) // 2
             if i < n:
                 seg[i::p] = zeros[:(n - 1 - i) // p + 1]
-        _PRIMES.extend(itertools.compress(range(lo, hi + 1, 2), seg))
+        sieve += seg
         lo = hi + 2
-    _SIEVED_TO = limit
+    counts, block = _BLOCK_COUNTS, _BLOCK
+    for b in range(len(counts), len(sieve) // block + 1):
+        counts.append(counts[-1] + sieve.count(1, (b - 1) * block, b * block))
 
 
-def first_primes(count: int) -> array:
-    """The first `count` primes in increasing order, as an ``array('q')``
-    copy of the cached table.
+def _nth_prime(j: int) -> int:
+    # the prime of index j (from 0), which the sieve must hold: its block
+    # is the last whose count of earlier primes is <= j
+    counts = _BLOCK_COUNTS
+    b = bisect.bisect_right(counts, j) - 1
+    lo = b * _BLOCK
+    hi = lo + _BLOCK if b + 1 < len(counts) else len(_SIEVE)
+    i = next(itertools.islice(itertools.compress(range(lo, hi), _SIEVE[lo:hi]),
+                              j - counts[b], None))
+    return 2 * i + 1 if i else 2
 
-    The table grows to the Rosser bound on the largest count requested
-    (about count * (ln count + ln ln count)) and is never shrunk."""
+
+class PrimeView(Sequence):
+    """The first n primes in increasing order, read off the cached sieve:
+    len, indexing (negative indices too) and iteration, no assignment."""
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, j: int) -> int:
+        j = operator.index(j)
+        if j < 0:
+            j += self._n
+        if not 0 <= j < self._n:
+            raise IndexError("prime index out of range")
+        return _nth_prime(j)
+
+    def __iter__(self):
+        # byte 0 stands for 2, byte i >= 1 for 2i + 1
+        numbers = itertools.chain((2,), itertools.count(3, 2))
+        return itertools.islice(itertools.compress(numbers, _SIEVE), self._n)
+
+
+def first_primes(count: int) -> PrimeView:
+    """The first `count` primes in increasing order, as a read-only view of
+    the cached sieve (PrimeView): no table of the primes is built, and
+    indexing finds the j-th prime from per-block prime counts.
+
+    The sieve holds one byte per odd number up to the Rosser bound on the
+    largest count requested (about count * (ln count + ln ln count)), plus
+    one 8-byte count per 256 of those bytes, and is never shrunk."""
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if len(_PRIMES) < count:
-        # the table starts with the 18 primes <= 61, so count > 18 here, and
+    # the primes the sieve holds: those before its last block boundary,
+    # then those after it
+    if _BLOCK_COUNTS[-1] + _SIEVE.count(1, (len(_BLOCK_COUNTS) - 1) * _BLOCK) < count:
+        # the sieve starts with the 18 primes <= 61, so count > 18 here, and
         # p_n < n(ln n + ln ln n) for n >= 6 (Rosser)
         _extend_sieve(int(count * (math.log(count) + math.log(math.log(count)))) + 16)
-    return _PRIMES[:count]
+    return PrimeView(count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,34 @@
 """Sparse interpolation of a sum of sparse products from cyclic residues.
 
-Each round reduces the target modulo X^p - 1 for a random prime p among
+Each round reduces the target H modulo X^p - 1 for a random prime p among
 the first O(T k(D)) primes, k(D) = O(log D / log log D) being the most
 distinct prime factors a positive integer below D can have
-(arith._omega_bound).  A term c*X^e of the target that does not collide
-with another term mod p shows up in the residue as c*X^(e mod p)
-and in the derivative's residue as (c*e)*X^((e-1) mod p), so e pops out
-of one division.  Both residues come from one pass over the term pairs
-(cyclic_product_residue): grouping each operand's terms by e mod p into
-slots that carry sum c and sum e*c gives both the product's slot sums and
-its derivative's, by the product rule.  The slot sums are carried as
+(arith._omega_bound).  The round's residue is a sorted list of slot
+triples (r, c, d), one per slot r < p: c is the coefficient of H mod
+X^p - 1 at X^r and d that of X*H' mod X^p - 1, the sum of e*c_e over the
+terms c_e*X^e of H in the slot.  A term c*X^e of the target that does not
+collide with another term mod p is alone in slot e mod p, where d = e*c,
+so e pops out of one division.  The triples come from one pass over the
+term pairs (cyclic_product_residue): each operand's terms, grouped by
+e mod p into slots carrying the same (r, sum c, sum e*c), give the
+product's c and d by the product rule.  The slot sums are carried as
 integer images (RingSpec.lift), accumulated either pair by pair or through
 the integer kernel poly.dense_cyclic_mul, and dropped back into the
 operands' ring once per slot.  Rounds accumulate recovered terms into a
 running approximation h* and correct earlier mistakes automatically, because
 wrong terms reappear negated in later residues.
 
-A job ends at the first round whose update explains both residues of
-H - h*: then H - h* - update vanishes mod X^p - 1, and so does its
-derivative.  That takes two counts, not another residue walk.  find_terms
-emits at most one term per residue slot r, with e = r (mod p) and that
-slot's c, and then e*c is exactly the derivative slot's coefficient at
-(r - 1) mod p, which is nonzero whenever e > 0 (over a field, e <= D <
-char keeps e nonzero).  Distinct r give distinct slots, so update's
-residues are sub-polynomials of the observed ones, and equal to them iff
-#update = #residue and #residue_d = #{(e, c) in update : e > 0}.  The
-zero residue pair is the empty case.  The rule is a stopping rule, not
-a certificate: p was used to build the update, so a collision at p can
-make a wrong h* look explained.  The caller's verifier (product.py)
-certifies the result.
+A job ends at the first round whose update explains every slot triple of
+H - h*: then H - h* - update vanishes mod X^p - 1, and so does X times its
+derivative.  That takes one count, not another residue walk.  find_terms
+emits at most one term per slot r, and only from a triple with c nonzero,
+with e = r (mod p), that slot's c, and e*c = d.  Distinct r give distinct
+slots, so update's residues are sub-polynomials of the observed ones, and
+equal to them iff #update equals the number of triples: every triple then
+has c nonzero and is matched by its term, d included.  The empty list is
+the zero case.  The rule is a stopping rule, not a certificate: p was used
+to build the update, so a collision at p can make a wrong h* look
+explained.  The caller's verifier (product.py) certifies the result.
 """
 
 from __future__ import annotations
@@ -81,44 +81,41 @@ def _batch_inverse(ring: RingSpec, values: list) -> list:
     return invs
 
 
-def find_terms(p: int, H_p: SparsePoly, Hprime_p: SparsePoly, D: int,
-               C: int | None) -> SparsePoly:
-    """Recover candidate terms of H from H mod X^p-1 and H' mod X^p-1.
+def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None) -> SparsePoly:
+    """Recover candidate terms of H from its slot triples modulo X^p - 1.
 
-    For a residue term (r, c), the matching derivative coefficient c' at
-    X^((r-1) mod p) gives the exponent candidate e = c'/c.  A term is
-    emitted only if the division is valid (exact over Z; a prime-subfield
-    element over F_{q^s}), 0 <= e <= D, e = r (mod p), and |c| <= C over
-    Z.  Every term of the true H that did not collide mod X^p-1 is
-    recovered; colliding terms may produce spurious output.
+    slots are triples (r, c, d) sorted by r < p, as cyclic_product_residue
+    returns them: c is the coefficient of H mod X^p - 1 at X^r and d that of
+    X*H' mod X^p - 1, the sum of e*c_e over the terms c_e*X^e of H in slot
+    r.  A term c*X^e alone in its slot has d = e*c, so e = d/c.  A term is
+    emitted only if c is nonzero, the division is valid (exact over Z; a
+    prime-subfield element over F_{q^s}), 0 <= e <= D, e = r (mod p), and
+    |c| <= C over Z.  Every term of the true H that did not collide mod
+    X^p - 1 is recovered; colliding terms may produce spurious output.
     """
-    ring = _same_ring(H_p, Hprime_p)
     if ring.is_field and ring.char <= D:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed the degree bound {D}")
-    if (not H_p.is_zero and H_p.degree >= p) or \
-            (not Hprime_p.is_zero and Hprime_p.degree >= p):
-        raise ValueError("residues must have degree < p")
+    if slots and slots[-1][0] >= p:
+        raise ValueError("slots must lie below p")
 
-    terms = H_p.terms
-    deriv = dict(Hprime_p.terms)
-    # candidates (r, e, c), e the exponent read off slot r
     if ring.is_field:
         # an element lies in the prime subfield iff it is below q, and
         # D < q, so the degree test below does both
-        invs = _batch_inverse(ring, [c for _, c in terms]) if terms else []
-        cands = [(r, ring.mul(deriv.get((r - 1) % p, 0), inv), c)
-                 for (r, c), inv in zip(terms, invs)]
+        slots = [t for t in slots if t[1]]
+        invs = _batch_inverse(ring, [c for _, c, _ in slots]) if slots else []
+        cands = [(r, ring.mul(d, inv), c) for (r, c, d), inv in zip(slots, invs)]
+        out = [(e, c) for r, e, c in cands if e <= D and e % p == r]
     else:
-        if C is not None:
-            terms = [(r, c) for r, c in terms if abs(c) <= C]
-        cands = []
-        for r, c in terms:
-            e, rem = divmod(deriv.get((r - 1) % p, 0), c)
-            if not rem:
-                cands.append((r, e, c))
-    out = [(e, c) for r, e, c in cands if 0 <= e <= D and e % p == r]
-    return SparsePoly(ring, tuple(sorted(out)))
+        bound = math.inf if C is None else C
+        out = []
+        for r, c, d in slots:
+            if c and -bound <= c <= bound:
+                e, rem = divmod(d, c)
+                if not rem and 0 <= e <= D and e % p == r:
+                    out.append((e, c))
+    out.sort()
+    return SparsePoly(ring, tuple(out))
 
 
 def _slot_sums(F: SparsePoly, p: int) -> list:
@@ -148,44 +145,60 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
     return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
 
-def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int):
-    """(H mod X^p - 1, H' mod X^p - 1) for H = sum F_i*G_i - minus, from one
-    pass over the term pairs and without the full products.  interp_sum_sp
-    passes its running h* as minus and its overflow bound as limit.  Every
-    F_i, G_i and minus must share one ring (RingMismatchError otherwise),
-    which the residues live in.
+def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list:
+    """Slot triples of H = sum F_i*G_i - minus modulo X^p - 1, from one
+    pass over the term pairs and without the full products: the sorted
+    list of (r, c, d), one per slot r < p where c or d is nonzero, c the
+    coefficient of H mod X^p - 1 at X^r and d = sum e*c_e over the terms
+    c_e*X^e of H in slot r, the coefficient of X*H' mod X^p - 1 there.
+    interp_sum_sp passes its running h* as minus and its overflow bound as
+    limit.  Every F_i, G_i and minus must share one ring
+    (RingMismatchError otherwise), which c and d live in.
 
     Each operand's terms are grouped into slots r = e mod p carrying
-    c = sum c_j and d = sum e_j*c_j.  A pair of slots (r1, r2) stands for
-    term products of exponent e = k (mod p), k = r1 + r2 mod p, whose
-    derivative terms e*c1*c2*X^(e-1) sum to d1*c2 + c1*d2 in slot k - 1; so
-    it adds c1*c2 to slot k of H and d1*c2 + c1*d2 to slot k - 1 of H'.  The
-    sums are accumulated over integer images (RingSpec.lift) and each slot
-    is dropped back into the ring once.  Two equivalent routes accumulate
-    them: direct sparse accumulation over the slot pairs, charged 3 ring
-    mults per pair, or three packed dense cyclic convolutions per pair over
-    Z.  The one the cost model _dense_is_cheaper predicts faster is taken.
-    As soon as either residue has N > limit terms, the rest of the tail is
-    skipped and SparsityBoundError(N - #minus) raised: reduction modulo
-    X^p - 1 only merges terms, and differentiation adds none, so N <=
-    #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.  Empty pairs raise
-    ValueError: there is no ring to take.
+    c = sum c_j and d = sum e_j*c_j (_slot_sums, the same triples).  A pair
+    of slots (r1, r2) stands for term products of exponent e = k (mod p),
+    k = r1 + r2 mod p, with e*c1*c2 summing to d1*c2 + c1*d2 by the
+    product rule; so it adds c1*c2 to c and d1*c2 + c1*d2 to d at slot k.
+    The sums are accumulated over integer images (RingSpec.lift) and each
+    slot is dropped back into the ring once.  Two equivalent routes
+    accumulate them: direct sparse accumulation over the slot pairs,
+    charged 3 ring mults per pair, or three packed dense cyclic
+    convolutions per pair over Z.  The one the cost model
+    _dense_is_cheaper predicts faster is taken.  minus's own slot triples
+    are subtracted last: over Z and F_q an element is its own image and
+    drop reduces modulo q, so -c and -d enter as they are; only over
+    F_{q^s}, whose images need nonnegative digits, do they enter as
+    lift(neg(c)) and lift(neg(d)).
+
+    The count of nonzero c (the terms of H mod X^p - 1) is checked first,
+    then that of nonzero d (the terms of X*H' mod X^p - 1): as soon as one
+    is N > limit, SparsityBoundError(N - #minus) is raised.  Reduction
+    modulo X^p - 1 only merges terms, and X*H' has no more terms than H,
+    so N <= #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.  Empty
+    pairs raise ValueError: there is no ring to take.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
     ring = _same_ring(*(F for pair in pairs for F in pair), minus)
     slotted = [(_slot_sums(F, p), _slot_sums(G, p)) for F, G in pairs]
     work = sum(len(fs) * len(gs) for fs, gs in slotted)
-    # a slot of F_i meets at most one slot of G_i in any one slot, and a
-    # derivative slot takes two products per such meeting
+    # a slot of F_i meets at most one slot of G_i in any one slot, and d
+    # takes two products per such meeting
     width = ring.lift_width(2 * sum(min(len(fs), len(gs)) for fs, gs in slotted))
     if width is not None:
         lift = ring.lift
         slotted = [([(r, lift(c, width), lift(d, width)) for r, c, d in fs],
                     [(r, lift(c, width), lift(d, width)) for r, c, d in gs])
                    for fs, gs in slotted]
-    # both routes key the derivative's slots by k; the shift to k - 1 comes last
-    if _dense_is_cheaper(p, slotted, work):
+    minus_slots = _slot_sums(minus, p)
+    if width is not None:
+        neg = ring.neg
+        minus_slots = [(r, lift(neg(c), width), lift(neg(d), width)) for r, c, d in minus_slots]
+    else:
+        minus_slots = [(r, -c, -d) for r, c, d in minus_slots]
+    dense = _dense_is_cheaper(p, slotted, work)
+    if dense:
         vec, dvec = [0] * p, [0] * p
         for fs, gs in slotted:
             fc, fd, gc, gd = [0] * p, [0] * p, [0] * p, [0] * p
@@ -195,8 +208,12 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int):
                 gc[r], gd[r] = c, d
             for out, a, b in ((vec, fc, gc), (dvec, fd, gc), (dvec, fc, gd)):
                 out[:] = map(operator.add, out, dense_cyclic_mul(a, b))
-        acc, dacc = dict(enumerate(vec)), dict(enumerate(dvec))
+        for r, c, d in minus_slots:
+            vec[r] += c
+            dvec[r] += d
+        slots = zip(range(p), vec, dvec)
     else:
+        # acc and dacc gain their keys together, so their orders agree
         acc, dacc = {}, {}
         for fs, gs in slotted:
             for r1, c1, d1 in fs:
@@ -211,24 +228,27 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int):
                         acc[k] = c1 * c2
                         dacc[k] = d1 * c2 + c1 * d2
         add_mul_count(3 * work)
-    # images have nonnegative digits, so minus enters negated
-    for r, c, d in _slot_sums(minus, p):
-        acc[r] = acc.get(r, 0) + ring.lift(ring.neg(c), width)
-        dacc[r] = dacc.get(r, 0) + ring.lift(ring.neg(d), width)
+        for r, c, d in minus_slots:
+            if r in acc:
+                acc[r] += c
+                dacc[r] += d
+            else:
+                acc[r] = c
+                dacc[r] = d
+        slots = zip(acc, acc.values(), dacc.values())
 
-    drop = ring.drop if ring.is_field else None
-
-    def settle(slots: dict, shift: int):
-        items = ((k, v) for k, v in slots.items() if v)
-        if drop is not None:
-            items = ((k, drop(v, width)) for k, v in items)
-        terms = [((k - shift) % p if shift else k, c) for k, c in items if c]
-        if len(terms) > limit:
-            raise SparsityBoundError(len(terms) - minus.sparsity)
-        terms.sort()
-        return SparsePoly(ring, tuple(terms))
-
-    return settle(acc, 0), settle(dacc, 1)
+    if ring.is_field:
+        drop = ring.drop
+        slots = ((r, drop(c, width), drop(d, width)) for r, c, d in slots)
+    slots = [t for t in slots if t[1] or t[2]]
+    if len(slots) > limit:
+        for i in (1, 2):
+            n = sum(1 for t in slots if t[i])
+            if n > limit:
+                raise SparsityBoundError(n - minus.sparsity)
+    if not dense:
+        slots.sort()
+    return slots
 
 
 def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
@@ -252,14 +272,15 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     2) strictly bounds the degree of H, and over Z, C = poly.height_bound
     bounds its height.  The output has at most 2T terms, degree < D, and
     (over Z) height <= C.  A job ends at the first round whose find_terms
-    update explains both residues of H - h* (h* the running approximation;
-    see the module docstring for the count test) and whose _trim keeps
-    every term of h* + update, so that H - h* and its derivative vanish
-    mod X^p - 1 at that round's p.
+    update explains every slot triple of H - h* (h* the running
+    approximation; see the module docstring for the count test) and whose
+    _trim keeps every term of h* + update, so that H - h* and its
+    derivative vanish mod X^p - 1 at that round's p.
 
-    Either residue of H - h* with N terms proves #H >= N - #h*: H - h* and
-    its derivative have at most #H + #h* terms, and reduction only merges
-    them.  Once a residue has more than min(3T, 2T + #h*) terms, the job
+    Either residue of H - h* with N terms (its triples' nonzero c, or
+    nonzero d) proves #H >= N - #h*: H - h* and X times its derivative
+    have at most #H + #h* terms, and reduction only merges them.  Once a
+    residue has more than min(3T, 2T + #h*) terms, the job
     raises SparsityBoundError with floor = N - #h*, a proven lower bound
     on #H, and returns nothing.  When 2T + #h* binds, floor > 2T and no
     output of at most 2T terms can be H; when 3T binds, floor > T, which
@@ -271,7 +292,7 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     H - h* is then zero; mu bounds the probability that the round cap runs
     out first.  Neither mu nor the cap bounds an early exit on a wrong h*,
     which needs terms of H - h* to collide at that round's p into a term
-    consistent with both residues.  The output is certified only by
+    consistent with its slot's c and d.  The output is certified only by
     verifying it.
 
     Each round draws its prime p uniformly from a pool, the first
@@ -322,14 +343,12 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
         # An honest job (T >= #H) stays within T + #h* <= 3T and never
         # gets there.
         limit = min(3 * T, 2 * T + h_star.sparsity)
-        residue, residue_d = cyclic_product_residue(pairs, h_star, p, limit=limit)
-        update = find_terms(p, residue, residue_d, D - 1, double_c)
+        slots = cyclic_product_residue(pairs, h_star, p, limit=limit)
+        update = find_terms(p, ring, slots, D - 1, double_c)
         total = add(h_star, update)
         h_star = _trim(total, T, C)
-        # update explains both residues exactly and _trim kept all of it:
+        # update explains every slot exactly and _trim kept all of it:
         # H - h* now vanishes mod X^p - 1, and so does its derivative
-        if (update.sparsity == residue.sparsity
-                and residue_d.sparsity == sum(1 for e, _ in update.terms if e)
-                and h_star.sparsity == total.sparsity):
+        if update.sparsity == len(slots) and h_star.sparsity == total.sparsity:
             break
     return h_star

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
 
 from .arith import RandomSource, ceil_bound
 from .errors import RingMismatchError, UnsupportedRingError
@@ -96,32 +95,78 @@ def naive_mul_multi(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     return MultiPoly(ring, F.nvars, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
 
+# variables below which one Horner chain (or divmod chain) does a whole
+# exponent vector: its steps work on numbers of at most this many digits
+_CHAIN = 32
+
+
+def _half_powers(d: int, n: int) -> list:
+    # d^(2^k) for every 2^k < n: the split points of n digits halved
+    pows = [d]
+    while 1 << len(pows) < n:
+        pows.append(pows[-1] * pows[-1])
+    return pows
+
+
+def _image(exps, lo: int, hi: int, d: int, pows: list) -> int:
+    # sum exps[lo + i] * d^i: the low 2^k digits, then d^(2^k) times the
+    # rest, 2^k < hi - lo <= 2^(k+1)
+    n = hi - lo
+    if n <= _CHAIN:
+        v = 0
+        for i in range(hi - 1, lo - 1, -1):
+            v = v * d + exps[i]
+        return v
+    k = (n - 1).bit_length() - 1
+    mid = lo + (1 << k)
+    return _image(exps, lo, mid, d, pows) + pows[k] * _image(exps, mid, hi, d, pows)
+
+
+def _split(v: int, n: int, d: int, pows: list, out: list) -> None:
+    # append the n base-d digits of v, lowest first: one divmod by
+    # d^(2^k) splits off the low 2^k digits, 2^k < n <= 2^(k+1)
+    if n <= _CHAIN:
+        for _ in range(n):
+            v, r = divmod(v, d)
+            out.append(r)
+        return
+    k = (n - 1).bit_length() - 1
+    high, low = divmod(v, pows[k])
+    _split(low, 1 << k, d, pows, out)
+    _split(high, n - (1 << k), d, pows, out)
+
+
 def kronecker(F: MultiPoly, d: int) -> SparsePoly:
     """Encode exponent vectors as base-d digits of one exponent.
 
     Injective on (and invertible from) exponents with all partial degrees
     below d; preserves sparsity and height.  Each image exponent is taken
-    from the term's own exponents by Horner's rule, with no table of the
-    powers d^i, so a polynomial without terms costs nothing whatever its
-    variable count.
+    from the term's own exponents, as lo + d^h * hi for the images lo of
+    its low h = 2^k digits and hi of the rest, recursively, with each
+    power d^h computed once per call.  That costs a few products of
+    numbers of n*log2(d) bits for n variables, where one Horner chain over
+    the whole vector costs n steps on such numbers; the chain remains for
+    runs of at most _CHAIN digits.  A polynomial without terms costs
+    nothing whatever its variable count.
     """
     if any(v >= d for v in F.var_degrees()):
         raise ValueError("partial degree >= d")
+    n = F.nvars
+    pows = _half_powers(d, n) if F.terms else []
     return SparsePoly(F.ring, tuple(sorted(
-        (reduce(lambda acc, v: acc * d + v, reversed(exps), 0), c) for exps, c in F.terms)))
+        (_image(exps, 0, n, d, pows), c) for exps, c in F.terms)))
 
 
 def inverse_kronecker(H: SparsePoly, d: int, n: int) -> MultiPoly:
-    """Decode base-d digits back into exponent vectors."""
+    """Decode base-d digits back into exponent vectors, splitting each
+    exponent by halves as kronecker builds it."""
     if not H.is_zero and H.degree >= d ** n:
         raise ValueError("exponent >= d^n")
+    pows = _half_powers(d, n) if H.terms else []
     out = []
     for e, c in H.terms:
         exps = []
-        v = e
-        for _ in range(n):
-            v, r = divmod(v, d)
-            exps.append(r)
+        _split(e, n, d, pows, exps)
         out.append((tuple(exps), c))
     return MultiPoly(H.ring, n, tuple(sorted(out)))
 

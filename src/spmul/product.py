@@ -93,8 +93,8 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     passes; no h2 job runs and no p can collide, since nothing was
     reduced.  An operand wraps: h1 is a residue of degree < 2p, and once
     it passes, h2 = (F*G)' mod X^p - 1 is interpolated and checked with
-    verify_sum_sp; the terms of F*G are read off the pair by find_terms,
-    under degree D and, over Z, the height bound of F*G.  The same
+    verify_sum_sp; the terms of F*G are read off the pair's slot triples
+    by find_terms, under degree D and, over Z, the height bound of F*G.  The same
     floor rule applies to the h2 job: if it raises, its guess is not
     checked, and the next guess is sized from its floor.
 
@@ -173,7 +173,8 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     else:
         raise RetryBudgetError("sparsity-doubling loop failed to converge")
 
-    H_p = cyclic_reduce(h1, p)
-    Hd_p = cyclic_reduce(h2, p)
+    # the slot triples of F*G mod X^p - 1: X*(F*G)' at r is h2's slot r - 1
+    deriv = dict(cyclic_reduce(h2, p).terms)
+    slots = [(r, c, deriv.get((r - 1) % p, 0)) for r, c in cyclic_reduce(h1, p).terms]
     C = height_bound([(F, G)]) if ring.kind == "integers" else None
-    return find_terms(p, H_p, Hd_p, D, C)
+    return find_terms(p, ring, slots, D, C)

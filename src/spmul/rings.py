@@ -63,7 +63,7 @@ power tables, and their lookups over F_{q^s}, multiply through
 as over F_{q^s}, so a product by a table row's entry 1 (a zero digit) is
 not counted.
 The counter is process-global and only meaningful for single-threaded
-measurement; the other shared state in the library is the prime table in
+measurement; the other shared state in the library is the prime sieve in
 ``arith``, which grows to the largest instance seen.
 """
 

@@ -4,7 +4,7 @@ Run it from the directory that should receive them:
 
     python tests/ci_inputs.py
 
-It writes five sets of pairs, each from its own fixed seed:
+It writes six sets of pairs, each from its own fixed seed:
 
 * za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
   over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
@@ -30,16 +30,19 @@ It writes five sets of pairs, each from its own fixed seed:
   benchmark's largest random_z product (about 4,000 output terms).  Its
   product runs interpolation jobs of several rounds, each at a prime drawn
   from the job's pool.
+* rz128a/rz128b.poly (random_pair_128): the same at 128 x 128 terms, about
+  16,000 output terms.  Its final job draws from about 944,000 primes, a
+  pool whose sieve spans several segments.
 * bigza/bigzb.poly (large_pair): 200 x 200 terms over Z with exponents
   below 10^9, whose product has about 40,000 terms.  Its check runs at
   p = D + 1 and evaluates that H in F_q from its own terms; CI verifies
   it in a step of its own, after the loop over the pairs above.
 
-test_cli imports wrapping_pairs, f256_pair, random_pair and large_pair,
-so the pairs it checks for the cyclic route, the x3 pair it checks for
-interpolation in its extension field, the F_256 pair whose check field it
-checks, the random pair whose jobs it counts, and the large pair it
-verifies, are the ones CI runs.
+test_cli imports wrapping_pairs, f256_pair, random_pair, random_pair_128
+and large_pair, so the pairs it checks for the cyclic route, the x3 pair
+it checks for interpolation in its extension field, the F_256 pair whose
+check field it checks, the random pairs whose jobs and pools it checks,
+and the large pair it verifies, are the ones CI runs.
 """
 
 import random
@@ -101,15 +104,15 @@ def f256_pair() -> dict:
     return files
 
 
-def random_pair() -> dict:
-    """{file name: text} of the 64 x 64 pair over Z."""
-    rnd = random.Random(5)
+def random_pair(t: int = 64, seed: int = 5, name: str = "rz") -> dict:
+    """{file name: text} of a t x t pair over Z, 64 x 64 by default."""
+    rnd = random.Random(seed)
     files = {}
     for side in "ab":
         exps = set()
-        while len(exps) < 64:
+        while len(exps) < t:
             exps.add(rnd.randrange(10 ** 9))
-        files["rz" + side + ".poly"] = "ring int\nvars 1\n" + "".join(
+        files[name + side + ".poly"] = "ring int\nvars 1\n" + "".join(
             f"term {rnd.choice((-1, 1)) * rnd.randint(1, 2 ** 30 - 1)} {e}\n" for e in exps)
     return files
 
@@ -127,9 +130,14 @@ def large_pair() -> dict:
     return files
 
 
+def random_pair_128() -> dict:
+    """{file name: text} of the 128 x 128 pair over Z."""
+    return random_pair(128, 6, "rz128")
+
+
 def main() -> None:
     for name, text in {**wrapping_pairs(), **trivariate_pairs(), **f256_pair(),
-                       **random_pair(), **large_pair()}.items():
+                       **random_pair(), **random_pair_128(), **large_pair()}.items():
         with open(name, "w") as out:
             out.write(text)
 

@@ -31,6 +31,18 @@ def trial_division_primes(limit):
     return primes
 
 
+def eratosthenes_primes(limit):
+    """All primes <= limit by a plain sieve of Eratosthenes over every
+    integer, for limits too large for trial division (no code shared with
+    arith's odd-only segmented sieve)."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\x00\x00"
+    for n in range(2, int(limit ** 0.5) + 1):
+        if flags[n]:
+            flags[n * n::n] = bytes(len(range(n * n, limit + 1, n)))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
 def dict_mul_z(fa: dict, fb: dict) -> dict:
     """Schoolbook product of integer polynomials as {exponent: coeff} dicts."""
     out = {}

@@ -97,35 +97,70 @@ class TestFirstPrimes:
         oracle = trial_division_primes(104730)  # beyond the 10^4-th prime
         assert list(first_primes(10_000)) == oracle[:10_000]
 
-    def test_returns_compact_copy(self):
-        out = first_primes(10)
-        assert isinstance(out, array) and out.typecode == "q"
-        out[0] = 4  # a copy: the cached table is untouched
+    def test_returns_read_only_view(self, oracle_30k):
+        # indexing and iteration read the sieve: at random j and on both
+        # sides of every block boundary, the oracle's j-th prime
+        n = 30_000
+        view = first_primes(n)
+        assert len(view) == n and list(view) == oracle_30k[:n]
+        rnd = random.Random(9)
+        edges = [c + k for c in arith._BLOCK_COUNTS for k in (-1, 0) if 0 <= c + k < n]
+        assert len(edges) > 100
+        for j in edges + [rnd.randrange(n) for _ in range(500)]:
+            assert view[j] == oracle_30k[j]
+        assert view[-1] == oracle_30k[n - 1] and view[-n] == 2
+        for j in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[j]
+        with pytest.raises(TypeError):
+            view[0] = 4
         assert first_primes(1)[0] == 2
 
-    @pytest.mark.parametrize("segment", [None, 97, 1])
-    def test_uneven_growth_from_seed_state(self, monkeypatch, segment, oracle_30k):
-        # regrow the table from its initial state in uneven steps, with
-        # segments that split each extension at arbitrary points
-        monkeypatch.setattr(arith, "_PRIMES", array("q", trial_division_primes(61)))
-        monkeypatch.setattr(arith, "_SIEVED_TO", 61)
+    @staticmethod
+    def _seed_state(monkeypatch, block):
+        # the sieve's initial state, one byte per odd number up to 61 (byte
+        # 0 for 2), with the block counts that go with it
+        primes = set(trial_division_primes(61))
+        sieve = bytearray([1] + [n in primes for n in range(3, 62, 2)])
+        counts = array("q", [sum(sieve[:b * block]) for b in range(len(sieve) // block + 1)])
+        monkeypatch.setattr(arith, "_SIEVE", sieve)
+        monkeypatch.setattr(arith, "_BLOCK", block)
+        monkeypatch.setattr(arith, "_BLOCK_COUNTS", counts)
+
+    @staticmethod
+    def _assert_counts_match():
+        sieve, counts, block = arith._SIEVE, arith._BLOCK_COUNTS, arith._BLOCK
+        assert len(counts) == len(sieve) // block + 1
+        assert list(counts) == [sieve[:b * block].count(1) for b in range(len(counts))]
+
+    @pytest.mark.parametrize("segment, block", [(None, None), (97, 13), (1, 1)],
+                             ids=["None", "97", "1"])
+    def test_uneven_growth_from_seed_state(self, monkeypatch, segment, block, oracle_30k):
+        # regrow the sieve and its block counts from the initial state in
+        # uneven steps, with segments that split each extension at
+        # arbitrary points and blocks down to one byte
+        self._seed_state(monkeypatch, block or arith._BLOCK)
         if segment is not None:
             monkeypatch.setattr(arith, "_SEGMENT", segment)
         # one-number segments cost a Python loop per odd number: stop early
         counts = (5, 18, 19, 1000, 30_000) if segment != 1 else (5, 18, 19, 1000)
         for count in counts:
-            assert list(first_primes(count)) == oracle_30k[:count]
+            view = first_primes(count)
+            assert list(view) == oracle_30k[:count]
+            assert [view[j] for j in range(count)] == oracle_30k[:count]
+            self._assert_counts_match()
 
     def test_sieves_only_to_the_largest_count_asked(self, monkeypatch):
-        # each request extends the table to the Rosser bound of its own
+        # each request extends the sieve to the Rosser bound of its own
         # count, not to twice the numbers already sieved
-        monkeypatch.setattr(arith, "_PRIMES", array("q", trial_division_primes(61)))
-        monkeypatch.setattr(arith, "_SIEVED_TO", 61)
+        self._seed_state(monkeypatch, arith._BLOCK)
         for count in (5000, 20_000, 60_000, 81_000):
             assert len(first_primes(count)) == count
+            self._assert_counts_match()
         rosser = int(81_000 * (math.log(81_000) + math.log(math.log(81_000)))) + 16
         assert rosser == 1_111_919
-        assert arith._SIEVED_TO <= rosser
+        # the largest odd number sieved
+        assert 2 * len(arith._SIEVE) - 1 <= rosser
 
     def test_table_memory_is_compact(self):
         pytest.importorskip("resource")

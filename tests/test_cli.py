@@ -525,15 +525,35 @@ class TestCommands:
         assert run_command(["estimate", a, b]) == 0
         assert n <= int(capsys.readouterr().out) <= 2 * n
 
+    def test_ci_random_pair_128_draws_across_sieve_segments(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # rz128a/rz128b: 128 x 128 terms over Z below 10^9; the final job's
+        # pool of about 944,000 primes lies past several sieve segments,
+        # and the product equals the schoolbook one and passes its check
+        pools = []
+        real = interp.first_primes
+        monkeypatch.setattr(interp, "first_primes", lambda n: pools.append(n) or real(n))
+        files = ci_inputs.random_pair_128()
+        a, b = (self._write(tmp_path, f"rz128{side}.poly", files[f"rz128{side}.poly"])
+                for side in "ab")
+        h, naive = tmp_path / "rz128h.poly", tmp_path / "rz128naive.poly"
+        assert run_command(["mul", a, b, "-o", str(h)]) == 0
+        assert 900_000 < max(pools) < 1_000_000
+        assert real(max(pools))[-1] // 2 > 5 * arith._SEGMENT
+        assert run_command(["mul", "--naive", a, b, "-o", str(naive)]) == 0
+        assert h.read_bytes() == naive.read_bytes()
+        assert run_command(["verify", a, b, str(h)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
     def test_ci_extension_pair_is_interpolated_in_its_field(self, tmp_path, monkeypatch):
         # x3a/x3b: the CLI product wraps modulo X^p - 1 and its terms are
         # read off by find_terms in F_((2^61 - 1)^3) itself, not through Z
         seen = []
         real = product.find_terms
 
-        def find_terms(p, H_p, Hprime_p, D, C):
-            seen.append((H_p.ring, p, D))
-            return real(p, H_p, Hprime_p, D, C)
+        def find_terms(p, ring, slots, D, C):
+            seen.append((ring, p, D))
+            return real(p, ring, slots, D, C)
 
         monkeypatch.setattr(product, "find_terms", find_terms)
         files = ci_inputs.wrapping_pairs()

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from spmul import (CharacteristicTooSmallError, RandomSource,
-                   RingMismatchError, SparsityBoundError, add, canonicalize, cyclic_reduce,
-                   derivative, ext_field, find_terms, integers, interp_sum_sp,
+                   RingMismatchError, SparsityBoundError, add, canonicalize,
+                   ext_field, find_terms, integers, interp_sum_sp,
                    mul_count, naive_mul, negate, prime_field,
                    reset_mul_count, sub, zero_poly)
 from spmul import interp
@@ -19,29 +19,36 @@ F_EX = canonicalize([(7, 2), (0, 2), (14, 1)], ZZ)
 G_EX = canonicalize([(13, 3), (8, 5), (0, 3)], ZZ)
 
 
+def _slots_of(h, p):
+    """Slot triples of h mod X^p - 1, from h's own terms: (r, sum c,
+    sum e*c) over the terms c*X^e with e = r (mod p), the slots where
+    either sum is nonzero, sorted by r."""
+    ring = h.ring
+    sums = {}
+    for e, c in h.terms:
+        sc, sd = sums.get(e % p, (ring.zero(), ring.zero()))
+        sums[e % p] = (ring.add(sc, c), ring.add(sd, ring.smul(c, e)))
+    return [(r, c, d) for r, (c, d) in sorted(sums.items()) if c or d]
+
+
 class TestFindTerms:
     def test_clean_recovery(self):
-        # H = 5X^9 + 3X^2 at p = 5: residues 5X^4+3X^2 and 45X^3+6X
+        # H = 5X^9 + 3X^2 at p = 5: slot 2 holds 3 and 2*3, slot 4 holds 5
+        # and 9*5
         h = canonicalize([(9, 5), (2, 3)], ZZ)
-        h_p = canonicalize([(4, 5), (2, 3)], ZZ)
-        hd_p = canonicalize([(3, 45), (1, 6)], ZZ)
-        assert (h_p, hd_p) == (canonicalize(
-            [(e % 5, c) for e, c in h.terms], ZZ), canonicalize(
-            [(e % 5, c) for e, c in derivative(h).terms], ZZ))
-        assert find_terms(5, h_p, hd_p, 9, 5) == h
+        slots = [(2, 3, 6), (4, 5, 45)]
+        assert slots == _slots_of(h, 5)
+        assert find_terms(5, ZZ, slots, 9, 5) == h
 
     def test_zero_residues(self):
-        z = zero_poly(ZZ)
-        assert find_terms(5, z, z, 10, 10).is_zero
+        assert find_terms(5, ZZ, [], 10, 10).is_zero
 
     def test_collision_rejected_by_inexact_division(self):
-        # H = X^6 + X at p = 5 collides: H_p = 2X, H'_p = 7
+        # H = X^6 + X at p = 5 collides in slot 1: c = 2, d = 6 + 1 = 7
         h = canonicalize([(6, 1), (1, 1)], ZZ)
-        h_p = canonicalize([(e % 5, c) for e, c in h.terms], ZZ)
-        hd_p = canonicalize([(e % 5, c) for e, c in derivative(h).terms], ZZ)
-        assert h_p.terms == ((1, 2),)
-        assert hd_p.terms == ((0, 7),)
-        assert find_terms(5, h_p, hd_p, 6, 2).is_zero
+        slots = _slots_of(h, 5)
+        assert slots == [(1, 2, 7)]
+        assert find_terms(5, ZZ, slots, 6, 2).is_zero
 
     def test_completeness_distinct_residues(self):
         rnd = random.Random(1)
@@ -51,55 +58,52 @@ class TestFindTerms:
             terms = [(r + p * rnd.randrange(50), rnd.randint(1, 99))
                      for r in residues]
             h = canonicalize(terms, ZZ)
-            h_p = canonicalize([(e % p, c) for e, c in h.terms], ZZ)
-            hd_p = canonicalize([(e % p, c) for e, c in derivative(h).terms], ZZ)
-            out = find_terms(p, h_p, hd_p, h.degree, h.height())
+            out = find_terms(p, ZZ, _slots_of(h, p), h.degree, h.height())
             assert out == h
 
     def test_prime_field_recovery(self):
         fq = prime_field(Q62)
         h = canonicalize([(10 ** 7, 3), (123, 9)], fq)
         p = 101
-        h_p = canonicalize([(e % p, c) for e, c in h.terms], fq)
-        hd_p = canonicalize([((e - 1) % p, (c * e) % Q62) for e, c in h.terms if e], fq)
-        assert find_terms(p, h_p, hd_p, 10 ** 7, None) == h
+        slots = sorted((e % p, c, c * e % Q62) for e, c in h.terms)
+        assert slots == _slots_of(h, p)
+        assert find_terms(p, fq, slots, 10 ** 7, None) == h
 
     def test_height_filter(self):
         h = canonicalize([(9, 50)], ZZ)
-        h_p = canonicalize([(4, 50)], ZZ)
-        hd_p = canonicalize([(3, 450)], ZZ)
-        assert find_terms(5, h_p, hd_p, 9, 49).is_zero
-        assert find_terms(5, h_p, hd_p, 9, 50) == h
+        slots = [(4, 50, 450)]
+        assert find_terms(5, ZZ, slots, 9, 49).is_zero
+        assert find_terms(5, ZZ, slots, 9, 50) == h
 
     def test_characteristic_guard(self):
-        f5 = prime_field(5)
-        z = zero_poly(f5)
         with pytest.raises(CharacteristicTooSmallError):
-            find_terms(7, z, z, 6, None)
+            find_terms(7, prime_field(5), [], 6, None)
 
     def test_ratio_outside_the_prime_subfield_rejected(self):
         # over F_101^2 the ratio (0,1)/(1,0) = Y is no exponent; the ratio
         # (3,0)/(1,0) = 3 is, and 3 = r (mod 7)
         f = ext_field(101, 2)
-        h_p = canonicalize([(3, (1, 0))], f)
-        assert find_terms(7, h_p, canonicalize([(2, (0, 1))], f), 50, None).is_zero
-        assert find_terms(7, h_p, canonicalize([(2, (3, 0))], f), 50, None) == h_p
+        one, y, three = f.coerce((1, 0)), f.coerce((0, 1)), f.coerce((3, 0))
+        assert find_terms(7, f, [(3, one, y)], 50, None).is_zero
+        assert find_terms(7, f, [(3, one, three)], 50, None) == canonicalize([(3, (1, 0))], f)
 
     def test_exponent_off_its_residue_slot_rejected(self):
         # 10/2 gives e = 5, which does not sit in slot r = 3 mod 7; 6/2
         # gives e = 3, which does
-        h_p = canonicalize([(3, 2)], ZZ)
-        assert find_terms(7, h_p, canonicalize([(2, 10)], ZZ), 20, None).is_zero
-        assert find_terms(7, h_p, canonicalize([(2, 6)], ZZ), 20, None) == h_p
+        assert find_terms(7, ZZ, [(3, 2, 10)], 20, None).is_zero
+        assert find_terms(7, ZZ, [(3, 2, 6)], 20, None) == canonicalize([(3, 2)], ZZ)
+
+    def test_slots_at_or_above_p_raise(self):
+        with pytest.raises(ValueError, match="below p"):
+            find_terms(7, ZZ, [(3, 2, 6), (7, 1, 7)], 20, None)
 
 
-def _direct_residues(pairs, minus, p, ring):
-    """(H mod X^p - 1, H' mod X^p - 1) for H = sum F_i*G_i - minus, by schoolbook."""
+def _direct_slots(pairs, minus, p, ring):
+    """Slot triples of H = sum F_i*G_i - minus mod X^p - 1, by schoolbook."""
     h = zero_poly(ring)
     for f, g in pairs:
         h = add(h, naive_mul(f, g))
-    h = sub(h, minus)
-    return cyclic_reduce(h, p), cyclic_reduce(derivative(h), p)
+    return _slots_of(sub(h, minus), p)
 
 
 def _residue_by_route(monkeypatch, dense, pairs, minus, p):
@@ -138,15 +142,41 @@ class TestCyclicProductResidue:
                 dense = _residue_by_route(monkeypatch, True, pairs, minus, p)
                 assert sparse == dense
                 # and both equal the direct computation
-                direct = zero_poly(ring)
-                for f, g in pairs:
-                    direct = add(direct, naive_mul(f, g))
-                assert sparse[0] == cyclic_reduce(sub(direct, minus), p)
-                assert sparse[1] == cyclic_reduce(derivative(sub(direct, minus)), p)
+                assert sparse == _direct_slots(pairs, minus, p, ring)
+
+    def test_slot_triples_and_floors_match_schoolbook(self, monkeypatch):
+        # every triple is (coefficient of H - minus at r, sum of e*c over
+        # its terms in slot r), from naive_mul; below either count the walk
+        # raises, the count of nonzero c checked before that of nonzero d,
+        # with the floor N - #minus
+        rnd = random.Random(8)
+        for ring in (ZZ, prime_field(Q62), ext_field(101, 3)):
+            for _ in range(12):
+                p = rnd.choice([5, 11, 31])
+                pairs = [(rand_sparse(rnd, ring, 5, 200, 9), rand_sparse(rnd, ring, 5, 200, 9))
+                         for _ in range(rnd.randint(1, 2))]
+                if rnd.random() < 0.5:
+                    # (1 - X^p)*g leaves slots with c = 0 and d != 0
+                    pairs.append((canonicalize([(0, 1), (p, -1)], ring),
+                                  rand_sparse(rnd, ring, 5, 200, 9)))
+                minus = rand_sparse(rnd, ring, 4, 200, 9)
+                want = _direct_slots(pairs, minus, p, ring)
+                n_c = sum(1 for _, c, _ in want if c)
+                n_d = sum(1 for _, _, d in want if d)
+                for dense in (False, True):
+                    monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_, _d=dense: _d)
+                    for limit in range(len(want) + 1):
+                        if max(n_c, n_d) <= limit:
+                            assert cyclic_product_residue(pairs, minus, p, limit) == want
+                            continue
+                        with pytest.raises(SparsityBoundError) as err:
+                            cyclic_product_residue(pairs, minus, p, limit)
+                        n = n_c if n_c > limit else n_d
+                        assert err.value.floor == n - minus.sparsity
 
     def test_colliding_exponents_keep_the_derivative(self, monkeypatch):
-        # 1 - X^p and X^(p+3) - X^3 vanish mod X^p - 1 while their derivatives
-        # do not, so slots whose coefficient sums cancel must stay
+        # 1 - X^p and X^(p+3) - X^3 vanish mod X^p - 1 while X times their
+        # derivatives do not, so slots whose c sums cancel must keep their d
         for ring in (ZZ, prime_field(101), ext_field(Q62, 2), ext_field(101, 3)):
             p = 7
             # the ints 1 and -1 are constants of every ring
@@ -155,24 +185,22 @@ class TestCyclicProductResidue:
             h = canonicalize([(1, 1), (2 * p + 5, 1)], ring)
             for pairs, minus in (([(f, h)], zero_poly(ring)), ([(h, f), (g, h)], g),
                                  ([(h, h)], add(naive_mul(h, h), f))):
-                want = _direct_residues(pairs, minus, p, ring)
-                assert not want[1].is_zero
+                want = _direct_slots(pairs, minus, p, ring)
+                assert any(d and not c for _, c, d in want)
                 for dense in (False, True):
                     assert _residue_by_route(monkeypatch, dense, pairs, minus, p) == want
 
     def test_ext_field_worst_case_digits(self, monkeypatch):
         # full residues with all coefficients q-1 put the most products into
-        # every slot, and the derivative's slots sum twice as many; the
-        # minus term pushes the digits the other way
+        # every slot, and each slot's d sums twice as many; the minus term
+        # pushes the digits the other way
         for ring in (ext_field(3, 5), ext_field(Q62, 2)):
             top = (ring.q - 1,) * ring.s
             p = 13
             full = canonicalize([(e, top) for e in range(p)], ring)
             pairs = [(full, full), (full, full)]
-            direct = add(naive_mul(full, full), naive_mul(full, full))
             for minus in (zero_poly(ring), full):
-                want = sub(direct, minus)
-                want = (cyclic_reduce(want, p), cyclic_reduce(derivative(want), p))
+                want = _direct_slots(pairs, minus, p, ring)
                 for dense in (False, True):
                     assert _residue_by_route(monkeypatch, dense, pairs, minus, p) == want
 
@@ -207,7 +235,7 @@ class TestCyclicProductResidue:
         f = canonicalize([(e, 1) for e in range(5)], ZZ)
         pairs = [(f, f)]  # H = f^2 has 9 terms
         zero = zero_poly(ZZ)
-        want = _direct_residues(pairs, zero, 101, ZZ)
+        want = _direct_slots(pairs, zero, 101, ZZ)
         assert cyclic_product_residue(pairs, zero, 101, limit=9) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, zero, 101, limit=8)
@@ -215,17 +243,17 @@ class TestCyclicProductResidue:
         # minus = 1 + X^200 cancels slot 0 and adds slot 99: the residue
         # of f^2 - minus keeps N = 9 terms, which proves #f^2 >= 9 - 2
         minus = canonicalize([(0, 1), (200, 1)], ZZ)
-        want = _direct_residues(pairs, minus, 101, ZZ)
-        assert want[0].sparsity == 9
+        want = _direct_slots(pairs, minus, 101, ZZ)
+        assert sum(1 for _, c, _ in want if c) == 9
         assert cyclic_product_residue(pairs, minus, 101, limit=9) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, minus, 101, limit=8)
         assert err.value.floor == 9 - 2
-        # (X^7 - 1)(X + X^2 + X^3) vanishes mod X^7 - 1, its derivative
-        # leaves 7 + 7X + 7X^2, so only the derivative overflows
+        # (X^7 - 1)(X + X^2 + X^3) vanishes mod X^7 - 1, X times its
+        # derivative leaves 7X + 7X^2 + 7X^3, so only the d count overflows
         pairs = [(canonicalize([(7, 1), (0, -1)], ZZ), canonicalize([(1, 1), (2, 1), (3, 1)], ZZ))]
-        want = _direct_residues(pairs, zero, 7, ZZ)
-        assert want[0].is_zero and want[1].sparsity == 3
+        want = _direct_slots(pairs, zero, 7, ZZ)
+        assert want == [(1, 0, 7), (2, 0, 7), (3, 0, 7)]
         assert cyclic_product_residue(pairs, zero, 7, limit=3) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, zero, 7, limit=2)
@@ -237,8 +265,8 @@ class TestCyclicProductResidue:
         g = canonicalize([(0, 77), (1, 25)], f101)
         # (50X + 99X^4)(77 + 25X) = 12X + 38X^2 + 48X^4 + 51X^5 over F_101
         zero = zero_poly(f101)
-        want = _direct_residues([(f, g)], zero, 5, f101)
-        assert want[0].terms == ((0, 51), (1, 12), (2, 38), (4, 48))
+        want = _direct_slots([(f, g)], zero, 5, f101)
+        assert [(r, c) for r, c, _ in want] == [(0, 51), (1, 12), (2, 38), (4, 48)]
         for dense in (False, True):
             assert _residue_by_route(monkeypatch, dense, [(f, g)], zero, 5) == want
         # an operand from another ring is refused, not silently reduced
@@ -352,16 +380,16 @@ class TestInterpSumSP:
             assert interp_sum_sp([(f, g)], 20, 0.25, RandomSource(seed)) == h
 
     def test_derivative_residue_keeps_the_job_running(self, monkeypatch):
-        # H = X^100 - X^2 at p = 7: both terms sit in slot 2, where H's
-        # coefficients cancel and H' leaves (100 - 2)*X^1.  The first round
-        # recovers nothing yet explains the empty H residue; only the
-        # derivative count keeps it from returning h* = 0.
+        # H = X^100 - X^2 at p = 7: both terms sit in slot 2, whose triple
+        # is (2, 0, 100 - 2): the coefficients cancel, d does not.  The
+        # first round recovers nothing, as c = 0; only that triple, which
+        # no update term explains, keeps it from returning h* = 0.
         f = monomial(ZZ, 2, 1)
         g = canonicalize([(98, 1), (0, -1)], ZZ)
         h = naive_mul(f, g)
         rounds = _watch_rounds(monkeypatch)
-        # the first round walks and reads its residues at p = 7, whatever
-        # prime it drew; later rounds keep their own
+        # the first round walks and reads its slot triples at p = 7,
+        # whatever prime it drew; later rounds keep their own
         for name, at in (("cyclic_product_residue", 2), ("find_terms", 0)):
             def at_7_first(*args, _real=getattr(interp, name), _at=at, **kwargs):
                 if not rounds:

@@ -127,10 +127,22 @@ class TestKronecker:
             tracemalloc.stop()
         assert image.terms == (((1 << n) - 1, 1),)
         assert peak < 2 ** 20
-        # Horner's rule agrees with sum e_i d^i
+        # the image agrees with sum e_i d^i
         exps = (4, 0, 7, 1, 8)
         g = MultiPoly(ZZ, 5, ((exps, 3),))
         assert kronecker(g, 9).terms == ((sum(e * 9 ** i for i, e in enumerate(exps)), 3),)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1000])
+    def test_round_trip_by_halves(self, n):
+        # each image is sum e_i d^i, built and split by halves above
+        # multivar._CHAIN variables, and splitting it gives F back
+        rnd = random.Random(n)
+        for d in (2, 3, 10, 2 ** 31 + 11):
+            f = rand_multi(rnd, ZZ, n, 8, d, 99)
+            image = kronecker(f, d)
+            assert image.terms == tuple(sorted(
+                (sum(e * d ** i for i, e in enumerate(exps)), c) for exps, c in f.terms))
+            assert inverse_kronecker(image, d, n) == f
 
     def test_inverse_range_guard(self):
         h = canonicalize([(9, 1)], ZZ)

@@ -11,7 +11,7 @@ from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
 from spmul import arith, interp, product
 from spmul.cli import format_poly, run_command
 
-from helpers import Q62, as_multi, monomial, rand_sparse, sumset_size
+from helpers import Q62, as_multi, eratosthenes_primes, monomial, rand_sparse, sumset_size
 
 ZZ = integers()
 PARAMS = ProductParams(2.0 ** -20, 2.0 ** -20)
@@ -559,6 +559,34 @@ class TestSparsityFloor:
             checks = [s for s in steps if s[0] == "check"]
             good += jobs[-1][1] == 2048 and checks == [["check", "verify_sp"]]
         assert good >= 9
+
+    def test_round_primes_are_the_drawn_indices_primes(self, monkeypatch):
+        # random 64 x 64 over Z: every prime a job draws is the oracle's
+        # j-th prime, j the index its RandomSource gave, and is the prime
+        # that round walks at
+        draws = []
+
+        class Recorder:
+            def __init__(self, view):
+                self.view = view
+
+            def __len__(self):
+                return len(self.view)
+
+            def __getitem__(self, j):
+                draws.append((j, self.view[j]))
+                return draws[-1][1]
+
+        real = interp.first_primes
+        monkeypatch.setattr(interp, "first_primes", lambda n: Recorder(real(n)))
+        walks = _watch_walks(monkeypatch)
+        for seed in range(3):
+            f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+        assert len(draws) >= 9 and [p for _, p in draws] == walks
+        oracle = eratosthenes_primes(max(walks))
+        assert max(j for j, _ in draws) > 100_000  # the final job's pool
+        assert all(oracle[j] == p for j, p in draws)
 
     def test_lattice_below_t0(self, monkeypatch):
         # t0 = 13 puts the lattice at 4, 7, 13, 26, ...: the guesses below
