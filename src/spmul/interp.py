@@ -3,20 +3,27 @@
 Each round reduces the target H modulo X^p - 1 for a random prime p among
 the first O(T k(D)) primes, k(D) = O(log D / log log D) being the most
 distinct prime factors a positive integer below D can have
-(arith._omega_bound).  The round's residue is a sorted list of slot
-triples (r, c, d), one per slot r < p: c is the coefficient of H mod
-X^p - 1 at X^r and d that of X*H' mod X^p - 1, the sum of e*c_e over the
-terms c_e*X^e of H in the slot.  A term c*X^e of the target that does not
-collide with another term mod p is alone in slot e mod p, where d = e*c,
-so e pops out of one division.  The triples come from one pass over the
+(arith._omega_bound).  The round's residue is a list of slot triples
+(r, c, d) in no particular order, one per slot r < p: c is the
+coefficient of H mod X^p - 1 at X^r and d that of X*H' mod X^p - 1, the
+sum of e*c_e over the terms c_e*X^e of H in the slot.  A term c*X^e of
+the target that does not collide with another term mod p is alone in
+slot e mod p, where d = e*c, so e pops out of one division.  The triples come from one pass over the
 term pairs (cyclic_product_residue): each operand's terms, grouped by
 e mod p into slots carrying the same (r, sum c, sum e*c), give the
 product's c and d by the product rule.  The slot sums are carried as
 integer images (RingSpec.lift), accumulated either pair by pair or through
 the integer kernel poly.dense_cyclic_mul, and dropped back into the
-operands' ring once per slot.  Rounds accumulate recovered terms into a
-running approximation h* and correct earlier mistakes automatically, because
-wrong terms reappear negated in later residues.
+operands' ring once per slot; nothing is sorted until find_terms sorts
+its terms by exponent.  Rounds accumulate recovered terms into a running
+approximation h* and correct earlier mistakes automatically, because wrong
+terms reappear negated in later residues; h* enters the walk term by term.
+
+A walk that would overflow (more terms than the round can use) can often
+be stopped from the exponents alone: a slot that exactly one slot pair
+reaches, and that h* leaves empty, holds a nonzero product of two nonzero
+slot sums, so the count of such slots is a proven lower bound on #H found
+without a ring product (cyclic_product_residue).
 
 A job ends at the first round whose update explains every slot triple of
 H - h*: then H - h* - update vanishes mod X^p - 1, and so does X times its
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 
 from .arith import RandomSource, _omega_bound, first_primes
 from .errors import CharacteristicTooSmallError, SparsityBoundError
@@ -84,19 +92,21 @@ def _batch_inverse(ring: RingSpec, values: list) -> list:
 def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None) -> SparsePoly:
     """Recover candidate terms of H from its slot triples modulo X^p - 1.
 
-    slots are triples (r, c, d) sorted by r < p, as cyclic_product_residue
-    returns them: c is the coefficient of H mod X^p - 1 at X^r and d that of
-    X*H' mod X^p - 1, the sum of e*c_e over the terms c_e*X^e of H in slot
-    r.  A term c*X^e alone in its slot has d = e*c, so e = d/c.  A term is
-    emitted only if c is nonzero, the division is valid (exact over Z; a
-    prime-subfield element over F_{q^s}), 0 <= e <= D, e = r (mod p), and
-    |c| <= C over Z.  Every term of the true H that did not collide mod
-    X^p - 1 is recovered; colliding terms may produce spurious output.
+    slots are triples (r, c, d) with r < p, in any order, as
+    cyclic_product_residue returns them: c is the coefficient of H mod
+    X^p - 1 at X^r and d that of X*H' mod X^p - 1, the sum of e*c_e over
+    the terms c_e*X^e of H in slot r.  A term c*X^e alone in its slot has
+    d = e*c, so e = d/c.  A term is emitted only if c is nonzero, the
+    division is valid (exact over Z; a prime-subfield element over
+    F_{q^s}), 0 <= e <= D, e = r (mod p), and |c| <= C over Z.  Every term
+    of the true H that did not collide mod X^p - 1 is recovered; colliding
+    terms may produce spurious output.  Distinct slots give distinct e, so
+    the output is sorted once, by e.
     """
     if ring.is_field and ring.char <= D:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed the degree bound {D}")
-    if slots and slots[-1][0] >= p:
+    if slots and max(map(operator.itemgetter(0), slots)) >= p:
         raise ValueError("slots must lie below p")
 
     if ring.is_field:
@@ -114,7 +124,7 @@ def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None) -> SparsePo
                 e, rem = divmod(d, c)
                 if not rem and 0 <= e <= D and e % p == r:
                     out.append((e, c))
-    out.sort()
+    out.sort(key=operator.itemgetter(0))
     return SparsePoly(ring, tuple(out))
 
 
@@ -145,14 +155,57 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
     return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
 
+def _exponent_pass_pays(work: int, p: int, limit: int) -> bool:
+    """Whether _single_hits is worth running before a sparse walk of work
+    slot pairs.  work pairs landing at random in p slots leave about
+    work*e^(-work/p) slots hit exactly once, and the pass can raise only
+    when more than limit are; asking for twice limit keeps it to the walks
+    it is likely to end."""
+    return work * math.exp(-work / p) > 2 * limit
+
+
+def _single_hits(slotted, minus: SparsePoly, p: int, limit: int) -> int:
+    """The slots k outside minus's slots that exactly one slot pair
+    (r1, r2), r1 + r2 = k (mod p), reaches, both of that pair's c sums
+    nonzero: counted from the residues alone, with no ring product.
+
+    Returns 0 as soon as the running count falls below limit's share of
+    the rows (slots of the F_i) done.  A count that ends above limit rarely
+    does that; structured sums, whose rows fall on the same few slots, do
+    it within a few rows.
+    """
+    seen = {e % p for e, _ in minus.terms}
+    multi = set(seen)  # reached twice or more, or not countable
+    rows = sum(len(fs) for fs, _ in slotted)
+    done = 0
+    for fs, gs in slotted:
+        g_rs = sorted(r for r, _, _ in gs)
+        g_zero = [r for r, c, _ in gs if not c]
+        for r1, c1, _ in fs:
+            # r1 + r2 stays below p up to r2 = p - 1 - r1 and wraps once above
+            i = bisect_right(g_rs, p - 1 - r1)
+            row = set(map(r1.__add__, g_rs[:i]))
+            row.update(map((r1 - p).__add__, g_rs[i:]))
+            multi.update(seen.intersection(row))
+            seen.update(row)
+            if not c1:
+                multi.update(row)
+            elif g_zero:
+                multi.update((r1 + r2) % p for r2 in g_zero)
+            done += 1
+            if (len(seen) - len(multi)) * rows < limit * done:
+                return 0
+    return len(seen) - len(multi)
+
+
 def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list:
     """Slot triples of H = sum F_i*G_i - minus modulo X^p - 1, from one
-    pass over the term pairs and without the full products: the sorted
-    list of (r, c, d), one per slot r < p where c or d is nonzero, c the
-    coefficient of H mod X^p - 1 at X^r and d = sum e*c_e over the terms
-    c_e*X^e of H in slot r, the coefficient of X*H' mod X^p - 1 there.
-    interp_sum_sp passes its running h* as minus and its overflow bound as
-    limit.  Every F_i, G_i and minus must share one ring
+    pass over the term pairs and without the full products: the list of
+    (r, c, d), in no particular order, one per slot r < p where c or d is
+    nonzero, c the coefficient of H mod X^p - 1 at X^r and d = sum e*c_e
+    over the terms c_e*X^e of H in slot r, the coefficient of X*H' mod
+    X^p - 1 there.  interp_sum_sp passes its running h* as minus and its
+    overflow bound as limit.  Every F_i, G_i and minus must share one ring
     (RingMismatchError otherwise), which c and d live in.
 
     Each operand's terms are grouped into slots r = e mod p carrying
@@ -165,18 +218,29 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     accumulate them: direct sparse accumulation over the slot pairs,
     charged 3 ring mults per pair, or three packed dense cyclic
     convolutions per pair over Z.  The one the cost model
-    _dense_is_cheaper predicts faster is taken.  minus's own slot triples
-    are subtracted last: over Z and F_q an element is its own image and
-    drop reduces modulo q, so -c and -d enter as they are; only over
-    F_{q^s}, whose images need nonnegative digits, do they enter as
-    lift(neg(c)) and lift(neg(d)).
+    _dense_is_cheaper predicts faster is taken.  minus is subtracted last:
+    over Z and F_q an element is its own image and drop reduces modulo q,
+    so each term c*X^e of minus enters as (e mod p, -c, -e*c); only over
+    F_{q^s}, whose images need nonnegative digits, do minus's own slot
+    triples enter as lift(neg(c)) and lift(neg(d)).
 
     The count of nonzero c (the terms of H mod X^p - 1) is checked first,
     then that of nonzero d (the terms of X*H' mod X^p - 1): as soon as one
     is N > limit, SparsityBoundError(N - #minus) is raised.  Reduction
     modulo X^p - 1 only merges terms, and X*H' has no more terms than H,
-    so N <= #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.  Empty
-    pairs raise ValueError: there is no ring to take.
+    so N <= #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.
+
+    Before the sparse double loop, when _exponent_pass_pays, the exponents
+    alone can prove the overflow (_single_hits).  Let k be a slot that
+    exactly one slot pair (r1, r2) of one F_i, G_i reaches, with c1 and c2
+    nonzero, and that holds no term of minus.  Then the c of H at k is
+    c1*c2, nonzero since Z and every field have no zero divisors, and it is
+    also the c of sum F_i*G_i at k, minus having nothing there.  So
+    #(sum F_i*G_i) >= #(sum F_i*G_i mod X^p - 1) >= the number of such
+    slots, and more than limit of them raise SparsityBoundError with that
+    number as the floor, before any ring product.  Otherwise the walk runs
+    as above and returns the same triples.  Empty pairs raise ValueError:
+    there is no ring to take.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -187,16 +251,14 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     # takes two products per such meeting
     width = ring.lift_width(2 * sum(min(len(fs), len(gs)) for fs, gs in slotted))
     if width is not None:
-        lift = ring.lift
+        lift, neg = ring.lift, ring.neg
         slotted = [([(r, lift(c, width), lift(d, width)) for r, c, d in fs],
                     [(r, lift(c, width), lift(d, width)) for r, c, d in gs])
                    for fs, gs in slotted]
-    minus_slots = _slot_sums(minus, p)
-    if width is not None:
-        neg = ring.neg
-        minus_slots = [(r, lift(neg(c), width), lift(neg(d), width)) for r, c, d in minus_slots]
+        minus_slots = [(r, lift(neg(c), width), lift(neg(d), width))
+                       for r, c, d in _slot_sums(minus, p)]
     else:
-        minus_slots = [(r, -c, -d) for r, c, d in minus_slots]
+        minus_slots = ((e % p, -c, -e * c) for e, c in minus.terms)
     dense = _dense_is_cheaper(p, slotted, work)
     if dense:
         vec, dvec = [0] * p, [0] * p
@@ -213,6 +275,10 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
             dvec[r] += d
         slots = zip(range(p), vec, dvec)
     else:
+        if _exponent_pass_pays(work, p, limit):
+            floor = _single_hits(slotted, minus, p, limit)
+            if floor > limit:
+                raise SparsityBoundError(floor)
         # acc and dacc gain their keys together, so their orders agree
         acc, dacc = {}, {}
         for fs, gs in slotted:
@@ -246,16 +312,15 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
             n = sum(1 for t in slots if t[i])
             if n > limit:
                 raise SparsityBoundError(n - minus.sparsity)
-    if not dense:
-        slots.sort()
     return slots
 
 
 def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
     """H without its terms above height C, cut to its 2T lowest terms.  No degree
-    filter: find_terms emits only e <= D - 1, and h* holds only its updates."""
+    filter: find_terms emits only e <= D - 1, and h* holds only its updates.
+    The height filter builds a new list only when some |c| exceeds C."""
     terms = H.terms
-    if C is not None:
+    if C is not None and H.height() > C:
         terms = [(e, c) for e, c in terms if abs(c) <= C]
     if len(terms) > 2 * T:
         terms = terms[: 2 * T]  # already sorted: keeps the lowest degrees
@@ -286,6 +351,16 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     output of at most 2T terms can be H; when 3T binds, floor > T, which
     no honest job (T >= #H) reaches.  The caller can skip checking the job
     and size its next guess from the floor.
+
+    The walk can raise a floor from the exponents alone, too.  A slot that
+    exactly one slot pair (r1, r2) reaches, with both c sums nonzero and
+    no term of h* in it, holds c1*c2, nonzero over Z and over a field, as
+    H's own coefficient there; so S such slots prove #H >= S.  More than
+    min(3T, 2T + #h*) >= 2T of them raise SparsityBoundError(S), a floor
+    above 2T that no honest job reaches, before any ring product
+    (cyclic_product_residue).  S may be below N - #h*, so the next guess
+    may be smaller than the walk's own floor would make it; every floor is
+    still a lower bound on #H.
 
     For an honest job (T >= #H), the job ends at the round that brings h*
     to H (or the next one, if _trim dropped terms on the way), because

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import RandomSource, ceil_bound
 from .errors import RingMismatchError, UnsupportedRingError
@@ -48,9 +49,18 @@ class MultiPoly:
         return not self.terms
 
     def var_degrees(self) -> tuple:
-        """Max exponent of each variable, from one pass over the terms; ()
-        for the zero polynomial, whose partial degrees are all 0."""
-        return tuple(map(max, zip(*(e for e, _ in self.terms))))
+        """Max exponent of each variable; () for the zero polynomial, whose
+        partial degrees are all 0.  One pass over the terms on the first
+        call, kept for later ones: a MultiPoly does not change."""
+        return self._var_degrees
+
+    @cached_property
+    def _var_degrees(self) -> tuple:
+        return _partial_degrees(self.terms)
+
+
+def _partial_degrees(terms) -> tuple:
+    return tuple(map(max, zip(*(e for e, _ in terms))))
 
 
 def _shared_ring(F: MultiPoly, G: MultiPoly) -> RingSpec:

@@ -11,7 +11,7 @@ import pytest
 from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonicalize,
                    canonicalize_multi, ext_field, integers, kronecker, lambda_nonzero,
                    multivar_product_smallchar, naive_mul_multi, prime_field)
-from spmul import arith, cli, interp, product, verify
+from spmul import arith, cli, interp, multivar, product, verify
 from spmul.cli import DEFAULT_EPSILON, format_poly, parse_poly, run_command
 
 import ci_inputs
@@ -160,6 +160,22 @@ class TestCommands:
         z = self._write(tmp_path, "z.poly", "ring int\nvars 100000000\n")
         assert run_command(["verify", z, z, z]) == 0
         assert capsys.readouterr().out == "OK\n"
+
+    def test_verify_takes_one_partial_degree_pass_per_file(self, tmp_path, monkeypatch):
+        # the Kronecker base d comes from the three files' partial degrees,
+        # and each kronecker checks its operand against d: both read the
+        # degrees one pass over each polynomial's terms gave
+        passes = []
+        real = multivar._partial_degrees
+        monkeypatch.setattr(multivar, "_partial_degrees",
+                            lambda terms: passes.append(len(terms)) or real(terms))
+        f = canonicalize_multi([((1, 0, 2), 1), ((0, 3, 1), 2)], 3, ZZ)
+        g = canonicalize_multi([((2, 1, 0), -1), ((0, 0, 1), 5), ((1, 1, 1), 1)], 3, ZZ)
+        a = self._write(tmp_path, "a.poly", format_poly(f))
+        b = self._write(tmp_path, "b.poly", format_poly(g))
+        h = self._write(tmp_path, "h.poly", format_poly(naive_mul_multi(f, g)))
+        assert run_command(["verify", a, b, h]) == 0
+        assert sorted(passes) == [2, 3, 6]
 
     def test_verify_mismatch_exit_code(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.poly", F_TEXT)

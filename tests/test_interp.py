@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from spmul import (CharacteristicTooSmallError, RandomSource,
+from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
                    RingMismatchError, SparsityBoundError, add, canonicalize,
                    ext_field, find_terms, integers, interp_sum_sp,
                    mul_count, naive_mul, negate, prime_field,
-                   reset_mul_count, sub, zero_poly)
+                   reset_mul_count, sparse_product, sub, zero_poly)
 from spmul import interp
 from spmul.interp import cyclic_product_residue
 from spmul.poly import height_bound
@@ -94,8 +94,25 @@ class TestFindTerms:
         assert find_terms(7, ZZ, [(3, 2, 6)], 20, None) == canonicalize([(3, 2)], ZZ)
 
     def test_slots_at_or_above_p_raise(self):
-        with pytest.raises(ValueError, match="below p"):
-            find_terms(7, ZZ, [(3, 2, 6), (7, 1, 7)], 20, None)
+        # wherever the offending triple sits: triples come in any order
+        for slots in ([(3, 2, 6), (7, 1, 7)], [(7, 1, 7), (3, 2, 6)]):
+            with pytest.raises(ValueError, match="below p"):
+                find_terms(7, ZZ, slots, 20, None)
+
+    def test_shuffled_triples_give_the_same_terms(self):
+        # colliding slots included: the output is the same polynomial,
+        # its terms sorted by exponent, for any order of the triples
+        rnd = random.Random(4)
+        for ring in (ZZ, prime_field(Q62), ext_field(Q62, 2)):
+            for _ in range(30):
+                p = rnd.choice([11, 31, 101])
+                h = rand_sparse(rnd, ring, 40, 3000, 99)
+                C = h.height() if ring is ZZ else None
+                slots = _slots_of(h, p)
+                want = find_terms(p, ring, slots, h.degree, C)
+                assert [e for e, _ in want.terms] == sorted({e for e, _ in want.terms})
+                rnd.shuffle(slots)
+                assert find_terms(p, ring, slots, h.degree, C) == want
 
 
 def _direct_slots(pairs, minus, p, ring):
@@ -107,11 +124,12 @@ def _direct_slots(pairs, minus, p, ring):
 
 
 def _residue_by_route(monkeypatch, dense, pairs, minus, p):
-    """cyclic_product_residue with the route pinned: the cost model is
-    replaced by a constant answer.  No residue modulo X^p - 1 has more than
-    p terms, so limit = p never binds."""
+    """cyclic_product_residue with the route pinned, sorted by r as
+    _direct_slots lists them: the cost model is replaced by a constant
+    answer.  No residue modulo X^p - 1 has more than p terms, so limit = p
+    never binds, and no count of single-hit slots passes it."""
     monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: dense)
-    return cyclic_product_residue(pairs, minus, p, limit=p)
+    return sorted(cyclic_product_residue(pairs, minus, p, limit=p))
 
 
 def _watch_rounds(monkeypatch) -> list:
@@ -148,7 +166,9 @@ class TestCyclicProductResidue:
         # every triple is (coefficient of H - minus at r, sum of e*c over
         # its terms in slot r), from naive_mul; below either count the walk
         # raises, the count of nonzero c checked before that of nonzero d,
-        # with the floor N - #minus
+        # with the floor N - #minus.  The exponent-only pass, which can raise
+        # a smaller floor first, is held off
+        monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: False)
         rnd = random.Random(8)
         for ring in (ZZ, prime_field(Q62), ext_field(101, 3)):
             for _ in range(12):
@@ -167,7 +187,7 @@ class TestCyclicProductResidue:
                     monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_, _d=dense: _d)
                     for limit in range(len(want) + 1):
                         if max(n_c, n_d) <= limit:
-                            assert cyclic_product_residue(pairs, minus, p, limit) == want
+                            assert sorted(cyclic_product_residue(pairs, minus, p, limit)) == want
                             continue
                         with pytest.raises(SparsityBoundError) as err:
                             cyclic_product_residue(pairs, minus, p, limit)
@@ -236,7 +256,7 @@ class TestCyclicProductResidue:
         pairs = [(f, f)]  # H = f^2 has 9 terms
         zero = zero_poly(ZZ)
         want = _direct_slots(pairs, zero, 101, ZZ)
-        assert cyclic_product_residue(pairs, zero, 101, limit=9) == want
+        assert sorted(cyclic_product_residue(pairs, zero, 101, limit=9)) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, zero, 101, limit=8)
         assert err.value.floor == 9
@@ -245,7 +265,7 @@ class TestCyclicProductResidue:
         minus = canonicalize([(0, 1), (200, 1)], ZZ)
         want = _direct_slots(pairs, minus, 101, ZZ)
         assert sum(1 for _, c, _ in want if c) == 9
-        assert cyclic_product_residue(pairs, minus, 101, limit=9) == want
+        assert sorted(cyclic_product_residue(pairs, minus, 101, limit=9)) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, minus, 101, limit=8)
         assert err.value.floor == 9 - 2
@@ -254,7 +274,7 @@ class TestCyclicProductResidue:
         pairs = [(canonicalize([(7, 1), (0, -1)], ZZ), canonicalize([(1, 1), (2, 1), (3, 1)], ZZ))]
         want = _direct_slots(pairs, zero, 7, ZZ)
         assert want == [(1, 0, 7), (2, 0, 7), (3, 0, 7)]
-        assert cyclic_product_residue(pairs, zero, 7, limit=3) == want
+        assert sorted(cyclic_product_residue(pairs, zero, 7, limit=3)) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, zero, 7, limit=2)
         assert err.value.floor == 3
@@ -282,6 +302,160 @@ class TestCyclicProductResidue:
         for minus in (zero_poly(ZZ), canonicalize([(2, 1)], ZZ)):
             with pytest.raises(ValueError, match="pairs must be nonempty"):
                 cyclic_product_residue([], minus, 5, limit=5)
+
+
+def _single_hit_count(pairs, minus, p):
+    """Brute force: the slots k reached by exactly one slot pair (r1, r2),
+    r1 + r2 = k (mod p), over all pairs, both of whose c sums are nonzero,
+    and holding no term of minus."""
+    hits, barred = {}, {e % p for e, _ in minus.terms}
+    for f, g in pairs:
+        for r1, c1, _ in _slots_of(f, p):
+            for r2, c2, _ in _slots_of(g, p):
+                k = (r1 + r2) % p
+                hits[k] = hits.get(k, 0) + 1
+                if not (c1 and c2):
+                    barred.add(k)
+    return sum(1 for k, n in hits.items() if n == 1 and k not in barred)
+
+
+def _watch_exponent_pass(monkeypatch, on: bool) -> list:
+    """Pin the sparse route and the exponent pass on or off; the returned
+    list receives every count _single_hits returns."""
+    counts = []
+    real = interp._single_hits
+    monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
+    monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: on)
+    monkeypatch.setattr(interp, "_single_hits",
+                        lambda *args: counts.append(real(*args)) or counts[-1])
+    return counts
+
+
+class TestExponentFloor:
+    def test_raised_floor_is_the_single_hit_count(self, monkeypatch):
+        # every count the pass returns is 0 (it stopped early) or the
+        # brute-force count; a count above limit is raised as the floor
+        # before any ring product, and a walk that gets past the pass
+        # returns the schoolbook triples
+        counts = _watch_exponent_pass(monkeypatch, True)
+        rnd = random.Random(36)
+        raised = 0
+        for ring in (ZZ, prime_field(Q62), ext_field(101, 3)):
+            for _ in range(30):
+                p = rnd.choice([5, 11, 31, 101])
+                pairs = [(rand_sparse(rnd, ring, 8, 300, 9), rand_sparse(rnd, ring, 8, 300, 9))
+                         for _ in range(rnd.randint(1, 2))]
+                if rnd.random() < 0.4:
+                    # (1 - X^p)*g, on either side: a slot whose c cancels
+                    # reaches no count
+                    pair = (canonicalize([(0, 1), (p, -1)], ring),
+                            rand_sparse(rnd, ring, 5, 300, 9))
+                    pairs.append(pair if rnd.random() < 0.5 else pair[::-1])
+                minus = (rand_sparse(rnd, ring, 4, 300, 9) if rnd.random() < 0.7
+                         else zero_poly(ring))
+                want = _direct_slots(pairs, minus, p, ring)
+                single = _single_hit_count(pairs, minus, p)
+                for limit in range(len(want) + 1):
+                    counts.clear()
+                    reset_mul_count()
+                    try:
+                        got = cyclic_product_residue(pairs, minus, p, limit)
+                    except SparsityBoundError as err:
+                        got = err
+                    assert len(counts) == 1 and counts[0] in (0, single)
+                    if counts[0] > limit:
+                        raised += 1
+                        assert isinstance(got, SparsityBoundError)
+                        assert got.floor == single
+                        assert mul_count() == 0
+                    elif not isinstance(got, SparsityBoundError):
+                        assert sorted(got) == want
+        assert raised > 300
+
+    def test_limit_zero_never_stops_early(self, monkeypatch):
+        # no share of limit 0 is missed, so the pass runs every row and
+        # raises whenever one slot is hit once
+        counts = _watch_exponent_pass(monkeypatch, True)
+        rnd = random.Random(5)
+        for ring in (ZZ, prime_field(101), ext_field(Q62, 2)):
+            for _ in range(20):
+                p = rnd.choice([7, 31])
+                pairs = [(rand_sparse(rnd, ring, 6, 200, 9), rand_sparse(rnd, ring, 6, 200, 9))
+                         for _ in range(rnd.randint(1, 2))]
+                minus = rand_sparse(rnd, ring, 3, 200, 9)
+                single = _single_hit_count(pairs, minus, p)
+                counts.clear()
+                with pytest.raises(SparsityBoundError) as err:
+                    cyclic_product_residue(pairs, minus, p, 0)
+                assert counts == [single]
+                if single:
+                    assert err.value.floor == single
+
+    def test_cancelled_slots_and_two_pairs(self, monkeypatch):
+        counts = _watch_exponent_pass(monkeypatch, True)
+        for ring in (ZZ, prime_field(101), ext_field(101, 3)):
+            p = 31
+            f = canonicalize([(0, 1), (p, -1)], ring)  # slot 0: c = 0, d = -p
+            g = canonicalize([(e, 1) for e in (1, 5, 9)], ring)
+            # every slot of f*g comes from f's cancelled slot: nothing counts,
+            # though X*(f*g)' has three terms
+            for pair in ((f, g), (g, f)):
+                counts.clear()
+                with pytest.raises(SparsityBoundError) as err:
+                    cyclic_product_residue([pair], zero_poly(ring), p, 2)
+                assert counts == [0] and err.value.floor == 3
+            # x*g reaches slots 2, 6 and 10 once each; g*g's nine slot
+            # pairs reach 2 and 18 once, 6 and 14 twice, 10 three times.
+            # Across both pairs only 18 is hit once, unless minus bars it
+            x = canonicalize([(1, 1)], ring)
+            pairs = [(x, g), (g, g)]
+            for barred, single in ((14, 1), (18, 0)):
+                minus = canonicalize([(barred + p, 1)], ring)
+                assert _single_hit_count(pairs, minus, p) == single
+                counts.clear()
+                with pytest.raises(SparsityBoundError) as err:
+                    cyclic_product_residue(pairs, minus, p, 0)
+                assert counts == [single]
+                if single:
+                    assert err.value.floor == single
+
+    def test_structured_sum_stops_within_a_few_rows(self, monkeypatch):
+        # the sumset of 64 + 64 terms on one progression: every row after
+        # the first repeats all but one slot, so two slots stay hit once
+        # and the pass gives up after two of its 64 rows
+        rows = []
+        real = interp.bisect_right
+        monkeypatch.setattr(interp, "bisect_right", lambda *a: rows.append(a) or real(*a))
+        n, p = 64, 100003
+        f = canonicalize([(3 * i, 1 + i) for i in range(n)], ZZ)
+        g = canonicalize([(3 * i + 1, 2 + i) for i in range(n)], ZZ)
+        assert interp._exponent_pass_pays(n * n, p, 2 * n - 1)
+        monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
+        got = cyclic_product_residue([(f, g)], zero_poly(ZZ), p, 2 * n - 1)
+        assert sorted(got) == _direct_slots([(f, g)], zero_poly(ZZ), p, ZZ)
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_products_with_the_pass_on_and_off(self, monkeypatch, on):
+        # the routes stay free; only the pass is pinned, and when it runs
+        # some of its counts end a walk
+        raised = []
+        real = interp._single_hits
+
+        def single_hits(slotted, minus, p, limit):
+            n = real(slotted, minus, p, limit)
+            raised.append(n > limit)
+            return n
+
+        monkeypatch.setattr(interp, "_single_hits", single_hits)
+        monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: on)
+        rnd = random.Random(64)
+        params = ProductParams(2 ** -21, 2 ** -21)
+        for t in (1, 3, 16, 40, 64):
+            f = rand_sparse(rnd, ZZ, t, 10 ** 9, 2 ** 30)
+            g = rand_sparse(rnd, ZZ, t, 10 ** 9, 2 ** 30)
+            assert sparse_product(f, g, params, RandomSource(t)) == naive_mul(f, g)
+        assert any(raised) == on
 
 
 class TestInterpSumSP:

@@ -113,6 +113,12 @@ class TestKronecker:
         f = mp([((3, 0), 1)])
         with pytest.raises(ValueError):
             kronecker(f, 3)
+        # the partial degrees are kept after the first pass, and the guard
+        # reads the kept ones
+        assert f.var_degrees() == (3, 0)
+        with pytest.raises(ValueError, match="partial degree >= d"):
+            kronecker(f, 3)
+        assert kronecker(f, 4).terms == ((3, 1),)
 
     def test_linear_in_the_exponent_vectors(self):
         # one term in 20,000 variables: its image exponent, 2^20000 - 1, is
