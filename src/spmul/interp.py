@@ -25,17 +25,25 @@ reaches, and that h* leaves empty, holds a nonzero product of two nonzero
 slot sums, so the count of such slots is a proven lower bound on #H found
 without a ring product (cyclic_product_residue).
 
-A job ends at the first round whose update explains every slot triple of
-H - h*: then H - h* - update vanishes mod X^p - 1, and so does X times its
-derivative.  That takes one count, not another residue walk.  find_terms
-emits at most one term per slot r, and only from a triple with c nonzero,
-with e = r (mod p), that slot's c, and e*c = d.  Distinct r give distinct
-slots, so update's residues are sub-polynomials of the observed ones, and
-equal to them iff #update equals the number of triples: every triple then
-has c nonzero and is matched by its term, d included.  The empty list is
-the zero case.  The rule is a stopping rule, not a certificate: p was used
-to build the update, so a collision at p can make a wrong h* look
-explained.  The caller's verifier (product.py) certifies the result.
+A job ends at the first round whose update explains or repairs every slot
+triple of H - h*: then H - h* - update vanishes mod X^p - 1, and so does X
+times its derivative.  That takes one count and the repairs, not another
+residue walk.  find_terms emits at most one term per slot r, and only from
+a triple with c nonzero, with e = r (mod p), that slot's c, and e*c = d.
+Distinct r give distinct slots, so update's residues are sub-polynomials
+of the observed ones, and the slots its terms land in are explained:
+their c and d are matched.  The len(slots) - #update other slots (a
+collision, or a c cancelled while d is not) are repaired exactly from the
+operands (_repair): the term products c1*c2*X^(e1+e2) with e1 + e2 in
+such a slot k are found by bucketing one operand of each pair by e mod
+p, summed by exponent and taken less h*'s terms in slot k.  Those are the
+terms of H - h* in slot k, every exponent with all of its products, so
+h* + update equals H on every repaired slot.  A repair is made only when
+it costs less than the walk a second round would take; otherwise the job
+walks again, as every round did before.  The empty list is the zero case.
+The rule is a stopping rule, not a certificate: p was used to build the
+update, so a collision at p can make a wrong h* look explained.  The
+caller's verifier (product.py) certifies the result.
 """
 
 from __future__ import annotations
@@ -315,10 +323,70 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     return slots
 
 
+def _repair(pairs, minus: SparsePoly, p: int, ks) -> SparsePoly | None:
+    """The terms of H = sum F_i*G_i - minus whose exponents lie in the
+    slots ks modulo X^p - 1, exact, or None when finding them would cost
+    no less than walking the pairs again.
+
+    A term product c1*c2*X^(e1+e2) lies in slot k iff e2 = k - e1 (mod
+    p), so with each pair's larger operand bucketed by e mod p, every
+    product landing in slot k is found by one lookup per term of the
+    smaller operand.  Summed by exponent, they are the terms of
+    sum F_i*G_i in the slots ks, every exponent with all of its products;
+    minus's terms in those slots are then subtracted.  Each product takes
+    one ring.mul.
+
+    The cost rule counts steps, one per term visit, lookup or product.
+    The repair takes sum #large_i (bucketing) + u*sum #small_i (lookups,
+    u = #ks) + the products landing in the u slots.  A walk takes
+    sum (#F_i + #G_i) for its slot sums plus 3 per slot pair, the ring
+    mults it charges for each.  The walk is priced at this round's p; a
+    second round also pays find_terms and _trim, left out in the walk's
+    favour.
+    """
+    ring = minus.ring
+    u = len(ks)
+    walk = cost = 0
+    plan = []
+    for F, G in pairs:
+        small, large = (F, G) if F.sparsity <= G.sparsity else (G, F)
+        buckets: dict = {}
+        for e, c in large.terms:
+            buckets.setdefault(e % p, []).append((e, c))
+        plan.append((small.terms, buckets))
+        slots = len({e % p for e, _ in small.terms})
+        walk += F.sparsity + G.sparsity + 3 * slots * len(buckets)
+        cost += large.sparsity + u * small.sparsity
+    if cost >= walk:
+        return None
+    hits = []
+    for terms, buckets in plan:
+        for e1, c1 in terms:
+            for k in ks:
+                bucket = buckets.get((k - e1) % p)
+                if bucket:
+                    hits.append((e1, c1, bucket))
+                    cost += len(bucket)
+    if cost >= walk:
+        return None
+    acc: dict = {}
+    for e1, c1, bucket in hits:
+        for e2, c2 in bucket:
+            e = e1 + e2
+            c = ring.mul(c1, c2)
+            acc[e] = ring.add(acc[e], c) if e in acc else c
+    repaired = set(ks)
+    for e, c in minus.terms:
+        if e % p in repaired:
+            acc[e] = ring.sub(acc[e], c) if e in acc else ring.neg(c)
+    return SparsePoly(ring, tuple(sorted((e, c) for e, c in acc.items() if c)))
+
+
 def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
-    """H without its terms above height C, cut to its 2T lowest terms.  No degree
-    filter: find_terms emits only e <= D - 1, and h* holds only its updates.
-    The height filter builds a new list only when some |c| exceeds C."""
+    """H without its terms above height C, cut to its 2T lowest terms.  No
+    degree filter: find_terms and _repair emit only e <= D - 1, and h*
+    holds only their updates.  The height filter builds a new list only
+    when some |c| exceeds C."""
     terms = H.terms
     if C is not None and H.height() > C:
         terms = [(e, c) for e, c in terms if abs(c) <= C]
@@ -336,11 +404,33 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     the largest deg F_i + deg G_i over pairs with no zero side (at least
     2) strictly bounds the degree of H, and over Z, C = poly.height_bound
     bounds its height.  The output has at most 2T terms, degree < D, and
-    (over Z) height <= C.  A job ends at the first round whose find_terms
-    update explains every slot triple of H - h* (h* the running
-    approximation; see the module docstring for the count test) and whose
-    _trim keeps every term of h* + update, so that H - h* and its
-    derivative vanish mod X^p - 1 at that round's p.
+    (over Z) height <= C.  A job ends at the first round where every slot
+    triple of H - h* (h* the running approximation) is explained by a
+    find_terms term or repaired, and whose _trim keeps every term of
+    h* + update, so that H - h* and its derivative vanish mod X^p - 1 at
+    that round's p (module docstring).
+
+    A repaired slot is exact.  The terms of sum F_i*G_i whose exponents
+    are = k (mod p) are the sums, by exponent, of the products
+    c1*c2*X^(e1+e2) over the term pairs of each F_i, G_i with e1 + e2 = k
+    (mod p), and _repair forms every one of those products: for each
+    term e1 of the smaller operand, all terms e2 = k - e1 (mod p) of the
+    larger.  Less h*'s terms in slot k, that is H - h* restricted to slot
+    k, so h* + update holds exactly H's terms there, whatever h* held.
+    The repair is made only when its lookups and products cost less than
+    another walk (_repair's cost rule); a refused repair leaves the round
+    unexplained, and the job takes its next round.
+
+    The repair adds one early exit.  Without it, a round with colliding
+    slots ended the job on a wrong h* only if find_terms read every one of
+    them as a term; with it, one such misread slot is enough, the others
+    being repaired.  A colliding slot r is misread when its d/c reads as
+    an exponent e <= D - 1 with e = r (mod p).  Such an exit needs a
+    collision at p, and a fixed pair of terms of H - h* collides only
+    under the primes dividing their exponent difference, at most k(D)
+    primes of the pool, as in the pool argument below.  A wrong h* that
+    exits this way is rejected by the caller's verifier (verify_sp), so
+    mu1 is untouched.
 
     Either residue of H - h* with N terms (its triples' nonzero c, or
     nonzero d) proves #H >= N - #h*: H - h* and X times its derivative
@@ -420,10 +510,19 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
         limit = min(3 * T, 2 * T + h_star.sparsity)
         slots = cyclic_product_residue(pairs, h_star, p, limit=limit)
         update = find_terms(p, ring, slots, D - 1, double_c)
+        explained = update.sparsity == len(slots)
+        if not explained:
+            # the slots no update term explains, repaired from the operands
+            # when that costs less than another walk
+            hit = {e % p for e, _ in update.terms}
+            fixed = _repair(pairs, h_star, p, [r for r, _, _ in slots if r not in hit])
+            if fixed is not None:
+                update = add(update, fixed)
+                explained = True
         total = add(h_star, update)
         h_star = _trim(total, T, C)
-        # update explains every slot exactly and _trim kept all of it:
+        # every slot is explained or repaired and _trim kept all of it:
         # H - h* now vanishes mod X^p - 1, and so does its derivative
-        if update.sparsity == len(slots) and h_star.sparsity == total.sparsity:
+        if explained and h_star.sparsity == total.sparsity:
             break
     return h_star

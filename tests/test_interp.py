@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from spmul import (CharacteristicTooSmallError, ProductParams, RandomSource,
                    reset_mul_count, sparse_product, sub, zero_poly)
 from spmul import interp
 from spmul.interp import cyclic_product_residue
-from spmul.poly import height_bound
+from spmul.poly import SparsePoly, cyclic_reduce, derivative, height_bound
 
 from helpers import Q62, monomial, rand_sparse
 
@@ -144,6 +145,40 @@ def _watch_rounds(monkeypatch) -> list:
 
     monkeypatch.setattr(interp, "_trim", trim)
     return rounds
+
+
+def _pin_round_primes(monkeypatch, primes) -> None:
+    """Make interp_sum_sp's rounds walk at primes, in order: its pool
+    becomes one entry that reads the next prime on every draw."""
+    seq = iter(primes)
+
+    class Pool:
+        def __len__(self):
+            return 1
+
+        def __getitem__(self, i):
+            return next(seq)
+
+    monkeypatch.setattr(interp, "first_primes", lambda n: Pool())
+
+
+def _watch_repairs(monkeypatch) -> list:
+    """List that receives (p, sorted slots, result) for every _repair call,
+    the result None when the cost rule refused it."""
+    repairs = []
+    real = interp._repair
+
+    def repair(pairs, minus, p, ks):
+        repairs.append((p, sorted(ks), real(pairs, minus, p, ks)))
+        return repairs[-1][2]
+
+    monkeypatch.setattr(interp, "_repair", repair)
+    return repairs
+
+
+def _in_slots(h, p, ks):
+    """The terms of h whose exponents lie in the slots ks mod X^p - 1."""
+    return SparsePoly(h.ring, tuple(t for t in h.terms if t[0] % p in ks))
 
 
 class TestCyclicProductResidue:
@@ -556,25 +591,27 @@ class TestInterpSumSP:
     def test_derivative_residue_keeps_the_job_running(self, monkeypatch):
         # H = X^100 - X^2 at p = 7: both terms sit in slot 2, whose triple
         # is (2, 0, 100 - 2): the coefficients cancel, d does not.  The
-        # first round recovers nothing, as c = 0; only that triple, which
-        # no update term explains, keeps it from returning h* = 0.
+        # first round recovers nothing, as c = 0; that triple, which no
+        # update term explains, is repaired from the operands, so the job
+        # returns H from its first round and never h* = 0
         f = monomial(ZZ, 2, 1)
         g = canonicalize([(98, 1), (0, -1)], ZZ)
         h = naive_mul(f, g)
         rounds = _watch_rounds(monkeypatch)
-        # the first round walks and reads its slot triples at p = 7,
-        # whatever prime it drew; later rounds keep their own
-        for name, at in (("cyclic_product_residue", 2), ("find_terms", 0)):
-            def at_7_first(*args, _real=getattr(interp, name), _at=at, **kwargs):
-                if not rounds:
-                    args = args[:_at] + (7,) + args[_at + 1:]
-                return _real(*args, **kwargs)
+        repairs = _watch_repairs(monkeypatch)
+        walks = []
+        real = interp.cyclic_product_residue
 
-            monkeypatch.setattr(interp, name, at_7_first)
-        for seed in range(10):
-            rounds.clear()
-            assert interp_sum_sp([(f, g)], 2, 0.25, RandomSource(seed)) == h
-            assert rounds[0].is_zero and len(rounds) >= 2
+        def cyclic_product_residue(*args, **kwargs):
+            walks.append(real(*args, **kwargs))
+            return walks[-1]
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        _pin_round_primes(monkeypatch, itertools.repeat(7))
+        assert interp_sum_sp([(f, g)], 2, 0.25, RandomSource(0)) == h
+        assert walks == [[(2, 0, 98)]]
+        assert repairs == [(7, [2], h)]
+        assert rounds == [h]
 
     @pytest.mark.parametrize("T, D", [(T, D) for T in (2, 16, 128)
                                       for D in (10 ** 2, 10 ** 4, 10 ** 9, 2 ** 64) if T < D / 4])
@@ -662,3 +699,127 @@ class TestInterpSumSP:
                 interp_sum_sp([(F_EX, G_EX)], 1, mu, rng)
         with pytest.raises(RingMismatchError):
             interp_sum_sp([(F_EX, monomial(prime_field(5), 0, 1))], 1, 0.25, rng)
+
+
+# F*G at p = 5 and a second prime: 6X^5 sits alone in slot 0, every other
+# product term in slot 1 or 2.  At 53 slot 5 holds 6X^5, 9108X^2072 and
+# 504X^3132, and no other slot holds two terms; at 1009 none does
+F_TWO = canonicalize([(5, 3), (741, -89), (1561, 21), (1731, -99)], ZZ)
+G_TWO = canonicalize([(0, 2), (341, -92), (1571, 24), (1646, -42)], ZZ)
+
+
+class TestRepair:
+    RINGS = [ZZ, prime_field(Q62), ext_field(101, 3)]
+
+    @staticmethod
+    def _poly(rnd, ring, t):
+        # exponents below 50 keep D below 101, the characteristic of F_101^3
+        return rand_sparse(rnd, ring, t, 50 if ring.kind == "ext_field" else 10 ** 4, 2 ** 16)
+
+    def _pairs(self, rnd, ring, n):
+        return [(self._poly(rnd, ring, 6), self._poly(rnd, ring, 6)) for _ in range(n)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["Z", "F_Q62", "F_101^3"])
+    def test_repaired_slots_match_schoolbook(self, ring):
+        # the repair of slots ks is H - minus restricted to ks, with minus's
+        # terms inside ks subtracted and those outside left alone
+        rnd = random.Random(11)
+        for _ in range(30):
+            p = rnd.choice([7, 13, 31])
+            pairs = self._pairs(rnd, ring, rnd.randint(1, 2))
+            minus = self._poly(rnd, ring, 4)
+            h = zero_poly(ring)
+            for f, g in pairs:
+                h = add(h, naive_mul(f, g))
+            slots = [r for r, _, _ in _direct_slots(pairs, minus, p, ring)]
+            ks = rnd.sample(slots, min(len(slots), 2)) + [minus.terms[0][0] % p]
+            ks = list(set(ks))
+            assert interp._repair(pairs, minus, p, ks) == _in_slots(sub(h, minus), p, set(ks))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["Z", "F_Q62", "F_101^3"])
+    def test_colliding_job_ends_in_one_round(self, monkeypatch, ring):
+        # every round at p = 23: #F*#G products of up to 36 collide in 23
+        # slots, the slots find_terms leaves are repaired, and the job
+        # returns the schoolbook product from its first round
+        rnd = random.Random(12)
+        rounds = _watch_rounds(monkeypatch)
+        repairs = _watch_repairs(monkeypatch)
+        _pin_round_primes(monkeypatch, itertools.repeat(23))
+        repaired = 0
+        for seed in range(15):
+            f, g = self._pairs(rnd, ring, 1)[0]
+            h = naive_mul(f, g)
+            rounds.clear()
+            repairs.clear()
+            assert interp_sum_sp([(f, g)], max(1, h.sparsity), 0.25, RandomSource(seed)) == h
+            if repairs and repairs[0][2] is not None:
+                repaired += 1
+                assert len(rounds) == 1
+        assert repaired >= 8
+
+    def test_two_pair_job(self, monkeypatch):
+        # product.py's h2 job: (F_p, G_p') + (F_p', G_p) with the operands
+        # reduced mod X^997 - 1, every round at p = 23
+        rnd = random.Random(13)
+        rounds = _watch_rounds(monkeypatch)
+        repairs = _watch_repairs(monkeypatch)
+        _pin_round_primes(monkeypatch, itertools.repeat(23))
+        repaired = 0
+        for seed in range(15):
+            f, g = self._pairs(rnd, ZZ, 1)[0]
+            f_p, g_p = cyclic_reduce(f, 997), cyclic_reduce(g, 997)
+            pairs = [(f_p, cyclic_reduce(derivative(g), 997)),
+                     (cyclic_reduce(derivative(f), 997), g_p)]
+            h = add(naive_mul(*pairs[0]), naive_mul(*pairs[1]))
+            rounds.clear()
+            repairs.clear()
+            assert interp_sum_sp(pairs, max(1, h.sparsity), 0.25, RandomSource(seed)) == h
+            if repairs and repairs[0][2] is not None:
+                repaired += 1
+                assert len(rounds) == 1
+        assert repaired >= 8
+
+    @pytest.mark.parametrize("p2", [1009, 53])
+    def test_refused_repair_takes_a_second_round(self, monkeypatch, p2):
+        # at p = 5 slot 0 gives 6X^5, and slots 1 and 2 hold 6 and 9
+        # products: repairing them takes 4 bucketing and 2*4 lookup steps
+        # and 15 products, 27 in all, against 8 + 3*2*2 = 20 for another
+        # walk, so the cost rule refuses and the job walks again at p2,
+        # with h* = 6X^5 subtracted term by term.  At 1009 nothing
+        # collides and no slot is left; at 53 slot 5 holds 6X^5 and two more
+        # terms, and its repair subtracts h*'s term from the products there
+        h = naive_mul(F_TWO, G_TWO)
+        rounds = _watch_rounds(monkeypatch)
+        repairs = _watch_repairs(monkeypatch)
+        minus = []
+        real = interp.cyclic_product_residue
+
+        def cyclic_product_residue(pairs, h_star, p, limit):
+            minus.append(h_star)
+            return real(pairs, h_star, p, limit)
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        _pin_round_primes(monkeypatch, [5, p2])
+        assert interp_sum_sp([(F_TWO, G_TWO)], 16, 0.25, RandomSource(0)) == h
+        six = monomial(ZZ, 5, 6)
+        assert minus == [zero_poly(ZZ), six]
+        assert rounds == [six, h]
+        assert repairs[0] == (5, [1, 2], None)
+        if p2 == 1009:
+            assert len(repairs) == 1
+        else:
+            assert repairs[1] == (53, [5], _in_slots(sub(h, six), 53, {5}))
+            assert repairs[1][2].sparsity == 2
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["Z", "F_Q62", "F_101^3"])
+    def test_one_ring_mult_per_product(self, ring):
+        rnd = random.Random(14)
+        for _ in range(20):
+            p = rnd.choice([7, 13, 31])
+            pairs = self._pairs(rnd, ring, rnd.randint(1, 2))
+            ks = rnd.sample(range(p), 2)
+            products = sum(1 for f, g in pairs for e1, _ in f.terms for e2, _ in g.terms
+                           if (e1 + e2) % p in ks)
+            reset_mul_count()
+            out = interp._repair(pairs, zero_poly(ring), p, ks)
+            assert out is not None and mul_count() == products

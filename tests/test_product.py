@@ -588,6 +588,34 @@ class TestSparsityFloor:
         assert max(j for j, _ in draws) > 100_000  # the final job's pool
         assert all(oracle[j] == p for j, p in draws)
 
+    @pytest.mark.parametrize("t, most", [(32, 63), (48, 62), (64, 63)])
+    def test_final_job_takes_one_walk(self, monkeypatch, t, most):
+        # random t x t over Z below 10^9: the final job's prime, near 3.3M
+        # at t = 64, leaves a few colliding slots, which are repaired from
+        # the operands instead of walking again; so that job walks once,
+        # and the 20 products walk at most most times in all
+        jobs = []
+        real_job, real_walk = product.interp_sum_sp, interp.cyclic_product_residue
+
+        def interp_sum_sp(pairs, T, mu, rng):
+            jobs.append(0)
+            return real_job(pairs, T, mu, rng)
+
+        def cyclic_product_residue(*args, **kwargs):
+            jobs[-1] += 1
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        walks = 0
+        for seed in range(20):
+            f, g = _random_pair(ZZ, (t, t), 10 ** 9, seed)
+            jobs.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            assert jobs[-1] == 1
+            walks += sum(jobs)
+        assert walks <= most
+
     def test_lattice_below_t0(self, monkeypatch):
         # t0 = 13 puts the lattice at 4, 7, 13, 26, ...: the guesses below
         # t0 are ceilings of t0 / 2^j, and every guess from t0 on is t0 * 2^j
