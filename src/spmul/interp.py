@@ -17,7 +17,8 @@ the integer kernel poly.dense_cyclic_mul, and dropped back into the
 operands' ring once per slot; nothing is sorted until find_terms sorts
 its terms by exponent.  Rounds accumulate recovered terms into a running
 approximation h* and correct earlier mistakes automatically, because wrong
-terms reappear negated in later residues; h* enters the walk term by term.
+terms reappear negated in later residues; h* enters the walk as the slot
+triples of -h*, which seed its accumulators in every ring.
 
 A walk that would overflow (more terms than the round can use) can often
 be stopped from the exponents alone: a slot that exactly one slot pair
@@ -54,7 +55,8 @@ from bisect import bisect_right
 
 from .arith import RandomSource, _omega_bound, first_primes
 from .errors import CharacteristicTooSmallError, SparsityBoundError
-from .poly import SparsePoly, _same_ring, add, dense_cyclic_mul, height_bound, zero_poly
+from .poly import (SparsePoly, _same_ring, add, dense_cyclic_mul, height_bound, negate,
+                   zero_poly)
 from .rings import RingSpec, add_mul_count
 
 
@@ -136,20 +138,23 @@ def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None) -> SparsePo
     return SparsePoly(ring, tuple(out))
 
 
-def _slot_sums(F: SparsePoly, p: int) -> list:
-    """F's terms grouped by e mod p: [(r, sum c, sum e*c)], sums in the ring.
+def _slot_sums(F: SparsePoly, p: int, width: int | None) -> list:
+    """F's terms grouped by e mod p: [(r, sum c, sum e*c)], each sum as its
+    integer image at width (RingSpec.lift): the value itself over Z, the
+    value mod q over F_q, lift(drop(.)) over F_{q^s}.
 
     A slot can keep sum e*c with sum c cancelled (1 - X^p at r = 0); only
     slots where both sums vanish are left out.  Over F_{q^s} the sums are
-    taken over integer images (RingSpec.lift) and dropped once per slot.
+    taken over images of the field's own width, dropped once per slot and
+    lifted again at width.
     """
     ring = F.ring
     terms = F.terms
     # a digit of a sum is at most #F * deg F * (q - 1), within the
     # n * s * (q - 1)^2 that lift_width(n) holds
-    width = ring.lift_width(F.sparsity * (F.degree + 1)) if terms else None
-    if width is not None:
-        terms = [(e, ring.lift(c, width)) for e, c in terms]
+    own = ring.lift_width(F.sparsity * (F.degree + 1)) if terms else None
+    if own is not None:
+        terms = [(e, ring.lift(c, own)) for e, c in terms]
     sums: dict = {}
     for e, c in terms:
         r = e % p
@@ -159,7 +164,9 @@ def _slot_sums(F: SparsePoly, p: int) -> list:
         else:
             sums[r] = (c, e * c)
     if ring.is_field:
-        sums = {r: (ring.drop(s, width), ring.drop(d, width)) for r, (s, d) in sums.items()}
+        drop, lift = ring.drop, ring.lift
+        sums = {r: (lift(drop(s, own), width), lift(drop(d, own), width))
+                for r, (s, d) in sums.items()}
     return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
 
@@ -226,11 +233,13 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     accumulate them: direct sparse accumulation over the slot pairs,
     charged 3 ring mults per pair, or three packed dense cyclic
     convolutions per pair over Z.  The one the cost model
-    _dense_is_cheaper predicts faster is taken.  minus is subtracted last:
-    over Z and F_q an element is its own image and drop reduces modulo q,
-    so each term c*X^e of minus enters as (e mod p, -c, -e*c); only over
-    F_{q^s}, whose images need nonnegative digits, do minus's own slot
-    triples enter as lift(neg(c)) and lift(neg(d)).
+    _dense_is_cheaper predicts faster is taken.  Every slot sum, minus's
+    included, is an image at one width, sized from term counts: a slot
+    gains at most sum min(#F_i, #G_i) products in c, twice that in d, and
+    one image of minus.  minus enters first and the same way in every
+    ring: the slot triples of -minus (_slot_sums) seed both routes'
+    accumulators, so a slot where minus's terms cancel both sums adds
+    nothing.
 
     The count of nonzero c (the terms of H mod X^p - 1) is checked first,
     then that of nonzero d (the terms of X*H' mod X^p - 1): as soon as one
@@ -253,23 +262,19 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     if not pairs:
         raise ValueError("pairs must be nonempty")
     ring = _same_ring(*(F for pair in pairs for F in pair), minus)
-    slotted = [(_slot_sums(F, p), _slot_sums(G, p)) for F, G in pairs]
+    # a slot of F_i meets at most one slot of G_i in any one slot, so a
+    # slot takes at most min(#F_i, #G_i) products per pair, d two per
+    # meeting, and minus adds one image
+    width = ring.lift_width(2 * sum(min(F.sparsity, G.sparsity) for F, G in pairs))
+    slotted = [(_slot_sums(F, p, width), _slot_sums(G, p, width)) for F, G in pairs]
+    # h* is subtracted here alone: its slot triples seed the accumulators
+    seed = _slot_sums(negate(minus), p, width)
     work = sum(len(fs) * len(gs) for fs, gs in slotted)
-    # a slot of F_i meets at most one slot of G_i in any one slot, and d
-    # takes two products per such meeting
-    width = ring.lift_width(2 * sum(min(len(fs), len(gs)) for fs, gs in slotted))
-    if width is not None:
-        lift, neg = ring.lift, ring.neg
-        slotted = [([(r, lift(c, width), lift(d, width)) for r, c, d in fs],
-                    [(r, lift(c, width), lift(d, width)) for r, c, d in gs])
-                   for fs, gs in slotted]
-        minus_slots = [(r, lift(neg(c), width), lift(neg(d), width))
-                       for r, c, d in _slot_sums(minus, p)]
-    else:
-        minus_slots = ((e % p, -c, -e * c) for e, c in minus.terms)
     dense = _dense_is_cheaper(p, slotted, work)
     if dense:
         vec, dvec = [0] * p, [0] * p
+        for r, c, d in seed:
+            vec[r], dvec[r] = c, d
         for fs, gs in slotted:
             fc, fd, gc, gd = [0] * p, [0] * p, [0] * p, [0] * p
             for r, c, d in fs:
@@ -278,9 +283,6 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
                 gc[r], gd[r] = c, d
             for out, a, b in ((vec, fc, gc), (dvec, fd, gc), (dvec, fc, gd)):
                 out[:] = map(operator.add, out, dense_cyclic_mul(a, b))
-        for r, c, d in minus_slots:
-            vec[r] += c
-            dvec[r] += d
         slots = zip(range(p), vec, dvec)
     else:
         if _exponent_pass_pays(work, p, limit):
@@ -288,7 +290,8 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
             if floor > limit:
                 raise SparsityBoundError(floor)
         # acc and dacc gain their keys together, so their orders agree
-        acc, dacc = {}, {}
+        acc = {r: c for r, c, _ in seed}
+        dacc = {r: d for r, _, d in seed}
         for fs, gs in slotted:
             for r1, c1, d1 in fs:
                 for r2, c2, d2 in gs:
@@ -302,13 +305,6 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
                         acc[k] = c1 * c2
                         dacc[k] = d1 * c2 + c1 * d2
         add_mul_count(3 * work)
-        for r, c, d in minus_slots:
-            if r in acc:
-                acc[r] += c
-                dacc[r] += d
-            else:
-                acc[r] = c
-                dacc[r] = d
         slots = zip(acc, acc.values(), dacc.values())
 
     if ring.is_field:

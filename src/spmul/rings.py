@@ -307,16 +307,10 @@ class RingSpec:
         return self._ext_mul(a, b)
 
     def smul(self, a, k: int):
-        """Multiply a ring element by an integer scalar."""
-        global _mul_count
-        _mul_count += 1
-        if self.kind == "integers":
-            return a * k
-        q = self.q
-        if self.kind == "prime_field":
-            return a * (k % q) % q
-        # k mod q is an element too, the constant of the prime subfield
-        return self._ext_mul(a, k % q)
+        """Multiply a ring element by an integer scalar: a product by the
+        element k (over a field k mod q, the constant of the prime
+        subfield), charged as one."""
+        return self.mul(a, k if self.q is None else k % self.q)
 
     def _ext_mul(self, a, b):
         q = self.q

@@ -137,10 +137,36 @@ def _image(P_p: SparsePoly, weights, field: RingSpec) -> SparsePoly:
         if (v := reduce(field.add, map(field.smul, weights, residues(c))))))
 
 
-def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
-                   rng: RandomSource) -> bool:
-    """The one evaluation core: True iff sum F_i G_i and H agree modulo
-    X^p - 1 at a random point of a large-enough field.
+def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,
+              rng: RandomSource) -> bool:
+    """Test whether F*G = H.
+
+    Always True when the identity holds; False with probability at least
+    1 - eps otherwise.  Works over Z, F_q, and F_{q^s} (any characteristic).
+    The primes it draws are certified by arith.is_prime, exact only below
+    3.3e24 and wrong with probability <= 2^-80 above, so an eps below
+    2^-80 is honoured only while every prime drawn stays below 3.3e24.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    _same_ring(F, G, H)
+    # cheap structural rejects (zero degrees are -inf); afterwards deg H
+    # bounds every degree
+    if H.sparsity > F.sparsity * G.sparsity:
+        return False
+    if H.degree != F.degree + G.degree:
+        return False
+    return verify_sum_sp(H, [(F, G)], eps, rng)
+
+
+def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
+    """Test whether sum_i F_i*G_i = H; same guarantees as verify_sp.
+
+    One evaluation core for every ring: True iff sum F_i G_i and H agree
+    modulo X^p - 1 at a random point of a large-enough field.  Pairs with
+    a zero side drop out; with none left, the answer is whether H is zero.
+    D is the largest deg F_i + deg G_i and deg H, and sparsity_sum is
+    sum #F_i*#G_i + #H over the pairs left.
 
     eps sizes the check and nothing else: (share_p, c2) = _split(eps,
     over Z) and lam = lambda_nonzero(sparsity_sum, max(D, 2), share_p).
@@ -189,7 +215,18 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
     the random searches for a prime p and for q can fail, each with a
     RetryBudgetError of probability at most e^-64 whatever eps is.
     """
-    ring = H.ring
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if not pairs:
+        raise ValueError("pairs must be nonempty")
+    ring = _same_ring(H, *(F for pair in pairs for F in pair))
+    pairs = [(F, G) for F, G in pairs if not F.is_zero and not G.is_zero]
+    if not pairs:
+        return H.is_zero
+    D = max(F.degree + G.degree for F, G in pairs)
+    if not H.is_zero:
+        D = max(D, H.degree)
+    sparsity_sum = sum(F.sparsity * G.sparsity for F, G in pairs) + H.sparsity
     share_p, c2 = _split(eps, ring.kind == "integers")
     lam = lambda_nonzero(sparsity_sum, max(D, 2), share_p)
     # a difference of degree <= D is its own residue mod X^(D+1) - 1
@@ -240,42 +277,3 @@ def _modular_check(pairs, H: SparsePoly, D, sparsity_sum: int, eps: float,
         for f, g in factors(F, G):
             lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha, field))
     return lhs == eval_sparse(h, alpha, field)
-
-
-def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,
-              rng: RandomSource) -> bool:
-    """Test whether F*G = H.
-
-    Always True when the identity holds; False with probability at least
-    1 - eps otherwise.  Works over Z, F_q, and F_{q^s} (any characteristic).
-    The primes it draws are certified by arith.is_prime, exact only below
-    3.3e24 and wrong with probability <= 2^-80 above, so an eps below
-    2^-80 is honoured only while every prime drawn stays below 3.3e24.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    _same_ring(F, G, H)
-    # cheap structural rejects (zero degrees are -inf); afterwards deg H
-    # bounds every degree
-    if H.sparsity > F.sparsity * G.sparsity:
-        return False
-    if H.degree != F.degree + G.degree:
-        return False
-    return verify_sum_sp(H, [(F, G)], eps, rng)
-
-
-def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
-    """Test whether sum_i F_i*G_i = H; same guarantees as verify_sp."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
-    _same_ring(H, *(F for pair in pairs for F in pair))
-    live = [(F, G) for F, G in pairs if not F.is_zero and not G.is_zero]
-    if not live:
-        return H.is_zero
-    D = max(F.degree + G.degree for F, G in live)
-    if not H.is_zero:
-        D = max(D, H.degree)
-    sparsity_sum = sum(F.sparsity * G.sparsity for F, G in live) + H.sparsity
-    return _modular_check(live, H, D, sparsity_sum, eps, rng)

@@ -4,7 +4,7 @@ Run it from the directory that should receive them:
 
     python tests/ci_inputs.py
 
-It writes six sets of pairs, each from its own fixed seed:
+It writes seven sets of pairs, each from its own fixed seed:
 
 * za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
   over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
@@ -12,8 +12,8 @@ It writes six sets of pairs, each from its own fixed seed:
   with exponents in [10^11, 10^12).  Their products wrap modulo X^p - 1
   (an operand's degree exceeds the cyclic prime p; F_9 products are taken
   through Z, while the x3 product is interpolated in F_((2^61 - 1)^3)
-  itself, the only CI product whose terms find_terms reads off in an
-  extension field), and their degrees exceed the verifier's bound lam, so
+  itself, by the two-pair job of the derivative's residue as well), and
+  their degrees exceed the verifier's bound lam, so
   they are the only CLI inputs in CI whose check takes the cyclic route
   (a random prime p in [lam, 2*lam]).  The F_9 check runs in
   F_3[Y]/(Phi_43), an extension of degree 42; the x3 check runs in the
@@ -25,6 +25,10 @@ It writes six sets of pairs, each from its own fixed seed:
   exponents below 10^4, whose check runs at p = D + 1 in
   F_2[Y]/(Phi_37) = F_(2^36), so a field of characteristic 2 goes
   through the cyclotomic check field end to end.
+* x3na/x3nb.poly (extension_pair): 8 x 8 terms over F_((2^61 - 1)^3)
+  with exponents below 10^4.  No operand wraps, so the product is
+  interpolated in that field by jobs of the one pair (F, G), and checked
+  at p = D + 1 in the ring itself.
 * rza/rzb.poly (random_pair): 64 x 64 terms over Z with exponents below
   10^9 and coefficients below 2^30 in absolute value, shaped like the
   benchmark's largest random_z product (about 4,000 output terms).  Its
@@ -39,11 +43,12 @@ It writes six sets of pairs, each from its own fixed seed:
   p = D + 1 and evaluates that H in F_q from its own terms; CI verifies
   it in a step of its own, after the loop over the pairs above.
 
-test_cli imports wrapping_pairs, f256_pair, random_pair, random_pair_128
-and large_pair, so the pairs it checks for the cyclic route, the x3 pair
-it checks for interpolation in its extension field, the F_256 pair whose
-check field it checks, the random pairs whose jobs and pools it checks,
-and the large pair it verifies, are the ones CI runs.
+test_cli imports wrapping_pairs, f256_pair, extension_pair, random_pair,
+random_pair_128 and large_pair, so the pairs it checks for the cyclic
+route, the x3 and x3n pairs it checks for interpolation in their extension
+field, the F_256 pair whose check field it checks, the random pairs whose
+jobs and pools it checks, and the large pair it verifies, are the ones CI
+runs.
 """
 
 import random
@@ -105,6 +110,20 @@ def f256_pair() -> dict:
     return files
 
 
+def extension_pair() -> dict:
+    """{file name: text} of the pair over F_((2^61 - 1)^3) that does not wrap."""
+    rnd = random.Random(8)
+    files = {}
+    for side in "ab":
+        exps = set()
+        while len(exps) < 8:
+            exps.add(rnd.randrange(10 ** 4))
+        files["x3n" + side + ".poly"] = f"field {Q61} 3\nvars 1\n" + "".join(
+            f"term {','.join(str(rnd.randint(1, Q61 - 1)) for _ in range(3))} {e}\n"
+            for e in exps)
+    return files
+
+
 def random_pair(t: int = 64, seed: int = 5, name: str = "rz") -> dict:
     """{file name: text} of a t x t pair over Z, 64 x 64 by default."""
     rnd = random.Random(seed)
@@ -138,7 +157,8 @@ def random_pair_128() -> dict:
 
 def main() -> None:
     for name, text in {**wrapping_pairs(), **trivariate_pairs(), **f256_pair(),
-                       **random_pair(), **random_pair_128(), **large_pair()}.items():
+                       **extension_pair(), **random_pair(), **random_pair_128(),
+                       **large_pair()}.items():
         with open(name, "w") as out:
             out.write(text)
 

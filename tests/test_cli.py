@@ -48,7 +48,11 @@ class TestParseFormat:
         for ring in (ZZ, prime_field(101), ext_field(3, 2)):
             for _ in range(20):
                 f = as_multi(rand_sparse(rnd, ring, 8, 10 ** 6, 2 ** 20))
-                assert parse_poly(format_poly(f)) == f
+                text = format_poly(f)
+                assert parse_poly(text) == f
+                # the same terms, their lines in reverse order, parse to f too
+                head, vars_line, *terms = text.splitlines(keepends=True)
+                assert parse_poly("".join([head, vars_line, *terms[::-1]])) == f
 
     def test_field_built_once_per_header(self, monkeypatch):
         # verify parses three files with one header: the field, and the
@@ -583,6 +587,46 @@ class TestCommands:
         ring = parse_poly(Path(a).read_text()).ring
         assert ring.q == 2 ** 61 - 1 and ring.s == 3
         assert seen and all(r == ring and p < D for r, p, D in seen)
+
+    def test_ci_unwrapped_extension_pair_walks_one_pair(self, tmp_path, monkeypatch, capsys):
+        # x3na/x3nb: 8 x 8 terms over F_((2^61 - 1)^3) below 10^4; no
+        # operand wraps, so every walk is of the one pair (F, G), in that
+        # field itself, and no h2 job runs.  The product equals the
+        # schoolbook one, passes its check, fails it with one coefficient
+        # changed, and its estimate lies in [n, 2n]
+        walks = []
+        real = interp.cyclic_product_residue
+
+        def cyclic_product_residue(pairs, minus, p, limit):
+            walks.append((len(pairs), minus.ring))
+            return real(pairs, minus, p, limit)
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        files = ci_inputs.extension_pair()
+        a, b = (self._write(tmp_path, f"x3n{side}.poly", files[f"x3n{side}.poly"])
+                for side in "ab")
+        h, naive = tmp_path / "x3nh.poly", tmp_path / "x3nnaive.poly"
+        assert run_command(["mul", a, b, "-o", str(h)]) == 0
+        ring = parse_poly(Path(a).read_text()).ring
+        assert ring.q == 2 ** 61 - 1 and ring.s == 3
+        assert walks and set(walks) == {(1, ring)}
+        assert run_command(["mul", "--naive", a, b, "-o", str(naive)]) == 0
+        assert h.read_bytes() == naive.read_bytes()
+        assert run_command(["verify", a, b, str(h)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        lines = h.read_text().splitlines(keepends=True)
+        n = sum(line.startswith("term") for line in lines)
+        assert n == 64
+        i = next(k for k, line in enumerate(lines) if line.startswith("term"))
+        _, c, e = lines[i].split()
+        c = c.split(",")
+        c[0] = str((int(c[0]) + 1) % ring.q)
+        lines[i] = f"term {','.join(c)} {e}\n"
+        bad = self._write(tmp_path, "x3nbad.poly", "".join(lines))
+        assert run_command(["verify", a, b, bad]) == 1
+        assert capsys.readouterr().out == "MISMATCH\n"
+        assert run_command(["estimate", a, b]) == 0
+        assert n <= int(capsys.readouterr().out) <= 2 * n
 
     def test_extreme_budgets_are_usage_errors(self, tmp_path, capsys):
         # sizing bounds past the float range: exit 2 with one line, never

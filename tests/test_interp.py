@@ -206,6 +206,7 @@ class TestCyclicProductResidue:
         monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: False)
         rnd = random.Random(8)
         for ring in (ZZ, prime_field(Q62), ext_field(101, 3)):
+            cases = []
             for _ in range(12):
                 p = rnd.choice([5, 11, 31])
                 pairs = [(rand_sparse(rnd, ring, 5, 200, 9), rand_sparse(rnd, ring, 5, 200, 9))
@@ -214,7 +215,23 @@ class TestCyclicProductResidue:
                     # (1 - X^p)*g leaves slots with c = 0 and d != 0
                     pairs.append((canonicalize([(0, 1), (p, -1)], ring),
                                   rand_sparse(rnd, ring, 5, 200, 9)))
-                minus = rand_sparse(rnd, ring, 4, 200, 9)
+                cases.append((p, pairs, rand_sparse(rnd, ring, 4, 200, 9)))
+            # minus terms sharing slot 3: X^3 - X^(3+p) cancels its c sum and
+            # keeps d = -p, X^3 - 2X^(3+p) + X^(3+2p) cancels both, so minus
+            # leaves that slot alone; 2X * (X^2 + 3X^5 + 4X^(p+7)) reaches
+            # slots 3, 6 and 8 once each, and the exponent-only pass still
+            # counts slot 3 out, as minus has terms there
+            p = 11
+            pairs = [(canonicalize([(1, 2)], ring),
+                      canonicalize([(2, 1), (5, 3), (p + 7, 4)], ring))]
+            for minus, kept in ((canonicalize([(3, 1), (3 + p, -1)], ring), [3]),
+                                (canonicalize([(3, 1), (3 + p, -2), (3 + 2 * p, 1)], ring), [])):
+                assert [r for r, _, _ in interp._slot_sums(minus, p, None)] == kept
+                slotted = [(interp._slot_sums(F, p, None), interp._slot_sums(G, p, None))
+                           for F, G in pairs]
+                assert interp._single_hits(slotted, minus, p, 0) == 2
+                cases.append((p, pairs, minus))
+            for p, pairs, minus in cases:
                 want = _direct_slots(pairs, minus, p, ring)
                 n_c = sum(1 for _, c, _ in want if c)
                 n_d = sum(1 for _, _, d in want if d)
