@@ -4,7 +4,7 @@ Run it from the directory that should receive them:
 
     python tests/ci_inputs.py
 
-It writes seven sets of pairs, each from its own fixed seed:
+It writes eight sets of pairs, each from its own fixed seed:
 
 * za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
   over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
@@ -29,6 +29,12 @@ It writes seven sets of pairs, each from its own fixed seed:
   with exponents below 10^4.  No operand wraps, so the product is
   interpolated in that field by jobs of the one pair (F, G), and checked
   at p = D + 1 in the ring itself.
+* x2a/x2b.poly (quadratic_pair): 8 x 8 terms over F_((2^61 - 1)^2), whose
+  canonical modulus is Y^2 + 1, with exponents below 10^4.  The product
+  is interpolated in that field itself: its walks drop their slot sums
+  at s = 2, find_terms multiplies and inverts there, and the check runs
+  at p = D + 1 in the ring itself, so every F_(q^2) operation goes
+  through the two-digit fold at a large q.
 * rza/rzb.poly (random_pair): 64 x 64 terms over Z with exponents below
   10^9 and coefficients below 2^30 in absolute value, shaped like the
   benchmark's largest random_z product (about 4,000 output terms).  Its
@@ -43,12 +49,12 @@ It writes seven sets of pairs, each from its own fixed seed:
   p = D + 1 and evaluates that H in F_q from its own terms; CI verifies
   it in a step of its own, after the loop over the pairs above.
 
-test_cli imports wrapping_pairs, f256_pair, extension_pair, random_pair,
-random_pair_128 and large_pair, so the pairs it checks for the cyclic
-route, the x3 and x3n pairs it checks for interpolation in their extension
-field, the F_256 pair whose check field it checks, the random pairs whose
-jobs and pools it checks, and the large pair it verifies, are the ones CI
-runs.
+test_cli imports wrapping_pairs, f256_pair, extension_pair,
+quadratic_pair, random_pair, random_pair_128 and large_pair, so the pairs
+it checks for the cyclic route, the x3, x3n and x2 pairs it checks for
+interpolation in their extension field, the F_256 pair whose check field
+it checks, the random pairs whose jobs and pools it checks, and the large
+pair it verifies, are the ones CI runs.
 """
 
 import random
@@ -110,18 +116,24 @@ def f256_pair() -> dict:
     return files
 
 
-def extension_pair() -> dict:
-    """{file name: text} of the pair over F_((2^61 - 1)^3) that does not wrap."""
-    rnd = random.Random(8)
+def extension_pair(s: int = 3, seed: int = 8, name: str = "x3n") -> dict:
+    """{file name: text} of an 8 x 8 pair over F_((2^61 - 1)^s) with
+    exponents below 10^4, which does not wrap; at s = 3 by default."""
+    rnd = random.Random(seed)
     files = {}
     for side in "ab":
         exps = set()
         while len(exps) < 8:
             exps.add(rnd.randrange(10 ** 4))
-        files["x3n" + side + ".poly"] = f"field {Q61} 3\nvars 1\n" + "".join(
-            f"term {','.join(str(rnd.randint(1, Q61 - 1)) for _ in range(3))} {e}\n"
+        files[name + side + ".poly"] = f"field {Q61} {s}\nvars 1\n" + "".join(
+            f"term {','.join(str(rnd.randint(1, Q61 - 1)) for _ in range(s))} {e}\n"
             for e in exps)
     return files
+
+
+def quadratic_pair() -> dict:
+    """{file name: text} of the 8 x 8 pair over F_((2^61 - 1)^2)."""
+    return extension_pair(2, 9, "x2")
 
 
 def random_pair(t: int = 64, seed: int = 5, name: str = "rz") -> dict:
@@ -157,8 +169,8 @@ def random_pair_128() -> dict:
 
 def main() -> None:
     for name, text in {**wrapping_pairs(), **trivariate_pairs(), **f256_pair(),
-                       **extension_pair(), **random_pair(), **random_pair_128(),
-                       **large_pair()}.items():
+                       **extension_pair(), **quadratic_pair(), **random_pair(),
+                       **random_pair_128(), **large_pair()}.items():
         with open(name, "w") as out:
             out.write(text)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spmul import (RandomSource, first_primes, irreducible_poly,
+from spmul import (RandomSource, RetryBudgetError, first_primes, irreducible_poly,
                    is_prime, lambda_no_collision, lambda_nonzero, random_prime)
 from spmul import arith
 from spmul.arith import (canonical_irreducible, ceil_bound, cyclotomic_degree, is_irreducible,
@@ -83,6 +83,21 @@ class TestRandomPrime:
     def test_validation(self):
         with pytest.raises(ValueError):
             random_prime(1, RandomSource(0))
+
+    def test_exhausted_budget_raises(self):
+        # a source that always draws the first candidate, 9 in [8, 16], which
+        # is composite: the 64 * ceil(log2 8) draws run out
+        class FirstCandidate:
+            draws = 0
+
+            def randrange(self, n):
+                self.draws += 1
+                return 0
+
+        rng = FirstCandidate()
+        with pytest.raises(RetryBudgetError, match=r"\[8, 16\] after 192 draws"):
+            random_prime(8, rng)
+        assert rng.draws == 192
 
 
 class TestFirstPrimes:
@@ -213,6 +228,10 @@ class TestLambdaFormulas:
             lambda_no_collision(0, 10, 0.5)
         with pytest.raises(ValueError):
             lambda_no_collision(1, 1, 0.5)
+        for eps in (0.0, 1.0, -0.5):
+            for fn in (lambda_no_collision, lambda_nonzero):
+                with pytest.raises(ValueError, match="eps must lie"):
+                    fn(1, 10, eps)
         # bounds past the float range raise ValueError, not OverflowError
         tiny = 5e-324
         for call in (lambda: lambda_no_collision(1, 10, tiny),
@@ -312,6 +331,8 @@ class TestIrreduciblePoly:
         quadratics = [(c0, c1, 1) for c0 in range(2) for c1 in range(2)]
         irreducible = [f for f in quadratics if is_irreducible(list(f), 2)]
         assert irreducible == [(1, 1, 1)]
+        # a nonzero constant, and one that vanishes mod q, have no degree
+        assert not is_irreducible([5], 7) and not is_irreducible([7], 7)
         assert irreducible_poly(2, 2) == (1, 1, 1)
 
     def test_linear_always_irreducible(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spmul import (PolyFileError, RetryBudgetError, SparsityBoundError, canonicalize,
+from spmul import (PolyFileError, RetryBudgetError, RingSpec, SparsityBoundError, canonicalize,
                    canonicalize_multi, ext_field, integers, kronecker, lambda_nonzero,
                    multivar_product_smallchar, naive_mul_multi, prime_field)
 from spmul import arith, cli, interp, multivar, product, verify
@@ -628,16 +628,76 @@ class TestCommands:
         assert run_command(["estimate", a, b]) == 0
         assert n <= int(capsys.readouterr().out) <= 2 * n
 
+    def test_ci_quadratic_pair_folds_at_s2(self, tmp_path, monkeypatch, capsys):
+        # x2a/x2b: 8 x 8 terms over F_((2^61 - 1)^2) below 10^4, modulus
+        # Y^2 + 1; no operand wraps, so every walk is of the one pair
+        # (F, G) in that field, the walks drop their slot sums at s = 2,
+        # find_terms multiplies and inverts there, and the check runs at
+        # p = D + 1 in the ring itself, each through _fold's two-digit case.
+        # The product equals the schoolbook one, passes its check, fails it
+        # with one coefficient changed, and its estimate lies in [n, 2n]
+        calls = {"drop": 0, "inv": 0, "_fold": 0}
+        for name in calls:
+            def counted(self, *args, _real=getattr(RingSpec, name), _name=name):
+                calls[_name] += self.s == 2
+                return _real(self, *args)
+
+            monkeypatch.setattr(RingSpec, name, counted)
+        walks = []
+        real = interp.cyclic_product_residue
+
+        def cyclic_product_residue(pairs, minus, p, limit):
+            walks.append((len(pairs), minus.ring))
+            return real(pairs, minus, p, limit)
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        seen = watch_cyclic_evaluations(monkeypatch)
+        files = ci_inputs.quadratic_pair()
+        a, b = (self._write(tmp_path, f"x2{side}.poly", files[f"x2{side}.poly"])
+                for side in "ab")
+        h, naive = tmp_path / "x2h.poly", tmp_path / "x2naive.poly"
+        assert run_command(["mul", a, b, "-o", str(h)]) == 0
+        ring = parse_poly(Path(a).read_text()).ring
+        assert ring == ext_field(2 ** 61 - 1, 2) and ring.modulus == (1, 0, 1)
+        assert ring._packed_rows == () and not ring._cyclic
+        assert walks and set(walks) == {(1, ring)}
+        assert calls["drop"] > 0 and calls["inv"] > 0 and calls["_fold"] > calls["drop"]
+        assert run_command(["mul", "--naive", a, b, "-o", str(naive)]) == 0
+        assert h.read_bytes() == naive.read_bytes()
+        seen.clear()
+        assert run_command(["verify", a, b, str(h)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        fg = parse_poly(h.read_text())
+        assert seen and all(field == ring and p == fg.var_degrees()[0] + 1 for field, p in seen)
+        lines = h.read_text().splitlines(keepends=True)
+        n = sum(line.startswith("term") for line in lines)
+        assert n == fg.sparsity == 64
+        i = next(k for k, line in enumerate(lines) if line.startswith("term"))
+        _, c, e = lines[i].split()
+        c = c.split(",")
+        c[0] = str((int(c[0]) + 1) % ring.q)
+        lines[i] = f"term {','.join(c)} {e}\n"
+        bad = self._write(tmp_path, "x2bad.poly", "".join(lines))
+        assert run_command(["verify", a, b, bad]) == 1
+        assert capsys.readouterr().out == "MISMATCH\n"
+        assert run_command(["estimate", a, b]) == 0
+        assert n <= int(capsys.readouterr().out) <= 2 * n
+
     def test_extreme_budgets_are_usage_errors(self, tmp_path, capsys):
-        # sizing bounds past the float range: exit 2 with one line, never
-        # the MISMATCH code 1 with a traceback
+        # sizing bounds past the float range, a budget that is no number
+        # and bench sizes out of order: exit 2 with one line, never the
+        # MISMATCH code 1 with a traceback, and no output file
         a = self._write(tmp_path, "a.poly", F_TEXT)
         b = self._write(tmp_path, "b.poly", G_TEXT)
         h = self._write(tmp_path, "h.poly", FG_TEXT)
         out = tmp_path / "x.poly"
+        bench = ["bench", "--family", "example2", "--out", str(out)]
         for argv in (["verify", a, b, h, "--epsilon", "1e-200"],
                      ["mul", a, b, "-o", str(out), "--epsilon", "1e-200"],
-                     ["estimate", a, b, "--lambda", "inf"]):
+                     ["estimate", a, b, "--lambda", "inf"],
+                     ["mul", a, b, "-o", str(out), "--epsilon", "abc"],
+                     bench + ["--tmin", "0", "--tmax", "4"],
+                     bench + ["--tmin", "8", "--tmax", "4"]):
             assert run_command(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

@@ -200,6 +200,11 @@ class TestRandomizedKronecker:
         with pytest.raises(ValueError, match="nonnegative"):
             randomized_kronecker(mp([((1, 0), 1)]), (1, -1))
 
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        for s_vec in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="wrong length"):
+                randomized_kronecker(mp([((1, 0), 1)]), s_vec)
+
     def test_sparsity_never_grows(self):
         rnd = random.Random(4)
         for _ in range(100):
@@ -398,6 +403,9 @@ class TestSparsityEstimate:
         # finite, but lam * best leaves the float range
         with pytest.raises(ValueError):
             sparsity_estimate(f, f, 0.05, 1e308, RandomSource(0))
+        for eps in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="eps must lie"):
+                sparsity_estimate(f, f, eps, 2.0, RandomSource(0))
 
 
 class TestMultivarProductZ:
@@ -445,6 +453,16 @@ class TestMultivarProductZ:
         with pytest.raises(RingMismatchError):
             multivar_product_z(mp([((1, 0), 1)]), mp([((1,), 1)], nvars=1),
                                0.01, RandomSource(0))
+        with pytest.raises(UnsupportedRingError, match="finite field"):
+            multivar_product_smallchar(mp([((1, 0), 1)]), mp([((0, 1), 1)]),
+                                       0.01, RandomSource(0))
+
+    def test_zero_operand_gives_zero_without_a_product(self, monkeypatch):
+        monkeypatch.setattr(multivar, "sparse_product", None)
+        f, zero = mp([((1, 0), 2), ((0, 3), -1)]), mp([])
+        for a, b in ((f, zero), (zero, f), (zero, zero)):
+            out = multivar_product_z(a, b, 0.01, RandomSource(0))
+            assert out.is_zero and out.ring == ZZ and out.nvars == 2
 
 
 class TestRingAgreement:

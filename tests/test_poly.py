@@ -169,6 +169,11 @@ class TestHeightBound:
         assert poly.height_bound([(F_EX, zero_poly(ZZ))]) == 0
         assert poly.height_bound([]) == 0
 
+    def test_height_is_defined_over_the_integers_only(self):
+        for ring in (prime_field(7), ext_field(3, 2)):
+            with pytest.raises(UnsupportedRingError, match="height"):
+                canonicalize([(0, 1)], ring).height()
+
 
 class TestDerivative:
     def test_constant(self):

@@ -616,6 +616,40 @@ class TestSparsityFloor:
             walks += sum(jobs)
         assert walks <= most
 
+    def test_misread_colliding_slots_are_rejected_by_the_check(self, monkeypatch):
+        # with +-1 coefficients, two colliding terms c*X^a + c*X^b read as
+        # the one term 2c*X^((a+b)/2) whenever (a - b)/p is even; once the
+        # job's other colliding slots are repaired it can end on that
+        # candidate, which verify_sp must reject.  Every product is still
+        # the schoolbook one, and some rejected candidate has that shape
+        rejected = []
+        real = product.verify_sp
+
+        def verify_sp(F, G, H, eps, rng):
+            ok = real(F, G, H, eps, rng)
+            if not ok:
+                rejected.append((F, G, H))
+            return ok
+
+        monkeypatch.setattr(product, "verify_sp", verify_sp)
+        misreads = 0
+        for seed in range(24):
+            rnd = random.Random(seed)
+            f, g = (canonicalize([(e, rnd.choice((-1, 1)))
+                                  for e in rnd.sample(range(10 ** 6), 16)], ZZ)
+                    for _ in "fg")
+            rejected.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            for F, G, H in rejected:
+                want, got = dict(naive_mul(F, G).terms), dict(H.terms)
+                missing = {e: c for e, c in want.items() if e not in got}
+                misreads += any(
+                    m not in want and c % 2 == 0 and any(
+                        missing.get(2 * m - a) == c // 2 for a, ca in missing.items()
+                        if ca == c // 2 and a != m)
+                    for m, c in got.items())
+        assert misreads >= 3
+
     def test_lattice_below_t0(self, monkeypatch):
         # t0 = 13 puts the lattice at 4, 7, 13, 26, ...: the guesses below
         # t0 are ceilings of t0 / 2^j, and every guess from t0 on is t0 * 2^j

@@ -29,6 +29,32 @@ class TestRingConstruction:
     def test_integers_properties(self):
         zz = integers()
         assert not zz.is_field and zz.char == 0 and zz.size is None
+        with pytest.raises(UnsupportedRingError):
+            zz.residues(5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "integers", "q": 5}, "integers ring takes no modulus"),
+        ({"kind": "integers", "modulus": (1, 1)}, "integers ring takes no modulus"),
+        ({"kind": "prime_field", "q": 91}, "prime field needs a prime q"),
+        ({"kind": "prime_field", "q": 7, "s": 2}, "prime field has s = 1 and no modulus"),
+        ({"kind": "prime_field", "q": 7, "modulus": (1, 1)},
+         "prime field has s = 1 and no modulus"),
+        ({"kind": "ext_field", "q": 9, "s": 2, "modulus": (2, 0, 1)},
+         "extension field needs a prime q"),
+        ({"kind": "ext_field", "q": 3, "s": 0, "modulus": (1,)}, "extension degree must be >= 1"),
+        ({"kind": "ext_field", "q": 3, "s": 2, "modulus": (1, 0, 2)},
+         "modulus must be monic of degree s"),
+        ({"kind": "ext_field", "q": 3, "s": 2, "modulus": (1, 1)},
+         "modulus must be monic of degree s"),
+        ({"kind": "ext_field", "q": 3, "s": 2, "modulus": (3, 0, 1)},
+         "modulus coefficients must lie in"),
+        ({"kind": "ext_field", "q": 3, "s": 2, "modulus": (-1, 0, 1)},
+         "modulus coefficients must lie in"),
+        ({"kind": "rationals"}, "unknown ring kind 'rationals'"),
+    ])
+    def test_constructor_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RingSpec(**kwargs)
 
 
 class TestPrimeFieldOps:
@@ -72,8 +98,8 @@ class TestExtFieldOps:
         three = f.coerce(2)
         assert f.pow(three, 3 ** 5) == three
 
-    def test_general_s_consistency_with_unrolled_s2(self):
-        # same modulus through both code paths (s=2 is special-cased)
+    def test_s2_fold_matches_hand_reduction(self):
+        # _fold's two-digit case against Y^2 = -m1*Y - m0 applied by hand
         f25 = ext_field(5, 2)
         rng = RandomSource(9)
         for _ in range(100):
@@ -135,7 +161,12 @@ def _packed_id(case):
     return f"q{q if q < 100 else 'Q62'}-s{s}-{kind}"
 
 
-@pytest.fixture(scope="module", params=PACKED_KINDS, ids=_packed_id)
+# the packed fields plus the two-digit fold at s = 2, at q = 3 and at a
+# 62-bit q (canonical modulus Y^2 + 1 at both)
+FOLD_KINDS = PACKED_KINDS + [(3, 2, "canonical"), (Q62, 2, "canonical")]
+
+
+@pytest.fixture(scope="module", params=FOLD_KINDS, ids=_packed_id)
 def packed_field(request):
     return _packed(*request.param)
 
@@ -215,9 +246,10 @@ class TestPackedExtMul:
             f.drop(edge, width)
 
     def test_reduction_rows_are_powers_of_the_generator(self, packed_field):
-        # the rows Y^s .. Y^(2s-2) the row fold reads; the lane fold reads none
+        # the rows Y^s .. Y^(2s-2) the row fold reads; the lane fold and the
+        # two-digit fold at s = 2 read none
         f = packed_field
-        if f.modulus == (1,) * (f.s + 1):
+        if f.s == 2 or f.modulus == (1,) * (f.s + 1):
             assert f._packed_rows == ()
             return
         assert len(f._packed_rows) == f.s - 1
@@ -248,7 +280,7 @@ class TestPackedExtMul:
         assert not any(name in repr(direct) for name in private)
 
 
-# every packed_field case, plus degree 1 and the unrolled degree 2
+# every PACKED_KINDS case, plus degree 1 and the two-digit fold at degree 2
 ARITH_CASES = PACKED_KINDS + [(Q62, 1, "canonical"), (3, 2, "canonical"), (Q62, 2, "canonical")]
 
 
@@ -490,24 +522,26 @@ class TestMulCounter:
         assert mul_count() == 0
 
     def test_ext_pow_count_matches_formula(self):
-        f9 = ext_field(3, 2)
-        reset_mul_count()
-        f9.pow(f9.coerce((1, 1)), 11)
-        assert mul_count() == 5
-        # the packed product is still one ring mult, and pow its square
-        # and multiply count
-        f = ext_field(3, 37, _moduli(3, 37)["dense"])
-        a = f.coerce([i % 3 for i in range(37)])
-        reset_mul_count()
-        f.mul(a, a)
-        assert mul_count() == 1
-        reset_mul_count()
-        f.pow(a, 11)
-        assert mul_count() == 5
-        for e in (2, 3 ** 37 - 1, 3 ** 37):
+        # the packed product is one ring mult, and pow is charged its
+        # square and multiply count, at s = 2 as at any other degree
+        for f in (ext_field(3, 2), ext_field(Q62, 2), ext_field(3, 37, _moduli(3, 37)["dense"])):
+            a = f.coerce([i % f.q + 1 for i in range(f.s)])
             reset_mul_count()
-            f.pow(a, e)
-            assert mul_count() == _pow_cost(e)
+            f.mul(a, a)
+            assert mul_count() == 1
+            chain = f.one()
+            for e in range(13):
+                reset_mul_count()
+                assert f.pow(a, e) == chain
+                assert mul_count() == _pow_cost(e)
+                chain = f.mul(chain, a)
+            reset_mul_count()
+            f.pow(a, 11)
+            assert mul_count() == 5
+            for e, want in ((f.size - 1, f.one()), (f.size, a)):
+                reset_mul_count()
+                assert f.pow(a, e) == want
+                assert mul_count() == _pow_cost(e)
 
     def test_integers_count(self):
         zz = integers()
@@ -515,6 +549,18 @@ class TestMulCounter:
         zz.mul(6, 7)
         zz.smul(6, 7)
         assert mul_count() == 2
+        for e, want in ((0, 1), (1, -3), (11, -177147), (64, 3 ** 64)):
+            reset_mul_count()
+            assert zz.pow(-3, e) == want
+            assert mul_count() == _pow_cost(e)
+
+    @pytest.mark.parametrize("ring", [integers(), prime_field(7), ext_field(3, 2)],
+                             ids=["Z", "F_7", "F_9"])
+    def test_negative_exponent_rejected(self, ring):
+        reset_mul_count()
+        with pytest.raises(ValueError, match="negative exponents"):
+            ring.pow(ring.one(), -1)
+        assert mul_count() == 0
 
     @pytest.mark.parametrize("f", [ext_field(3, 2), ext_field(3, 5), ext_field(Q62, 2)],
                              ids=["F_9", "F_243", "F_Q62^2"])

@@ -99,6 +99,9 @@ class TestEvalCyclicProduct:
         f = canonicalize([(11, 1)], F101)
         with pytest.raises(ValueError):
             eval_cyclic_product(f, f, 11, 2)
+        for p in (0, -3):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                eval_cyclic_product(zero_poly(F101), zero_poly(F101), p, 2)
 
     def test_integers_rejected(self):
         with pytest.raises(UnsupportedRingError):
@@ -420,6 +423,10 @@ class TestVerifySP:
             verify_sp(F_EX, G_EX, F_EX, 0.0, RandomSource(0))
         with pytest.raises(ValueError):
             verify_sp(F_EX, G_EX, F_EX, 1.0, RandomSource(0))
+        # verify_sum_sp checks its own budget: the h2 jobs call it directly
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="eps must lie"):
+                verify_sum_sp(F_EX, [(F_EX, G_EX)], eps, RandomSource(0))
 
 
 class TestEvaluationRoutes:
