@@ -513,7 +513,10 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
             hit = {e % p for e, _ in update.terms}
             fixed = _repair(pairs, h_star, p, [r for r, _, _ in slots if r not in hit])
             if fixed is not None:
-                update = add(update, fixed)
+                # no exponent repeats: fixed holds only slots no update
+                # term reaches, so one sort of the two runs joins them
+                update = SparsePoly(ring, tuple(sorted(update.terms + fixed.terms,
+                                                       key=operator.itemgetter(0))))
                 explained = True
         total = add(h_star, update)
         h_star = _trim(total, T, C)

@@ -18,7 +18,7 @@ from functools import reduce
 from operator import itemgetter, mul as _int_mul
 
 from .errors import RingMismatchError, UnsupportedRingError
-from .rings import RingSpec, _pack, _unpack, add_mul_count
+from .rings import RingSpec, _byte_width, _pack, _unpack, add_mul_count
 
 NEG_INF = float("-inf")
 
@@ -176,8 +176,10 @@ def dense_cyclic_mul(a: list[int], b: list[int]) -> list[int]:
     The linear convolution is one big-integer product of the slot-packed
     vectors (Kronecker segmentation, packed by rings._pack), and slots >=
     p are folded back.  Each folded slot sums exactly p pair products, so
-    slot width bits(p*Ma*Mb) + 2, in whole bytes, cannot overflow even
-    after adding the nonnegativity offsets used for signed input.
+    slot width bits(p*Ma*Mb) + 2 cannot overflow even after adding the
+    nonnegativity offsets used for signed input; the slots take the digit
+    width rings._byte_width gives that many bits, as every packed digit
+    does (whole bytes, a struct item size up to 8 bytes).
     """
     if len(a) != len(b):
         raise ValueError("mismatched cyclic lengths")
@@ -186,7 +188,7 @@ def dense_cyclic_mul(a: list[int], b: list[int]) -> list[int]:
     mb = max(map(abs, b), default=0)
     if ma == 0 or mb == 0:
         return [0] * p
-    nb = ((p * ma * mb).bit_length() + 9) // 8
+    nb = _byte_width(p * ma * mb << 2)
     slots = _unpack(_pack([v + ma for v in a], nb) * _pack([v + mb for v in b], nb), nb, 2 * p)
     corr = ma * sum(b) + mb * sum(a) + p * ma * mb
     out = [slots[k] + slots[k + p] - corr for k in range(p - 1)]

@@ -4,15 +4,16 @@ with a posteriori verification.
 The operands are reduced modulo X^p - 1 (p a random prime large enough
 that exponent collisions are unlikely) and their product interpolated
 under a guessed sparsity bound that starts in [2, 4) and doubles until the
-interpolant passes verification, skipping every guess a residue proves too
-small.  p is drawn from [lam, 2*lam] only when an operand's degree
-reaches lam; below it no such p wraps an operand, so none is drawn.
-When neither operand has degree >= p, the reduction changes nothing, so
-that interpolant is F*G itself and is returned as soon as it passes.
-Otherwise the derivative's residue is interpolated and verified too, and
-the terms of F*G are read off the verified residue pair.  mu1 budgets a
-wrong output (sparse_product's checks split it by a union bound); the
-doubling loop stays small with probability at least 1 - mu2.
+result passes verification, skipping every guess a residue proves too
+small and growing no further once it could hold #F*#G terms.  p is drawn
+from [lam, 2*lam] only when an operand's degree reaches lam; below it no
+such p wraps an operand, so none is drawn.  When neither operand has
+degree >= p, the reduction changes nothing, so the interpolant is F*G
+itself.  Otherwise the derivative's residue is interpolated too, and the
+terms of F*G are read off the residue pair.  Either way the result is
+checked as a product, verify_sp(F, G, h): mu1 budgets a wrong output, by
+one union bound over those checks, and mu2 the doubling loop failing to
+converge, a colliding p included.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from .errors import CharacteristicTooSmallError, RetryBudgetError, SparsityBound
 from .interp import find_terms, interp_sum_sp
 from .poly import (SparsePoly, _same_ring, cyclic_reduce, derivative, height_bound, scale,
                    zero_poly)
-from .verify import verify_sp, verify_sum_sp
+from .verify import verify_sp
 
 
 @dataclass(frozen=True)
 class ProductParams:
-    """Failure budgets: mu1 for a wrong product (sparse_product's checks
-    split it by a union bound), mu2 for the doubling loop overshooting."""
+    """Failure budgets: mu1 for a wrong product (one union bound over
+    sparse_product's checks), mu2 for the doubling loop failing to
+    converge.  mu2 covers a colliding cyclic prime, which happens with
+    probability at most mu1/2, hence mu1/2 <= mu2; the interpolation jobs
+    get the rest, mu2 - mu1/2."""
 
     mu1: float
     mu2: float
@@ -58,18 +62,19 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     exponent the interpolation reads back (exponents are recovered as
     coefficient ratios, so they must stay below the characteristic).  The
     operands are reduced modulo X^p - 1 for a prime p in [lam, 2*lam],
-    lam = lambda_no_collision(#F*#G, D, mu1/2), D = deg(F) + deg(G).  That
-    prime is drawn only when max(deg F, deg G) >= lam: below it no p in
-    [lam, 2*lam] wraps an operand, so p = lam stands in, every reduction
-    is the identity, and the collision share mu1/2 goes to the checks.
-    When no operand wraps (deg F < p and deg G < p), exponents stay at
-    most D and the characteristic must exceed D; when one wraps, it must
-    exceed D and 2p.  CharacteristicTooSmallError otherwise: char <= D
-    before any randomness is drawn, char <= 2p once p is drawn and an
-    operand wraps past it.
+    lam = lambda_no_collision(#F*#G, D, mu1/2), D = deg(F) + deg(G), so
+    that two exponents of F*G collide modulo p with probability at most
+    mu1/2.  That prime is drawn only when max(deg F, deg G) >= lam: below
+    it no p in [lam, 2*lam] wraps an operand, so p = lam stands in and
+    every reduction is the identity.  When no operand wraps (deg F < p and
+    deg G < p), exponents stay at most D and the characteristic must
+    exceed D; when one wraps, it must exceed D and 2p.
+    CharacteristicTooSmallError otherwise: char <= D before any randomness
+    is drawn, char <= 2p once p is drawn and an operand wraps past it.
 
-    Every doubling iteration interpolates h1 = F_p*G_p (F_p = F mod X^p - 1)
-    under the sparsity guess t and checks it with verify_sp.  Each job
+    Every guess t interpolates h1 = F_p*G_p (F_p = F mod X^p - 1) under t,
+    takes a candidate h for F*G from it, and checks h with
+    verify_sp(F, G, h) on the operands themselves.  Each job
     (interp_sum_sp) derives its degree and height bounds from its pairs.
     The guesses lie on the lattice ceil(t0*2^k), t0 = max(#F, #G), from the
     k that puts the first one in [2, 4) (or at t0 when t0 < 2), so a small
@@ -77,36 +82,47 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     interpolation jobs only stop on residues they explain (interp), so
     these checks are the certificate.
 
+    No operand wraps: F_p = F and G_p = G, so h1 interpolates F*G itself,
+    under its true degree bound D + 1, and h = h1.  An operand wraps: h1
+    is a residue of degree < 2p, h2 = (F*G)' mod X^p - 1 is interpolated
+    under the same guess, and h is read off the pair's slot triples by
+    find_terms, under degree D and, over Z, the height bound of F*G.
+
     A job whose residue overflows raises SparsityBoundError(floor), a
     proven lower bound on the sparsity of its target (interp_sum_sp).  That
-    residue of target - h* was nonzero, so h* is provably wrong and is not
-    checked.  A job's output keeps at most 2t terms, so no guess with
-    2t < floor can succeed: the next guess is the smallest lattice point
-    above t with 2*guess >= floor.  At most _MAX_DOUBLINGS lattice points
-    are tried, and only guesses that cannot succeed are skipped.  A
-    product with many terms overflows its first guesses at small primes,
-    and the floors lead it to a guess that holds it, usually the only one
-    checked.
+    residue of target - h* was nonzero, so h* is provably wrong, and the
+    guess is not checked.  A job's output keeps at most 2t terms, so no
+    guess with 2t < floor can succeed: the next guess is the smallest
+    lattice point above t with 2*guess >= floor.  A product with many
+    terms overflows its first guesses at small primes, and the floors lead
+    it to a guess that holds it, usually the only one checked.
 
-    No operand wraps: F_p = F and G_p = G, so h1 interpolates F*G itself,
-    under its true degree bound D + 1, and is returned once its check
-    passes; no h2 job runs and no p can collide, since nothing was
-    reduced.  An operand wraps: h1 is a residue of degree < 2p, and once
-    it passes, h2 = (F*G)' mod X^p - 1 is interpolated and checked with
-    verify_sum_sp; the terms of F*G are read off the pair's slot triples
-    by find_terms, under degree D and, over Z, the height bound of F*G.  The same
-    floor rule applies to the h2 job: if it raises, its guess is not
-    checked, and the next guess is sized from its floor.
+    The guesses stop growing at the first lattice point t >= #F*#G: later
+    guesses repeat it with fresh randomness.  No target has more than
+    #F*#G terms: F*G has at most one term per term pair (e, f), and so do
+    the jobs' targets F_p*G_p and F_p*G'_p + F'_p*G_p, whose terms lie in
+    the slots (e + f) mod p and (e + f - 1) mod p.  So every job
+    at such t is honest (T >= #target), no floor exceeds #F*#G <= t, and
+    no larger guess is ever needed.  At most _MAX_DOUBLINGS guesses are
+    tried, so a product that cannot converge (below) raises
+    RetryBudgetError after that many guesses, none above that point, in
+    memory bounded by the instance.
 
-    The checks share mu1 by a union bound.  A wrong output needs a wrong
-    h1 or h2 accepted, or, when an operand wraps, a p under which two
-    exponents of F*G collide, which lambda_no_collision makes happen with
-    probability <= mu1/2.  So the checks get share = mu1 when no operand
-    wraps and share = mu1/2 when one does, and the k-th check run
-    (verify_sp and verify_sum_sp calls alike, from k = 1) gets eps =
-    share/2^k.  However many guesses are checked, they spend less than
-    share, so the output is wrong with probability < mu1.  An unwrapped
-    product whose first check passes checks once, at eps = mu1/2.
+    The checks share mu1 by one union bound: the k-th check (from k = 1)
+    gets eps = mu1/2^k, so however many guesses are checked they spend
+    less than mu1.  A check is on F*G itself, so a wrong output needs a
+    wrong candidate accepted, and the output is wrong with probability
+    < mu1.  A product whose first check passes checks once, at
+    eps = mu1/2.
+
+    A colliding p, under which two exponents of F*G are equal modulo p,
+    cannot make a wrong output, only keep the loop from converging.
+    find_terms emits at most one term per residue class modulo p, and F*G
+    then has two terms in one class, so no candidate of that product is
+    F*G, and each is rejected unless its check errs, which the union bound
+    above already counts.  The collision has probability at most mu1/2
+    (lam above) and is charged to mu2, which ProductParams keeps >= mu1/2;
+    the jobs get the rest, mu2 - mu1/2, as their budget.
     """
     ring = _same_ring(F, G)
     if F.is_zero or G.is_zero:
@@ -118,12 +134,13 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     mu1, mu2 = params.mu1, params.mu2
     t0 = max(F.sparsity, G.sparsity)
+    n = F.sparsity * G.sparsity  # no product has more terms
     D = F.degree + G.degree  # >= 2 once constants are gone
     if ring.is_field and ring.char <= D:
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed deg F + deg G = {D}")
 
-    lam = lambda_no_collision(F.sparsity * G.sparsity, D, mu1 / 2.0)
+    lam = lambda_no_collision(n, D, mu1 / 2.0)
     # below lam no p in [lam, 2*lam] wraps an operand: p = lam reduces nothing
     p = random_prime(lam, rng) if max(F.degree, G.degree) >= lam else lam
     # unless an operand wraps, F_p = F and G_p = G and h1 is F*G itself,
@@ -133,7 +150,7 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         raise CharacteristicTooSmallError(
             f"characteristic {ring.char} must exceed 2p = {2 * p} for exponent recovery")
 
-    eps = mu1 / 2.0 if wraps else mu1  # the share; halved before each check
+    eps = mu1  # halved before each check
     F_p = cyclic_reduce(F, p)
     G_p = cyclic_reduce(G, p)
     Fd_p = cyclic_reduce(derivative(F), p)
@@ -147,34 +164,28 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     # a first guess of 1 draws p from {2, 3}, can never overflow, and
     # spends a check on an unexplained h1
     k = min(0, 2 - t0.bit_length())
-    k_last = k + _MAX_DOUBLINGS - 1
-    while k <= k_last:
+    for _ in range(_MAX_DOUBLINGS):
         t = _guess(t0, k)
         floor = 0
         try:
-            h1 = interp_sum_sp([(F_p, G_p)], t, mu_interp, rng)
-            # interpolating h2 only after h1 passes skips the heavier job on
-            # every round whose sparsity guess is still too small
-            eps /= 2.0
-            if verify_sp(F_p, G_p, h1, eps, rng):
-                if not wraps:
-                    return h1
+            h = interp_sum_sp([(F_p, G_p)], t, mu_interp, rng)
+            if wraps:
+                # the slot triples of F*G mod X^p - 1: X*(F*G)' at r is h2's
+                # slot r - 1
                 h2 = interp_sum_sp(deriv_pairs, t, mu_interp, rng)
-                eps /= 2.0
-                if verify_sum_sp(h2, deriv_pairs, eps, rng):
-                    break
+                deriv = dict(cyclic_reduce(h2, p).terms)
+                slots = [(r, c, deriv.get((r - 1) % p, 0)) for r, c in cyclic_reduce(h, p).terms]
+                C = height_bound([(F, G)]) if ring.kind == "integers" else None
+                h = find_terms(p, ring, slots, D, C)
+            eps /= 2.0
+            if verify_sp(F, G, h, eps, rng):
+                return h
         except SparsityBoundError as err:
             # h* left a nonzero residue, so it is wrong: no check, and no
             # guess whose 2t-term output cannot hold floor terms
             floor = err.floor
-        k += 1
-        while 2 * _guess(t0, k) < floor:
+        if t < n:
             k += 1
-    else:
-        raise RetryBudgetError("sparsity-doubling loop failed to converge")
-
-    # the slot triples of F*G mod X^p - 1: X*(F*G)' at r is h2's slot r - 1
-    deriv = dict(cyclic_reduce(h2, p).terms)
-    slots = [(r, c, deriv.get((r - 1) % p, 0)) for r, c in cyclic_reduce(h1, p).terms]
-    C = height_bound([(F, G)]) if ring.kind == "integers" else None
-    return find_terms(p, ring, slots, D, C)
+            while 2 * _guess(t0, k) < floor:
+                k += 1
+    raise RetryBudgetError("sparsity-doubling loop failed to converge")

@@ -317,10 +317,11 @@ class TestDenseCyclicMul:
             prod = dense_cyclic_mul(_vec(cyclic_reduce(fa, p), p), _vec(cyclic_reduce(fb, p), p))
             assert lhs == canonicalize(enumerate(prod), ZZ)
 
-    @pytest.mark.parametrize("bound, width", [(10, 2), (300, 3)])
+    @pytest.mark.parametrize("bound, width", [(10, 2), (2 ** 31, 9)])
     def test_both_packer_paths_vs_schoolbook(self, monkeypatch, bound, width):
-        # p * bound^2 sets the slot width: 2 bytes packs through struct,
-        # 3 bytes through bytes
+        # bits(p * bound^2) + 2 sets the slot width, rounded up to a struct
+        # item size up to 8 bytes (rings._byte_width): 12 bits pack at 2
+        # bytes through struct, 67 bits at 9 bytes through bytes
         widths = []
         real = poly._pack
         monkeypatch.setattr(poly, "_pack", lambda d, w: widths.append(w) or real(d, w))

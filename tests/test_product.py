@@ -48,7 +48,7 @@ def _watch_jobs(monkeypatch) -> list:
 def _watch_steps(monkeypatch) -> list:
     """List that receives sparse_product's steps in order: ["job", T,
     #pairs, floor] per interpolation job, floor None unless it raised
-    SparsityBoundError, and ["check", name] per verify_sp / verify_sum_sp."""
+    SparsityBoundError, and ["check", "verify_sp"] per check."""
     steps = []
     real_interp = product.interp_sum_sp
 
@@ -62,12 +62,13 @@ def _watch_steps(monkeypatch) -> list:
             raise
 
     monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
-    for name in ("verify_sp", "verify_sum_sp"):
-        def check(*args, _real=getattr(product, name), _name=name):
-            steps.append(["check", _name])
-            return _real(*args)
+    real_check = product.verify_sp
 
-        monkeypatch.setattr(product, name, check)
+    def verify_sp(*args):
+        steps.append(["check", "verify_sp"])
+        return real_check(*args)
+
+    monkeypatch.setattr(product, "verify_sp", verify_sp)
     return steps
 
 
@@ -99,11 +100,13 @@ def _lattice(t0, n) -> list:
     return [t0 * 2 ** (j + i) if j + i >= 0 else -(-t0 // 2 ** -(j + i)) for i in range(n)]
 
 
-def _assert_floor_rule(steps, t0) -> int:
+def _assert_floor_rule(steps, t0, n) -> int:
     """Check the floor rule on one product's steps; return how many jobs
     raised.  Every job runs at a guess on the lattice of t0, starting at its
     first point.  A job that raised is followed by no check, and the next
-    job is an h1 job at the smallest lattice point above it with 2t >= floor."""
+    job is an h1 job at the smallest lattice point above it with 2t >= floor,
+    or at the same point once that is at least n = #F*#G, where the guesses
+    stop growing."""
     lattice = _lattice(t0, 64)
     jobs = [step for step in steps if step[0] == "job"]
     assert jobs and jobs[0][1] == lattice[0]
@@ -116,7 +119,10 @@ def _assert_floor_rule(steps, t0) -> int:
         _, t, _, floor = step
         nxt = steps[i + 1]
         assert nxt[0] == "job" and nxt[2] == 1
-        assert nxt[1] == min(u for u in lattice if u > t and 2 * u >= floor)
+        if t >= n:
+            assert nxt[1] == t
+        else:
+            assert nxt[1] == min(u for u in lattice if u > t and 2 * u >= floor)
     return raised
 
 
@@ -420,6 +426,58 @@ class TestWrappedOperands:
             assert jobs and all(pairs == [(f, g)] for pairs, _ in jobs)
 
 
+class TestProductCertificate:
+    # every candidate, wrapped or not, is checked as a product,
+    # verify_sp(F, G, h): a cyclic prime under which two exponents of F*G
+    # collide fails every guess instead of giving a wrong output, and the
+    # guesses stop growing at the first lattice point >= #F*#G, so such a
+    # product ends in RetryBudgetError after jobs no larger than that point
+    def test_colliding_prime_raises(self, monkeypatch):
+        # 5 + 19*10^7 = 5 (mod 19): at p = 19 the terms X^5 and
+        # X^(5 + 19*10^7) of F*G share a slot, which find_terms reads as
+        # the one term 2*X^95000005
+        monkeypatch.setattr(product, "random_prime", lambda lam, rng: 19)
+        jobs = _watch_jobs(monkeypatch)
+        checks = []
+        real = product.verify_sp
+
+        def verify_sp(F, G, H, eps, rng):
+            checks.append((F, G))
+            return real(F, G, H, eps, rng)
+
+        monkeypatch.setattr(product, "verify_sp", verify_sp)
+        f = canonicalize([(0, 1), (5 + 19 * 10 ** 7, 1)], ZZ)
+        g = canonicalize([(0, 1), (5, 1)], ZZ)
+        params = ProductParams(0.01, 0.01)
+        assert f.degree >= lambda_no_collision(4, f.degree + g.degree, params.mu1 / 2)
+        for seed in range(5):
+            jobs.clear()
+            checks.clear()
+            with pytest.raises(RetryBudgetError):
+                sparse_product(f, g, params, RandomSource(seed))
+            # the lattice of t0 = 2 is 2, 4, 8, ...: no job runs above 4
+            assert jobs and max(T for _, T in jobs) == 4
+            assert len([T for pairs, T in jobs if len(pairs) == 1]) == product._MAX_DOUBLINGS
+            assert checks and all(F == f and G == g for F, G in checks)
+
+    @pytest.mark.parametrize("emax", [10 ** 30, 10 ** 4], ids=["wrapped", "unwrapped"])
+    def test_guesses_stop_at_the_product_size(self, monkeypatch, emax):
+        jobs = _watch_jobs(monkeypatch)
+        monkeypatch.setattr(product, "verify_sp", lambda *_: False)
+        cap = 12  # the first of 3, 6, 12, ... that holds #F*#G = 9 terms
+        for seed in range(3):
+            f, g = _random_pair(ZZ, (3, 3), emax, seed)
+            lam = lambda_no_collision(9, f.degree + g.degree, PARAMS.mu1 / 2)
+            assert (f.degree >= 2 * lam) == (emax > 10 ** 4)
+            jobs.clear()
+            with pytest.raises(RetryBudgetError):
+                sparse_product(f, g, PARAMS, RandomSource(seed))
+            guesses = [T for pairs, T in jobs if len(pairs) == 1]
+            assert len(guesses) == product._MAX_DOUBLINGS
+            assert max(T for _, T in jobs) == cap and guesses[-1] == cap
+            assert any(len(pairs) == 2 for pairs, _ in jobs) == (emax > 10 ** 4)
+
+
 class TestCollisionPrimeDraw:
     """The collision prime is drawn only when an operand has degree >= lam:
     below it no p in [lam, 2*lam] wraps an operand."""
@@ -449,19 +507,20 @@ class TestCollisionPrimeDraw:
 
 
 class TestCheckBudget:
-    # the k-th check gets share/2^k, share = mu1 without a wrap and mu1/2
-    # with one (a colliding p takes the other half), so the checks spend
-    # less than share however many guesses are rejected
+    # the k-th check gets mu1/2^k, wrapped or not (a colliding p is charged
+    # to mu2), so the checks spend less than mu1 however many guesses are
+    # rejected
     @staticmethod
     def _reject_first(monkeypatch, n) -> list:
-        """Record every check's eps; the first n checks reject."""
+        """Record every check's (F, G, eps); the first n checks reject."""
         spent = []
-        for name in ("verify_sp", "verify_sum_sp"):
-            def check(*args, _real=getattr(product, name)):
-                spent.append(args[-2])
-                return len(spent) > n and _real(*args)
+        real = product.verify_sp
 
-            monkeypatch.setattr(product, name, check)
+        def verify_sp(F, G, H, eps, rng):
+            spent.append((F, G, eps))
+            return len(spent) > n and real(F, G, H, eps, rng)
+
+        monkeypatch.setattr(product, "verify_sp", verify_sp)
         return spent
 
     @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62)], ids=["Z", "F_Q62"])
@@ -471,19 +530,21 @@ class TestCheckBudget:
             f, g = _random_pair(ring, (6, 5), 10 ** 4, seed)
             spent.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert len(spent) == 3 and spent[0] == PARAMS.mu1 / 2
-            assert sum(spent) <= PARAMS.mu1
+            assert len(spent) == 3 and spent[0] == (f, g, PARAMS.mu1 / 2)
+            assert sum(eps for _, _, eps in spent) <= PARAMS.mu1
 
     @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
                              ids=["Z", "F_Q62"])
-    def test_wrapped_checks_stay_within_half_mu1(self, monkeypatch, ring, emax):
+    def test_wrapped_checks_stay_within_mu1(self, monkeypatch, ring, emax):
+        # every check is on the operands themselves, never on a residue
         spent = self._reject_first(monkeypatch, 1)
         for seed in range(5):
             f, g = _random_pair(ring, (6, 5), emax, seed)
             spent.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert len(spent) >= 3
-            assert sum(spent) <= PARAMS.mu1 / 2
+            assert len(spent) >= 2 and spent[0][2] == PARAMS.mu1 / 2
+            assert all(F == f and G == g for F, G, _ in spent)
+            assert sum(eps for _, _, eps in spent) <= PARAMS.mu1
 
 
 class TestSparsityFloor:
@@ -501,7 +562,7 @@ class TestSparsityFloor:
             # the first guess, 3 (12 / 4), cannot hold a product of about
             # 144 terms
             assert steps[0][3] is not None
-            assert _assert_floor_rule(steps, 12) >= 1
+            assert _assert_floor_rule(steps, 12, 144) >= 1
 
     @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
                              ids=["Z", "F_Q62"])
@@ -514,15 +575,18 @@ class TestSparsityFloor:
             assert max(f.degree, g.degree) >= 2 * lam
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert _assert_floor_rule(steps, 6) >= 1
-            # the product was read off a checked h2 job
-            assert steps[-2][0] == "job" and steps[-2][2] == 2
-            assert steps[-1] == ["check", "verify_sum_sp"]
+            assert _assert_floor_rule(steps, 6, 30) >= 1
+            # the product was read off the last guess's h1 and h2 jobs and
+            # checked once
+            assert [s[:3] for s in steps[-3:-1]] == [["job", steps[-3][1], 1],
+                                                      ["job", steps[-3][1], 2]]
+            assert steps[-3][3] is None and steps[-2][3] is None
+            assert steps[-1] == ["check", "verify_sp"]
 
     def test_wrapped_h2_floor_is_not_checked(self, monkeypatch):
         # the first h2 job raises, with the true sparsity of its target as
-        # the floor: verify_sum_sp does not see that guess, and the next
-        # guess reruns h1 at a t sized from the floor
+        # the floor: verify_sp does not see that guess, and the next guess
+        # reruns h1 at a t sized from the floor
         real = product.interp_sum_sp
         faked = []
 
@@ -539,8 +603,15 @@ class TestSparsityFloor:
             faked.clear()
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert faked and _assert_floor_rule(steps, 6) >= 1
-            assert [s[1] for s in steps if s[0] == "check"].count("verify_sum_sp") == 1
+            assert faked and _assert_floor_rule(steps, 6, 30) >= 1
+            # one guess per h1 job: it is checked iff none of its jobs raised
+            starts = [i for i, s in enumerate(steps) if s[0] == "job" and s[2] == 1]
+            for lo, hi in zip(starts, starts[1:] + [len(steps)]):
+                guess = steps[lo:hi]
+                raised = any(s[0] == "job" and s[3] is not None for s in guess)
+                assert (["check", "verify_sp"] in guess) == (not raised)
+            raised_h2 = [s for s in steps if s[0] == "job" and s[2] == 2 and s[3] is not None]
+            assert raised_h2 and raised_h2[0][1] == faked[0]
 
     @pytest.mark.slow
     def test_benchmark_size_takes_two_jobs(self, monkeypatch):
@@ -554,7 +625,7 @@ class TestSparsityFloor:
             f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            _assert_floor_rule(steps, 64)
+            _assert_floor_rule(steps, 64, 64 * 64)
             jobs = [s for s in steps if s[0] == "job"]
             checks = [s for s in steps if s[0] == "check"]
             good += jobs[-1][1] == 2048 and checks == [["check", "verify_sp"]]
@@ -660,12 +731,18 @@ class TestSparsityFloor:
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
             assert steps[0][1] == 4 and steps[0][3] is not None
-            assert _assert_floor_rule(steps, 13) >= 1
+            assert _assert_floor_rule(steps, 13, 169) >= 1
         # the checker itself: after a floor of 12 at guess 4, the next guess
         # is 7 (2 * 7 >= 12), not 13
-        assert _assert_floor_rule([["job", 4, 1, 12], ["job", 7, 1, None]], 13) == 1
+        assert _assert_floor_rule([["job", 4, 1, 12], ["job", 7, 1, None]], 13, 169) == 1
         with pytest.raises(AssertionError):
-            _assert_floor_rule([["job", 4, 1, 12], ["job", 13, 1, None]], 13)
+            _assert_floor_rule([["job", 4, 1, 12], ["job", 13, 1, None]], 13, 169)
+        # from a guess of at least #F*#G on, the next guess is the same
+        # point: for t0 = 2 and #F*#G = 3, 2 -> 4 -> 4
+        steps = [["job", 2, 1, 3], ["job", 4, 1, 3], ["job", 4, 1, None]]
+        assert _assert_floor_rule(steps, 2, 3) == 2
+        with pytest.raises(AssertionError):
+            _assert_floor_rule(steps[:2] + [["job", 8, 1, None]], 2, 3)
 
 
 class TestCharacteristicBoundary:
