@@ -49,10 +49,17 @@ class RandomSource:
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
-# Witnesses proven deterministic for n < 3,317,044,064,679,887,385,961,981
-# (Sorenson & Webster), which covers the 2^64 requirement with a lot of room.
-_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases decide Miller-Rabin exactly for
+# n < 3,317,044,064,679,887,385,961,981 (psi_13, Sorenson & Webster); the
+# first 12 only below psi_12 = 318,665,857,834,031,151,167,461, itself a
+# strong pseudoprime to all of them (399165290221 * 798330580441).
+_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DET_LIMIT = 3317044064679887385961981
+
+# Sinclair's seven bases decide Miller-Rabin exactly for n < 2^64 (checked
+# against Feitsma's list of base-2 pseudoprimes), each taken mod n and
+# skipped when that is 0.
+_WORD_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 # 40 rounds give error <= 4^-40 <= 2^-80 beyond the deterministic range.
 _MR_ROUNDS = 40
@@ -87,7 +94,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _DET_LIMIT:
+    if n < 1 << 64:
+        witnesses = [a % n for a in _WORD_WITNESSES if a % n]
+    elif n < _DET_LIMIT:
         witnesses = _DET_WITNESSES
     else:
         wrng = random.Random(n)

@@ -45,6 +45,21 @@ walks again, as every round did before.  The empty list is the zero case.
 The rule is a stopping rule, not a certificate: p was used to build the
 update, so a collision at p can make a wrong h* look explained.  The
 caller's verifier (product.py) certifies the result.
+
+A job may end before its pool rounds, in a short round at a prime of the
+order of its sparsity bound T, the way Arnold and Roche reduce modulo
+primes of the order of the output and repair collisions afterwards
+("Output-sensitive algorithms for sumset and sparse polynomial
+multiplication", ISSAC 2015).  It walks once at a random prime in
+[4T, 8T], and only where 8T lies below the pool's top prime and the term
+pairs make a walk at 8T dense by the cost model (_dense_is_cheaper's
+packing floor), so random outputs, which fill their term pairs and collide
+at such a prime, skip it.  Its update is returned only if it ends the job
+by the rule above.  Otherwise the update is dropped, with any floor its
+walk raised, and the pool rounds run from h* = 0 exactly as they would
+without it: the pool, the round count and the bad-prime share below are
+untouched, and the short round only adds an early exit, which the
+caller's verifier certifies like any other.
 """
 
 from __future__ import annotations
@@ -53,11 +68,16 @@ import math
 import operator
 from bisect import bisect_right
 
-from .arith import RandomSource, _omega_bound, first_primes
+from .arith import RandomSource, _omega_bound, first_primes, random_prime
 from .errors import CharacteristicTooSmallError, SparsityBoundError
 from .poly import (SparsePoly, _same_ring, add, dense_cyclic_mul, height_bound, negate,
                    zero_poly)
 from .rings import RingSpec, add_mul_count
+
+
+# sparse steps that one pair's three packed products spend per slot packing
+# and unpacking, whatever the coefficients (_dense_is_cheaper)
+_PACK_STEPS = 3 * 3.2
 
 
 def _dense_is_cheaper(p: int, slotted, work: int) -> bool:
@@ -69,7 +89,7 @@ def _dense_is_cheaper(p: int, slotted, work: int) -> bool:
     Both constants were fitted to timings of the two routes at 101 <= p <=
     35521 on example2 and random integer pairs (CPython 3.11, x86-64).
     """
-    dense = 3 * 3.2 * p * len(slotted)
+    dense = _PACK_STEPS * p * len(slotted)
     if dense >= work:
         return False
     pbits = p.bit_length() + 2
@@ -391,6 +411,38 @@ def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
     return SparsePoly(H.ring, tuple(terms))
 
 
+def _round(pairs, h_star: SparsePoly, p: int, T: int, D: int, C: int | None):
+    """One round of interp_sum_sp at p: the walk, find_terms' update and the
+    repair of the slots it leaves.  Returns the new h* and whether the job
+    ends there: every slot triple of H - h* explained or repaired, and
+    _trim keeping all of h* + update, so that H less the new h* vanishes
+    mod X^p - 1, and so does its derivative."""
+    ring = h_star.ring
+    # both residues of H - h* have at most #H + #h* terms, so more than
+    # 2T + #h* prove #H > 2T, and _trim keeps at most 2T terms: no later
+    # round can reach H, so the walk raises SparsityBoundError at once.
+    # An honest job (T >= #H) stays within T + #h* <= 3T and never
+    # gets there.
+    limit = min(3 * T, 2 * T + h_star.sparsity)
+    slots = cyclic_product_residue(pairs, h_star, p, limit=limit)
+    update = find_terms(p, ring, slots, D - 1, 2 * C if C is not None else None)
+    explained = update.sparsity == len(slots)
+    if not explained:
+        # the slots no update term explains, repaired from the operands
+        # when that costs less than another walk
+        hit = {e % p for e, _ in update.terms}
+        fixed = _repair(pairs, h_star, p, [r for r, _, _ in slots if r not in hit])
+        if fixed is not None:
+            # no exponent repeats: fixed holds only slots no update
+            # term reaches, so one sort of the two runs joins them
+            update = SparsePoly(ring, tuple(sorted(update.terms + fixed.terms,
+                                                   key=operator.itemgetter(0))))
+            explained = True
+    total = add(h_star, update)
+    trimmed = _trim(total, T, C)
+    return trimmed, explained and trimmed.sparsity == total.sparsity
+
+
 def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     """Interpolate H = sum F_i*G_i, for nonempty pairs sharing one ring
     (RingMismatchError otherwise), a sparsity bound T >= 1 and a failure
@@ -448,13 +500,36 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     may be smaller than the walk's own floor would make it; every floor is
     still a lower bound on #H.
 
-    For an honest job (T >= #H), the job ends at the round that brings h*
-    to H (or the next one, if _trim dropped terms on the way), because
-    H - h* is then zero; mu bounds the probability that the round cap runs
-    out first.  Neither mu nor the cap bounds an early exit on a wrong h*,
-    which needs terms of H - h* to collide at that round's p into a term
-    consistent with its slot's c and d.  The output is certified only by
-    verifying it.
+    For an honest job (T >= #H), the pool rounds end at the round that
+    brings h* to H (or the next one, if _trim dropped terms on the way),
+    because H - h* is then zero; mu bounds the probability that the round
+    cap runs out first.  Neither mu nor the cap bounds an early exit on a
+    wrong h*, which needs terms of H - h* to collide at that round's p into
+    a term consistent with its slot's c and d.  The output is certified
+    only by verifying it.
+
+    The short round comes first.  When 8T is below the pool's top prime
+    and the term pairs reach the cost model's packing floor at 8T,
+    sum #F_i*#G_i >= 3*3.2*8T*#pairs (_PACK_STEPS, _dense_is_cheaper), one
+    round walks at p = random_prime(4T), in [4T, 8T], with h* = 0 and so
+    limit 2T.  If that round ends the job, by the rule above, its h* is
+    returned.  Otherwise its update is dropped, h* stays zero, and a
+    SparsityBoundError its walk raised is dropped too: that floor is proven
+    (reduction only merges terms), but the pool rounds' floors, and so the
+    caller's next guesses, stay as they were.  The pool rounds then run as
+    if the short round had not, on fresh draws from the same pool, so mu
+    still bounds their failure to end on H.  A wrong early exit at the
+    short prime needs a collision there, as a misread repair does; p is not
+    drawn from the pool, so no share of bad primes bounds it, and it is
+    left to the caller's verifier, where it costs a check and a larger
+    guess, not a wrong output.  The gate is off at every T >= max
+    #F_i*#G_i, where sum #F_i*#G_i <= #pairs*T < 3*3.2*8T*#pairs: a job
+    sized to hold any of its products runs the pool rounds alone.  Below
+    the floor, the output fills a large share of the term pairs (random
+    products) and collides at p near 4T, so the round is mostly wasted: a
+    gate of sum #F_i*#G_i >= 8T would let the T = 512 job of a random
+    64 x 64 product walk its 4096 pairs sparsely at a p in [2048, 4096],
+    then drop the result.
 
     Each round draws its prime p uniformly from a pool, the first
     2*ceil(6.4*(T-1)*k(D)) primes, where k(D) = arith._omega_bound(D) is
@@ -490,38 +565,23 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     # log2(2T) rounds to find everything plus -log2(mu) (1/mu overflows
     # for a subnormal mu) to drive the failure budget down, plus slack
     rounds = math.ceil(math.log2(2 * T)) + math.ceil(-math.log2(mu)) + 2
-    double_c = 2 * C if C is not None else None
-    h_star = zero_poly(ring)
     # the pool sized above: 2*ceil(6.4*(T-1)*k(D)) primes, the ceiling
     # taken in exact integer arithmetic (6.4 = 32/5)
     n_pool = max(1, -(-32 * (T - 1) * _omega_bound(D) // 5))
     primes = first_primes(2 * n_pool)
+    h_star = zero_poly(ring)
+    # the short round: one walk at a prime in [4T, 8T], gated by the walk's
+    # cost model, whose update counts only if it ends the job
+    work = sum(F.sparsity * G.sparsity for F, G in pairs)
+    if work >= _PACK_STEPS * 8 * T * len(pairs) and 8 * T < primes[-1]:
+        try:
+            h, done = _round(pairs, h_star, random_prime(4 * T, rng), T, D, C)
+        except SparsityBoundError:
+            done = False
+        if done:
+            return h
     for _ in range(rounds):
-        p = primes[rng.randrange(len(primes))]
-        # both residues of H - h* have at most #H + #h* terms, so more than
-        # 2T + #h* prove #H > 2T, and _trim keeps at most 2T terms: no later
-        # round can reach H, so the walk raises SparsityBoundError at once.
-        # An honest job (T >= #H) stays within T + #h* <= 3T and never
-        # gets there.
-        limit = min(3 * T, 2 * T + h_star.sparsity)
-        slots = cyclic_product_residue(pairs, h_star, p, limit=limit)
-        update = find_terms(p, ring, slots, D - 1, double_c)
-        explained = update.sparsity == len(slots)
-        if not explained:
-            # the slots no update term explains, repaired from the operands
-            # when that costs less than another walk
-            hit = {e % p for e, _ in update.terms}
-            fixed = _repair(pairs, h_star, p, [r for r, _, _ in slots if r not in hit])
-            if fixed is not None:
-                # no exponent repeats: fixed holds only slots no update
-                # term reaches, so one sort of the two runs joins them
-                update = SparsePoly(ring, tuple(sorted(update.terms + fixed.terms,
-                                                       key=operator.itemgetter(0))))
-                explained = True
-        total = add(h_star, update)
-        h_star = _trim(total, T, C)
-        # every slot is explained or repaired and _trim kept all of it:
-        # H - h* now vanishes mod X^p - 1, and so does its derivative
-        if explained and h_star.sparsity == total.sparsity:
+        h_star, done = _round(pairs, h_star, primes[rng.randrange(len(primes))], T, D, C)
+        if done:
             break
     return h_star

@@ -15,7 +15,7 @@ from spmul import arith
 from spmul.arith import (canonical_irreducible, ceil_bound, cyclotomic_degree, is_irreducible,
                          is_primitive_root)
 
-from helpers import (Q62, canonical_walk_oracle, fq_gcd_oracle,
+from helpers import (Q62, canonical_walk_oracle, eratosthenes_primes, fq_gcd_oracle,
                      trial_division_primes)
 
 
@@ -48,6 +48,43 @@ class TestIsPrime:
         assert not is_prime(Q62 * (2 ** 61 - 1))
         assert is_prime(2 ** 89 - 1)  # Mersenne prime above the 2^64 line
         assert not is_prime(2 ** 67 - 1)  # Mersenne composite (Cole)
+
+    def test_psi12_is_composite(self):
+        # the least strong pseudoprime to the first 12 prime bases (Sorenson
+        # and Webster's psi_12), below the 13-base limit: base 41 decides it
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_prime(psi12)
+        assert not is_prime(3317044064679887385961981)  # psi_13, at the limit
+
+    def test_agrees_with_sieve_below_a_million(self):
+        oracle = bytearray(10 ** 6)
+        for p in eratosthenes_primes(10 ** 6 - 1):
+            oracle[p] = 1
+        assert all(is_prime(n) == oracle[n] for n in range(10 ** 6))
+
+    def test_word_bases_agree_with_thirteen_prime_bases(self):
+        # below 2^64 seven bases decide what the 13 prime bases decide,
+        # exactly (the 13-base test is exact up to psi_13 > 2^64)
+        def thirteen(n):
+            if n < 2 or n in (2, 3):
+                return n >= 2
+            if n % 2 == 0:
+                return False
+            d, r = n - 1, 0
+            while d % 2 == 0:
+                d, r = d // 2, r + 1
+            return not any(arith._mr_composite(n, a, d, r)
+                           for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+                           if a % n)
+
+        rnd = random.Random(41)
+        for _ in range(10 ** 5):
+            n = rnd.randrange(2 ** rnd.randint(2, 64))
+            assert is_prime(n) == thirteen(n), n
+        # strong pseudoprimes to bases 2, 3, 5, 7 and to the first 9 primes
+        for n in (3215031751, 3825123056546413051):
+            assert not is_prime(n) and not thirteen(n)
 
 
 class TestRandomPrime:

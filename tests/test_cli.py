@@ -97,6 +97,10 @@ class TestParseFormat:
             parse_poly("ring rational\nvars 1\n")
         with pytest.raises(PolyFileError):
             parse_poly("field 8 1\nvars 1\n")  # 8 not prime
+        # psi_12, composite though a strong pseudoprime to the first 12
+        # prime bases
+        with pytest.raises(PolyFileError, match="^line 1: prime field needs a prime q$"):
+            parse_poly("field 318665857834031151167461 1\nvars 1\n")
 
     def test_out_of_range_coefficient(self):
         with pytest.raises(PolyFileError):

@@ -840,3 +840,67 @@ class TestRepair:
             reset_mul_count()
             out = interp._repair(pairs, zero_poly(ring), p, ks)
             assert out is not None and mul_count() == products
+
+
+class TestShortRound:
+    # example2 at 26: H = X^676 - 1, with 676 = 4*13^2.  A job at T = 2
+    # passes the short round's gate (26*52 term pairs against 3*3.2*16)
+    # and its pool, the first 52 primes, tops 239 > 16
+    F26 = canonicalize([(i, 1) for i in range(26)], ZZ)
+    G26 = canonicalize([(26 * i + 1, 1) for i in range(26)]
+                       + [(26 * i, -1) for i in range(26)], ZZ)
+
+    @staticmethod
+    def _pin_short_prime(monkeypatch, p) -> list:
+        """Make the short round walk at p; the returned list receives
+        (p, minus, floor) for every walk, floor None unless it raised."""
+        monkeypatch.setattr(interp, "random_prime", lambda lam, rng: p)
+        walks = []
+        real = interp.cyclic_product_residue
+
+        def cyclic_product_residue(pairs, minus, q, limit):
+            walks.append((q, minus, None))
+            try:
+                return real(pairs, minus, q, limit)
+            except SparsityBoundError as err:
+                walks[-1] = (q, minus, err.floor)
+                raise
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        return walks
+
+    def test_colliding_short_prime_drops_the_update(self, monkeypatch):
+        # at 13 both terms of H fall in slot 0, as (0, 0, 676): find_terms
+        # reads nothing there, and repairing slot 0 (52 bucketing steps, 26
+        # lookups and 104 products, 182) costs more than a walk (78 +
+        # 3*13*2 = 156), so the update is dropped and the pool rounds start
+        # from h* = 0 at primes of their own
+        h = naive_mul(self.F26, self.G26)
+        assert h.terms == ((0, -1), (676, 1))
+        walks = self._pin_short_prime(monkeypatch, 13)
+        repairs = _watch_repairs(monkeypatch)
+        pool = set(interp.first_primes(52))
+        for seed in range(5):
+            walks.clear()
+            repairs.clear()
+            assert interp_sum_sp([(self.F26, self.G26)], 2, 0.25, RandomSource(seed)) == h
+            assert walks[0] == (13, zero_poly(ZZ), None)
+            assert repairs[0] == (13, [0], None)
+            assert len(walks) >= 2 and walks[1][1] == zero_poly(ZZ)
+            assert all(q in pool for q, _, _ in walks[1:])
+
+    def test_short_floor_is_dropped(self, monkeypatch):
+        # a random 13 x 13 product has about 169 terms: at T = 2 the short
+        # walk at 17 fills all 17 slots, over its limit 4, and the job
+        # raises the floor of its first pool walk instead of that one
+        rnd = random.Random(15)
+        walks = self._pin_short_prime(monkeypatch, 17)
+        for seed in range(5):
+            f, g = (canonicalize([(e, rnd.randint(1, 2 ** 16))
+                                  for e in rnd.sample(range(10 ** 6), 13)], ZZ)
+                    for _ in "fg")
+            walks.clear()
+            with pytest.raises(SparsityBoundError) as err:
+                interp_sum_sp([(f, g)], 2, 0.25, RandomSource(seed))
+            assert [q for q, _, _ in walks][:1] == [17] and len(walks) == 2
+            assert walks[0][2] == 17 != walks[1][2] == err.value.floor

@@ -295,6 +295,26 @@ class TestSparseProduct:
             out = sparse_product(F_EX, G_EX, params, RandomSource(seed))
             assert out == naive_mul(F_EX, G_EX)
 
+    @pytest.mark.parametrize("mu2, job_mu", [(0.25, 0.5 / 8), (0.3, (0.3 - 0.25) / 2)],
+                             ids=["at", "above"])
+    def test_job_budget_at_the_mu2_boundary(self, monkeypatch, mu2, job_mu):
+        # mu2 pays for a colliding p (mu1/2) and the jobs share the rest,
+        # (mu2 - mu1/2)/2 each; at mu2 = mu1/2 no rest is left and each job
+        # gets mu1/8, so both wrapped jobs see it too
+        mus = []
+        real = product.interp_sum_sp
+
+        def interp_sum_sp(pairs, T, mu, rng):
+            mus.append(mu)
+            return real(pairs, T, mu, rng)
+
+        monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+        params = ProductParams(0.5, mu2)
+        for f, g in ((F_EX, G_EX), _random_pair(ZZ, (6, 5), 10 ** 30, 0)):
+            mus.clear()
+            assert sparse_product(f, g, params, RandomSource(3)) == naive_mul(f, g)
+            assert mus and set(mus) == {job_mu}
+
     def test_example2_products(self):
         for t in (4, 16):
             f, g = example2_family(t)
@@ -632,9 +652,10 @@ class TestSparsityFloor:
         assert good >= 9
 
     def test_round_primes_are_the_drawn_indices_primes(self, monkeypatch):
-        # random 64 x 64 over Z: every prime a job draws is the oracle's
-        # j-th prime, j the index its RandomSource gave, and is the prime
-        # that round walks at
+        # random 64 x 64 over Z: every prime a pool round draws is the
+        # oracle's j-th prime, j the index its RandomSource gave, every
+        # short round's prime is random_prime's draw in [4T, 8T], and each
+        # is the prime that round walks at
         draws = []
 
         class Recorder:
@@ -645,54 +666,78 @@ class TestSparsityFloor:
                 return len(self.view)
 
             def __getitem__(self, j):
-                draws.append((j, self.view[j]))
-                return draws[-1][1]
+                p = self.view[j]
+                if j >= 0:  # the short round's gate reads the top prime, [-1]
+                    draws.append((j, p))
+                return p
 
         real = interp.first_primes
         monkeypatch.setattr(interp, "first_primes", lambda n: Recorder(real(n)))
+        short = []
+        real_short = interp.random_prime
+
+        def random_prime(lam, rng):
+            p = real_short(lam, rng)
+            short.append((lam, p))
+            draws.append((None, p))
+            return p
+
+        monkeypatch.setattr(interp, "random_prime", random_prime)
         walks = _watch_walks(monkeypatch)
         for seed in range(3):
             f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
         assert len(draws) >= 9 and [p for _, p in draws] == walks
+        pool = [(j, p) for j, p in draws if j is not None]
         oracle = eratosthenes_primes(max(walks))
-        assert max(j for j, _ in draws) > 100_000  # the final job's pool
-        assert all(oracle[j] == p for j, p in draws)
+        assert max(j for j, _ in pool) > 100_000  # the final job's pool
+        assert all(oracle[j] == p for j, p in pool)
+        assert short and all(lam <= p <= 2 * lam and p in oracle for lam, p in short)
 
-    @pytest.mark.parametrize("t, most", [(32, 63), (48, 62), (64, 63)])
+    @pytest.mark.parametrize("t, most", [(32, 63), (48, 63), (64, 63)])
     def test_final_job_takes_one_walk(self, monkeypatch, t, most):
         # random t x t over Z below 10^9: the final job's prime, near 3.3M
         # at t = 64, leaves a few colliding slots, which are repaired from
-        # the operands instead of walking again; so that job walks once,
-        # and the 20 products walk at most most times in all
+        # the operands instead of walking again; so that job walks once, in
+        # its first pool round (its short round is gated off), the 20
+        # products take at most most pool walks in all, and no job takes
+        # more than one short walk
         jobs = []
         real_job, real_walk = product.interp_sum_sp, interp.cyclic_product_residue
+        real_short = interp.random_prime
 
         def interp_sum_sp(pairs, T, mu, rng):
-            jobs.append(0)
+            jobs.append([0, 0])
             return real_job(pairs, T, mu, rng)
 
         def cyclic_product_residue(*args, **kwargs):
-            jobs[-1] += 1
+            jobs[-1][0] += 1
             return real_walk(*args, **kwargs)
+
+        def random_prime(lam, rng):
+            jobs[-1][1] += 1
+            return real_short(lam, rng)
 
         monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        monkeypatch.setattr(interp, "random_prime", random_prime)
         walks = 0
         for seed in range(20):
             f, g = _random_pair(ZZ, (t, t), 10 ** 9, seed)
             jobs.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert jobs[-1] == 1
-            walks += sum(jobs)
+            assert jobs[-1] == [1, 0]
+            assert all(short <= 1 for _, short in jobs)
+            walks += sum(n - short for n, short in jobs)
         assert walks <= most
 
     def test_misread_colliding_slots_are_rejected_by_the_check(self, monkeypatch):
         # with +-1 coefficients, two colliding terms c*X^a + c*X^b read as
         # the one term 2c*X^((a+b)/2) whenever (a - b)/p is even; once the
         # job's other colliding slots are repaired it can end on that
-        # candidate, which verify_sp must reject.  Every product is still
-        # the schoolbook one, and some rejected candidate has that shape
+        # candidate, which verify_sp must reject.  Every product of 48 is
+        # still the schoolbook one, and some rejected candidates have that
+        # shape
         rejected = []
         real = product.verify_sp
 
@@ -704,7 +749,7 @@ class TestSparsityFloor:
 
         monkeypatch.setattr(product, "verify_sp", verify_sp)
         misreads = 0
-        for seed in range(24):
+        for seed in range(48):
             rnd = random.Random(seed)
             f, g = (canonicalize([(e, rnd.choice((-1, 1)))
                                   for e in rnd.sample(range(10 ** 6), 16)], ZZ)
@@ -743,6 +788,58 @@ class TestSparsityFloor:
         assert _assert_floor_rule(steps, 2, 3) == 2
         with pytest.raises(AssertionError):
             _assert_floor_rule(steps[:2] + [["job", 8, 1, None]], 2, 3)
+
+
+class TestShortRound:
+    # Before its pool rounds, a job whose term pairs make a walk at 8T
+    # dense by the cost model (sum #F_i*#G_i >= 3*3.2*8T*#pairs, with 8T
+    # below the pool's top prime) walks once at random_prime(4T), in
+    # [4T, 8T]; the update counts only if it ends the job (interp_sum_sp)
+    @staticmethod
+    def _gate(pairs, T):
+        D = max(F.degree + G.degree + 1 for F, G in pairs)
+        work = sum(F.sparsity * G.sparsity for F, G in pairs)
+        return work >= 3 * 3.2 * 8 * T * len(pairs) and 8 * T < _pool_top(T, D)
+
+    @pytest.mark.parametrize("t", [64, 128, 256])
+    def test_example2_ends_at_the_short_prime(self, monkeypatch, t):
+        # the 2-term product's first job, at the guess 2, walks once, at a
+        # prime in [8, 16], and its output X^(t^2) - 1 is the product
+        jobs = _watch_jobs(monkeypatch)
+        walks = _watch_walks(monkeypatch)
+        f, g = example2_family(t)
+        for seed in range(20):
+            jobs.clear()
+            walks.clear()
+            out = sparse_product(f, g, PARAMS, RandomSource(seed))
+            assert out.terms == ((0, -1), (t * t, 1))
+            assert len(jobs) == 1 and len(walks) == 1
+            T = jobs[0][1]
+            assert self._gate(*jobs[0]) and 4 * T <= walks[0] <= 8 * T
+
+    def test_no_short_round_where_the_gate_is_off(self, monkeypatch):
+        # random 64 x 64 over Z: a job draws a short prime exactly when its
+        # gate is on, at lam = 4T.  The first guess, 2, has it on; the jobs
+        # that size the product, at T >= 256, have it off, and the final
+        # one runs its pool rounds alone
+        jobs = _watch_jobs(monkeypatch)
+        short = []
+        real = interp.random_prime
+
+        def random_prime(lam, rng):
+            short.append((len(jobs) - 1, lam))
+            return real(lam, rng)
+
+        monkeypatch.setattr(interp, "random_prime", random_prime)
+        for seed in range(4):
+            f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
+            jobs.clear()
+            short.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            gated = [i for i, (pairs, T) in enumerate(jobs) if self._gate(pairs, T)]
+            assert short == [(i, 4 * jobs[i][1]) for i in gated]
+            assert gated[:1] == [0] and not self._gate(*jobs[-1])
+            assert all(T >= 256 for _, T in jobs[1:])
 
 
 class TestCharacteristicBoundary:

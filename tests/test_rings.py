@@ -51,6 +51,9 @@ class TestRingConstruction:
         ({"kind": "ext_field", "q": 3, "s": 2, "modulus": (-1, 0, 1)},
          "modulus coefficients must lie in"),
         ({"kind": "rationals"}, "unknown ring kind 'rationals'"),
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the
+        # first 12 prime bases
+        ({"kind": "prime_field", "q": 318665857834031151167461}, "prime field needs a prime q"),
     ])
     def test_constructor_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
