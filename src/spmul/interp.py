@@ -46,20 +46,17 @@ The rule is a stopping rule, not a certificate: p was used to build the
 update, so a collision at p can make a wrong h* look explained.  The
 caller's verifier (product.py) certifies the result.
 
-A job may end before its pool rounds, in a short round at a prime of the
-order of its sparsity bound T, the way Arnold and Roche reduce modulo
+A job's first round may walk at a prime of the order of its sparsity
+bound T instead of a pool prime, the way Arnold and Roche reduce modulo
 primes of the order of the output and repair collisions afterwards
 ("Output-sensitive algorithms for sumset and sparse polynomial
-multiplication", ISSAC 2015).  It walks once at a random prime in
-[4T, 8T], and only where 8T lies below the pool's top prime and the term
-pairs make a walk at 8T dense by the cost model (_dense_is_cheaper's
-packing floor), so random outputs, which fill their term pairs and collide
-at such a prime, skip it.  Its update is returned only if it ends the job
-by the rule above.  Otherwise the update is dropped, with any floor its
-walk raised, and the pool rounds run from h* = 0 exactly as they would
-without it: the pool, the round count and the bad-prime share below are
-untouched, and the short round only adds an early exit, which the
-caller's verifier certifies like any other.
+multiplication", ISSAC 2015).  Round 0 walks at a random prime in
+[4T, 8T] only where the term pairs make a walk at 8T dense by the cost
+model (_dense_is_cheaper's packing floor), so random outputs, which fill
+their term pairs and collide at such a prime, skip it.  It is a round like
+the others: its update seeds h*, which the pool rounds correct as they
+correct each other's, a floor it raises is proven like theirs, and an
+exit at its prime is certified by the caller's verifier like any other.
 """
 
 from __future__ import annotations
@@ -500,36 +497,36 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     may be smaller than the walk's own floor would make it; every floor is
     still a lower bound on #H.
 
-    For an honest job (T >= #H), the pool rounds end at the round that
-    brings h* to H (or the next one, if _trim dropped terms on the way),
-    because H - h* is then zero; mu bounds the probability that the round
-    cap runs out first.  Neither mu nor the cap bounds an early exit on a
-    wrong h*, which needs terms of H - h* to collide at that round's p into
-    a term consistent with its slot's c and d.  The output is certified
-    only by verifying it.
+    For an honest job (T >= #H) that starts its pool rounds from h* = 0,
+    they end at the round that brings h* to H (or the next one, if _trim
+    dropped terms on the way), because H - h* is then zero; mu bounds the
+    probability that the round cap runs out first.  Neither mu nor the cap
+    bounds an early exit on a wrong h*, which needs terms of H - h* to
+    collide at that round's p into a term consistent with its slot's c and
+    d.  The output is certified only by verifying it.
 
-    The short round comes first.  When 8T is below the pool's top prime
-    and the term pairs reach the cost model's packing floor at 8T,
-    sum #F_i*#G_i >= 3*3.2*8T*#pairs (_PACK_STEPS, _dense_is_cheaper), one
-    round walks at p = random_prime(4T), in [4T, 8T], with h* = 0 and so
-    limit 2T.  If that round ends the job, by the rule above, its h* is
-    returned.  Otherwise its update is dropped, h* stays zero, and a
-    SparsityBoundError its walk raised is dropped too: that floor is proven
-    (reduction only merges terms), but the pool rounds' floors, and so the
-    caller's next guesses, stay as they were.  The pool rounds then run as
-    if the short round had not, on fresh draws from the same pool, so mu
-    still bounds their failure to end on H.  A wrong early exit at the
-    short prime needs a collision there, as a misread repair does; p is not
-    drawn from the pool, so no share of bad primes bounds it, and it is
-    left to the caller's verifier, where it costs a check and a larger
-    guess, not a wrong output.  The gate is off at every T >= max
-    #F_i*#G_i, where sum #F_i*#G_i <= #pairs*T < 3*3.2*8T*#pairs: a job
-    sized to hold any of its products runs the pool rounds alone.  Below
-    the floor, the output fills a large share of the term pairs (random
-    products) and collides at p near 4T, so the round is mostly wasted: a
-    gate of sum #F_i*#G_i >= 8T would let the T = 512 job of a random
-    64 x 64 product walk its 4096 pairs sparsely at a p in [2048, 4096],
-    then drop the result.
+    A job whose term pairs reach the cost model's packing floor at 8T,
+    sum #F_i*#G_i >= 3*3.2*8T*#pairs (_PACK_STEPS, _dense_is_cheaper),
+    runs one round more, and its round 0 walks at p = random_prime(4T), in
+    [4T, 8T], instead of a pool prime.  That round follows the rules of
+    every round.  Its h* is zero, so its limit is 2T, and a
+    SparsityBoundError it raises carries a proven floor above 2T: no
+    output of at most 2T terms, from any round at this T, can be H.  Its
+    update seeds the pool rounds, just as each pool round seeds the next,
+    and they correct its wrong terms as they correct their own.  A wrong
+    early exit at the short prime needs a collision there, as a misread
+    repair does; p is not drawn from the pool, so no share of bad primes
+    bounds it, and the pool rounds after it start from its h*, not from
+    zero, so mu does not bound their failure either.  Both are left to the
+    caller's verifier, where they cost a check and a larger guess, not a
+    wrong output.  The gate is off at every T >= max #F_i*#G_i, where
+    sum #F_i*#G_i <= #pairs*T < 3*3.2*8T*#pairs: a job sized to hold any
+    of its products runs the pool rounds alone, from h* = 0, and mu bounds
+    its failure.  Below the floor, the output fills a large share of the
+    term pairs (random products) and collides at p near 4T, so the round
+    is mostly wasted: a gate of sum #F_i*#G_i >= 8T would let the T = 512
+    job of a random 64 x 64 product walk its 4096 pairs sparsely at a p in
+    [2048, 4096], where they collide.
 
     Each round draws its prime p uniformly from a pool, the first
     2*ceil(6.4*(T-1)*k(D)) primes, where k(D) = arith._omega_bound(D) is
@@ -570,18 +567,13 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     n_pool = max(1, -(-32 * (T - 1) * _omega_bound(D) // 5))
     primes = first_primes(2 * n_pool)
     h_star = zero_poly(ring)
-    # the short round: one walk at a prime in [4T, 8T], gated by the walk's
-    # cost model, whose update counts only if it ends the job
+    # where the walk's cost model makes a walk at 8T dense, round 0 walks
+    # at a prime in [4T, 8T] and every later round at a pool prime
     work = sum(F.sparsity * G.sparsity for F, G in pairs)
-    if work >= _PACK_STEPS * 8 * T * len(pairs) and 8 * T < primes[-1]:
-        try:
-            h, done = _round(pairs, h_star, random_prime(4 * T, rng), T, D, C)
-        except SparsityBoundError:
-            done = False
-        if done:
-            return h
-    for _ in range(rounds):
-        h_star, done = _round(pairs, h_star, primes[rng.randrange(len(primes))], T, D, C)
+    short = work >= _PACK_STEPS * 8 * T * len(pairs)
+    for i in range(rounds + short):
+        p = random_prime(4 * T, rng) if i < short else primes[rng.randrange(len(primes))]
+        h_star, done = _round(pairs, h_star, p, T, D, C)
         if done:
             break
     return h_star

@@ -125,26 +125,29 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     above already counts.  The collision has probability at most mu1/2
     (lam above).
 
-    A job can also end early on a wrong candidate: at its short round, a
-    walk at a prime near 4t taken before the proven pool (interp_sum_sp),
-    or on a misread slot its repairs let through.  Such a guess is
-    rejected by its check, so an early exit costs a check, already inside
-    the union bound, and a larger guess, never a wrong output.
+    A job can also end early on a wrong candidate: at its round 0, a walk
+    at a prime near 4t taken before the proven pool (interp_sum_sp), or on
+    a misread slot its repairs let through.  Such a guess is rejected by
+    its check, so an early exit costs a check, already inside the union
+    bound, and a larger guess, never a wrong output.  A floor raised at
+    round 0 is proven like any other, so it too only skips guesses.
 
     Convergence is charged to mu2.  The guesses start at k = min(0, 2 -
     bit_length(t0)) and reach the cap, t >= #F*#G, by k = bit_length(t0)
     at the latest, since #F*#G <= t0^2 < t0*2^bit_length(t0), and floors
     only skip guesses: at most 2*bit_length(t0) - 1 guesses, fewer than
-    _MAX_DOUBLINGS for every t0 < 2^32.  At such t every job is honest,
-    and its short round is gated off (interp_sum_sp: sum #F_i*#G_i <=
-    #pairs*#F*#G falls short of the gate), so each job runs its pool
-    rounds alone and fails to end on its target with probability at most
-    its budget.  When it does end there and p does not collide,
-    h = F*G, which verify_sp always accepts.  So the loop fails to converge
-    with probability at most mu1/2 (p) plus the budgets of the first guess
-    at the cap, at most two jobs: mu1/2 + 2*(mu2 - mu1/2)/2 = mu2.  At
-    mu2 = mu1/2 the jobs get mu1/8 each (ProductParams), and the bound is
-    mu2 + mu1/4.
+    _MAX_DOUBLINGS for every t0 < 2^32.  Below the cap every output is
+    certified by its check and every floor is proven, whatever round 0
+    did, so the bound counts only the first guess at the cap.  There every
+    job is honest, and its short round is gated off (interp_sum_sp: sum
+    #F_i*#G_i <= #pairs*#F*#G falls short of the gate), so each job runs
+    its pool rounds alone, from h* = 0, and fails to end on its target
+    with probability at most its budget.  When it does end there and p
+    does not collide, h = F*G, which verify_sp always accepts.  So the
+    loop fails to converge with probability at most mu1/2 (p) plus the
+    budgets of the first guess at the cap, at most two jobs: mu1/2 +
+    2*(mu2 - mu1/2)/2 = mu2.  At mu2 = mu1/2 the jobs get mu1/8 each
+    (ProductParams), and the bound is mu2 + mu1/4.
     """
     ring = _same_ring(F, G)
     if F.is_zero or G.is_zero:

@@ -844,16 +844,17 @@ class TestRepair:
 
 class TestShortRound:
     # example2 at 26: H = X^676 - 1, with 676 = 4*13^2.  A job at T = 2
-    # passes the short round's gate (26*52 term pairs against 3*3.2*16)
-    # and its pool, the first 52 primes, tops 239 > 16
+    # passes the short round's gate (26*52 term pairs against 3*3.2*16),
+    # so its round 0 walks at random_prime(8) and its later rounds at pool
+    # primes, the first 52
     F26 = canonicalize([(i, 1) for i in range(26)], ZZ)
     G26 = canonicalize([(26 * i + 1, 1) for i in range(26)]
                        + [(26 * i, -1) for i in range(26)], ZZ)
 
     @staticmethod
     def _pin_short_prime(monkeypatch, p) -> list:
-        """Make the short round walk at p; the returned list receives
-        (p, minus, floor) for every walk, floor None unless it raised."""
+        """Make round 0 walk at p; the returned list receives (p, minus,
+        floor) for every walk, floor None unless it raised."""
         monkeypatch.setattr(interp, "random_prime", lambda lam, rng: p)
         walks = []
         real = interp.cyclic_product_residue
@@ -869,30 +870,48 @@ class TestShortRound:
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         return walks
 
-    def test_colliding_short_prime_drops_the_update(self, monkeypatch):
-        # at 13 both terms of H fall in slot 0, as (0, 0, 676): find_terms
-        # reads nothing there, and repairing slot 0 (52 bucketing steps, 26
-        # lookups and 104 products, 182) costs more than a walk (78 +
-        # 3*13*2 = 156), so the update is dropped and the pool rounds start
-        # from h* = 0 at primes of their own
+    @pytest.mark.parametrize("extra, seeded", [(None, ()), ((5, 3), ((5, 3),))],
+                             ids=["empty", "3X^5"])
+    def test_short_update_seeds_the_pool_rounds(self, monkeypatch, extra, seeded):
+        # at 13 both terms of X^676 - 1 fall in slot 0, as (0, 0, 676):
+        # find_terms reads nothing there, and repairing slot 0 (for the one
+        # pair, 52 bucketing steps, 26 lookups and 104 products, 182) costs
+        # more than a walk (78 + 3*13*2 = 156), so round 0 does not end the
+        # job.  Its h* is what it read: nothing, or with a second pair
+        # 3X^5 * 1, the term 3X^5 alone in slot 5.  The first pool walk
+        # subtracts that h*, at a prime of the pool, and the job ends on H
+        pairs = [(self.F26, self.G26)]
         h = naive_mul(self.F26, self.G26)
-        assert h.terms == ((0, -1), (676, 1))
+        if extra is not None:
+            pairs.append((monomial(ZZ, extra[0], 1), monomial(ZZ, 0, extra[1])))
+            h = add(h, naive_mul(*pairs[1]))
+        assert h.terms == ((0, -1),) + seeded + ((676, 1),)
         walks = self._pin_short_prime(monkeypatch, 13)
         repairs = _watch_repairs(monkeypatch)
+        rounds = []
+        real = interp._round
+
+        def round_(*args):
+            rounds.append(real(*args))
+            return rounds[-1]
+
+        monkeypatch.setattr(interp, "_round", round_)
         pool = set(interp.first_primes(52))
         for seed in range(5):
             walks.clear()
             repairs.clear()
-            assert interp_sum_sp([(self.F26, self.G26)], 2, 0.25, RandomSource(seed)) == h
+            rounds.clear()
+            assert interp_sum_sp(pairs, 2, 0.25, RandomSource(seed)) == h
             assert walks[0] == (13, zero_poly(ZZ), None)
             assert repairs[0] == (13, [0], None)
-            assert len(walks) >= 2 and walks[1][1] == zero_poly(ZZ)
+            assert rounds[0][0].terms == seeded and not rounds[0][1]
+            assert len(walks) >= 2 and walks[1][1] == rounds[0][0]
             assert all(q in pool for q, _, _ in walks[1:])
 
-    def test_short_floor_is_dropped(self, monkeypatch):
+    def test_short_floor_ends_the_job(self, monkeypatch):
         # a random 13 x 13 product has about 169 terms: at T = 2 the short
         # walk at 17 fills all 17 slots, over its limit 4, and the job
-        # raises the floor of its first pool walk instead of that one
+        # raises that walk's floor, 17 > 2T, after that one walk
         rnd = random.Random(15)
         walks = self._pin_short_prime(monkeypatch, 17)
         for seed in range(5):
@@ -902,5 +921,4 @@ class TestShortRound:
             walks.clear()
             with pytest.raises(SparsityBoundError) as err:
                 interp_sum_sp([(f, g)], 2, 0.25, RandomSource(seed))
-            assert [q for q, _, _ in walks][:1] == [17] and len(walks) == 2
-            assert walks[0][2] == 17 != walks[1][2] == err.value.floor
+            assert walks == [(17, zero_poly(ZZ), 17)] and err.value.floor == 17

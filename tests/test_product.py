@@ -654,7 +654,7 @@ class TestSparsityFloor:
     def test_round_primes_are_the_drawn_indices_primes(self, monkeypatch):
         # random 64 x 64 over Z: every prime a pool round draws is the
         # oracle's j-th prime, j the index its RandomSource gave, every
-        # short round's prime is random_prime's draw in [4T, 8T], and each
+        # round 0's prime is random_prime's draw in [4T, 8T], and each
         # is the prime that round walks at
         draws = []
 
@@ -667,8 +667,7 @@ class TestSparsityFloor:
 
             def __getitem__(self, j):
                 p = self.view[j]
-                if j >= 0:  # the short round's gate reads the top prime, [-1]
-                    draws.append((j, p))
+                draws.append((j, p))
                 return p
 
         real = interp.first_primes
@@ -791,15 +790,15 @@ class TestSparsityFloor:
 
 
 class TestShortRound:
-    # Before its pool rounds, a job whose term pairs make a walk at 8T
-    # dense by the cost model (sum #F_i*#G_i >= 3*3.2*8T*#pairs, with 8T
-    # below the pool's top prime) walks once at random_prime(4T), in
-    # [4T, 8T]; the update counts only if it ends the job (interp_sum_sp)
+    # A job whose term pairs make a walk at 8T dense by the cost model
+    # (sum #F_i*#G_i >= 3*3.2*8T*#pairs) runs one round more, and its round
+    # 0 walks at random_prime(4T), in [4T, 8T], instead of a pool prime.  A
+    # floor raised there ends the job, and an update made there seeds the
+    # pool rounds (interp_sum_sp)
     @staticmethod
     def _gate(pairs, T):
-        D = max(F.degree + G.degree + 1 for F, G in pairs)
         work = sum(F.sparsity * G.sparsity for F, G in pairs)
-        return work >= 3 * 3.2 * 8 * T * len(pairs) and 8 * T < _pool_top(T, D)
+        return work >= 3 * 3.2 * 8 * T * len(pairs)
 
     @pytest.mark.parametrize("t", [64, 128, 256])
     def test_example2_ends_at_the_short_prime(self, monkeypatch, t):
@@ -819,10 +818,11 @@ class TestShortRound:
 
     def test_no_short_round_where_the_gate_is_off(self, monkeypatch):
         # random 64 x 64 over Z: a job draws a short prime exactly when its
-        # gate is on, at lam = 4T.  The first guess, 2, has it on; the jobs
-        # that size the product, at T >= 256, have it off, and the final
-        # one runs its pool rounds alone
+        # gate is on, at lam = 4T.  The first guess, 2, has it on, the
+        # floors size every later guess, and the final job, which sizes
+        # the product, has it off and runs its pool rounds alone
         jobs = _watch_jobs(monkeypatch)
+        steps = _watch_steps(monkeypatch)
         short = []
         real = interp.random_prime
 
@@ -834,12 +834,56 @@ class TestShortRound:
         for seed in range(4):
             f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
             jobs.clear()
+            steps.clear()
             short.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
             gated = [i for i, (pairs, T) in enumerate(jobs) if self._gate(pairs, T)]
             assert short == [(i, 4 * jobs[i][1]) for i in gated]
             assert gated[:1] == [0] and not self._gate(*jobs[-1])
-            assert all(T >= 256 for _, T in jobs[1:])
+            _assert_floor_rule(steps, 64, 64 * 64)
+
+    @pytest.mark.parametrize("stride", [1000003, 3], ids=["large-stride", "small"])
+    def test_short_floor_ends_the_job_on_sumsets(self, monkeypatch, stride):
+        # f = sum (1+i) X^(K*i), g = sum (2+i) X^(K*i+1) over i < 512: 1023
+        # output terms from 262,144 term pairs.  Every product takes at least
+        # one job whose round 0 overflows with a proven floor above 2T, and
+        # each such job ends there instead of walking the pool; each product
+        # is the schoolbook one
+        n = 512
+        f = canonicalize([(stride * i, 1 + i) for i in range(n)], ZZ)
+        g = canonicalize([(stride * i + 1, 2 + i) for i in range(n)], ZZ)
+        want = naive_mul(f, g)
+        assert want.sparsity == 2 * n - 1
+        # per job, its events in order: "short" when round 0 draws its
+        # prime, "walk" per walk, "raised" when a walk raised a floor
+        jobs = []
+        real_job, real_walk = product.interp_sum_sp, interp.cyclic_product_residue
+        real_short = interp.random_prime
+
+        def interp_sum_sp(pairs, T, mu, rng):
+            jobs.append([])
+            return real_job(pairs, T, mu, rng)
+
+        def cyclic_product_residue(pairs, minus, p, limit):
+            jobs[-1].append("walk")
+            try:
+                return real_walk(pairs, minus, p, limit)
+            except SparsityBoundError:
+                jobs[-1].append("raised")
+                raise
+
+        def random_prime(lam, rng):
+            jobs[-1].append("short")
+            return real_short(lam, rng)
+
+        monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
+        monkeypatch.setattr(interp, "random_prime", random_prime)
+        for seed in (7, 8, 9):
+            jobs.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == want
+            ended = [events for events in jobs if events[:3] == ["short", "walk", "raised"]]
+            assert ended and all(len(events) == 3 for events in ended)
 
 
 class TestCharacteristicBoundary:
