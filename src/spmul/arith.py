@@ -46,8 +46,9 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 # primality
 
-_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_TRIAL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                           53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 # The first 13 prime bases decide Miller-Rabin exactly for
 # n < 3,317,044,064,679,887,385,961,981 (psi_13, Sorenson & Webster); the
@@ -80,13 +81,11 @@ def _mr_composite(n: int, a: int, d: int, r: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: exact below ~3.3e24, Miller-Rabin with error
     <= 2^-80 above (witnesses derived deterministically from n)."""
-    if n < 2:
+    if n < 101:
+        return n in _TRIAL_PRIMES
+    # for n >= 101, a factor in common with the primes below 100 is a proper divisor
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return False
-    for p in _TRIAL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     if n < 101 * 101:
         return True
     d = n - 1

@@ -209,19 +209,33 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
     The w = 1 table is plain square-and-multiply with its squarings
     shared, so n lookups of alpha^e never take more than (b - 1) * (n + 1)
     multiplications in all, and the table never holds more than
-    b * (n + 1) entries.  The table's multiplications go through ring.mul
-    and are charged as they are made.
+    b * (n + 1) entries.
+
+    Every entry past a row's first two costs one multiplication, and so
+    does each row's base after the first.  Over F_{q^s} they go through
+    ring.mul.  Over F_q a row is built by doubling, row[k:2k] =
+    row[:k] * alpha^k mod q with alpha^k = row[k - 1] * alpha, by C-level
+    maps, and its products are charged in bulk through add_mul_count: the
+    same entries and the same count as one ring.mul per entry.
     """
     bits = (bound - 1).bit_length()
     w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
     mask = (1 << w) - 1
+    q = ring.q if ring.kind == "prime_field" else None
     rows = []
     base = alpha
     for shift in range(0, bits, w):
         # the top row stops at the top digit of bound - 1
+        top = min(mask, (bound - 1) >> shift)
         row = [1, base]
-        for _ in range(min(mask, (bound - 1) >> shift) - 1):
-            row.append(ring.mul(row[-1], base))
+        if q is None:
+            for _ in range(top - 1):
+                row.append(ring.mul(row[-1], base))
+        else:
+            while len(row) <= top:
+                step = row[-1] * base % q  # alpha^k for k = len(row)
+                row += map(q.__rmod__, map(step.__mul__, row[:top + 1 - len(row)]))
+            add_mul_count(top - 1)
         rows.append(row)
         if shift + w < bits:
             base = ring.mul(row[-1], base)  # alpha^(2^(shift + w))
@@ -231,39 +245,46 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
 def term_values(ring: RingSpec, terms, table):
     """The values c * alpha^e of the (e, c) of terms, in ring, as an
     iterable to be read once; table = (rows, w) is fixed_base_powers'
-    table of alpha.
+    table of alpha, for a bound above every e.
 
-    The lookups go one table row at a time: the row-i digits
-    (e >> w*i) & mask of every exponent are gathered into one list, and
-    each term's running product, which starts at c, takes the entry of its
-    nonzero digit.  Over F_q the entries are multiplied in by C-level
-    maps, reduced mod q every fourth row, and the values are ints
-    congruent to c * alpha^e mod q, not reduced, which ring_sum, ring.add
-    and ring.mul take as they are; a coefficient may be any int, so a Z
-    polynomial gives the values of its image mod q.  Over F_{q^s} each
-    nonzero digit takes one ring.mul.  Either way a term is charged
-    max(1, nonzero w-bit windows of e): its products by the entries, and
-    one for an e = 0 term, whose value is c * 1 (over F_q in bulk).
+    The lookups go one table row at a time.  The exponents are packed
+    once into one int (rings._pack) at a digit width holding
+    w * len(rows) bits, so that the row-i digits (e >> w*i) & mask of
+    every exponent are one shift and one mask of that int, unpacked
+    (rings._unpack); a narrower digit would let an exponent's window
+    take the next exponent's low bits.  Each term's running product,
+    which starts at c, takes the entry of its nonzero digit.  Over F_q
+    the entries are multiplied in by C-level maps and reduced mod q only
+    between rows, after every fourth row but never after the last: the
+    values are ints congruent to c * alpha^e mod q, not reduced, which
+    ring_sum, ring.add and ring.mul take as they are, so a sum of them
+    pays one reduction.  A coefficient may be any int, so a Z polynomial
+    gives the values of its image mod q.  Over F_{q^s} each nonzero
+    digit takes one ring.mul.  Either way a term is charged max(1,
+    nonzero w-bit windows of e): its products by the entries, and one for
+    an e = 0 term, whose value is c * 1 (over F_q in bulk).
     """
     rows, w = table
-    mask = (1 << w) - 1
+    n = len(terms)
     exps = list(map(itemgetter(0), terms))
+    width = _byte_width((1 << w * len(rows)) - 1)
+    packed = _pack(exps, width)
+    masks = _pack([(1 << w) - 1] * n, width)
     acc = map(itemgetter(1), terms)
     prime = ring.kind == "prime_field"
     windows = 0
     for i, row in enumerate(rows):
-        shift = w * i
-        digits = [e >> shift & mask for e in exps]
+        digits = _unpack(packed >> w * i & masks, width, n)
         if not prime:
             acc = [ring.mul(a, row[d]) if d else a for a, d in zip(acc, digits)]
             continue
-        windows += len(digits) - digits.count(0)
+        windows += n - digits.count(0)
         # the per-term products are chained lazily and formed at each
         # reduction and by the caller; the coefficients enter unreduced, as
         # below heights of about 2^256 the wider first products cost less
         # than a mod per term
         acc = map(_int_mul, acc, map(row.__getitem__, digits))
-        if i % 4 == 3:
+        if i % 4 == 3 and i < len(rows) - 1:
             acc = list(map(ring.q.__rmod__, acc))
     add_mul_count(windows + exps.count(0))
     return acc
@@ -293,13 +314,16 @@ def _image_field(ring: RingSpec, field: RingSpec | None) -> RingSpec:
     return field
 
 
-def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None):
+def eval_sparse(F: SparsePoly, alpha, field: RingSpec | None = None, *, table=None):
     """F(alpha) in field (F.ring by default, or a field holding an image
     of it: _image_field), every alpha^e from one fixed-base table
-    (fixed_base_powers) sized by deg F and #F; over Z in F_q, the value of
-    F's image mod q from F's own terms."""
+    (fixed_base_powers); over Z in F_q, the value of F's image mod q from
+    F's own terms.  The table is built here, sized by deg F and #F,
+    unless one is passed: it must be of the same alpha in the same field,
+    for a bound above deg F (verify_sum_sp passes its check's one table)."""
     field = _image_field(F.ring, field)
     if F.is_zero:
         return 0
-    table = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)
+    if table is None:
+        table = fixed_base_powers(field, alpha, F.degree + 1, F.sparsity)
     return ring_sum(field, term_values(field, F.terms, table))

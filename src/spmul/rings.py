@@ -64,9 +64,10 @@ coefficient multiplication routed through a ``RingSpec`` bumps a global
 counter that benchmarks and operation-count tests read back;
 ``RingSpec.pow`` is charged its square-and-multiply cost, ``_pow_cost``,
 once in every ring.  Fixed-base
-power tables, and their lookups over F_{q^s}, multiply through
-``RingSpec.mul``; the two raw-int paths charge in bulk through
-``add_mul_count``: residue accumulation, and the lookups of
+power tables and their lookups multiply through ``RingSpec.mul`` over
+F_{q^s}; the raw-int paths charge in bulk through ``add_mul_count``:
+residue accumulation, the rows of ``poly.fixed_base_powers`` over F_q,
+one per entry as ``RingSpec.mul`` would, and the lookups of
 ``poly.term_values`` over F_q, charged max(1, nonzero windows) per term
 as over F_{q^s}, so a product by a table row's entry 1 (a zero digit) is
 not counted.
@@ -77,6 +78,7 @@ measurement; the other shared state in the library is the prime sieve in
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field
 from operator import mul as _int_mul
@@ -471,6 +473,18 @@ def integers() -> RingSpec:
 def prime_field(q: int) -> RingSpec:
     """The prime field F_q."""
     return RingSpec("prime_field", q=q)
+
+
+_F2 = prime_field(2)
+
+
+def _proven_prime_field(q: int) -> RingSpec:
+    """F_q for a q that arith.is_prime has already certified, such as
+    random_prime's: prime_field(q) without RingSpec's second test.  It is
+    F_2 with q replaced, as a prime field keeps no state but q."""
+    ring = copy.copy(_F2)
+    object.__setattr__(ring, "q", q)
+    return ring
 
 
 def ext_field(q: int, s: int, modulus: tuple[int, ...] | None = None) -> RingSpec:

@@ -19,8 +19,10 @@ never carried out in Z (values of size p*log(alpha) would defeat
 sparsity); a random coefficient prime q is drawn and the check runs in
 F_q.  F, G and H are evaluated in F_q from their own terms
 (eval_cyclic_product and poly.eval_sparse with a field), never copied,
-as they are in an extension hosting an F_q check.  A field with more
-than c2*p points hosts the point itself.  A smaller one is evaluated
+as they are in an extension hosting an F_q check.  Every evaluation of a
+check reads its values from one fixed-base table of the point
+(poly.fixed_base_powers) for exponents below p, built once per check.
+A field with more than c2*p points hosts the point itself.  A smaller one is evaluated
 in F_{q^S'}, built on the fly over its prime field F_q: S is
 least with q^S > c2*p, and S' (arith.cyclotomic_degree) the least
 degree in [S, 2S) with S' + 1 a prime modulo which q is a primitive root.
@@ -50,7 +52,7 @@ from .arith import (RandomSource, ceil_bound, cyclotomic_degree, irreducible_pol
                     lambda_nonzero, random_prime)
 from .poly import (SparsePoly, _image_field, _same_ring, cyclic_reduce, eval_sparse,
                    fixed_base_powers, height_bound, ring_sum, term_values)
-from .rings import RingSpec, prime_field
+from .rings import RingSpec, _proven_prime_field
 
 _LN2 = math.log(2.0)
 
@@ -75,7 +77,7 @@ def _split(eps: float, over_z: bool) -> tuple[float, float]:
 
 
 def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
-                        field: RingSpec | None = None):
+                        field: RingSpec | None = None, *, table=None):
     """Evaluate R = (F_p * G_p) mod X^p - 1 at alpha in field (the
     operands' ring by default, or a field holding an image of it, as for
     eval_sparse) without forming the product or copying the operands.
@@ -94,7 +96,11 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
 
     The values f_t alpha^t and g_j alpha^j come from one fixed-base table
     (fixed_base_powers) for exponents below p, looked up as in
-    eval_sparse (term_values).  The charge is the table, max(1, nonzero
+    eval_sparse (term_values).  The table is built here, sized by
+    #F_p + #G_p, unless one is passed: it must be of the same alpha in
+    the same field, for a bound above every exponent of F_p and G_p
+    (verify_sum_sp passes its check's one table, for the bound p), and
+    is then not charged here.  The charge is the table, max(1, nonzero
     windows of e) per term of F_p and of G_p (a term whose coefficient
     vanishes mod q is looked up too: its value is 0), and one product for
     F_p(alpha) * G_p(alpha); a wrapping pair adds one product per
@@ -111,7 +117,8 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
     if F_p.is_zero or G_p.is_zero:
         return 0
 
-    table = fixed_base_powers(field, alpha, p, F_p.sparsity + G_p.sparsity)
+    if table is None:
+        table = fixed_base_powers(field, alpha, p, F_p.sparsity + G_p.sparsity)
     f_vals = list(term_values(field, F_p.terms, table))
     g_vals = list(term_values(field, G_p.terms, table))
     value = field.mul(ring_sum(field, f_vals), ring_sum(field, g_vals))
@@ -201,6 +208,11 @@ def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
     are evaluated from their own terms (eval_cyclic_product and
     eval_sparse with the field), as cyclic_reduce(P, p), which is P
     itself at p = D + 1.  Only phi's images of a small F_{q^s} are built.
+    Every evaluation reads one table of alpha,
+    fixed_base_powers(field, alpha, p, sum(#f + #g) + #h), over the pairs
+    (f, g) evaluated and the h compared: exponents below p, and a window
+    sized by all of the check's lookups, max(1, nonzero windows of e) for
+    each term e of every f, g and h.
 
     Soundness.  Let D_j be coordinate j of sum F_i G_i - H.  Its support
     lies in supp(sum F_i G_i) u supp(H), so it has at most sparsity_sum
@@ -237,7 +249,9 @@ def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
         # ln of a bound on ||sum F_i G_i - H|| via bit length; overestimating is safe
         ln_height = (H.height() + height_bound(pairs)).bit_length() * _LN2
         mu = ceil_bound(c2, max(p, math.ceil(ln_height)))
-        field = prime_field(random_prime(mu, rng))
+        # random_prime certified q, so the field is built without a
+        # second test
+        field = _proven_prime_field(random_prime(mu, rng))
     elif ring.size <= c2 * p:
         s = ring.s + 1
         while ring.q ** s <= c2 * p:
@@ -272,8 +286,11 @@ def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
 
         h = cyclic_reduce(H, p)
 
+    evaluations = [fg for F, G in pairs for fg in factors(F, G)]
+    # one table of alpha for the check: every exponent evaluated is below p
+    table = fixed_base_powers(field, alpha, p, sum(
+        f.sparsity + g.sparsity for f, g in evaluations) + h.sparsity)
     lhs = 0
-    for F, G in pairs:
-        for f, g in factors(F, G):
-            lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha, field))
-    return lhs == eval_sparse(h, alpha, field)
+    for f, g in evaluations:
+        lhs = field.add(lhs, eval_cyclic_product(f, g, p, alpha, field, table=table))
+    return lhs == eval_sparse(h, alpha, field, table=table)

@@ -4,7 +4,7 @@ Run it from the directory that should receive them:
 
     python tests/ci_inputs.py
 
-It writes eight sets of pairs, each from its own fixed seed:
+It writes nine sets of pairs, each from its own fixed seed:
 
 * za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
   over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
@@ -48,6 +48,11 @@ It writes eight sets of pairs, each from its own fixed seed:
   below 10^9, whose product has about 40,000 terms.  Its check runs at
   p = D + 1 and evaluates that H in F_q from its own terms; CI verifies
   it in a step of its own, after the loop over the pairs above.
+* bigf9a/bigf9b.poly (small_field_pair): 300 x 300 terms over F_9 with
+  exponents below 10^6, whose product has about 87,000 terms.  Its check
+  runs at p = D + 1 in an extension F_(3^S') of F_3, with every
+  evaluation reading the check's one power table; CI verifies it in a
+  step of its own, as it does the large pair.
 
 test_cli imports wrapping_pairs, f256_pair, extension_pair,
 quadratic_pair, random_pair, random_pair_128 and large_pair, so the pairs
@@ -162,6 +167,19 @@ def large_pair() -> dict:
     return files
 
 
+def small_field_pair() -> dict:
+    """{file name: text} of the 300 x 300 pair over F_9."""
+    rnd = random.Random(10)
+    files = {}
+    for side in "ab":
+        exps = set()
+        while len(exps) < 300:
+            exps.add(rnd.randrange(10 ** 6))
+        files["bigf9" + side + ".poly"] = "field 3 2\nvars 1\n" + "".join(
+            f"term {rnd.choice(F9)} {e}\n" for e in exps)
+    return files
+
+
 def random_pair_128() -> dict:
     """{file name: text} of the 128 x 128 pair over Z."""
     return random_pair(128, 6, "rz128")
@@ -170,7 +188,7 @@ def random_pair_128() -> dict:
 def main() -> None:
     for name, text in {**wrapping_pairs(), **trivariate_pairs(), **f256_pair(),
                        **extension_pair(), **quadratic_pair(), **random_pair(),
-                       **random_pair_128(), **large_pair()}.items():
+                       **random_pair_128(), **large_pair(), **small_field_pair()}.items():
         with open(name, "w") as out:
             out.write(text)
 

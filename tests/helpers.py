@@ -218,9 +218,9 @@ def watch_cyclic_evaluations(monkeypatch, record=lambda F_p, G_p, p, field: (fie
     seen = []
     real = verify.eval_cyclic_product
 
-    def eval_cyclic_product(F_p, G_p, p, alpha, field=None):
+    def eval_cyclic_product(F_p, G_p, p, alpha, field=None, **kwargs):
         seen.append(record(F_p, G_p, p, field))
-        return real(F_p, G_p, p, alpha, field)
+        return real(F_p, G_p, p, alpha, field, **kwargs)
 
     monkeypatch.setattr(verify, "eval_cyclic_product", eval_cyclic_product)
     return seen

@@ -28,6 +28,7 @@ class TestIsPrime:
     def test_units_and_small(self):
         assert not is_prime(0)
         assert not is_prime(1)
+        assert not is_prime(-7)
         assert is_prime(2)
         assert is_prime(41)
         assert not is_prime(42)

@@ -482,9 +482,9 @@ class TestCommands:
         seen = []
         real = verify.eval_sparse
 
-        def eval_sparse(P, alpha, field=None):
+        def eval_sparse(P, alpha, field=None, **kwargs):
             seen.append((P.ring, P.terms[-1][0], P.sparsity, field))
-            return real(P, alpha, field)
+            return real(P, alpha, field, **kwargs)
 
         monkeypatch.setattr(verify, "eval_sparse", eval_sparse)
         primes = watch_cyclic_evaluations(monkeypatch, lambda F_p, G_p, p, field: p)

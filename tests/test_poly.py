@@ -11,7 +11,7 @@ from spmul import (RingMismatchError, UnsupportedRingError, add, canonicalize,
                    reset_mul_count, scale, sub, zero_poly)
 from spmul import poly
 from spmul.poly import NEG_INF, fixed_base_powers, ring_sum, term_values
-from spmul.rings import _pow_cost
+from spmul.rings import _byte_width, _pow_cost
 
 from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, dict_sum_ring, is_canonical,
                      monomial, poly_to_dict, rand_sparse, raw_coeff, ring_coeffs,
@@ -545,6 +545,45 @@ class TestFixedBasePowers:
                 reset_mul_count()
                 list(term_values(ring, terms, table))
                 assert mul_count() == windows, (ring, bound)
+
+    # (bits of bound - 1, lookups) at which fixed_base_powers picks each
+    # w = 1 .. 16 in turn: rows from 2 to 61, exactly 4 and 8 (whose last
+    # row is a fourth one), bit lengths that are not multiples of w, and
+    # w * rows above the digit width of bits alone (61 bits at w = 5, 11
+    # and 13: 65, 66 and 65 bits against 64)
+    WIDTHS = ((61, 1), (61, 2), (61, 10), (61, 20), (61, 100), (17, 100), (61, 300),
+              (61, 1000), (61, 3000), (40, 3000), (61, 10000), (45, 30000), (61, 30000),
+              (40, 100000), (45, 100000), (61, 300000))
+
+    def test_packed_windows_at_every_width(self):
+        # term_values over F_q against sum c * alpha^e mod q, term by term,
+        # and its charge against max(1, nonzero windows) per term; the
+        # exponents reach bound - 1 (2^61 - 1 at the top), and the
+        # coefficients are negative, >= q or multiples of q
+        rnd = random.Random(28)
+        widths, edge = set(), False
+        for i, (bits, lookups) in enumerate(self.WIDTHS):
+            q = (101, Q62)[i % 2]
+            fq = prime_field(q)
+            for bound in (1 << bits, rnd.randrange((1 << bits - 1) + 1, 1 << bits)):
+                alpha = rnd.randrange(1, q)
+                table = fixed_base_powers(fq, alpha, bound, lookups)
+                rows, w = table
+                widths.add(w)
+                edge |= w * len(rows) > 8 * _byte_width(bound - 1)
+                exps = [0, bound - 1, 1] + [rnd.randrange(bound) for _ in range(60)]
+                coeffs = (lambda: rnd.randint(-2 ** 70, -1), lambda: rnd.randint(q, 2 ** 70),
+                          lambda: q * rnd.randint(-3, 3), lambda: rnd.randrange(1, q))
+                terms = [(e, rnd.choice(coeffs)()) for e in exps]
+                mask = (1 << w) - 1
+                windows = sum(max(1, sum(1 for k in range(len(rows)) if e >> w * k & mask))
+                              for e in exps)
+                reset_mul_count()
+                values = list(term_values(fq, terms, table))
+                assert mul_count() == windows, (bits, lookups, bound)
+                assert [v % q for v in values] == [c * pow(alpha, e, q) % q for e, c in terms]
+                assert ring_sum(fq, values) == sum(c * pow(alpha, e, q) for e, c in terms) % q
+        assert widths == set(range(1, 17)) and edge
 
     def test_worst_case_count(self):
         # (b - 1)(n + 1) for b-bit exponents and n lookups: the w = 1 table,

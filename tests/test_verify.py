@@ -8,7 +8,7 @@ from spmul import (RandomSource, RingMismatchError, UnsupportedRingError, add,
                    ext_field, eval_sparse, integers, lambda_nonzero, mul_count,
                    naive_mul, negate, prime_field, random_prime, reset_mul_count,
                    scale, verify_sp, verify_sum_sp, zero_poly)
-from spmul import SparsePoly, arith, verify
+from spmul import SparsePoly, arith, poly, verify
 from spmul.poly import fixed_base_powers, term_values
 
 from helpers import Q62, monomial, rand_sparse, watch_cyclic_evaluations
@@ -544,9 +544,9 @@ class TestHFromItsOwnTerms:
         evaluated = []
         real = verify.eval_sparse
 
-        def eval_sparse(P, alpha, field=None):
+        def eval_sparse(P, alpha, field=None, **kwargs):
             evaluated.append((P, field))
-            return real(P, alpha, field)
+            return real(P, alpha, field, **kwargs)
 
         monkeypatch.setattr(verify, "eval_sparse", eval_sparse)
         seen = watch_cyclic_evaluations(monkeypatch,
@@ -611,6 +611,83 @@ def _shifted(P, k):
 
 
 F8, F9, F25 = ext_field(2, 3), ext_field(3, 2), ext_field(5, 2)
+
+
+class TestOneTablePerCheck:
+    """A check builds one fixed-base table of its point, for exponents
+    below p and sized by every lookup it makes, and both evaluators look
+    their values up in that table."""
+
+    # Z and F_Q62 at p = D + 1 (exponents below 10^3) and on the cyclic
+    # route (near 10^15), F_9 through its extension F_{3^S'} on both, and
+    # F_{Q61^3}, Q61 = 2^61 - 1, which hosts its points itself
+    CASES = [(ZZ, 10 ** 3), (ZZ, 10 ** 15), (prime_field(Q62), 10 ** 3),
+             (prime_field(Q62), 10 ** 15), (ext_field(3, 2), 10 ** 3),
+             (ext_field(3, 2), 10 ** 15), (ext_field(2 ** 61 - 1, 3), 10 ** 3)]
+    IDS = ["Z", "Z-cyclic", "Q62", "Q62-cyclic", "F9", "F9-cyclic", "Q61^3"]
+
+    @pytest.mark.parametrize("ring, emax", CASES, ids=IDS)
+    def test_every_route_builds_one_table(self, monkeypatch, ring, emax):
+        tables, evaluations = [], []
+        real_table = poly.fixed_base_powers
+
+        def fixed_base_powers(*args):
+            tables.append((args, real_table(*args)))
+            return tables[-1][1]
+
+        # the evaluators would build their own through these two names
+        monkeypatch.setattr(verify, "fixed_base_powers", fixed_base_powers)
+        monkeypatch.setattr(poly, "fixed_base_powers", fixed_base_powers)
+        for name in ("eval_cyclic_product", "eval_sparse"):
+            def evaluate(*args, real=getattr(verify, name), **kwargs):
+                evaluations.append((args, kwargs.get("table")))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, evaluate)
+        rnd = random.Random(emax % 89)
+        for seed in range(4):
+            f, g = (rand_sparse(rnd, ring, 6, emax, 2 ** 20) for _ in "fg")
+            h = naive_mul(f, g)
+            tables.clear(), evaluations.clear()
+            if seed < 2:
+                # seed 1 a false triple, with one coefficient changed
+                h = _perturbed(h, 1) if seed else h
+                assert verify_sp(f, g, h, 0.01, RandomSource(seed)) == (seed == 0)
+            else:
+                # two pairs: every pair's evaluations read the one table
+                assert verify_sum_sp(add(h, naive_mul(g, g)), [(f, g), (g, g)], 0.01,
+                                     RandomSource(seed))
+            ((field, alpha, p, lookups), table), = tables
+            *cyclic, ((h_p, *at), _) = evaluations
+            assert cyclic and all(args[2:] == (p, alpha, field) for args, _ in cyclic)
+            assert at == [alpha, field]
+            assert all(t is table for _, t in evaluations)
+            assert lookups == sum(args[0].sparsity + args[1].sparsity
+                                  for args, _ in cyclic) + h_p.sparsity
+
+
+class TestCoefficientPrime:
+    def test_q_is_tested_once(self, monkeypatch):
+        # random_prime certifies the coefficient prime of a Z check, and
+        # the check's field is built without a second test of it
+        tested = []
+        real = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or real(n))
+        seen = watch_cyclic_evaluations(monkeypatch)
+        rnd = random.Random(17)
+        for emax in (10 ** 3, 10 ** 15):
+            for seed in range(4):
+                f, g = (rand_sparse(rnd, ZZ, 6, emax, 2 ** 20) for _ in "fg")
+                tested.clear(), seen.clear()
+                assert verify_sp(f, g, naive_mul(f, g), 0.01, RandomSource(seed))
+                (field, _), = seen
+                assert field.kind == "prime_field" and tested.count(field.q) == 1
+                assert field == prime_field(field.q) and hash(field) == hash(prime_field(field.q))
+
+    def test_prime_field_still_tests_q(self):
+        for q in (1, 4, 91, Q62 * 3):
+            with pytest.raises(ValueError):
+                prime_field(q)
 
 
 class TestDegreeRoute:
