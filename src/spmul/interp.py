@@ -116,7 +116,8 @@ def _batch_inverse(ring: RingSpec, values: list) -> list:
     return invs
 
 
-def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None) -> SparsePoly:
+def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None, *,
+               missed: list | None = None) -> SparsePoly:
     """Recover candidate terms of H from its slot triples modulo X^p - 1.
 
     slots are triples (r, c, d) with r < p, in any order, as
@@ -129,6 +130,10 @@ def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None) -> SparsePo
     of the true H that did not collide mod X^p - 1 is recovered; colliding
     terms may produce spurious output.  Distinct slots give distinct e, so
     the output is sorted once, by e.
+
+    missed, when given, receives the r of every slot that emits no term, in
+    no particular order: the slots less {e mod p} over the output, found
+    without reducing the output's exponents again.
     """
     if ring.is_field and ring.char <= D:
         raise CharacteristicTooSmallError(
@@ -136,21 +141,31 @@ def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None) -> SparsePo
     if slots and max(map(operator.itemgetter(0), slots)) >= p:
         raise ValueError("slots must lie below p")
 
+    lost = [] if missed is None else missed
+    out = []
     if ring.is_field:
         # an element lies in the prime subfield iff it is below q, and
         # D < q, so the degree test below does both
-        slots = [t for t in slots if t[1]]
-        invs = _batch_inverse(ring, [c for _, c, _ in slots]) if slots else []
-        cands = [(r, ring.mul(d, inv), c) for (r, c, d), inv in zip(slots, invs)]
-        out = [(e, c) for r, e, c in cands if e <= D and e % p == r]
+        live = [t for t in slots if t[1]]
+        if len(live) < len(slots):
+            lost.extend(r for r, c, _ in slots if not c)
+        invs = _batch_inverse(ring, [c for _, c, _ in live]) if live else []
+        mul = ring.mul
+        for (r, c, d), inv in zip(live, invs):
+            e = mul(d, inv)
+            if e <= D and e % p == r:
+                out.append((e, c))
+            else:
+                lost.append(r)
     else:
         bound = math.inf if C is None else C
-        out = []
         for r, c, d in slots:
             if c and -bound <= c <= bound:
                 e, rem = divmod(d, c)
                 if not rem and 0 <= e <= D and e % p == r:
                     out.append((e, c))
+                    continue
+            lost.append(r)
     out.sort(key=operator.itemgetter(0))
     return SparsePoly(ring, tuple(out))
 
@@ -201,26 +216,30 @@ def _single_hits(slotted, minus: SparsePoly, p: int, limit: int) -> int:
     (r1, r2), r1 + r2 = k (mod p), reaches, both of that pair's c sums
     nonzero: counted from the residues alone, with no ring product.
 
-    Returns 0 as soon as the running count falls below limit's share of
-    the rows (slots of the F_i) done.  A count that ends above limit rarely
-    does that; structured sums, whose rows fall on the same few slots, do
-    it within a few rows.
+    slotted holds one (fs, gs) per pair, each a list whose entries start
+    with a slot r < p and its c: the triples of _slot_sums, or a
+    polynomial's own (e, c) terms when p exceeds its degree, where every
+    slot is one term.  Returns 0 as soon as the running count falls below
+    limit's share of the rows (entries of the fs) done.  A count that ends
+    above limit rarely does that; structured sums, whose rows fall on the
+    same few slots, do it within a few rows.
     """
     seen = {e % p for e, _ in minus.terms}
     multi = set(seen)  # reached twice or more, or not countable
     rows = sum(len(fs) for fs, _ in slotted)
     done = 0
     for fs, gs in slotted:
-        g_rs = sorted(r for r, _, _ in gs)
-        g_zero = [r for r, c, _ in gs if not c]
-        for r1, c1, _ in fs:
+        g_rs = sorted(t[0] for t in gs)
+        g_zero = [t[0] for t in gs if not t[1]]
+        for t in fs:
+            r1 = t[0]
             # r1 + r2 stays below p up to r2 = p - 1 - r1 and wraps once above
             i = bisect_right(g_rs, p - 1 - r1)
             row = set(map(r1.__add__, g_rs[:i]))
             row.update(map((r1 - p).__add__, g_rs[i:]))
             multi.update(seen.intersection(row))
             seen.update(row)
-            if not c1:
+            if not t[1]:
                 multi.update(row)
             elif g_zero:
                 multi.update((r1 + r2) % p for r2 in g_zero)
@@ -422,13 +441,14 @@ def _round(pairs, h_star: SparsePoly, p: int, T: int, D: int, C: int | None):
     # gets there.
     limit = min(3 * T, 2 * T + h_star.sparsity)
     slots = cyclic_product_residue(pairs, h_star, p, limit=limit)
-    update = find_terms(p, ring, slots, D - 1, 2 * C if C is not None else None)
-    explained = update.sparsity == len(slots)
-    if not explained:
+    missed: list = []
+    update = find_terms(p, ring, slots, D - 1, 2 * C if C is not None else None,
+                        missed=missed)
+    explained = not missed
+    if missed:
         # the slots no update term explains, repaired from the operands
         # when that costs less than another walk
-        hit = {e % p for e, _ in update.terms}
-        fixed = _repair(pairs, h_star, p, [r for r, _, _ in slots if r not in hit])
+        fixed = _repair(pairs, h_star, p, missed)
         if fixed is not None:
             # no exponent repeats: fixed holds only slots no update
             # term reaches, so one sort of the two runs joins them

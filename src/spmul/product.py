@@ -5,15 +5,18 @@ The operands are reduced modulo X^p - 1 (p a random prime large enough
 that exponent collisions are unlikely) and their product interpolated
 under a guessed sparsity bound that starts in [2, 4) and doubles until the
 result passes verification, skipping every guess a residue proves too
-small and growing no further once it could hold #F*#G terms.  p is drawn
-from [lam, 2*lam] only when an operand's degree reaches lam; below it no
-such p wraps an operand, so none is drawn.  When neither operand has
-degree >= p, the reduction changes nothing, so the interpolant is F*G
-itself.  Otherwise the derivative's residue is interpolated too, and the
-terms of F*G are read off the residue pair.  Either way the result is
-checked as a product, verify_sp(F, G, h): mu1 budgets a wrong output, by
-one union bound over those checks, and mu2 the doubling loop failing to
-converge, a colliding p included.
+small and growing no further once it could hold #F*#G terms.  At the
+first guess a residue proves too small, the exponents alone prove a floor
+on #(F*G), the sums e1 + e2 that exactly one term pair reaches; it draws
+nothing and sizes every later guess.  p is drawn from [lam, 2*lam] only
+when an operand's degree reaches lam; below it no such p wraps an
+operand, so none is drawn.  When neither operand has degree >= p, the
+reduction changes nothing, so the interpolant is F*G itself.  Otherwise
+the derivative's residue is interpolated too, and the terms of F*G are
+read off the residue pair.  Either way the result is checked as a
+product, verify_sp(F, G, h): mu1 budgets a wrong output, by one union
+bound over those checks, and mu2 the doubling loop failing to converge,
+a colliding p included.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, lambda_no_collision, random_prime
 from .errors import CharacteristicTooSmallError, RetryBudgetError, SparsityBoundError
-from .interp import find_terms, interp_sum_sp
+from .interp import _single_hits, find_terms, interp_sum_sp
 from .poly import (SparsePoly, _same_ring, cyclic_reduce, derivative, height_bound, scale,
                    zero_poly)
 from .verify import verify_sp
@@ -54,6 +57,19 @@ _MAX_DOUBLINGS = 64
 def _guess(t0: int, k: int) -> int:
     # ceil(t0 * 2^k): the sparsity guesses' lattice
     return t0 << k if k >= 0 else -(-t0 >> -k)
+
+
+def _exponent_floor(F: SparsePoly, G: SparsePoly) -> int:
+    """The number of sums e1 + e2 over supp F x supp G that exactly one
+    term pair reaches, or 0 when the count falls early below #F*#G/8 of
+    the rows done (_single_hits' exit).  Such a sum's coefficient is c1*c2,
+    nonzero over Z and over every field, so the count is a proven lower
+    bound on #(F*G).  It is _single_hits at p = deg F + deg G + 1, where
+    no sum wraps and every slot is one term, so the terms' exponents are
+    all it reads."""
+    p = F.degree + G.degree + 1
+    return _single_hits([(F.terms, G.terms)], zero_poly(F.ring), p,
+                        F.sparsity * G.sparsity // 8)
 
 
 def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
@@ -95,9 +111,22 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     residue of target - h* was nonzero, so h* is provably wrong, and the
     guess is not checked.  A job's output keeps at most 2t terms, so no
     guess with 2t < floor can succeed: the next guess is the smallest
-    lattice point above t with 2*guess >= floor.  A product with many
-    terms overflows its first guesses at small primes, and the floors lead
-    it to a guess that holds it, usually the only one checked.
+    lattice point above t with 2*guess >= floor.
+
+    At the first such overflow the product's exponent floor is counted
+    once (_exponent_floor): the sums e1 + e2 over supp F x supp G that
+    exactly one term pair reaches.  Such a sum's coefficient in F*G is
+    c1*c2, nonzero over Z and over every field, so the count is a proven
+    lower bound on #(F*G).  It reads the exponents alone, draws no
+    randomness and spends no share of mu1 or mu2.  From then on every
+    next guess is sized from max(job floor, exponent floor).  No guess
+    with 2t < #(F*G) can return F*G, wrapped or not: h1's output keeps at
+    most 2t terms, and find_terms emits at most one term per slot of it.
+    So the skipped guesses hold no product that could pass.  A random
+    product, whose sums are nearly all distinct, overflows its first guess
+    at a small prime and jumps from there to the guess that holds it,
+    usually the only one checked.  A structured one, whose sums repeat,
+    gives up the count within a few rows and keeps the job floors alone.
 
     The guesses stop growing at the first lattice point t >= #F*#G: later
     guesses repeat it with fresh randomness.  No target has more than
@@ -134,8 +163,9 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
 
     Convergence is charged to mu2.  The guesses start at k = min(0, 2 -
     bit_length(t0)) and reach the cap, t >= #F*#G, by k = bit_length(t0)
-    at the latest, since #F*#G <= t0^2 < t0*2^bit_length(t0), and floors
-    only skip guesses: at most 2*bit_length(t0) - 1 guesses, fewer than
+    at the latest, since #F*#G <= t0^2 < t0*2^bit_length(t0), and floors,
+    the exponent floor included, are at most #F*#G, so they only skip
+    guesses below the cap: at most 2*bit_length(t0) - 1 guesses, fewer than
     _MAX_DOUBLINGS for every t0 < 2^32.  Below the cap every output is
     certified by its check and every floor is proven, whatever round 0
     did, so the bound counts only the first guess at the cap.  There every
@@ -189,9 +219,10 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
     # a first guess of 1 draws p from {2, 3}, can never overflow, and
     # spends a check on an unexplained h1
     k = min(0, 2 - t0.bit_length())
+    exp_floor = None  # counted at the first overflow
     for _ in range(_MAX_DOUBLINGS):
         t = _guess(t0, k)
-        floor = 0
+        floor = exp_floor or 0
         try:
             h = interp_sum_sp([(F_p, G_p)], t, mu_interp, rng)
             if wraps:
@@ -208,7 +239,9 @@ def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,
         except SparsityBoundError as err:
             # h* left a nonzero residue, so it is wrong: no check, and no
             # guess whose 2t-term output cannot hold floor terms
-            floor = err.floor
+            if exp_floor is None:
+                exp_floor = _exponent_floor(F, G)
+            floor = max(err.floor, exp_floor)
         if t < n:
             k += 1
             while 2 * _guess(t0, k) < floor:

@@ -38,9 +38,10 @@ It writes nine sets of pairs, each from its own fixed seed:
 * rza/rzb.poly (random_pair): 64 x 64 terms over Z with exponents below
   10^9 and coefficients below 2^30 in absolute value, shaped like the
   benchmark's largest random_z product (about 4,000 output terms).  Its
-  product runs several interpolation jobs, each round at a prime drawn
-  from the job's pool; the last job ends in one walk, the slots whose
-  terms collide at its prime repaired from the operands.
+  product runs two interpolation jobs: the first overflows, and the
+  exponent floor counted there sizes the second, which draws its prime
+  from its pool and ends in one walk, the slots whose terms collide at
+  that prime repaired from the operands.
 * rz128a/rz128b.poly (random_pair_128): the same at 128 x 128 terms, about
   16,000 output terms.  Its final job draws from about 944,000 primes, a
   pool whose sieve spans several segments.

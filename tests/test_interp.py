@@ -116,6 +116,33 @@ class TestFindTerms:
                 assert find_terms(p, ring, slots, h.degree, C) == want
 
 
+    def test_missed_slots_are_the_slots_the_output_leaves(self):
+        # missed receives every slot that emits no term, each once: slots
+        # where terms collide, and slot r, whose c cancels (c*X^r -
+        # c*X^(r+p)) while d = -p*c does not.  Passing it changes nothing
+        # in the output
+        rnd = random.Random(45)
+        for ring in (ZZ, prime_field(101), ext_field(Q62, 2)):
+            collided = 0
+            for _ in range(30):
+                p = rnd.choice([7, 11, 13])
+                h = rand_sparse(rnd, ring, 12, 80, 99)
+                c, r = h.terms[0][1], rnd.randrange(p)
+                h = SparsePoly(ring, tuple(sorted(
+                    [(e, x) for e, x in h.terms if e % p != r] + [(r, c), (r + p, ring.neg(c))])))
+                C = h.height() if ring is ZZ else None
+                slots = _slots_of(h, p)
+                rnd.shuffle(slots)
+                missed = []
+                out = find_terms(p, ring, slots, h.degree, C, missed=missed)
+                assert out == find_terms(p, ring, slots, h.degree, C)
+                hit = {e % p for e, _ in out.terms}
+                assert sorted(missed) == sorted(s[0] for s in slots if s[0] not in hit)
+                assert r in missed
+                collided += any(m != r for m in missed)
+            assert collided >= 10
+
+
 def _direct_slots(pairs, minus, p, ring):
     """Slot triples of H = sum F_i*G_i - minus mod X^p - 1, by schoolbook."""
     h = zero_poly(ring)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -100,13 +101,21 @@ def _lattice(t0, n) -> list:
     return [t0 * 2 ** (j + i) if j + i >= 0 else -(-t0 // 2 ** -(j + i)) for i in range(n)]
 
 
-def _assert_floor_rule(steps, t0, n) -> int:
+def _unique_sums(f, g) -> int:
+    """The exponent floor's oracle: the sums e1 + e2 over supp f x supp g
+    that exactly one term pair reaches."""
+    hits = Counter(e1 + e2 for e1, _ in f.terms for e2, _ in g.terms)
+    return sum(1 for m in hits.values() if m == 1)
+
+
+def _assert_floor_rule(steps, t0, n, exp_floor) -> int:
     """Check the floor rule on one product's steps; return how many jobs
     raised.  Every job runs at a guess on the lattice of t0, starting at its
     first point.  A job that raised is followed by no check, and the next
-    job is an h1 job at the smallest lattice point above it with 2t >= floor,
-    or at the same point once that is at least n = #F*#G, where the guesses
-    stop growing."""
+    job is an h1 job at the smallest lattice point above it with
+    2t >= max(floor, exp_floor), exp_floor being the product's exponent
+    floor, counted at its first overflow; or at the same point once that is
+    at least n = #F*#G, where the guesses stop growing."""
     lattice = _lattice(t0, 64)
     jobs = [step for step in steps if step[0] == "job"]
     assert jobs and jobs[0][1] == lattice[0]
@@ -122,8 +131,26 @@ def _assert_floor_rule(steps, t0, n) -> int:
         if t >= n:
             assert nxt[1] == t
         else:
-            assert nxt[1] == min(u for u in lattice if u > t and 2 * u >= floor)
+            assert nxt[1] == min(u for u in lattice
+                                 if u > t and 2 * u >= max(floor, exp_floor))
     return raised
+
+
+def _repair_pays(pairs, p, ks) -> bool:
+    """_repair's cost rule for the slots ks at p, from the operands: the
+    repair's steps (bucketing each larger operand, one lookup per term of
+    the smaller and slot, one product per term pair landing in ks) fall
+    below a walk's (each operand's terms, then 3 per pair of occupied
+    slots)."""
+    ks = set(ks)
+    walk = cost = 0
+    for F, G in pairs:
+        small, large = (F, G) if F.sparsity <= G.sparsity else (G, F)
+        slots = [len({e % p for e, _ in P.terms}) for P in (F, G)]
+        walk += F.sparsity + G.sparsity + 3 * slots[0] * slots[1]
+        cost += large.sparsity + len(ks) * small.sparsity
+        cost += sum(1 for e1, _ in F.terms for e2, _ in G.terms if (e1 + e2) % p in ks)
+    return cost < walk
 
 
 def _random_pair(ring, sizes, emax, seed):
@@ -582,7 +609,7 @@ class TestSparsityFloor:
             # the first guess, 3 (12 / 4), cannot hold a product of about
             # 144 terms
             assert steps[0][3] is not None
-            assert _assert_floor_rule(steps, 12, 144) >= 1
+            assert _assert_floor_rule(steps, 12, 144, _unique_sums(f, g)) >= 1
 
     @pytest.mark.parametrize("ring, emax", [(ZZ, 10 ** 30), (prime_field(Q62), 10 ** 15)],
                              ids=["Z", "F_Q62"])
@@ -595,7 +622,7 @@ class TestSparsityFloor:
             assert max(f.degree, g.degree) >= 2 * lam
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert _assert_floor_rule(steps, 6, 30) >= 1
+            assert _assert_floor_rule(steps, 6, 30, _unique_sums(f, g)) >= 1
             # the product was read off the last guess's h1 and h2 jobs and
             # checked once
             assert [s[:3] for s in steps[-3:-1]] == [["job", steps[-3][1], 1],
@@ -623,7 +650,7 @@ class TestSparsityFloor:
             faked.clear()
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert faked and _assert_floor_rule(steps, 6, 30) >= 1
+            assert faked and _assert_floor_rule(steps, 6, 30, _unique_sums(f, g)) >= 1
             # one guess per h1 job: it is checked iff none of its jobs raised
             starts = [i for i, s in enumerate(steps) if s[0] == "job" and s[2] == 1]
             for lo, hi in zip(starts, starts[1:] + [len(steps)]):
@@ -635,9 +662,9 @@ class TestSparsityFloor:
 
     @pytest.mark.slow
     def test_benchmark_size_takes_two_jobs(self, monkeypatch):
-        # random 64 x 64 over Z: the first guess, 2, overflows at a small p
-        # and its floor sizes a guess whose residue proves about 4096
-        # terms, so the last job runs at 2048 (64 * 2^5, the guess the
+        # random 64 x 64 over Z: the first guess, 2, overflows at a small p,
+        # and the exponent floor counted there proves about 4096 terms, so
+        # the next and last job runs at 2048 (64 * 2^5, the guess the
         # doubling lattice of t0 = 64 reaches), and only it is checked
         steps = _watch_steps(monkeypatch)
         good = 0
@@ -645,10 +672,10 @@ class TestSparsityFloor:
             f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            _assert_floor_rule(steps, 64, 64 * 64)
-            jobs = [s for s in steps if s[0] == "job"]
+            _assert_floor_rule(steps, 64, 64 * 64, _unique_sums(f, g))
+            jobs = [s[1] for s in steps if s[0] == "job"]
             checks = [s for s in steps if s[0] == "check"]
-            good += jobs[-1][1] == 2048 and checks == [["check", "verify_sp"]]
+            good += jobs == [2, 2048] and checks == [["check", "verify_sp"]]
         assert good >= 9
 
     def test_round_primes_are_the_drawn_indices_primes(self, monkeypatch):
@@ -686,7 +713,7 @@ class TestSparsityFloor:
         for seed in range(3):
             f, g = _random_pair(ZZ, (64, 64), 10 ** 9, seed)
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-        assert len(draws) >= 9 and [p for _, p in draws] == walks
+        assert len(draws) >= 6 and [p for _, p in draws] == walks
         pool = [(j, p) for j, p in draws if j is not None]
         oracle = eratosthenes_primes(max(walks))
         assert max(j for j, _ in pool) > 100_000  # the final job's pool
@@ -695,40 +722,55 @@ class TestSparsityFloor:
 
     @pytest.mark.parametrize("t, most", [(32, 63), (48, 63), (64, 63)])
     def test_final_job_takes_one_walk(self, monkeypatch, t, most):
-        # random t x t over Z below 10^9: the final job's prime, near 3.3M
-        # at t = 64, leaves a few colliding slots, which are repaired from
-        # the operands instead of walking again; so that job walks once, in
-        # its first pool round (its short round is gated off), the 20
-        # products take at most most pool walks in all, and no job takes
-        # more than one short walk
+        # random t x t over Z below 10^9: the final job's first walk, at a
+        # prime near 3.3M at t = 64 (its short round is gated off), leaves
+        # a few slots unexplained.  Wherever _repair's cost rule, computed
+        # here from the operands, makes repairing them cheaper than a walk,
+        # they are repaired and that job walks once; where it does not (a
+        # small prime of the pool), the job walks again, and never more
+        # than twice.  The 20 products take at most most pool walks in
+        # all, and no job takes more than one short walk
         jobs = []
         real_job, real_walk = product.interp_sum_sp, interp.cyclic_product_residue
-        real_short = interp.random_prime
+        real_short, real_find = interp.random_prime, interp.find_terms
 
         def interp_sum_sp(pairs, T, mu, rng):
-            jobs.append([0, 0])
+            jobs.append({"walks": [], "short": 0, "missed": []})
             return real_job(pairs, T, mu, rng)
 
-        def cyclic_product_residue(*args, **kwargs):
-            jobs[-1][0] += 1
-            return real_walk(*args, **kwargs)
+        def cyclic_product_residue(pairs, minus, p, limit):
+            jobs[-1]["walks"].append((pairs, p))
+            return real_walk(pairs, minus, p, limit)
 
         def random_prime(lam, rng):
-            jobs[-1][1] += 1
+            jobs[-1]["short"] += 1
             return real_short(lam, rng)
+
+        def find_terms(*args, missed=None, **kwargs):
+            out = real_find(*args, missed=missed, **kwargs)
+            jobs[-1]["missed"].append(list(missed))
+            return out
 
         monkeypatch.setattr(product, "interp_sum_sp", interp_sum_sp)
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         monkeypatch.setattr(interp, "random_prime", random_prime)
-        walks = 0
+        monkeypatch.setattr(interp, "find_terms", find_terms)
+        walks = repaired = 0
         for seed in range(20):
             f, g = _random_pair(ZZ, (t, t), 10 ** 9, seed)
             jobs.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
-            assert jobs[-1] == [1, 0]
-            assert all(short <= 1 for _, short in jobs)
-            walks += sum(n - short for n, short in jobs)
-        assert walks <= most
+            final = jobs[-1]
+            assert final["short"] == 0 and 1 <= len(final["walks"]) <= 2
+            pairs, p = final["walks"][0]
+            missed = final["missed"][0]
+            if missed and _repair_pays(pairs, p, missed):
+                repaired += 1
+            if not missed or _repair_pays(pairs, p, missed):
+                assert len(final["walks"]) == 1
+            assert all(job["short"] <= 1 for job in jobs)
+            walks += sum(len(job["walks"]) - job["short"] for job in jobs)
+        assert walks <= most and repaired >= 10
 
     def test_misread_colliding_slots_are_rejected_by_the_check(self, monkeypatch):
         # with +-1 coefficients, two colliding terms c*X^a + c*X^b read as
@@ -775,18 +817,23 @@ class TestSparsityFloor:
             steps.clear()
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
             assert steps[0][1] == 4 and steps[0][3] is not None
-            assert _assert_floor_rule(steps, 13, 169) >= 1
-        # the checker itself: after a floor of 12 at guess 4, the next guess
-        # is 7 (2 * 7 >= 12), not 13
-        assert _assert_floor_rule([["job", 4, 1, 12], ["job", 7, 1, None]], 13, 169) == 1
+            assert _assert_floor_rule(steps, 13, 169, _unique_sums(f, g)) >= 1
+        # the checker itself, with no exponent floor: after a floor of 12 at
+        # guess 4, the next guess is 7 (2 * 7 >= 12), not 13
+        assert _assert_floor_rule([["job", 4, 1, 12], ["job", 7, 1, None]], 13, 169, 0) == 1
         with pytest.raises(AssertionError):
-            _assert_floor_rule([["job", 4, 1, 12], ["job", 13, 1, None]], 13, 169)
+            _assert_floor_rule([["job", 4, 1, 12], ["job", 13, 1, None]], 13, 169, 0)
+        # an exponent floor above the job's floor sizes the guess instead:
+        # 40 puts it at 26 (2 * 26 >= 40)
+        assert _assert_floor_rule([["job", 4, 1, 12], ["job", 26, 1, None]], 13, 169, 40) == 1
+        with pytest.raises(AssertionError):
+            _assert_floor_rule([["job", 4, 1, 12], ["job", 7, 1, None]], 13, 169, 40)
         # from a guess of at least #F*#G on, the next guess is the same
         # point: for t0 = 2 and #F*#G = 3, 2 -> 4 -> 4
         steps = [["job", 2, 1, 3], ["job", 4, 1, 3], ["job", 4, 1, None]]
-        assert _assert_floor_rule(steps, 2, 3) == 2
+        assert _assert_floor_rule(steps, 2, 3, 0) == 2
         with pytest.raises(AssertionError):
-            _assert_floor_rule(steps[:2] + [["job", 8, 1, None]], 2, 3)
+            _assert_floor_rule(steps[:2] + [["job", 8, 1, None]], 2, 3, 0)
 
 
 class TestShortRound:
@@ -818,9 +865,10 @@ class TestShortRound:
 
     def test_no_short_round_where_the_gate_is_off(self, monkeypatch):
         # random 64 x 64 over Z: a job draws a short prime exactly when its
-        # gate is on, at lam = 4T.  The first guess, 2, has it on, the
-        # floors size every later guess, and the final job, which sizes
-        # the product, has it off and runs its pool rounds alone
+        # gate is on, at lam = 4T.  The first guess, 2, has it on, its
+        # floor and the exponent floor size every later guess, and the
+        # final job, which sizes the product, has it off and runs its pool
+        # rounds alone
         jobs = _watch_jobs(monkeypatch)
         steps = _watch_steps(monkeypatch)
         short = []
@@ -840,7 +888,7 @@ class TestShortRound:
             gated = [i for i, (pairs, T) in enumerate(jobs) if self._gate(pairs, T)]
             assert short == [(i, 4 * jobs[i][1]) for i in gated]
             assert gated[:1] == [0] and not self._gate(*jobs[-1])
-            _assert_floor_rule(steps, 64, 64 * 64)
+            _assert_floor_rule(steps, 64, 64 * 64, _unique_sums(f, g))
 
     @pytest.mark.parametrize("stride", [1000003, 3], ids=["large-stride", "small"])
     def test_short_floor_ends_the_job_on_sumsets(self, monkeypatch, stride):
@@ -884,6 +932,91 @@ class TestShortRound:
             assert sparse_product(f, g, PARAMS, RandomSource(seed)) == want
             ended = [events for events in jobs if events[:3] == ["short", "walk", "raised"]]
             assert ended and all(len(events) == 3 for events in ended)
+
+
+class TestProductExponentFloor:
+    # At its first SparsityBoundError, sparse_product counts the sums
+    # e1 + e2 over supp F x supp G that exactly one term pair reaches: each
+    # has the nonzero coefficient c1*c2, so the count proves #(F*G) >= it,
+    # and every later guess is sized from it as well as from the job's floor
+    @pytest.mark.parametrize("ring, emax, sizes", [
+        (ZZ, 10 ** 6, (12, 12)), (prime_field(Q62), 10 ** 6, (12, 12)),
+        (ZZ, 10 ** 30, (12, 10)), (prime_field(Q62), 10 ** 15, (12, 10))],
+        ids=["Z", "F_Q62", "Z-wrapped", "F_Q62-wrapped"])
+    def test_first_overflow_jumps_to_the_unique_sum_guess(self, monkeypatch, ring, emax, sizes):
+        steps = _watch_steps(monkeypatch)
+        lattice = _lattice(sizes[0], 64)
+        for seed in range(10):
+            f, g = _random_pair(ring, sizes, emax, seed)
+            steps.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == naive_mul(f, g)
+            i = next(i for i, s in enumerate(steps) if s[0] == "job" and s[3] is not None)
+            _, t, _, floor = steps[i]
+            unique = _unique_sums(f, g)
+            assert unique > floor
+            nxt = min(u for u in lattice if u > t and 2 * u >= unique)
+            assert steps[i + 1][:3] == ["job", nxt, 1]
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(101), prime_field(Q62)],
+                             ids=["Z", "F101", "F_Q62"])
+    def test_floor_bounds_products_whose_repeated_sums_cancel(self, ring):
+        # (A + B)*(A - B) = A^2 - B^2: every cross sum a + b is reached
+        # twice and cancels, and so is every a + a' with a != a'.  Over
+        # random +-1 operands on a short range many sums repeat and some
+        # cancel.  The floor is the count of sums reached once, or 0 where
+        # the pass gave up, and never exceeds the product's term count
+        rnd = random.Random(45)
+        cases = [example2_family(8)] if ring is ZZ else []
+        for _ in range(20):
+            a, b = (rand_sparse(rnd, ring, 6, 40, 9) for _ in "ab")
+            cases.append((add(a, b), add(a, scale(b, ring.neg(ring.coerce(1))))))
+            f, g = (canonicalize([(e, ring.coerce(rnd.choice((-1, 1))))
+                                  for e in rnd.sample(range(45), 8)], ring) for _ in "fg")
+            cases.append((f, g))
+        tight = 0
+        for f, g in cases:
+            floor = product._exponent_floor(f, g)
+            want = naive_mul(f, g).sparsity
+            assert floor in (0, _unique_sums(f, g)) and floor <= want
+            tight += 0 < floor < f.sparsity * g.sparsity
+        assert tight >= 10
+
+    @pytest.mark.parametrize("stride", [1000003, 3], ids=["large-stride", "small"])
+    def test_sumset_pass_gives_up_within_a_few_rows(self, monkeypatch, stride):
+        # the sumsets of 512 + 512 terms on one progression: every row after
+        # the first repeats all but one sum, so two sums stay reached once
+        # and the pass gives up after two of its 512 rows, with no floor.
+        # Each product counts it at most once
+        n = 512
+        f = canonicalize([(stride * i, 1 + i) for i in range(n)], ZZ)
+        g = canonicalize([(stride * i + 1, 2 + i) for i in range(n)], ZZ)
+        rows, counts = [], []
+        counting = []
+        real_bisect, real_floor = interp.bisect_right, product._exponent_floor
+
+        def bisect_right(*args):
+            if counting:
+                rows[-1] += 1
+            return real_bisect(*args)
+
+        def exponent_floor(F, G):
+            rows.append(0)
+            counting.append(True)
+            try:
+                counts.append(real_floor(F, G))
+            finally:
+                counting.clear()
+            return counts[-1]
+
+        monkeypatch.setattr(interp, "bisect_right", bisect_right)
+        monkeypatch.setattr(product, "_exponent_floor", exponent_floor)
+        assert exponent_floor(f, g) == 0 and rows == [2]
+        want = naive_mul(f, g)
+        for seed in (7, 8, 9):
+            rows.clear()
+            counts.clear()
+            assert sparse_product(f, g, PARAMS, RandomSource(seed)) == want
+            assert len(rows) <= 1 and all(r <= 3 for r in rows) and set(counts) <= {0}
 
 
 class TestCharacteristicBoundary:
