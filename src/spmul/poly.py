@@ -14,7 +14,6 @@ coefficients (``RingSpec.lift``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import itemgetter, mul as _int_mul
 
 from .errors import RingMismatchError, UnsupportedRingError
@@ -179,7 +178,7 @@ def dense_cyclic_mul(a: list[int], b: list[int]) -> list[int]:
     slot width bits(p*Ma*Mb) + 2 cannot overflow even after adding the
     nonnegativity offsets used for signed input; the slots take the digit
     width rings._byte_width gives that many bits, as every packed digit
-    does (whole bytes, a struct item size up to 8 bytes).
+    does (whole bytes, an array item size up to 8 bytes).
     """
     if len(a) != len(b):
         raise ValueError("mismatched cyclic lengths")
@@ -212,16 +211,19 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
     b * (n + 1) entries.
 
     Every entry past a row's first two costs one multiplication, and so
-    does each row's base after the first.  Over F_{q^s} they go through
-    ring.mul.  Over F_q a row is built by doubling, row[k:2k] =
-    row[:k] * alpha^k mod q with alpha^k = row[k - 1] * alpha, by C-level
-    maps, and its products are charged in bulk through add_mul_count: the
-    same entries and the same count as one ring.mul per entry.
+    does each row's base after the first.  The entries are multiplied as
+    raw ints and charged in bulk through add_mul_count, the same count as
+    one ring.mul per entry: over F_q a row is built by doubling,
+    row[k:2k] = [x * alpha^k % q for x in row[:k]] with
+    alpha^k = row[k - 1] * alpha, and over F_{q^s} each entry is the
+    previous one times the base, reduced by ring._fold.  Each row's base
+    goes through ring.mul.
     """
     bits = (bound - 1).bit_length()
     w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
     mask = (1 << w) - 1
     q = ring.q if ring.kind == "prime_field" else None
+    fold = ring._fold
     rows = []
     base = alpha
     for shift in range(0, bits, w):
@@ -230,12 +232,12 @@ def fixed_base_powers(ring: RingSpec, alpha, bound: int, lookups: int):
         row = [1, base]
         if q is None:
             for _ in range(top - 1):
-                row.append(ring.mul(row[-1], base))
+                row.append(fold(row[-1] * base))
         else:
             while len(row) <= top:
                 step = row[-1] * base % q  # alpha^k for k = len(row)
-                row += map(q.__rmod__, map(step.__mul__, row[:top + 1 - len(row)]))
-            add_mul_count(top - 1)
+                row += [x * step % q for x in row[:top + 1 - len(row)]]
+        add_mul_count(top - 1)
         rows.append(row)
         if shift + w < bits:
             base = ring.mul(row[-1], base)  # alpha^(2^(shift + w))
@@ -254,36 +256,40 @@ def term_values(ring: RingSpec, terms, table):
     (rings._unpack); a narrower digit would let an exponent's window
     take the next exponent's low bits.  Each term's running product,
     which starts at c, takes the entry of its nonzero digit.  Over F_q
-    the entries are multiplied in by C-level maps and reduced mod q only
-    between rows, after every fourth row but never after the last: the
-    values are ints congruent to c * alpha^e mod q, not reduced, which
-    ring_sum, ring.add and ring.mul take as they are, so a sum of them
-    pays one reduction.  A coefficient may be any int, so a Z polynomial
-    gives the values of its image mod q.  Over F_{q^s} each nonzero
-    digit takes one ring.mul.  Either way a term is charged max(1,
-    nonzero w-bit windows of e): its products by the entries, and one for
-    an e = 0 term, whose value is c * 1 (over F_q in bulk).
+    a row's entries are read by one itemgetter of the digits (one term
+    reads its entry directly, as itemgetter of one index returns the
+    entry, not a tuple), multiplied in by C-level maps and reduced mod q
+    only between rows, after every fourth row but never after the last:
+    the values are ints congruent to c * alpha^e mod q, not reduced,
+    which ring_sum, ring.add and ring.mul take as they are, so a sum of
+    them pays one reduction.  A coefficient may be any int, so a Z
+    polynomial gives the values of its image mod q.  Over F_{q^s} each
+    nonzero digit takes one int product reduced by ring._fold, and the
+    values are reduced elements.  Either way a term is charged max(1,
+    nonzero w-bit windows of e), in bulk through add_mul_count: its
+    products by the entries, and one for an e = 0 term, whose value is
+    c * 1.
     """
     rows, w = table
     n = len(terms)
     exps = list(map(itemgetter(0), terms))
     width = _byte_width((1 << w * len(rows)) - 1)
     packed = _pack(exps, width)
-    masks = _pack([(1 << w) - 1] * n, width)
+    masks = int.from_bytes(((1 << w) - 1).to_bytes(width, "little") * n, "little")
     acc = map(itemgetter(1), terms)
-    prime = ring.kind == "prime_field"
+    fold = ring._fold if ring.kind == "ext_field" else None
     windows = 0
     for i, row in enumerate(rows):
         digits = _unpack(packed >> w * i & masks, width, n)
-        if not prime:
-            acc = [ring.mul(a, row[d]) if d else a for a, d in zip(acc, digits)]
-            continue
         windows += n - digits.count(0)
+        if fold:
+            acc = [fold(a * row[d]) if d else a for a, d in zip(acc, digits)]
+            continue
         # the per-term products are chained lazily and formed at each
         # reduction and by the caller; the coefficients enter unreduced, as
         # below heights of about 2^256 the wider first products cost less
         # than a mod per term
-        acc = map(_int_mul, acc, map(row.__getitem__, digits))
+        acc = map(_int_mul, acc, itemgetter(*digits)(row) if n > 1 else [row[d] for d in digits])
         if i % 4 == 3 and i < len(rows) - 1:
             acc = list(map(ring.q.__rmod__, acc))
     add_mul_count(windows + exps.count(0))
@@ -291,11 +297,28 @@ def term_values(ring: RingSpec, terms, table):
 
 
 def ring_sum(ring: RingSpec, values):
-    """The sum of values in ring; over F_q one sum of the ints, such as
-    term_values gives, reduced mod q at the end, with no mod per value."""
+    """The sum of values in ring.  Over F_q one sum of the ints, such as
+    term_values gives, reduced mod q at the end, with no mod per value.
+
+    Over F_{q^s} the values must be reduced elements, as term_values
+    gives: s digits in [0, q) each.  They are added as raw ints, and
+    ring._fold reduces the running total with each chunk of at most
+    s(q-1) - 1 further values.  A fold then takes at most s(q-1) reduced
+    elements, whose digits are at most s(q-1) * (q-1) = s(q-1)^2 and
+    carry into no neighbour: within the bound that _fold takes for every
+    digit of a product (rings module docstring).  At s(q-1) = 1, F_2 as
+    its own degree-1 extension, each chunk is one value and a fold takes
+    digits of at most 2, which the row fold reduces mod q in its one-byte
+    digit.
+    """
     if ring.kind == "prime_field":
         return sum(values) % ring.q
-    return reduce(ring.add, values, 0)
+    values = list(values)
+    fold, step = ring._fold, max(1, ring.s * (ring.q - 1) - 1)
+    total = 0
+    for i in range(0, len(values), step):
+        total = fold(total + sum(values[i:i + step]))
+    return total
 
 
 def _image_field(ring: RingSpec, field: RingSpec | None) -> RingSpec:

@@ -13,7 +13,11 @@ exist only at the boundary: ``coerce`` builds an element from an int (a
 constant of the prime subfield) or a residue sequence, and ``residues``
 gives the sequence back.  Digits of a fixed byte width are packed and
 unpacked by one pair of routines, ``_pack`` and ``_unpack``, which also
-serve F_{q^s} integer images and ``poly.dense_cyclic_mul``.
+serve F_{q^s} integer images and ``poly.dense_cyclic_mul``: through one
+``array`` at 1, 2, 4 and 8 bytes (byte-swapped on a big-endian host; a
+1-byte unpack is the tuple of the int's bytes), with no format string
+built per call, and through each digit's bytes at any other width, such
+as a cyclotomic field's 3 or 6.
 
 An F_{q^s} product is one integer product of the two elements, and
 ``_fold``, the one reduction of every F_{q^s} product, scalar product,
@@ -35,8 +39,11 @@ nonnegative; and every lane d becomes d - floor(d * m / 2^k) * q through
 one multiply, shift and mask by the reciprocal m = ceil(2^k / q)
 (Granlund and Montgomery, PLDI 1994).  A lane then stays below 2^a,
 a = bitlen(4s(q-1)^2 + q), with k = a + bitlen(q), and a cyclotomic
-field's W is widened where needed until 2^(8W) > 2^(a+k), so that d * m
-fits in its lane; ``_fold`` gives the proof.  Any other modulus at s > 2
+field's W is the least whole number of bytes with 8W >= a + k + 1, so
+that d * m fits in its lane, whether or not W is an array item size
+(F_{3^42} takes 3 bytes per lane, F_{101^10} 6); ``_fold`` gives the
+proof, and such a W also meets the row fold's digit bound below.  Any
+other modulus at s > 2
 folds the s - 1 high digits c_i (i = s .. 2s-2) back as sum c_i * ROW_i,
 where ROW_i is Y^i mod the modulus packed the same way, and the s low
 digits are then reduced mod q once each; these s - 1 rows are built once
@@ -63,14 +70,15 @@ packed integer convolution serves all three kinds of ring.  Every
 coefficient multiplication routed through a ``RingSpec`` bumps a global
 counter that benchmarks and operation-count tests read back;
 ``RingSpec.pow`` is charged its square-and-multiply cost, ``_pow_cost``,
-once in every ring.  Fixed-base
-power tables and their lookups multiply through ``RingSpec.mul`` over
-F_{q^s}; the raw-int paths charge in bulk through ``add_mul_count``:
-residue accumulation, the rows of ``poly.fixed_base_powers`` over F_q,
-one per entry as ``RingSpec.mul`` would, and the lookups of
-``poly.term_values`` over F_q, charged max(1, nonzero windows) per term
-as over F_{q^s}, so a product by a table row's entry 1 (a zero digit) is
-not counted.
+once in every ring.  The raw-int paths, products of ints reduced mod q
+or by ``_fold`` with no ``RingSpec.mul`` call, charge in bulk through
+``add_mul_count``: residue accumulation, the rows of
+``poly.fixed_base_powers``, one per entry as ``RingSpec.mul`` would, the
+lookups of ``poly.term_values``, charged max(1, nonzero windows) per
+term, so a product by a table row's entry 1 (a zero digit) is not
+counted, and the verifier's images of a small F_{q^s}, s per term, and
+its wrapping products, one each, as the ``RingSpec`` calls they replace
+were.
 The counter is process-global and only meaningful for single-threaded
 measurement; the other shared state in the library is the prime sieve in
 ``arith``, which grows to the largest instance seen.
@@ -79,7 +87,8 @@ measurement; the other shared state in the library is the prime sieve in
 from __future__ import annotations
 
 import copy
-import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from operator import mul as _int_mul
 
@@ -88,13 +97,15 @@ from .errors import UnsupportedRingError
 
 _mul_count = 0
 
-# struct format code per digit width in bytes; "<" formats are
-# little-endian, as packed ints are
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# array typecode per digit width in bytes, for the widths an array item
+# has (1, 2, 4 and 8); packed ints are little-endian, so items are
+# byte-swapped on a big-endian host
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _byte_width(bound: int) -> int:
-    """Bytes per digit for digits up to bound, rounded up to a struct item
+    """Bytes per digit for digits up to bound, rounded up to an array item
     size where one fits."""
     width = -(-bound.bit_length() // 8)
     return next((w for w in (1, 2, 4, 8) if w >= width), width)
@@ -102,21 +113,33 @@ def _byte_width(bound: int) -> int:
 
 def _pack(digits, width: int) -> int:
     """Integer with the base-2^(8*width) digits `digits`, least significant
-    first, each in [0, 2^(8*width))."""
-    code = _STRUCT_CODES.get(width)
+    first, each in [0, 2^(8*width)).  At an array item width the digits go
+    through one array; at any other width each digit is converted to its
+    bytes."""
+    code = _ARRAY_CODES.get(width)
     if code is None:
         return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits), "little")
-    return int.from_bytes(struct.pack(f"<{len(digits)}{code}", *digits), "little")
+    items = array(code, digits)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return int.from_bytes(items, "little")
 
 
 def _unpack(v: int, width: int, count: int):
-    """The count base-2^(8*width) digits of v, least significant first; v
-    must lie in [0, 2^(8*width*count))."""
+    """The count base-2^(8*width) digits of v, least significant first, as
+    a sequence of ints: a tuple of v's bytes at width 1, an array at the
+    other array item widths, else a list; v must lie in
+    [0, 2^(8*width*count))."""
     data = v.to_bytes(count * width, "little")
-    code = _STRUCT_CODES.get(width)
+    if width == 1:
+        return tuple(data)
+    code = _ARRAY_CODES.get(width)
     if code is None:
         return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
-    return struct.unpack(f"<{count}{code}", data)
+    items = array(code, data)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
 
 
 def reset_mul_count() -> None:
@@ -200,17 +223,22 @@ class RingSpec:
 
     def _build_table(self) -> None:
         q, s, m = self.q, self.s, self.modulus
-        # every digit packed or folded stays below this bound (module
-        # docstring)
-        width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
         cyclic = s > 2 and all(c == 1 for c in m)
         if cyclic:
             # a lane of the lane fold stays below 2^a and its product with
-            # the reciprocal below 2^(a + k) (_fold)
+            # the reciprocal below 2^(a + k), so a lane of L >= a + k + 1
+            # bits holds it (_fold): W is the least whole number of bytes
+            # with 8W >= a + k + 1
             a = (4 * s * (q - 1) ** 2 + q).bit_length()
             k = a + q.bit_length()
-            width = max(width, _byte_width(1 << a + k))
-            ones = _pack([1] * s, width)
+            width = -(-(a + k + 1) // 8)
+        else:
+            # every digit packed or folded stays below this bound (module
+            # docstring)
+            width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
+        # a 1 in each of the s digits; c * ones holds c in each
+        ones = _pack([1] * s, width)
+        if cyclic:
             hi, lo = 8 * width * (s + 1), 8 * width * s
             object.__setattr__(self, "_cyclic", True)
             object.__setattr__(self, "_lanes", (
@@ -227,9 +255,9 @@ class RingSpec:
             object.__setattr__(self, "_packed_rows", tuple(rows))
         half = 1 << 8 * width - 1
         object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_qs", _pack([q] * s, width))
-        object.__setattr__(self, "_bias", _pack([half - q] * s, width))
-        object.__setattr__(self, "_tops", _pack([half] * s, width))
+        object.__setattr__(self, "_qs", q * ones)
+        object.__setattr__(self, "_bias", (half - q) * ones)
+        object.__setattr__(self, "_tops", half * ones)
 
     # -- structure ---------------------------------------------------
 
@@ -325,9 +353,11 @@ class RingSpec:
 
     def _fold(self, v: int) -> int:
         """The element of F_{q^s} whose image in Z[Y] has the W-byte
-        digits of v as coefficients (at most 2s - 1 of them, within the
-        bound of the module docstring): the one reduction of every
-        F_{q^s} product, power and dropped image.  At s = 2 the digits
+        digits of v as coefficients (at most 2s - 1 of them, each at most
+        s(q-1)^2, the bound of the module docstring): the one reduction of
+        every F_{q^s} product, power and dropped image, and of the raw-int
+        products and sums of poly's table, lookups and ring_sum and of the
+        verifier's images.  At s = 2 the digits
         c0, c1, c2 come off v by shift and mask, and Y^2 = -m1*Y - m0
         gives ((c0 - c2*m0) mod q) + ((c1 - c2*m1) mod q) * 2^(8W), with
         m0 and m1 from the modulus; each digit is below 2^(8W), so the
@@ -352,8 +382,9 @@ class RingSpec:
           2s(q-1)^2 + q), so a padded lane less lane s lies in
           [0, 4s(q-1)^2 + q);
         * q >= 2^(bitlen(q) - 1) gives m <= 2^(a+1), so
-          d * m < 2^(2a+1) < 2^(a+k) < 2^L (W is sized for the last) and
-          no lane's product carries into the next;
+          d * m < 2^(2a+1) < 2^(a+k) < 2^L, the last as W is the least
+          whole number of bytes with L = 8W >= a + k + 1, and no lane's
+          product carries into the next;
         * after the shift by k, the low bits of the next lane's product
           land at bit L - k >= a + 1 or higher, where the quotient mask,
           a + 1 ones per lane, clears them;

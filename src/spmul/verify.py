@@ -36,7 +36,7 @@ extension through a random linear combination of the identity's F_q
 coordinates, whose weights come from its modulus by a recurrence.  The
 check field is built anew for every check and held by no cache: a
 cyclotomic one builds no reduction rows, only the lane fold's constants
-(about 15 us for F_{3^42}, CPython 3.11 on a 2-core x86-64 host), far
+(about 12 us for F_{3^42}, CPython 3.11.7 on a 2-core x86-64 host), far
 below the check itself.
 """
 
@@ -45,14 +45,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, mul as _int_mul
 
 from .arith import (RandomSource, ceil_bound, cyclotomic_degree, irreducible_poly,
                     lambda_nonzero, random_prime)
 from .poly import (SparsePoly, _image_field, _same_ring, cyclic_reduce, eval_sparse,
                    fixed_base_powers, height_bound, ring_sum, term_values)
-from .rings import RingSpec, _proven_prime_field
+from .rings import RingSpec, _proven_prime_field, add_mul_count
 
 _LN2 = math.log(2.0)
 
@@ -100,11 +99,17 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
     #F_p + #G_p, unless one is passed: it must be of the same alpha in
     the same field, for a bound above every exponent of F_p and G_p
     (verify_sum_sp passes its check's one table, for the bound p), and
-    is then not charged here.  The charge is the table, max(1, nonzero
-    windows of e) per term of F_p and of G_p (a term whose coefficient
-    vanishes mod q is looked up too: its value is 0), and one product for
-    F_p(alpha) * G_p(alpha); a wrapping pair adds one product per
-    wrapping term of G_p, and, for alpha != 0, the exponentiation
+    is then not charged here.  With alpha != 0, the wrapping terms of
+    G_p are taken by increasing j, so each S(p - j) is the previous one
+    plus the values of F_p it newly reaches, summed by poly.ring_sum; the
+    products g_j alpha^j * S(p - j) are raw ints, reduced by field._fold
+    over F_{q^s}, summed by one ring_sum and charged in bulk.
+
+    The charge is the table, max(1, nonzero windows of e) per term of
+    F_p and of G_p (a term whose coefficient vanishes mod q is looked up
+    too: its value is 0), and one product for F_p(alpha) * G_p(alpha); a
+    wrapping pair adds one product per wrapping term of G_p, and, for
+    alpha != 0, the exponentiation
     alpha^((-p) mod (|F| - 1)) = alpha^-p through ring.pow and one
     product more.  That is O((#F + #G) log p / log(#F + #G) + log |F|)
     ring multiplications, all charged to the global counter.
@@ -129,19 +134,40 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
     if not alpha:
         f = dict(F_p.terms)
         return reduce(field.add, (field.mul(f[p - j], g) for j, g in wraps if p - j in f), value)
+    # S(p - j) for each wrapping j, from the smallest j, the shortest
+    # suffix, up: each adds the values of F_p's terms it newly reaches
     f_exps = list(map(itemgetter(0), F_p.terms))
-    suffix = list(accumulate(reversed(f_vals), field.add))[::-1]  # suffix[i] = S(f_exps[i])
-    W = reduce(field.add, (field.mul(v, suffix[bisect_left(f_exps, p - j)])
-                           for (j, _), v in zip(wraps, g_vals[first:])))
+    suffixes, suffix, top = [], 0, len(f_vals)
+    for j, _ in wraps:
+        i = bisect_left(f_exps, p - j)
+        suffix = ring_sum(field, [suffix, *f_vals[i:top]])
+        suffixes.append(suffix)
+        top = i
+    products = map(_int_mul, g_vals[first:], suffixes)
+    if field.kind == "ext_field":
+        products = map(field._fold, products)
+    add_mul_count(len(wraps))
+    W = ring_sum(field, products)
     return field.add(value, field.mul(field.sub(field.pow(alpha, -p % (field.size - 1)), 1), W))
 
 
 def _image(P_p: SparsePoly, weights, field: RingSpec) -> SparsePoly:
-    # sum_l weights[l] * (coordinate l of P_p), over the evaluation field
-    residues = P_p.ring.residues
-    return SparsePoly(field, tuple(
-        (e, v) for e, c in P_p.terms
-        if (v := reduce(field.add, map(field.smul, weights, residues(c))))))
+    """P_p's coefficients mapped into field by c -> sum_l weights[l] * c_l,
+    over the F_q coordinates c_l of c, terms whose image is 0 dropped.
+
+    The image is computed once per distinct coefficient (a small
+    F_{q^s} has at most q^s - 1 of them) as one int combination of the
+    packed weights and one field._fold.  The weights are elements of
+    field, with digits in [0, q), and each c_l lies in [0, q), so every
+    digit of the combination is at most s(q-1)^2, within the bound
+    S'(q-1)^2 that _fold takes for field's degree S' > s.  It is charged
+    s mults per term, one per coordinate as s scalar products would be.
+    """
+    ring = P_p.ring
+    coeffs = {c for _, c in P_p.terms}
+    images = {c: field._fold(sum(map(_int_mul, weights, ring.residues(c)))) for c in coeffs}
+    add_mul_count(ring.s * P_p.sparsity)
+    return SparsePoly(field, tuple((e, v) for e, c in P_p.terms if (v := images[c])))
 
 
 def verify_sp(F: SparsePoly, G: SparsePoly, H: SparsePoly, eps: float,

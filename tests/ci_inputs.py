@@ -4,7 +4,7 @@ Run it from the directory that should receive them:
 
     python tests/ci_inputs.py
 
-It writes nine sets of pairs, each from its own fixed seed:
+It writes ten sets of pairs, each from its own fixed seed:
 
 * za/zb, qa/qb, f9a/f9b and x3a/x3b.poly (wrapping_pairs): 6 x 6 terms
   over Z with exponents near 10^30, over F_(2^61 - 1) with exponents near
@@ -54,6 +54,11 @@ It writes nine sets of pairs, each from its own fixed seed:
   runs at p = D + 1 in an extension F_(3^S') of F_3, with every
   evaluation reading the check's one power table; CI verifies it in a
   step of its own, as it does the large pair.
+* bigf256a/bigf256b.poly (small_field_pair_2): 200 x 200 terms over
+  F_256 = F_(2^8) with exponents below 10^6, whose product has about
+  40,000 terms.  Its check runs at p = D + 1 in an extension F_(2^S')
+  of F_2, the characteristic-2 case of the check field's lane width;
+  CI verifies it in the same step as the F_9 pair.
 
 test_cli imports wrapping_pairs, f256_pair, extension_pair,
 quadratic_pair, random_pair, random_pair_128 and large_pair, so the pairs
@@ -181,6 +186,24 @@ def small_field_pair() -> dict:
     return files
 
 
+def small_field_pair_2() -> dict:
+    """{file name: text} of the 200 x 200 pair over F_256."""
+    rnd = random.Random(11)
+
+    def coeff():  # a nonzero element in the file format: 8 bits, not all 0
+        c = rnd.randrange(1, 256)
+        return ",".join(str(c >> i & 1) for i in range(8))
+
+    files = {}
+    for side in "ab":
+        exps = set()
+        while len(exps) < 200:
+            exps.add(rnd.randrange(10 ** 6))
+        files["bigf256" + side + ".poly"] = "field 2 8\nvars 1\n" + "".join(
+            f"term {coeff()} {e}\n" for e in exps)
+    return files
+
+
 def random_pair_128() -> dict:
     """{file name: text} of the 128 x 128 pair over Z."""
     return random_pair(128, 6, "rz128")
@@ -189,7 +212,8 @@ def random_pair_128() -> dict:
 def main() -> None:
     for name, text in {**wrapping_pairs(), **trivariate_pairs(), **f256_pair(),
                        **extension_pair(), **quadratic_pair(), **random_pair(),
-                       **random_pair_128(), **large_pair(), **small_field_pair()}.items():
+                       **random_pair_128(), **large_pair(), **small_field_pair(),
+                       **small_field_pair_2()}.items():
         with open(name, "w") as out:
             out.write(text)
 

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spmul import (RingMismatchError, UnsupportedRingError, add, canonicalize,
+from spmul import (RandomSource, RingMismatchError, UnsupportedRingError, add, canonicalize,
                    cyclic_reduce, dense_cyclic_mul, derivative,
                    eval_cyclic_product, eval_sparse, ext_field, integers,
                    naive_mul, negate, prime_field, mul_count,
                    reset_mul_count, scale, sub, zero_poly)
 from spmul import poly
 from spmul.poly import NEG_INF, fixed_base_powers, ring_sum, term_values
-from spmul.rings import _byte_width, _pow_cost
+from spmul.rings import _byte_width, _pow_cost, _unpack
 
 from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, dict_sum_ring, is_canonical,
                      monomial, poly_to_dict, rand_sparse, raw_coeff, ring_coeffs,
@@ -319,9 +319,9 @@ class TestDenseCyclicMul:
 
     @pytest.mark.parametrize("bound, width", [(10, 2), (2 ** 31, 9)])
     def test_both_packer_paths_vs_schoolbook(self, monkeypatch, bound, width):
-        # bits(p * bound^2) + 2 sets the slot width, rounded up to a struct
+        # bits(p * bound^2) + 2 sets the slot width, rounded up to an array
         # item size up to 8 bytes (rings._byte_width): 12 bits pack at 2
-        # bytes through struct, 67 bits at 9 bytes through bytes
+        # bytes through an array, 67 bits at 9 bytes through bytes
         widths = []
         real = poly._pack
         monkeypatch.setattr(poly, "_pack", lambda d, w: widths.append(w) or real(d, w))
@@ -600,6 +600,66 @@ class TestFixedBasePowers:
                     _power(ring, table, e)
                 # less the one coefficient product each lookup also takes
                 assert mul_count() - lookups <= (bits - 1) * (lookups + 1)
+
+    def test_one_and_two_terms_match_ring_mul(self):
+        # c * alpha^e against ring.mul(c, ring.pow(alpha, e)), at n = 1,
+        # where one lookup reads its entry alone, and at n = 2; exponents
+        # with zero windows and e = 0 among them (over F_q the values are
+        # congruent mod q)
+        rnd = random.Random(29)
+        for ring in self.RINGS:
+            q = ring.q
+            for bound in (2, 1000, 2 ** 40 + 3):
+                alpha = self._elem(rnd, ring)
+                table = fixed_base_powers(ring, alpha, bound, 2)
+                for n in (1, 2):
+                    for _ in range(12):
+                        terms = [(rnd.choice((0, 1, bound - 1, rnd.randrange(bound))),
+                                  self._elem(rnd, ring) or 1) for _ in range(n)]
+                        want = [ring.mul(c, ring.pow(alpha, e)) for e, c in terms]
+                        got = list(term_values(ring, terms, table))
+                        if ring.kind == "prime_field":
+                            got = [v % q for v in got]
+                        assert got == want, (ring, bound, terms)
+
+
+class TestRingSum:
+    """ring_sum over F_{q^s} folds the running total with each chunk of
+    s(q-1) - 1 reduced values: every digit a fold takes is at most
+    s(q-1)^2, the bound _fold's proof assumes, and the sum equals the one
+    by ring.add at every count around a chunk's end, for the lane fold,
+    the two-digit fold and the row fold, with every digit at q - 1 as
+    well as at random."""
+
+    # (q, s, modulus), None for the canonical one
+    FIELDS = ((3, 4, (1,) * 5), (2, 4, (1,) * 5), (101, 6, (1,) * 7), (3, 2, None),
+              (5, 3, None), (2, 8, None))
+
+    @pytest.mark.parametrize("q, s, modulus", FIELDS, ids=[
+        "F81-cyclotomic", "F16-cyclotomic", "101^6-cyclotomic", "F9", "F125", "F256"])
+    def test_matches_the_sum_by_ring_add(self, q, s, modulus):
+        ring = (ext_field(q, s) if modulus is None
+                else poly.RingSpec("ext_field", q=q, s=s, modulus=modulus))
+        fold, folds = ring._fold, []
+
+        def checked_fold(v):
+            folds.append(max(_unpack(v, ring._width, 2 * s - 1)))
+            return fold(v)
+
+        object.__setattr__(ring, "_fold", checked_fold)
+        rnd = random.Random(q + s)
+        top = ring.coerce([q - 1] * s)
+        step = s * (q - 1)
+        for n in (0, 1, step - 1, step, step + 1, 10 * step):
+            for values in ([top] * n, [ring.rand_elem(RandomSource(rnd.randrange(10 ** 6)))
+                                       for _ in range(n)]):
+                want = 0
+                for v in values:
+                    want = ring.add(want, v)
+                folds.clear()
+                assert ring_sum(ring, values) == want, n
+                assert max(folds, default=0) <= step * (q - 1)
+                assert ring_sum(ring, iter(values)) == want, n
 
 
 class TestScaleNegate:

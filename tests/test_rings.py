@@ -179,7 +179,8 @@ def _elems(f, residue_tuples):
 
 
 class TestDigitPacker:
-    # widths 1, 2, 4 and 8 go through struct, 3, 9 and 24 through bytes
+    # widths 1, 2, 4 and 8 go through an array (a 1-byte unpack through the
+    # bytes themselves), 3, 9 and 24 through each digit's bytes
     WIDTHS = (1, 2, 3, 4, 8, 9, 24)
 
     @pytest.mark.parametrize("width", WIDTHS)
@@ -192,6 +193,17 @@ class TestDigitPacker:
             v = _pack(digits, width)
             assert v == sum(d << 8 * width * i for i, d in enumerate(digits))
             assert list(_unpack(v, width, count)) == digits
+
+    def test_repack_at_every_width(self):
+        # the unpacked digits of one width, packed at another, as lift
+        # repacks an element: every width reads them as ints, never as the
+        # raw bytes of the array they come in
+        rnd = random.Random(5)
+        digits = [255, 0] + [rnd.randrange(256) for _ in range(9)]
+        for width in self.WIDTHS:
+            unpacked = _unpack(_pack(digits, width), width, len(digits))
+            for other in self.WIDTHS:
+                assert _pack(unpacked, other) == _pack(digits, other), (width, other)
 
 
 class TestPackedExtMul:
@@ -392,6 +404,21 @@ class TestCyclicFold:
                 image = sum(cyclic.lift(a, width) * cyclic.lift(b, width)
                             for a, b in zip(xs[::2], xs[1::2]))
                 assert cyclic.drop(image, width) == rows.drop(image, width)
+
+    def test_lane_width_is_the_least_whole_bytes_the_fold_needs(self):
+        # _fold's proof needs lanes of L >= a + k + 1 bits, a the bit length
+        # of the lane bound 4s(q-1)^2 + q and k = a + bitlen(q); W is the
+        # least whole number of bytes with 8W >= a + k + 1, whether or not
+        # it is an array item size (F_(3^42): 3 bytes, F_(101^10): 6)
+        widths = {}
+        for q in (2, 3, 5, 101, Q62):
+            for s in (3, 4, 6, 10, 12, 28, 42):
+                ring = RingSpec("ext_field", q=q, s=s, modulus=(1,) * (s + 1))
+                a = (4 * s * (q - 1) ** 2 + q).bit_length()
+                k = a + q.bit_length()
+                assert 8 * ring._width >= a + k + 1 > 8 * (ring._width - 1), (q, s)
+                widths[q, s] = ring._width
+        assert widths[3, 42] == 3 and widths[101, 10] == 6
 
     def test_only_all_ones_moduli_above_degree_2_fold_cyclically(self):
         assert not RingSpec("ext_field", q=3, s=2, modulus=(1, 1, 1))._cyclic

@@ -1,15 +1,17 @@
 import math
 import random
+from functools import reduce
 
 import pytest
 
-from spmul import (RandomSource, RingMismatchError, UnsupportedRingError, add,
-                   canonicalize, cyclic_reduce, derivative, eval_cyclic_product,
-                   ext_field, eval_sparse, integers, lambda_nonzero, mul_count,
-                   naive_mul, negate, prime_field, random_prime, reset_mul_count,
-                   scale, verify_sp, verify_sum_sp, zero_poly)
+from spmul import (RandomSource, RingMismatchError, RingSpec, UnsupportedRingError, add,
+                   add_mul_count, canonicalize, cyclic_reduce, derivative,
+                   eval_cyclic_product, ext_field, eval_sparse, integers, lambda_nonzero,
+                   mul_count, naive_mul, negate, prime_field, random_prime,
+                   reset_mul_count, scale, verify_sp, verify_sum_sp, zero_poly)
 from spmul import SparsePoly, arith, poly, verify
 from spmul.poly import fixed_base_powers, term_values
+from spmul.rings import _pow_cost
 
 from helpers import Q62, monomial, rand_sparse, watch_cyclic_evaluations
 
@@ -161,6 +163,33 @@ class TestEvalCyclicProduct:
             value = eval_cyclic_product(f, g, p, alpha)
             assert mul_count() == want
             assert value == _cyclic_eval_oracle(f, g, p, alpha)
+
+    @pytest.mark.parametrize("ring", CYCLIC_RINGS, ids=CYCLIC_IDS)
+    def test_charge_when_pairs_wrap(self, ring):
+        # the table, the lookups and F(alpha) * G(alpha), one product per
+        # wrapping term of G, then alpha^-p through ring.pow and one
+        # product more
+        rnd = random.Random(12)
+        wrapped = 0
+        for p in (3, 50, 1009):
+            for _ in range(6):
+                f = _with_exps(rnd, ring, rnd.sample(range(p), min(14, p)))
+                g = _with_exps(rnd, ring, rnd.sample(range(p), min(9, p)))
+                alpha = _nonzero(rnd, ring)
+                wraps = sum(1 for e, _ in g.terms if e >= p - f.degree)
+                wrapped += wraps > 0
+                reset_mul_count()
+                table = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
+                for e, _ in f.terms + g.terms:
+                    term_values(ring, [(e, 1)], table)
+                want = mul_count() + 1
+                if wraps:
+                    want += wraps + _pow_cost(-p % (ring.size - 1)) + 1
+                reset_mul_count()
+                value = eval_cyclic_product(f, g, p, alpha)
+                assert mul_count() == want, (p, wraps)
+                assert value == _cyclic_eval_oracle(f, g, p, alpha)
+        assert wrapped >= 12
 
     def test_operation_count_contract_small_grid(self):
         import math
@@ -972,6 +1001,130 @@ class TestSmallExtensionField:
                 assert {ring.modulus for ring, _ in seen} == {moduli[0]}
                 assert len({ring for ring, _ in seen}) == len({p for _, p in seen}) == 1
                 assert seen[0][0].q == 3
+
+
+def _per_element_image(P_p, weights, field):
+    """The per-coordinate image: s smul and s - 1 add per term."""
+    residues = P_p.ring.residues
+    return SparsePoly(field, tuple(
+        (e, v) for e, c in P_p.terms
+        if (v := reduce(field.add, map(field.smul, weights, residues(c))))))
+
+
+def _per_element_table(ring, alpha, bound, lookups):
+    """fixed_base_powers' table with every entry through ring.mul."""
+    bits = (bound - 1).bit_length()
+    w = min(range(1, 17), key=lambda v: -(-bits // v) * ((1 << v) - 1 + lookups))
+    rows, base = [], alpha
+    for shift in range(0, bits, w):
+        row = [1, base]
+        for _ in range(min((1 << w) - 1, (bound - 1) >> shift) - 1):
+            row.append(ring.mul(row[-1], base))
+        rows.append(row)
+        if shift + w < bits:
+            base = ring.mul(row[-1], base)
+    return rows, w
+
+
+def _per_element_values(ring, terms, table):
+    """term_values with one ring.mul per nonzero window of e, and one
+    charge for an e = 0 term."""
+    rows, w = table
+    mask = (1 << w) - 1
+    values = []
+    for e, c in terms:
+        for i, row in enumerate(rows):
+            if e >> w * i & mask:
+                c = ring.mul(c, row[e >> w * i & mask])
+        if not e:
+            add_mul_count(1)
+        values.append(c)
+    return values
+
+
+def _per_element_sum(ring, values):
+    return reduce(ring.add, values, 0)
+
+
+def _check_field(ring):
+    """The extension a check of ring at c2*p < q^(s+1) runs in."""
+    s = arith.cyclotomic_degree(ring.q, ring.s + 1)
+    return RingSpec("ext_field", q=ring.q, s=s, modulus=arith.irreducible_poly(ring.q, s))
+
+
+SMALL_FIELDS = [F9, ext_field(2, 8), ext_field(5, 3)]
+SMALL_IDS = ["F9", "F256", "F125"]
+
+
+class TestImage:
+    """verify._image maps a small F_{q^s} into the check field by
+    c -> sum_l w_l c_l, one int combination and one fold per distinct
+    coefficient: the per-coordinate smul sums, zero images dropped, at s
+    mults per term."""
+
+    @pytest.mark.parametrize("ring", SMALL_FIELDS + [ext_field(Q62, 2)],
+                             ids=SMALL_IDS + ["FQ62^2"])
+    def test_matches_the_per_coordinate_sums(self, ring):
+        rnd = random.Random(ring.s * 7 + ring.q % 1000)
+        field = _check_field(ring)
+        q, s = ring.q, ring.s
+        rand = [field.rand_elem(RandomSource(k)) for k in range(2 * s - 1)]
+        # w_0 = 1 and w_1 = -1 send (1, 1, 0, ...) to zero; the full-length
+        # list is the one _image of phi(Y^0 G) reads (w[0:])
+        for weights in ([1, q - 1] + rand[:s - 2], rand, rand[:s]):
+            pool = [ring.coerce((1, 1)), ring.coerce([q - 1] * s)]
+            pool += [_nonzero(rnd, ring) for _ in range(4)]
+            P = SparsePoly(ring, tuple((e, rnd.choice(pool))
+                                       for e in sorted(rnd.sample(range(10 ** 6), 80))))
+            want = _per_element_image(P, weights, field)
+            reset_mul_count()
+            got = verify._image(P, weights, field)
+            assert mul_count() == s * P.sparsity
+            assert got == want
+            if weights[:2] == [1, q - 1]:
+                assert got.sparsity < P.sparsity
+
+
+class TestKernelAgainstPerElementPath:
+    """The check's kernel, raw-int products reduced by _fold (or mod q)
+    and charged in bulk, against the per-element path through ring.mul,
+    ring.smul and ring.add: on both routes verify_sp answers the same,
+    leaves the same RandomSource state and charges the same ring mults."""
+
+    @staticmethod
+    def _per_element(monkeypatch):
+        for module in (verify, poly):
+            monkeypatch.setattr(module, "fixed_base_powers", _per_element_table)
+            monkeypatch.setattr(module, "term_values", _per_element_values)
+            monkeypatch.setattr(module, "ring_sum", _per_element_sum)
+        monkeypatch.setattr(verify, "_image", _per_element_image)
+
+    @pytest.mark.parametrize("ring", SMALL_FIELDS, ids=SMALL_IDS)
+    @pytest.mark.parametrize("emax", [10 ** 3, 10 ** 12], ids=["p=D+1", "cyclic"])
+    def test_same_answer_state_and_charge(self, monkeypatch, ring, emax):
+        seen = watch_cyclic_evaluations(monkeypatch, lambda F_p, G_p, p, field: p)
+        rnd = random.Random(ring.q * ring.s + emax % 89)
+        err = (1,) + (0,) * (ring.s - 1)
+        for seed in range(5):
+            f, g = rand_sparse(rnd, ring, 12, emax), rand_sparse(rnd, ring, 12, emax)
+            h = naive_mul(f, g)
+            for H in (h, _perturbed(h, err)):
+                runs = []
+                for per_element in (False, True):
+                    with monkeypatch.context() as m:
+                        if per_element:
+                            self._per_element(m)
+                        rng = RandomSource(seed)
+                        seen.clear()
+                        reset_mul_count()
+                        ok = verify_sp(f, g, H, 2.0 ** -20, rng)
+                        runs.append((ok, mul_count(), rng._rng.getstate()))
+                assert runs[0] == runs[1]
+                assert runs[0][0] == (H is h)
+                if emax < 10 ** 4:
+                    assert set(seen) <= {f.degree + g.degree + 1}
+                else:
+                    assert all(p <= f.degree + g.degree for p in seen)
 
 
 class TestVerifySumSP:
