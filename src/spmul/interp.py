@@ -8,17 +8,27 @@ distinct prime factors a positive integer below D can have
 coefficient of H mod X^p - 1 at X^r and d that of X*H' mod X^p - 1, the
 sum of e*c_e over the terms c_e*X^e of H in the slot.  A term c*X^e of
 the target that does not collide with another term mod p is alone in
-slot e mod p, where d = e*c, so e pops out of one division.  The triples come from one pass over the
-term pairs (cyclic_product_residue): each operand's terms, grouped by
-e mod p into slots carrying the same (r, sum c, sum e*c), give the
-product's c and d by the product rule.  The slot sums are carried as
+slot e mod p, where d = e*c, so e pops out of one division.  The
+triples come from one pass over the term pairs (cyclic_product_residue):
+each operand's terms, grouped by e mod p into slots carrying the same
+(r, sum c, sum e*c), give the product's c and d by the product rule.  The slot sums are carried as
 integer images (RingSpec.lift), accumulated either pair by pair or through
 the integer kernel poly.dense_cyclic_mul, and dropped back into the
-operands' ring once per slot; nothing is sorted until find_terms sorts
-its terms by exponent.  Rounds accumulate recovered terms into a running
+operands' ring once per slot; nothing is sorted until the round sorts
+its update by exponent.  Rounds accumulate recovered terms into a running
 approximation h* and correct earlier mistakes automatically, because wrong
 terms reappear negated in later residues; h* enters the walk as the slot
 triples of -h*, which seed its accumulators in every ring.
+
+Most slots of a walk at a pool prime need no division.  A slot that
+exactly one slot pair reaches, both of its slots holding one term,
+c1*X^e1 and c2*X^e2, and that holds no term of h*, holds the term
+c1*c2*X^(e1+e2) of H - h* and nothing else: one product gives it, exact,
+and it passes every test find_terms would make of its triple.  The walk
+emits such lone slots as terms, at one ring mult each against three per
+slot pair (the same argument as the exponent pass below, and the way
+Arnold and Roche read off the terms that avoid collisions), and
+find_terms divides only the other slots.
 
 A walk that would overflow (more terms than the round can use) can often
 be stopped from the exponents alone: a slot that exactly one slot pair
@@ -29,19 +39,21 @@ without a ring product (cyclic_product_residue).
 A job ends at the first round whose update explains or repairs every slot
 triple of H - h*: then H - h* - update vanishes mod X^p - 1, and so does X
 times its derivative.  That takes one count and the repairs, not another
-residue walk.  find_terms emits at most one term per slot r, and only from
-a triple with c nonzero, with e = r (mod p), that slot's c, and e*c = d.
+residue walk.  The update holds the lone terms, each exactly its slot's
+terms, and find_terms' terms: at most one per slot r, and only from a
+triple with c nonzero, with e = r (mod p), that slot's c, and e*c = d.
 Distinct r give distinct slots, so update's residues are sub-polynomials
 of the observed ones, and the slots its terms land in are explained:
-their c and d are matched.  The len(slots) - #update other slots (a
-collision, or a c cancelled while d is not) are repaired exactly from the
-operands (_repair): the term products c1*c2*X^(e1+e2) with e1 + e2 in
-such a slot k are found by bucketing one operand of each pair by e mod
-p, summed by exponent and taken less h*'s terms in slot k.  Those are the
-terms of H - h* in slot k, every exponent with all of its products, so
-h* + update equals H on every repaired slot.  A repair is made only when
-it costs less than the walk a second round would take; otherwise the job
-walks again, as every round did before.  The empty list is the zero case.
+their c and d are matched.  The other slots, where find_terms emits
+nothing (a collision, or a c cancelled while d is not), are repaired
+exactly from the operands (_repair): the term products c1*c2*X^(e1+e2)
+with e1 + e2 in such a slot k are found by bucketing one operand of each
+pair by e mod p, summed by exponent and taken less h*'s terms in slot
+k.  Those are the terms of H - h* in slot k, every exponent with all of
+its products, so h* + update equals H on every repaired slot.  A repair
+is made only when it costs less than the walk a second round would take;
+otherwise the job walks again, as every round did before.  The empty
+list is the zero case.
 The rule is a stopping rule, not a certificate: p was used to build the
 update, so a collision at p can make a wrong h* look explained.  The
 caller's verifier (product.py) certifies the result.
@@ -202,6 +214,16 @@ def _slot_sums(F: SparsePoly, p: int, width: int | None) -> list:
     return [(r, s, d) for r, (s, d) in sums.items() if s or d]
 
 
+def _with_exponents(slots: list, F: SparsePoly, p: int) -> list:
+    """F's slot triples (_slot_sums) as (r, c, d, e): e the exponent of
+    the one term in slot r, or None where the slot holds more."""
+    one: dict = {}
+    for e, _ in F.terms:
+        r = e % p
+        one[r] = None if r in one else e
+    return [(*t, one[t[0]]) for t in slots]
+
+
 def _exponent_pass_pays(work: int, p: int, limit: int) -> bool:
     """Whether _single_hits is worth running before a sparse walk of work
     slot pairs.  work pairs landing at random in p slots leave about
@@ -249,7 +271,8 @@ def _single_hits(slotted, minus: SparsePoly, p: int, limit: int) -> int:
     return len(seen) - len(multi)
 
 
-def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list:
+def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int, *,
+                           lone: list | None = None) -> list:
     """Slot triples of H = sum F_i*G_i - minus modulo X^p - 1, from one
     pass over the term pairs and without the full products: the list of
     (r, c, d), in no particular order, one per slot r < p where c or d is
@@ -266,22 +289,42 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     product rule; so it adds c1*c2 to c and d1*c2 + c1*d2 to d at slot k.
     The sums are accumulated over integer images (RingSpec.lift) and each
     slot is dropped back into the ring once.  Two equivalent routes
-    accumulate them: direct sparse accumulation over the slot pairs,
-    charged 3 ring mults per pair, or three packed dense cyclic
-    convolutions per pair over Z.  The one the cost model
-    _dense_is_cheaper predicts faster is taken.  Every slot sum, minus's
-    included, is an image at one width, sized from term counts: a slot
-    gains at most sum min(#F_i, #G_i) products in c, twice that in d, and
-    one image of minus.  minus enters first and the same way in every
-    ring: the slot triples of -minus (_slot_sums) seed both routes'
-    accumulators, so a slot where minus's terms cancel both sums adds
-    nothing.
+    accumulate them: direct sparse accumulation over the slot pairs, or
+    three packed dense cyclic convolutions per pair over Z.  The one the
+    cost model _dense_is_cheaper predicts faster is taken.  Every slot
+    sum, minus's included, is an image at one width, sized from term
+    counts: a slot gains at most sum min(#F_i, #G_i) products in c, twice
+    that in d, and one image of minus.  minus enters first and the same
+    way in every ring: the slot triples of -minus (_slot_sums) seed both
+    routes' accumulators, so a slot where minus's terms cancel both sums
+    adds nothing.
 
     The count of nonzero c (the terms of H mod X^p - 1) is checked first,
     then that of nonzero d (the terms of X*H' mod X^p - 1): as soon as one
     is N > limit, SparsityBoundError(N - #minus) is raised.  Reduction
     modulo X^p - 1 only merges terms, and X*H' has no more terms than H,
     so N <= #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.
+
+    The sparse route reads lone slots as terms.  Let k be a slot that
+    exactly one slot pair (r1, r2) reaches over all pairs, where r1 holds
+    one term c1*X^e1 of F_i and r2 one term c2*X^e2 of G_i, and that holds
+    no term of minus.  Then the only term product in slot k is
+    c1*c2*X^(e1+e2), nonzero as Z and every field have no zero divisors,
+    and nothing cancels it: H's terms in slot k are that one term, an
+    exact term of H, with c = c1*c2 and d = (e1+e2)*c1*c2.  find_terms
+    would read it from that triple, as every test it makes holds: c is
+    nonzero, d/c = e1 + e2, e1 + e2 = k (mod p), and under interp_sum_sp's
+    bounds e1 + e2 <= D - 1, below a field's characteristic, and, over Z,
+    |c1*c2| <= C.  With lone, a list, the walk appends (e1 + e2, c1*c2)
+    to it for every such slot, in no particular order, and returns the
+    triples of the other slots only; a slot reached once and then by a
+    later pair is a general slot, with both pairs' sums.  The sparse route charges 3 ring mults per slot
+    pair that lands in a general slot and 1 per lone slot, its one
+    product c1*c2; without lone, lone slots are triples like the others,
+    and the charge is exactly 3 per slot pair.  The dense route reads no
+    lone slot.  The overflow counts take a lone term as a nonzero c, and
+    as a nonzero d unless e1 + e2 = 0, so they, and every floor, do not
+    depend on lone.
 
     Before the sparse double loop, when _exponent_pass_pays, the exponents
     alone can prove the overflow (_single_hits).  Let k be a slot that
@@ -292,7 +335,8 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     #(sum F_i*G_i) >= #(sum F_i*G_i mod X^p - 1) >= the number of such
     slots, and more than limit of them raise SparsityBoundError with that
     number as the floor, before any ring product.  Otherwise the walk runs
-    as above and returns the same triples.  Empty pairs raise ValueError:
+    as above and returns the same triples and lone terms.  Empty pairs
+    raise ValueError:
     there is no ring to take.
     """
     if not pairs:
@@ -306,6 +350,7 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
     # h* is subtracted here alone: its slot triples seed the accumulators
     seed = _slot_sums(negate(minus), p, width)
     work = sum(len(fs) * len(gs) for fs, gs in slotted)
+    read = []  # the lone slots' terms (e, c)
     dense = _dense_is_cheaper(p, slotted, work)
     if dense:
         vec, dvec = [0] * p, [0] * p
@@ -325,33 +370,58 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> list
             floor = _single_hits(slotted, minus, p, limit)
             if floor > limit:
                 raise SparsityBoundError(floor)
-        # acc and dacc gain their keys together, so their orders agree
-        acc = {r: c for r, c, _ in seed}
-        dacc = {r: d for r, _, d in seed}
-        for fs, gs in slotted:
-            for r1, c1, d1 in fs:
-                for r2, c2, d2 in gs:
-                    k = r1 + r2
+        # acc and dacc gain their keys together, so their orders agree.
+        # Every slot of minus starts there, with its sums (0 where its
+        # terms cancel both), so a slot outside acc holds no term of minus
+        acc = dict.fromkeys({e % p for e, _ in minus.terms}, 0)
+        dacc = dict.fromkeys(acc, 0)
+        for r, c, d in seed:
+            acc[r], dacc[r] = c, d
+        # each slot as (r, c, d, e), e the exponent of its one term or None;
+        # once[k] is the one slot pair that has reached k so far, moved to
+        # acc by the next pair to reach k
+        rows = [(_with_exponents(fs, F, p), _with_exponents(gs, G, p))
+                for (F, G), (fs, gs) in zip(pairs, slotted)]
+        once: dict = {}
+        for fs, gs in rows:
+            for t1 in fs:
+                r1, c1, d1, _ = t1
+                for t2 in gs:
+                    k = r1 + t2[0]
                     if k >= p:
                         k -= p
-                    if k in acc:
-                        acc[k] += c1 * c2
-                        dacc[k] += d1 * c2 + c1 * d2
-                    else:
-                        acc[k] = c1 * c2
-                        dacc[k] = d1 * c2 + c1 * d2
-        add_mul_count(3 * work)
+                    if k not in acc:
+                        if k not in once:
+                            once[k] = (t1, t2)
+                            continue
+                        (_, a1, b1, _), (_, a2, b2, _) = once.pop(k)
+                        acc[k] = a1 * a2
+                        dacc[k] = b1 * a2 + a1 * b2
+                    _, c2, d2, _ = t2
+                    acc[k] += c1 * c2
+                    dacc[k] += d1 * c2 + c1 * d2
+        for k, ((_, c1, d1, e1), (_, c2, d2, e2)) in once.items():
+            if lone is not None and e1 is not None and e2 is not None:
+                read.append((e1 + e2, c1 * c2))
+            else:
+                acc[k] = c1 * c2
+                dacc[k] = d1 * c2 + c1 * d2
+        add_mul_count(3 * (work - len(read)) + len(read))
         slots = zip(acc, acc.values(), dacc.values())
 
     if ring.is_field:
         drop = ring.drop
         slots = ((r, drop(c, width), drop(d, width)) for r, c, d in slots)
+        read = [(e, drop(c, width)) for e, c in read]
     slots = [t for t in slots if t[1] or t[2]]
-    if len(slots) > limit:
-        for i in (1, 2):
-            n = sum(1 for t in slots if t[i])
+    if len(slots) + len(read) > limit:
+        # a lone term c*X^e has c != 0, and d = e*c != 0 unless e = 0
+        for i, extra in ((1, len(read)), (2, sum(1 for e, _ in read if e))):
+            n = sum(1 for t in slots if t[i]) + extra
             if n > limit:
                 raise SparsityBoundError(n - minus.sparsity)
+    if lone is not None:
+        lone.extend(read)
     return slots
 
 
@@ -371,10 +441,10 @@ def _repair(pairs, minus: SparsePoly, p: int, ks) -> SparsePoly | None:
     The cost rule counts steps, one per term visit, lookup or product.
     The repair takes sum #large_i (bucketing) + u*sum #small_i (lookups,
     u = #ks) + the products landing in the u slots.  A walk takes
-    sum (#F_i + #G_i) for its slot sums plus 3 per slot pair, the ring
-    mults it charges for each.  The walk is priced at this round's p; a
+    sum (#F_i + #G_i) for its slot sums plus 3 per slot pair, what a walk
+    without lone slots charges.  The walk is priced at this round's p; a
     second round also pays find_terms and _trim, left out in the walk's
-    favour.
+    favour, and reads its lone slots at less, left out in the repair's.
     """
     ring = minus.ring
     u = len(ks)
@@ -428,11 +498,12 @@ def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
 
 
 def _round(pairs, h_star: SparsePoly, p: int, T: int, D: int, C: int | None):
-    """One round of interp_sum_sp at p: the walk, find_terms' update and the
-    repair of the slots it leaves.  Returns the new h* and whether the job
-    ends there: every slot triple of H - h* explained or repaired, and
-    _trim keeping all of h* + update, so that H less the new h* vanishes
-    mod X^p - 1, and so does its derivative."""
+    """One round of interp_sum_sp at p: the walk, whose lone slots are terms
+    of the update, find_terms' terms of the other slots and the repair of
+    the slots it leaves.  Returns the new h* and whether the job ends
+    there: every slot triple of H - h* explained or repaired, and _trim
+    keeping all of h* + update, so that H less the new h* vanishes mod
+    X^p - 1, and so does its derivative."""
     ring = h_star.ring
     # both residues of H - h* have at most #H + #h* terms, so more than
     # 2T + #h* prove #H > 2T, and _trim keeps at most 2T terms: no later
@@ -440,21 +511,23 @@ def _round(pairs, h_star: SparsePoly, p: int, T: int, D: int, C: int | None):
     # An honest job (T >= #H) stays within T + #h* <= 3T and never
     # gets there.
     limit = min(3 * T, 2 * T + h_star.sparsity)
-    slots = cyclic_product_residue(pairs, h_star, p, limit=limit)
+    lone: list = []
+    slots = cyclic_product_residue(pairs, h_star, p, limit=limit, lone=lone)
     missed: list = []
-    update = find_terms(p, ring, slots, D - 1, 2 * C if C is not None else None,
-                        missed=missed)
+    found = find_terms(p, ring, slots, D - 1, 2 * C if C is not None else None,
+                       missed=missed)
+    terms = [*found.terms, *lone]
     explained = not missed
     if missed:
         # the slots no update term explains, repaired from the operands
         # when that costs less than another walk
         fixed = _repair(pairs, h_star, p, missed)
         if fixed is not None:
-            # no exponent repeats: fixed holds only slots no update
-            # term reaches, so one sort of the two runs joins them
-            update = SparsePoly(ring, tuple(sorted(update.terms + fixed.terms,
-                                                   key=operator.itemgetter(0))))
+            terms += fixed.terms
             explained = True
+    # no exponent repeats: the lone terms, find_terms' terms and the repair
+    # come from distinct slots, so one sort joins them
+    update = SparsePoly(ring, tuple(sorted(terms, key=operator.itemgetter(0))))
     total = add(h_star, update)
     trimmed = _trim(total, T, C)
     return trimmed, explained and trimmed.sparsity == total.sparsity

@@ -107,12 +107,14 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
 
     The charge is the table, max(1, nonzero windows of e) per term of
     F_p and of G_p (a term whose coefficient vanishes mod q is looked up
-    too: its value is 0), and one product for F_p(alpha) * G_p(alpha); a
-    wrapping pair adds one product per wrapping term of G_p, and, for
-    alpha != 0, the exponentiation
-    alpha^((-p) mod (|F| - 1)) = alpha^-p through ring.pow and one
-    product more.  That is O((#F + #G) log p / log(#F + #G) + log |F|)
-    ring multiplications, all charged to the global counter.
+    too: its value is 0), and one product for F_p(alpha) * G_p(alpha).  A
+    wrapping pair adds, for alpha != 0, one product per wrapping term of
+    G_p, the exponentiation alpha^((-p) mod (|F| - 1)) = alpha^-p through
+    ring.pow and one product more; at alpha = 0, one product per wrapping
+    term g_j of G_p whose partner p - j is an exponent of F_p, the pairs
+    with t + j = p, and none for the others.  That is O((#F + #G) log p /
+    log(#F + #G) + log |F|) ring multiplications, all charged to the
+    global counter.
     """
     field = _image_field(_same_ring(F_p, G_p), field)
     if p < 1:

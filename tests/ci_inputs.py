@@ -32,8 +32,8 @@ It writes ten sets of pairs, each from its own fixed seed:
 * x2a/x2b.poly (quadratic_pair): 8 x 8 terms over F_((2^61 - 1)^2), whose
   canonical modulus is Y^2 + 1, with exponents below 10^4.  The product
   is interpolated in that field itself: its walks drop their slot sums
-  at s = 2, find_terms multiplies and inverts there, and the check runs
-  at p = D + 1 in the ring itself, so every F_(q^2) operation goes
+  at s = 2 and read its 64 distinct sums as lone terms, and the check
+  runs at p = D + 1 in the ring itself, so every F_(q^2) operation goes
   through the two-digit fold at a large q.
 * rza/rzb.poly (random_pair): 64 x 64 terms over Z with exponents below
   10^9 and coefficients below 2^30 in absolute value, shaped like the

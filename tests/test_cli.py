@@ -602,9 +602,9 @@ class TestCommands:
         walks = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, minus, p, limit):
+        def cyclic_product_residue(pairs, minus, p, limit, **kw):
             walks.append((len(pairs), minus.ring))
-            return real(pairs, minus, p, limit)
+            return real(pairs, minus, p, limit, **kw)
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         files = ci_inputs.extension_pair()
@@ -637,10 +637,13 @@ class TestCommands:
         # x2a/x2b: 8 x 8 terms over F_((2^61 - 1)^2) below 10^4, modulus
         # Y^2 + 1; no operand wraps, so every walk is of the one pair
         # (F, G) in that field, the walks drop their slot sums at s = 2,
-        # find_terms multiplies and inverts there, and the check runs at
-        # p = D + 1 in the ring itself, each through _fold's two-digit case.
-        # The product equals the schoolbook one, passes its check, fails it
-        # with one coefficient changed, and its estimate lies in [n, 2n]
+        # and the check runs at p = D + 1 in the ring itself, each through
+        # _fold's two-digit case.  Its 64 sums are distinct, so its walks
+        # read them as lone terms; a second pair in that field, with
+        # exponents 0..7 on both sides, has repeated sums, and find_terms
+        # multiplies and inverts at s = 2 to read its slots.  Both products
+        # equal the schoolbook ones; x2's passes its check, fails it with
+        # one coefficient changed, and its estimate lies in [n, 2n]
         calls = {"drop": 0, "inv": 0, "_fold": 0}
         for name in calls:
             def counted(self, *args, _real=getattr(RingSpec, name), _name=name):
@@ -651,24 +654,34 @@ class TestCommands:
         walks = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, minus, p, limit):
+        def cyclic_product_residue(pairs, minus, p, limit, **kw):
             walks.append((len(pairs), minus.ring))
-            return real(pairs, minus, p, limit)
+            return real(pairs, minus, p, limit, **kw)
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         seen = watch_cyclic_evaluations(monkeypatch)
         files = ci_inputs.quadratic_pair()
-        a, b = (self._write(tmp_path, f"x2{side}.poly", files[f"x2{side}.poly"])
-                for side in "ab")
-        h, naive = tmp_path / "x2h.poly", tmp_path / "x2naive.poly"
-        assert run_command(["mul", a, b, "-o", str(h)]) == 0
+        rnd = random.Random(12)
+        q = ci_inputs.Q61
+        for side in "ab":
+            files[f"x2r{side}.poly"] = f"field {q} 2\nvars 1\n" + "".join(
+                f"term {rnd.randint(1, q - 1)},{rnd.randint(1, q - 1)} {e}\n" for e in range(8))
+        paths = {}
+        for name in ("x2r", "x2"):
+            a, b = (self._write(tmp_path, f"{name}{side}.poly", files[f"{name}{side}.poly"])
+                    for side in "ab")
+            h, naive = tmp_path / f"{name}h.poly", tmp_path / f"{name}naive.poly"
+            assert run_command(["mul", a, b, "-o", str(h)]) == 0
+            paths[name] = a, b, h, naive
         ring = parse_poly(Path(a).read_text()).ring
         assert ring == ext_field(2 ** 61 - 1, 2) and ring.modulus == (1, 0, 1)
         assert ring._packed_rows == () and not ring._cyclic
         assert walks and set(walks) == {(1, ring)}
         assert calls["drop"] > 0 and calls["inv"] > 0 and calls["_fold"] > calls["drop"]
-        assert run_command(["mul", "--naive", a, b, "-o", str(naive)]) == 0
-        assert h.read_bytes() == naive.read_bytes()
+        for a, b, h, naive in paths.values():
+            assert run_command(["mul", "--naive", a, b, "-o", str(naive)]) == 0
+            assert h.read_bytes() == naive.read_bytes()
+        a, b, h, _ = paths["x2"]
         seen.clear()
         assert run_command(["verify", a, b, str(h)]) == 0
         assert capsys.readouterr().out == "OK\n"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -383,6 +384,161 @@ class TestCyclicProductResidue:
                 cyclic_product_residue([], minus, 5, limit=5)
 
 
+def _lone_slots(pairs, minus, p) -> set:
+    """Brute force: the slots k that exactly one slot pair (r1, r2), r1 +
+    r2 = k (mod p), reaches over all pairs, both of whose slots hold one
+    term, and that hold no term of minus."""
+    hits, barred = {}, {e % p for e, _ in minus.terms}
+    for f, g in pairs:
+        f_n, g_n = (Counter(e % p for e, _ in h.terms) for h in (f, g))
+        for r1, _, _ in _slots_of(f, p):
+            for r2, _, _ in _slots_of(g, p):
+                k = (r1 + r2) % p
+                hits[k] = hits.get(k, 0) + 1
+                if f_n[r1] > 1 or g_n[r2] > 1:
+                    barred.add(k)
+    return {k for k, n in hits.items() if n == 1 and k not in barred}
+
+
+def _walk_work(pairs, p) -> int:
+    """The sparse walk's slot pairs: sum of #slots(F_i) * #slots(G_i)."""
+    return sum(len(_slots_of(f, p)) * len(_slots_of(g, p)) for f, g in pairs)
+
+
+def _read_both_ways(pairs, minus, p, limit):
+    """cyclic_product_residue on the sparse route, without and with lone=:
+    (full triples, triples, lone terms), or the floor each raised."""
+    try:
+        full = cyclic_product_residue(pairs, minus, p, limit)
+    except SparsityBoundError as err:
+        full = err.floor
+    lone = []
+    try:
+        part = cyclic_product_residue(pairs, minus, p, limit, lone=lone)
+    except SparsityBoundError as err:
+        part = err.floor
+    return full, part, lone
+
+
+LONE_RINGS = [ZZ, prime_field(Q62), ext_field(101, 3), ext_field(10007, 2)]
+LONE_IDS = ["Z", "F_Q62", "F_101^3", "F_10007^2"]
+
+
+class TestLoneSlots:
+    """A slot k that one slot pair alone reaches, both of its slots holding
+    one term, c1*X^e1 and c2*X^e2, and no term of minus, holds the term
+    c1*c2*X^(e1+e2) and nothing else; with lone= the walk emits that term
+    instead of its triple."""
+
+    @staticmethod
+    def _bounds(pairs, ring):
+        """find_terms' D and C as interp_sum_sp's rounds pass them."""
+        D = max(f.degree + g.degree for f, g in pairs)
+        C = 2 * height_bound(pairs) if ring.kind == "integers" else None
+        return D, C
+
+    def _assert_same_reading(self, pairs, minus, p, ring) -> int:
+        """The triples and the lone terms are the full triples, split, and
+        find_terms reads the triples plus the lone terms as exactly the
+        terms, and the missed slots, it reads from the full triples.
+        Returns the number of lone terms."""
+        full, part, lone = _read_both_ways(pairs, minus, p, p)
+        assert sorted(part + [(e % p, c, ring.smul(c, e)) for e, c in lone]) == sorted(full)
+        assert {e % p for e, _ in lone} == _lone_slots(pairs, minus, p)
+        D, C = self._bounds(pairs, ring)
+        m_full, m_part = [], []
+        want = find_terms(p, ring, full, D, C, missed=m_full)
+        got = find_terms(p, ring, part, D, C, missed=m_part)
+        assert sorted(got.terms + tuple(lone)) == list(want.terms)
+        assert sorted(m_part) == sorted(m_full)
+        return len(lone)
+
+    @pytest.mark.parametrize("ring", LONE_RINGS, ids=LONE_IDS)
+    def test_lone_terms_read_as_find_terms_reads_them(self, monkeypatch, ring):
+        monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
+        rnd = random.Random(47)
+        emax = 50 if ring.char == 101 else 5000  # D stays below the characteristic
+        lone = general = 0
+        for _ in range(30):
+            p = rnd.choice([11, 53, 211, 1009])
+            pairs = [(rand_sparse(rnd, ring, 8, emax, 2 ** 20),
+                      rand_sparse(rnd, ring, 8, emax, 2 ** 20))
+                     for _ in range(rnd.randint(1, 2))]
+            minus = rand_sparse(rnd, ring, 6, emax, 2 ** 20) if rnd.random() < 0.5 \
+                else zero_poly(ring)
+            n = self._assert_same_reading(pairs, minus, p, ring)
+            lone += n
+            general += n < _walk_work(pairs, p)
+        assert lone >= 200 and general >= 10
+
+    @pytest.mark.parametrize("ring", LONE_RINGS, ids=LONE_IDS)
+    def test_edge_cases(self, monkeypatch, ring):
+        monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
+        p = 11
+        one = ring.coerce(1)
+        zero = zero_poly(ring)
+
+        def poly(*exps):
+            return canonicalize([(e, one) for e in exps], ring)
+
+        # e1 + e2 = 0: (1 + X)(1 + X^2) reaches 0, 1, 2 and 3 once each,
+        # and slot 0's lone term is X^0, whose d = 0
+        pairs = [(poly(0, 1), poly(0, 2))]
+        _, _, lone = _read_both_ways(pairs, zero, p, p)
+        assert sorted(lone) == [(e, one) for e in range(4)]
+        assert self._assert_same_reading(pairs, zero, p, ring) == 4
+        # terms of minus in an otherwise lone slot bar slot 3 from the lone
+        # read, and find_terms reads it from its triple: 2X^(3+p), and
+        # X^3 - 2X^(3+p) + X^(3+2p), whose c and d sums both cancel
+        two = ring.add(one, one)
+        for minus in (canonicalize([(3 + p, two)], ring),
+                      canonicalize([(3, one), (3 + p, ring.neg(two)), (3 + 2 * p, one)], ring)):
+            part, lone = _read_both_ways(pairs, minus, p, p)[1:]
+            assert sorted(e for e, _ in lone) == [0, 1, 2] and [t[0] for t in part] == [3]
+            assert self._assert_same_reading(pairs, minus, p, ring) == 3
+        # a slot reached once in each of two pairs, as the h2 job's
+        # deriv_pairs reach it: X*X^2 and X^2*X both land in slot 3, which
+        # is general; slots 1 and 5 stay lone
+        pairs = [(poly(1), poly(0, 2)), (poly(2), poly(1, 3))]
+        part, lone = _read_both_ways(pairs, zero, p, p)[1:]
+        assert sorted(e for e, _ in lone) == [1, 5] and [t[0] for t in part] == [3]
+        assert self._assert_same_reading(pairs, zero, p, ring) == 2
+        # an operand slot holding two terms: X + X^(1+p) fills slot 1 of F,
+        # so the slots it reaches are general, though each is reached once
+        pairs = [(poly(1, 1 + p, 4), poly(2))]
+        part, lone = _read_both_ways(pairs, zero, p, p)[1:]
+        assert lone == [(6, one)] and [t[0] for t in part] == [3]
+        assert self._assert_same_reading(pairs, zero, p, ring) == 1
+
+    @pytest.mark.parametrize("ring", LONE_RINGS, ids=LONE_IDS)
+    def test_floors_do_not_depend_on_lone(self, monkeypatch, ring):
+        # every limit from 0 to the residue's size: both walks raise the
+        # same floor, or neither raises.  Both operands hold X^0, so slot 0
+        # is often a lone slot whose term X^0 has d = 0, where the count
+        # of nonzero c and that of nonzero d differ
+        monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
+        monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: False)
+        rnd = random.Random(48)
+        emax = 50 if ring.char == 101 else 5000
+        raised = zero_lone = 0
+        for _ in range(12):
+            p = rnd.choice([53, 211])
+            f, g = (add(rand_sparse(rnd, ring, 6, emax, 2 ** 20), monomial(ring, 0, 1))
+                    for _ in range(2))
+            pairs = [(f, g)]
+            minus = canonicalize([(p + 1, ring.coerce(1))], ring) if rnd.random() < 0.5 \
+                else zero_poly(ring)
+            zero_lone += 0 in _lone_slots(pairs, minus, p)
+            for limit in range(f.sparsity * g.sparsity + 2):
+                full, part, lone = _read_both_ways(pairs, minus, p, limit)
+                if isinstance(full, int):
+                    assert part == full
+                    raised += 1
+                else:
+                    assert isinstance(part, list)
+        assert raised >= 30 and zero_lone >= 6
+
+
 def _single_hit_count(pairs, minus, p):
     """Brute force: the slots k reached by exactly one slot pair (r1, r2),
     r1 + r2 = k (mod p), over all pairs, both of whose c sums are nonzero,
@@ -611,17 +767,44 @@ class TestInterpSumSP:
     def test_guess_below_half_stops_after_one_pass(self, monkeypatch):
         # H = 1 + X + ... + X^35 has 36 > 2T terms: the first residue
         # overflows 2T + #h* = 30, which proves no round can reach H, and
-        # its count is reported as the floor 30 < floor <= #H
+        # its count is reported as the floor 30 < floor <= #H.  The walk
+        # charges 3 ring mults per slot pair landing in a general slot and
+        # 1 per lone slot, and exactly 3 per slot pair without lone=
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
         rounds = _watch_rounds(monkeypatch)
+        primes = []
+        real = interp.cyclic_product_residue
+
+        def cyclic_product_residue(pairs, minus, p, limit, **kw):
+            primes.append(p)
+            return real(pairs, minus, p, limit, **kw)
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         for seed in range(10):
             rounds.clear()
+            primes.clear()
             reset_mul_count()
             with pytest.raises(SparsityBoundError) as err:
                 interp_sum_sp([(f, g)], 15, 0.25, RandomSource(seed))
-            assert mul_count() <= 3 * f.sparsity * g.sparsity
+            charged = mul_count()
+            [p] = primes
+            assert not interp._dense_is_cheaper(p, [(_slots_of(f, p), _slots_of(g, p))], 36)
+            work, n = _walk_work([(f, g)], p), len(_lone_slots([(f, g)], zero_poly(ZZ), p))
+            assert charged == 3 * (work - n) + n and n > 0
             assert rounds == [] and 30 < err.value.floor <= 36
+        # and at primes where slots collide, walked directly with no limit
+        general = 0
+        for p in (5, 7, 11, 13, 31, 37):
+            work, n = _walk_work([(f, g)], p), len(_lone_slots([(f, g)], zero_poly(ZZ), p))
+            reset_mul_count()
+            real([(f, g)], zero_poly(ZZ), p, 36, lone=[])
+            assert mul_count() == 3 * (work - n) + n
+            reset_mul_count()
+            real([(f, g)], zero_poly(ZZ), p, 36)
+            assert mul_count() == 3 * work
+            general += n < work
+        assert general >= 4
 
     def test_guess_within_half_still_recovers(self):
         # T < #H = 36 <= 2T: the residue stays within 2T + #h*, and the
@@ -838,9 +1021,9 @@ class TestRepair:
         minus = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, h_star, p, limit):
+        def cyclic_product_residue(pairs, h_star, p, limit, **kw):
             minus.append(h_star)
-            return real(pairs, h_star, p, limit)
+            return real(pairs, h_star, p, limit, **kw)
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         _pin_round_primes(monkeypatch, [5, p2])
@@ -886,10 +1069,10 @@ class TestShortRound:
         walks = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, minus, q, limit):
+        def cyclic_product_residue(pairs, minus, q, limit, **kw):
             walks.append((q, minus, None))
             try:
-                return real(pairs, minus, q, limit)
+                return real(pairs, minus, q, limit, **kw)
             except SparsityBoundError as err:
                 walks[-1] = (q, minus, err.floor)
                 raise

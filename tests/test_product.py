@@ -78,9 +78,9 @@ def _watch_walks(monkeypatch) -> list:
     primes = []
     real = interp.cyclic_product_residue
 
-    def cyclic_product_residue(pairs, minus, p, limit):
+    def cyclic_product_residue(pairs, minus, p, limit, **kw):
         primes.append(p)
-        return real(pairs, minus, p, limit)
+        return real(pairs, minus, p, limit, **kw)
 
     monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
     return primes
@@ -738,9 +738,9 @@ class TestSparsityFloor:
             jobs.append({"walks": [], "short": 0, "missed": []})
             return real_job(pairs, T, mu, rng)
 
-        def cyclic_product_residue(pairs, minus, p, limit):
+        def cyclic_product_residue(pairs, minus, p, limit, **kw):
             jobs[-1]["walks"].append((pairs, p))
-            return real_walk(pairs, minus, p, limit)
+            return real_walk(pairs, minus, p, limit, **kw)
 
         def random_prime(lam, rng):
             jobs[-1]["short"] += 1
@@ -912,10 +912,10 @@ class TestShortRound:
             jobs.append([])
             return real_job(pairs, T, mu, rng)
 
-        def cyclic_product_residue(pairs, minus, p, limit):
+        def cyclic_product_residue(pairs, minus, p, limit, **kw):
             jobs[-1].append("walk")
             try:
-                return real_walk(pairs, minus, p, limit)
+                return real_walk(pairs, minus, p, limit, **kw)
             except SparsityBoundError:
                 jobs[-1].append("raised")
                 raise

@@ -168,28 +168,34 @@ class TestEvalCyclicProduct:
     def test_charge_when_pairs_wrap(self, ring):
         # the table, the lookups and F(alpha) * G(alpha), one product per
         # wrapping term of G, then alpha^-p through ring.pow and one
-        # product more
+        # product more; at alpha = 0, one product per wrapping term g_j
+        # whose partner p - j is an exponent of F, and none for the others
         rnd = random.Random(12)
-        wrapped = 0
+        wrapped = unpartnered = 0
         for p in (3, 50, 1009):
             for _ in range(6):
                 f = _with_exps(rnd, ring, rnd.sample(range(p), min(14, p)))
                 g = _with_exps(rnd, ring, rnd.sample(range(p), min(9, p)))
-                alpha = _nonzero(rnd, ring)
                 wraps = sum(1 for e, _ in g.terms if e >= p - f.degree)
+                partnered = sum(1 for e, _ in g.terms
+                                if e >= p - f.degree and any(t == p - e for t, _ in f.terms))
                 wrapped += wraps > 0
-                reset_mul_count()
-                table = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
-                for e, _ in f.terms + g.terms:
-                    term_values(ring, [(e, 1)], table)
-                want = mul_count() + 1
-                if wraps:
-                    want += wraps + _pow_cost(-p % (ring.size - 1)) + 1
-                reset_mul_count()
-                value = eval_cyclic_product(f, g, p, alpha)
-                assert mul_count() == want, (p, wraps)
-                assert value == _cyclic_eval_oracle(f, g, p, alpha)
-        assert wrapped >= 12
+                unpartnered += partnered < wraps
+                for alpha in (_nonzero(rnd, ring), 0):
+                    reset_mul_count()
+                    table = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
+                    for e, _ in f.terms + g.terms:
+                        term_values(ring, [(e, 1)], table)
+                    want = mul_count() + 1
+                    if wraps and alpha:
+                        want += wraps + _pow_cost(-p % (ring.size - 1)) + 1
+                    elif wraps:
+                        want += partnered
+                    reset_mul_count()
+                    value = eval_cyclic_product(f, g, p, alpha)
+                    assert mul_count() == want, (p, wraps, alpha)
+                    assert value == _cyclic_eval_oracle(f, g, p, alpha)
+        assert wrapped >= 12 and unpartnered >= 6
 
     def test_operation_count_contract_small_grid(self):
         import math
