@@ -26,15 +26,16 @@ c1*X^e1 and c2*X^e2, and that holds no term of h*, holds the term
 c1*c2*X^(e1+e2) of H - h* and nothing else: one product gives it, exact,
 and it passes every test find_terms would make of its triple.  The walk
 emits such lone slots as terms, at one ring mult each against three per
-slot pair (the same argument as the exponent pass below, and the way
-Arnold and Roche read off the terms that avoid collisions), and
-find_terms divides only the other slots.
+slot pair (the way Arnold and Roche read off the terms that avoid
+collisions), and find_terms divides only the other slots.
 
-A walk that would overflow (more terms than the round can use) can often
-be stopped from the exponents alone: a slot that exactly one slot pair
-reaches, and that h* leaves empty, holds a nonzero product of two nonzero
-slot sums, so the count of such slots is a proven lower bound on #H found
-without a ring product (cyclic_product_residue).
+The same slots stop a walk that would overflow (more terms than the round
+can use).  A slot that exactly one slot pair reaches, and that h* leaves
+empty, holds the product of that pair's two c sums, nonzero when both are,
+so the count of such slots is a proven lower bound on #H.  The walk
+records its slot pairs before it multiplies any, counts those slots, and
+raises when they are too many, without a ring product
+(cyclic_product_residue).
 
 A job ends at the first round whose update explains or repairs every slot
 triple of H - h*: then H - h* - update vanishes mod X^p - 1, and so does X
@@ -75,7 +76,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 
 from .arith import RandomSource, _omega_bound, first_primes, random_prime
 from .errors import CharacteristicTooSmallError, SparsityBoundError
@@ -224,63 +224,18 @@ def _with_exponents(slots: list, F: SparsePoly, p: int) -> list:
     return [(*t, one[t[0]]) for t in slots]
 
 
-def _exponent_pass_pays(work: int, p: int, limit: int) -> bool:
-    """Whether _single_hits is worth running before a sparse walk of work
-    slot pairs.  work pairs landing at random in p slots leave about
-    work*e^(-work/p) slots hit exactly once, and the pass can raise only
-    when more than limit are; asking for twice limit keeps it to the walks
-    it is likely to end."""
-    return work * math.exp(-work / p) > 2 * limit
-
-
-def _single_hits(slotted, minus: SparsePoly, p: int, limit: int) -> int:
-    """The slots k outside minus's slots that exactly one slot pair
-    (r1, r2), r1 + r2 = k (mod p), reaches, both of that pair's c sums
-    nonzero: counted from the residues alone, with no ring product.
-
-    slotted holds one (fs, gs) per pair, each a list whose entries start
-    with a slot r < p and its c: the triples of _slot_sums, or a
-    polynomial's own (e, c) terms when p exceeds its degree, where every
-    slot is one term.  Returns 0 as soon as the running count falls below
-    limit's share of the rows (entries of the fs) done.  A count that ends
-    above limit rarely does that; structured sums, whose rows fall on the
-    same few slots, do it within a few rows.
-    """
-    seen = {e % p for e, _ in minus.terms}
-    multi = set(seen)  # reached twice or more, or not countable
-    rows = sum(len(fs) for fs, _ in slotted)
-    done = 0
-    for fs, gs in slotted:
-        g_rs = sorted(t[0] for t in gs)
-        g_zero = [t[0] for t in gs if not t[1]]
-        for t in fs:
-            r1 = t[0]
-            # r1 + r2 stays below p up to r2 = p - 1 - r1 and wraps once above
-            i = bisect_right(g_rs, p - 1 - r1)
-            row = set(map(r1.__add__, g_rs[:i]))
-            row.update(map((r1 - p).__add__, g_rs[i:]))
-            multi.update(seen.intersection(row))
-            seen.update(row)
-            if not t[1]:
-                multi.update(row)
-            elif g_zero:
-                multi.update((r1 + r2) % p for r2 in g_zero)
-            done += 1
-            if (len(seen) - len(multi)) * rows < limit * done:
-                return 0
-    return len(seen) - len(multi)
-
-
-def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int, *,
-                           lone: list | None = None) -> list:
-    """Slot triples of H = sum F_i*G_i - minus modulo X^p - 1, from one
-    pass over the term pairs and without the full products: the list of
-    (r, c, d), in no particular order, one per slot r < p where c or d is
-    nonzero, c the coefficient of H mod X^p - 1 at X^r and d = sum e*c_e
-    over the terms c_e*X^e of H in slot r, the coefficient of X*H' mod
-    X^p - 1 there.  interp_sum_sp passes its running h* as minus and its
-    overflow bound as limit.  Every F_i, G_i and minus must share one ring
-    (RingMismatchError otherwise), which c and d live in.
+def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> tuple:
+    """The residue of H = sum F_i*G_i - minus modulo X^p - 1, from one
+    pass over the term pairs and without the full products, as (triples,
+    lone).  triples is the list of (r, c, d), in no particular order, one
+    per slot r < p that is not lone (below) and where c or d is nonzero, c
+    the coefficient of H mod X^p - 1 at X^r and d = sum e*c_e over the
+    terms c_e*X^e of H in slot r, the coefficient of X*H' mod X^p - 1
+    there.  lone is the list of terms (e, c), in no particular order, one
+    per lone slot, each the only term of H in its slot.  interp_sum_sp
+    passes its running h* as minus and its overflow bound as limit.  Every
+    F_i, G_i and minus must share one ring (RingMismatchError otherwise),
+    which c and d live in.
 
     Each operand's terms are grouped into slots r = e mod p carrying
     c = sum c_j and d = sum e_j*c_j (_slot_sums, the same triples).  A pair
@@ -299,11 +254,12 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int, *,
     routes' accumulators, so a slot where minus's terms cancel both sums
     adds nothing.
 
-    The count of nonzero c (the terms of H mod X^p - 1) is checked first,
-    then that of nonzero d (the terms of X*H' mod X^p - 1): as soon as one
+    Once the residue is formed, the count of nonzero c (the terms of
+    H mod X^p - 1) is checked first, then that of nonzero d (the terms of X*H' mod X^p - 1): as soon as one
     is N > limit, SparsityBoundError(N - #minus) is raised.  Reduction
     modulo X^p - 1 only merges terms, and X*H' has no more terms than H,
-    so N <= #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.
+    so N <= #(sum F_i*G_i - minus) <= #(sum F_i*G_i) + #minus.  A lone
+    term c*X^e counts as a nonzero c, and as a nonzero d unless e = 0.
 
     The sparse route reads lone slots as terms.  Let k be a slot that
     exactly one slot pair (r1, r2) reaches over all pairs, where r1 holds
@@ -315,29 +271,28 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int, *,
     would read it from that triple, as every test it makes holds: c is
     nonzero, d/c = e1 + e2, e1 + e2 = k (mod p), and under interp_sum_sp's
     bounds e1 + e2 <= D - 1, below a field's characteristic, and, over Z,
-    |c1*c2| <= C.  With lone, a list, the walk appends (e1 + e2, c1*c2)
-    to it for every such slot, in no particular order, and returns the
-    triples of the other slots only; a slot reached once and then by a
-    later pair is a general slot, with both pairs' sums.  The sparse route charges 3 ring mults per slot
-    pair that lands in a general slot and 1 per lone slot, its one
-    product c1*c2; without lone, lone slots are triples like the others,
-    and the charge is exactly 3 per slot pair.  The dense route reads no
-    lone slot.  The overflow counts take a lone term as a nonzero c, and
-    as a nonzero d unless e1 + e2 = 0, so they, and every floor, do not
-    depend on lone.
+    |c1*c2| <= C.  Such a slot's term (e1 + e2, c1*c2) goes to lone; a
+    slot reached once and then by a later pair is a general slot, with
+    both pairs' sums.  The dense route reads no lone slot: its lone is
+    empty.
 
-    Before the sparse double loop, when _exponent_pass_pays, the exponents
-    alone can prove the overflow (_single_hits).  Let k be a slot that
-    exactly one slot pair (r1, r2) of one F_i, G_i reaches, with c1 and c2
-    nonzero, and that holds no term of minus.  Then the c of H at k is
-    c1*c2, nonzero since Z and every field have no zero divisors, and it is
-    also the c of sum F_i*G_i at k, minus having nothing there.  So
-    #(sum F_i*G_i) >= #(sum F_i*G_i mod X^p - 1) >= the number of such
-    slots, and more than limit of them raise SparsityBoundError with that
-    number as the floor, before any ring product.  Otherwise the walk runs
-    as above and returns the same triples and lone terms.  Empty pairs
-    raise ValueError:
-    there is no ring to take.
+    The sparse route can prove the overflow before any ring product.  Its
+    first pass only records where each slot pair lands: the one pair that
+    has reached a slot so far, or, for a general slot (reached twice, or
+    holding a term of minus), every pair that reaches it.  Let S be the
+    number of slots that exactly one slot pair (r1, r2) reaches, with c1
+    and c2 nonzero, and that hold no term of minus.  The c of H at such a
+    slot is c1*c2, nonzero since Z and every field have no zero divisors,
+    and it is also the c of sum F_i*G_i there, minus having nothing there.
+    So #(sum F_i*G_i) >= #(sum F_i*G_i mod X^p - 1) >= S, and S > limit
+    raises SparsityBoundError(S), with no ring product taken or charged.
+    S is counted only when more than limit slots are reached once, as it
+    cannot exceed limit otherwise.  Past the count, the walk forms the
+    general slots' sums and the lone terms and checks the counts above.
+    It charges 3 ring mults per slot pair that lands in a general slot
+    and 1 per lone slot, its one product c1*c2.
+
+    Empty pairs raise ValueError: there is no ring to take.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -366,48 +321,47 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int, *,
                 out[:] = map(operator.add, out, dense_cyclic_mul(a, b))
         slots = zip(range(p), vec, dvec)
     else:
-        if _exponent_pass_pays(work, p, limit):
-            floor = _single_hits(slotted, minus, p, limit)
-            if floor > limit:
-                raise SparsityBoundError(floor)
-        # acc and dacc gain their keys together, so their orders agree.
-        # Every slot of minus starts there, with its sums (0 where its
-        # terms cancel both), so a slot outside acc holds no term of minus
-        acc = dict.fromkeys({e % p for e, _ in minus.terms}, 0)
-        dacc = dict.fromkeys(acc, 0)
-        for r, c, d in seed:
-            acc[r], dacc[r] = c, d
-        # each slot as (r, c, d, e), e the exponent of its one term or None;
-        # once[k] is the one slot pair that has reached k so far, moved to
-        # acc by the next pair to reach k
+        # each slot as (r, c, d, e), e the exponent of its one term or None
         rows = [(_with_exponents(fs, F, p), _with_exponents(gs, G, p))
                 for (F, G), (fs, gs) in zip(pairs, slotted)]
+        # First pass, no ring product: once[k] is the one slot pair that has
+        # reached k so far, and general[k] every pair of a slot k reached
+        # twice or holding a term of minus (each such slot starts there, so
+        # a slot outside general holds no term of minus)
+        general = {e % p: [] for e, _ in minus.terms}
         once: dict = {}
         for fs, gs in rows:
             for t1 in fs:
-                r1, c1, d1, _ = t1
+                r1 = t1[0]
                 for t2 in gs:
                     k = r1 + t2[0]
                     if k >= p:
                         k -= p
-                    if k not in acc:
-                        if k not in once:
-                            once[k] = (t1, t2)
-                            continue
-                        (_, a1, b1, _), (_, a2, b2, _) = once.pop(k)
-                        acc[k] = a1 * a2
-                        dacc[k] = b1 * a2 + a1 * b2
-                    _, c2, d2, _ = t2
-                    acc[k] += c1 * c2
-                    dacc[k] += d1 * c2 + c1 * d2
+                    if k in general:
+                        general[k].append((t1, t2))
+                    elif k in once:
+                        general[k] = [once.pop(k), (t1, t2)]
+                    else:
+                        once[k] = (t1, t2)
+        # S, the overflow proven without a ring product (docstring)
+        if len(once) > limit:
+            n = sum(1 for t1, t2 in once.values() if t1[1] and t2[1])
+            if n > limit:
+                raise SparsityBoundError(n)
+        seeded = {r: (c, d) for r, c, d in seed}
+        slots = []
+        for k, kept in general.items():
+            c, d = seeded.get(k, (0, 0))
+            for (_, c1, d1, _), (_, c2, d2, _) in kept:
+                c += c1 * c2
+                d += d1 * c2 + c1 * d2
+            slots.append((k, c, d))
         for k, ((_, c1, d1, e1), (_, c2, d2, e2)) in once.items():
-            if lone is not None and e1 is not None and e2 is not None:
+            if e1 is not None and e2 is not None:
                 read.append((e1 + e2, c1 * c2))
             else:
-                acc[k] = c1 * c2
-                dacc[k] = d1 * c2 + c1 * d2
+                slots.append((k, c1 * c2, d1 * c2 + c1 * d2))
         add_mul_count(3 * (work - len(read)) + len(read))
-        slots = zip(acc, acc.values(), dacc.values())
 
     if ring.is_field:
         drop = ring.drop
@@ -420,9 +374,7 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int, *,
             n = sum(1 for t in slots if t[i]) + extra
             if n > limit:
                 raise SparsityBoundError(n - minus.sparsity)
-    if lone is not None:
-        lone.extend(read)
-    return slots
+    return slots, read
 
 
 def _repair(pairs, minus: SparsePoly, p: int, ks) -> SparsePoly | None:
@@ -441,10 +393,11 @@ def _repair(pairs, minus: SparsePoly, p: int, ks) -> SparsePoly | None:
     The cost rule counts steps, one per term visit, lookup or product.
     The repair takes sum #large_i (bucketing) + u*sum #small_i (lookups,
     u = #ks) + the products landing in the u slots.  A walk takes
-    sum (#F_i + #G_i) for its slot sums plus 3 per slot pair, what a walk
-    without lone slots charges.  The walk is priced at this round's p; a
-    second round also pays find_terms and _trim, left out in the walk's
-    favour, and reads its lone slots at less, left out in the repair's.
+    sum (#F_i + #G_i) for its slot sums plus 3 per slot pair, its charge
+    for a pair landing in a general slot.  The walk is priced at this
+    round's p; a second round also pays find_terms and _trim, left out in
+    the walk's favour, and reads its lone slots at 1 instead of 3, left
+    out in the repair's.
     """
     ring = minus.ring
     u = len(ks)
@@ -486,7 +439,8 @@ def _repair(pairs, minus: SparsePoly, p: int, ks) -> SparsePoly | None:
 
 def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
     """H without its terms above height C, cut to its 2T lowest terms.  No
-    degree filter: find_terms and _repair emit only e <= D - 1, and h*
+    degree filter: find_terms and _repair emit only e <= D - 1, the walk's
+    lone terms have e = e1 + e2 <= deg F_i + deg G_i <= D - 1, and h*
     holds only their updates.  The height filter builds a new list only
     when some |c| exceeds C."""
     terms = H.terms
@@ -511,8 +465,7 @@ def _round(pairs, h_star: SparsePoly, p: int, T: int, D: int, C: int | None):
     # An honest job (T >= #H) stays within T + #h* <= 3T and never
     # gets there.
     limit = min(3 * T, 2 * T + h_star.sparsity)
-    lone: list = []
-    slots = cyclic_product_residue(pairs, h_star, p, limit=limit, lone=lone)
+    slots, lone = cyclic_product_residue(pairs, h_star, p, limit=limit)
     missed: list = []
     found = find_terms(p, ring, slots, D - 1, 2 * C if C is not None else None,
                        missed=missed)
@@ -580,15 +533,15 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     no honest job (T >= #H) reaches.  The caller can skip checking the job
     and size its next guess from the floor.
 
-    The walk can raise a floor from the exponents alone, too.  A slot that
-    exactly one slot pair (r1, r2) reaches, with both c sums nonzero and
-    no term of h* in it, holds c1*c2, nonzero over Z and over a field, as
-    H's own coefficient there; so S such slots prove #H >= S.  More than
-    min(3T, 2T + #h*) >= 2T of them raise SparsityBoundError(S), a floor
-    above 2T that no honest job reaches, before any ring product
-    (cyclic_product_residue).  S may be below N - #h*, so the next guess
-    may be smaller than the walk's own floor would make it; every floor is
-    still a lower bound on #H.
+    The walk counts its own single hits before any ring product, too.  A
+    slot that exactly one slot pair (r1, r2) reaches, with both c sums
+    nonzero and no term of h* in it, holds c1*c2, nonzero over Z and over
+    a field, as H's own coefficient there; so S such slots prove #H >= S.
+    More than min(3T, 2T + #h*) >= 2T of them raise SparsityBoundError(S),
+    a floor above 2T that no honest job reaches, with no ring product
+    taken (cyclic_product_residue).  S may be below N - #h*, so the next
+    guess may be smaller than the residue's own count would make it;
+    every floor is still a lower bound on #H.
 
     For an honest job (T >= #H) that starts its pool rounds from h* = 0,
     they end at the round that brings h* to H (or the next one, if _trim

@@ -7,8 +7,9 @@ under a guessed sparsity bound that starts in [2, 4) and doubles until the
 result passes verification, skipping every guess a residue proves too
 small and growing no further once it could hold #F*#G terms.  At the
 first guess a residue proves too small, the exponents alone prove a floor
-on #(F*G), the sums e1 + e2 that exactly one term pair reaches; it draws
-nothing and sizes every later guess.  p is drawn from [lam, 2*lam] only
+on #(F*G), the sums e1 + e2 that exactly one term pair reaches (the
+walk's count of single hits, at a p where no sum wraps); it draws nothing
+and sizes every later guess.  p is drawn from [lam, 2*lam] only
 when an operand's degree reaches lam; below it no such p wraps an
 operand, so none is drawn.  When neither operand has degree >= p, the
 reduction changes nothing, so the interpolant is F*G itself.  Otherwise
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .arith import RandomSource, lambda_no_collision, random_prime
 from .errors import CharacteristicTooSmallError, RetryBudgetError, SparsityBoundError
-from .interp import _single_hits, find_terms, interp_sum_sp
+from .interp import find_terms, interp_sum_sp
 from .poly import (SparsePoly, _same_ring, cyclic_reduce, derivative, height_bound, scale,
                    zero_poly)
 from .verify import verify_sp
@@ -61,15 +62,25 @@ def _guess(t0: int, k: int) -> int:
 
 def _exponent_floor(F: SparsePoly, G: SparsePoly) -> int:
     """The number of sums e1 + e2 over supp F x supp G that exactly one
-    term pair reaches, or 0 when the count falls early below #F*#G/8 of
-    the rows done (_single_hits' exit).  Such a sum's coefficient is c1*c2,
-    nonzero over Z and over every field, so the count is a proven lower
-    bound on #(F*G).  It is _single_hits at p = deg F + deg G + 1, where
-    no sum wraps and every slot is one term, so the terms' exponents are
-    all it reads."""
-    p = F.degree + G.degree + 1
-    return _single_hits([(F.terms, G.terms)], zero_poly(F.ring), p,
-                        F.sparsity * G.sparsity // 8)
+    term pair reaches, or 0 as soon as the running count falls below
+    #F*#G/8 of the rows (terms of F) done.  Such a sum's coefficient is
+    c1*c2, nonzero over Z and over every field, so the count is a proven
+    lower bound on #(F*G).  It is the walk's single-hit count
+    (interp.cyclic_product_residue) at p = deg F + deg G + 1, where no sum
+    wraps and every slot holds one term, so the exponents are all it
+    reads.  A count that ends high rarely falls that low; structured sums,
+    whose rows repeat the same few sums, do within a few rows."""
+    limit = F.sparsity * G.sparsity // 8
+    g_exps = [e for e, _ in G.terms]
+    seen: set = set()
+    multi: set = set()  # reached twice or more
+    for done, (e1, _) in enumerate(F.terms, 1):
+        row = set(map(e1.__add__, g_exps))
+        multi |= seen & row
+        seen |= row
+        if (len(seen) - len(multi)) * F.sparsity < limit * done:
+            return 0
+    return len(seen) - len(multi)
 
 
 def sparse_product(F: SparsePoly, G: SparsePoly, params: ProductParams,

@@ -18,7 +18,10 @@ touches:
 * ``products``: the terms of a ``sparse_product``, or the error it raised;
 * ``random_source``: a hash of the ``RandomSource`` state after it;
 * ``cli``: a command's exit code, stdout, stderr and output file bytes;
-* ``ring_mults``: the ``rings.mul_count()`` delta of the operation.
+* ``ring_mults``: the ``rings.mul_count()`` delta of the operation;
+* ``walks``: one record per ``interp.cyclic_product_residue`` call it
+  makes: the prime, the limit, the route (dense or sparse), and the floor
+  the walk raised or the number of triples and of lone terms it returned.
 
 A section's digest is the SHA-256 of its records in corpus order.  The
 digest is a tool, not a golden test: a change that draws differently on
@@ -41,7 +44,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SECTIONS = ("products", "random_source", "cli", "ring_mults")
+SECTIONS = ("products", "random_source", "cli", "ring_mults", "walks")
 
 
 def _records(tree: Path, tiny: bool) -> list:
@@ -49,9 +52,35 @@ def _records(tree: Path, tiny: bool) -> list:
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench"), str(HERE)]
     import ci_inputs
     import workloads
-    from spmul import arith, cli, product, rings
+    from spmul import arith, cli, interp, product, rings
+    from spmul.errors import SparsityBoundError
 
     out = []
+    walks = []  # the current operation's walks
+    route = [None]  # the current walk's route
+    real_walk, real_dense = interp.cyclic_product_residue, interp._dense_is_cheaper
+
+    def dense_is_cheaper(*args):
+        dense = real_dense(*args)
+        route[0] = "dense" if dense else "sparse"
+        return dense
+
+    def cyclic_product_residue(pairs, minus, p, limit, **kw):
+        try:
+            got = real_walk(pairs, minus, p, limit, **kw)
+        except SparsityBoundError as err:
+            walks.append(f"p={p} limit={limit} {route[0]} floor={err.floor}")
+            raise
+        # a walk that fills a lone= list returns its triples alone
+        slots, lone = got if isinstance(got, tuple) else (got, kw.get("lone", ()))
+        walks.append(f"p={p} limit={limit} {route[0]} triples={len(slots)} lone={len(lone)}")
+        return got
+
+    interp.cyclic_product_residue, interp._dense_is_cheaper = cyclic_product_residue, dense_is_cheaper
+
+    def record_walks(key):
+        out.extend(("walks", f"{key} walk={i}", line) for i, line in enumerate(walks))
+        walks.clear()
 
     def command(key, argv, workdir, output=None):
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -63,6 +92,7 @@ def _records(tree: Path, tiny: bool) -> list:
         if output is not None:
             text.append(Path(output).read_text(encoding="utf-8") if Path(output).exists() else "")
         out.append(("cli", key, "\x00".join(text).replace(str(workdir), "<dir>")))
+        record_walks(key)
 
     def sparse_product(key, f, g, params, seed):
         rng = arith.RandomSource(seed)
@@ -75,6 +105,7 @@ def _records(tree: Path, tiny: bool) -> list:
         out.append(("products", key, result))
         state = repr(rng._rng.getstate()).encode()
         out.append(("random_source", key, hashlib.sha256(state).hexdigest()))
+        record_walks(key)
 
     seeds, op_seeds = ((0,), (0,)) if tiny else (range(4), (0, 1))
     with tempfile.TemporaryDirectory() as tmp:

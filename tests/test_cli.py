@@ -602,9 +602,9 @@ class TestCommands:
         walks = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, minus, p, limit, **kw):
+        def cyclic_product_residue(pairs, minus, p, limit):
             walks.append((len(pairs), minus.ring))
-            return real(pairs, minus, p, limit, **kw)
+            return real(pairs, minus, p, limit)
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         files = ci_inputs.extension_pair()
@@ -654,9 +654,9 @@ class TestCommands:
         walks = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, minus, p, limit, **kw):
+        def cyclic_product_residue(pairs, minus, p, limit):
             walks.append((len(pairs), minus.ring))
-            return real(pairs, minus, p, limit, **kw)
+            return real(pairs, minus, p, limit)
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         seen = watch_cyclic_evaluations(monkeypatch)

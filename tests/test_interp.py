@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -152,13 +153,21 @@ def _direct_slots(pairs, minus, p, ring):
     return _slots_of(sub(h, minus), p)
 
 
+def _all_triples(ring, p, walk):
+    """A walk's (triples, lone terms) as the triples of all its slots,
+    sorted by r as _direct_slots lists them: a lone term c*X^e is the
+    triple (e mod p, c, e*c)."""
+    slots, lone = walk
+    return sorted(slots + [(e % p, c, ring.smul(c, e)) for e, c in lone])
+
+
 def _residue_by_route(monkeypatch, dense, pairs, minus, p):
-    """cyclic_product_residue with the route pinned, sorted by r as
-    _direct_slots lists them: the cost model is replaced by a constant
-    answer.  No residue modulo X^p - 1 has more than p terms, so limit = p
-    never binds, and no count of single-hit slots passes it."""
+    """cyclic_product_residue with the route pinned, as _all_triples: the
+    cost model is replaced by a constant answer.  No residue modulo
+    X^p - 1 has more than p terms, so limit = p never binds, and no count
+    of single-hit slots passes it."""
     monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: dense)
-    return sorted(cyclic_product_residue(pairs, minus, p, limit=p))
+    return _all_triples(minus.ring, p, cyclic_product_residue(pairs, minus, p, limit=p))
 
 
 def _watch_rounds(monkeypatch) -> list:
@@ -226,12 +235,12 @@ class TestCyclicProductResidue:
                 assert sparse == _direct_slots(pairs, minus, p, ring)
 
     def test_slot_triples_and_floors_match_schoolbook(self, monkeypatch):
-        # every triple is (coefficient of H - minus at r, sum of e*c over
-        # its terms in slot r), from naive_mul; below either count the walk
-        # raises, the count of nonzero c checked before that of nonzero d,
-        # with the floor N - #minus.  The exponent-only pass, which can raise
-        # a smaller floor first, is held off
-        monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: False)
+        # every triple, a lone term's included, is (coefficient of H - minus
+        # at r, sum of e*c over its terms in slot r), from naive_mul.  Below
+        # either count the walk raises.  The sparse route first raises the
+        # single-hit count S when S > limit, before any ring product; past
+        # that, and on the dense route, the count of nonzero c is checked
+        # before that of nonzero d, with the floor N - #minus
         rnd = random.Random(8)
         for ring in (ZZ, prime_field(Q62), ext_field(101, 3)):
             cases = []
@@ -247,32 +256,39 @@ class TestCyclicProductResidue:
             # minus terms sharing slot 3: X^3 - X^(3+p) cancels its c sum and
             # keeps d = -p, X^3 - 2X^(3+p) + X^(3+2p) cancels both, so minus
             # leaves that slot alone; 2X * (X^2 + 3X^5 + 4X^(p+7)) reaches
-            # slots 3, 6 and 8 once each, and the exponent-only pass still
-            # counts slot 3 out, as minus has terms there
+            # slots 3, 6 and 8 once each, and the single-hit count still
+            # leaves slot 3 out, as minus has terms there
             p = 11
             pairs = [(canonicalize([(1, 2)], ring),
                       canonicalize([(2, 1), (5, 3), (p + 7, 4)], ring))]
             for minus, kept in ((canonicalize([(3, 1), (3 + p, -1)], ring), [3]),
                                 (canonicalize([(3, 1), (3 + p, -2), (3 + 2 * p, 1)], ring), [])):
                 assert [r for r, _, _ in interp._slot_sums(minus, p, None)] == kept
-                slotted = [(interp._slot_sums(F, p, None), interp._slot_sums(G, p, None))
-                           for F, G in pairs]
-                assert interp._single_hits(slotted, minus, p, 0) == 2
+                assert _single_hit_count(pairs, minus, p) == 2
                 cases.append((p, pairs, minus))
+            counted = 0
             for p, pairs, minus in cases:
                 want = _direct_slots(pairs, minus, p, ring)
                 n_c = sum(1 for _, c, _ in want if c)
                 n_d = sum(1 for _, _, d in want if d)
+                single = _single_hit_count(pairs, minus, p)
                 for dense in (False, True):
                     monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_, _d=dense: _d)
                     for limit in range(len(want) + 1):
                         if max(n_c, n_d) <= limit:
-                            assert sorted(cyclic_product_residue(pairs, minus, p, limit)) == want
+                            got = cyclic_product_residue(pairs, minus, p, limit)
+                            assert _all_triples(ring, p, got) == want
                             continue
+                        reset_mul_count()
                         with pytest.raises(SparsityBoundError) as err:
                             cyclic_product_residue(pairs, minus, p, limit)
+                        if not dense and single > limit:
+                            assert err.value.floor == single and mul_count() == 0
+                            counted += 1
+                            continue
                         n = n_c if n_c > limit else n_d
                         assert err.value.floor == n - minus.sparsity
+            assert counted >= 10
 
     def test_colliding_exponents_keep_the_derivative(self, monkeypatch):
         # 1 - X^p and X^(p+3) - X^3 vanish mod X^p - 1 while X times their
@@ -336,7 +352,7 @@ class TestCyclicProductResidue:
         pairs = [(f, f)]  # H = f^2 has 9 terms
         zero = zero_poly(ZZ)
         want = _direct_slots(pairs, zero, 101, ZZ)
-        assert sorted(cyclic_product_residue(pairs, zero, 101, limit=9)) == want
+        assert _all_triples(ZZ, 101, cyclic_product_residue(pairs, zero, 101, limit=9)) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, zero, 101, limit=8)
         assert err.value.floor == 9
@@ -345,7 +361,7 @@ class TestCyclicProductResidue:
         minus = canonicalize([(0, 1), (200, 1)], ZZ)
         want = _direct_slots(pairs, minus, 101, ZZ)
         assert sum(1 for _, c, _ in want if c) == 9
-        assert sorted(cyclic_product_residue(pairs, minus, 101, limit=9)) == want
+        assert _all_triples(ZZ, 101, cyclic_product_residue(pairs, minus, 101, limit=9)) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, minus, 101, limit=8)
         assert err.value.floor == 9 - 2
@@ -354,7 +370,7 @@ class TestCyclicProductResidue:
         pairs = [(canonicalize([(7, 1), (0, -1)], ZZ), canonicalize([(1, 1), (2, 1), (3, 1)], ZZ))]
         want = _direct_slots(pairs, zero, 7, ZZ)
         assert want == [(1, 0, 7), (2, 0, 7), (3, 0, 7)]
-        assert sorted(cyclic_product_residue(pairs, zero, 7, limit=3)) == want
+        assert _all_triples(ZZ, 7, cyclic_product_residue(pairs, zero, 7, limit=3)) == want
         with pytest.raises(SparsityBoundError) as err:
             cyclic_product_residue(pairs, zero, 7, limit=2)
         assert err.value.floor == 3
@@ -405,19 +421,26 @@ def _walk_work(pairs, p) -> int:
     return sum(len(_slots_of(f, p)) * len(_slots_of(g, p)) for f, g in pairs)
 
 
-def _read_both_ways(pairs, minus, p, limit):
-    """cyclic_product_residue on the sparse route, without and with lone=:
-    (full triples, triples, lone terms), or the floor each raised."""
+def _walk(pairs, minus, p, limit):
+    """cyclic_product_residue's (triples, lone terms), or the floor it
+    raised."""
     try:
-        full = cyclic_product_residue(pairs, minus, p, limit)
+        return cyclic_product_residue(pairs, minus, p, limit)
     except SparsityBoundError as err:
-        full = err.floor
-    lone = []
-    try:
-        part = cyclic_product_residue(pairs, minus, p, limit, lone=lone)
-    except SparsityBoundError as err:
-        part = err.floor
-    return full, part, lone
+        return err.floor
+
+
+def _floor_of(want, single, minus, limit):
+    """The floor the sparse walk raises at limit, from the schoolbook
+    triples want and the single-hit count, or None when it returns: the
+    single-hit count when it exceeds limit, else the first of the counts
+    of nonzero c and of nonzero d above limit, less #minus."""
+    if single > limit:
+        return single
+    for n in (sum(1 for _, c, _ in want if c), sum(1 for _, _, d in want if d)):
+        if n > limit:
+            return n - minus.sparsity
+    return None
 
 
 LONE_RINGS = [ZZ, prime_field(Q62), ext_field(101, 3), ext_field(10007, 2)]
@@ -427,7 +450,7 @@ LONE_IDS = ["Z", "F_Q62", "F_101^3", "F_10007^2"]
 class TestLoneSlots:
     """A slot k that one slot pair alone reaches, both of its slots holding
     one term, c1*X^e1 and c2*X^e2, and no term of minus, holds the term
-    c1*c2*X^(e1+e2) and nothing else; with lone= the walk emits that term
+    c1*c2*X^(e1+e2) and nothing else; the sparse walk emits that term
     instead of its triple."""
 
     @staticmethod
@@ -438,12 +461,13 @@ class TestLoneSlots:
         return D, C
 
     def _assert_same_reading(self, pairs, minus, p, ring) -> int:
-        """The triples and the lone terms are the full triples, split, and
-        find_terms reads the triples plus the lone terms as exactly the
-        terms, and the missed slots, it reads from the full triples.
+        """The triples and the lone terms are the schoolbook triples, split,
+        and find_terms reads the triples plus the lone terms as exactly the
+        terms, and the missed slots, it reads from the schoolbook triples.
         Returns the number of lone terms."""
-        full, part, lone = _read_both_ways(pairs, minus, p, p)
-        assert sorted(part + [(e % p, c, ring.smul(c, e)) for e, c in lone]) == sorted(full)
+        full = _direct_slots(pairs, minus, p, ring)
+        part, lone = _walk(pairs, minus, p, p)
+        assert _all_triples(ring, p, (part, lone)) == full
         assert {e % p for e, _ in lone} == _lone_slots(pairs, minus, p)
         D, C = self._bounds(pairs, ring)
         m_full, m_part = [], []
@@ -484,7 +508,7 @@ class TestLoneSlots:
         # e1 + e2 = 0: (1 + X)(1 + X^2) reaches 0, 1, 2 and 3 once each,
         # and slot 0's lone term is X^0, whose d = 0
         pairs = [(poly(0, 1), poly(0, 2))]
-        _, _, lone = _read_both_ways(pairs, zero, p, p)
+        _, lone = _walk(pairs, zero, p, p)
         assert sorted(lone) == [(e, one) for e in range(4)]
         assert self._assert_same_reading(pairs, zero, p, ring) == 4
         # terms of minus in an otherwise lone slot bar slot 3 from the lone
@@ -493,34 +517,34 @@ class TestLoneSlots:
         two = ring.add(one, one)
         for minus in (canonicalize([(3 + p, two)], ring),
                       canonicalize([(3, one), (3 + p, ring.neg(two)), (3 + 2 * p, one)], ring)):
-            part, lone = _read_both_ways(pairs, minus, p, p)[1:]
+            part, lone = _walk(pairs, minus, p, p)
             assert sorted(e for e, _ in lone) == [0, 1, 2] and [t[0] for t in part] == [3]
             assert self._assert_same_reading(pairs, minus, p, ring) == 3
         # a slot reached once in each of two pairs, as the h2 job's
         # deriv_pairs reach it: X*X^2 and X^2*X both land in slot 3, which
         # is general; slots 1 and 5 stay lone
         pairs = [(poly(1), poly(0, 2)), (poly(2), poly(1, 3))]
-        part, lone = _read_both_ways(pairs, zero, p, p)[1:]
+        part, lone = _walk(pairs, zero, p, p)
         assert sorted(e for e, _ in lone) == [1, 5] and [t[0] for t in part] == [3]
         assert self._assert_same_reading(pairs, zero, p, ring) == 2
         # an operand slot holding two terms: X + X^(1+p) fills slot 1 of F,
         # so the slots it reaches are general, though each is reached once
         pairs = [(poly(1, 1 + p, 4), poly(2))]
-        part, lone = _read_both_ways(pairs, zero, p, p)[1:]
+        part, lone = _walk(pairs, zero, p, p)
         assert lone == [(6, one)] and [t[0] for t in part] == [3]
         assert self._assert_same_reading(pairs, zero, p, ring) == 1
 
     @pytest.mark.parametrize("ring", LONE_RINGS, ids=LONE_IDS)
     def test_floors_do_not_depend_on_lone(self, monkeypatch, ring):
-        # every limit from 0 to the residue's size: both walks raise the
-        # same floor, or neither raises.  Both operands hold X^0, so slot 0
-        # is often a lone slot whose term X^0 has d = 0, where the count
-        # of nonzero c and that of nonzero d differ
+        # every limit from 0 to the residue's size: the walk raises the
+        # floor the schoolbook triples and the single-hit count give, or
+        # returns them, lone terms included.  Both operands hold X^0, so
+        # slot 0 is often a lone slot whose term X^0 has d = 0, where the
+        # count of nonzero c and that of nonzero d differ
         monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
-        monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: False)
         rnd = random.Random(48)
         emax = 50 if ring.char == 101 else 5000
-        raised = zero_lone = 0
+        counted = overflowed = zero_lone = 0
         for _ in range(12):
             p = rnd.choice([53, 211])
             f, g = (add(rand_sparse(rnd, ring, 6, emax, 2 ** 20), monomial(ring, 0, 1))
@@ -529,14 +553,18 @@ class TestLoneSlots:
             minus = canonicalize([(p + 1, ring.coerce(1))], ring) if rnd.random() < 0.5 \
                 else zero_poly(ring)
             zero_lone += 0 in _lone_slots(pairs, minus, p)
+            want = _direct_slots(pairs, minus, p, ring)
+            single = _single_hit_count(pairs, minus, p)
             for limit in range(f.sparsity * g.sparsity + 2):
-                full, part, lone = _read_both_ways(pairs, minus, p, limit)
-                if isinstance(full, int):
-                    assert part == full
-                    raised += 1
+                got = _walk(pairs, minus, p, limit)
+                floor = _floor_of(want, single, minus, limit)
+                if floor is None:
+                    assert _all_triples(ring, p, got) == want
                 else:
-                    assert isinstance(part, list)
-        assert raised >= 30 and zero_lone >= 6
+                    assert got == floor
+                    counted += single > limit
+                    overflowed += single <= limit
+        assert counted >= 30 and overflowed >= 6 and zero_lone >= 6
 
 
 def _single_hit_count(pairs, minus, p):
@@ -554,25 +582,20 @@ def _single_hit_count(pairs, minus, p):
     return sum(1 for k, n in hits.items() if n == 1 and k not in barred)
 
 
-def _watch_exponent_pass(monkeypatch, on: bool) -> list:
-    """Pin the sparse route and the exponent pass on or off; the returned
-    list receives every count _single_hits returns."""
-    counts = []
-    real = interp._single_hits
-    monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
-    monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: on)
-    monkeypatch.setattr(interp, "_single_hits",
-                        lambda *args: counts.append(real(*args)) or counts[-1])
-    return counts
-
-
 class TestExponentFloor:
-    def test_raised_floor_is_the_single_hit_count(self, monkeypatch):
-        # every count the pass returns is 0 (it stopped early) or the
-        # brute-force count; a count above limit is raised as the floor
-        # before any ring product, and a walk that gets past the pass
-        # returns the schoolbook triples
-        counts = _watch_exponent_pass(monkeypatch, True)
+    """A slot that one slot pair alone reaches, with both c sums nonzero
+    and no term of minus, holds their nonzero product, so S such slots
+    prove #H >= S.  The sparse walk counts them from its first pass and
+    raises S when S > limit, before any ring product."""
+
+    @pytest.fixture(autouse=True)
+    def _sparse(self, monkeypatch):
+        monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
+
+    def test_raised_floor_is_the_single_hit_count(self):
+        # at every limit below the single-hit count, the walk raises that
+        # count with no ring mult charged; above it, it raises the
+        # schoolbook floor or returns the schoolbook triples
         rnd = random.Random(36)
         raised = 0
         for ring in (ZZ, prime_field(Q62), ext_field(101, 3)):
@@ -591,26 +614,21 @@ class TestExponentFloor:
                 want = _direct_slots(pairs, minus, p, ring)
                 single = _single_hit_count(pairs, minus, p)
                 for limit in range(len(want) + 1):
-                    counts.clear()
                     reset_mul_count()
-                    try:
-                        got = cyclic_product_residue(pairs, minus, p, limit)
-                    except SparsityBoundError as err:
-                        got = err
-                    assert len(counts) == 1 and counts[0] in (0, single)
-                    if counts[0] > limit:
+                    got = _walk(pairs, minus, p, limit)
+                    floor = _floor_of(want, single, minus, limit)
+                    if single > limit:
                         raised += 1
-                        assert isinstance(got, SparsityBoundError)
-                        assert got.floor == single
-                        assert mul_count() == 0
-                    elif not isinstance(got, SparsityBoundError):
-                        assert sorted(got) == want
+                        assert got == single and mul_count() == 0
+                    elif floor is None:
+                        assert _all_triples(ring, p, got) == want
+                    else:
+                        assert got == floor
         assert raised > 300
 
-    def test_limit_zero_never_stops_early(self, monkeypatch):
-        # no share of limit 0 is missed, so the pass runs every row and
-        # raises whenever one slot is hit once
-        counts = _watch_exponent_pass(monkeypatch, True)
+    def test_limit_zero_never_stops_early(self):
+        # the count has no early exit: at limit 0 the walk raises whenever
+        # one slot is reached once, before any ring product
         rnd = random.Random(5)
         for ring in (ZZ, prime_field(101), ext_field(Q62, 2)):
             for _ in range(20):
@@ -619,26 +637,25 @@ class TestExponentFloor:
                          for _ in range(rnd.randint(1, 2))]
                 minus = rand_sparse(rnd, ring, 3, 200, 9)
                 single = _single_hit_count(pairs, minus, p)
-                counts.clear()
+                reset_mul_count()
                 with pytest.raises(SparsityBoundError) as err:
                     cyclic_product_residue(pairs, minus, p, 0)
-                assert counts == [single]
                 if single:
-                    assert err.value.floor == single
+                    assert err.value.floor == single and mul_count() == 0
 
-    def test_cancelled_slots_and_two_pairs(self, monkeypatch):
-        counts = _watch_exponent_pass(monkeypatch, True)
+    def test_cancelled_slots_and_two_pairs(self):
         for ring in (ZZ, prime_field(101), ext_field(101, 3)):
             p = 31
             f = canonicalize([(0, 1), (p, -1)], ring)  # slot 0: c = 0, d = -p
             g = canonicalize([(e, 1) for e in (1, 5, 9)], ring)
             # every slot of f*g comes from f's cancelled slot: nothing counts,
-            # though X*(f*g)' has three terms
+            # though X*(f*g)' has three terms, so the walk takes its three
+            # slot pairs' products and raises the count of nonzero d
             for pair in ((f, g), (g, f)):
-                counts.clear()
-                with pytest.raises(SparsityBoundError) as err:
-                    cyclic_product_residue([pair], zero_poly(ring), p, 2)
-                assert counts == [0] and err.value.floor == 3
+                assert _single_hit_count([pair], zero_poly(ring), p) == 0
+                reset_mul_count()
+                assert _walk([pair], zero_poly(ring), p, 2) == 3
+                assert mul_count() == 3 * 3
             # x*g reaches slots 2, 6 and 10 once each; g*g's nine slot
             # pairs reach 2 and 18 once, 6 and 14 twice, 10 three times.
             # Across both pairs only 18 is hit once, unless minus bars it
@@ -647,50 +664,73 @@ class TestExponentFloor:
             for barred, single in ((14, 1), (18, 0)):
                 minus = canonicalize([(barred + p, 1)], ring)
                 assert _single_hit_count(pairs, minus, p) == single
-                counts.clear()
-                with pytest.raises(SparsityBoundError) as err:
-                    cyclic_product_residue(pairs, minus, p, 0)
-                assert counts == [single]
-                if single:
-                    assert err.value.floor == single
+                want = _direct_slots(pairs, minus, p, ring)
+                assert _walk(pairs, minus, p, 0) == _floor_of(want, single, minus, 0)
 
-    def test_structured_sum_stops_within_a_few_rows(self, monkeypatch):
-        # the sumset of 64 + 64 terms on one progression: every row after
-        # the first repeats all but one slot, so two slots stay hit once
-        # and the pass gives up after two of its 64 rows
-        rows = []
-        real = interp.bisect_right
-        monkeypatch.setattr(interp, "bisect_right", lambda *a: rows.append(a) or real(*a))
+    def test_structured_sum_has_nothing_to_count(self):
+        # the sumset of 64 + 64 terms on one progression: every sum but the
+        # first and the last is reached more than once, so two slots are
+        # reached once, the walk has no count to raise, and it takes every
+        # product: 3 per slot pair in a general slot, 1 per lone slot
         n, p = 64, 100003
         f = canonicalize([(3 * i, 1 + i) for i in range(n)], ZZ)
         g = canonicalize([(3 * i + 1, 2 + i) for i in range(n)], ZZ)
-        assert interp._exponent_pass_pays(n * n, p, 2 * n - 1)
-        monkeypatch.setattr(interp, "_dense_is_cheaper", lambda *_: False)
-        got = cyclic_product_residue([(f, g)], zero_poly(ZZ), p, 2 * n - 1)
-        assert sorted(got) == _direct_slots([(f, g)], zero_poly(ZZ), p, ZZ)
-        assert len(rows) == 2
+        zero = zero_poly(ZZ)
+        assert _single_hit_count([(f, g)], zero, p) == len(_lone_slots([(f, g)], zero, p)) == 2
+        want = _direct_slots([(f, g)], zero, p, ZZ)
+        reset_mul_count()
+        got = cyclic_product_residue([(f, g)], zero, p, 2 * n - 1)
+        assert len(got[1]) == 2 and mul_count() == 3 * (n * n - 2) + 2
+        assert _all_triples(ZZ, p, got) == want
 
-    @pytest.mark.parametrize("on", [False, True])
-    def test_products_with_the_pass_on_and_off(self, monkeypatch, on):
-        # the routes stay free; only the pass is pinned, and when it runs
-        # some of its counts end a walk
-        raised = []
-        real = interp._single_hits
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(Q62), ext_field(101, 3)],
+                             ids=["Z", "F_Q62", "F_101^3"])
+    def test_count_raises_where_few_slots_were_expected_once(self, ring):
+        # 25 pairs of (1 + X + ... + X^4)(1 + X^5 + ... + X^20) reach slots
+        # 0..24 once each, and (1 - X^p)*X^40 reaches slot 40 from a slot
+        # whose c cancels.  work = 26 pairs landing at random in p = 101
+        # slots would leave work*e^(-work/p) = 20.1 <= 2*limit slots
+        # reached once; here 25 are, more than limit = 20.  Slot 40 and
+        # slot 7, which holds a term of minus, are not counted, so the
+        # walk raises 24 before any ring product
+        p, limit = 101, 20
+        one = ring.coerce(1)
+        f = canonicalize([(i, one) for i in range(5)], ring)
+        g = canonicalize([(5 * j, one) for j in range(5)], ring)
+        pairs = [(f, g), (canonicalize([(0, 1), (p, -1)], ring), canonicalize([(40, one)], ring))]
+        minus = canonicalize([(7 + p, one)], ring)
+        work = _walk_work(pairs, p)
+        assert work * math.exp(-work / p) <= 2 * limit
+        assert len(_lone_slots(pairs, zero_poly(ring), p)) == 25
+        assert _single_hit_count(pairs, minus, p) == 24
+        reset_mul_count()
+        assert _walk(pairs, minus, p, limit) == 24 and mul_count() == 0
 
-        def single_hits(slotted, minus, p, limit):
-            n = real(slotted, minus, p, limit)
-            raised.append(n > limit)
-            return n
+    def test_products_whose_walks_raise_from_their_count(self, monkeypatch):
+        # every walk of a product that raises with no ring mult charged
+        # raises its single-hit count, and some walk of these random
+        # products, whose sums are nearly all distinct, ends that way
+        real = interp.cyclic_product_residue
+        counted = []
 
-        monkeypatch.setattr(interp, "_single_hits", single_hits)
-        monkeypatch.setattr(interp, "_exponent_pass_pays", lambda *_: on)
+        def cyclic_product_residue(pairs, minus, p, limit):
+            reset_mul_count()
+            try:
+                return real(pairs, minus, p, limit)
+            except SparsityBoundError as err:
+                if mul_count() == 0:
+                    assert err.floor == _single_hit_count(pairs, minus, p) > limit
+                    counted.append(err.floor)
+                raise
+
+        monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         rnd = random.Random(64)
         params = ProductParams(2 ** -21, 2 ** -21)
         for t in (1, 3, 16, 40, 64):
             f = rand_sparse(rnd, ZZ, t, 10 ** 9, 2 ** 30)
             g = rand_sparse(rnd, ZZ, t, 10 ** 9, 2 ** 30)
             assert sparse_product(f, g, params, RandomSource(t)) == naive_mul(f, g)
-        assert any(raised) == on
+        assert counted
 
 
 class TestInterpSumSP:
@@ -765,20 +805,20 @@ class TestInterpSumSP:
         assert improved >= 0.9 * total
 
     def test_guess_below_half_stops_after_one_pass(self, monkeypatch):
-        # H = 1 + X + ... + X^35 has 36 > 2T terms: the first residue
-        # overflows 2T + #h* = 30, which proves no round can reach H, and
-        # its count is reported as the floor 30 < floor <= #H.  The walk
-        # charges 3 ring mults per slot pair landing in a general slot and
-        # 1 per lone slot, and exactly 3 per slot pair without lone=
+        # H = 1 + X + ... + X^35 has 36 > 2T terms, whose 36 sums are
+        # distinct: at a pool prime above 35 the first walk reaches 36
+        # slots once each, more than 2T + #h* = 30, which proves no round
+        # can reach H.  It raises that count as the floor, before any ring
+        # product
         f = canonicalize([(i, 1) for i in range(6)], ZZ)
         g = canonicalize([(6 * j, 1) for j in range(6)], ZZ)
         rounds = _watch_rounds(monkeypatch)
         primes = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, minus, p, limit, **kw):
+        def cyclic_product_residue(pairs, minus, p, limit):
             primes.append(p)
-            return real(pairs, minus, p, limit, **kw)
+            return real(pairs, minus, p, limit)
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         for seed in range(10):
@@ -789,20 +829,17 @@ class TestInterpSumSP:
                 interp_sum_sp([(f, g)], 15, 0.25, RandomSource(seed))
             charged = mul_count()
             [p] = primes
+            assert p > 35
             assert not interp._dense_is_cheaper(p, [(_slots_of(f, p), _slots_of(g, p))], 36)
-            work, n = _walk_work([(f, g)], p), len(_lone_slots([(f, g)], zero_poly(ZZ), p))
-            assert charged == 3 * (work - n) + n and n > 0
-            assert rounds == [] and 30 < err.value.floor <= 36
-        # and at primes where slots collide, walked directly with no limit
+            assert rounds == [] and err.value.floor == 36 and charged == 0
+        # and at primes where slots collide, walked with no limit: 3 ring
+        # mults per slot pair landing in a general slot, 1 per lone slot
         general = 0
         for p in (5, 7, 11, 13, 31, 37):
             work, n = _walk_work([(f, g)], p), len(_lone_slots([(f, g)], zero_poly(ZZ), p))
             reset_mul_count()
-            real([(f, g)], zero_poly(ZZ), p, 36, lone=[])
-            assert mul_count() == 3 * (work - n) + n
-            reset_mul_count()
             real([(f, g)], zero_poly(ZZ), p, 36)
-            assert mul_count() == 3 * work
+            assert mul_count() == 3 * (work - n) + n
             general += n < work
         assert general >= 4
 
@@ -836,7 +873,7 @@ class TestInterpSumSP:
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         _pin_round_primes(monkeypatch, itertools.repeat(7))
         assert interp_sum_sp([(f, g)], 2, 0.25, RandomSource(0)) == h
-        assert walks == [[(2, 0, 98)]]
+        assert walks == [([(2, 0, 98)], [])]
         assert repairs == [(7, [2], h)]
         assert rounds == [h]
 
@@ -1021,9 +1058,9 @@ class TestRepair:
         minus = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, h_star, p, limit, **kw):
+        def cyclic_product_residue(pairs, h_star, p, limit):
             minus.append(h_star)
-            return real(pairs, h_star, p, limit, **kw)
+            return real(pairs, h_star, p, limit)
 
         monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
         _pin_round_primes(monkeypatch, [5, p2])
@@ -1069,10 +1106,10 @@ class TestShortRound:
         walks = []
         real = interp.cyclic_product_residue
 
-        def cyclic_product_residue(pairs, minus, q, limit, **kw):
+        def cyclic_product_residue(pairs, minus, q, limit):
             walks.append((q, minus, None))
             try:
-                return real(pairs, minus, q, limit, **kw)
+                return real(pairs, minus, q, limit)
             except SparsityBoundError as err:
                 walks[-1] = (q, minus, err.floor)
                 raise

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,9 +79,9 @@ def _watch_walks(monkeypatch) -> list:
     primes = []
     real = interp.cyclic_product_residue
 
-    def cyclic_product_residue(pairs, minus, p, limit, **kw):
+    def cyclic_product_residue(pairs, minus, p, limit):
         primes.append(p)
-        return real(pairs, minus, p, limit, **kw)
+        return real(pairs, minus, p, limit)
 
     monkeypatch.setattr(interp, "cyclic_product_residue", cyclic_product_residue)
     return primes
@@ -738,9 +739,9 @@ class TestSparsityFloor:
             jobs.append({"walks": [], "short": 0, "missed": []})
             return real_job(pairs, T, mu, rng)
 
-        def cyclic_product_residue(pairs, minus, p, limit, **kw):
+        def cyclic_product_residue(pairs, minus, p, limit):
             jobs[-1]["walks"].append((pairs, p))
-            return real_walk(pairs, minus, p, limit, **kw)
+            return real_walk(pairs, minus, p, limit)
 
         def random_prime(lam, rng):
             jobs[-1]["short"] += 1
@@ -912,10 +913,10 @@ class TestShortRound:
             jobs.append([])
             return real_job(pairs, T, mu, rng)
 
-        def cyclic_product_residue(pairs, minus, p, limit, **kw):
+        def cyclic_product_residue(pairs, minus, p, limit):
             jobs[-1].append("walk")
             try:
-                return real_walk(pairs, minus, p, limit, **kw)
+                return real_walk(pairs, minus, p, limit)
             except SparsityBoundError:
                 jobs[-1].append("raised")
                 raise
@@ -986,29 +987,25 @@ class TestProductExponentFloor:
         # the sumsets of 512 + 512 terms on one progression: every row after
         # the first repeats all but one sum, so two sums stay reached once
         # and the pass gives up after two of its 512 rows, with no floor.
-        # Each product counts it at most once
+        # Each product counts it at most once.  Rows are the terms of F
+        # read, counted by a stand-in for F whose terms count as they go
         n = 512
         f = canonicalize([(stride * i, 1 + i) for i in range(n)], ZZ)
         g = canonicalize([(stride * i + 1, 2 + i) for i in range(n)], ZZ)
         rows, counts = [], []
-        counting = []
-        real_bisect, real_floor = interp.bisect_right, product._exponent_floor
+        real_floor = product._exponent_floor
 
-        def bisect_right(*args):
-            if counting:
+        def counted(terms):
+            for t in terms:
                 rows[-1] += 1
-            return real_bisect(*args)
+                yield t
 
         def exponent_floor(F, G):
             rows.append(0)
-            counting.append(True)
-            try:
-                counts.append(real_floor(F, G))
-            finally:
-                counting.clear()
+            rows_of_f = SimpleNamespace(terms=counted(F.terms), sparsity=F.sparsity)
+            counts.append(real_floor(rows_of_f, G))
             return counts[-1]
 
-        monkeypatch.setattr(interp, "bisect_right", bisect_right)
         monkeypatch.setattr(product, "_exponent_floor", exponent_floor)
         assert exponent_floor(f, g) == 0 and rows == [2]
         want = naive_mul(f, g)
