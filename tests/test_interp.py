@@ -17,6 +17,7 @@ from spmul.poly import SparsePoly, cyclic_reduce, derivative, height_bound
 from helpers import Q62, monomial, rand_sparse
 
 ZZ = integers()
+_DENSE_IS_CHEAPER = interp._dense_is_cheaper
 
 F_EX = canonicalize([(7, 2), (0, 2), (14, 1)], ZZ)
 G_EX = canonicalize([(13, 3), (8, 5), (0, 3)], ZZ)
@@ -706,19 +707,30 @@ class TestExponentFloor:
         reset_mul_count()
         assert _walk(pairs, minus, p, limit) == 24 and mul_count() == 0
 
-    def test_products_whose_walks_raise_from_their_count(self, monkeypatch):
-        # every walk of a product that raises with no ring mult charged
-        # raises its single-hit count, and some walk of these random
-        # products, whose sums are nearly all distinct, ends that way
+    @pytest.mark.parametrize("free", [False, True], ids=["sparse", "free"])
+    def test_products_whose_walks_raise_from_their_count(self, monkeypatch, free):
+        # every sparse walk of a product that raises with no ring mult
+        # charged raises its single-hit count, and some walk of these
+        # random products, whose sums are nearly all distinct, ends that
+        # way, whether the sparse route is pinned or the cost model picks it
+        model = _DENSE_IS_CHEAPER if free else (lambda *_: False)
+        dense = []
+
+        def dense_is_cheaper(*args):
+            dense.append(model(*args))
+            return dense[-1]
+
+        monkeypatch.setattr(interp, "_dense_is_cheaper", dense_is_cheaper)
         real = interp.cyclic_product_residue
         counted = []
 
         def cyclic_product_residue(pairs, minus, p, limit):
             reset_mul_count()
+            dense.clear()
             try:
                 return real(pairs, minus, p, limit)
             except SparsityBoundError as err:
-                if mul_count() == 0:
+                if dense == [False] and mul_count() == 0:
                     assert err.floor == _single_hit_count(pairs, minus, p) > limit
                     counted.append(err.floor)
                 raise
