@@ -11,9 +11,11 @@ Every element is an ``int``, so the hot paths stay cheap:
 So ``zero()`` is 0 and ``one()`` is 1 in every ring.  Residue tuples
 exist only at the boundary: ``coerce`` builds an element from an int (a
 constant of the prime subfield) or a residue sequence, and ``residues``
-gives the sequence back.  Digits of a fixed byte width are packed and
-unpacked by one pair of routines, ``_pack`` and ``_unpack``, which also
-serve F_{q^s} integer images and ``poly.dense_cyclic_mul``: through one
+gives the sequence back; ``elements`` and ``residue_run`` do the same for
+a whole flat run of residues, s to an element, in one pack and one
+unpack.  Digits of a fixed byte width are packed and unpacked by one pair
+of routines, ``_pack`` and ``_unpack``, which also serve F_{q^s} integer
+images and ``poly.dense_cyclic_mul``: through one
 ``array`` at 1, 2, 4 and 8 bytes (byte-swapped on a big-endian host; a
 1-byte unpack is the tuple of the int's bytes), with no format string
 built per call, and through each digit's bytes at any other width, such
@@ -300,13 +302,35 @@ class RingSpec:
 
     def residues(self, a) -> tuple[int, ...]:
         """The residues of a field element, little-endian in the power
-        basis: s of them over F_{q^s}, one over F_q.  With coerce, the only
-        conversion between elements and residue sequences."""
+        basis: s of them over F_{q^s}, one over F_q.  With coerce, and
+        their bulk forms elements and residue_run, the only conversion
+        between elements and residue sequences."""
         if self.kind == "integers":
             raise UnsupportedRingError("integers have no residue vector")
         if self.kind == "prime_field":
             return (a,)
         return tuple(_unpack(a, self._width, self.s))
+
+    def elements(self, residues):
+        """The field elements whose residues, s to an element, run in turn
+        through the flat sequence `residues`, each in [0, q): coerce of
+        every run of s at once, as one pack and one unpack over F_{q^s}."""
+        if self.kind == "integers":
+            raise UnsupportedRingError("integers have no residue vector")
+        if self.kind == "prime_field":
+            return residues
+        width = self._width
+        return _unpack(_pack(residues, width), self.s * width, len(residues) // self.s)
+
+    def residue_run(self, elements):
+        """The residues of each field element in turn, s to an element,
+        as one flat sequence: the inverse of ``elements``."""
+        if self.kind == "integers":
+            raise UnsupportedRingError("integers have no residue vector")
+        if self.kind == "prime_field":
+            return elements
+        width = self._width
+        return _unpack(_pack(elements, self.s * width), width, self.s * len(elements))
 
     # -- arithmetic --------------------------------------------------
 

@@ -5,11 +5,13 @@ integer polynomial arithmetic is done on plain dicts, modular powers with
 the builtin pow, and primality by trial division.
 """
 
+import functools
 import random
 
 from hypothesis import strategies as st
 
-from spmul import MultiPoly, SparsePoly, canonicalize, canonicalize_multi, verify
+from spmul import (MultiPoly, PolyFileError, SparsePoly, canonicalize, canonicalize_multi,
+                   ext_field, integers, prime_field, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +207,90 @@ def canonical_walk_oracle(q: int, s: int, is_irreducible) -> tuple:
 def eval_oracle_prime_field(terms, alpha: int, q: int) -> int:
     """Evaluation over F_q using builtin pow only."""
     return sum(c * pow(alpha, e, q) for e, c in terms) % q
+
+
+@functools.cache
+def _reference_field(q: int, s: int):
+    return prime_field(q) if s == 1 else ext_field(q, s)
+
+
+def _reference_ring(line: str, lineno: int):
+    parts = line.split()
+    if parts == ["ring", "int"]:
+        return integers()
+    if parts and parts[0] == "field":
+        if len(parts) != 3:
+            raise PolyFileError(f"line {lineno}: field header needs q and s")
+        try:
+            q, s = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise PolyFileError(f"line {lineno}: field parameters must be integers") from None
+        try:
+            return _reference_field(q, s)
+        except ValueError as exc:
+            raise PolyFileError(f"line {lineno}: {exc}") from None
+    raise PolyFileError(f"line {lineno}: expected 'ring int' or 'field <q> <s>'")
+
+
+def _reference_coeff(token: str, ring, lineno: int):
+    try:
+        residues = [int(v) for v in token.split(",")]
+    except ValueError:
+        raise PolyFileError(f"line {lineno}: bad coefficient {token!r}") from None
+    if ring.kind == "integers":
+        if len(residues) != 1:
+            raise PolyFileError(f"line {lineno}: integer coefficients take one value")
+    elif len(residues) != ring.s or any(not 0 <= v < ring.q for v in residues):
+        raise PolyFileError(f"line {lineno}: coefficient out of field range")
+    if not any(residues):
+        raise PolyFileError(f"line {lineno}: zero coefficient; files must be canonical")
+    return ring.coerce(residues if ring.kind == "ext_field" else residues[0])
+
+
+def reference_parse_poly(text: str) -> MultiPoly:
+    """The polynomial file parser read one line at a time, each line's
+    checks in turn, as cli.parse_poly was before it read term lines a
+    column at a time: the reference its results and its first-bad-line
+    diagnostics are compared with."""
+    raw_lines = text.splitlines()
+    lines = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append((lineno, stripped))
+    eof = (len(raw_lines) + 1, "")
+    rno, rline = lines[0] if lines else eof
+    ring = _reference_ring(rline, rno)
+    vno, vline = lines[1] if len(lines) > 1 else eof
+    vparts = vline.split()
+    if len(vparts) != 2 or vparts[0] != "vars":
+        raise PolyFileError(f"line {vno}: expected 'vars <n>'")
+    try:
+        nvars = int(vparts[1])
+    except ValueError:
+        raise PolyFileError(f"line {vno}: vars count must be an integer") from None
+    if nvars < 1:
+        raise PolyFileError(f"line {vno}: vars count must be >= 1")
+    seen = set()
+    terms = []
+    for lineno, line in lines[2:]:
+        parts = line.split()
+        if parts[0] != "term":
+            raise PolyFileError(f"line {lineno}: expected a term record")
+        if len(parts) != 2 + nvars:
+            raise PolyFileError(f"line {lineno}: term needs a coefficient and {nvars} exponents")
+        c = _reference_coeff(parts[1], ring, lineno)
+        try:
+            exps = tuple(int(v) for v in parts[2:])
+        except ValueError:
+            raise PolyFileError(f"line {lineno}: exponents must be integers") from None
+        if any(e < 0 for e in exps):
+            raise PolyFileError(f"line {lineno}: exponents must be nonnegative")
+        if exps in seen:
+            raise PolyFileError(f"line {lineno}: duplicate exponent; files must be canonical")
+        seen.add(exps)
+        terms.append((exps, c))
+    return MultiPoly(ring, nvars, tuple(sorted(terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from spmul import arith, cli, interp, multivar, product, verify
 from spmul.cli import DEFAULT_EPSILON, format_poly, parse_poly, run_command
 
 import ci_inputs
-from helpers import Q62, as_multi, rand_multi, rand_sparse, watch_cyclic_evaluations
+from helpers import (Q62, as_multi, rand_multi, rand_sparse, reference_parse_poly,
+                     watch_cyclic_evaluations)
 
 ZZ = integers()
 
@@ -74,8 +75,12 @@ class TestParseFormat:
         assert polys[0] == polys[2] and polys[0].ring is polys[1].ring
 
     def test_round_trip_multivariate(self):
+        # the extension fields cover each width the bulk residue conversion
+        # packs at: F_9 and F_(101^2) elements are 2 and 8 bytes (array
+        # items), F_(3^3) and F_(Q62^2) ones 3 and 48 bytes (not)
         rnd = random.Random(2)
-        for ring in (ZZ, prime_field(7)):
+        for ring in (ZZ, prime_field(7), ext_field(3, 2), ext_field(101, 2), ext_field(3, 3),
+                     ext_field(Q62, 2)):
             for _ in range(20):
                 f = rand_multi(rnd, ring, 3, 6, 9, 50)
                 assert parse_poly(format_poly(f)) == f
@@ -135,9 +140,23 @@ class TestParseFormat:
         ("ring int\nvars 1\nterm 1 0\nterms 2 1\n", "line 4: expected a term record"),
         ("ring int\nvars 2\nterm 1 0 y\n", "line 3: exponents must be integers"),
         ("# comment\nring int\n\nvars 1\nterm 1 -1\n", "line 5: exponents must be nonnegative"),
+        ("ring int\nvars 1\nterm 0 3\n", "line 3: zero coefficient; files must be canonical"),
+        ("ring int\nvars 1\nterm 1 3\n\nterm 2 3\n",
+         "line 5: duplicate exponent; files must be canonical"),
+        ("ring int\nvars 2\nterm 1 3\n", "line 3: term needs a coefficient and 2 exponents"),
+        ("field 3 2\nvars 1\nterm 1 0\n", "line 3: coefficient out of field range"),
+        ("field 7 1\nvars 1\nterm 9 2\n", "line 3: coefficient out of field range"),
+        # line 3 fails a later check than line 5 does; line 3 is reported
+        ("ring int\nvars 1\nterm 1 -2\n# comment\nterms 2 1\n",
+         "line 3: exponents must be nonnegative"),
+        # six tokens for two terms, every third one term, split 2 + 4
+        ("ring int\nvars 1\nterm 1\n2 term 3 4\n",
+         "line 3: term needs a coefficient and 1 exponents"),
     ], ids=["field-arity", "field-q", "field-s", "coeff-token", "int-residues",
             "ext-residue-range", "too-few-lines", "empty-file", "vars-line", "vars-count",
-            "vars-zero", "not-a-term", "exponent-token", "negative-exponent"])
+            "vars-zero", "not-a-term", "exponent-token", "negative-exponent", "zero-coeff",
+            "duplicate-exponent", "exponent-count", "ext-one-residue", "prime-range",
+            "first-bad-line", "wrapped-token"])
     def test_rejected_file(self, tmp_path, capsys, text, reason):
         # the error names the offending line (counting comment and blank
         # lines), and spmul mul reports it with exit code 2
@@ -147,6 +166,171 @@ class TestParseFormat:
         bad.write_text(text)
         assert run_command(["mul", str(bad), str(bad), "-o", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"spmul: {reason}\n"
+
+
+# the rings the column parser is compared with the line reference over:
+# integer and prime-field coefficients, and extension fields at residue
+# widths 1 and 24 bytes
+PARSE_RINGS = [ZZ, prime_field(101), prime_field(Q62), ext_field(3, 2), ext_field(3, 3),
+               ext_field(Q62, 2)]
+PARSE_RING_IDS = ["Z", "F101", "FQ62", "F9", "F27", "FQ62^2"]
+
+
+def _outcome(parse, text):
+    """What parse makes of text: the polynomial, or the message it rejects
+    the file with."""
+    try:
+        return parse(text)
+    except PolyFileError as exc:
+        return f"rejected: {exc}"
+
+
+def _loose_number(rnd, token):
+    # a spelling int() reads as the same number: a leading 0 or +
+    if token[0] != "-" and rnd.random() < 0.2:
+        return rnd.choice(["0", "+"]) + token
+    return token
+
+
+def _loose_text(rnd, poly):
+    """A valid but non-canonical file of poly: its term lines shuffled,
+    tokens split by tabs and runs of spaces, numbers with a leading 0 or +,
+    comment and blank lines added, and LF or CRLF line ends."""
+    head, vars_line, *terms = format_poly(poly).splitlines()
+    rnd.shuffle(terms)
+    out = ["# a polynomial"] if rnd.random() < 0.5 else []
+    for line in [head, vars_line, *terms]:
+        word, *tokens = line.split(" ")
+        if word == "term":
+            tokens = [",".join(_loose_number(rnd, v) for v in t.split(",")) for t in tokens]
+        line = word + "".join(rnd.choice([" ", "\t", "   ", " \t "]) + t for t in tokens)
+        out.append(rnd.choice(["", " ", "\t"]) + line
+                   + rnd.choice(["", " ", "\t", "  # note", "# term 1 2"]))
+        while rnd.random() < 0.2:
+            out.append(rnd.choice(["", "   ", "\t", "# comment", "  # term 0 0"]))
+    eol = rnd.choice(["\n", "\r\n"])
+    return eol.join(out) + rnd.choice([eol, ""])
+
+
+# mutations of a term line; all but the coefficients -1 and 1,2 and an
+# out-of-range one over Z (a large integer) are rejected everywhere.  A
+# wrapped token moves the line's last token to the start of the next term
+# line, so the file keeps its token count
+ALWAYS_BAD = ("2x", "0", "missing-exponent", "extra-exponent", "terms", "duplicate-line",
+              "wrapped-token")
+MUTATIONS = ALWAYS_BAD + ("-1", "1,2", "out-of-range")
+
+
+def _mutate(rnd, ring, kind, tokens):
+    """The tokens of a term line changed by the mutation kind."""
+    tokens = list(tokens)
+    if kind in ("2x", "0", "-1", "1,2"):
+        tokens[1] = kind
+    elif kind == "out-of-range":
+        residues = tokens[1].split(",")
+        residues[rnd.randrange(len(residues))] = str(ring.q if ring.is_field else 3 ** 90)
+        tokens[1] = ",".join(residues)
+    elif kind == "missing-exponent":
+        del tokens[rnd.randrange(2, len(tokens))]
+    elif kind == "extra-exponent":
+        tokens.insert(rnd.randrange(2, len(tokens) + 1), "3")
+    elif kind == "terms":
+        tokens[0] = "terms"
+    return tokens
+
+
+def _mutant(rnd, ring, text, kinds):
+    """text with one term line changed per mutation kind in kinds, each on
+    its own line; a duplicated line is inserted anywhere after the header,
+    before or after its twin, and the last term line's wrapped token goes
+    to the first term line."""
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line.partition("#")[0].split()[:1] == ["term"]]
+    copies = []
+    for i, kind in zip(rnd.sample(rows, len(kinds)), kinds):
+        tokens = lines[i].partition("#")[0].split()
+        if kind == "duplicate-line":
+            copies.append("\t".join(tokens))
+        elif kind == "wrapped-token":
+            j = next((j for j in rows if j > i), rows[0])
+            lines[i] = " ".join(tokens[:-1])
+            lines[j] = f"{tokens[-1]} {lines[j]}"
+        else:
+            lines[i] = " ".join(_mutate(rnd, ring, kind, tokens))
+    for copy in copies:
+        lines.insert(rnd.randrange(rows[0], len(lines) + 1), copy)
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnParser:
+    # parse_poly checks term lines a column at a time and, on a bad file,
+    # line by line; both must agree with the line-by-line reference
+
+    @pytest.mark.parametrize("ring", PARSE_RINGS, ids=PARSE_RING_IDS)
+    def test_valid_files_parse_as_the_reference_does(self, ring, monkeypatch):
+        # and every one of them is read by its columns: none is read again
+        # line by line
+        def line_terms(*args):
+            raise AssertionError("a valid file was read line by line")
+
+        monkeypatch.setattr(cli, "_line_terms", line_terms)
+        rnd = random.Random(f"valid {ring.kind} {ring.q} {ring.s}")
+        for nvars in (1, 2, 3, 4):
+            for _ in range(10):
+                f = rand_multi(rnd, ring, nvars, 12, 30, 2 ** 70)
+                text = _loose_text(rnd, f)
+                assert parse_poly(text) == reference_parse_poly(text) == f
+
+    @pytest.mark.parametrize("ring", PARSE_RINGS, ids=PARSE_RING_IDS)
+    def test_mutated_files_fail_as_the_reference_does(self, ring):
+        rnd = random.Random(f"mutated {ring.kind} {ring.q} {ring.s}")
+        for nvars in (1, 2, 3, 4):
+            for kind in MUTATIONS + ("two-bad-lines",):
+                for _ in range(3):
+                    f = rand_multi(rnd, ring, nvars, 12, 30, 2 ** 70)
+                    if f.sparsity < 2:
+                        continue
+                    kinds = rnd.sample(MUTATIONS, 2) if kind == "two-bad-lines" else [kind]
+                    text = _mutant(rnd, ring, _loose_text(rnd, f), kinds)
+                    got = _outcome(parse_poly, text)
+                    assert got == _outcome(reference_parse_poly, text), text
+                    if kind in ALWAYS_BAD:
+                        assert isinstance(got, str)
+
+    def test_each_mutation_names_its_check(self):
+        # the reference's message for each mutation of one line, so the
+        # comparisons above cover every check (test_rejected_file pins the
+        # wrapped token's)
+        text = "ring int\nvars 2\nterm 5 1 2\n"
+        want = {"2x": "line 3: bad coefficient '2x'",
+                "0": "line 3: zero coefficient; files must be canonical",
+                "missing-exponent": "line 3: term needs a coefficient and 2 exponents",
+                "extra-exponent": "line 3: term needs a coefficient and 2 exponents",
+                "terms": "line 3: expected a term record",
+                "1,2": "line 3: integer coefficients take one value"}
+        for kind, reason in want.items():
+            bad = _mutant(random.Random(0), ZZ, text, [kind])
+            assert _outcome(parse_poly, bad) == _outcome(reference_parse_poly, bad) \
+                == f"rejected: {reason}"
+        # the copy of line 3 goes in before or after it; the later twin is
+        # reported
+        for seed in range(8):
+            bad = _mutant(random.Random(seed), ZZ, text, ["duplicate-line"])
+            twins = [lineno for lineno, line in enumerate(bad.splitlines(), start=1)
+                     if line.split() == ["term", "5", "1", "2"]]
+            assert _outcome(parse_poly, bad) == _outcome(reference_parse_poly, bad) \
+                == f"rejected: line {twins[1]}: duplicate exponent; files must be canonical"
+
+    @pytest.mark.parametrize("text", [
+        "ring int\nvars 100000000\n",
+        "# none\r\nfield 3 2\r\n\r\nvars 100000000  # many\r\n\t\n# end",
+        "ring int\nvars 100000000\nterm 1 2\n",
+        "ring int\nvars 100000000\n\nterms\n",
+    ], ids=["termless", "termless-decorated", "short-term", "not-a-term"])
+    def test_files_in_10_to_the_8_variables(self, text):
+        # neither parser does work per declared variable: a termless file
+        # parses to zero, and a term line is rejected by its token count
+        assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
 
 
 class TestCommands:

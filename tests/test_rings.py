@@ -74,6 +74,15 @@ class TestPrimeFieldOps:
         assert f7.coerce(-1) == 6
         assert f7.coerce(14) == 0
 
+    def test_bulk_conversions_are_identities(self):
+        # a residue of F_q is its element; the integers have no residues
+        f7 = prime_field(7)
+        assert list(f7.elements([3, 0, 6])) == [3, 0, 6]
+        assert list(f7.residue_run((3, 0, 6))) == [3, 0, 6]
+        for convert in (integers().elements, integers().residue_run):
+            with pytest.raises(UnsupportedRingError):
+                convert([1])
+
 
 class TestExtFieldOps:
     def test_f4_multiplication_table(self):
@@ -362,6 +371,21 @@ class TestPackedArithmetic:
         assert f.coerce(f.residues(f.coerce(seq))) == f.coerce(seq)
         with pytest.raises(ValueError, match="too many residues"):
             f.coerce([1] * (s + 1))
+
+    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    def test_bulk_conversions_match_coerce_and_residues(self, case):
+        # elements and residue_run over a run of residue vectors, each
+        # digit 0, q - 1 or a draw, are coerce and residues element-wise
+        f = _packed(*case)
+        q, s = f.q, f.s
+        rnd = random.Random(q * 7 + s)
+        vecs = [tuple(rnd.choice((0, q - 1, rnd.randrange(q))) for _ in range(s))
+                for _ in range(20)]
+        flat = [v for vec in vecs for v in vec]
+        elems = f.elements(flat)
+        assert list(elems) == [f.coerce(vec) for vec in vecs]
+        assert list(f.residue_run(elems)) == flat
+        assert list(f.elements([])) == [] and list(f.residue_run(())) == []
 
     def test_zero_and_one_are_the_ints(self):
         for ring in (integers(), prime_field(7), ext_field(3, 2), ext_field(Q62, 3),
