@@ -25,9 +25,10 @@ exactly one slot pair reaches, both of its slots holding one term,
 c1*X^e1 and c2*X^e2, and that holds no term of h*, holds the term
 c1*c2*X^(e1+e2) of H - h* and nothing else: one product gives it, exact,
 and it passes every test find_terms would make of its triple.  The walk
-emits such lone slots as terms, at one ring mult each against three per
-slot pair (the way Arnold and Roche read off the terms that avoid
-collisions), and find_terms divides only the other slots.
+emits such lone slots as terms, at one ring mult each against the price
+list's _PAIR_MULS per slot pair (the way Arnold and Roche read off the
+terms that avoid collisions), and find_terms divides only the other
+slots.
 
 The same slots stop a walk that would overflow (more terms than the round
 can use).  A slot that exactly one slot pair reaches, and that h* leaves
@@ -64,9 +65,9 @@ bound T instead of a pool prime, the way Arnold and Roche reduce modulo
 primes of the order of the output and repair collisions afterwards
 ("Output-sensitive algorithms for sumset and sparse polynomial
 multiplication", ISSAC 2015).  Round 0 walks at a random prime in
-[4T, 8T] only where the term pairs make a walk at 8T dense by the cost
-model (_dense_is_cheaper's packing floor), so random outputs, which fill
-their term pairs and collide at such a prime, skip it.  It is a round like
+[4T, 8T] only where the term pairs reach the packing price at the top of
+that range (the price list), so random outputs, which fill their term
+pairs and collide at such a prime, skip it.  It is a round like
 the others: its update seeds h*, which the pool rounds correct as they
 correct each other's, a floor it raises is proven like theirs, and an
 exit at its prime is certified by the caller's verifier like any other.
@@ -76,6 +77,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 
 from .arith import RandomSource, _omega_bound, first_primes, random_prime
 from .errors import CharacteristicTooSmallError, SparsityBoundError
@@ -84,30 +86,52 @@ from .poly import (SparsePoly, _same_ring, add, dense_cyclic_mul, height_bound, 
 from .rings import RingSpec, add_mul_count
 
 
-# sparse steps that one pair's three packed products spend per slot packing
-# and unpacking, whatever the coefficients (_dense_is_cheaper)
-_PACK_STEPS = 3 * 3.2
+# The price list.  Every cost rule of this module reads its prices from
+# here, all in one unit: one slot pair of the sparse walk, about 0.25 us
+# (CPython 3.11, x86-64).
+# - A slot pair takes _PAIR_MULS ring products, c1*c2, d1*c2 and c1*d2.
+#   The sparse walk charges them per pair landing in a general slot (a
+#   lone slot takes c1*c2 alone), and the dense route forms each as one
+#   packed product.
+# - Packing and unpacking one slot of one packed product takes _PACK = 3.2
+#   units, kept as a fraction so that a floor compares exactly in
+#   integers (_packing_over).  Past it, a packed product of p slots w bits
+#   wide takes (p*w)^1.585 / 8300 units of Karatsuba (_dense_is_cheaper).
+#   Both constants were fitted to timings of the two routes at
+#   101 <= p <= 35521 on example2 and random integer pairs.
+# - An operand term read into its slot sums, and each term visit of
+#   _repair (bucketing, lookup, product), takes one unit.
+# - Round 0 draws its prime from [_SHORT*T, 2*_SHORT*T] = [4T, 8T]
+#   (random_prime), and runs only where the term pairs reach the packing
+#   price at the top of that range (interp_sum_sp).
+_PAIR_MULS = 3
+_PACK = Fraction(16, 5)
+_SHORT = 4
+
+
+def _packing_over(p: int, n: int, work: int) -> int:
+    """How far packing and unpacking n pairs' products at p slots costs
+    more than work, in units of 1/_PACK.denominator: an integer, so that
+    its sign compares the two exactly."""
+    return _PAIR_MULS * p * n * _PACK.numerator - work * _PACK.denominator
 
 
 def _dense_is_cheaper(p: int, slotted, work: int) -> bool:
-    """Whether three packed products per pair beat work sparse slot-pair steps.
-
-    Costs are in sparse steps (one slot pair, about 0.25 us).  A packed
-    product of p slots w bits wide takes about 3.2*p + (p*w)^1.585 / 8300
-    steps: packing and unpacking, then Karatsuba on the packed integers.
-    Both constants were fitted to timings of the two routes at 101 <= p <=
-    35521 on example2 and random integer pairs (CPython 3.11, x86-64).
-    """
-    dense = _PACK_STEPS * p * len(slotted)
-    if dense >= work:
+    """Whether the dense route's packed products, _PAIR_MULS per pair, cost
+    less than work, the sparse walk's slot pairs (prices in the price
+    list): packing and unpacking, then Karatsuba on the packed integers."""
+    over = _packing_over(p, len(slotted), work)
+    if over >= 0:
         return False
+    karatsuba = 0.0
     pbits = p.bit_length() + 2
     for fs, gs in slotted:
         fc, fd, gc, gd = (max((abs(t[i]) for t in slots), default=0).bit_length()
                           for slots in (fs, gs) for i in (1, 2))
         for w in (fc + gc, fd + gc, fc + gd):
-            dense += (p * (w + pbits)) ** 1.585 / 8300
-    return dense < work
+            karatsuba += (p * (w + pbits)) ** 1.585 / 8300
+    # what work leaves once the packing is paid
+    return karatsuba < -over / _PACK.denominator
 
 
 def _batch_inverse(ring: RingSpec, values: list) -> list:
@@ -183,9 +207,10 @@ def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None, *,
 
 
 def _slot_sums(F: SparsePoly, p: int, width: int | None) -> list:
-    """F's terms grouped by e mod p: [(r, sum c, sum e*c)], each sum as its
-    integer image at width (RingSpec.lift): the value itself over Z, the
-    value mod q over F_q, lift(drop(.)) over F_{q^s}.
+    """F's terms grouped by e mod p: [(r, sum c, sum e*c, e)], each sum as
+    its integer image at width (RingSpec.lift): the value itself over Z,
+    the value mod q over F_q, lift(drop(.)) over F_{q^s}.  e is the
+    exponent of the slot's one term, or None where it holds more than one.
 
     A slot can keep sum e*c with sum c cancelled (1 - X^p at r = 0); only
     slots where both sums vanish are left out.  Over F_{q^s} the sums are
@@ -199,29 +224,19 @@ def _slot_sums(F: SparsePoly, p: int, width: int | None) -> list:
     own = ring.lift_width(F.sparsity * (F.degree + 1)) if terms else None
     if own is not None:
         terms = [(e, ring.lift(c, own)) for e, c in terms]
-    sums: dict = {}
+    slots: dict = {}
     for e, c in terms:
         r = e % p
-        if r in sums:
-            s, d = sums[r]
-            sums[r] = (s + c, d + e * c)
+        if r in slots:
+            _, s, d, _ = slots[r]
+            slots[r] = (r, s + c, d + e * c, None)
         else:
-            sums[r] = (c, e * c)
+            slots[r] = (r, c, e * c, e)
     if ring.is_field:
         drop, lift = ring.drop, ring.lift
-        sums = {r: (lift(drop(s, own), width), lift(drop(d, own), width))
-                for r, (s, d) in sums.items()}
-    return [(r, s, d) for r, (s, d) in sums.items() if s or d]
-
-
-def _with_exponents(slots: list, F: SparsePoly, p: int) -> list:
-    """F's slot triples (_slot_sums) as (r, c, d, e): e the exponent of
-    the one term in slot r, or None where the slot holds more."""
-    one: dict = {}
-    for e, _ in F.terms:
-        r = e % p
-        one[r] = None if r in one else e
-    return [(*t, one[t[0]]) for t in slots]
+        slots = {r: (r, lift(drop(s, own), width), lift(drop(d, own), width), e)
+                 for r, s, d, e in slots.values()}
+    return [t for t in slots.values() if t[1] or t[2]]
 
 
 def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> tuple:
@@ -238,19 +253,19 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> tupl
     which c and d live in.
 
     Each operand's terms are grouped into slots r = e mod p carrying
-    c = sum c_j and d = sum e_j*c_j (_slot_sums, the same triples).  A pair
+    c = sum c_j and d = sum e_j*c_j (_slot_sums, the same slots).  A pair
     of slots (r1, r2) stands for term products of exponent e = k (mod p),
     k = r1 + r2 mod p, with e*c1*c2 summing to d1*c2 + c1*d2 by the
     product rule; so it adds c1*c2 to c and d1*c2 + c1*d2 to d at slot k.
     The sums are accumulated over integer images (RingSpec.lift) and each
     slot is dropped back into the ring once.  Two equivalent routes
     accumulate them: direct sparse accumulation over the slot pairs, or
-    three packed dense cyclic convolutions per pair over Z.  The one the
-    cost model _dense_is_cheaper predicts faster is taken.  Every slot
-    sum, minus's included, is an image at one width, sized from term
-    counts: a slot gains at most sum min(#F_i, #G_i) products in c, twice
-    that in d, and one image of minus.  minus enters first and the same
-    way in every ring: the slot triples of -minus (_slot_sums) seed both
+    one packed dense cyclic convolution over Z per product of a slot pair.
+    The one _dense_is_cheaper prices lower (the price list) is taken.
+    Every slot sum, minus's included, is an image at one width, sized from
+    term counts: a slot gains at most sum min(#F_i, #G_i) products in c,
+    twice that in d, and one image of minus.  minus enters first and the
+    same way in every ring: the slots of -minus (_slot_sums) seed both
     routes' accumulators, so a slot where minus's terms cancel both sums
     adds nothing.
 
@@ -289,8 +304,8 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> tupl
     S is counted only when more than limit slots are reached once, as it
     cannot exceed limit otherwise.  Past the count, the walk forms the
     general slots' sums and the lone terms and checks the counts above.
-    It charges 3 ring mults per slot pair that lands in a general slot
-    and 1 per lone slot, its one product c1*c2.
+    It charges the price list's _PAIR_MULS ring mults per slot pair that
+    lands in a general slot and 1 per lone slot, its one product c1*c2.
 
     Empty pairs raise ValueError: there is no ring to take.
     """
@@ -309,28 +324,25 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> tupl
     dense = _dense_is_cheaper(p, slotted, work)
     if dense:
         vec, dvec = [0] * p, [0] * p
-        for r, c, d in seed:
+        for r, c, d, _ in seed:
             vec[r], dvec[r] = c, d
         for fs, gs in slotted:
             fc, fd, gc, gd = [0] * p, [0] * p, [0] * p, [0] * p
-            for r, c, d in fs:
+            for r, c, d, _ in fs:
                 fc[r], fd[r] = c, d
-            for r, c, d in gs:
+            for r, c, d, _ in gs:
                 gc[r], gd[r] = c, d
             for out, a, b in ((vec, fc, gc), (dvec, fd, gc), (dvec, fc, gd)):
                 out[:] = map(operator.add, out, dense_cyclic_mul(a, b))
         slots = zip(range(p), vec, dvec)
     else:
-        # each slot as (r, c, d, e), e the exponent of its one term or None
-        rows = [(_with_exponents(fs, F, p), _with_exponents(gs, G, p))
-                for (F, G), (fs, gs) in zip(pairs, slotted)]
         # First pass, no ring product: once[k] is the one slot pair that has
         # reached k so far, and general[k] every pair of a slot k reached
         # twice or holding a term of minus (each such slot starts there, so
         # a slot outside general holds no term of minus)
         general = {e % p: [] for e, _ in minus.terms}
         once: dict = {}
-        for fs, gs in rows:
+        for fs, gs in slotted:
             for t1 in fs:
                 r1 = t1[0]
                 for t2 in gs:
@@ -348,7 +360,7 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> tupl
             n = sum(1 for t1, t2 in once.values() if t1[1] and t2[1])
             if n > limit:
                 raise SparsityBoundError(n)
-        seeded = {r: (c, d) for r, c, d in seed}
+        seeded = {r: (c, d) for r, c, d, _ in seed}
         slots = []
         for k, kept in general.items():
             c, d = seeded.get(k, (0, 0))
@@ -361,7 +373,7 @@ def cyclic_product_residue(pairs, minus: SparsePoly, p: int, limit: int) -> tupl
                 read.append((e1 + e2, c1 * c2))
             else:
                 slots.append((k, c1 * c2, d1 * c2 + c1 * d2))
-        add_mul_count(3 * (work - len(read)) + len(read))
+        add_mul_count(_PAIR_MULS * (work - len(read)) + len(read))
 
     if ring.is_field:
         drop = ring.drop
@@ -390,14 +402,14 @@ def _repair(pairs, minus: SparsePoly, p: int, ks) -> SparsePoly | None:
     minus's terms in those slots are then subtracted.  Each product takes
     one ring.mul.
 
-    The cost rule counts steps, one per term visit, lookup or product.
-    The repair takes sum #large_i (bucketing) + u*sum #small_i (lookups,
-    u = #ks) + the products landing in the u slots.  A walk takes
-    sum (#F_i + #G_i) for its slot sums plus 3 per slot pair, its charge
-    for a pair landing in a general slot.  The walk is priced at this
-    round's p; a second round also pays find_terms and _trim, left out in
-    the walk's favour, and reads its lone slots at 1 instead of 3, left
-    out in the repair's.
+    The cost rule compares prices from the price list, one unit per term
+    visit.  The repair takes sum #large_i (bucketing) + u*sum #small_i
+    (lookups, u = #ks) + the products landing in the u slots.  A walk
+    takes sum (#F_i + #G_i) for its slot sums plus _PAIR_MULS per slot
+    pair, its charge for a pair landing in a general slot.  The walk is
+    priced at this round's p; a second round also pays find_terms and
+    _trim, left out in the walk's favour, and reads its lone slots at one
+    product instead of _PAIR_MULS, left out in the repair's.
     """
     ring = minus.ring
     u = len(ks)
@@ -410,7 +422,7 @@ def _repair(pairs, minus: SparsePoly, p: int, ks) -> SparsePoly | None:
             buckets.setdefault(e % p, []).append((e, c))
         plan.append((small.terms, buckets))
         slots = len({e % p for e, _ in small.terms})
-        walk += F.sparsity + G.sparsity + 3 * slots * len(buckets)
+        walk += F.sparsity + G.sparsity + _PAIR_MULS * slots * len(buckets)
         cost += large.sparsity + u * small.sparsity
     if cost >= walk:
         return None
@@ -551,11 +563,11 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     collide at that round's p into a term consistent with its slot's c and
     d.  The output is certified only by verifying it.
 
-    A job whose term pairs reach the cost model's packing floor at 8T,
-    sum #F_i*#G_i >= 3*3.2*8T*#pairs (_PACK_STEPS, _dense_is_cheaper),
-    runs one round more, and its round 0 walks at p = random_prime(4T), in
-    [4T, 8T], instead of a pool prime.  That round follows the rules of
-    every round.  Its h* is zero, so its limit is 2T, and a
+    A job whose term pairs, sum #F_i*#G_i, reach the packing price of its
+    pairs at the top of round 0's prime range (the price list: the floor
+    of _dense_is_cheaper, compared exactly) runs one round more, and its
+    round 0 walks at a random prime in that range instead of a pool prime.
+    That round follows the rules of every round.  Its h* is zero, so its limit is 2T, and a
     SparsityBoundError it raises carries a proven floor above 2T: no
     output of at most 2T terms, from any round at this T, can be H.  Its
     update seeds the pool rounds, just as each pool round seeds the next,
@@ -566,13 +578,14 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     zero, so mu does not bound their failure either.  Both are left to the
     caller's verifier, where they cost a check and a larger guess, not a
     wrong output.  The gate is off at every T >= max #F_i*#G_i, where
-    sum #F_i*#G_i <= #pairs*T < 3*3.2*8T*#pairs: a job sized to hold any
-    of its products runs the pool rounds alone, from h* = 0, and mu bounds
-    its failure.  Below the floor, the output fills a large share of the
-    term pairs (random products) and collides at p near 4T, so the round
-    is mostly wasted: a gate of sum #F_i*#G_i >= 8T would let the T = 512
-    job of a random 64 x 64 product walk its 4096 pairs sparsely at a p in
-    [2048, 4096], where they collide.
+    sum #F_i*#G_i <= #pairs*T, far below that price: a job sized to hold
+    any of its products runs the pool rounds alone, from h* = 0, and mu
+    bounds its failure.  Below the price, the output fills a large share
+    of the term pairs (random products) and collides at a prime of the
+    order of T, so the round is mostly wasted: a gate of
+    sum #F_i*#G_i >= 8T would let the T = 512 job of a random 64 x 64
+    product walk its 4096 pairs sparsely at a p in [2048, 4096], where
+    they collide.
 
     Each round draws its prime p uniformly from a pool, the first
     2*ceil(6.4*(T-1)*k(D)) primes, where k(D) = arith._omega_bound(D) is
@@ -613,12 +626,13 @@ def interp_sum_sp(pairs, T: int, mu: float, rng: RandomSource) -> SparsePoly:
     n_pool = max(1, -(-32 * (T - 1) * _omega_bound(D) // 5))
     primes = first_primes(2 * n_pool)
     h_star = zero_poly(ring)
-    # where the walk's cost model makes a walk at 8T dense, round 0 walks
-    # at a prime in [4T, 8T] and every later round at a pool prime
+    # where the term pairs reach the packing price at the top of round 0's
+    # range, round 0 walks at a prime in it and every later round at a
+    # pool prime
     work = sum(F.sparsity * G.sparsity for F, G in pairs)
-    short = work >= _PACK_STEPS * 8 * T * len(pairs)
+    short = _packing_over(2 * _SHORT * T, len(pairs), work) <= 0
     for i in range(rounds + short):
-        p = random_prime(4 * T, rng) if i < short else primes[rng.randrange(len(primes))]
+        p = random_prime(_SHORT * T, rng) if i < short else primes[rng.randrange(len(primes))]
         h_star, done = _round(pairs, h_star, p, T, D, C)
         if done:
             break

@@ -82,8 +82,12 @@ counted, and the verifier's images of a small F_{q^s}, s per term, and
 its wrapping products, one each, as the ``RingSpec`` calls they replace
 were.
 The counter is process-global and only meaningful for single-threaded
-measurement; the other shared state in the library is the prime sieve in
-``arith``, which grows to the largest instance seen.
+measurement.  The other shared state in the library is the prime sieve in
+``arith``, which grows to the largest instance seen, and two caches in
+``cli``: ``cli._field``, a ``functools.cache`` holding one ``RingSpec``
+per distinct ``field q s`` header, which grows only with the distinct
+headers a process reads, and ``cli._build_parser``, which holds one
+argument parser.
 """
 
 from __future__ import annotations

@@ -264,9 +264,23 @@ class TestCyclicProductResidue:
                       canonicalize([(2, 1), (5, 3), (p + 7, 4)], ring))]
             for minus, kept in ((canonicalize([(3, 1), (3 + p, -1)], ring), [3]),
                                 (canonicalize([(3, 1), (3 + p, -2), (3 + 2 * p, 1)], ring), [])):
-                assert [r for r, _, _ in interp._slot_sums(minus, p, None)] == kept
+                assert [r for r, _, _, _ in interp._slot_sums(minus, p, None)] == kept
                 assert _single_hit_count(pairs, minus, p) == 2
                 cases.append((p, pairs, minus))
+            # each operand's slots (r, c, d, e), at width None ring elements,
+            # are its own slot triples, and e is the exponent of the slot's
+            # one term, or None where a direct count finds more than one
+            ones = []
+            for p, pairs, minus in cases:
+                for h in (*itertools.chain.from_iterable(pairs), minus):
+                    count = Counter(e % p for e, _ in h.terms)
+                    exponent = {e % p: e for e, _ in h.terms}
+                    got = sorted(interp._slot_sums(h, p, None))
+                    assert [(r, c, d) for r, c, d, _ in got] == _slots_of(h, p)
+                    for r, _, _, e in got:
+                        assert e == (exponent[r] if count[r] == 1 else None)
+                        ones.append(e is not None)
+            assert any(ones) and not all(ones)
             counted = 0
             for p, pairs, minus in cases:
                 want = _direct_slots(pairs, minus, p, ring)

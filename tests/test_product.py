@@ -838,15 +838,46 @@ class TestSparsityFloor:
 
 
 class TestShortRound:
-    # A job whose term pairs make a walk at 8T dense by the cost model
-    # (sum #F_i*#G_i >= 3*3.2*8T*#pairs) runs one round more, and its round
-    # 0 walks at random_prime(4T), in [4T, 8T], instead of a pool prime.  A
-    # floor raised there ends the job, and an update made there seeds the
-    # pool rounds (interp_sum_sp)
+    # A job whose term pairs reach the packing price of a walk at 8T
+    # (sum #F_i*#G_i >= 3*3.2*8T*#pairs, 3 products per slot pair at 3.2 =
+    # 16/5 per slot each) runs one round more, and its round 0 walks at
+    # random_prime(4T), in [4T, 8T], instead of a pool prime.  A floor
+    # raised there ends the job, and an update made there seeds the pool
+    # rounds (interp_sum_sp)
     @staticmethod
     def _gate(pairs, T):
+        # in integers: 3*3.2*8T*#pairs = 384*T*#pairs / 5
         work = sum(F.sparsity * G.sparsity for F, G in pairs)
-        return work >= 3 * 3.2 * 8 * T * len(pairs)
+        return 5 * work >= 384 * T * len(pairs)
+
+    def test_gate_holds_at_its_boundary(self, monkeypatch):
+        # at T = 5 with one pair the price is exactly 384 term pairs, where
+        # the float product 3*3.2*8*5 = 384.00000000000006 would fail:
+        # a 16 x 24 job walks round 0 at a prime in [20, 40], and a 383 x 1
+        # job walks its pool primes alone
+        short = []
+        real = interp.random_prime
+
+        def random_prime(lam, rng):
+            short.append(lam)
+            return real(lam, rng)
+
+        monkeypatch.setattr(interp, "random_prime", random_prime)
+        walks = _watch_walks(monkeypatch)
+        f16 = canonicalize([(i, 1 + i) for i in range(16)], ZZ)
+        g24 = canonicalize([(16 * j, 2 + j) for j in range(24)], ZZ)
+        f383 = canonicalize([(i, 1 + i) for i in range(383)], ZZ)
+        for pairs, gated in (([(f16, g24)], True), ([(f383, monomial(ZZ, 3, 2))], False)):
+            assert self._gate(pairs, 5) == gated
+            for seed in range(5):
+                short.clear()
+                walks.clear()
+                try:
+                    interp.interp_sum_sp(pairs, 5, 0.25, RandomSource(seed))
+                except SparsityBoundError:
+                    pass
+                assert short == ([20] if gated else [])
+                assert walks and (20 <= walks[0] <= 40 or not gated)
 
     @pytest.mark.parametrize("t", [64, 128, 256])
     def test_example2_ends_at_the_short_prime(self, monkeypatch, t):
