@@ -76,11 +76,13 @@ once in every ring.  The raw-int paths, products of ints reduced mod q
 or by ``_fold`` with no ``RingSpec.mul`` call, charge in bulk through
 ``add_mul_count``: residue accumulation, the rows of
 ``poly.fixed_base_powers``, one per entry as ``RingSpec.mul`` would, the
-lookups of ``poly.term_values``, charged max(1, nonzero windows) per
-term, so a product by a table row's entry 1 (a zero digit) is not
-counted, and the verifier's images of a small F_{q^s}, s per term, and
-its wrapping products, one each, as the ``RingSpec`` calls they replace
-were.
+lookups of ``poly.term_values`` and ``poly.term_sum``, charged the
+products by table entries actually taken (one per nonzero window read,
+one for a first term with e = 0, and under ``term_sum``'s runs one per
+run with a nonzero top digit in place of each term's top window), so a
+product by a table row's entry 1 (a zero digit) is not counted, and the
+verifier's images of a small F_{q^s}, s per term, and its wrapping
+products, one each, as the ``RingSpec`` calls they replace were.
 The counter is process-global and only meaningful for single-threaded
 measurement.  The other shared state in the library is the prime sieve in
 ``arith``, which grows to the largest instance seen, and two caches in

@@ -49,8 +49,9 @@ from operator import itemgetter, mul as _int_mul
 
 from .arith import (RandomSource, ceil_bound, cyclotomic_degree, irreducible_poly,
                     lambda_nonzero, random_prime)
-from .poly import (SparsePoly, _image_field, _same_ring, cyclic_reduce, eval_sparse,
-                   fixed_base_powers, height_bound, ring_sum, term_values)
+from .poly import (SparsePoly, _image_field, _same_ring, _table_bound, cyclic_reduce,
+                   eval_sparse, fixed_base_powers, height_bound, ring_sum, term_sum,
+                   term_values)
 from .rings import RingSpec, _proven_prime_field, add_mul_count
 
 _LN2 = math.log(2.0)
@@ -95,24 +96,29 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
 
     The values f_t alpha^t and g_j alpha^j come from one fixed-base table
     (fixed_base_powers) for exponents below p, looked up as in
-    eval_sparse (term_values).  The table is built here, sized by
+    eval_sparse (poly.term_values).  The table is built here, sized by
     #F_p + #G_p, unless one is passed: it must be of the same alpha in
-    the same field, for a bound above every exponent of F_p and G_p
-    (verify_sum_sp passes its check's one table, for the bound p), and
-    is then not charged here.  With alpha != 0, the wrapping terms of
-    G_p are taken by increasing j, so each S(p - j) is the previous one
-    plus the values of F_p it newly reaches, summed by poly.ring_sum; the
-    products g_j alpha^j * S(p - j) are raw ints, reduced by field._fold
-    over F_{q^s}, summed by one ring_sum and charged in bulk.
+    the same field (verify_sum_sp passes its check's one table, for the
+    bound p), is then not charged here, and a ValueError is raised when
+    it does not reach deg F_p and deg G_p.  When no pair wraps, or at
+    alpha = 0, F_p(alpha) and G_p(alpha) are summed by poly.term_sum,
+    which takes the top window once per run of terms where the top row
+    is short.  Otherwise each term's value is kept: the wrapping terms
+    of G_p are taken by increasing j, so each S(p - j) is the previous
+    one plus the values of F_p it newly reaches, summed by
+    poly.ring_sum; the products g_j alpha^j * S(p - j) are raw ints,
+    reduced by field._fold over F_{q^s}, summed by one ring_sum and
+    charged in bulk.
 
-    The charge is the table, max(1, nonzero windows of e) per term of
-    F_p and of G_p (a term whose coefficient vanishes mod q is looked up
-    too: its value is 0), and one product for F_p(alpha) * G_p(alpha).  A
-    wrapping pair adds, for alpha != 0, one product per wrapping term of
-    G_p, the exponentiation alpha^((-p) mod (|F| - 1)) = alpha^-p through
-    ring.pow and one product more; at alpha = 0, one product per wrapping
-    term g_j of G_p whose partner p - j is an exponent of F_p, the pairs
-    with t + j = p, and none for the others.  That is O((#F + #G) log p /
+    The charge is the table, the lookups of F_p and of G_p as term_sum
+    or term_values charges them (a term whose coefficient vanishes mod q
+    is looked up too: its value is 0), and one product for
+    F_p(alpha) * G_p(alpha).  A wrapping pair adds, for alpha != 0, one
+    product per wrapping term of G_p, the exponentiation
+    alpha^((-p) mod (|F| - 1)) = alpha^-p through ring.pow and one
+    product more; at alpha = 0, one product per wrapping term g_j of
+    G_p whose partner p - j is an exponent of F_p, the pairs with
+    t + j = p, and none for the others.  That is O((#F + #G) log p /
     log(#F + #G) + log |F|) ring multiplications, all charged to the
     global counter.
     """
@@ -126,16 +132,19 @@ def eval_cyclic_product(F_p: SparsePoly, G_p: SparsePoly, p: int, alpha,
 
     if table is None:
         table = fixed_base_powers(field, alpha, p, F_p.sparsity + G_p.sparsity)
+    elif max(F_p.degree, G_p.degree) >= _table_bound(table):
+        raise ValueError("the table does not reach deg F_p and deg G_p")
+    first = bisect_left(G_p.terms, p - F_p.degree, key=itemgetter(0))
+    wraps = G_p.terms[first:]
+    if not wraps or not alpha:
+        value = field.mul(term_sum(field, F_p.terms, table), term_sum(field, G_p.terms, table))
+        if not wraps:
+            return value
+        f = dict(F_p.terms)
+        return reduce(field.add, (field.mul(f[p - j], g) for j, g in wraps if p - j in f), value)
     f_vals = list(term_values(field, F_p.terms, table))
     g_vals = list(term_values(field, G_p.terms, table))
     value = field.mul(ring_sum(field, f_vals), ring_sum(field, g_vals))
-    first = bisect_left(G_p.terms, p - F_p.degree, key=itemgetter(0))
-    wraps = G_p.terms[first:]
-    if not wraps:
-        return value
-    if not alpha:
-        f = dict(F_p.terms)
-        return reduce(field.add, (field.mul(f[p - j], g) for j, g in wraps if p - j in f), value)
     # S(p - j) for each wrapping j, from the smallest j, the shortest
     # suffix, up: each adds the values of F_p's terms it newly reaches
     f_exps = list(map(itemgetter(0), F_p.terms))
@@ -239,8 +248,8 @@ def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
     Every evaluation reads one table of alpha,
     fixed_base_powers(field, alpha, p, sum(#f + #g) + #h), over the pairs
     (f, g) evaluated and the h compared: exponents below p, and a window
-    sized by all of the check's lookups, max(1, nonzero windows of e) for
-    each term e of every f, g and h.
+    sized by all of the check's lookups, one per term of every f, g and
+    h, each looked up as poly.term_sum or poly.term_values charges it.
 
     Soundness.  Let D_j be coordinate j of sum F_i G_i - H.  Its support
     lies in supp(sum F_i G_i) u supp(H), so it has at most sparsity_sum

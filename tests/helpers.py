@@ -11,7 +11,7 @@ import random
 from hypothesis import strategies as st
 
 from spmul import (MultiPoly, PolyFileError, SparsePoly, canonicalize, canonicalize_multi,
-                   ext_field, integers, prime_field, verify)
+                   ext_field, integers, poly, prime_field, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,31 @@ def canonical_walk_oracle(q: int, s: int, is_irreducible) -> tuple:
 def eval_oracle_prime_field(terms, alpha: int, q: int) -> int:
     """Evaluation over F_q using builtin pow only."""
     return sum(c * pow(alpha, e, q) for e, c in terms) % q
+
+
+def _nonzero_windows(e: int, w: int, rows: int) -> int:
+    return sum(1 for i in range(rows) if e >> w * i & (1 << w) - 1)
+
+
+def window_charge(table, exps) -> int:
+    """The ring mults of poly.term_values over fixed_base_powers' table
+    (rows, w) for the sorted, distinct exponents exps, counted from the
+    exponents: max(1, nonzero w-bit windows of e) per term."""
+    rows, w = table
+    return sum(max(1, _nonzero_windows(e, w, len(rows))) for e in exps)
+
+
+def sum_charge(table, exps) -> int:
+    """The ring mults of poly.term_sum for exps: window_charge, or, where
+    poly._by_runs sums by runs of the top digit, the nonzero windows
+    below the top row of each term, one for e = 0, and one per distinct
+    nonzero top digit."""
+    rows, w = table
+    if not poly._by_runs(rows, len(exps)):
+        return window_charge(table, exps)
+    k = len(rows) - 1
+    low = sum(_nonzero_windows(e, w, k) for e in exps) + (0 in exps)
+    return low + len({e >> w * k for e in exps} - {0})
 
 
 @functools.cache

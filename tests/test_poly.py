@@ -1,13 +1,15 @@
 import random
+from bisect import bisect_left
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spmul import (RandomSource, RingMismatchError, UnsupportedRingError, add, canonicalize,
-                   cyclic_reduce, dense_cyclic_mul, derivative,
+from spmul import (RandomSource, RingMismatchError, SparsePoly, UnsupportedRingError, add,
+                   canonicalize, cyclic_reduce, dense_cyclic_mul, derivative,
                    eval_cyclic_product, eval_sparse, ext_field, integers,
-                   naive_mul, negate, prime_field, mul_count,
+                   naive_mul, negate, prime_field, mul_count, random_prime,
                    reset_mul_count, scale, sub, zero_poly)
 from spmul import poly
 from spmul.poly import NEG_INF, fixed_base_powers, ring_sum, term_values
@@ -15,7 +17,7 @@ from spmul.rings import _byte_width, _pow_cost, _unpack
 
 from helpers import (Q62, cyclic_convolve_oracle, dict_mul_z, dict_sum_ring, is_canonical,
                      monomial, poly_to_dict, rand_sparse, raw_coeff, ring_coeffs,
-                     trial_division_primes)
+                     sum_charge, trial_division_primes, window_charge)
 
 ZZ = integers()
 F7, F9 = prime_field(7), ext_field(3, 2)
@@ -427,14 +429,12 @@ def _power(ring, table, e):
     return ring_sum(ring, term_values(ring, [(e, 1)], table))
 
 
-def _per_term_tally(field, alpha, P):
-    """The multiplications of one table for P and, per term, one lookup
-    of alpha^e with its coefficient product."""
+def _exponent_tally(field, alpha, P):
+    """The multiplications of one table for P and of P's lookups and sum,
+    counted from P's exponents (helpers.sum_charge)."""
     reset_mul_count()
     table = fixed_base_powers(field, alpha, P.degree + 1, P.sparsity)
-    for e, _ in P.terms:
-        _power(field, table, e)
-    return mul_count()
+    return mul_count() + sum_charge(table, [e for e, _ in P.terms])
 
 
 class TestEvalInField:
@@ -455,7 +455,7 @@ class TestEvalInField:
         for p in (bound, 65537, 3, 1):
             h_p = cyclic_reduce(h, p)
             want = sum(c * pow(alpha, e % p, q) for e, c in h.terms) % q
-            tally = _per_term_tally(fq, alpha, h_p) if not h_p.is_zero else 0
+            tally = _exponent_tally(fq, alpha, h_p) if not h_p.is_zero else 0
             reset_mul_count()
             assert eval_sparse(h_p, alpha, fq) == want
             assert mul_count() == tally
@@ -474,7 +474,7 @@ class TestEvalInField:
         for alpha, want in ((1, sum(c for _, c in h.terms) % Q62), (0, h.terms[0][1] % Q62)):
             reset_mul_count()
             assert eval_sparse(h, alpha, fq) == want
-            assert mul_count() == _per_term_tally(fq, alpha, h)
+            assert mul_count() == _exponent_tally(fq, alpha, h)
 
     def test_field_must_hold_the_image(self):
         h = canonicalize([(3, -4), (0, 9)], ZZ)
@@ -535,16 +535,13 @@ class TestFixedBasePowers:
         rnd = random.Random(27)
         for ring in self.RINGS:
             for bound in (1, 2, 1000, 2 ** 40 + 3):
-                exps = [0, bound - 1] + [rnd.randrange(bound) for _ in range(20)]
+                # sorted and distinct, as a SparsePoly's exponents
+                exps = sorted({0, bound - 1, *(rnd.randrange(bound) for _ in range(20))})
                 terms = [(e, self._elem(rnd, ring) or 1) for e in exps]
                 table = fixed_base_powers(ring, self._elem(rnd, ring), bound, len(terms))
-                rows, w = table
-                mask = (1 << w) - 1
-                windows = sum(max(1, sum(1 for i in range(len(rows)) if e >> w * i & mask))
-                              for e in exps)
                 reset_mul_count()
                 list(term_values(ring, terms, table))
-                assert mul_count() == windows, (ring, bound)
+                assert mul_count() == window_charge(table, exps), (ring, bound)
 
     # (bits of bound - 1, lookups) at which fixed_base_powers picks each
     # w = 1 .. 16 in turn: rows from 2 to 61, exactly 4 and 8 (whose last
@@ -558,8 +555,9 @@ class TestFixedBasePowers:
     def test_packed_windows_at_every_width(self):
         # term_values over F_q against sum c * alpha^e mod q, term by term,
         # and its charge against max(1, nonzero windows) per term; the
-        # exponents reach bound - 1 (2^61 - 1 at the top), and the
-        # coefficients are negative, >= q or multiples of q
+        # exponents are sorted, as a SparsePoly's, and reach bound - 1
+        # (2^61 - 1 at the top), and the coefficients are negative, >= q or
+        # multiples of q
         rnd = random.Random(28)
         widths, edge = set(), False
         for i, (bits, lookups) in enumerate(self.WIDTHS):
@@ -571,16 +569,13 @@ class TestFixedBasePowers:
                 rows, w = table
                 widths.add(w)
                 edge |= w * len(rows) > 8 * _byte_width(bound - 1)
-                exps = [0, bound - 1, 1] + [rnd.randrange(bound) for _ in range(60)]
+                exps = sorted({0, bound - 1, 1, *(rnd.randrange(bound) for _ in range(60))})
                 coeffs = (lambda: rnd.randint(-2 ** 70, -1), lambda: rnd.randint(q, 2 ** 70),
                           lambda: q * rnd.randint(-3, 3), lambda: rnd.randrange(1, q))
                 terms = [(e, rnd.choice(coeffs)()) for e in exps]
-                mask = (1 << w) - 1
-                windows = sum(max(1, sum(1 for k in range(len(rows)) if e >> w * k & mask))
-                              for e in exps)
                 reset_mul_count()
                 values = list(term_values(fq, terms, table))
-                assert mul_count() == windows, (bits, lookups, bound)
+                assert mul_count() == window_charge(table, exps), (bits, lookups, bound)
                 assert [v % q for v in values] == [c * pow(alpha, e, q) % q for e, c in terms]
                 assert ring_sum(fq, values) == sum(c * pow(alpha, e, q) for e, c in terms) % q
         assert widths == set(range(1, 17)) and edge
@@ -602,25 +597,200 @@ class TestFixedBasePowers:
                 assert mul_count() - lookups <= (bits - 1) * (lookups + 1)
 
     def test_one_and_two_terms_match_ring_mul(self):
-        # c * alpha^e against ring.mul(c, ring.pow(alpha, e)), at n = 1,
-        # where one lookup reads its entry alone, and at n = 2; exponents
-        # with zero windows and e = 0 among them (over F_q the values are
-        # congruent mod q)
+        # c * alpha^e against ring.mul(c, ring.pow(alpha, e)), at n = 0,
+        # at n = 1, where one lookup reads its entry alone, and at n = 2;
+        # exponents with zero windows and e = 0 among them (over F_q the
+        # values are congruent mod q)
         rnd = random.Random(29)
         for ring in self.RINGS:
             q = ring.q
             for bound in (2, 1000, 2 ** 40 + 3):
                 alpha = self._elem(rnd, ring)
                 table = fixed_base_powers(ring, alpha, bound, 2)
-                for n in (1, 2):
+                for n in (0, 1, 2):
                     for _ in range(12):
-                        terms = [(rnd.choice((0, 1, bound - 1, rnd.randrange(bound))),
-                                  self._elem(rnd, ring) or 1) for _ in range(n)]
+                        terms = sorted((rnd.choice((0, 1, bound - 1, rnd.randrange(bound))),
+                                        self._elem(rnd, ring) or 1) for _ in range(n))
                         want = [ring.mul(c, ring.pow(alpha, e)) for e, c in terms]
                         got = list(term_values(ring, terms, table))
                         if ring.kind == "prime_field":
                             got = [v % q for v in got]
                         assert got == want, (ring, bound, terms)
+
+
+def _mul_power(ring, alpha, e):
+    """alpha^e by square and multiply through ring.mul alone."""
+    acc = ring.one()
+    while e:
+        if e & 1:
+            acc = ring.mul(acc, alpha)
+        alpha, e = ring.mul(alpha, alpha), e >> 1
+    return acc
+
+
+def _value_oracle(ring, terms, alpha):
+    """sum c * alpha^e in ring: builtin pow over F_q, ring.mul over F_{q^s}."""
+    if ring.kind == "prime_field":
+        return sum(c * pow(alpha, e, ring.q) for e, c in terms) % ring.q
+    return reduce(ring.add, (ring.mul(c, _mul_power(ring, alpha, e)) for e, c in terms), 0)
+
+
+class TestRunSums:
+    """term_sum by runs of the top digit, where _by_runs holds: values
+    against sum c * alpha^e by builtin pow (powers by ring.mul over
+    F_{q^s}), and charges against helpers.sum_charge, counted from the
+    exponents."""
+
+    F_Q62 = prime_field(Q62)
+    F101_3 = ext_field(101, 3)
+
+    @staticmethod
+    def _terms(rnd, ring, exps):
+        if ring.kind == "ext_field":
+            return [(e, ring.coerce([rnd.randrange(ring.q) for _ in range(ring.s)]) or 1)
+                    for e in exps]
+        return [(e, rnd.randrange(1, ring.q)) for e in exps]
+
+    def _check(self, ring, terms, alpha, table):
+        """eval_sparse of terms with table passed: value and charge."""
+        exps = [e for e, _ in terms]
+        want = _value_oracle(ring, terms, alpha)
+        reset_mul_count()
+        assert eval_sparse(SparsePoly(ring, tuple(terms)), alpha, table=table) == want
+        assert mul_count() == sum_charge(table, exps)
+
+    @pytest.mark.parametrize("bits", [31, 61])
+    @pytest.mark.parametrize("case", ["Z-in-F_Q62", "F_Q62", "F_101^3"])
+    def test_at_least_5000_terms(self, case, bits):
+        rnd = random.Random(bits + len(case))
+        bound = 1 << bits
+        if case == "Z-in-F_Q62":
+            h, field = _z_poly(rnd, Q62, bound, 5000), self.F_Q62
+        else:
+            field = self.F_Q62 if case == "F_Q62" else self.F101_3
+            exps = sorted({0, bound - 1, *(rnd.randrange(bound) for _ in range(4998))})
+            h = SparsePoly(field, tuple(self._terms(rnd, field, exps)))
+        assert h.sparsity >= 4990
+        alpha = field.rand_elem(RandomSource(bits)) or 1
+        tally = _exponent_tally(field, alpha, h)
+        assert poly._by_runs(fixed_base_powers(field, alpha, bound, h.sparsity)[0], h.sparsity)
+        want = _value_oracle(field, h.terms, alpha)
+        reset_mul_count()
+        assert eval_sparse(h, alpha, field) == want
+        assert mul_count() == tally
+
+    def test_edge_cases(self):
+        # a 31-bit table whose top row has 128 entries: 4000 terms go by
+        # runs, 100 term by term
+        rnd, fq = random.Random(42), self.F_Q62
+        for ring in (fq, self.F101_3):
+            table = fixed_base_powers(ring, ring.rand_elem(RandomSource(1)) or 1, 2 ** 31, 5000)
+            rows, w = table
+            shift = w * (len(rows) - 1)
+            assert len(rows[-1]) == 128 and shift == 24
+            cases = {
+                "e = 0 and the top exponent": {0, 2 ** 31 - 1},
+                "one run": {(5 << shift) + rnd.randrange(1 << shift) for _ in range(4000)},
+                "every top digit 0": {rnd.randrange(1 << shift) for _ in range(4000)},
+                "low windows 0": {rnd.randrange(128) << shift for _ in range(4000)},
+            }
+            for name, exps in cases.items():
+                for n in (4000, 100):
+                    chosen = sorted(rnd.sample(sorted(exps), min(n, len(exps))))
+                    terms = self._terms(rnd, ring, chosen)
+                    by_runs = poly._by_runs(rows, len(terms))
+                    assert by_runs == (len(terms) >= 16 * 128), name
+                    for alpha in (0, 1, ring.rand_elem(RandomSource(n)) or 1):
+                        table = fixed_base_powers(ring, alpha, 2 ** 31, 5000)
+                        self._check(ring, terms, alpha, table)
+
+    def test_empty_table_at_p_one(self):
+        # bound 1: the table has no row, and every exponent is 0
+        for ring in (self.F_Q62, self.F101_3):
+            c1, c2 = (ring.rand_elem(RandomSource(k)) or 1 for k in (1, 2))
+            table = fixed_base_powers(ring, 3, 1, 5)
+            assert table[0] == []
+            self._check(ring, [(0, c1)], 3, table)
+            f, g = SparsePoly(ring, ((0, c1),)), SparsePoly(ring, ((0, c2),))
+            want = ring.mul(c1, c2)
+            reset_mul_count()
+            assert eval_cyclic_product(f, g, 1, 3) == want
+            # one lookup charge per e = 0 term and F(alpha) * G(alpha)
+            assert mul_count() == 3
+        reset_mul_count()
+        assert eval_sparse(monomial(ZZ, 0, -7), 3, self.F_Q62) == Q62 - 7
+        assert mul_count() == 1
+
+    @pytest.mark.parametrize("spread", ["wraps", "no-wraps"])
+    def test_cyclic_product_at_a_drawn_prime(self, spread):
+        # 9000 x 9000 terms below a prime p drawn from [2^30, 2^31]; every
+        # pair wraps past p or none does.  The oracle splits G at p - t for
+        # each t: sum_t f_t a^t (P(p - t) + a^-p (G(a) - P(p - t))), with P
+        # the prefix sums of g_j a^j
+        fq, q = self.F_Q62, Q62
+        p = random_prime(2 ** 30, RandomSource(7))
+        rnd = random.Random(p)
+        top = p if spread == "wraps" else p // 2
+        f, g = (canonicalize(self._terms(rnd, fq, rnd.sample(range(top), 9000)), fq)
+                for _ in "fg")
+        alpha = rnd.randrange(2, q)
+        g_exps = [j for j, _ in g.terms]
+        prefix = [0]
+        for j, c in g.terms:
+            prefix.append((prefix[-1] + c * pow(alpha, j, q)) % q)
+        inv = pow(alpha, -p, q)
+        want = 0
+        for t, c in f.terms:
+            low = prefix[bisect_left(g_exps, p - t)]
+            want += c * pow(alpha, t, q) * (low + inv * (prefix[-1] - low))
+        want %= q
+        reset_mul_count()
+        table = fixed_base_powers(fq, alpha, p, 18000)
+        tally = mul_count()
+        wraps = sum(1 for j in g_exps if j >= p - f.degree)
+        assert (wraps > 0) == (spread == "wraps")
+        if wraps:
+            tally += (window_charge(table, [e for e, _ in f.terms]) + window_charge(table, g_exps)
+                      + 1 + wraps + _pow_cost(-p % (q - 1)) + 1)
+        else:
+            assert poly._by_runs(table[0], 9000)
+            tally += sum_charge(table, [e for e, _ in f.terms]) + sum_charge(table, g_exps) + 1
+        reset_mul_count()
+        assert eval_cyclic_product(f, g, p, alpha) == want
+        assert mul_count() == tally
+
+    def test_table_must_reach_the_last_exponent(self):
+        # the table of bound 1000 at w = 2 reaches 1023 (top row 0 .. 3 at
+        # bit 8); past it a monomial used to take a wrong value or raise
+        # OverflowError
+        fq = prime_field(2 ** 61 - 1)
+        table = fixed_base_powers(fq, 3, 1000, 4)
+        one = monomial(fq, 0, 1)
+        assert eval_sparse(monomial(fq, 1023, 1), 3, table=table) == pow(3, 1023, fq.q)
+        for e in (1024, 5000, 2 ** 20 + 7):
+            x_e = monomial(fq, e, 1)
+            with pytest.raises(ValueError):
+                eval_sparse(x_e, 3, table=table)
+            for f, g in ((x_e, one), (one, x_e)):
+                with pytest.raises(ValueError):
+                    eval_cyclic_product(f, g, 2 ** 21, 3, table=table)
+
+    @given(st.data())
+    def test_random_sorted_terms(self, data):
+        ring = data.draw(st.sampled_from([prime_field(101), self.F_Q62, F9]))
+        bound = data.draw(st.one_of(st.integers(1, 64), st.integers(1, 2 ** 62)))
+        lookups = data.draw(st.integers(1, 10 ** 5))
+        high = data.draw(st.integers(0, bound - 1))
+        # exponents near one value share their top digits in longer runs
+        spread = data.draw(st.sampled_from([bound, 64]))
+        exps = data.draw(st.sets(st.integers(max(0, high - spread), min(bound, high + spread) - 1),
+                                 min_size=1, max_size=200))
+        coeffs = data.draw(st.lists(ring_coeffs(ring), min_size=len(exps), max_size=len(exps)))
+        terms = [(e, ring.coerce(c)) for e, c in zip(sorted(exps), coeffs) if ring.coerce(c)]
+        if not terms:
+            return
+        alpha = ring.coerce(data.draw(ring_coeffs(ring)))
+        self._check(ring, terms, alpha, fixed_base_powers(ring, alpha, bound, lookups))
 
 
 class TestRingSum:

@@ -10,10 +10,11 @@ from spmul import (RandomSource, RingMismatchError, RingSpec, UnsupportedRingErr
                    mul_count, naive_mul, negate, prime_field, random_prime,
                    reset_mul_count, scale, verify_sp, verify_sum_sp, zero_poly)
 from spmul import SparsePoly, arith, poly, verify
-from spmul.poly import fixed_base_powers, term_values
+from spmul.poly import fixed_base_powers
 from spmul.rings import _pow_cost
 
-from helpers import Q62, monomial, rand_sparse, watch_cyclic_evaluations
+from helpers import (Q62, monomial, rand_sparse, sum_charge, watch_cyclic_evaluations,
+                     window_charge)
 
 ZZ = integers()
 F101 = prime_field(101)
@@ -49,6 +50,10 @@ def _nonzero(rnd, ring):
 
 def _with_exps(rnd, ring, exps):
     return canonicalize([(e, _nonzero(rnd, ring)) for e in exps], ring)
+
+
+def _exps(f):
+    return [e for e, _ in f.terms]
 
 
 class TestEvalCyclicProduct:
@@ -156,9 +161,7 @@ class TestEvalCyclicProduct:
             alpha = _nonzero(rnd, ring)
             reset_mul_count()
             table = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
-            for e, _ in f.terms + g.terms:
-                term_values(ring, [(e, 1)], table)
-            want = mul_count() + 1
+            want = mul_count() + sum_charge(table, _exps(f)) + sum_charge(table, _exps(g)) + 1
             reset_mul_count()
             value = eval_cyclic_product(f, g, p, alpha)
             assert mul_count() == want
@@ -184,9 +187,9 @@ class TestEvalCyclicProduct:
                 for alpha in (_nonzero(rnd, ring), 0):
                     reset_mul_count()
                     table = fixed_base_powers(ring, alpha, p, f.sparsity + g.sparsity)
-                    for e, _ in f.terms + g.terms:
-                        term_values(ring, [(e, 1)], table)
-                    want = mul_count() + 1
+                    # the wrap route keeps each term's value
+                    charge = window_charge if wraps and alpha else sum_charge
+                    want = mul_count() + charge(table, _exps(f)) + charge(table, _exps(g)) + 1
                     if wraps and alpha:
                         want += wraps + _pow_cost(-p % (ring.size - 1)) + 1
                     elif wraps:
