@@ -27,11 +27,16 @@ class RandomSource:
 
     Identical seeds yield identical outcomes across runs and platforms.
     A single instance must not be shared between concurrent calls.
+
+    A nonnegative seed n draws random.Random(n)'s stream.  random.Random
+    seeds from |n|, so a negative seed instead seeds from its decimal
+    string, which random.Random hashes with SHA-512: -n and n draw
+    different streams, each the same on every platform.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)
+        self._rng = random.Random(self.seed if self.seed >= 0 else str(self.seed))
 
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)

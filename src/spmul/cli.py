@@ -16,18 +16,20 @@ fields use the canonical defining polynomial (the lexicographically
 smallest monic irreducible of degree s over F_q), so a header fully
 determines the ring.  Files must be canonical: no duplicate exponents,
 no zero coefficients.  Term lines may come in any order, their tokens
-split by any run of spaces or tabs, with LF or CRLF line ends.
+split by any run of spaces or tabs, with LF or CRLF line ends.  Only LF
+ends a line; a CR, form feed or other Unicode space is whitespace.
 
-parse_poly checks the term lines a column of tokens at a time: one split
-of all of them, then one C-level pass per check (int over each column,
-min and max for the field range and the exponents' sign, one set for
-duplicate exponent vectors, one sort).  That is about 1.1 us per term
-line of a one-variable file over Z and 1.4 us over F_9 (CPython 3.11,
-2-core x86-64).  A file that fails a check is read again line by line, and the error names
-its first bad line (counting comment and blank lines) and the first check
-that line fails; a duplicate exponent is reported at its second line.
-format_poly writes each term line with one %-format, about 0.4 us a line
-over Z.
+One parser reads the file: parse_poly checks the term lines a column of
+tokens at a time, one split of all of them, then one C-level pass per
+check (int over each column, min and max for the field range and the
+exponents' sign, one set for duplicate exponent vectors, one sort).
+That is about 1.1 us per term line of a one-variable file over Z and
+1.4 us over F_9 (CPython 3.11, 2-core x86-64).  On a file that fails a
+check, the same pass runs on each term line alone, and the error names
+the first bad line (counting comment and blank lines) and the first
+check that line fails; a duplicate exponent is reported at its second
+line.  format_poly writes each term line with one %-format, about 0.4 us
+a line over Z.
 """
 
 from __future__ import annotations
@@ -88,10 +90,19 @@ def parse_poly(text: str) -> MultiPoly:
     """Parse a polynomial file into a MultiPoly; a one-variable file
     gives nvars = 1.
 
-    The term lines are checked a column of tokens at a time
-    (_column_terms).  A file that fails any of those checks is read
-    again line by line (_line_terms), which raises on its first bad line."""
-    lines = text.splitlines()
+    Only LF ends a line: a CR before it, like a form feed or any other
+    Unicode space within a line, is whitespace between tokens.  The term
+    lines are checked a column of tokens at a time (_column_terms).  A
+    file that fails a check is not parsed again: the same pass runs on
+    each term line alone, with one set of the exponent vectors seen so
+    far, and the first line that fails, or repeats an exponent vector,
+    raises PolyFileError.  Some line always does, since the pass accepts
+    a file exactly when it accepts each of its lines alone and no
+    exponent vector repeats (_column_terms)."""
+    lines = text.split("\n")
+    # the empty string after a final LF is no line: a missing header line
+    # reads as an empty line past the end of the file
+    eof = len(lines) + bool(lines[-1])
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
     head = []
@@ -100,8 +111,7 @@ def parse_poly(text: str) -> MultiPoly:
             head.append((lineno, parts))
             if len(head) == 2:
                 break
-    # a missing header line reads as an empty line past the end of the file
-    head += [(len(lines) + 1, [])] * (2 - len(head))
+    head += [(eof, [])] * (2 - len(head))
     (rno, rparts), (vno, vparts) = head
     ring = _parse_ring(rparts, rno)
     if len(vparts) != 2 or vparts[0] != "vars":
@@ -113,105 +123,97 @@ def parse_poly(text: str) -> MultiPoly:
     if nvars < 1:
         raise PolyFileError(f"line {vno}: vars count must be >= 1")
     terms = _column_terms(ring, nvars, lines[vno:])
-    if terms is None:
-        terms = _line_terms(ring, nvars, lines, vno)
+    if isinstance(terms, str):
+        seen = set()
+        for lineno, line in enumerate(lines[vno:], start=vno + 1):
+            got = _column_terms(ring, nvars, [line])
+            if isinstance(got, str):
+                raise PolyFileError(f"line {lineno}: {got}")
+            for key, _ in got:
+                if key in seen:
+                    raise PolyFileError(
+                        f"line {lineno}: duplicate exponent; files must be canonical")
+                seen.add(key)
+        raise AssertionError(f"the term lines were rejected ({terms}), yet each passes alone")
     return MultiPoly(ring, nvars, terms)
 
 
 def _column_terms(ring: RingSpec, nvars: int, lines: list):
     """The sorted terms of the term lines `lines` (comments removed), or
-    None if any line fails a check.  Each check is one pass over a whole
-    column of the lines' tokens, split at once; work is bounded by the
-    tokens present, whatever nvars is.
+    the reason they fail.  Each check is one pass over a whole column of
+    the lines' tokens, split at once; work is bounded by the tokens
+    present, whatever nvars is.  The checks run in the order one line's
+    are read: the term record, the token count, the coefficient (a bad
+    token, the number of residues, the field range, zero), then the
+    exponents (integers, nonnegative).  For one line the reason is the
+    first check that line fails, worded as parse_poly reports it; for
+    several, it names the first column check that fails.
 
-    With n nonblank lines and k = 2 + nvars, every line holds k tokens,
-    the first of them term, when there are k * n tokens, every k-th one
+    The lines pass exactly when each passes alone and no exponent vector
+    repeats.  Let there be n nonblank lines, k = 2 + nvars.  If each line
+    passes alone, its k tokens are term, a coefficient and nvars
+    exponents, so the tokens of all of them run k to a line and every
+    column check holds over the column as it holds for each line.
+    Conversely, if the lines pass, there are k * n tokens, every k-th one
     from the first is the word term, every line starts with "term", and
     every other token reads as an integer (over an extension field, as s
     of them between commas).  No token starting with "term" reads as an
     integer, so each line starts at a multiple of k, and the n lines start
-    at the n such positions."""
+    at the n such positions: each line is k tokens, and each column check
+    holds for each line's entry in that column."""
     firsts = list(filter(None, map(str.lstrip, lines)))
     if not firsts:
         return ()
     tokens = " ".join(lines).split()
     n, k = len(firsts), 2 + nvars
-    if (len(tokens) != k * n or tokens[::k].count("term") != n
-            or not all(map(str.startswith, firsts, repeat("term")))):
-        return None
+    if tokens[0] != "term" or not all(map(str.startswith, firsts, repeat("term"))):
+        return "expected a term record"
+    if len(tokens) != k * n or tokens[::k].count("term") != n:
+        return f"term needs a coefficient and {nvars} exponents"
+    coeffs = _column_coeffs(ring, tokens[1::k])
+    if isinstance(coeffs, str):
+        return coeffs
+    if 0 in coeffs:
+        return "zero coefficient; files must be canonical"
     try:
-        coeffs = _column_coeffs(ring, tokens[1::k])
         exps = list(map(int, compress(tokens, cycle((0, 0) + (1,) * nvars))))
     except ValueError:
-        return None
-    if coeffs is None or 0 in coeffs or min(exps) < 0:
-        return None
+        return "exponents must be integers"
+    if min(exps) < 0:
+        return "exponents must be nonnegative"
     keys = list(zip(*[iter(exps)] * nvars))
     if len(set(keys)) != n:
-        return None
+        return "duplicate exponent; files must be canonical"
     # every term is checked and no exponent vector repeats, so sorting is
     # all that canonical form still asks
     return tuple(sorted(zip(keys, coeffs)))
 
 
 def _column_coeffs(ring: RingSpec, tokens: list):
-    """The ring elements of the coefficient tokens, or None if one is out
-    of field range; ValueError if one is not an integer (over Z) or not s
-    comma-separated integers (over a field)."""
-    if ring.kind == "integers":
-        return list(map(int, tokens))
+    """The ring elements of the coefficient tokens, or the reason they
+    fail: a token that is not integers between commas (named for the
+    first token), then the wrong number of them (one over Z and F_q, s
+    over F_(q^s)), then a residue out of field range."""
     s = ring.s
-    if s > 1:
-        if set(map(str.count, tokens, repeat(","))) != {s - 1}:
-            return None
-        tokens = ",".join(tokens).split(",")
-    residues = list(map(int, tokens))
-    if min(residues) < 0 or max(residues) >= ring.q:
-        return None
-    return ring.elements(residues)
-
-
-def _parse_coeff(token: str, ring: RingSpec, lineno: int):
     try:
-        residues = [int(v) for v in token.split(",")]
+        residues = list(map(int, ",".join(tokens).split(",") if s > 1 else tokens))
     except ValueError:
-        raise PolyFileError(f"line {lineno}: bad coefficient {token!r}") from None
-    if ring.kind == "integers":
-        if len(residues) != 1:
-            raise PolyFileError(f"line {lineno}: integer coefficients take one value")
-    elif len(residues) != ring.s or any(not 0 <= v < ring.q for v in residues):
-        raise PolyFileError(f"line {lineno}: coefficient out of field range")
-    if not any(residues):
-        raise PolyFileError(f"line {lineno}: zero coefficient; files must be canonical")
-    return ring.coerce(residues if ring.kind == "ext_field" else residues[0])
-
-
-def _line_terms(ring: RingSpec, nvars: int, lines: list, vno: int) -> tuple:
-    """The sorted terms of the lines after the vars line (line vno),
-    comments removed, checked one line at a time: the first bad line
-    raises PolyFileError, naming the line and its first failed check."""
-    seen = set()
-    terms = []
-    for lineno, line in enumerate(lines[vno:], start=vno + 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] != "term":
-            raise PolyFileError(f"line {lineno}: expected a term record")
-        if len(parts) != 2 + nvars:
-            raise PolyFileError(f"line {lineno}: term needs a coefficient and {nvars} exponents")
-        c = _parse_coeff(parts[1], ring, lineno)
+        residues = None
+    if residues is None or s > 1 and set(map(str.count, tokens, repeat(","))) != {s - 1}:
         try:
-            exps = tuple(int(v) for v in parts[2:])
+            # over Z and F_q a token with a comma fails int above: it is
+            # a bad token only if one of its parts is
+            list(map(int, ",".join(tokens).split(",")))
         except ValueError:
-            raise PolyFileError(f"line {lineno}: exponents must be integers") from None
-        if any(e < 0 for e in exps):
-            raise PolyFileError(f"line {lineno}: exponents must be nonnegative")
-        if exps in seen:
-            raise PolyFileError(f"line {lineno}: duplicate exponent; files must be canonical")
-        seen.add(exps)
-        terms.append((exps, c))
-    return tuple(sorted(terms))
+            return f"bad coefficient {tokens[0]!r}"
+        if ring.is_field:
+            return "coefficient out of field range"
+        return "integer coefficients take one value"
+    if not ring.is_field:
+        return residues
+    if min(residues) < 0 or max(residues) >= ring.q:
+        return "coefficient out of field range"
+    return ring.elements(residues)
 
 
 def _ring_header(ring: RingSpec) -> str:

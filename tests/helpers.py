@@ -276,14 +276,15 @@ def reference_parse_poly(text: str) -> MultiPoly:
     """The polynomial file parser read one line at a time, each line's
     checks in turn, as cli.parse_poly was before it read term lines a
     column at a time: the reference its results and its first-bad-line
-    diagnostics are compared with."""
-    raw_lines = text.splitlines()
+    diagnostics are compared with.  Only LF ends a line, and the empty
+    string after a final LF is no line."""
+    raw_lines = text.split("\n")
     lines = []
     for lineno, raw in enumerate(raw_lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((lineno, stripped))
-    eof = (len(raw_lines) + 1, "")
+    eof = (len(raw_lines) + bool(raw_lines[-1]), "")
     rno, rline = lines[0] if lines else eof
     ring = _reference_ring(rline, rno)
     vno, vline = lines[1] if len(lines) > 1 else eof

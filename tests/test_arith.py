@@ -88,6 +88,23 @@ class TestIsPrime:
             assert not is_prime(n) and not thirteen(n)
 
 
+class TestRandomSource:
+    def test_nonnegative_seeds_keep_random_random_streams(self):
+        assert RandomSource(7).randrange(10 ** 9) == 347712782
+        for seed in (0, 1, 5, 2 ** 70):
+            assert RandomSource(seed).randrange(10 ** 9) == random.Random(seed).randrange(10 ** 9)
+
+    def test_negative_seeds_draw_streams_of_their_own(self):
+        # random.Random(-n) replays random.Random(n); RandomSource(-n) does
+        # not, and its stream is pinned, so it is the same on every platform
+        assert RandomSource(-7).randrange(10 ** 9) == 699142031
+        for seed in (1, 5, 7, 2 ** 70):
+            sources = [RandomSource(seed), RandomSource(-seed), RandomSource(-seed)]
+            draws = [[rng.randrange(10 ** 9) for _ in range(2)] for rng in sources]
+            assert draws[0] != draws[1] == draws[2]
+        assert random_prime(10 ** 6, RandomSource(-5)) != random_prime(10 ** 6, RandomSource(5))
+
+
 class TestRandomPrime:
     def test_enumerated_range_lambda_21(self):
         candidates = set(trial_division_primes(42)) - set(trial_division_primes(20))

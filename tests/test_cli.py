@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import random
 import re
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmul import (PolyFileError, RetryBudgetError, RingSpec, SparsityBoundError, canonicalize,
                    canonicalize_multi, ext_field, integers, kronecker, lambda_nonzero,
@@ -43,6 +46,33 @@ class TestParseFormat:
     def test_comments_and_blank_lines(self):
         text = "# header comment\nring int\n\nvars 1\nterm 5 3 # trailing\n"
         assert parse_poly(text).terms == (((3,), 5),)
+
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_only_lf_ends_a_line(self, tmp_path, sep):
+        # str.splitlines also breaks at these; within a line each is
+        # whitespace, in a comment it is part of the comment, and line
+        # numbers count LFs only
+        text = f"# page{sep} break\nring int\nvars 1\nterm{sep}2 3{sep}\n# end{sep}x\n"
+        assert parse_poly(text).terms == (((3,), 2),)
+        bad = text + f"term 1{sep}y\n"
+        with pytest.raises(PolyFileError, match="^line 6: exponents must be integers$"):
+            parse_poly(bad)
+        # and so through a file, which open() reads with only CR and CRLF
+        # turned into LF
+        (tmp_path / "f.poly").write_text(text, newline="")
+        assert run_command(["mul", str(tmp_path / "f.poly"), str(tmp_path / "f.poly"),
+                            "-o", str(tmp_path / "h.poly")]) == 0
+        assert (tmp_path / "h.poly").read_text() == "ring int\nvars 1\nterm 4 6\n"
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("", 1), ("\n", 2), ("ring int", 2), ("ring int\n", 2), ("ring int\n\n", 3),
+        ("ring int\n# no vars", 3), ("ring int\n\f", 3), ("ring int\n\f\n", 3),
+    ])
+    def test_missing_header_line_is_past_the_last_line(self, text, lineno):
+        # a final LF ends the last line and starts none
+        with pytest.raises(PolyFileError, match=f"^line {lineno}: expected "):
+            parse_poly(text)
 
     def test_round_trip_univariate(self):
         rnd = random.Random(1)
@@ -262,24 +292,86 @@ def _mutant(rnd, ring, text, kinds):
     return "\n".join(lines) + "\n"
 
 
+# the rings the property test draws term lines over: Z, a prime field and
+# extension fields of two and three residues
+PROPERTY_RINGS = [ZZ, prime_field(101), ext_field(3, 2), ext_field(3, 3)]
+
+
+# what the property test does to one term line: nothing (a third of the
+# time), one fault, or two, so that the order of a line's checks shows
+LINE_FAULTS = ("terms", "zero", "residue", "count", "exponent", "drop", "add")
+LINE_EDITS = ([()] * 14 + [(fault,) for fault in LINE_FAULTS]
+              + list(itertools.combinations(LINE_FAULTS, 2)))
+
+
+@st.composite
+def _term_line_files(draw):
+    """A file of 1-4 term lines, in 1-3 variables, over one of
+    PROPERTY_RINGS: valid lines (residues 1 and 2, distinct exponent
+    vectors of entries 0-9), each changed with some chance by one or
+    two faults, which hit every check: the word terms, every residue 0,
+    one residue -1, 2x or q (3^90 over Z), one residue too many or too
+    few (so 1,2 over Z), an exponent -1 or 2x, a missing or an extra
+    token; and maybe one line repeated."""
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    nvars = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.sampled_from("0123456789")] * nvars),
+                            min_size=1, max_size=4, unique=True))
+    lines = []
+    for vector in vectors:
+        word, exps = "term", list(vector)
+        residues = draw(st.lists(st.sampled_from("12"), min_size=ring.s, max_size=ring.s))
+        edits = draw(st.sampled_from(LINE_EDITS))
+        for fault in edits:
+            if fault == "terms":
+                word = "terms"
+            elif fault == "zero":
+                residues = ["0"] * ring.s
+            elif fault == "residue":
+                bad = draw(st.sampled_from(["-1", "2x", str(ring.q or 3 ** 90)]))
+                residues[draw(st.integers(0, len(residues) - 1))] = bad
+            elif fault == "count":
+                residues = draw(st.sampled_from([residues + ["1"], residues[1:] or ["1", "2"]]))
+            elif fault == "exponent":
+                exps[draw(st.integers(0, nvars - 1))] = draw(st.sampled_from(["-1", "2x"]))
+        tokens = [word, ",".join(residues), *exps]
+        for fault in edits:
+            if fault == "drop":
+                del tokens[draw(st.integers(0, len(tokens) - 1))]
+            elif fault == "add":
+                tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from("1x")))
+        lines.append(draw(st.sampled_from([" ", "\t"])).join(tokens))
+    if draw(st.sampled_from([False, False, False, True])):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    header = "ring int" if ring.q is None else f"field {ring.q} {ring.s}"
+    return "\n".join([header, f"vars {nvars}", *lines]) + "\n"
+
+
 class TestColumnParser:
     # parse_poly checks term lines a column at a time and, on a bad file,
-    # line by line; both must agree with the line-by-line reference
+    # runs the same checks on each line alone; both must agree with the
+    # line-by-line reference
 
     @pytest.mark.parametrize("ring", PARSE_RINGS, ids=PARSE_RING_IDS)
     def test_valid_files_parse_as_the_reference_does(self, ring, monkeypatch):
-        # and every one of them is read by its columns: none is read again
-        # line by line
-        def line_terms(*args):
-            raise AssertionError("a valid file was read line by line")
+        # and every one of them is read by one column pass: none reaches
+        # the pass over its lines one at a time that names a bad line
+        passes = []
+        real = cli._column_terms
 
-        monkeypatch.setattr(cli, "_line_terms", line_terms)
+        def column_terms(*args):
+            passes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_column_terms", column_terms)
         rnd = random.Random(f"valid {ring.kind} {ring.q} {ring.s}")
         for nvars in (1, 2, 3, 4):
             for _ in range(10):
                 f = rand_multi(rnd, ring, nvars, 12, 30, 2 ** 70)
                 text = _loose_text(rnd, f)
+                passes.clear()
                 assert parse_poly(text) == reference_parse_poly(text) == f
+                assert len(passes) == 1
 
     @pytest.mark.parametrize("ring", PARSE_RINGS, ids=PARSE_RING_IDS)
     def test_mutated_files_fail_as_the_reference_does(self, ring):
@@ -320,6 +412,24 @@ class TestColumnParser:
                      if line.split() == ["term", "5", "1", "2"]]
             assert _outcome(parse_poly, bad) == _outcome(reference_parse_poly, bad) \
                 == f"rejected: line {twins[1]}: duplicate exponent; files must be canonical"
+
+    @settings(max_examples=500)
+    @given(text=_term_line_files())
+    def test_drawn_term_lines_fare_as_the_reference_does(self, text):
+        assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
+
+    @pytest.mark.parametrize("ring", [ZZ, ext_field(3, 2)], ids=["Z", "F9"])
+    def test_a_line_with_several_faults_is_named_for_the_first(self, ring):
+        # every combination of one fault or none per token of one line
+        # (word, coefficient, each exponent, an extra token), so each pair
+        # of checks meets on one line
+        header = "ring int\nvars 2\n" if ring.q is None else "field 3 2\nvars 2\n"
+        coeffs = ["5", "2x", "1,2", "0", "-1"] if ring.q is None else \
+            ["1,2", "2x,1", "1,2,1", "0,0", "3,1"]
+        for word, coeff, e1, e2, extra in itertools.product(
+                ["term", "terms"], coeffs, ["1", "y"], ["2", "-1"], [[], ["3"]]):
+            text = header + " ".join([word, coeff, e1, e2, *extra]) + "\n"
+            assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
 
     @pytest.mark.parametrize("text", [
         "ring int\nvars 100000000\n",
