@@ -207,15 +207,17 @@ def find_terms(p: int, ring: RingSpec, slots, D: int, C: int | None, *,
 
 
 def _slot_sums(F: SparsePoly, p: int, width: int | None) -> list:
-    """F's terms grouped by e mod p: [(r, sum c, sum e*c, e)], each sum as
+    """F's terms grouped by e mod p: [[r, sum c, sum e*c, e]], each sum as
     its integer image at width (RingSpec.lift): the value itself over Z,
     the value mod q over F_q, lift(drop(.)) over F_{q^s}.  e is the
     exponent of the slot's one term, or None where it holds more than one.
 
-    A slot can keep sum e*c with sum c cancelled (1 - X^p at r = 0); only
-    slots where both sums vanish are left out.  Over F_{q^s} the sums are
-    taken over images of the field's own width, dropped once per slot and
-    lifted again at width.
+    Each slot is one mutable record [r, sum c, sum e*c, e], made by the
+    slot's first term and added into in place by the others, so a term
+    builds no new record.  A slot can keep sum e*c with sum c cancelled
+    (1 - X^p at r = 0); only slots where both sums vanish are left out.
+    Over F_{q^s} the sums are taken over images of the field's own width,
+    and each record's two sums are dropped once and lifted again at width.
     """
     ring = F.ring
     terms = F.terms
@@ -227,15 +229,18 @@ def _slot_sums(F: SparsePoly, p: int, width: int | None) -> list:
     slots: dict = {}
     for e, c in terms:
         r = e % p
-        if r in slots:
-            _, s, d, _ = slots[r]
-            slots[r] = (r, s + c, d + e * c, None)
+        rec = slots.get(r)
+        if rec is None:
+            slots[r] = [r, c, e * c, e]
         else:
-            slots[r] = (r, c, e * c, e)
+            rec[1] += c
+            rec[2] += e * c
+            rec[3] = None
     if ring.is_field:
         drop, lift = ring.drop, ring.lift
-        slots = {r: (r, lift(drop(s, own), width), lift(drop(d, own), width), e)
-                 for r, s, d, e in slots.values()}
+        for rec in slots.values():
+            rec[1] = lift(drop(rec[1], own), width)
+            rec[2] = lift(drop(rec[2], own), width)
     return [t for t in slots.values() if t[1] or t[2]]
 
 
@@ -454,13 +459,14 @@ def _trim(H: SparsePoly, T: int, C: int | None) -> SparsePoly:
     degree filter: find_terms and _repair emit only e <= D - 1, the walk's
     lone terms have e = e1 + e2 <= deg F_i + deg G_i <= D - 1, and h*
     holds only their updates.  The height filter builds a new list only
-    when some |c| exceeds C."""
+    when some |c| exceeds C, and H itself is returned when it keeps every
+    term."""
     terms = H.terms
     if C is not None and H.height() > C:
         terms = [(e, c) for e, c in terms if abs(c) <= C]
     if len(terms) > 2 * T:
         terms = terms[: 2 * T]  # already sorted: keeps the lowest degrees
-    return SparsePoly(H.ring, tuple(terms))
+    return H if terms is H.terms else SparsePoly(H.ring, tuple(terms))
 
 
 def _round(pairs, h_star: SparsePoly, p: int, T: int, D: int, C: int | None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter, mul as _int_mul
 
@@ -33,6 +34,12 @@ _RUN_SHARE = 16
 
 @dataclass(frozen=True)
 class SparsePoly:
+    """A polynomial over ring as its canonical terms.  The height is
+    remembered per object, one pass over the terms on the first call to
+    height(): a SparsePoly does not change, and the memo is the object's
+    own, not process state, so equality and hashing see only ring and
+    terms."""
+
     ring: RingSpec
     terms: tuple  # ((exponent, coefficient), ...), exponents strictly increasing
 
@@ -53,6 +60,10 @@ class SparsePoly:
         """Max absolute coefficient; integer polynomials only."""
         if self.ring.kind != "integers":
             raise UnsupportedRingError("height is defined over the integers")
+        return self._height
+
+    @cached_property
+    def _height(self) -> int:
         return max(map(abs, map(itemgetter(1), self.terms)), default=0)
 
 
@@ -157,15 +168,27 @@ def height_bound(pairs) -> int:
 
 
 def derivative(F: SparsePoly) -> SparsePoly:
-    """Formal derivative; terms whose coefficient e*c vanishes are dropped."""
+    """Formal derivative; terms whose coefficient e*c vanishes are dropped.
+
+    The charge is one ring mult per term with e >= 1, the product e*c,
+    also where e*c vanishes mod q and the term is dropped; a constant term
+    is dropped and not charged.  Over Z and F_q the terms are built in one
+    pass and charged in bulk through add_mul_count, over F_{q^s} each
+    product goes through ring.smul."""
     ring = F.ring
-    out = []
-    for e, c in F.terms:
-        if e >= 1:
-            d = ring.smul(c, e)
-            if d:
-                out.append((e - 1, d))
-    return SparsePoly(ring, tuple(out))
+    terms = F.terms
+    if terms and terms[0][0] == 0:
+        terms = terms[1:]
+    if ring.kind == "ext_field":
+        out = tuple((e - 1, d) for e, c in terms if (d := ring.smul(c, e)))
+    else:
+        add_mul_count(len(terms))
+        if ring.kind == "integers":
+            out = tuple([(e - 1, e * c) for e, c in terms])
+        else:
+            q = ring.q
+            out = tuple([(e - 1, d) for e, c in terms if (d := e * c % q)])
+    return SparsePoly(ring, out)
 
 
 def cyclic_reduce(F: SparsePoly, p: int) -> SparsePoly:
@@ -303,7 +326,9 @@ def term_values(ring: RingSpec, terms, table):
     charge = int(n > 0 and terms[0][0] == 0)
     if rows and n:
         width = _byte_width(max(terms[-1][0], (1 << max(w * len(rows), w + 1)) - 1))
-        packed = _pack(map(itemgetter(0), terms), width)
+        # a list, not a map: array() copies a list in one C loop but
+        # takes a map's items one by one
+        packed = _pack([e for e, _ in terms], width)
         masks = int.from_bytes(((1 << w) - 1).to_bytes(width, "little") * n, "little")
         fold = ring._fold if ring.kind == "ext_field" else None
         for i, row in enumerate(rows):

@@ -285,7 +285,7 @@ def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
     if ring.kind == "integers":
         # ln of a bound on ||sum F_i G_i - H||: the larger bit length plus
         # one bit for the sum; overestimating is safe
-        h_bits = max(map(int.bit_length, map(itemgetter(1), H.terms)), default=0)
+        h_bits = H.height().bit_length()
         ln_height = (max(h_bits, height_bound(pairs).bit_length()) + 1) * _LN2
         mu = ceil_bound(c2, max(p, math.ceil(ln_height)))
         # random_prime certified q, so the field is built without a

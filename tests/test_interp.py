@@ -267,19 +267,27 @@ class TestCyclicProductResidue:
                 assert [r for r, _, _, _ in interp._slot_sums(minus, p, None)] == kept
                 assert _single_hit_count(pairs, minus, p) == 2
                 cases.append((p, pairs, minus))
-            # each operand's slots (r, c, d, e), at width None ring elements,
-            # are its own slot triples, and e is the exponent of the slot's
-            # one term, or None where a direct count finds more than one
+            # each operand's slots (r, c, d, e) are its own slot triples,
+            # at width None as ring elements and at the width the walk sizes
+            # (None over Z and F_q) as their images, and e is the exponent of
+            # the slot's one term, or None where a direct count finds more
+            # than one
             ones = []
             for p, pairs, minus in cases:
+                walk_width = ring.lift_width(2 * sum(min(f.sparsity, g.sparsity)
+                                                     for f, g in pairs))
+                assert (walk_width is None) == (ring.kind != "ext_field")
                 for h in (*itertools.chain.from_iterable(pairs), minus):
                     count = Counter(e % p for e, _ in h.terms)
                     exponent = {e % p: e for e, _ in h.terms}
-                    got = sorted(interp._slot_sums(h, p, None))
-                    assert [(r, c, d) for r, c, d, _ in got] == _slots_of(h, p)
-                    for r, _, _, e in got:
-                        assert e == (exponent[r] if count[r] == 1 else None)
-                        ones.append(e is not None)
+                    for width in {None, walk_width}:
+                        got = sorted(interp._slot_sums(h, p, width))
+                        assert [(r, c, d) for r, c, d, _ in got] == [
+                            (r, ring.lift(c, width), ring.lift(d, width))
+                            for r, c, d in _slots_of(h, p)]
+                        for r, _, _, e in got:
+                            assert e == (exponent[r] if count[r] == 1 else None)
+                            ones.append(e is not None)
             assert any(ones) and not all(ones)
             counted = 0
             for p, pairs, minus in cases:
@@ -757,6 +765,27 @@ class TestExponentFloor:
             g = rand_sparse(rnd, ZZ, t, 10 ** 9, 2 ** 30)
             assert sparse_product(f, g, params, RandomSource(t)) == naive_mul(f, g)
         assert counted
+
+
+class TestTrim:
+    H = canonicalize([(0, 3), (5, -4), (9, 2)], ZZ)
+
+    def test_keeping_every_term_returns_the_argument(self):
+        for T, C in ((2, 4), (2, None), (5, 10 ** 9)):
+            assert interp._trim(self.H, T, C) is self.H
+        f = canonicalize([(1, 6), (4, 2)], prime_field(7))
+        assert interp._trim(f, 1, None) is f
+        z = zero_poly(ZZ)
+        assert interp._trim(z, 1, 0) is z
+
+    def test_filtering_or_cutting_builds_a_new_polynomial(self):
+        for T, C, terms in ((1, None, ((0, 3), (5, -4))),  # cut to 2T = 2
+                            (2, 3, ((0, 3), (9, 2))),  # -4 filtered out
+                            (1, 2, ((9, 2),))):  # both
+            got = interp._trim(self.H, T, C)
+            assert got is not self.H and got.terms == terms
+        # a filtered polynomial's height is its own, not H's
+        assert interp._trim(self.H, 2, 3).height() == 3
 
 
 class TestInterpSumSP:

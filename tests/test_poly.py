@@ -173,13 +173,32 @@ class TestHeightBound:
 
     def test_height_is_defined_over_the_integers_only(self):
         for ring in (prime_field(7), ext_field(3, 2)):
-            with pytest.raises(UnsupportedRingError, match="height"):
-                canonicalize([(0, 1)], ring).height()
+            f = canonicalize([(0, 1)], ring)
+            # every call raises, not only the first
+            for _ in range(2):
+                with pytest.raises(UnsupportedRingError, match="height"):
+                    f.height()
+
+    def test_height_is_remembered_per_object(self):
+        f = canonicalize([(0, 3), (4, -17), (9, 5)], ZZ)
+        assert f.height() == f.height() == 17
+        assert zero_poly(ZZ).height() == 0
+        # a polynomial whose height was read compares and hashes as a
+        # fresh equal one
+        fresh = canonicalize([(9, 5), (4, -17), (0, 3)], ZZ)
+        assert f == fresh and hash(f) == hash(fresh)
+        assert fresh.height() == 17 and f == fresh and hash(f) == hash(fresh)
+        assert {f: 1}[fresh] == 1
 
 
 class TestDerivative:
     def test_constant(self):
-        assert derivative(canonicalize([(0, 5)], ZZ)).is_zero
+        # a constant term is dropped and not charged
+        for ring in (ZZ, F7, F9):
+            before = mul_count()
+            assert derivative(canonicalize([(0, 5)], ring)).is_zero
+            assert derivative(zero_poly(ring)).is_zero
+            assert mul_count() == before
 
     def test_example(self):
         assert derivative(F_EX).terms == ((6, 14), (13, 14))
@@ -187,6 +206,42 @@ class TestDerivative:
     def test_char_2_kills_even_exponents(self):
         f2 = prime_field(2)
         assert derivative(canonicalize([(2, 1)], f2)).is_zero
+
+    @staticmethod
+    def _per_term_smul(F):
+        """The derivative by one ring.smul per term with e >= 1, and the
+        ring mults that takes."""
+        ring = F.ring
+        before = mul_count()
+        terms = []
+        for e, c in F.terms:
+            if e >= 1 and (d := ring.smul(c, e)):
+                terms.append((e - 1, d))
+        return tuple(terms), mul_count() - before
+
+    @pytest.mark.parametrize("ring", [ZZ, prime_field(5), prime_field(Q62), F9],
+                             ids=["Z", "F_5", "F_Q62", "F_9"])
+    def test_terms_and_charge_match_per_term_smul(self, ring):
+        # exponents below 40 over F_5 and F_9 give many with e*c = 0 mod q
+        rnd = random.Random(17)
+        for _ in range(60):
+            f = rand_sparse(rnd, ring, 12, 40, 99)
+            want = self._per_term_smul(f)
+            before = mul_count()
+            got = derivative(f)
+            assert (got.terms, mul_count() - before) == want
+            assert want[1] == sum(1 for e, _ in f.terms if e >= 1)
+
+    @pytest.mark.parametrize("ring", [prime_field(5), ext_field(5, 2)], ids=["F_5", "F_25"])
+    def test_vanishing_term_is_charged_and_constant_is_not(self, ring):
+        # e = 5 and 10 are 0 mod q: their terms vanish and are still charged,
+        # as smul charged them; the constant is dropped and not charged
+        f = canonicalize([(0, 2), (3, 1), (5, 4), (10, 3)], ring)
+        before = mul_count()
+        d = derivative(f)
+        assert mul_count() - before == 3
+        assert d.terms == ((2, ring.coerce(3)),)
+        assert (d.terms, 3) == self._per_term_smul(f)
 
     def test_product_rule_200_random_pairs(self):
         rnd = random.Random(13)
