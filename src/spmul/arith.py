@@ -434,9 +434,9 @@ def cyclotomic_degree(q: int, s: int) -> int:
     The cap 2s is a constant taken from measured product costs: a product
     at s' = 2s - 1 reduced modulo Phi_{2s} (RingSpec._fold's lane fold)
     costs at most what one at degree s reduced through a general modulus's
-    rows does (0.2-1.6x, median 0.4, over q = 2, 3, 5, 101 and s = 4 ..
-    33 on CPython 3.11; above 1x only at q = 101 with s >= 20), so below
-    the cap a cyclotomic field mostly pays less per product and skips the
+    rows does (0.30-1.00x, median 0.44, over q = 2, 3, 5, 101 and s =
+    4 .. 33 on CPython 3.11; 1.00x only at q = 101 with s = 33), so below
+    the cap a cyclotomic field pays no more per product and skips the
     irreducibility tests of the walk.
     """
     return next((t for t in range(s, 2 * s) if is_primitive_root(q, t + 1)), s)

@@ -15,21 +15,17 @@ gives the sequence back; ``elements`` and ``residue_run`` do the same for
 a whole flat run of residues, s to an element, in one pack and one
 unpack.  Digits of a fixed byte width are packed and unpacked by one pair
 of routines, ``_pack`` and ``_unpack``, which also serve F_{q^s} integer
-images and ``poly.dense_cyclic_mul``: through one
-``array`` at 1, 2, 4 and 8 bytes (byte-swapped on a big-endian host; a
-1-byte unpack is the tuple of the int's bytes), with no format string
-built per call, and through each digit's bytes at any other width, such
-as a cyclotomic field's 3 or 6.
+images and ``poly.dense_cyclic_mul``: through one ``bytes`` object for
+a list of 1-byte digits, through one ``array`` at 1, 2, 4 and 8 bytes
+otherwise (byte-swapped on a big-endian host; a 1-byte unpack is the
+tuple of the int's bytes), with no format string built per call, and
+through each digit's bytes at any other width, such as a cyclotomic
+field's 3 or 6.
 
 An F_{q^s} product is one integer product of the two elements, and
 ``_fold``, the one reduction of every F_{q^s} product, scalar product,
 power and dropped image, reduces the 2s - 1 digits of the result, the
-coefficients of Y^0 .. Y^(2s-2).  At s = 2 it takes the three digits
-c0, c1, c2 off by shift and mask and applies Y^2 = -m1*Y - m0 to c2
-directly, so no reduction row is built there: on CPython 3.11 (timeit,
-best of 5) a product over F_9 takes 0.36 us and one over F_{Q^2}, Q a
-62-bit prime, 0.97 us, and ``drop`` 1.8 and 3.6 us, half what the row
-fold takes on the same images (3.6 and 7.0 us).
+coefficients of Y^0 .. Y^(2s-2), in one of two ways.
 
 Modulo the cyclotomic polynomial Phi_{s+1} = 1 + Y + ... + Y^s
 (s > 2), the field the verifier builds wherever it can, the lane fold
@@ -44,15 +40,16 @@ a = bitlen(4s(q-1)^2 + q), with k = a + bitlen(q), and a cyclotomic
 field's W is the least whole number of bytes with 8W >= a + k + 1, so
 that d * m fits in its lane, whether or not W is an array item size
 (F_{3^42} takes 3 bytes per lane, F_{101^10} 6); ``_fold`` gives the
-proof, and such a W also meets the row fold's digit bound below.  Any
-other modulus at s > 2
-folds the s - 1 high digits c_i (i = s .. 2s-2) back as sum c_i * ROW_i,
-where ROW_i is Y^i mod the modulus packed the same way, and the s low
-digits are then reduced mod q once each; these s - 1 rows are built once
-per field, and only for such a modulus (at s = 1 nothing folds).  No
-digit may carry into its neighbour: a product digit is at most s(q-1)^2,
-and the row fold adds at most s-1 terms of s(q-1)^2 * (q-1), so every
-digit stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop``
+proof, and such a W also meets the row fold's digit bound below.  Every
+other modulus, s = 1 and s = 2 included, takes the row fold, all by
+shift and mask: the s low digits are masked off, each high digit c_i
+(i = s .. 2s-2) is added back times ROW_i, Y^i mod the modulus packed the
+same way, and each of the s low digits is then reduced mod q once; the
+s - 1 rows and the digits' masks and offsets are built once per field,
+and only for such a modulus (at s = 1 there is no row).  No digit may
+carry into its neighbour: a product digit is at most s(q-1)^2, and the
+row fold adds at most s-1 terms of s(q-1)^2 * (q-1), so every digit
+stays below s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W).  ``drop``
 reduces the 2s - 1 digits of an integer image mod q, packs them at W
 bytes and folds them the same way; its digits are residues in [0, q), so
 its sums meet the same bounds.
@@ -98,7 +95,6 @@ import copy
 import sys
 from array import array
 from dataclasses import dataclass, field
-from operator import mul as _int_mul
 
 from . import arith
 from .errors import UnsupportedRingError
@@ -106,9 +102,11 @@ from .errors import UnsupportedRingError
 _mul_count = 0
 
 # array typecode per digit width in bytes, for the widths an array item
-# has (1, 2, 4 and 8); packed ints are little-endian, so items are
-# byte-swapped on a big-endian host
-_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+# has (1, 2, 4 and 8); L comes after Q, so 8-byte digits take L wherever
+# it is 8 bytes, as array converts a list about twice as fast for it;
+# packed ints are little-endian, so items are byte-swapped on a
+# big-endian host
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHIQL"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -121,9 +119,13 @@ def _byte_width(bound: int) -> int:
 
 def _pack(digits, width: int) -> int:
     """Integer with the base-2^(8*width) digits `digits`, least significant
-    first, each in [0, 2^(8*width)).  At an array item width the digits go
-    through one array; at any other width each digit is converted to its
-    bytes."""
+    first, each in [0, 2^(8*width)).  A list of 1-byte digits goes through
+    one bytes object, about 3x faster than an array; other digits of an
+    array item width go through one array (never bytes, which would read
+    an array's raw buffer, not its items), and at any other width each
+    digit is converted to its bytes."""
+    if width == 1 and isinstance(digits, list):
+        return int.from_bytes(bytes(digits), "little")
     code = _ARRAY_CODES.get(width)
     if code is None:
         return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits), "little")
@@ -186,13 +188,15 @@ class RingSpec:
     q: int | None = None
     s: int = 1
     modulus: tuple[int, ...] | None = None
-    # the rows Y^d mod modulus for d = s .. 2s-2 that _fold's row path
-    # reads, packed at digits of _width bytes; none at s <= 2, and none
-    # modulo Phi_{s+1}, s > 2
-    _packed_rows: tuple = field(default=(), init=False, repr=False, compare=False)
+    # the row fold's constants, built once per field whose modulus is not
+    # Phi_{s+1} (_fold): the mask of one digit, the mask of the s low
+    # digits, the pairs (bit offset of digit d, the row Y^d mod modulus
+    # packed at digits of _width bytes) for d = s .. 2s-2, and the bit
+    # offsets of the s low digits
+    _rows: tuple = field(default=(), init=False, repr=False, compare=False)
     _width: int = field(default=0, init=False, repr=False, compare=False)
     # True for the modulus Phi_{s+1} = 1 + Y + ... + Y^s at s > 2, which
-    # _fold reduces lane by lane instead of through _packed_rows
+    # _fold reduces lane by lane instead of through _rows
     _cyclic: bool = field(default=False, init=False, repr=False, compare=False)
     # the lane fold's constants, built once per cyclotomic field (_fold):
     # the bit offsets L(s+1) and Ls of lanes s + 1 and s with masks of the
@@ -246,22 +250,24 @@ class RingSpec:
             width = _byte_width(s * (q - 1) ** 2 * (1 + (s - 1) * (q - 1)))
         # a 1 in each of the s digits; c * ones holds c in each
         ones = _pack([1] * s, width)
+        bits = 8 * width
         if cyclic:
-            hi, lo = 8 * width * (s + 1), 8 * width * s
+            hi, lo = bits * (s + 1), bits * s
             object.__setattr__(self, "_cyclic", True)
             object.__setattr__(self, "_lanes", (
                 hi, (1 << hi) - 1, lo, (1 << lo) - 1, ones,
                 q * -(-2 * s * (q - 1) ** 2 // q) * ones,
                 -(-(1 << k) // q), k, ((1 << a + 1) - 1) * ones))
-        elif s > 2:
+        else:
             rows = []
             y_s = top = [-c % q for c in m[:s]]
-            for _ in range(s - 1):
-                rows.append(_pack(top, width))
+            for d in range(s, 2 * s - 1):
+                rows.append((bits * d, _pack(top, width)))
                 c = top[-1]  # Y * top = c * Y^s + (top shifted up)
                 top = [(lo + c * y) % q for lo, y in zip([0] + top[:-1], y_s)]
-            object.__setattr__(self, "_packed_rows", tuple(rows))
-        half = 1 << 8 * width - 1
+            object.__setattr__(self, "_rows", (
+                (1 << bits) - 1, (1 << bits * s) - 1, tuple(rows), tuple(range(0, bits * s, bits))))
+        half = 1 << bits - 1
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_qs", q * ones)
         object.__setattr__(self, "_bias", (half - q) * ones)
@@ -387,15 +393,13 @@ class RingSpec:
         s(q-1)^2, the bound of the module docstring): the one reduction of
         every F_{q^s} product, power and dropped image, and of the raw-int
         products and sums of poly's table, lookups and ring_sum and of the
-        verifier's images.  At s = 2 the digits
-        c0, c1, c2 come off v by shift and mask, and Y^2 = -m1*Y - m0
-        gives ((c0 - c2*m0) mod q) + ((c1 - c2*m1) mod q) * 2^(8W), with
-        m0 and m1 from the modulus; each digit is below 2^(8W), so the
-        masks read it exactly.  On CPython 3.11 that is 0.36 us per F_9
-        product and 0.97 us over F_{Q62^2}, and half the row fold's time
-        per dropped image (1.8 against 3.6 us, 3.6 against 7.0 us).  Any
-        other modulus but Phi_{s+1} folds the s - 1 high digits in through
-        the reduction table and reduces the s low digits mod q.
+        verifier's images.  Every modulus but Phi_{s+1}, at any s, takes
+        the row fold: with c_i the W-byte digit i of v, read by one shift
+        and one mask, v becomes sum_{i<s} c_i Y^i + sum_{i>=s} c_i ROW_i,
+        ROW_i = Y^i mod the modulus, and each of its s digits is reduced
+        mod q.  Every digit of the sum stays below
+        s(q-1)^2 * (1 + (s-1)(q-1)) < 2^(8W) (module docstring), so the
+        masks read each digit exactly and no sum carries into the next.
 
         Modulo Phi_{s+1}, every step acts on the whole int, each of its
         L = 8W-bit digits a lane: the lanes at s + 1 and above fold onto
@@ -424,22 +428,20 @@ class RingSpec:
         * each quotient times q is at most its lane, so the subtraction
           borrows across no lane either.
         """
-        q, s = self.q, self.s
-        if s == 2:
-            bits = 8 * self._width
-            mask = (1 << bits) - 1
-            c2, m = v >> 2 * bits, self.modulus
-            return ((v & mask) - c2 * m[0]) % q + (((v >> bits & mask) - c2 * m[1]) % q << bits)
+        q = self.q
         if self._cyclic:
             hi, hi_mask, lo, lo_mask, ones, pad, m, k, qmask = self._lanes
             v = (v & hi_mask) + (v >> hi)
             v = (v & lo_mask) + pad - (v >> lo) * ones
             return v - ((v * m >> k) & qmask) * q
-        width = self._width
-        bits = 8 * width * s
-        high = _unpack(v >> bits, width, s - 1)
-        low = (v & ((1 << bits) - 1)) + sum(map(_int_mul, high, self._packed_rows))
-        return _pack([d % q for d in _unpack(low, width, s)], width)
+        mask, low_mask, rows, shifts = self._rows
+        low = v & low_mask
+        for shift, row in rows:
+            low += (v >> shift & mask) * row
+        folded = 0
+        for shift in shifts:
+            folded += (low >> shift & mask) % q << shift
+        return folded
 
     def pow(self, a, e: int):
         """a^e by left-to-right square and multiply, charged _pow_cost(e)
@@ -510,8 +512,7 @@ class RingSpec:
         """Ring element of integer image v: v itself over Z, v mod q over
         F_q, and over F_{q^s} the 2s - 1 digits of v reduced mod q, packed
         at the field's own width and folded by _fold, the reduction
-        products take too (at s = 2 the two-digit case: 1.8 us over F_9
-        and 3.6 us over F_{Q62^2} on CPython 3.11, half the row fold's)."""
+        products take too."""
         if width is None:
             return v % self.q if self.q else v
         count = 2 * self.s - 1

@@ -284,8 +284,10 @@ def verify_sum_sp(H: SparsePoly, pairs, eps: float, rng: RandomSource) -> bool:
     field = ring
     if ring.kind == "integers":
         # ln of a bound on ||sum F_i G_i - H||: the larger bit length plus
-        # one bit for the sum; overestimating is safe
-        h_bits = H.height().bit_length()
+        # one bit for the sum; overestimating is safe.  H's bit length is
+        # read off its coefficients directly, as int.bit_length ignores the
+        # sign: H is read once per check, so its height memo never pays
+        h_bits = max(map(int.bit_length, map(itemgetter(1), H.terms)), default=0)
         ln_height = (max(h_bits, height_bound(pairs).bit_length()) + 1) * _LN2
         mu = ceil_bound(c2, max(p, math.ceil(ln_height)))
         # random_prime certified q, so the field is built without a

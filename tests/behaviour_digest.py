@@ -23,11 +23,21 @@ touches:
   makes: the prime, the limit, the route (dense or sparse), and the floor
   the walk raised or the number of triples and of lone terms it returned.
 
+The ``rings`` section logs F_{q^s} arithmetic directly, on one field per
+reduction path of ``RingSpec._fold``: F_{Q^1} (Q a 62-bit prime), F_9,
+F_{Q^2}, F_{101^3} and F_256 through the row fold, and F_{3^42} modulo
+Phi_43 through the lane fold.  For each field and seed it draws elements
+with ``rand_elem`` and records the residues of ``mul``, ``add``, ``sub``,
+``neg``, ``pow``, ``smul``, ``inv``, ``drop`` of a lifted sum of products
+and the ``coerce`` / ``residues`` round trips (or the error one raised),
+then the draws' ``RandomSource`` state and the run's ``rings.mul_count()``
+delta.
+
 A section's digest is the SHA-256 of its records in corpus order.  The
 digest is a tool, not a golden test: a change that draws differently on
 purpose changes it.  ``--tiny`` runs the toy builds at seed 0, op seed 0,
-and the four wrapping pairs, in under a second; the full corpus takes
-about 20 s (CPython 3.11, 2-core x86-64).
+the four wrapping pairs and the ring operations at seed 0, in under a
+second; the full corpus takes about 20 s (CPython 3.11, 2-core x86-64).
 """
 
 from __future__ import annotations
@@ -44,7 +54,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SECTIONS = ("products", "random_source", "cli", "ring_mults", "walks")
+SECTIONS = ("products", "random_source", "cli", "ring_mults", "walks", "rings")
+# a 62-bit prime, the base field of the rings section's large-q fields
+Q62 = 2305843009213714499
 
 
 def _records(tree: Path, tiny: bool) -> list:
@@ -106,6 +118,44 @@ def _records(tree: Path, tiny: bool) -> list:
         state = repr(rng._rng.getstate()).encode()
         out.append(("random_source", key, hashlib.sha256(state).hexdigest()))
         record_walks(key)
+
+    def ring_ops(name, field, seed, count):
+        rng = arith.RandomSource(seed)
+        q, s, res = field.q, field.s, field.residues
+        m0 = rings.mul_count()
+        width = field.lift_width(2)
+        for i in range(count):
+            a, b, c, d = (field.rand_elem(rng) for _ in range(4))
+            e = rng.randrange(1 << 70)
+            image = sum(field.lift(x, width) * field.lift(y, width) for x, y in ((a, b), (c, d)))
+            image += field.lift(a, width)
+            raw = [rng.randrange(6 * q) - 3 * q for _ in range(rng.randrange(s + 1))]
+            ops = {
+                "mul": lambda: res(field.mul(a, b)),
+                "add": lambda: res(field.add(a, b)),
+                "sub": lambda: res(field.sub(a, b)), "neg": lambda: res(field.neg(a)),
+                "pow": lambda: res(field.pow(a, e)), "smul": lambda: res(field.smul(c, e)),
+                "inv": lambda: res(field.inv(a)), "drop": lambda: res(field.drop(image, width)),
+                "coerce": lambda: res(field.coerce(raw)),
+                "coerce int": lambda: res(field.coerce(e - (1 << 69))),
+                "residues": lambda: field.coerce(res(c)) == c,
+            }
+            for op, run in ops.items():
+                try:
+                    value = repr(run())
+                except Exception as err:  # a raised error is behaviour too
+                    value = f"{type(err).__name__}: {err}"
+                out.append(("rings", f"{name} seed={seed} i={i} {op}", value))
+        state = repr(rng._rng.getstate()).encode()
+        out.append(("rings", f"{name} seed={seed} draws", hashlib.sha256(state).hexdigest()))
+        out.append(("rings", f"{name} seed={seed} ring_mults", str(rings.mul_count() - m0)))
+
+    for name, field in (("F_(Q62^1)", rings.ext_field(Q62, 1)), ("F_9", rings.ext_field(3, 2)),
+                        ("F_(Q62^2)", rings.ext_field(Q62, 2)),
+                        ("F_(101^3)", rings.ext_field(101, 3)), ("F_256", rings.ext_field(2, 8)),
+                        ("F_(3^42)", rings.RingSpec("ext_field", q=3, s=42, modulus=(1,) * 43))):
+        for seed in (0,) if tiny else range(3):
+            ring_ops(name, field, seed, 4 if tiny else 25)
 
     seeds, op_seeds = ((0,), (0,)) if tiny else (range(4), (0, 1))
     with tempfile.TemporaryDirectory() as tmp:

@@ -34,7 +34,7 @@ It writes ten sets of pairs, each from its own fixed seed:
   is interpolated in that field itself: its walks drop their slot sums
   at s = 2 and read its 64 distinct sums as lone terms, and the check
   runs at p = D + 1 in the ring itself, so every F_(q^2) operation goes
-  through the two-digit fold at a large q.
+  through the row fold at s = 2 and a large q.
 * rza/rzb.poly (random_pair): 64 x 64 terms over Z with exponents below
   10^9 and coefficients below 2^30 in absolute value, shaped like the
   benchmark's largest random_z product (about 4,000 output terms).  Its

@@ -932,7 +932,7 @@ class TestCommands:
         # Y^2 + 1; no operand wraps, so every walk is of the one pair
         # (F, G) in that field, the walks drop their slot sums at s = 2,
         # and the check runs at p = D + 1 in the ring itself, each through
-        # _fold's two-digit case.  Its 64 sums are distinct, so its walks
+        # _fold's row fold at s = 2.  Its 64 sums are distinct, so its walks
         # read them as lone terms; a second pair in that field, with
         # exponents 0..7 on both sides, has repeated sums, and find_terms
         # multiplies and inverts at s = 2 to read its slots.  Both products
@@ -969,7 +969,8 @@ class TestCommands:
             paths[name] = a, b, h, naive
         ring = parse_poly(Path(a).read_text()).ring
         assert ring == ext_field(2 ** 61 - 1, 2) and ring.modulus == (1, 0, 1)
-        assert ring._packed_rows == () and not ring._cyclic
+        # the row fold's one row, Y^2 mod Y^2 + 1 = q - 1
+        assert not ring._cyclic and [row for _, row in ring._rows[2]] == [ring.coerce(-1)]
         assert walks and set(walks) == {(1, ring)}
         assert calls["drop"] > 0 and calls["inv"] > 0 and calls["_fold"] > calls["drop"]
         for a, b, h, naive in paths.values():

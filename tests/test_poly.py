@@ -852,8 +852,8 @@ class TestRingSum:
     """ring_sum over F_{q^s} folds the running total with each chunk of
     s(q-1) - 1 reduced values: every digit a fold takes is at most
     s(q-1)^2, the bound _fold's proof assumes, and the sum equals the one
-    by ring.add at every count around a chunk's end, for the lane fold,
-    the two-digit fold and the row fold, with every digit at q - 1 as
+    by ring.add at every count around a chunk's end, for the lane fold
+    and the row fold (at s = 2 and above), with every digit at q - 1 as
     well as at random."""
 
     # (q, s, modulus), None for the canonical one

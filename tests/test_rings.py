@@ -111,7 +111,7 @@ class TestExtFieldOps:
         assert f.pow(three, 3 ** 5) == three
 
     def test_s2_fold_matches_hand_reduction(self):
-        # _fold's two-digit case against Y^2 = -m1*Y - m0 applied by hand
+        # the row fold at s = 2 against Y^2 = -m1*Y - m0 applied by hand
         f25 = ext_field(5, 2)
         rng = RandomSource(9)
         for _ in range(100):
@@ -128,10 +128,16 @@ class TestExtFieldOps:
 # F_{3^37} (F_9 at eps = 2^-20), and a 62-bit base field
 PACKED_CASES = ((2, 3), (3, 5), (3, 37), (5, 26), (Q62, 3))
 
+# s = 2 at q = 3 and at a 62-bit q, whose canonical modulus is Y^2 + 1
+S2_CASES = ((3, 2), (Q62, 2))
 
-# one dense irreducible per PACKED_CASES entry, pinned: the canonical
-# moduli are sparse, as binomials and trinomials lead their walk
+
+# one dense irreducible per PACKED_CASES and S2_CASES entry, pinned: the
+# canonical moduli are sparse, as binomials and trinomials lead their
+# walk; at s = 2 both digits of Y^2 mod the modulus are nonzero
 DENSE_MODULI = {
+    (3, 2): (2, 1, 1),
+    (Q62, 2): (2, 2, 1),
     (2, 3): (1, 0, 1, 1),
     (3, 5): (2, 1, 0, 0, 1, 1),
     (3, 37): (2, 2, 0, 1, 0, 0, 2, 1, 2, 0, 1, 2, 1, 1, 1, 0, 0, 0, 2,
@@ -149,7 +155,7 @@ def _moduli(q, s):
 
 
 def test_dense_moduli_are_irreducible_and_not_canonical():
-    assert set(DENSE_MODULI) == set(PACKED_CASES)
+    assert set(DENSE_MODULI) == set(PACKED_CASES + S2_CASES)
     for (q, s), m in DENSE_MODULI.items():
         assert len(m) == s + 1 and m[-1] == 1 and is_irreducible(list(m), q)
         assert m != canonical_irreducible(q, s) and m != (1,) * (s + 1)
@@ -173,9 +179,11 @@ def _packed_id(case):
     return f"q{q if q < 100 else 'Q62'}-s{s}-{kind}"
 
 
-# the packed fields plus the two-digit fold at s = 2, at q = 3 and at a
-# 62-bit q (canonical modulus Y^2 + 1 at both)
-FOLD_KINDS = PACKED_KINDS + [(3, 2, "canonical"), (Q62, 2, "canonical")]
+# the packed fields plus the row fold at its smallest degrees, at q = 3
+# and at a 62-bit q: degree 1, where it reads no row, and s = 2 with the
+# canonical modulus Y^2 + 1 and with a dense one
+FOLD_KINDS = PACKED_KINDS + [(q, s, kind) for q in (3, Q62) for s, kind in (
+    (1, "canonical"), (2, "canonical"), (2, "dense"))]
 
 
 @pytest.fixture(scope="module", params=FOLD_KINDS, ids=_packed_id)
@@ -270,14 +278,20 @@ class TestPackedExtMul:
             f.drop(edge, width)
 
     def test_reduction_rows_are_powers_of_the_generator(self, packed_field):
-        # the rows Y^s .. Y^(2s-2) the row fold reads; the lane fold and the
-        # two-digit fold at s = 2 read none
+        # the rows Y^s .. Y^(2s-2) the row fold reads, each with the bit
+        # offset of its digit, and the offsets of the s low digits; the
+        # lane fold reads none, and at s = 1 there is no row
         f = packed_field
-        if f.s == 2 or f.modulus == (1,) * (f.s + 1):
-            assert f._packed_rows == ()
+        if f.s > 2 and f.modulus == (1,) * (f.s + 1):
+            assert f._rows == ()
             return
-        assert len(f._packed_rows) == f.s - 1
-        for d, row in enumerate(f._packed_rows, f.s):
+        bits = 8 * f._width
+        mask, low_mask, rows, shifts = f._rows
+        assert (mask, low_mask) == ((1 << bits) - 1, (1 << bits * f.s) - 1)
+        assert shifts == tuple(bits * i for i in range(f.s))
+        assert len(rows) == f.s - 1
+        for d, (shift, row) in enumerate(rows, f.s):
+            assert shift == bits * d
             assert tuple(_unpack(row, f._width, f.s)) == ext_reduce_oracle([0] * d + [1], f)
 
     def test_inv_and_pow_identities_at_s37(self):
@@ -300,12 +314,8 @@ class TestPackedExtMul:
         assert direct == ext_field(3, 37, m)
         assert hash(direct) == hash(ext_field(3, 37, m))
         private = [f.name for f in fields(direct) if f.name.startswith("_")]
-        assert "_packed_rows" in private
+        assert "_rows" in private
         assert not any(name in repr(direct) for name in private)
-
-
-# every PACKED_KINDS case, plus degree 1 and the two-digit fold at degree 2
-ARITH_CASES = PACKED_KINDS + [(Q62, 1, "canonical"), (3, 2, "canonical"), (Q62, 2, "canonical")]
 
 
 class TestPackedArithmetic:
@@ -332,7 +342,7 @@ class TestPackedArithmetic:
         else:
             assert f.residues(f.inv(f.coerce(a))) == want
 
-    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    @pytest.mark.parametrize("case", FOLD_KINDS, ids=_packed_id)
     def test_top_digits(self, case):
         f = _packed(*case)
         q, s = f.q, f.s
@@ -343,7 +353,7 @@ class TestPackedArithmetic:
                 self._check(f, a, b, k)
         self._check_inv(f, top)
 
-    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    @pytest.mark.parametrize("case", FOLD_KINDS, ids=_packed_id)
     def test_seeded_draws(self, case):
         f = _packed(*case)
         q, s = f.q, f.s
@@ -356,7 +366,7 @@ class TestPackedArithmetic:
             if any(a):
                 self._check_inv(f, a)
 
-    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    @pytest.mark.parametrize("case", FOLD_KINDS, ids=_packed_id)
     def test_coerce_round_trips(self, case):
         f = _packed(*case)
         q, s = f.q, f.s
@@ -372,7 +382,7 @@ class TestPackedArithmetic:
         with pytest.raises(ValueError, match="too many residues"):
             f.coerce([1] * (s + 1))
 
-    @pytest.mark.parametrize("case", ARITH_CASES, ids=_packed_id)
+    @pytest.mark.parametrize("case", FOLD_KINDS, ids=_packed_id)
     def test_bulk_conversions_match_coerce_and_residues(self, case):
         # elements and residue_run over a run of residue vectors, each
         # digit 0, q - 1 or a draw, are coerce and residues element-wise
@@ -403,10 +413,16 @@ class TestCyclicFold:
 
     @staticmethod
     def _row_fold_twin(ring):
+        # the row fold's state as _build_table lays it out for any other
+        # modulus, its rows from the schoolbook reduction
         twin = RingSpec("ext_field", q=ring.q, s=ring.s, modulus=ring.modulus)
+        s, width = ring.s, twin._width
+        bits = 8 * width
+        rows = tuple((bits * d, _pack(ext_reduce_oracle([0] * d + [1], ring), width))
+                     for d in range(s, 2 * s - 1))
         object.__setattr__(twin, "_cyclic", False)
-        rows = [ext_reduce_oracle([0] * d + [1], ring) for d in range(ring.s, 2 * ring.s - 1)]
-        object.__setattr__(twin, "_packed_rows", tuple(_pack(row, twin._width) for row in rows))
+        object.__setattr__(twin, "_rows", (
+            (1 << bits) - 1, (1 << bits * s) - 1, rows, tuple(bits * i for i in range(s))))
         return twin
 
     @pytest.mark.parametrize("q", [2, 3, 5, 101, Q62], ids=["2", "3", "5", "101", "Q62"])
